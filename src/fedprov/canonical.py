@@ -28,11 +28,3 @@ def sha256_hex(data: bytes) -> str:
 def digest(value: Any) -> str:
     """SHA-256 hex digest of the canonical JSON form of *value*."""
     return sha256_hex(canonical_bytes(value))
-
-
-def file_sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()

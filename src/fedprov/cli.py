@@ -61,7 +61,7 @@ from .errors import (
     UnauthorizedError,
     UnknownPIDError,
 )
-from .federation import FederationConfig, init_federation, load_node_credentials
+from .federation import FederationConfig, init_federation
 from .ledger.chaincode import (
     MSG_ARTIFACT_UPDATE,
     MSG_EXISTS,
@@ -70,8 +70,6 @@ from .ledger.chaincode import (
     MSG_UNAUTHORIZED,
 )
 from .ledger.client import LedgerClient
-from .ledger.node import OrgNode
-from .ledger.ordering import OrderingService
 from .lineage import (
     POLICY_FLAG_AND_NOTIFY,
     build_graph,
@@ -80,12 +78,12 @@ from .lineage import (
     trace_lineage,
     verify_trace_soundness,
 )
-from .pid_registry import KIND_ARTIFACT, KIND_PROVENANCE, PIDRegistry
-from .prov import ProvDocument, validate_document
+from .pid_registry import KIND_ARTIFACT, KIND_PROVENANCE
+from .prov import ProvDocument, require_valid
 from .prov_store import ProvStore
-from .services import NodeService, RegistryClient, RegistryService, serve_node, serve_registry
-from .transport import TcpTransport
-from .updates import AtomicUpdater
+from .services import RegistryClient, assemble_org, serve, shut_down
+from .transport import TcpTransport, TransportFactory
+from .updates import AtomicUpdater, unresolvable_artifact_pids
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -156,11 +154,17 @@ def exit_code_for(exc: Exception) -> int:
 
 @dataclass
 class ClientContext:
-    """Everything a command needs: config, credentials, service transports."""
+    """Everything a command needs: config, credentials, service transports.
+
+    The one place clients are assembled. ``transport`` maps a listen address
+    to a transport; ``TcpTransport`` here, an in-process one in the harness.
+    Without credentials the clients still answer every query.
+    """
 
     config: FederationConfig
     identity: identity_mod.Identity | None = None
     private_key: str | None = None
+    transport: TransportFactory = TcpTransport
 
     @classmethod
     def build(cls, config_path: str, user_id: str | None) -> "ClientContext":
@@ -177,33 +181,21 @@ class ClientContext:
         return self.identity
 
     def ledger(self) -> LedgerClient:
-        identity = self.require_identity()
         return LedgerClient(
-            identity=identity,
+            identity=self.identity,
             private_key=self.private_key,
-            peer_transports=self._peer_transports(),
-            orderer_transport=TcpTransport(self.config.orderer_org().listen_address),
-            orgs=self.config.orgs_map(),
-            endorsement_policy=self.config.endorsement_policy,
-        )
-
-    def reader(self) -> LedgerClient:
-        """Query-only access: works without any identity."""
-        anonymous = self.identity or identity_mod.Identity(
-            user_id="", org="", public_key="", certificate=""
-        )
-        return LedgerClient(
-            identity=anonymous,
-            private_key=self.private_key or "",
-            peer_transports=self._peer_transports(),
-            orderer_transport=TcpTransport(self.config.orderer_org().listen_address),
+            peer_transports={
+                org.name: self.transport(org.listen_address)
+                for org in self.config.organizations
+            },
+            orderer_transport=self.transport(self.config.orderer_org().listen_address),
             orgs=self.config.orgs_map(),
             endorsement_policy=self.config.endorsement_policy,
         )
 
     def registry(self) -> RegistryClient:
         return RegistryClient(
-            TcpTransport(self.config.registry_address), self.identity, self.private_key
+            self.transport(self.config.registry_address), self.identity, self.private_key
         )
 
     def store(self) -> ProvStore:
@@ -223,12 +215,6 @@ class ClientContext:
         )
         identity = directory.get(user_id)
         return identity.org if identity else "unknown"
-
-    def _peer_transports(self) -> dict[str, TcpTransport]:
-        return {
-            org.name: TcpTransport(org.listen_address)
-            for org in self.config.organizations
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +241,9 @@ def publish_artifact(
     artifact_pid = artifact_record["pid"]
 
     doc = _attach_artifact(doc, artifact_pid, artifact_checksum, entity_id)
-    _require_resolvable_entities(doc, registry)
+    unresolvable = unresolvable_artifact_pids(doc, registry)
+    if unresolvable:
+        raise InvalidDocumentError(unresolvable)
     doc_uri, doc_checksum, _ = store.store_document(doc)
     prov_record = registry.mint(KIND_PROVENANCE, doc_uri, doc_checksum)
     prov_pid = prov_record["pid"]
@@ -296,7 +284,7 @@ def update_provenance(
 def verify_pid(ctx: ClientContext, pid: str) -> dict:
     """Recompute content checksums against the ledger record for *pid*."""
     registry = ctx.registry()
-    ledger = ctx.reader()
+    ledger = ctx.ledger()
     store = ctx.store()
 
     record = registry.resolve(pid)
@@ -386,7 +374,7 @@ def invalidate_artifact(
 
 
 def trace_artifact(ctx: ClientContext, pid: str, include_dot: bool = False) -> dict:
-    ledger = ctx.reader()
+    ledger = ctx.ledger()
     store = ctx.store()
     state = ledger.state_dump()
     graph = build_graph(collect_documents(state, store), state)
@@ -414,94 +402,62 @@ def federation_init(config_path: str) -> dict:
 
 
 def federation_status(config_path: str) -> dict:
-    config = FederationConfig.load(Path(config_path))
-    nodes = {}
-    reachable = 0
-    for org in config.organizations:
-        transport = TcpTransport(org.listen_address, timeout=3.0)
-        try:
-            height = transport("QUERY", {"op": "height"})
-            digest = transport("QUERY", {"op": "state_digest"})
-            nodes[org.name] = {
-                "reachable": True,
-                "height": height["height"],
-                "tip_hash": height["tip_hash"],
-                "state_digest": digest["digest"],
-            }
-            reachable += 1
-        except TransportError as exc:
-            nodes[org.name] = {"reachable": False, "error": str(exc)}
+    def ask(transport) -> dict:
+        height = transport("QUERY", {"op": "height"})
+        return {
+            "height": height["height"],
+            "tip_hash": height["tip_hash"],
+            "state_digest": transport("QUERY", {"op": "state_digest"})["digest"],
+        }
+
+    nodes = _ask_nodes(config_path, ask, timeout=3.0)
     body = {"nodes": nodes, "consistent": _digests_agree(nodes)}
-    if reachable == 0:
-        raise CommandFailure(EXIT_UNREACHABLE, "no node reachable", body)
+    _require_reachable(nodes, body)
     return body
 
 
 def federation_verify_chain(config_path: str) -> dict:
-    config = FederationConfig.load(Path(config_path))
-    nodes = {}
-    clean = True
-    reachable = 0
-    for org in config.organizations:
-        transport = TcpTransport(org.listen_address, timeout=10.0)
-        try:
-            report = transport("QUERY", {"op": "verify_chain"})["report"]
-            digest = transport("QUERY", {"op": "state_digest"})["digest"]
-            nodes[org.name] = {"reachable": True, "report": report, "state_digest": digest}
-            reachable += 1
-            clean = clean and report["ok"]
-        except TransportError as exc:
-            nodes[org.name] = {"reachable": False, "error": str(exc)}
-    body = {"nodes": nodes, "all_clear": clean and reachable > 0,
+    def ask(transport) -> dict:
+        return {
+            "report": transport("QUERY", {"op": "verify_chain"})["report"],
+            "state_digest": transport("QUERY", {"op": "state_digest"})["digest"],
+        }
+
+    nodes = _ask_nodes(config_path, ask, timeout=10.0)
+    reports = [info["report"] for info in nodes.values() if info["reachable"]]
+    body = {"nodes": nodes, "all_clear": bool(reports) and all(r["ok"] for r in reports),
             "consistent": _digests_agree(nodes)}
-    if reachable == 0:
-        raise CommandFailure(EXIT_UNREACHABLE, "no node reachable", body)
+    _require_reachable(nodes, body)
     if not body["all_clear"] or not body["consistent"]:
         raise CommandFailure(EXIT_MISMATCH, "chain verification found divergence", body)
     return body
+
+
+def _ask_nodes(config_path: str, ask, timeout: float) -> dict[str, dict]:
+    """``ask(transport)`` of every node; an unreachable node is recorded, not raised."""
+    config = FederationConfig.load(Path(config_path))
+    nodes = {}
+    for org in config.organizations:
+        try:
+            answer = ask(TcpTransport(org.listen_address, timeout=timeout))
+            nodes[org.name] = {"reachable": True, **answer}
+        except TransportError as exc:
+            nodes[org.name] = {"reachable": False, "error": str(exc)}
+    return nodes
+
+
+def _require_reachable(nodes: dict[str, dict], body: dict) -> None:
+    if not any(info["reachable"] for info in nodes.values()):
+        raise CommandFailure(EXIT_UNREACHABLE, "no node reachable", body)
 
 
 def federation_start_node(config_path: str, org_name: str) -> dict:
     """Run one organization node in the foreground (plus orderer/registry on
     the orderer org). Blocks until interrupted."""
     config = FederationConfig.load(Path(config_path))
-    org = config.org_entry(org_name)
-    orgs_map = config.orgs_map()
-    node_identity, node_key = load_node_credentials(config, org_name)
-    node = OrgNode(
-        org_name=org_name,
-        node_identity=node_identity,
-        node_private_key=node_key,
-        orgs=orgs_map,
-        endorsement_policy=config.endorsement_policy,
-        ledger_path=config.ledger_path(org_name),
-    )
-    service = NodeService(node)
-    servers = []
-    orderer = None
-    try:
-        servers.append(serve_node(service, org.listen_address))
-        if config.orderer_org().name == org_name:
-            orderer = OrderingService(
-                peers={
-                    o.name: TcpTransport(o.listen_address)
-                    for o in config.organizations
-                },
-                tip_height=node.height(),
-                tip_hash=node.tip_hash(),
-                max_block_txs=config.max_block_txs,
-                block_timeout_ms=config.block_timeout_ms,
-                max_clock_skew_ms=config.max_clock_skew_ms,
-            )
-            service.orderer = orderer
-            registry_service = RegistryService(
-                PIDRegistry(config.registry_root, config.pid_prefix), orgs_map
-            )
-            servers.append(serve_registry(registry_service, config.registry_address))
-    except TransportError:
-        for server in servers:
-            server.stop()
-        raise
+    address = config.org_entry(org_name).listen_address
+    services = assemble_org(config, org_name, TcpTransport)
+    servers = serve(services)
 
     stop = {"requested": False}
 
@@ -510,18 +466,12 @@ def federation_start_node(config_path: str, org_name: str) -> dict:
 
     signal.signal(signal.SIGTERM, _handle)
     signal.signal(signal.SIGINT, _handle)
-    print(
-        json.dumps({"serving": org_name, "address": org.listen_address}),
-        flush=True,
-    )
+    print(json.dumps({"serving": org_name, "address": address}), flush=True)
     try:
         while not stop["requested"]:
             time.sleep(0.2)
     finally:
-        if orderer is not None:
-            orderer.close()
-        for server in servers:
-            server.stop()
+        shut_down(services, servers)
     return {"stopped": org_name}
 
 
@@ -543,9 +493,7 @@ def _load_document(path: str) -> ProvDocument:
     except ValueError as exc:
         raise InvalidDocumentError([f"{path}: not valid JSON ({exc})"]) from exc
     doc = ProvDocument.from_dict(data)
-    violations = validate_document(doc)
-    if violations:
-        raise InvalidDocumentError(violations)
+    require_valid(doc)
     return doc
 
 
@@ -603,22 +551,6 @@ def _attach_artifact(
         )
     filled = dc_replace(target, artifact_pid=artifact_pid, checksum=checksum)
     return doc.with_entity(filled)
-
-
-def _require_resolvable_entities(doc: ProvDocument, registry: RegistryClient) -> None:
-    violations = []
-    for entity in doc.entities:
-        if entity.artifact_pid is None:
-            continue
-        try:
-            registry.resolve(entity.artifact_pid)
-        except UnknownPIDError:
-            violations.append(
-                f"entity {entity.local_id!r}: artifact PID {entity.artifact_pid!r} "
-                "does not resolve"
-            )
-    if violations:
-        raise InvalidDocumentError(violations)
 
 
 def _require_committed(receipt, partial_body: dict) -> None:

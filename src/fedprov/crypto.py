@@ -30,6 +30,13 @@ def sign(private_hex: str, message: bytes) -> str:
 
 
 def verify(public_hex: str, signature_hex: str, message: bytes) -> bool:
+    """True iff *signature_hex* signs *message* under *public_hex*.
+
+    Anything else is False, never an exception: key and signature come from
+    untrusted JSON and may be null, numbers, lists or objects.
+    """
+    if not isinstance(public_hex, str) or not isinstance(signature_hex, str):
+        return False
     try:
         key = Ed25519PublicKey.from_public_bytes(bytes.fromhex(public_hex))
         key.verify(bytes.fromhex(signature_hex), message)

@@ -247,6 +247,16 @@ def init_federation(config_path: Path) -> FederationConfig:
     return config
 
 
+def load_registration(config: FederationConfig) -> identity_mod.RegistrationService:
+    """The registration service of an initialized federation's workspace."""
+    return identity_mod.RegistrationService.load(
+        config.orgs_map().values(),
+        ca_dir=config.ca_dir,
+        identities_dir=config.identities_dir,
+        keys_dir=config.keys_dir,
+    )
+
+
 def load_node_credentials(config: FederationConfig, org: str) -> tuple[identity_mod.Identity, str]:
     node_dir = config.node_dir(org)
     identity_path = node_dir / "node.json"

@@ -1,9 +1,17 @@
 """Federation harness: build and run a whole federation in one process.
 
-Used by the test suite and the scenario scripts. ``use_tcp=True`` serves
-every node and the registry on loopback sockets and wires all components
-through real framed messages; the default direct mode short-circuits the
-transport layer for speed while exercising the identical service handlers.
+Used by the test suite, the scenario tests and the benchmark. The wiring is
+the deployment's own: each organization's services come from
+``services.assemble_org`` (as in ``fedprov federation start-node``) and every
+client from ``cli.ClientContext`` (as in every CLI command). Both take a
+transport factory, ``address -> transport``, and that factory is the only
+thing ``use_tcp`` chooses:
+
+* ``use_tcp=True``: ``TcpTransport``, with every service served on its
+  loopback listen address, so all traffic is real framed messages;
+* the default direct mode: an in-process transport that calls the service
+  registered for the address, looked up at each request (the orderer's
+  peer transports are made before the other organizations' services exist).
 """
 
 from __future__ import annotations
@@ -11,18 +19,18 @@ from __future__ import annotations
 import socket
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Mapping
 
 from . import identity as identity_mod
-from .federation import FederationConfig, OrgEntry, init_federation, load_node_credentials
-from .ledger.client import LedgerClient
+from .cli import ClientContext
+from .federation import FederationConfig, OrgEntry, init_federation, load_registration
 from .ledger.node import OrgNode
 from .ledger.ordering import OrderingService
 from .ledger.policy import POLICY_ANY_ONE
 from .pid_registry import PIDRegistry
 from .prov_store import ProvStore
-from .services import NodeService, RegistryClient, RegistryService, serve_node, serve_registry
-from .transport import DirectTransport, TcpTransport
-from .updates import AtomicUpdater
+from .services import NodeService, Service, assemble_org, serve, shut_down
+from .transport import DirectTransport, MessageServer, TcpTransport, TransportFactory
 
 DEFAULT_ORGS = (("OrgA", "producer"), ("OrgB", "producer"), ("Readers", "consumer-read-only"))
 
@@ -52,12 +60,11 @@ class Federation:
     registration: identity_mod.RegistrationService
     nodes: dict[str, OrgNode]
     services: dict[str, NodeService]
-    orderer: OrderingService | None
+    orderer: OrderingService
     registry: PIDRegistry
-    registry_service: RegistryService
     store: ProvStore
-    use_tcp: bool
-    servers: list = field(default_factory=list)
+    transport: TransportFactory
+    servers: list[MessageServer] = field(default_factory=list)
 
     # -- construction -----------------------------------------------------------
 
@@ -98,126 +105,47 @@ class Federation:
     def start(cls, config_path: Path, use_tcp: bool = False) -> "Federation":
         """Bring up all components of an initialized federation."""
         config = FederationConfig.load(config_path)
-        orgs_map = config.orgs_map()
-        registration = identity_mod.RegistrationService.load(
-            orgs_map.values(),
-            ca_dir=config.ca_dir,
-            identities_dir=config.identities_dir,
-            keys_dir=config.keys_dir,
-        )
-        nodes: dict[str, OrgNode] = {}
-        services: dict[str, NodeService] = {}
-        for org in config.organizations:
-            node_identity, node_key = load_node_credentials(config, org.name)
-            node = OrgNode(
-                org_name=org.name,
-                node_identity=node_identity,
-                node_private_key=node_key,
-                orgs=orgs_map,
-                endorsement_policy=config.endorsement_policy,
-                ledger_path=config.ledger_path(org.name),
-            )
-            nodes[org.name] = node
-            services[org.name] = NodeService(node)
-
-        registry = PIDRegistry(config.registry_root, config.pid_prefix)
-        registry_service = RegistryService(registry, orgs_map)
-        store = ProvStore(config.store_root)
-
-        federation = cls(
+        registration = load_registration(config)
+        by_address: dict[str, Service] = {}
+        transport = TcpTransport if use_tcp else _in_process(by_address)
+        orderer_org = config.orderer_org().name
+        # The orderer org goes last: its orderer thread starts only once every
+        # other node has loaded its ledger.
+        for org in sorted(config.organizations, key=lambda o: o.name == orderer_org):
+            by_address.update(assemble_org(config, org.name, transport))
+        services = {
+            org.name: by_address[org.listen_address] for org in config.organizations
+        }
+        return cls(
             config=config,
             config_path=Path(config_path),
             registration=registration,
-            nodes=nodes,
+            nodes={name: service.node for name, service in services.items()},
             services=services,
-            orderer=None,  # set below once peer transports exist
-            registry=registry,
-            registry_service=registry_service,
-            store=store,
-            use_tcp=use_tcp,
+            orderer=services[orderer_org].orderer,
+            registry=by_address[config.registry_address].registry,
+            store=ProvStore(config.store_root),
+            transport=transport,
+            servers=serve(by_address) if use_tcp else [],
         )
-
-        if use_tcp:
-            for org in config.organizations:
-                federation.servers.append(
-                    serve_node(services[org.name], org.listen_address)
-                )
-            federation.servers.append(
-                serve_registry(registry_service, config.registry_address)
-            )
-
-        orderer_org = config.orderer_org().name
-        orderer_node = nodes[orderer_org]
-        federation.orderer = OrderingService(
-            peers=federation.peer_transports(),
-            tip_height=orderer_node.height(),
-            tip_hash=orderer_node.tip_hash(),
-            max_block_txs=config.max_block_txs,
-            block_timeout_ms=config.block_timeout_ms,
-            max_clock_skew_ms=config.max_clock_skew_ms,
-        )
-        services[orderer_org].orderer = federation.orderer
-        return federation
 
     def stop(self) -> None:
-        if self.orderer is not None:
-            self.orderer.close()
-        for server in self.servers:
-            server.stop()
+        shut_down(self.services, self.servers)
         self.servers.clear()
-
-    # -- transports --------------------------------------------------------------
-
-    def peer_transports(self) -> dict[str, object]:
-        if self.use_tcp:
-            return {
-                org.name: TcpTransport(org.listen_address)
-                for org in self.config.organizations
-            }
-        return {
-            name: DirectTransport(service.handle) for name, service in self.services.items()
-        }
-
-    def orderer_transport(self):
-        orderer_org = self.config.orderer_org()
-        if self.use_tcp:
-            return TcpTransport(orderer_org.listen_address)
-        return DirectTransport(self.services[orderer_org.name].handle)
-
-    def registry_transport(self):
-        if self.use_tcp:
-            return TcpTransport(self.config.registry_address)
-        return DirectTransport(self.registry_service.handle)
 
     # -- participants ---------------------------------------------------------------
 
     def register_user(self, org: str, user_id: str, role: str | None = None):
         return self.registration.register_user(org, user_id, role)
 
-    def ledger_client(self, identity: identity_mod.Identity, private_key: str) -> LedgerClient:
-        return LedgerClient(
-            identity=identity,
-            private_key=private_key,
-            peer_transports=self.peer_transports(),
-            orderer_transport=self.orderer_transport(),
-            orgs=self.config.orgs_map(),
-            endorsement_policy=self.config.endorsement_policy,
-        )
-
-    def registry_client(
+    def client(
         self,
         identity: identity_mod.Identity | None = None,
         private_key: str | None = None,
-    ) -> RegistryClient:
-        return RegistryClient(self.registry_transport(), identity, private_key)
-
-    def updater(self, identity: identity_mod.Identity, private_key: str) -> AtomicUpdater:
-        return AtomicUpdater(
-            store=self.store,
-            registry=self.registry_client(identity, private_key),
-            ledger=self.ledger_client(identity, private_key),
-            journal_path=self.config.base_dir / "journal" / "updates.jsonl",
-        )
+    ) -> ClientContext:
+        """A client of this federation, wired exactly as the CLI's: its
+        ``ledger()``, ``registry()``, ``store()`` and ``updater()``."""
+        return ClientContext(self.config, identity, private_key, self.transport)
 
     # -- whole-system inspection -------------------------------------------------------
 
@@ -236,7 +164,15 @@ class Federation:
             }
         )
 
-    def identity_directory(self) -> dict[str, identity_mod.Identity]:
-        return identity_mod.load_identity_directory(
-            self.config.identities_dir, self.config.orgs_map()
-        )
+
+def _in_process(services: Mapping[str, Service]) -> TransportFactory:
+    """Transports that call ``services[address].handle`` directly.
+
+    The service is looked up when a request is made, not when the transport
+    is made, so transports may be handed out before *services* is complete.
+    """
+
+    def transport(address: str) -> DirectTransport:
+        return DirectTransport(lambda kind, payload: services[address].handle(kind, payload))
+
+    return transport

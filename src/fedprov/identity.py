@@ -102,17 +102,41 @@ class Identity:
 
     @classmethod
     def from_dict(cls, data: Mapping, orgs: Mapping[str, Organization] | None = None) -> "Identity":
-        org_name = data["org"]
-        role = ROLE_PRODUCER
-        if orgs is not None and org_name in orgs:
-            role = ROLE_CONSUMER if orgs[org_name].kind == ORG_CONSUMER else ROLE_PRODUCER
         return cls(
             user_id=data["user-id"],
-            org=org_name,
+            org=data["org"],
             public_key=data["public-key"],
             certificate=data["certificate"],
-            role=data.get("role", role),
+            role=data.get("role", role_for(data["org"], orgs or {})),
         )
+
+    def to_creator(self) -> dict:
+        """The ``creator`` field of a transaction body."""
+        return {
+            "user_id": self.user_id,
+            "org": self.org,
+            "public_key": self.public_key,
+            "certificate": self.certificate,
+        }
+
+    @classmethod
+    def from_creator(cls, creator: Mapping, orgs: Mapping[str, Organization]) -> "Identity":
+        """The identity a transaction's ``creator`` claims; unverified."""
+        return cls(
+            user_id=creator.get("user_id", ""),
+            org=creator.get("org", ""),
+            public_key=creator.get("public_key", ""),
+            certificate=creator.get("certificate", ""),
+            role=role_for(creator.get("org", ""), orgs),
+        )
+
+
+def role_for(org_name: str, orgs: Mapping[str, Organization]) -> str:
+    """Consumer for the read-only organization, producer otherwise."""
+    org = orgs.get(org_name)
+    if org is not None and org.kind == ORG_CONSUMER:
+        return ROLE_CONSUMER
+    return ROLE_PRODUCER
 
 
 def certificate_payload(user_id: str, org: str, public_key: str) -> bytes:
@@ -253,10 +277,13 @@ def check_auth(
     grantor_org = orgs.get(permission.grantor_org)
     if grantor_org is None or grantor_org.kind == ORG_CONSUMER:
         return False
-    cert_payload = certificate_payload(
-        permission.grantor, permission.grantor_org, permission.grantor_public_key
+    grantor = Identity(
+        permission.grantor,
+        permission.grantor_org,
+        permission.grantor_public_key,
+        permission.grantor_certificate,
     )
-    if not crypto.verify(grantor_org.ca_public_key, permission.grantor_certificate, cert_payload):
+    if not verify_identity(grantor, orgs):
         return False
     return crypto.verify(permission.grantor_public_key, permission.signature, permission.payload())
 
@@ -361,22 +388,19 @@ class RegistrationService:
                 certificate=certificate,
                 role=resolved_role,
             )
-            record_path.write_text(json.dumps(identity.to_dict(), indent=2, sort_keys=True))
+            record = json.dumps(identity.to_dict(), indent=2, sort_keys=True)
+            record_path.write_text(record)
             user_dir = self._user_key_dir(user_id)
             user_dir.mkdir(parents=True, exist_ok=True)
             (user_dir / "key").write_text(private_hex)
-            (user_dir / "identity.json").write_text(
-                json.dumps(identity.to_dict(), indent=2, sort_keys=True)
-            )
+            (user_dir / "identity.json").write_text(record)
             return identity, private_hex
 
     def _record_path(self, user_id: str, org: str) -> Path:
         return self.identities_dir / f"{user_id}@{org}.json"
 
     def _user_key_dir(self, user_id: str) -> Path:
-        override = os.environ.get(KEYDIR_ENV)
-        base = Path(override) if override else self.keys_dir
-        return base / user_id
+        return _keys_base(self.keys_dir) / user_id
 
 
 def load_identity(path: Path, orgs: Mapping[str, Organization] | None = None) -> Identity:
@@ -404,11 +428,15 @@ def user_credentials(keys_base: Path, user_id: str) -> tuple[Identity, str]:
     ``keys_base`` is the directory holding one subdirectory per user; the
     ``FEDPROV_KEYDIR`` environment variable overrides it.
     """
-    override = os.environ.get(KEYDIR_ENV)
-    base = Path(override) if override else Path(keys_base)
+    base = _keys_base(keys_base)
     user_dir = base / user_id
     identity_path = user_dir / "identity.json"
     key_path = user_dir / "key"
     if not identity_path.exists() or not key_path.exists():
         raise UnknownOrgError(f"no identity material for user {user_id!r} under {base}")
     return load_identity(identity_path), key_path.read_text().strip()
+
+
+def _keys_base(default: Path) -> Path:
+    override = os.environ.get(KEYDIR_ENV)
+    return Path(override) if override else Path(default)

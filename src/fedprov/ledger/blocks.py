@@ -119,9 +119,6 @@ class BlockStore:
                     blocks.append(Block.from_dict(json.loads(line.decode("utf-8"))))
         return blocks
 
-    def exists(self) -> bool:
-        return self.path.exists()
-
 
 # ---------------------------------------------------------------------------
 # Verification
@@ -206,6 +203,8 @@ def _memoized_verifier() -> Verifier:
     results: dict[tuple[str, str, bytes], bool] = {}
 
     def verify(public_hex: str, signature_hex: str, message: bytes) -> bool:
+        if not isinstance(public_hex, str) or not isinstance(signature_hex, str):
+            return False  # unhashable or non-hex JSON; crypto.verify refuses it too
         key = (public_hex, signature_hex, message)
         if key not in results:
             results[key] = crypto.verify(public_hex, signature_hex, message)
@@ -274,14 +273,8 @@ def _check_tx_signatures(
 ) -> list[Finding]:
     findings = []
     body = tx.get("body", {})
-    creator = body.get("creator", {})
     label = f"tx {position}"
-    identity = identity_mod.Identity(
-        user_id=creator.get("user_id", ""),
-        org=creator.get("org", ""),
-        public_key=creator.get("public_key", ""),
-        certificate=creator.get("certificate", ""),
-    )
+    identity = identity_mod.Identity.from_creator(body.get("creator", {}), orgs)
     if not identity_mod.verify_identity(identity, orgs, verify):
         findings.append(Finding(height, f"{label}: creator certificate invalid"))
     bad_hex = _hex_finding(height, label, "client signature", tx.get("signature"))

@@ -102,14 +102,7 @@ def simulate(
     pid = body.get("pid")
     args = body.get("args", {})
     timestamp = body.get("timestamp")
-    creator = body.get("creator", {})
-    caller = identity_mod.Identity(
-        user_id=creator.get("user_id", ""),
-        org=creator.get("org", ""),
-        public_key=creator.get("public_key", ""),
-        certificate=creator.get("certificate", ""),
-        role=_role_for(creator.get("org", ""), orgs),
-    )
+    caller = identity_mod.Identity.from_creator(body.get("creator", {}), orgs)
     permission = None
     if args.get("permission"):
         permission = identity_mod.Permission.from_dict(args["permission"])
@@ -234,10 +227,3 @@ def simulate(
         return result
 
     return result
-
-
-def _role_for(org_name: str, orgs: Mapping[str, identity_mod.Organization]) -> str:
-    org = orgs.get(org_name)
-    if org is not None and org.kind == identity_mod.ORG_CONSUMER:
-        return identity_mod.ROLE_CONSUMER
-    return identity_mod.ROLE_PRODUCER

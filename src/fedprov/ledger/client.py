@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import uuid
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .. import clock, crypto, identity as identity_mod
 from ..canonical import canonical_bytes
@@ -19,7 +19,9 @@ from ..errors import (
     FedprovError,
     SimulationDivergenceError,
     TransportError,
+    UnauthorizedError,
 )
+from ..transport import Transport
 from . import blocks as blocks_mod
 from .chaincode import (
     TX_CREATE_ARTIFACT,
@@ -32,8 +34,6 @@ from .chaincode import (
 from .policy import policy_satisfied
 from .values import LedgerValue
 
-Transport = Callable[[str, dict], dict]
-
 STATUS_REJECTED = "REJECTED"
 
 
@@ -45,12 +45,8 @@ class Receipt:
     message: str
 
     @property
-    def committed_valid(self) -> bool:
-        return self.status == blocks_mod.VALID
-
-    @property
     def ok(self) -> bool:
-        return self.committed_valid and not self.message.startswith("Error:")
+        return self.status == blocks_mod.VALID and not self.message.startswith("Error:")
 
     def to_dict(self) -> dict:
         return {
@@ -62,10 +58,12 @@ class Receipt:
 
 
 class LedgerClient:
+    """Ledger access over any transports; writes need caller credentials."""
+
     def __init__(
         self,
-        identity: identity_mod.Identity,
-        private_key: str,
+        identity: identity_mod.Identity | None,
+        private_key: str | None,
         peer_transports: Mapping[str, Transport],
         orderer_transport: Transport,
         orgs: Mapping[str, identity_mod.Organization],
@@ -88,16 +86,13 @@ class LedgerClient:
         timestamp: str | None = None,
     ) -> Receipt:
         """Full propose/endorse/order/commit round trip for one operation."""
+        if self.identity is None or self._private_key is None:
+            raise UnauthorizedError(f"{kind} requires caller credentials")
         body = {
             "kind": kind,
             "pid": pid,
             "args": args,
-            "creator": {
-                "user_id": self.identity.user_id,
-                "org": self.identity.org,
-                "public_key": self.identity.public_key,
-                "certificate": self.identity.certificate,
-            },
+            "creator": self.identity.to_creator(),
             "timestamp": timestamp or clock.now_iso(),
             "nonce": uuid.uuid4().hex,
         }

@@ -67,13 +67,7 @@ class OrgNode:
         """
         body = proposal.get("body", {})
         signature = proposal.get("signature", "")
-        creator = body.get("creator", {})
-        caller = identity_mod.Identity(
-            user_id=creator.get("user_id", ""),
-            org=creator.get("org", ""),
-            public_key=creator.get("public_key", ""),
-            certificate=creator.get("certificate", ""),
-        )
+        caller = identity_mod.Identity.from_creator(body.get("creator", {}), self.orgs)
         if not identity_mod.verify_identity(caller, self.orgs):
             raise UnauthorizedError("unknown or forged creator identity")
         if not crypto.verify(caller.public_key, signature, canonical_bytes(body)):

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .. import clock
 from ..errors import LedgerRejectedError, TransportError
+from ..transport import Transport
 from . import blocks as blocks_mod
 from .blocks import make_block
-
-Transport = Callable[[str, dict], dict]
 
 
 class _Pending:

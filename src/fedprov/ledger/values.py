@@ -70,11 +70,6 @@ class WorldState:
         with self._lock:
             return self._values.get(pid)
 
-    def version(self, pid: str) -> int | None:
-        with self._lock:
-            value = self._values.get(pid)
-            return value.version if value else None
-
     def put(self, pid: str, value: LedgerValue) -> None:
         with self._lock:
             self._values[pid] = value

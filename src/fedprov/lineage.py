@@ -14,7 +14,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from . import clock
 from .errors import CycleError, NotInvalidatedError, UnknownPIDError
@@ -210,24 +210,33 @@ def build_graph(
 
 
 def _reject_cycles(graph: DerivationGraph) -> None:
+    """Depth-first search with an explicit stack, so chain length is unbounded.
+
+    ``path`` is the current DFS path and ``pending[i]`` the unvisited
+    successors of ``path[i]``; nodes on the path are grey (1), finished
+    nodes black (2).
+    """
     colors: dict[str, int] = {}
-
-    def visit(node: str, stack: list[str]) -> None:
-        colors[node] = 1
-        stack.append(node)
-        for nxt in graph.successors(node):
-            state = colors.get(nxt, 0)
-            if state == 1:
-                cycle = stack[stack.index(nxt):] + [nxt]
-                raise CycleError(f"derivation cycle: {' -> '.join(cycle)}")
-            if state == 0:
-                visit(nxt, stack)
-        stack.pop()
-        colors[node] = 2
-
-    for node in sorted(graph.nodes):
-        if colors.get(node, 0) == 0:
-            visit(node, [])
+    for root in sorted(graph.nodes):
+        if colors.get(root, 0):
+            continue
+        colors[root] = 1
+        path = [root]
+        pending = [iter(graph.successors(root))]
+        while pending:
+            for nxt in pending[-1]:
+                state = colors.get(nxt, 0)
+                if state == 1:
+                    cycle = path[path.index(nxt):] + [nxt]
+                    raise CycleError(f"derivation cycle: {' -> '.join(cycle)}")
+                if state == 0:
+                    colors[nxt] = 1
+                    path.append(nxt)
+                    pending.append(iter(graph.successors(nxt)))
+                    break
+            else:
+                pending.pop()
+                colors[path.pop()] = 2
 
 
 # ---------------------------------------------------------------------------
@@ -253,28 +262,36 @@ def trace_lineage(pid: str, graph: DerivationGraph) -> list[LineagePath]:
     if pid not in graph.nodes:
         raise UnknownPIDError(f"artifact not in derivation graph: {pid!r}")
 
+    # Depth-first with an explicit stack, so chain length is unbounded:
+    # ``path`` holds the artifacts from *pid* back to the current one and
+    # ``pending[i]`` the parents of ``path[i]`` not yet walked.
     paths: list[LineagePath] = []
+    path = [pid]
+    steps = [{"artifact": pid, "status": graph.nodes.get(pid)}]
+    pending: list[Iterator[str]] = []
 
-    def walk(current: str, steps: list[dict], visited: set[str]) -> None:
+    def enter(current: str) -> None:
         parents = graph.predecessors(current)
         if not parents:
             paths.append(LineagePath(steps=list(steps)))
-            return
-        for parent in parents:
-            if parent in visited:
-                continue
-            attestation = graph.attestation(parent, current)
-            hop = {
-                "via": attestation.activity or "derived-from",
-                "attested_by": attestation.to_dict(),
-            }
-            steps.append(hop)
-            steps.append({"artifact": parent, "status": graph.nodes.get(parent)})
-            walk(parent, steps, visited | {parent})
-            steps.pop()
-            steps.pop()
+        pending.append(iter(parents))
 
-    walk(pid, [{"artifact": pid, "status": graph.nodes.get(pid)}], {pid})
+    enter(pid)
+    while pending:
+        parent = next((p for p in pending[-1] if p not in path), None)
+        if parent is None:
+            pending.pop()
+            path.pop()
+            del steps[-2:]
+            continue
+        attestation = graph.attestation(parent, path[-1])
+        steps.append({
+            "via": attestation.activity or "derived-from",
+            "attested_by": attestation.to_dict(),
+        })
+        steps.append({"artifact": parent, "status": graph.nodes.get(parent)})
+        path.append(parent)
+        enter(parent)
     return paths
 
 
@@ -444,26 +461,8 @@ def iteration_history(pid: str, graph: DerivationGraph) -> list[IterationEntry]:
             derived_children.setdefault(src, []).append(dst)
             derived_parents.setdefault(dst, []).append(src)
 
-    root = pid
-    seen = {pid}
-    while True:
-        parents = sorted(p for p in derived_parents.get(root, []) if p not in seen)
-        if not parents:
-            break
-        root = parents[0]
-        seen.add(root)
-
-    chain = [root]
-    seen = {root}
-    current = root
-    while True:
-        children = sorted(c for c in derived_children.get(current, []) if c not in seen)
-        if not children:
-            break
-        current = children[0]
-        seen.add(current)
-        chain.append(current)
-
+    root = _first_links(pid, derived_parents)[-1]
+    chain = _first_links(root, derived_children)
     entries = []
     for artifact in chain:
         generator = graph.generators.get(artifact)
@@ -476,3 +475,14 @@ def iteration_history(pid: str, graph: DerivationGraph) -> list[IterationEntry]:
             )
         )
     return entries
+
+
+def _first_links(start: str, links: Mapping[str, list[str]]) -> list[str]:
+    """*start*, then always the smallest not yet visited link, until none is left."""
+    path, seen = [start], {start}
+    while True:
+        candidates = sorted(n for n in links.get(path[-1], []) if n not in seen)
+        if not candidates:
+            return path
+        path.append(candidates[0])
+        seen.add(candidates[0])

@@ -189,33 +189,27 @@ class PIDRegistry:
     def version_history(self, pid: str) -> list[PIDRecord]:
         """Full chain from version 1 to newest, from any member."""
         record = self.resolve(pid)
-        chain = [record]
         seen = {record.pid}
+        older = self._follow(record, "predecessor", seen)
+        newer = self._follow(record, "successor", seen)
+        return older[::-1] + [record] + newer
+
+    def _follow(self, record: PIDRecord, link: str, seen: set[str]) -> list[PIDRecord]:
+        """The records reached through *link* ("predecessor" or "successor")."""
+        reached = []
         current = record
-        while current.predecessor is not None:
+        while getattr(current, link) is not None:
             try:
-                current = self.resolve(current.predecessor)
+                current = self.resolve(getattr(current, link))
             except UnknownPIDError as exc:
                 raise BrokenChainError(
-                    f"predecessor {chain[0].predecessor!r} of {chain[0].pid} missing"
+                    f"{link} {getattr(current, link)!r} of {current.pid} missing"
                 ) from exc
             if current.pid in seen:
                 raise BrokenChainError(f"version chain cycle at {current.pid}")
             seen.add(current.pid)
-            chain.insert(0, current)
-        current = record
-        while current.successor is not None:
-            try:
-                current = self.resolve(current.successor)
-            except UnknownPIDError as exc:
-                raise BrokenChainError(
-                    f"successor {current.successor!r} of {current.pid} missing"
-                ) from exc
-            if current.pid in seen:
-                raise BrokenChainError(f"version chain cycle at {current.pid}")
-            seen.add(current.pid)
-            chain.append(current)
-        return chain
+            reached.append(current)
+        return reached
 
     # -- enrichment and rollback -------------------------------------------
 

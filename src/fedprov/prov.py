@@ -119,17 +119,6 @@ class ProvDocument:
 
     # -- indexing helpers -------------------------------------------------
 
-    def element_types(self) -> dict[str, str]:
-        """local-id -> element type, across all three element lists."""
-        types: dict[str, str] = {}
-        for entity in self.entities:
-            types[entity.local_id] = "entity"
-        for activity in self.activities:
-            types[activity.local_id] = "activity"
-        for agent in self.agents:
-            types[agent.local_id] = "agent"
-        return types
-
     def entity_map(self) -> dict[str, Entity]:
         return {e.local_id: e for e in self.entities}
 

@@ -13,14 +13,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .canonical import sha256_hex
-from .errors import ChecksumMismatchError, DocumentNotFoundError, InvalidDocumentError
+from .errors import ChecksumMismatchError, DocumentNotFoundError
 from .prov import (
     REL_GENERATED,
     REL_USED,
     RELATION_ENDPOINTS,
     ProvDocument,
     parent_chain,
-    validate_document,
+    require_valid,
 )
 
 URI_SCHEME = "cas://"
@@ -45,20 +45,14 @@ class ProvStore:
         which makes the operation idempotent and lets the atomic-update
         rollback know whether it owns the blob.
         """
-        violations = validate_document(doc)
-        if violations:
-            raise InvalidDocumentError(violations)
-        payload = doc.canonical_bytes()
-        checksum = sha256_hex(payload)
-        path = self.blob_path(checksum)
-        created = not path.exists()
-        if created:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_bytes(payload)
-        return f"{URI_SCHEME}{checksum}", checksum, created
+        require_valid(doc)
+        return self._put(doc.canonical_bytes())
 
     def store_bytes(self, payload: bytes) -> tuple[str, str, bool]:
         """Store an opaque artifact blob under its own checksum."""
+        return self._put(payload)
+
+    def _put(self, payload: bytes) -> tuple[str, str, bool]:
         checksum = sha256_hex(payload)
         path = self.blob_path(checksum)
         created = not path.exists()

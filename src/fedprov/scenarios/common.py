@@ -7,9 +7,9 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .. import cli, clock, identity as identity_mod
+from .. import cli, clock
 from ..errors import DuplicateUserError
-from ..federation import FederationConfig
+from ..federation import FederationConfig, load_registration
 
 
 def entity(local_id: str, label: str, artifact_pid: str | None = None,
@@ -68,14 +68,8 @@ class ScenarioEnv:
     # -- identities ------------------------------------------------------------
 
     def ensure_user(self, org: str, user_id: str) -> None:
-        service = identity_mod.RegistrationService.load(
-            self.config.orgs_map().values(),
-            ca_dir=self.config.ca_dir,
-            identities_dir=self.config.identities_dir,
-            keys_dir=self.config.keys_dir,
-        )
         try:
-            service.register_user(org, user_id)
+            load_registration(self.config).register_user(org, user_id)
         except DuplicateUserError:
             pass
 

@@ -44,7 +44,7 @@ def run(config_path: str) -> dict:
         previous = published
 
     ctx = env.ctx()
-    state = ctx.reader().state_dump()
+    state = ctx.ledger().state_dump()
     graph = build_graph(collect_documents(state, ctx.store()), state)
     history = iteration_history(checkpoints[-1]["artifact_pid"], graph)
     return {

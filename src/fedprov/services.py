@@ -5,6 +5,10 @@ node and additionally ORDER on the node that hosts the ordering service.
 A ``RegistryService`` answers MINT / RESOLVE / LINK / HISTORY plus the
 UNLINK compensation step used by the atomic update protocol's rollback.
 
+``assemble_org`` is the one place an organization's server side is built,
+for the in-process harness and for ``fedprov federation start-node`` alike;
+``serve`` puts the assembled services on their listen addresses.
+
 Mutating registry requests are signed by the caller; the service verifies
 the signature and the caller's certificate before acting.
 """
@@ -15,11 +19,12 @@ from typing import Mapping
 
 from . import crypto, identity as identity_mod
 from .canonical import canonical_bytes
-from .errors import FedprovError, UnauthorizedError
+from .errors import FedprovError, TransportError, UnauthorizedError
+from .federation import FederationConfig, load_node_credentials
 from .ledger.node import OrgNode
 from .ledger.ordering import OrderingService
 from .pid_registry import PIDRegistry
-from .transport import MessageServer
+from .transport import MessageServer, TransportFactory
 
 
 class NodeService:
@@ -188,9 +193,64 @@ class RegistryClient:
         return self.transport(kind, payload)
 
 
-def serve_node(service: NodeService, address: str) -> MessageServer:
-    return MessageServer(address, service.handle).start()
+Service = NodeService | RegistryService
 
 
-def serve_registry(service: RegistryService, address: str) -> MessageServer:
-    return MessageServer(address, service.handle).start()
+def assemble_org(
+    config: FederationConfig, org_name: str, transport: TransportFactory
+) -> dict[str, Service]:
+    """Build one organization's services, keyed by their listen addresses.
+
+    Every organization runs a ``NodeService``. The orderer organization's
+    node also hosts the ``OrderingService``, which reaches each node through
+    ``transport(listen_address)``, and the ``RegistryService``.
+    """
+    orgs = config.orgs_map()
+    node_identity, node_key = load_node_credentials(config, org_name)
+    node = OrgNode(
+        org_name=org_name,
+        node_identity=node_identity,
+        node_private_key=node_key,
+        orgs=orgs,
+        endorsement_policy=config.endorsement_policy,
+        ledger_path=config.ledger_path(org_name),
+    )
+    service = NodeService(node)
+    services: dict[str, Service] = {config.org_entry(org_name).listen_address: service}
+    if config.orderer_org().name == org_name:
+        service.orderer = OrderingService(
+            peers={o.name: transport(o.listen_address) for o in config.organizations},
+            tip_height=node.height(),
+            tip_hash=node.tip_hash(),
+            max_block_txs=config.max_block_txs,
+            block_timeout_ms=config.block_timeout_ms,
+            max_clock_skew_ms=config.max_clock_skew_ms,
+        )
+        services[config.registry_address] = RegistryService(
+            PIDRegistry(config.registry_root, config.pid_prefix), orgs
+        )
+    return services
+
+
+def serve(services: Mapping[str, Service]) -> list[MessageServer]:
+    """Serve each service on its address.
+
+    If one cannot bind, nothing assembled stays up (see ``shut_down``).
+    """
+    servers: list[MessageServer] = []
+    try:
+        for address, service in services.items():
+            servers.append(MessageServer(address, service.handle).start())
+    except TransportError:
+        shut_down(services, servers)
+        raise
+    return servers
+
+
+def shut_down(services: Mapping[str, Service], servers: list[MessageServer]) -> None:
+    """Close the orderer hosted among *services*, if any, then stop *servers*."""
+    for service in services.values():
+        if isinstance(service, NodeService) and service.orderer is not None:
+            service.orderer.close()
+    for server in servers:
+        server.stop()

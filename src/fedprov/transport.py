@@ -22,6 +22,10 @@ _LENGTH = struct.Struct(">I")
 MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 
 Handler = Callable[[str, dict], dict]
+Transport = Callable[[str, dict], dict]
+# address -> transport to whatever serves that address: ``TcpTransport`` over
+# sockets, or an in-process lookup (see ``harness.Federation``).
+TransportFactory = Callable[[str], Transport]
 
 
 def send_message(sock: socket.socket, obj: dict) -> None:

@@ -124,7 +124,7 @@ class AtomicUpdater:
             )
 
         violations = validate_document(new_doc)
-        violations.extend(self._unresolvable_artifact_pids(new_doc))
+        violations.extend(unresolvable_artifact_pids(new_doc, self.registry))
         if violations:
             raise InvalidDocumentError(violations)
 
@@ -245,16 +245,18 @@ class AtomicUpdater:
         history = self.registry.version_history(pid)
         return history[0]["pid"]
 
-    def _unresolvable_artifact_pids(self, doc: ProvDocument) -> list[str]:
-        violations = []
-        for entity in doc.entities:
-            if entity.artifact_pid is None:
-                continue
-            try:
-                self.registry.resolve(entity.artifact_pid)
-            except UnknownPIDError:
-                violations.append(
-                    f"entity {entity.local_id!r}: artifact PID "
-                    f"{entity.artifact_pid!r} does not resolve"
-                )
-        return violations
+
+def unresolvable_artifact_pids(doc: ProvDocument, registry) -> list[str]:
+    """A violation for each entity whose artifact PID *registry* cannot resolve."""
+    violations = []
+    for entity in doc.entities:
+        if entity.artifact_pid is None:
+            continue
+        try:
+            registry.resolve(entity.artifact_pid)
+        except UnknownPIDError:
+            violations.append(
+                f"entity {entity.local_id!r}: artifact PID "
+                f"{entity.artifact_pid!r} does not resolve"
+            )
+    return violations

@@ -44,8 +44,8 @@ def register_default_users(federation: Federation) -> dict:
         out[name] = {
             "identity": identity,
             "key": key,
-            "ledger": federation.ledger_client(identity, key),
-            "registry": federation.registry_client(identity, key),
+            "ledger": federation.client(identity, key).ledger(),
+            "registry": federation.client(identity, key).registry(),
         }
     return out
 

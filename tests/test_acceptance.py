@@ -353,13 +353,13 @@ def test_criterion_6_version_chain_integrity(tmp_path):
             relations=[rel("was-generated-by", "e-x", "a-x")],
         )
         uri, checksum, _ = fed.store.store_document(base)
-        registry = fed.registry_client(alice["identity"], alice["key"])
+        registry = fed.client(alice["identity"], alice["key"]).registry()
         record = registry.mint("provenance-record", uri, checksum)
         assert alice["ledger"].hlf_create(
             record["pid"], uri, checksum, ["alice"], "provenance-record"
         ).ok
 
-        updater = fed.updater(alice["identity"], alice["key"])
+        updater = fed.client(alice["identity"], alice["key"]).updater()
         newest_pid = record["pid"]
         current = base
         for round_number in range(5):
@@ -500,12 +500,12 @@ def test_criterion_7_update_classification(tmp_path):
                        rel("was-generated-by", "e-b", "a-2")],
         )
         uri, checksum, _ = fed.store.store_document(base)
-        registry = fed.registry_client(alice["identity"], alice["key"])
+        registry = fed.client(alice["identity"], alice["key"]).registry()
         record = registry.mint("provenance-record", uri, checksum)
         assert alice["ledger"].hlf_create(
             record["pid"], uri, checksum, ["alice"], "provenance-record"
         ).ok
-        updater = fed.updater(alice["identity"], alice["key"])
+        updater = fed.client(alice["identity"], alice["key"]).updater()
 
         rng = random.Random(0x50C1A1)
         illegal_count = 0

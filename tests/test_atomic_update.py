@@ -27,7 +27,7 @@ def published(fed):
     store = fed.store
     doc = simple_doc()
     uri, checksum, _ = store.store_document(doc)
-    registry = fed.registry_client(alice["identity"], alice["key"])
+    registry = fed.client(alice["identity"], alice["key"]).registry()
     record = registry.mint("provenance-record", uri, checksum)
     receipt = alice["ledger"].hlf_create(
         record["pid"], uri, checksum, ["alice"], "provenance-record"
@@ -46,12 +46,12 @@ def enriched_copy(doc, marker="enriched"):
 
 def test_update_happy_path(published):
     fed, users, pid, doc = published
-    updater = fed.updater(users["alice"]["identity"], users["alice"]["key"])
+    updater = fed.client(users["alice"]["identity"], users["alice"]["key"]).updater()
     result = updater.update(pid, enriched_copy(doc), users["alice"]["identity"])
     assert result.classification == ENRICHMENT
     assert result.new_pid != pid
 
-    registry = fed.registry_client()
+    registry = fed.client().registry()
     chain = registry.version_history(pid)
     assert [r["version_number"] for r in chain] == [1, 2]
     assert chain[1]["pid"] == result.new_pid
@@ -66,7 +66,7 @@ def test_update_happy_path(published):
 
 def test_old_version_must_be_newest(published):
     fed, users, pid, doc = published
-    updater = fed.updater(users["alice"]["identity"], users["alice"]["key"])
+    updater = fed.client(users["alice"]["identity"], users["alice"]["key"]).updater()
     updater.update(pid, enriched_copy(doc, "one"), users["alice"]["identity"])
     with pytest.raises(SuccessorExistsError):
         updater.update(pid, enriched_copy(doc, "two"), users["alice"]["identity"])
@@ -74,7 +74,7 @@ def test_old_version_must_be_newest(published):
 
 def test_illegal_update_changes_nothing(published):
     fed, users, pid, doc = published
-    updater = fed.updater(users["alice"]["identity"], users["alice"]["key"])
+    updater = fed.client(users["alice"]["identity"], users["alice"]["key"]).updater()
     before = fed.system_digest()
     bad = ProvDocument.from_dict(doc.to_dict())
     bad.relations = bad.relations[1:]
@@ -85,7 +85,7 @@ def test_illegal_update_changes_nothing(published):
 
 def test_stranger_without_grant_rejected_before_side_effects(published):
     fed, users, pid, doc = published
-    updater = fed.updater(users["bob"]["identity"], users["bob"]["key"])
+    updater = fed.client(users["bob"]["identity"], users["bob"]["key"]).updater()
     before = fed.system_digest()
     with pytest.raises(UnauthorizedError):
         updater.update(pid, enriched_copy(doc), users["bob"]["identity"])
@@ -98,7 +98,7 @@ def test_grant_allows_update_by_non_owner(published):
         pid, "bob", "update-provenance",
         users["alice"]["identity"], users["alice"]["key"],
     )
-    updater = fed.updater(users["bob"]["identity"], users["bob"]["key"])
+    updater = fed.client(users["bob"]["identity"], users["bob"]["key"]).updater()
     result = updater.update(
         pid, enriched_copy(doc), users["bob"]["identity"], permission=grant
     )
@@ -107,7 +107,7 @@ def test_grant_allows_update_by_non_owner(published):
 
 def test_unknown_pid(published):
     fed, users, pid, doc = published
-    updater = fed.updater(users["alice"]["identity"], users["alice"]["key"])
+    updater = fed.client(users["alice"]["identity"], users["alice"]["key"]).updater()
     with pytest.raises(UnknownPIDError):
         updater.update("21.P/424242", enriched_copy(doc), users["alice"]["identity"])
 
@@ -121,7 +121,7 @@ def test_rollback_completeness_per_failure_point(published, failing_step, monkey
     must be compensated.
     """
     fed, users, pid, doc = published
-    updater = fed.updater(users["alice"]["identity"], users["alice"]["key"])
+    updater = fed.client(users["alice"]["identity"], users["alice"]["key"]).updater()
     before = fed.system_digest()
 
     def exploding(*args, **kwargs):
@@ -132,7 +132,7 @@ def test_rollback_completeness_per_failure_point(published, failing_step, monkey
         updater.update(pid, enriched_copy(doc), users["alice"]["identity"])
     assert fed.system_digest() == before
     # The record is still updatable afterwards (nothing half-linked).
-    clean = fed.updater(users["alice"]["identity"], users["alice"]["key"])
+    clean = fed.client(users["alice"]["identity"], users["alice"]["key"]).updater()
     result = clean.update(pid, enriched_copy(doc, "after"), users["alice"]["identity"])
     assert result.classification == ENRICHMENT
 
@@ -140,7 +140,7 @@ def test_rollback_completeness_per_failure_point(published, failing_step, monkey
 def test_ledger_rejection_rolls_back_registry_and_blob(published, monkeypatch):
     """Policy failure at the last step leaves no new version anywhere."""
     fed, users, pid, doc = published
-    updater = fed.updater(users["alice"]["identity"], users["alice"]["key"])
+    updater = fed.client(users["alice"]["identity"], users["alice"]["key"]).updater()
     before = fed.system_digest()
 
     def refuse(*args, **kwargs):
@@ -150,7 +150,7 @@ def test_ledger_rejection_rolls_back_registry_and_blob(published, monkeypatch):
     with pytest.raises(LedgerRejectedError):
         updater.update(pid, enriched_copy(doc), users["alice"]["identity"])
     assert fed.system_digest() == before
-    chain = fed.registry_client().version_history(pid)
+    chain = fed.client().registry().version_history(pid)
     assert len(chain) == 1
 
 
@@ -160,7 +160,7 @@ def test_shared_blob_survives_rollback(published, monkeypatch):
     new_doc = enriched_copy(doc)
     uri, checksum, created = fed.store.store_document(new_doc)  # pre-existing
     assert created
-    updater = fed.updater(users["alice"]["identity"], users["alice"]["key"])
+    updater = fed.client(users["alice"]["identity"], users["alice"]["key"]).updater()
     monkeypatch.setattr(
         updater, "_step_ledger",
         lambda *a, **k: (_ for _ in ()).throw(LedgerRejectedError("injected")),
@@ -174,7 +174,7 @@ def test_shared_blob_survives_rollback(published, monkeypatch):
 def test_repair_rolls_back_crashed_update(published, monkeypatch):
     """A crash after link (before ledger) is undone by journal repair."""
     fed, users, pid, doc = published
-    updater = fed.updater(users["alice"]["identity"], users["alice"]["key"])
+    updater = fed.client(users["alice"]["identity"], users["alice"]["key"]).updater()
     before = fed.system_digest()
 
     class Crash(RuntimeError):
@@ -191,7 +191,7 @@ def test_repair_rolls_back_crashed_update(published, monkeypatch):
         updater.update(pid, enriched_copy(doc), users["alice"]["identity"])
     assert fed.system_digest() != before  # half-done state left behind
 
-    recovery = fed.updater(users["alice"]["identity"], users["alice"]["key"])
+    recovery = fed.client(users["alice"]["identity"], users["alice"]["key"]).updater()
     repaired = recovery.repair()
     assert repaired == 1
     assert fed.system_digest() == before

@@ -277,3 +277,17 @@ def test_creator_key_reused_under_other_user_flagged(committed):
     _write_records(forged, records)
     report = verify_chain_file(forged, fed.config.orgs_map(), fed.config.endorsement_policy)
     assert report.findings == [Finding(target_height, "tx 0: creator certificate invalid")]
+
+
+@pytest.mark.parametrize("bad_signature", [None, ["00"], {"hex": "00"}], ids=["null", "list", "object"])
+def test_non_string_tx_signature_reported_not_raised(committed, bad_signature):
+    fed, _ = committed
+    path, records = _committed_records(fed)
+    target_height = 3
+    records[target_height]["transactions"][0]["signature"] = bad_signature
+
+    forged = path.with_name("non-string-signature.jsonl")
+    _write_records(forged, records)
+    report = verify_chain_file(forged, fed.config.orgs_map(), fed.config.endorsement_policy)
+    assert Finding(target_height, "tx 0: client signature invalid") in report.findings
+    assert report.first_divergent_height == target_height

@@ -253,12 +253,21 @@ def test_unreachable_federation(tmp_path, live):
     assert code == cli.EXIT_UNREACHABLE
 
 
-def test_requires_identity_for_writes(live):
+@pytest.mark.parametrize("verb", ["publish", "update-prov", "invalidate"])
+def test_requires_identity_for_writes(live, verb):
     fed, _ = live
     file_path = write_sample(fed, "d.csv", "a\n")
     doc_path = write_doc(fed, "d.json", simple_doc_dict())
-    code, body = invoke(fed, "publish", file_path, doc_path)
+    argv = {
+        "publish": ["publish", file_path, doc_path],
+        "update-prov": ["update-prov", "21.P/000002", doc_path],
+        "invalidate": ["invalidate", "21.P/000001", "--cascade"],
+    }[verb]
+    height = fed.nodes["OrgA"].height()
+    code, body = invoke(fed, *argv)
     assert code == cli.EXIT_CONFIG
+    assert "--identity" in body["error"]
+    assert fed.nodes["OrgA"].height() == height
 
 
 def test_no_proxy_verify_survives_node_death(live):
@@ -328,7 +337,7 @@ def test_start_node_occupied_port(tmp_path, live):
 def test_cycle_detection_exit_code(live):
     fed, users = live
     alice = users["alice"]
-    registry = fed.registry_client(alice["identity"], alice["key"])
+    registry = fed.client(alice["identity"], alice["key"]).registry()
     store = fed.store
     ledger = alice["ledger"]
 

@@ -28,6 +28,17 @@ def test_register_producer_and_consumer_roles(service):
     assert bob.role == identity_mod.ROLE_CONSUMER
 
 
+def test_creator_round_trip_keeps_identity_and_role(service):
+    for org, user in (("OrgA", "alice"), ("Readers", "bob")):
+        identity, _ = service.register_user(org, user)
+        creator = identity.to_creator()
+        assert set(creator) == {"user_id", "org", "public_key", "certificate"}
+        assert identity_mod.Identity.from_creator(creator, service.organizations) == identity
+    stranger = identity_mod.Identity.from_creator({"org": "Nowhere"}, service.organizations)
+    assert stranger.role == identity_mod.ROLE_PRODUCER
+    assert not identity_mod.verify_identity(stranger, service.organizations)
+
+
 def test_register_duplicate_user_rejected(service):
     service.register_user("OrgA", "alice")
     with pytest.raises(DuplicateUserError):
@@ -243,6 +254,14 @@ def test_sign_verify_round_trip():
     assert crypto.verify(public_hex, signature, b"message")
     assert not crypto.verify(public_hex, signature, b"other")
     assert crypto.public_from_private(private_hex) == public_hex
+
+
+@pytest.mark.parametrize("bad", [None, 7, ["00"], {"hex": "00"}])
+def test_verify_refuses_non_string_key_or_signature(bad):
+    private_hex, public_hex = crypto.generate_keypair()
+    signature = crypto.sign(private_hex, b"message")
+    assert crypto.verify(public_hex, bad, b"message") is False
+    assert crypto.verify(bad, signature, b"message") is False
 
 
 def _flip_hex_char(hex_string: str, index: int) -> str:

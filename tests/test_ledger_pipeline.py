@@ -48,7 +48,7 @@ def test_consumer_only_endorsement_fails_policy(fed, users):
         identity=users["alice"]["identity"],
         private_key=users["alice"]["key"],
         peer_transports={"Readers": DirectTransport(fed.services["Readers"].handle)},
-        orderer_transport=fed.orderer_transport(),
+        orderer_transport=fed.transport(fed.config.orderer_org().listen_address),
         orgs=fed.config.orgs_map(),
         endorsement_policy=fed.config.endorsement_policy,
     )
@@ -81,7 +81,7 @@ def test_majority_policy_federation(tmp_path):
     )
     try:
         alice, key = fed.register_user("OrgA", "alice")
-        client = fed.ledger_client(alice, key)
+        client = fed.client(alice, key).ledger()
         receipt = client.hlf_create("21.P/x", "cas://x", "cx", ["alice"], "artifact")
         assert receipt.status == "VALID"
         # Drop to a single reachable producer: majority of 3 is unreachable.
@@ -89,7 +89,7 @@ def test_majority_policy_federation(tmp_path):
             identity=alice,
             private_key=key,
             peer_transports={"OrgA": DirectTransport(fed.services["OrgA"].handle)},
-            orderer_transport=fed.orderer_transport(),
+            orderer_transport=fed.transport(fed.config.orderer_org().listen_address),
             orgs=fed.config.orgs_map(),
             endorsement_policy=POLICY_MAJORITY,
         )
@@ -269,7 +269,7 @@ def test_batching_groups_transactions(tmp_path):
     fed = Federation.bootstrap(tmp_path / "fed", max_block_txs=10, block_timeout_ms=150)
     try:
         alice, key = fed.register_user("OrgA", "alice")
-        client = fed.ledger_client(alice, key)
+        client = fed.client(alice, key).ledger()
         import threading
 
         receipts = []
@@ -291,3 +291,53 @@ def test_batching_groups_transactions(tmp_path):
         assert len(heights) < 6
     finally:
         fed.stop()
+
+
+def _bounded(call, timeout_s=10.0):
+    """Run *call* on a daemon thread; fail instead of hanging if it never returns."""
+    import threading
+
+    outcome = {}
+    worker = threading.Thread(target=lambda: outcome.update(value=call()), daemon=True)
+    worker.start()
+    worker.join(timeout_s)
+    assert not worker.is_alive(), "no answer: the ordering service stopped"
+    return outcome["value"]
+
+
+def test_null_endorsement_signature_rejected_and_orderer_survives(fed, users):
+    """A malformed envelope gets an INVALID receipt; writers after it commit."""
+    from fedprov import clock, crypto
+    from fedprov.canonical import canonical_bytes
+
+    alice = users["alice"]["ledger"]
+    body = {
+        "kind": chaincode.TX_CREATE_ARTIFACT,
+        "pid": "21.P/m",
+        "args": {"uri": "cas://m", "checksum": "cm", "owners": ["alice"]},
+        "creator": users["alice"]["identity"].to_creator(),
+        "timestamp": clock.now_iso(),
+        "nonce": "null-signature",
+    }
+    envelope = alice.endorse(body, crypto.sign(users["alice"]["key"], canonical_bytes(body)))
+    for endorsement in envelope["endorsements"]:
+        endorsement["signature"] = None
+
+    receipt = _bounded(lambda: alice.order(envelope))
+    assert receipt.status == "INVALID:endorsement-policy-unmet"
+    assert alice.hlf_read("21.P/m") is None
+    after = _bounded(lambda: alice.hlf_create("21.P/n", "cas://n", "cn", ["alice"], "artifact"))
+    assert after.ok
+    assert len(set(fed.state_digests().values())) == 1
+
+
+def test_ledger_client_without_credentials_reads_but_cannot_submit(fed, users):
+    from fedprov.errors import UnauthorizedError
+
+    assert users["alice"]["ledger"].hlf_create("21.P/r", "cas://r", "cr", ["alice"], "artifact").ok
+    anonymous = fed.client().ledger()
+    assert anonymous.hlf_read("21.P/r").checksum == "cr"
+    height = fed.nodes["OrgA"].height()
+    with pytest.raises(UnauthorizedError):
+        anonymous.hlf_create("21.P/s", "cas://s", "cs", ["alice"], "artifact")
+    assert fed.nodes["OrgA"].height() == height

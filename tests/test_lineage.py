@@ -118,6 +118,40 @@ def test_two_cycle_rejected():
         build_graph(documents, ledger_view("pid/X", "pid/Y"))
 
 
+def _derivation_chain(length):
+    """Documents deriving pid/0001 from pid/0000, ..., up to pid/<length-1>."""
+    pids = [f"pid/{n:04d}" for n in range(length)]
+    documents = [
+        doc_source(n, doc(
+            entities=[ent("old", artifact_pid=pids[n - 1]), ent("new", artifact_pid=pids[n])],
+            relations=[rel("was-derived-from", "new", "old")],
+        ))
+        for n in range(1, length)
+    ]
+    return pids, documents
+
+
+def test_long_derivation_chain_builds_traces_and_cycle_still_reported():
+    """1,500 links at the default recursion limit: no RecursionError."""
+    import sys
+
+    assert sys.getrecursionlimit() < 1500
+    pids, documents = _derivation_chain(1500)
+    graph = build_graph(documents, ledger_view(*pids))
+    assert len(graph.edges) == 1499
+    assert graph.descendants(pids[0]) == set(pids[1:])
+    (path,) = trace_lineage(pids[-1], graph)
+    assert path.artifact_pids() == pids[::-1]
+
+    closing = doc_source(0, doc(
+        entities=[ent("old", artifact_pid=pids[-1]), ent("new", artifact_pid=pids[0])],
+        relations=[rel("was-derived-from", "new", "old")],
+    ))
+    with pytest.raises(CycleError) as err:
+        build_graph(documents + [closing], ledger_view(*pids))
+    assert str(err.value) == "derivation cycle: " + " -> ".join(pids + [pids[0]])
+
+
 def test_unregistered_artifact_pid_rejected():
     documents = [
         doc_source(1, doc(entities=[ent("e1", artifact_pid="pid/GHOST")])),
@@ -332,7 +366,7 @@ def live_chain(fed):
     users = register_default_users(fed)
     alice = users["alice"]
     ledger = alice["ledger"]
-    registry = fed.registry_client(alice["identity"], alice["key"])
+    registry = fed.client(alice["identity"], alice["key"]).registry()
     store = fed.store
 
     pids = {}

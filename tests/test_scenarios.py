@@ -39,10 +39,10 @@ def test_uc2_cascade_flags_exactly_d_and_e(scenario_fed):
     from fedprov import cli
 
     ctx = cli.ClientContext.build(str(scenario_fed.config_path), None)
-    reader = ctx.reader()
-    assert reader.hlf_read(result["pids"]["A"]).status == "valid"
-    assert reader.hlf_read(result["pids"]["C"]).status == "valid"
-    assert reader.hlf_read(result["pids"]["B"]).status == "invalidated"
+    ledger = ctx.ledger()
+    assert ledger.hlf_read(result["pids"]["A"]).status == "valid"
+    assert ledger.hlf_read(result["pids"]["C"]).status == "valid"
+    assert ledger.hlf_read(result["pids"]["B"]).status == "invalidated"
     outbox = scenario_fed.config.outbox_dir
     assert any(outbox.glob("*.jsonl"))
     # An affected artifact still verifies: content is intact, status surfaced.
@@ -67,7 +67,7 @@ def test_uc3_iterations_surface_cascade_status(scenario_fed):
     )
     assert code == cli.EXIT_OK
     ctx = cli.ClientContext.build(str(scenario_fed.config_path), None)
-    state = ctx.reader().state_dump()
+    state = ctx.ledger().state_dump()
     graph = build_graph(collect_documents(state, ctx.store()), state)
     history = iteration_history(result["checkpoint_pids"][-1], graph)
     assert [e.status for e in history] == ["invalidated", "affected", "affected"]
