@@ -236,7 +236,7 @@ def init_federation(config_path: Path) -> FederationConfig:
         (node_dir / "node.json").write_text(
             json.dumps(node_identity.to_dict(), indent=2, sort_keys=True)
         )
-        (node_dir / "node.key").write_text(node_key)
+        identity_mod.write_private_key(node_dir / "node.key", node_key)
         store = ledger_blocks.BlockStore(config.ledger_path(org.name))
         store.append(genesis)
 

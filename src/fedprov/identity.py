@@ -322,7 +322,7 @@ class RegistrationService:
             private_hex, public_hex = crypto.generate_keypair()
             orgs[name] = Organization(name=name, kind=kind, ca_public_key=public_hex)
             ca_keys[name] = private_hex
-            (ca_dir / f"{name}.key").write_text(private_hex)
+            write_private_key(ca_dir / f"{name}.key", private_hex)
         validate_organizations(orgs.values())
         service = cls(
             ca_keys=ca_keys,
@@ -392,7 +392,7 @@ class RegistrationService:
             record_path.write_text(record)
             user_dir = self._user_key_dir(user_id)
             user_dir.mkdir(parents=True, exist_ok=True)
-            (user_dir / "key").write_text(private_hex)
+            write_private_key(user_dir / "key", private_hex)
             (user_dir / "identity.json").write_text(record)
             return identity, private_hex
 
@@ -435,6 +435,14 @@ def user_credentials(keys_base: Path, user_id: str) -> tuple[Identity, str]:
     if not identity_path.exists() or not key_path.exists():
         raise UnknownOrgError(f"no identity material for user {user_id!r} under {base}")
     return load_identity(identity_path), key_path.read_text().strip()
+
+
+def write_private_key(path: Path, private_hex: str) -> None:
+    """Write a private key that only its owner may read or write (mode 0600)."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+    with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        os.fchmod(fh.fileno(), 0o600)  # a file that already existed keeps its mode otherwise
+        fh.write(private_hex)
 
 
 def _keys_base(default: Path) -> Path:

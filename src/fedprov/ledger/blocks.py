@@ -27,8 +27,13 @@ from .policy import policy_satisfied
 from .values import LedgerValue
 
 VALID = "VALID"
+READ_WRITE_CONFLICT = "INVALID:read-write-conflict"
 
 Verifier = Callable[[str, str, bytes], bool]
+
+# What reading a wrongly typed JSON field raises (a list's ``.get``, a missing
+# key, an unhashable dict key); a ledger file holding one gets a finding.
+MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
 
 
 def tx_id_for(body: Mapping) -> str:
@@ -223,7 +228,7 @@ def _check_block(
     findings: list[Finding] = []
     try:
         block = Block.from_dict(record)
-    except (KeyError, TypeError, ValueError):
+    except MALFORMED:
         return [Finding(index, "malformed block structure")], None
 
     if block.height != index:
@@ -236,13 +241,16 @@ def _check_block(
 
     tx_ids = []
     for position, tx in enumerate(block.transactions):
-        body = tx.get("body", {})
-        recomputed = tx_id_for(body)
-        stored = tx.get("tx_id")
-        if stored != recomputed:
-            findings.append(Finding(index, f"tx {position}: tx_id does not match body"))
-        tx_ids.append(stored)
-        findings.extend(_check_tx_signatures(tx, index, position, orgs, verify))
+        try:
+            body = tx.get("body", {})
+            recomputed = tx_id_for(body)
+            stored = tx.get("tx_id")
+            if stored != recomputed:
+                findings.append(Finding(index, f"tx {position}: tx_id does not match body"))
+            tx_ids.append(stored)
+            findings.extend(_check_tx_signatures(tx, index, position, orgs, verify))
+        except MALFORMED:
+            findings.append(Finding(index, f"tx {position}: malformed transaction"))
 
     data_hash = compute_data_hash(tx_ids)
     if data_hash != block.data_hash:
@@ -328,18 +336,21 @@ def _replay_block(
 ) -> list[Finding]:
     findings = []
     for position, tx in enumerate(block.transactions):
-        expected = validate_tx(tx, state, orgs, endorsement_policy, verify)
-        stored = tx.get("validation")
-        if stored != expected:
-            findings.append(
-                Finding(
-                    block.height,
-                    f"tx {position}: stored validation {stored!r}, replay says {expected!r}",
+        try:
+            expected = validate_tx(tx, state, orgs, endorsement_policy, verify)
+            stored = tx.get("validation")
+            if stored != expected:
+                findings.append(
+                    Finding(
+                        block.height,
+                        f"tx {position}: stored validation {stored!r}, replay says {expected!r}",
+                    )
                 )
-            )
-        if expected == VALID:
-            for pid, value in tx.get("result", {}).get("writes", {}).items():
-                state[pid] = LedgerValue.from_dict(value)
+            if expected == VALID:
+                writes = tx.get("result", {}).get("writes", {})
+                state.update({pid: LedgerValue.from_dict(v) for pid, v in writes.items()})
+        except MALFORMED:
+            findings.append(Finding(block.height, f"tx {position}: replay of malformed transaction"))
     return findings
 
 
@@ -368,5 +379,5 @@ def validate_tx(
         current = state.get(pid)
         current_version = current.version if current else None
         if current_version != version:
-            return "INVALID:read-write-conflict"
+            return READ_WRITE_CONFLICT
     return VALID

@@ -9,6 +9,12 @@ The CRUD asymmetry is enforced here: artifacts can be created, read, and
 invalidated but never updated; provenance records can be created, read, and
 updated but never invalidated. "Deletion" does not exist -- invalidation
 retains the value and flips its status so referential integrity survives.
+
+``flag-affected`` records an invalidation's consequences: its ``pid`` is the
+invalidated source and ``args.targets`` the artifacts derived from it. One
+transaction flags a whole cascade, so every status change lands in the same
+block or none does; targets already invalidated or affected are read but not
+rewritten.
 """
 
 from __future__ import annotations
@@ -195,35 +201,44 @@ def simulate(
     if kind == TX_FLAG_AFFECTED:
         # Flagging downstream artifacts does not require ownership: any
         # producer may record the consequence of an invalidation, but only
-        # when the cited source really is invalidated on this ledger.
+        # when the cited source (*pid*) really is invalidated on this ledger.
+        # One transaction flags a whole cascade, all targets or none.
+        targets = args.get("targets")
+        if (
+            not isinstance(targets, list)
+            or not targets
+            or not all(isinstance(t, str) for t in targets)
+            or len(set(targets)) != len(targets)
+            or pid in targets
+        ):
+            return result
         if caller.role == identity_mod.ROLE_CONSUMER or not identity_mod.verify_identity(
             caller, orgs
         ):
             result.message = MSG_UNAUTHORIZED
             return result
-        source_pid = args.get("source_pid", "")
-        source = read(source_pid) if source_pid else None
+        source = read(pid)
         if source is None or source.status != STATUS_INVALIDATED:
             result.message = MSG_SOURCE_NOT_INVALIDATED
             return result
-        value = read(pid)
-        if value is None:
-            result.message = MSG_NOT_FOUND
-            return result
-        if value.kind == KIND_PROVENANCE:
-            result.message = MSG_PROV_INVALIDATE
-            return result
-        if value.status in (STATUS_INVALIDATED, STATUS_AFFECTED):
-            result.message = MSG_ALREADY_FLAGGED
-            return result
-        updated = value.evolved(
-            version=value.version + 1,
-            timestamp=timestamp,
-            status=STATUS_AFFECTED,
-            status_source=source_pid,
-        )
-        result.writes[pid] = updated.to_dict()
-        result.message = MSG_FLAGGED
+        values = {target: read(target) for target in sorted(targets)}
+        for value in values.values():
+            if value is None:
+                result.message = MSG_NOT_FOUND
+                return result
+            if value.kind == KIND_PROVENANCE:
+                result.message = MSG_PROV_INVALIDATE
+                return result
+        for target, value in values.items():
+            if value.status in (STATUS_INVALIDATED, STATUS_AFFECTED):
+                continue  # in the read set, so a concurrent change still conflicts
+            result.writes[target] = value.evolved(
+                version=value.version + 1,
+                timestamp=timestamp,
+                status=STATUS_AFFECTED,
+                status_source=pid,
+            ).to_dict()
+        result.message = MSG_FLAGGED if result.writes else MSG_ALREADY_FLAGGED
         return result
 
     return result

@@ -204,9 +204,10 @@ class LedgerClient:
         return self.submit(TX_INVALIDATE, pid, args, timestamp)
 
     def flag_affected(
-        self, pid: str, source_pid: str, timestamp: str | None = None
+        self, targets: list[str], source_pid: str, timestamp: str | None = None
     ) -> Receipt:
-        return self.submit(TX_FLAG_AFFECTED, pid, {"source_pid": source_pid}, timestamp)
+        """Flag every artifact in *targets* as affected by *source_pid*, atomically."""
+        return self.submit(TX_FLAG_AFFECTED, source_pid, {"targets": list(targets)}, timestamp)
 
     # -- read path -------------------------------------------------------------
 

@@ -4,8 +4,9 @@ and iteration histories.
 The graph is rebuilt on demand from checksum-verified provenance documents
 plus the ledger's current view; an edge always points from the producing
 artifact to the consuming artifact, so an invalidation cascade is exactly
-forward reachability. Every edge remembers which document (PID, version,
-URI, checksum) attests it, which lets traces re-verify their own evidence.
+forward reachability, committed as one atomic ledger transaction. Every edge
+remembers which document (PID, version, URI, checksum) attests it, which lets
+traces re-verify their own evidence.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping
 
 from . import clock
-from .errors import CycleError, NotInvalidatedError, UnknownPIDError
+from .errors import CycleError, LedgerRejectedError, NotInvalidatedError, UnknownPIDError
+from .ledger.blocks import READ_WRITE_CONFLICT
 from .ledger.values import STATUS_INVALIDATED, STATUS_VALID
 from .prov import REL_DERIVED, REL_GENERATED, REL_USED, ProvDocument
 from .prov_store import ProvStore, relation_pairs
@@ -349,6 +351,7 @@ def _document_attests_edge(
 
 POLICY_FLAG = "flag-affected"
 POLICY_FLAG_AND_NOTIFY = "flag-and-notify"
+FLAG_ATTEMPTS = 3  # submissions of one cascade's flags before a conflict is final
 
 
 def cascade_targets(pid: str, graph: DerivationGraph) -> set[str]:
@@ -371,10 +374,16 @@ def invalidate_cascade(
     """Flag every artifact derived from an invalidated *pid* as affected.
 
     The source must already be invalidated on the ledger (the cascade never
-    invalidates anything itself -- only owners do that). Status flags are
-    committed as ledger transactions so consumers querying only the ledger
-    see them; under flag-and-notify, one notification per affected owner is
-    appended to that owner organization's outbox.
+    invalidates anything itself -- only owners do that). The descendants
+    still valid on the ledger are flagged by one ``flag-affected``
+    transaction, so consumers querying only the ledger see the whole cascade
+    or none of it; descendants already invalidated or affected are neither
+    re-flagged nor reported again. A read-write conflict is retried against
+    fresh reads up to ``FLAG_ATTEMPTS`` times; any other refusal, or a
+    conflict on the last attempt, raises ``LedgerRejectedError``. Only after
+    a VALID receipt, and under flag-and-notify, is one notification per
+    owner of a flagged artifact appended to that owner organization's
+    outbox.
     """
     if policy not in (POLICY_FLAG, POLICY_FLAG_AND_NOTIFY):
         raise ValueError(f"unknown cascade policy: {policy!r}")
@@ -384,29 +393,34 @@ def invalidate_cascade(
     if current.status != STATUS_INVALIDATED:
         raise NotInvalidatedError(f"{pid} is still {current.status} on the ledger")
 
-    flagged: list[tuple[str, str]] = []
-    notifications: list[dict] = []
-    for target in sorted(cascade_targets(pid, graph)):
-        value = ledger.hlf_read(target)
-        if value is None or value.status == STATUS_INVALIDATED:
-            continue
-        receipt = ledger.flag_affected(target, pid, timestamp=timestamp)
-        if not receipt.ok:
-            continue
-        flagged.append((target, "affected"))
-        for owner in value.owners:
-            notifications.append(
-                {
-                    "pid": target,
-                    "new_status": "affected",
-                    "source_pid": pid,
-                    "owner": owner,
-                    "timestamp": timestamp or clock.now_iso(),
-                }
+    targets = sorted(cascade_targets(pid, graph))
+    for attempt in range(1, FLAG_ATTEMPTS + 1):
+        values = ((target, ledger.hlf_read(target)) for target in targets)
+        pending = {t: v for t, v in values if v is not None and v.status == STATUS_VALID}
+        if not pending:
+            return []
+        receipt = ledger.flag_affected(list(pending), pid, timestamp=timestamp)
+        if receipt.ok:
+            break
+        if receipt.status != READ_WRITE_CONFLICT or attempt == FLAG_ATTEMPTS:
+            raise LedgerRejectedError(
+                f"cascade from {pid} not committed: {receipt.message}", receipt.to_dict()
             )
+
     if policy == POLICY_FLAG_AND_NOTIFY and outbox_dir is not None:
+        notifications = [
+            {
+                "pid": target,
+                "new_status": "affected",
+                "source_pid": pid,
+                "owner": owner,
+                "timestamp": timestamp or clock.now_iso(),
+            }
+            for target, value in pending.items()
+            for owner in value.owners
+        ]
         write_notifications(notifications, outbox_dir, owner_org)
-    return flagged
+    return [(target, "affected") for target in pending]
 
 
 def write_notifications(

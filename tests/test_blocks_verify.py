@@ -291,3 +291,78 @@ def test_non_string_tx_signature_reported_not_raised(committed, bad_signature):
     report = verify_chain_file(forged, fed.config.orgs_map(), fed.config.endorsement_policy)
     assert Finding(target_height, "tx 0: client signature invalid") in report.findings
     assert report.first_divergent_height == target_height
+
+
+@pytest.mark.parametrize(
+    "field, bad_value",
+    [
+        ("creator", ["alice"]),
+        ("endorsements", ["x"]),
+        ("endorsements", "x"),
+        ("result", ["x"]),
+        ("result", {"reads": []}),
+        ("body", ["x"]),
+    ],
+    ids=["creator-list", "endorsement-string", "endorsements-string", "result-list",
+         "result-without-message", "body-list"],
+)
+def test_wrongly_typed_tx_field_reported_not_raised(committed, field, bad_value):
+    fed, _ = committed
+    path, records = _committed_records(fed)
+    target_height = 2
+    tx = records[target_height]["transactions"][0]
+    if field == "creator":
+        tx["body"]["creator"] = bad_value
+    else:
+        tx[field] = bad_value
+
+    forged = path.with_name("wrongly-typed-field.jsonl")
+    _write_records(forged, records)
+    report = verify_chain_file(forged, fed.config.orgs_map(), fed.config.endorsement_policy)
+    assert Finding(target_height, "tx 0: malformed transaction") in report.findings
+    assert report.first_divergent_height == target_height
+
+
+def test_single_target_flag_of_older_ledgers_commits_and_verifies(committed):
+    """A ``flag-affected`` tx in the earlier one-target form (``pid`` the target,
+    ``args.source_pid`` the source) is never re-simulated: commit and chain
+    verification apply its recorded, endorsed write set."""
+    fed, users = committed
+    alice = users["alice"]
+    flagged = fed.nodes["OrgA"].state.get("21.P/1")
+    body = {
+        "kind": "flag-affected",
+        "pid": "21.P/1",
+        "args": {"source_pid": "21.P/0"},
+        "creator": alice["identity"].to_creator(),
+        "timestamp": flagged.timestamp,
+        "nonce": "0" * 32,
+    }
+    result = SimulationResult(
+        message="Success: Resource flagged as affected",
+        reads={"21.P/0": 2, "21.P/1": 1},
+        writes={"21.P/1": flagged.evolved(
+            version=2, status="affected", status_source="21.P/0").to_dict()},
+    )
+    tx = {"tx_id": tx_id_for(body), "body": body,
+          "signature": crypto.sign(alice["key"], canonical_bytes(body)),
+          "result": result.to_dict(), "endorsements": [], "validation": None}
+    for org in fed.nodes:
+        node_identity, node_key = load_node_credentials(fed.config, org)
+        tx["endorsements"].append({
+            "org": org,
+            "node_id": node_identity.user_id,
+            "node_public_key": node_identity.public_key,
+            "node_certificate": node_identity.certificate,
+            "signature": crypto.sign(node_key, _endorsement_message(tx)),
+        })
+    tip = fed.nodes["OrgA"].blocks[-1]
+    block = make_block(tip.height + 1, tip.block_hash, [tx]).to_dict()
+
+    for node in fed.nodes.values():
+        assert node.commit(block)["flags"] == ["VALID"]
+        assert node.read("21.P/1")["status"] == "affected"
+        report = verify_chain_file(
+            node.store.path, fed.config.orgs_map(), fed.config.endorsement_policy
+        )
+        assert report.ok, report.findings

@@ -123,7 +123,7 @@ def test_invalidate_provenance_rejected(ready):
 
 def test_flag_affected_requires_invalidated_source(ready):
     fed, users = ready
-    receipt = users["bob"]["ledger"].flag_affected("21.P/a1", "21.P/p1")
+    receipt = users["bob"]["ledger"].flag_affected(["21.P/a1"], "21.P/p1")
     assert receipt.message == chaincode.MSG_SOURCE_NOT_INVALIDATED
 
 
@@ -132,8 +132,101 @@ def test_flag_affected_after_invalidation(ready):
     alice = users["alice"]["ledger"]
     assert alice.hlf_create("21.P/a2", "cas://a2", "c-a2", ["alice"], "artifact").ok
     alice.hlf_invalidate("21.P/a1")
-    receipt = users["bob"]["ledger"].flag_affected("21.P/a2", "21.P/a1")
+    receipt = users["bob"]["ledger"].flag_affected(["21.P/a2"], "21.P/a1")
     assert receipt.message == chaincode.MSG_FLAGGED
     value = alice.hlf_read("21.P/a2")
     assert value.status == "affected"
     assert value.status_source == "21.P/a1"
+
+
+# -- multi-target flag-affected ------------------------------------------------------
+
+
+@pytest.fixture()
+def cascade(ready):
+    """a1 invalidated; a2, a3, a4 valid artifacts derived from it."""
+    fed, users = ready
+    alice = users["alice"]["ledger"]
+    for name in ("a2", "a3", "a4"):
+        assert alice.hlf_create(f"21.P/{name}", f"cas://{name}", f"c-{name}", ["alice"], "artifact").ok
+    assert alice.hlf_invalidate("21.P/a1").ok
+    return fed, users
+
+
+def _statuses(ledger, *pids):
+    values = {pid: ledger.hlf_read(pid) for pid in pids}
+    return {pid: (value.status, value.version) for pid, value in values.items()}
+
+
+def test_flag_affected_writes_only_valid_targets(cascade):
+    fed, users = cascade
+    bob = users["bob"]["ledger"]
+    assert bob.flag_affected(["21.P/a2"], "21.P/a1").message == chaincode.MSG_FLAGGED
+    height = fed.nodes["OrgA"].height()
+
+    receipt = bob.flag_affected(["21.P/a4", "21.P/a2", "21.P/a3"], "21.P/a1")
+    assert receipt.ok and receipt.message == chaincode.MSG_FLAGGED
+    assert receipt.height == height + 1
+    tx = fed.nodes["OrgA"].blocks[receipt.height].transactions[0]
+    assert sorted(tx["result"]["writes"]) == ["21.P/a3", "21.P/a4"]
+    assert sorted(tx["result"]["reads"]) == ["21.P/a1", "21.P/a2", "21.P/a3", "21.P/a4"]
+    assert _statuses(bob, "21.P/a2", "21.P/a3", "21.P/a4") == {
+        "21.P/a2": ("affected", 2), "21.P/a3": ("affected", 2), "21.P/a4": ("affected", 2),
+    }
+    assert bob.hlf_read("21.P/a3").status_source == "21.P/a1"
+
+
+def test_flag_affected_all_already_flagged_writes_nothing(cascade):
+    fed, users = cascade
+    bob = users["bob"]["ledger"]
+    assert bob.flag_affected(["21.P/a2", "21.P/a3"], "21.P/a1").ok
+    digest_before = fed.nodes["OrgA"].state_digest()
+    receipt = bob.flag_affected(["21.P/a2", "21.P/a3"], "21.P/a1")
+    assert receipt.message == chaincode.MSG_ALREADY_FLAGGED
+    assert fed.nodes["OrgA"].state_digest() == digest_before
+
+
+@pytest.mark.parametrize(
+    "bad_target, message",
+    [("21.P/none", chaincode.MSG_NOT_FOUND), ("21.P/p1", chaincode.MSG_PROV_INVALIDATE)],
+    ids=["missing", "provenance"],
+)
+def test_flag_affected_bad_target_refuses_whole_tx(cascade, bad_target, message):
+    fed, users = cascade
+    height = fed.nodes["OrgA"].height()
+    digest_before = fed.nodes["OrgA"].state_digest()
+    receipt = users["bob"]["ledger"].flag_affected(["21.P/a2", bad_target, "21.P/a3"], "21.P/a1")
+    assert receipt.message == message
+    assert receipt.status == STATUS_REJECTED
+    assert fed.nodes["OrgA"].height() == height
+    assert fed.nodes["OrgA"].state_digest() == digest_before
+
+
+def test_flag_affected_consumer_rejected(cascade):
+    fed, users = cascade
+    receipt = users["ruth"]["ledger"].flag_affected(["21.P/a2"], "21.P/a1")
+    assert receipt.message == chaincode.MSG_UNAUTHORIZED
+    assert users["ruth"]["ledger"].hlf_read("21.P/a2").status == "valid"
+
+
+def test_flag_affected_valid_source_rejected(cascade):
+    fed, users = cascade
+    receipt = users["bob"]["ledger"].flag_affected(["21.P/a3"], "21.P/a2")
+    assert receipt.message == chaincode.MSG_SOURCE_NOT_INVALIDATED
+    assert users["bob"]["ledger"].hlf_read("21.P/a3").status == "valid"
+
+
+@pytest.mark.parametrize(
+    "targets",
+    ["21.P/a2", None, [], ["21.P/a2", 7], ["21.P/a2", "21.P/a2"], ["21.P/a2", "21.P/a1"]],
+    ids=["string", "null", "empty", "non-string", "duplicate", "source"],
+)
+def test_flag_affected_malformed_targets_rejected(cascade, targets):
+    fed, users = cascade
+    height = fed.nodes["OrgA"].height()
+    receipt = users["bob"]["ledger"].submit(
+        chaincode.TX_FLAG_AFFECTED, "21.P/a1", {"targets": targets}
+    )
+    assert receipt.message == chaincode.MSG_BAD_REQUEST
+    assert receipt.status == STATUS_REJECTED
+    assert fed.nodes["OrgA"].height() == height

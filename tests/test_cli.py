@@ -15,6 +15,7 @@ import pytest
 from conftest import register_default_users
 from fedprov import cli
 from fedprov.harness import Federation
+from fedprov.ledger.client import LedgerClient, Receipt
 from fedprov.transport import TcpTransport
 
 
@@ -476,3 +477,37 @@ def test_main_prints_json(live, capsys):
     out = capsys.readouterr().out
     parsed = json.loads(out)
     assert "nodes" in parsed
+
+
+def test_refused_cascade_exits_12_without_affected_or_notifications(live, monkeypatch):
+    fed, users = live
+    code, source = invoke(
+        fed, "--identity", "alice", "publish",
+        write_sample(fed, "a.csv", "a\n"), write_doc(fed, "a.json", simple_doc_dict()),
+    )
+    assert code == cli.EXIT_OK
+    derived_doc = simple_doc_dict()
+    derived_doc["entities"].append(
+        {"local_id": "e-in", "label": "input", "artifact_pid": source["artifact_pid"]}
+    )
+    derived_doc["relations"].append({"kind": "used", "source": "a-x", "target": "e-in"})
+    code, derived = invoke(
+        fed, "--identity", "alice", "publish",
+        write_sample(fed, "b.csv", "b\n"), write_doc(fed, "b.json", derived_doc),
+        "--entity", "e-x",
+    )
+    assert code == cli.EXIT_OK
+
+    def refused(self, targets, source_pid, timestamp=None):
+        return Receipt("tx", None, "INVALID:endorsement-policy-unmet",
+                       "INVALID:endorsement-policy-unmet")
+
+    monkeypatch.setattr(LedgerClient, "flag_affected", refused)
+    code, body = invoke(
+        fed, "--identity", "alice", "invalidate", source["artifact_pid"], "--cascade"
+    )
+    assert code == cli.EXIT_LEDGER_REJECTED == 12
+    assert "affected" not in body
+    assert "endorsement-policy-unmet" in body["error"]
+    assert not (fed.config.outbox_dir / "OrgA.jsonl").exists()
+    assert users["alice"]["ledger"].hlf_read(derived["artifact_pid"]).status == "valid"

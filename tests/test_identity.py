@@ -267,3 +267,30 @@ def test_verify_refuses_non_string_key_or_signature(bad):
 def _flip_hex_char(hex_string: str, index: int) -> str:
     replacement = "0" if hex_string[index] != "0" else "1"
     return hex_string[:index] + replacement + hex_string[index + 1:]
+
+
+def test_every_private_key_of_a_bootstrapped_federation_is_owner_only(fed, monkeypatch):
+    monkeypatch.delenv(identity_mod.KEYDIR_ENV, raising=False)
+    fed.register_user("OrgA", "alice")
+    fed.register_user("Readers", "ruth")
+    config = fed.config
+    keys = (
+        sorted(config.ca_dir.glob("*.key"))
+        + [config.node_dir(org.name) / "node.key" for org in config.organizations]
+        + sorted(config.keys_dir.glob("*/key"))
+    )
+    orgs = len(config.organizations)
+    # one CA key and one node key per org, a user key per node and per user
+    assert len(keys) == 3 * orgs + 2
+    assert {str(path): oct(path.stat().st_mode & 0o777) for path in keys} == {
+        str(path): oct(0o600) for path in keys
+    }
+
+
+def test_write_private_key_tightens_an_existing_file(tmp_path):
+    path = tmp_path / "key"
+    path.write_text("old")
+    path.chmod(0o644)
+    identity_mod.write_private_key(path, "00ff")
+    assert path.read_text() == "00ff"
+    assert path.stat().st_mode & 0o777 == 0o600

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import act, doc, ent, register_default_users, rel
-from fedprov.errors import CycleError, NotInvalidatedError, UnknownPIDError
+from fedprov.errors import CycleError, LedgerRejectedError, NotInvalidatedError, UnknownPIDError
+from fedprov.ledger.client import Receipt
 from fedprov.lineage import (
+    FLAG_ATTEMPTS,
     DerivationGraph,
     DocumentSource,
     EdgeAttestation,
@@ -361,57 +363,67 @@ def test_cascade_sink_empty():
 
 
 @pytest.fixture()
-def live_chain(fed):
-    """A -> B -> C chain committed on the ledger with real documents."""
+def live_publish(fed):
+    """``publish(name, inputs)`` commits artifact *name* and a document that
+    generates it from the artifact PIDs *inputs*; returns its PID."""
     users = register_default_users(fed)
     alice = users["alice"]
     ledger = alice["ledger"]
     registry = fed.client(alice["identity"], alice["key"]).registry()
     store = fed.store
 
-    pids = {}
-    previous = None
-    for name in ("A", "B", "C"):
-        entities = [ent(f"e-{name}", f"file {name}")]
-        relations = [rel("was-generated-by", f"e-{name}", f"x-{name}")]
-        if previous:
-            entities.append(ent("e-in", "input", artifact_pid=pids[previous]))
-            relations.append(rel("used", f"x-{name}", "e-in"))
-        payload = f"file {name}".encode()
-        uri, checksum, _ = store.store_bytes(payload)
+    def publish(name, inputs=()):
+        uri, checksum, _ = store.store_bytes(f"file {name}".encode())
         artifact = registry.mint("artifact", uri, checksum)
-        pids[name] = artifact["pid"]
-        document = doc(
-            entities=[
-                e if e.local_id != f"e-{name}" else
-                ent(f"e-{name}", f"file {name}", artifact_pid=artifact["pid"], checksum=checksum)
-                for e in entities
-            ],
-            activities=[act(f"x-{name}")],
-            relations=relations,
-        )
+        entities = [ent(f"e-{name}", f"file {name}", artifact_pid=artifact["pid"], checksum=checksum)]
+        relations = [rel("was-generated-by", f"e-{name}", f"x-{name}")]
+        for index, source in enumerate(inputs):
+            entities.append(ent(f"e-in{index}", "input", artifact_pid=source))
+            relations.append(rel("used", f"x-{name}", f"e-in{index}"))
+        document = doc(entities=entities, activities=[act(f"x-{name}")], relations=relations)
         doc_uri, doc_checksum, _ = store.store_document(document)
         prov = registry.mint("provenance-record", doc_uri, doc_checksum)
         assert ledger.hlf_create(artifact["pid"], uri, checksum, ["alice"], "artifact").ok
         assert ledger.hlf_create(
             prov["pid"], doc_uri, doc_checksum, ["alice"], "provenance-record"
         ).ok
-        previous = name
-    return fed, users, pids
+        return artifact["pid"]
+
+    return fed, users, publish
+
+
+def _publish_chain(publish, names):
+    pids = {}
+    previous = ()
+    for name in names:
+        pids[name] = publish(name, previous)
+        previous = (pids[name],)
+    return pids
+
+
+@pytest.fixture()
+def live_chain(live_publish):
+    """A -> B -> C chain committed on the ledger with real documents."""
+    fed, users, publish = live_publish
+    return fed, users, _publish_chain(publish, "ABC")
+
+
+def _cascade(fed, ledger, pid):
+    state = ledger.state_dump()
+    graph = build_graph(collect_documents(state, fed.store), state)
+    return invalidate_cascade(
+        pid, graph, "flag-and-notify",
+        ledger=ledger,
+        outbox_dir=fed.config.outbox_dir,
+        owner_org=lambda user: "OrgA",
+    )
 
 
 def test_invalidate_cascade_commits_flags_and_notifies(live_chain):
     fed, users, pids = live_chain
     ledger = users["alice"]["ledger"]
     assert ledger.hlf_invalidate(pids["A"]).ok
-    state = ledger.state_dump()
-    graph = build_graph(collect_documents(state, fed.store), state)
-    flagged = invalidate_cascade(
-        pids["A"], graph, "flag-and-notify",
-        ledger=ledger,
-        outbox_dir=fed.config.outbox_dir,
-        owner_org=lambda user: "OrgA",
-    )
+    flagged = _cascade(fed, ledger, pids["A"])
     assert {p for p, _ in flagged} == {pids["B"], pids["C"]}
     for pid in (pids["B"], pids["C"]):
         assert ledger.hlf_read(pid).status == "affected"
@@ -419,6 +431,110 @@ def test_invalidate_cascade_commits_flags_and_notifies(live_chain):
     records = [json.loads(line) for line in outbox.read_text().splitlines()]
     assert {r["pid"] for r in records} == {pids["B"], pids["C"]}
     assert all(r["source_pid"] == pids["A"] for r in records)
+
+
+def test_cascade_commits_one_transaction(live_chain):
+    fed, users, pids = live_chain
+    ledger = users["alice"]["ledger"]
+    assert ledger.hlf_invalidate(pids["A"]).ok
+    height = fed.nodes["OrgA"].height()
+    _cascade(fed, ledger, pids["A"])
+    assert fed.nodes["OrgA"].height() == height + 1
+    (tx,) = fed.nodes["OrgA"].blocks[-1].transactions
+    assert tx["validation"] == "VALID"
+    assert tx["body"]["pid"] == pids["A"]
+    assert sorted(tx["result"]["writes"]) == sorted([pids["B"], pids["C"]])
+
+
+def test_already_affected_not_reflagged_or_renotified(live_publish):
+    """D derived from A and B: the cascade of B after that of A changes nothing."""
+    fed, users, publish = live_publish
+    ledger = users["alice"]["ledger"]
+    a, b = publish("A"), publish("B")
+    d = publish("D", (a, b))
+    assert ledger.hlf_invalidate(a).ok
+    assert _cascade(fed, ledger, a) == [(d, "affected")]
+    assert ledger.hlf_invalidate(b).ok
+    height = fed.nodes["OrgA"].height()
+
+    assert _cascade(fed, ledger, b) == []
+    assert fed.nodes["OrgA"].height() == height
+    lines = (fed.config.outbox_dir / "OrgA.jsonl").read_text().splitlines()
+    assert [json.loads(line)["pid"] for line in lines] == [d]
+    assert ledger.hlf_read(d).status_source == a
+
+
+def _conflict_before_first_order(ledger, flagger, source, target):
+    """Make *ledger*'s first order meet a committed flag of *target*."""
+    real_order = ledger.order
+    calls = []
+
+    def order(envelope):
+        if not calls:
+            assert flagger.flag_affected([target], source).ok
+        calls.append(envelope["body"]["args"]["targets"])
+        return real_order(envelope)
+
+    ledger.order = order
+    return calls
+
+
+def test_cascade_retries_after_read_write_conflict(live_chain):
+    fed, users, pids = live_chain
+    ledger = users["alice"]["ledger"]
+    assert ledger.hlf_invalidate(pids["A"]).ok
+    calls = _conflict_before_first_order(ledger, users["bob"]["ledger"], pids["A"], pids["B"])
+
+    assert _cascade(fed, ledger, pids["A"]) == [(pids["C"], "affected")]
+    assert calls == [sorted([pids["B"], pids["C"]]), [pids["C"]]]
+    assert [tx["validation"] for block in fed.nodes["OrgA"].blocks[-3:]
+            for tx in block.transactions] == ["VALID", "INVALID:read-write-conflict", "VALID"]
+    for pid in (pids["B"], pids["C"]):
+        assert ledger.hlf_read(pid).status == "affected"
+    lines = (fed.config.outbox_dir / "OrgA.jsonl").read_text().splitlines()
+    assert [json.loads(line)["pid"] for line in lines] == [pids["C"]]
+
+
+def test_cascade_conflicting_on_every_attempt_raises(live_publish):
+    fed, users, publish = live_publish
+    ledger, bob = users["alice"]["ledger"], users["bob"]["ledger"]
+    pids = _publish_chain(publish, "ABCDE")
+    assert ledger.hlf_invalidate(pids["A"]).ok
+    real_order = ledger.order
+    calls = []
+
+    def order(envelope):
+        # Each attempt loses its first pending target to a concurrent flag.
+        targets = envelope["body"]["args"]["targets"]
+        calls.append(targets)
+        assert bob.flag_affected(targets[:1], pids["A"]).ok
+        return real_order(envelope)
+
+    ledger.order = order
+    with pytest.raises(LedgerRejectedError, match="read-write-conflict"):
+        _cascade(fed, ledger, pids["A"])
+    assert len(calls) == FLAG_ATTEMPTS == 3
+    assert not (fed.config.outbox_dir / "OrgA.jsonl").exists()
+    assert ledger.hlf_read(pids["E"]).status == "valid"
+
+
+def test_cascade_refused_receipt_raises_without_notifying(live_chain):
+    fed, users, pids = live_chain
+    ledger = users["alice"]["ledger"]
+    assert ledger.hlf_invalidate(pids["A"]).ok
+    calls = []
+
+    def order(envelope):
+        calls.append(envelope)
+        return Receipt(envelope["tx_id"], None, "INVALID:endorsement-policy-unmet",
+                       "INVALID:endorsement-policy-unmet")
+
+    ledger.order = order
+    with pytest.raises(LedgerRejectedError, match="endorsement-policy-unmet"):
+        _cascade(fed, ledger, pids["A"])
+    assert len(calls) == 1
+    assert not (fed.config.outbox_dir / "OrgA.jsonl").exists()
+    assert ledger.hlf_read(pids["B"]).status == "valid"
 
 
 def test_cascade_refused_while_valid(live_chain):
