@@ -14,12 +14,13 @@ resource can be delegated through an explicit signed ``Permission`` grant.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from . import crypto
 from .canonical import canonical_bytes
@@ -37,6 +38,9 @@ CAP_INVALIDATE_ARTIFACT = "invalidate-artifact"
 WRITE_CAPABILITIES = (CAP_UPDATE_PROVENANCE, CAP_INVALIDATE_ARTIFACT)
 
 KEYDIR_ENV = "FEDPROV_KEYDIR"
+
+# Distinct certificates remembered as checked (see ``_certificate_valid``).
+CERTIFICATE_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -143,22 +147,26 @@ def certificate_payload(user_id: str, org: str, public_key: str) -> bytes:
     return canonical_bytes({"org": org, "public-key": public_key, "user-id": user_id})
 
 
-def verify_identity(
-    identity: Identity,
-    orgs: Mapping[str, Organization],
-    verify: Callable[[str, str, bytes], bool] = crypto.verify,
-) -> bool:
-    """True iff the certificate verifies under the claimed org's CA.
-
-    *verify* checks one Ed25519 signature; chain verification passes a
-    memoizing one.
-    """
+def verify_identity(identity: Identity, orgs: Mapping[str, Organization]) -> bool:
+    """True iff the certificate verifies under the claimed org's CA."""
     org = orgs.get(identity.org)
-    if org is None:
+    if org is None or not isinstance(identity.certificate, str):
         return False
-    return verify(
+    return _certificate_valid(
         org.ca_public_key, identity.certificate, identity.certificate_payload()
     )
+
+
+@functools.lru_cache(maxsize=CERTIFICATE_CACHE_SIZE)
+def _certificate_valid(ca_public_key: str, certificate: str, payload: bytes) -> bool:
+    """One Ed25519 check per distinct (CA key, certificate, payload).
+
+    The same few certificates come with every transaction, endorsement and
+    registry request. The key is the exact input, and the payload holds
+    user-id, org and public key, so a certificate claimed under another
+    identity is checked afresh.
+    """
+    return crypto.verify(ca_public_key, certificate, payload)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Hash-chained blocks, the append-only block file, and chain verification.
+"""Hash-chained blocks, the append-only block file, and block validation.
 
 Every byte persisted for a block is covered by something recomputable:
 
@@ -7,6 +7,20 @@ Every byte persisted for a block is covered by something recomputable:
 * the transaction list and order by the data hash,
 * the header by the block hash and the predecessor link,
 * validation flags by deterministic replay of the whole chain.
+
+``validate_block`` is the one block-validation routine: ``OrgNode.commit``,
+node start-up and ``verify_chain_file`` all go through it, so a replica
+accepts exactly the ledger an audit accepts. It has two parts.
+
+* Integrity: the header, the predecessor link, the data hash and, per
+  transaction, ``check_tx`` (id, creator certificate, client signature, and
+  every endorsement's certificate and signature). An integrity failure is
+  never a validation flag. The ordering service refuses such an envelope at
+  ORDER, a node rejects a block holding one, a node refuses to start on a
+  ledger file holding one, and ``verify_chain_file`` reports it.
+* Apply: ``validate_tx`` flags each transaction by the endorsement policy
+  over its already verified endorsements and by its read set, and the VALID
+  writes go into the state. Flags cover only these two rules.
 
 ``verify_chain_file`` therefore detects any single-bit mutation of a
 persisted ledger and reports the first height at which evidence diverges.
@@ -18,7 +32,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .. import crypto, identity as identity_mod
 from ..canonical import ZERO_DIGEST, canonical_bytes, digest
@@ -28,8 +42,6 @@ from .values import LedgerValue
 
 VALID = "VALID"
 READ_WRITE_CONFLICT = "INVALID:read-write-conflict"
-
-Verifier = Callable[[str, str, bytes], bool]
 
 # What reading a wrongly typed JSON field raises (a list's ``.get``, a missing
 # key, an unhashable dict key); a ledger file holding one gets a finding.
@@ -113,17 +125,6 @@ class BlockStore:
         with open(self.path, "ab") as fh:
             fh.write(canonical_bytes(block.to_dict()) + b"\n")
 
-    def load(self) -> list[Block]:
-        if not self.path.exists():
-            return []
-        blocks = []
-        with open(self.path, "rb") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    blocks.append(Block.from_dict(json.loads(line.decode("utf-8"))))
-        return blocks
-
 
 # ---------------------------------------------------------------------------
 # Verification
@@ -153,205 +154,58 @@ class VerificationReport:
         }
 
 
-def verify_chain_file(
-    path: Path,
-    orgs: Mapping[str, identity_mod.Organization],
-    endorsement_policy: str,
-) -> VerificationReport:
-    """Re-verify a persisted ledger from its raw bytes."""
-    verify = _memoized_verifier()
-    findings: list[Finding] = []
-    raw_lines: list[bytes] = []
-    path = Path(path)
-    if path.exists():
-        payload = path.read_bytes()
-        raw_lines = [line for line in payload.split(b"\n") if line.strip()]
-    else:
-        findings.append(Finding(0, "ledger file missing"))
+def check_tx(tx: Mapping, orgs: Mapping[str, identity_mod.Organization]) -> list[str]:
+    """The integrity problems of one transaction; empty if it is sound.
 
-    state: dict[str, LedgerValue] = {}
-    prev_stored_hash: str | None = None
-    for index, raw in enumerate(raw_lines):
-        try:
-            record = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            findings.append(Finding(index, "unparseable block record"))
-            prev_stored_hash = None
-            continue
-        if canonical_bytes(record) != raw:
-            # The store only ever writes canonical JSON; anything else is a
-            # byte-level mutation even if it parses.
-            findings.append(Finding(index, "block encoding not canonical"))
-        block_findings, block = _check_block(record, index, prev_stored_hash, orgs, verify)
-        findings.extend(block_findings)
-        if block is None:
-            prev_stored_hash = None
-            continue
-        prev_stored_hash = record.get("block_hash")
-        findings.extend(_replay_block(block, state, orgs, endorsement_policy, verify))
-
-    first = min((f.height for f in findings), default=None)
-    return VerificationReport(ok=not findings, first_divergent_height=first, findings=findings)
-
-
-def _memoized_verifier() -> Verifier:
-    """``crypto.verify`` that checks each distinct (key, signature, message) once.
-
-    One chain verification checks the same few certificates on every
-    transaction and each endorsement twice (signatures, then replay); those
-    repeats become lookups. Results, failures included, are keyed on the
-    exact inputs, so a signature reused over another message or a
-    certificate claimed under another identity is checked afresh. The cache
-    lives for one ``verify_chain_file`` call and holds at most one entry per
-    signature in the file.
+    *tx* is a stored transaction or an envelope sent to ORDER. Its id must be
+    its body's digest, its creator's certificate and its client signature
+    over the body must verify, and so must every endorsement's certificate
+    and its signature over (id, result digest). A wrongly typed field, or a
+    missing result or endorsement list, is the problem "malformed
+    transaction", never an exception.
     """
-    results: dict[tuple[str, str, bytes], bool] = {}
-
-    def verify(public_hex: str, signature_hex: str, message: bytes) -> bool:
-        if not isinstance(public_hex, str) or not isinstance(signature_hex, str):
-            return False  # unhashable or non-hex JSON; crypto.verify refuses it too
-        key = (public_hex, signature_hex, message)
-        if key not in results:
-            results[key] = crypto.verify(public_hex, signature_hex, message)
-        return results[key]
-
-    return verify
-
-
-def _check_block(
-    record: Mapping,
-    index: int,
-    prev_stored_hash: str | None,
-    orgs: Mapping[str, identity_mod.Organization],
-    verify: Verifier,
-) -> tuple[list[Finding], Block | None]:
-    findings: list[Finding] = []
+    problems: list[str] = []
     try:
-        block = Block.from_dict(record)
-    except MALFORMED:
-        return [Finding(index, "malformed block structure")], None
+        body = tx.get("body", {})
+        if tx.get("tx_id") != tx_id_for(body):
+            problems.append("tx_id does not match body")
+        creator = identity_mod.Identity.from_creator(body.get("creator", {}), orgs)
+        if not identity_mod.verify_identity(creator, orgs):
+            problems.append("creator certificate invalid")
+        if not _lower_hex(tx.get("signature")):
+            problems.append("client signature is not lowercase hex")
+        if not crypto.verify(creator.public_key, tx.get("signature", ""), canonical_bytes(body)):
+            problems.append("client signature invalid")
 
-    if block.height != index:
-        findings.append(Finding(index, f"height field {block.height} at position {index}"))
-    if index == 0:
-        if block.prev_hash != ZERO_DIGEST:
-            findings.append(Finding(index, "genesis prev_hash is not the zero digest"))
-    elif prev_stored_hash is not None and block.prev_hash != prev_stored_hash:
-        findings.append(Finding(index, "prev_hash does not match predecessor block hash"))
-
-    tx_ids = []
-    for position, tx in enumerate(block.transactions):
-        try:
-            body = tx.get("body", {})
-            recomputed = tx_id_for(body)
-            stored = tx.get("tx_id")
-            if stored != recomputed:
-                findings.append(Finding(index, f"tx {position}: tx_id does not match body"))
-            tx_ids.append(stored)
-            findings.extend(_check_tx_signatures(tx, index, position, orgs, verify))
-        except MALFORMED:
-            findings.append(Finding(index, f"tx {position}: malformed transaction"))
-
-    data_hash = compute_data_hash(tx_ids)
-    if data_hash != block.data_hash:
-        findings.append(Finding(index, "data_hash does not match transaction ids"))
-    block_hash = compute_block_hash(block.height, block.prev_hash, block.data_hash)
-    if block_hash != block.block_hash:
-        findings.append(Finding(index, "block_hash does not match header"))
-    return findings, block
-
-
-_LOWER_HEX = re.compile(r"^[0-9a-f]+$")
-
-
-def _hex_finding(height: int, label: str, field: str, value: object) -> Finding | None:
-    # bytes.fromhex is case-insensitive, so key material must additionally be
-    # pinned to lowercase or a case-flipped byte would verify unnoticed.
-    if not isinstance(value, str) or not _LOWER_HEX.match(value):
-        return Finding(height, f"{label}: {field} is not lowercase hex")
-    return None
-
-
-def _check_tx_signatures(
-    tx: Mapping,
-    height: int,
-    position: int,
-    orgs: Mapping[str, identity_mod.Organization],
-    verify: Verifier,
-) -> list[Finding]:
-    findings = []
-    body = tx.get("body", {})
-    label = f"tx {position}"
-    identity = identity_mod.Identity.from_creator(body.get("creator", {}), orgs)
-    if not identity_mod.verify_identity(identity, orgs, verify):
-        findings.append(Finding(height, f"{label}: creator certificate invalid"))
-    bad_hex = _hex_finding(height, label, "client signature", tx.get("signature"))
-    if bad_hex:
-        findings.append(bad_hex)
-    if not verify(identity.public_key, tx.get("signature", ""), canonical_bytes(body)):
-        findings.append(Finding(height, f"{label}: client signature invalid"))
-
-    result = tx.get("result", {})
-    result_digest = SimulationResult.from_dict(result).result_digest() if result else ""
-    for endorsement in tx.get("endorsements", []):
-        for field_name in ("signature", "node_public_key", "node_certificate"):
-            bad_hex = _hex_finding(
-                height, label, f"endorsement {field_name}", endorsement.get(field_name)
-            )
-            if bad_hex:
-                findings.append(bad_hex)
-        node_identity = _certified_endorser(endorsement, orgs, verify)
-        if node_identity is None:
-            findings.append(Finding(height, f"{label}: endorsement certificate invalid"))
-            continue
+        result_digest = SimulationResult.from_dict(tx["result"]).result_digest()
         payload = endorsement_payload(tx.get("tx_id", ""), result_digest)
-        if not verify(node_identity.public_key, endorsement.get("signature", ""), payload):
-            findings.append(Finding(height, f"{label}: endorsement signature invalid"))
-    return findings
+        for endorsement in tx["endorsements"]:
+            for field_name in ("signature", "node_public_key", "node_certificate"):
+                if not _lower_hex(endorsement.get(field_name)):
+                    problems.append(f"endorsement {field_name} is not lowercase hex")
+            endorser = identity_mod.Identity(
+                user_id=endorsement.get("node_id", ""),
+                org=endorsement.get("org", ""),
+                public_key=endorsement.get("node_public_key", ""),
+                certificate=endorsement.get("node_certificate", ""),
+            )
+            if not identity_mod.verify_identity(endorser, orgs):
+                problems.append("endorsement certificate invalid")
+            elif not crypto.verify(endorser.public_key, endorsement.get("signature", ""), payload):
+                problems.append("endorsement signature invalid")
+    except MALFORMED:
+        problems.append("malformed transaction")
+    return problems
 
 
-def _certified_endorser(
-    endorsement: Mapping,
-    orgs: Mapping[str, identity_mod.Organization],
-    verify: Verifier,
-) -> identity_mod.Identity | None:
-    """The endorsing node's identity, or None unless its certificate verifies."""
-    node_identity = identity_mod.Identity(
-        user_id=endorsement.get("node_id", ""),
-        org=endorsement.get("org", ""),
-        public_key=endorsement.get("node_public_key", ""),
-        certificate=endorsement.get("node_certificate", ""),
-    )
-    if not identity_mod.verify_identity(node_identity, orgs, verify):
-        return None
-    return node_identity
+_LOWER_HEX = re.compile(r"[0-9a-f]+")
 
 
-def _replay_block(
-    block: Block,
-    state: dict[str, LedgerValue],
-    orgs: Mapping[str, identity_mod.Organization],
-    endorsement_policy: str,
-    verify: Verifier,
-) -> list[Finding]:
-    findings = []
-    for position, tx in enumerate(block.transactions):
-        try:
-            expected = validate_tx(tx, state, orgs, endorsement_policy, verify)
-            stored = tx.get("validation")
-            if stored != expected:
-                findings.append(
-                    Finding(
-                        block.height,
-                        f"tx {position}: stored validation {stored!r}, replay says {expected!r}",
-                    )
-                )
-            if expected == VALID:
-                writes = tx.get("result", {}).get("writes", {})
-                state.update({pid: LedgerValue.from_dict(v) for pid, v in writes.items()})
-        except MALFORMED:
-            findings.append(Finding(block.height, f"tx {position}: replay of malformed transaction"))
-    return findings
+def _lower_hex(value: object) -> bool:
+    # bytes.fromhex is case-insensitive and skips whitespace, so key material
+    # must additionally be pinned to lowercase hex digits only, or a
+    # case-flipped byte or an appended "\n" would verify unnoticed.
+    return isinstance(value, str) and _LOWER_HEX.fullmatch(value) is not None
 
 
 def validate_tx(
@@ -359,25 +213,136 @@ def validate_tx(
     state: Mapping[str, LedgerValue],
     orgs: Mapping[str, identity_mod.Organization],
     endorsement_policy: str,
-    verify: Verifier = crypto.verify,
 ) -> str:
-    """Deterministic commit-time validation: endorsement policy + read set."""
-    result = tx.get("result", {})
-    endorsing_orgs = set()
-    result_digest = SimulationResult.from_dict(result).result_digest() if result else ""
-    for endorsement in tx.get("endorsements", []):
-        node_identity = _certified_endorser(endorsement, orgs, verify)
-        if node_identity is None:
-            continue
-        payload = endorsement_payload(tx.get("tx_id", ""), result_digest)
-        if verify(node_identity.public_key, endorsement.get("signature", ""), payload):
-            endorsing_orgs.add(endorsement["org"])
+    """The validation flag of a transaction: endorsement policy, then read set.
+
+    Signatures are ``check_tx``'s business; here every endorsement counts
+    for the organization it names.
+    """
+    endorsing_orgs = {endorsement.get("org") for endorsement in tx["endorsements"]}
     if not policy_satisfied(endorsing_orgs, orgs, endorsement_policy):
         return "INVALID:endorsement-policy-unmet"
 
-    for pid, version in result.get("reads", {}).items():
+    for pid, version in tx["result"].get("reads", {}).items():
         current = state.get(pid)
         current_version = current.version if current else None
         if current_version != version:
             return READ_WRITE_CONFLICT
     return VALID
+
+
+def validate_block(
+    block: Block,
+    height: int,
+    prev_hash: str | None,
+    state: dict[str, LedgerValue],
+    orgs: Mapping[str, identity_mod.Organization],
+    endorsement_policy: str,
+    validate: Callable[..., str] = validate_tx,
+    commit: bool = False,
+) -> list[Finding]:
+    """Check one block, flag its transactions and apply the VALID writes to *state*.
+
+    The block should sit at *height*, after a block whose hash is
+    *prev_hash* (None: not known, so not checked). With *commit*, the block
+    comes fresh from the orderer and each transaction is given its flag;
+    otherwise each stored flag must equal the one computed. *validate* is
+    ``validate_tx``; a node passes its own module's binding of it. Returns
+    the findings, integrity first; *state* is updated even when there are
+    some, so an audit can go on past them.
+    """
+    findings: list[Finding] = []
+    if block.height != height:
+        findings.append(Finding(height, f"height field {block.height} at position {height}"))
+    if height == 0:
+        if block.prev_hash != ZERO_DIGEST:
+            findings.append(Finding(height, "genesis prev_hash is not the zero digest"))
+    elif prev_hash is not None and block.prev_hash != prev_hash:
+        findings.append(Finding(height, "prev_hash does not match predecessor block hash"))
+    for position, tx in enumerate(block.transactions):
+        findings.extend(
+            Finding(height, f"tx {position}: {problem}") for problem in check_tx(tx, orgs)
+        )
+    tx_ids = [tx.get("tx_id") if isinstance(tx, Mapping) else None for tx in block.transactions]
+    if compute_data_hash(tx_ids) != block.data_hash:
+        findings.append(Finding(height, "data_hash does not match transaction ids"))
+    if compute_block_hash(block.height, block.prev_hash, block.data_hash) != block.block_hash:
+        findings.append(Finding(height, "block_hash does not match header"))
+
+    for position, tx in enumerate(block.transactions):
+        try:
+            flag = validate(tx, state, orgs, endorsement_policy)
+            if commit:
+                tx["validation"] = flag
+            elif tx.get("validation") != flag:
+                findings.append(
+                    Finding(
+                        height,
+                        f"tx {position}: stored validation {tx.get('validation')!r}, "
+                        f"replay says {flag!r}",
+                    )
+                )
+            if flag == VALID:
+                writes = tx["result"].get("writes", {})
+                state.update({pid: LedgerValue.from_dict(v) for pid, v in writes.items()})
+        except MALFORMED:
+            findings.append(Finding(height, f"tx {position}: replay of malformed transaction"))
+    return findings
+
+
+def replay_chain(
+    path: Path,
+    orgs: Mapping[str, identity_mod.Organization],
+    endorsement_policy: str,
+    state: dict[str, LedgerValue],
+    validate: Callable[..., str] = validate_tx,
+) -> Iterator[tuple[Block | None, list[Finding]]]:
+    """Walk a persisted ledger from its raw bytes through ``validate_block``.
+
+    Yields each block (None if its line does not parse as one) with its
+    findings, and leaves *state* as the blocks read so far left it.
+    """
+    path = Path(path)
+    if not path.exists():
+        yield None, [Finding(0, "ledger file missing")]
+        return
+    prev_hash: str | None = None
+    raw_lines = [line for line in path.read_bytes().split(b"\n") if line.strip()]
+    for index, raw in enumerate(raw_lines):
+        try:
+            record = json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, ValueError):
+            prev_hash = None
+            yield None, [Finding(index, "unparseable block record")]
+            continue
+        findings = []
+        if canonical_bytes(record) != raw:
+            # The store only ever writes canonical JSON; anything else is a
+            # byte-level mutation even if it parses.
+            findings.append(Finding(index, "block encoding not canonical"))
+        try:
+            block = Block.from_dict(record)
+        except MALFORMED:
+            prev_hash = None
+            yield None, findings + [Finding(index, "malformed block structure")]
+            continue
+        findings += validate_block(
+            block, index, prev_hash, state, orgs, endorsement_policy, validate
+        )
+        prev_hash = block.block_hash
+        yield block, findings
+
+
+def verify_chain_file(
+    path: Path,
+    orgs: Mapping[str, identity_mod.Organization],
+    endorsement_policy: str,
+) -> VerificationReport:
+    """Re-verify a persisted ledger from its raw bytes."""
+    findings = [
+        finding
+        for _, block_findings in replay_chain(path, orgs, endorsement_policy, {})
+        for finding in block_findings
+    ]
+    first = min((f.height for f in findings), default=None)
+    return VerificationReport(ok=not findings, first_divergent_height=first, findings=findings)

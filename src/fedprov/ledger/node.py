@@ -4,7 +4,9 @@ Each node keeps a full replica: the append-only block file and the world
 state rebuilt from it on startup. Nodes endorse proposals by simulating the
 chaincode against their current state and signing the result; they commit
 blocks delivered by the ordering service after independently re-validating
-every transaction, so all replicas stay byte-identical.
+every transaction, so all replicas stay byte-identical. Start-up and commit
+both go through ``blocks.validate_block``, the routine chain verification
+uses, so a node neither starts on nor appends anything an audit would flag.
 
 Endorsement simulations may run concurrently against a state snapshot;
 commits are strictly serialized.
@@ -23,7 +25,7 @@ from ..errors import LedgerRejectedError, UnauthorizedError
 from . import blocks as blocks_mod
 from .blocks import Block, BlockStore, endorsement_payload, tx_id_for, validate_tx
 from .chaincode import simulate
-from .values import LedgerValue, WorldState
+from .values import WorldState
 
 
 class OrgNode:
@@ -45,16 +47,17 @@ class OrgNode:
         self.state = WorldState()
         self.blocks: list[Block] = []
         self._commit_lock = threading.Lock()
-        self._replay()
-
-    def _replay(self) -> None:
-        """Rebuild world state from the persisted chain."""
-        self.blocks = self.store.load()
-        for block in self.blocks:
-            for tx in block.transactions:
-                if tx.get("validation") == blocks_mod.VALID:
-                    for pid, value in tx.get("result", {}).get("writes", {}).items():
-                        self.state.put(pid, LedgerValue.from_dict(value))
+        state: dict = {}
+        for block, findings in blocks_mod.replay_chain(
+            self.store.path, self.orgs, endorsement_policy, state, validate_tx
+        ):
+            if findings:
+                raise LedgerRejectedError(
+                    f"ledger {self.store.path} fails verification at height "
+                    f"{findings[0].height}: {findings[0].problem}"
+                )
+            self.blocks.append(block)
+        self.state.replace(state)
 
     # -- endorsement --------------------------------------------------------
 
@@ -104,7 +107,10 @@ class OrgNode:
         with self._commit_lock:
             # Deep-copy: the ordering service may hand the same dict to
             # several in-process nodes, and commit assigns validation flags.
-            incoming = Block.from_dict(copy.deepcopy(dict(block_dict)))
+            try:
+                incoming = Block.from_dict(copy.deepcopy(dict(block_dict)))
+            except blocks_mod.MALFORMED:
+                raise LedgerRejectedError("malformed block structure")
             tip_height = self.blocks[-1].height if self.blocks else -1
             if incoming.height <= tip_height:
                 stored = self.blocks[incoming.height]
@@ -120,32 +126,23 @@ class OrgNode:
                 raise LedgerRejectedError(
                     f"out-of-order block {incoming.height}, tip is {tip_height}"
                 )
-            expected_prev = self.blocks[-1].block_hash if self.blocks else None
-            if expected_prev is not None and incoming.prev_hash != expected_prev:
-                raise LedgerRejectedError("prev_hash does not extend this chain")
-            recomputed = blocks_mod.compute_block_hash(
-                incoming.height, incoming.prev_hash, incoming.data_hash
-            )
-            if recomputed != incoming.block_hash:
-                raise LedgerRejectedError("block hash does not match header")
-
-            flags = []
             current = self.state.snapshot()
-            applied: dict[str, LedgerValue] = {}
-            for tx in incoming.transactions:
-                flag = validate_tx(tx, current, self.orgs, self.endorsement_policy)
-                tx["validation"] = flag
-                flags.append(flag)
-                if flag == blocks_mod.VALID:
-                    for pid, value in tx.get("result", {}).get("writes", {}).items():
-                        parsed = LedgerValue.from_dict(value)
-                        current[pid] = parsed
-                        applied[pid] = parsed
-            for pid, value in applied.items():
-                self.state.put(pid, value)
+            findings = blocks_mod.validate_block(
+                incoming, incoming.height, self.tip_hash(), current, self.orgs,
+                self.endorsement_policy, validate_tx, commit=True,
+            )
+            if findings:
+                raise LedgerRejectedError(
+                    f"block {incoming.height} refused: "
+                    + "; ".join(f.problem for f in findings)
+                )
+            self.state.replace(current)
             self.blocks.append(incoming)
             self.store.append(incoming)
-            return {"height": incoming.height, "flags": flags}
+            return {
+                "height": incoming.height,
+                "flags": [tx["validation"] for tx in incoming.transactions],
+            }
 
     # -- queries ---------------------------------------------------------------
 

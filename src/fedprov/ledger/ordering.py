@@ -1,11 +1,14 @@
 """Single deterministic ordering service.
 
-Endorsed transaction envelopes arrive over ORDER requests, are assigned a
-first-come total order (transaction id as tiebreak within a batch), and are
-cut into blocks when either the batch size cap or the batch timeout is
-reached. Each block is delivered to every organization node, which validates
-and commits it independently; the orderer replies to each waiting client
-with its transaction's receipt.
+Endorsed transaction envelopes arrive over ORDER requests. Each one must
+pass the integrity check a replica applies at commit (``blocks.check_tx``);
+one that fails is refused to its submitter alone, so no block is cut that a
+replica would reject. Envelopes that pass are assigned a first-come total
+order (transaction id as tiebreak within a batch), and are cut into blocks
+when either the batch size cap or the batch timeout is reached. Each block
+is delivered to every organization node, which validates and commits it
+independently; the orderer replies to each waiting client with its
+transaction's receipt.
 
 Client-supplied timestamps are accepted only within a configurable skew of
 the orderer clock.
@@ -17,8 +20,8 @@ import threading
 import time
 from typing import Mapping
 
-from .. import clock
-from ..errors import LedgerRejectedError, TransportError
+from .. import clock, identity as identity_mod
+from ..errors import FedprovError, LedgerRejectedError, TransportError
 from ..transport import Transport
 from . import blocks as blocks_mod
 from .blocks import make_block
@@ -36,6 +39,7 @@ class OrderingService:
     def __init__(
         self,
         peers: Mapping[str, Transport],
+        orgs: Mapping[str, identity_mod.Organization],
         tip_height: int,
         tip_hash: str,
         max_block_txs: int = 10,
@@ -43,6 +47,7 @@ class OrderingService:
         max_clock_skew_ms: int = 300_000,
     ):
         self.peers = dict(peers)
+        self.orgs = dict(orgs)
         self.max_block_txs = max_block_txs
         self.block_timeout_ms = block_timeout_ms
         self.max_clock_skew_ms = max_clock_skew_ms
@@ -57,6 +62,9 @@ class OrderingService:
 
     def submit(self, envelope: dict) -> dict:
         """Queue an endorsed envelope; blocks until its block commits."""
+        problems = blocks_mod.check_tx(envelope, self.orgs)
+        if problems:
+            raise LedgerRejectedError("envelope refused: " + "; ".join(problems))
         timestamp = envelope.get("body", {}).get("timestamp", "")
         try:
             skew = clock.skew_ms(timestamp, clock.now_iso())
@@ -129,9 +137,9 @@ class OrderingService:
         for org, transport in self.peers.items():
             try:
                 response = transport("COMMIT", {"block": block.to_dict()})
-            except (TransportError, LedgerRejectedError):
-                # Down or diverged nodes miss this block; the remaining
-                # replicas keep the federation available.
+            except FedprovError:
+                # Down, diverged or failing nodes miss this block; the
+                # remaining replicas keep the federation available.
                 continue
             reachable += 1
             peer_flags = response.get("flags")

@@ -78,6 +78,11 @@ class WorldState:
         with self._lock:
             return dict(self._values)
 
+    def replace(self, values: dict[str, LedgerValue]) -> None:
+        """Make *values* the whole state, e.g. a snapshot a block was applied to."""
+        with self._lock:
+            self._values = values
+
     def dump(self) -> dict[str, dict]:
         with self._lock:
             return {pid: value.to_dict() for pid, value in sorted(self._values.items())}

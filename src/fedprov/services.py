@@ -220,6 +220,7 @@ def assemble_org(
     if config.orderer_org().name == org_name:
         service.orderer = OrderingService(
             peers={o.name: transport(o.listen_address) for o in config.organizations},
+            orgs=orgs,
             tip_height=node.height(),
             tip_hash=node.tip_hash(),
             max_block_txs=config.max_block_txs,

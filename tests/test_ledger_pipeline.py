@@ -294,41 +294,230 @@ def test_batching_groups_transactions(tmp_path):
 
 
 def _bounded(call, timeout_s=10.0):
-    """Run *call* on a daemon thread; fail instead of hanging if it never returns."""
+    """Run *call* on a daemon thread; fail instead of hanging if it never returns.
+
+    What *call* raises is raised here.
+    """
     import threading
 
     outcome = {}
-    worker = threading.Thread(target=lambda: outcome.update(value=call()), daemon=True)
+
+    def run():
+        try:
+            outcome["value"] = call()
+        except Exception as exc:
+            outcome["error"] = exc
+
+    worker = threading.Thread(target=run, daemon=True)
     worker.start()
     worker.join(timeout_s)
     assert not worker.is_alive(), "no answer: the ordering service stopped"
+    if "error" in outcome:
+        raise outcome["error"]
     return outcome["value"]
 
 
-def test_null_endorsement_signature_rejected_and_orderer_survives(fed, users):
-    """A malformed envelope gets an INVALID receipt; writers after it commit."""
+def _endorsed(user, pid, nonce):
+    """A normally endorsed ``create-artifact`` envelope, not yet ordered."""
     from fedprov import clock, crypto
     from fedprov.canonical import canonical_bytes
 
-    alice = users["alice"]["ledger"]
     body = {
         "kind": chaincode.TX_CREATE_ARTIFACT,
-        "pid": "21.P/m",
-        "args": {"uri": "cas://m", "checksum": "cm", "owners": ["alice"]},
-        "creator": users["alice"]["identity"].to_creator(),
+        "pid": pid,
+        "args": {"uri": f"cas://{pid}", "checksum": "c", "owners": [user["identity"].user_id]},
+        "creator": user["identity"].to_creator(),
         "timestamp": clock.now_iso(),
-        "nonce": "null-signature",
+        "nonce": nonce,
     }
-    envelope = alice.endorse(body, crypto.sign(users["alice"]["key"], canonical_bytes(body)))
-    for endorsement in envelope["endorsements"]:
-        endorsement["signature"] = None
+    return user["ledger"].endorse(body, crypto.sign(user["key"], canonical_bytes(body)))
 
-    receipt = _bounded(lambda: alice.order(envelope))
-    assert receipt.status == "INVALID:endorsement-policy-unmet"
+
+def _heights(fed):
+    return {org: node.height() for org, node in fed.nodes.items()}
+
+
+def _all_clear(fed):
+    return all(node.verify_chain()["ok"] for node in fed.nodes.values())
+
+
+def test_null_endorsement_signature_rejected_and_orderer_survives(fed, users):
+    """A malformed envelope is refused at ORDER; writers after it commit."""
+    from fedprov.errors import LedgerRejectedError
+
+    alice = users["alice"]["ledger"]
+    envelope = _endorsed(users["alice"], "21.P/m", "null-signature")
+    _null_endorsement_signatures(envelope, users["alice"])
+
+    with pytest.raises(LedgerRejectedError, match="endorsement signature invalid"):
+        _bounded(lambda: alice.order(envelope))
     assert alice.hlf_read("21.P/m") is None
     after = _bounded(lambda: alice.hlf_create("21.P/n", "cas://n", "cn", ["alice"], "artifact"))
     assert after.ok
     assert len(set(fed.state_digests().values())) == 1
+    assert _all_clear(fed)
+
+
+def _null_endorsement_signatures(envelope, user):
+    for endorsement in envelope["endorsements"]:
+        endorsement["signature"] = None
+
+
+def _replaced_client_signature(envelope, user):
+    from fedprov import crypto
+
+    envelope["signature"] = crypto.sign(user["key"], b"some other message")
+
+
+def _body_changed_under_tx_id(envelope, user):
+    from fedprov import crypto
+    from fedprov.canonical import canonical_bytes
+
+    envelope["body"]["args"]["checksum"] = "forged"
+    envelope["signature"] = crypto.sign(user["key"], canonical_bytes(envelope["body"]))
+
+
+def _extra_bad_endorsement(envelope, user):
+    extra = dict(envelope["endorsements"][0])
+    extra["signature"] = "00" * 64
+    envelope["endorsements"].append(extra)
+
+
+def _endorsements_not_objects(envelope, user):
+    envelope["endorsements"] = ["x"]
+
+
+def _no_result(envelope, user):
+    del envelope["result"]
+
+
+@pytest.mark.parametrize(
+    "forge, finding",
+    [
+        (_null_endorsement_signatures, "endorsement signature invalid"),
+        (_replaced_client_signature, "client signature invalid"),
+        (_body_changed_under_tx_id, "tx_id does not match body"),
+        (_extra_bad_endorsement, "endorsement signature invalid"),
+        (_endorsements_not_objects, "malformed transaction"),
+        (_no_result, "malformed transaction"),
+    ],
+    ids=["null-endorsement-signatures", "replaced-client-signature",
+         "body-changed-under-tx-id", "extra-bad-endorsement",
+         "endorsements-not-objects", "no-result"],
+)
+def test_forged_envelope_refused_at_order(fed, users, forge, finding):
+    """An endorsed envelope edited before ORDER never reaches a block.
+
+    Replicas would otherwise commit it and every chain audit would flag it.
+    """
+    from fedprov.errors import LedgerRejectedError
+
+    alice = users["alice"]["ledger"]
+    envelope = _endorsed(users["alice"], "21.P/f", "forged")
+    forge(envelope, users["alice"])
+    before = _heights(fed)
+
+    with pytest.raises(LedgerRejectedError, match=finding):
+        _bounded(lambda: alice.order(envelope))
+    assert _heights(fed) == before
+    after = _bounded(lambda: alice.hlf_create("21.P/n", "cas://n", "cn", ["alice"], "artifact"))
+    assert after.status == "VALID"
+    assert _heights(fed) == {org: height + 1 for org, height in before.items()}
+    assert _all_clear(fed)
+
+
+def test_orderer_survives_peer_failing_with_plain_error(fed, users):
+    """A peer whose COMMIT fails with any FedprovError misses the block; the
+    others commit it and the orderer keeps serving."""
+    from fedprov.errors import FedprovError
+
+    def failing(kind, payload):
+        raise FedprovError("internal error: 'str' object has no attribute 'get'")
+
+    alice = users["alice"]["ledger"]
+    fed.orderer.peers["OrgB"] = failing
+    before = _heights(fed)
+    first = _bounded(lambda: alice.hlf_create("21.P/a", "cas://a", "ca", ["alice"], "artifact"))
+    assert first.status == "VALID"
+    assert _heights(fed) == {org: height + (org != "OrgB") for org, height in before.items()}
+    after = _bounded(lambda: alice.hlf_create("21.P/b", "cas://b", "cb", ["alice"], "artifact"))
+    assert after.status == "VALID"
+
+
+def _block_of(fed, envelope):
+    """*envelope* as the next block, the way the orderer would cut it."""
+    from fedprov.ledger.blocks import make_block
+
+    tx = {**envelope, "validation": None}
+    tip = fed.nodes["OrgA"].blocks[-1]
+    return make_block(tip.height + 1, tip.block_hash, [tx]).to_dict()
+
+
+def _data_hash_mismatch(fed, users):
+    from fedprov.ledger.blocks import compute_block_hash, compute_data_hash
+
+    block = _block_of(fed, _endorsed(users["alice"], "21.P/d", "data-hash"))
+    block["data_hash"] = compute_data_hash([])
+    block["block_hash"] = compute_block_hash(block["height"], block["prev_hash"], block["data_hash"])
+    return block
+
+
+def _body_changed_in_block(fed, users):
+    envelope = _endorsed(users["alice"], "21.P/d", "changed-body")
+    _body_changed_under_tx_id(envelope, users["alice"])
+    return _block_of(fed, envelope)
+
+
+def _block_without_header(fed, users):
+    return {"height": fed.nodes["OrgA"].height() + 1, "transactions": []}
+
+
+@pytest.mark.parametrize(
+    "build, finding",
+    [(_data_hash_mismatch, "data_hash does not match"),
+     (_body_changed_in_block, "tx_id does not match body"),
+     (_block_without_header, "malformed block structure")],
+    ids=["data-hash-mismatch", "body-changed-under-tx-id", "block-without-header"],
+)
+def test_commit_refuses_what_the_audit_flags(fed, users, build, finding):
+    from fedprov.errors import LedgerRejectedError
+
+    assert users["alice"]["ledger"].hlf_create("21.P/a", "cas://a", "ca", ["alice"], "artifact").ok
+    block = build(fed, users)
+    for node in fed.nodes.values():
+        height, digest = node.height(), node.state_digest()
+        with pytest.raises(LedgerRejectedError, match=finding):
+            node.commit(block)
+        assert (node.height(), node.state_digest()) == (height, digest)
+    assert _all_clear(fed)
+
+
+def test_node_refuses_to_start_on_a_tampered_ledger(fed, users, tmp_path):
+    from fedprov.errors import LedgerRejectedError
+    from fedprov.ledger.node import OrgNode
+
+    alice = users["alice"]["ledger"]
+    for i in range(4):
+        assert alice.hlf_create(f"21.P/{i}", f"cas://{i}", f"c{i}", ["alice"], "artifact").ok
+    original = fed.nodes["OrgA"]
+    lines = original.store.path.read_bytes().split(b"\n")
+    target_height = 3
+    line = bytearray(lines[target_height])
+    line[line.find(b"cas://") + 6] ^= 0x01
+    lines[target_height] = bytes(line)
+    tampered = tmp_path / "tampered" / "ledger.jsonl"
+    tampered.parent.mkdir()
+    tampered.write_bytes(b"\n".join(lines))
+
+    with pytest.raises(LedgerRejectedError, match=f"at height {target_height}:"):
+        OrgNode(
+            org_name="OrgA",
+            node_identity=original.node_identity,
+            node_private_key="00" * 32,
+            orgs=original.orgs,
+            endorsement_policy=original.endorsement_policy,
+            ledger_path=tampered,
+        )
 
 
 def test_ledger_client_without_credentials_reads_but_cannot_submit(fed, users):

@@ -37,3 +37,33 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     finally:
         tracer.uninstall()
     assert (cli.ClientContext.__dict__["build"], transport.request, node.validate_tx) == originals
+
+
+def test_traced_write_records_commit_path_spans(monkeypatch, tmp_path):
+    """One traced write on the in-process federation feeds the commit-path
+    metrics, so moving the commit loop cannot zero them unnoticed."""
+    from fedprov.harness import Federation
+
+    spans = _load_spans(monkeypatch)
+    tracer = spans.Tracer(enabled=True)
+    tracer.install()
+    try:
+        fed = Federation.bootstrap(tmp_path / "fed")
+        try:
+            alice, key = fed.register_user("OrgA", "alice")
+            ledger = fed.client(alice, key).ledger()
+            tracer.active = True
+            receipt = ledger.hlf_create("21.P/t", "cas://t", "ct", ["alice"], "artifact")
+            tracer.active = False
+        finally:
+            fed.stop()
+    finally:
+        tracer.uninstall()
+
+    assert receipt.status == "VALID"
+    names = {span.name for span in tracer.spans}
+    assert {"ledger.node.commit", "ledger.blocks.validate_tx"} <= names
+    assert any(
+        span.name == "crypto.verify" and span.attrs == {"role": "commit-path"}
+        for span in tracer.spans
+    )
