@@ -69,7 +69,7 @@ from .ledger.chaincode import (
     MSG_PROV_INVALIDATE,
     MSG_UNAUTHORIZED,
 )
-from .ledger.client import LedgerClient
+from .ledger.client import LedgerClient, create_operation, refusal
 from .lineage import (
     POLICY_FLAG_AND_NOTIFY,
     build_graph,
@@ -248,16 +248,25 @@ def publish_artifact(
     prov_record = registry.mint(KIND_PROVENANCE, doc_uri, doc_checksum)
     prov_pid = prov_record["pid"]
 
+    owners = [identity.user_id]
+    creates = [
+        (create_operation(artifact_pid, artifact_uri, artifact_checksum, owners,
+                          KIND_ARTIFACT), {"artifact_pid": artifact_pid}),
+        (create_operation(prov_pid, doc_uri, doc_checksum, owners, KIND_PROVENANCE),
+         {"artifact_pid": artifact_pid, "prov_pid": prov_pid}),
+    ]
+    # Both creates are endorsed before either is ordered, so a refused one
+    # leaves no artifact on the ledger without its record; then one ORDER
+    # round carries both.
     timestamp = clock.now_iso()
-    artifact_receipt = ledger.hlf_create(
-        artifact_pid, artifact_uri, artifact_checksum, [identity.user_id],
-        KIND_ARTIFACT, timestamp,
-    )
-    _require_committed(artifact_receipt, {"artifact_pid": artifact_pid})
-    prov_receipt = ledger.hlf_create(
-        prov_pid, doc_uri, doc_checksum, [identity.user_id], KIND_PROVENANCE, timestamp
-    )
-    _require_committed(prov_receipt, {"artifact_pid": artifact_pid, "prov_pid": prov_pid})
+    envelopes = [ledger.prepare(*operation, timestamp) for operation, _ in creates]
+    for envelope, (_, partial_body) in zip(envelopes, creates):
+        refused = refusal(envelope)
+        if refused is not None:
+            _require_committed(refused, partial_body)
+    artifact_receipt, prov_receipt = ledger.order_all(envelopes)
+    for receipt, (_, partial_body) in zip((artifact_receipt, prov_receipt), creates):
+        _require_committed(receipt, partial_body)
 
     return {
         "artifact_pid": artifact_pid,

@@ -70,7 +70,6 @@ class FederationConfig:
     registry_address: str = "127.0.0.1:7500"
     prov_store_root: str = "store"
     max_block_txs: int = 10
-    block_timeout_ms: int = 500
     max_clock_skew_ms: int = 300_000
     base_dir: Path = field(default_factory=Path)
 
@@ -84,7 +83,6 @@ class FederationConfig:
             "registry-address": self.registry_address,
             "prov-store-root": self.prov_store_root,
             "max-block-txs": self.max_block_txs,
-            "block-timeout-ms": self.block_timeout_ms,
             "max-clock-skew-ms": self.max_clock_skew_ms,
         }
 
@@ -98,7 +96,6 @@ class FederationConfig:
                 registry_address=data.get("registry-address", "127.0.0.1:7500"),
                 prov_store_root=data.get("prov-store-root", "store"),
                 max_block_txs=int(data.get("max-block-txs", 10)),
-                block_timeout_ms=int(data.get("block-timeout-ms", 500)),
                 max_clock_skew_ms=int(data.get("max-clock-skew-ms", 300_000)),
                 base_dir=Path(base_dir),
             )

@@ -76,7 +76,6 @@ class Federation:
         endorsement_policy: str = POLICY_ANY_ONE,
         use_tcp: bool = False,
         max_block_txs: int = 10,
-        block_timeout_ms: int = 25,
         pid_prefix: str = "21.P",
     ) -> "Federation":
         root = Path(root)
@@ -93,7 +92,6 @@ class Federation:
             registry_address=f"127.0.0.1:{ports[-1]}",
             prov_store_root="store",
             max_block_txs=max_block_txs,
-            block_timeout_ms=block_timeout_ms,
             base_dir=root,
         )
         config_path = root / "federation.json"

@@ -6,18 +6,21 @@ Every byte persisted for a block is covered by something recomputable:
 * simulation results by the endorsers' signatures over the result digest,
 * the transaction list and order by the data hash,
 * the header by the block hash and the predecessor link,
-* validation flags by deterministic replay of the whole chain.
+* validation flags by deterministic replay of the whole chain,
+* everything else by its absence: a block record, a transaction, its result
+  and each endorsement may carry only the keys listed below.
 
 ``validate_block`` is the one block-validation routine: ``OrgNode.commit``,
 node start-up and ``verify_chain_file`` all go through it, so a replica
 accepts exactly the ledger an audit accepts. It has two parts.
 
 * Integrity: the header, the predecessor link, the data hash and, per
-  transaction, ``check_tx`` (id, creator certificate, client signature, and
-  every endorsement's certificate and signature). An integrity failure is
-  never a validation flag. The ordering service refuses such an envelope at
-  ORDER, a node rejects a block holding one, a node refuses to start on a
-  ledger file holding one, and ``verify_chain_file`` reports it.
+  transaction, ``check_tx`` (known keys only, id, creator certificate,
+  client signature, and every endorsement's certificate and signature).
+  An integrity failure is never a validation flag. The ordering service
+  refuses such an envelope at ORDER, a node rejects a block holding one, a
+  node refuses to start on a ledger file holding one, and
+  ``verify_chain_file`` reports it.
 * Apply: ``validate_tx`` flags each transaction by the endorsement policy
   over its already verified endorsements and by its read set, and the VALID
   writes go into the state. Flags cover only these two rules.
@@ -154,18 +157,33 @@ class VerificationReport:
         }
 
 
-def check_tx(tx: Mapping, orgs: Mapping[str, identity_mod.Organization]) -> list[str]:
+# The only keys each part of a transaction may carry: every one is covered
+# by the transaction id, a signature or replay, so no other byte can ride
+# along unchecked.
+TX_KEYS = frozenset({"tx_id", "body", "signature", "result", "endorsements"})
+STORED_TX_KEYS = TX_KEYS | {"validation"}
+RESULT_KEYS = frozenset({"message", "reads", "writes"})
+ENDORSEMENT_KEYS = frozenset({"org", "node_id", "node_public_key", "node_certificate", "signature"})
+BLOCK_KEYS = frozenset({"height", "prev_hash", "data_hash", "block_hash", "transactions"})
+
+
+def check_tx(
+    tx: Mapping, orgs: Mapping[str, identity_mod.Organization], stored: bool = False
+) -> list[str]:
     """The integrity problems of one transaction; empty if it is sound.
 
-    *tx* is a stored transaction or an envelope sent to ORDER. Its id must be
-    its body's digest, its creator's certificate and its client signature
-    over the body must verify, and so must every endorsement's certificate
-    and its signature over (id, result digest). A wrongly typed field, or a
-    missing result or endorsement list, is the problem "malformed
-    transaction", never an exception.
+    *tx* is a stored transaction (*stored*: it may carry its validation
+    flag) or an envelope sent to ORDER. It, its result and each endorsement
+    may carry only their known keys. Its id must be its body's digest, its
+    creator's certificate and its client signature over the body must
+    verify, and so must every endorsement's certificate and its signature
+    over (id, result digest). A wrongly typed field, or a missing result or
+    endorsement list, is the problem "malformed transaction", never an
+    exception.
     """
     problems: list[str] = []
     try:
+        problems += _uncovered("transaction", tx, STORED_TX_KEYS if stored else TX_KEYS)
         body = tx.get("body", {})
         if tx.get("tx_id") != tx_id_for(body):
             problems.append("tx_id does not match body")
@@ -177,9 +195,11 @@ def check_tx(tx: Mapping, orgs: Mapping[str, identity_mod.Organization]) -> list
         if not crypto.verify(creator.public_key, tx.get("signature", ""), canonical_bytes(body)):
             problems.append("client signature invalid")
 
+        problems += _uncovered("result", tx["result"], RESULT_KEYS)
         result_digest = SimulationResult.from_dict(tx["result"]).result_digest()
         payload = endorsement_payload(tx.get("tx_id", ""), result_digest)
         for endorsement in tx["endorsements"]:
+            problems += _uncovered("endorsement", endorsement, ENDORSEMENT_KEYS)
             for field_name in ("signature", "node_public_key", "node_certificate"):
                 if not _lower_hex(endorsement.get(field_name)):
                     problems.append(f"endorsement {field_name} is not lowercase hex")
@@ -196,6 +216,11 @@ def check_tx(tx: Mapping, orgs: Mapping[str, identity_mod.Organization]) -> list
     except MALFORMED:
         problems.append("malformed transaction")
     return problems
+
+
+def _uncovered(what: str, value: Mapping, allowed: frozenset[str]) -> list[str]:
+    extra = sorted(set(value.keys()) - allowed)
+    return [f"{what} carries uncovered keys {extra}"] if extra else []
 
 
 _LOWER_HEX = re.compile(r"[0-9a-f]+")
@@ -261,7 +286,8 @@ def validate_block(
         findings.append(Finding(height, "prev_hash does not match predecessor block hash"))
     for position, tx in enumerate(block.transactions):
         findings.extend(
-            Finding(height, f"tx {position}: {problem}") for problem in check_tx(tx, orgs)
+            Finding(height, f"tx {position}: {problem}")
+            for problem in check_tx(tx, orgs, stored=True)
         )
     tx_ids = [tx.get("tx_id") if isinstance(tx, Mapping) else None for tx in block.transactions]
     if compute_data_hash(tx_ids) != block.data_hash:
@@ -321,6 +347,7 @@ def replay_chain(
             # byte-level mutation even if it parses.
             findings.append(Finding(index, "block encoding not canonical"))
         try:
+            findings += [Finding(index, p) for p in _uncovered("block", record, BLOCK_KEYS)]
             block = Block.from_dict(record)
         except MALFORMED:
             prev_hash = None

@@ -1,6 +1,7 @@
 """Client-side transaction flow: sign locally, gather endorsements from the
 organization nodes, check agreement and policy, then hand the envelope to
-the ordering service and wait for the commit receipt.
+the ordering service and wait for the commit receipt. Operations that must
+land together are all endorsed first and then sent in one ORDER request.
 
 The client talks to nodes directly -- there is no proxy in the path -- so a
 single dead node degrades nothing that the remaining replicas can answer.
@@ -57,6 +58,26 @@ class Receipt:
         }
 
 
+def refusal(envelope: dict) -> Receipt | None:
+    """The REJECTED receipt of an envelope the chaincode refused, else None.
+
+    The peers agree the chaincode refuses such an operation; it is never
+    ordered and changes no state anywhere.
+    """
+    message = envelope["result"]["message"]
+    if not message.startswith("Error:"):
+        return None
+    return Receipt(tx_id=envelope["tx_id"], height=None, status=STATUS_REJECTED, message=message)
+
+
+def create_operation(
+    pid: str, uri: str, checksum: str, owners: list[str], object_kind: str
+) -> tuple[str, str, dict]:
+    """The (kind, pid, args) of the create of an artifact or provenance record."""
+    kind = TX_CREATE_ARTIFACT if object_kind == "artifact" else TX_CREATE_PROV
+    return kind, pid, {"uri": uri, "checksum": checksum, "owners": owners}
+
+
 class LedgerClient:
     """Ledger access over any transports; writes need caller credentials."""
 
@@ -86,6 +107,21 @@ class LedgerClient:
         timestamp: str | None = None,
     ) -> Receipt:
         """Full propose/endorse/order/commit round trip for one operation."""
+        envelope = self.prepare(kind, pid, args, timestamp)
+        return refusal(envelope) or self.order(envelope)
+
+    def prepare(
+        self,
+        kind: str,
+        pid: str,
+        args: dict,
+        timestamp: str | None = None,
+    ) -> dict:
+        """Sign one operation and collect its endorsements; nothing is ordered.
+
+        The envelope returned may carry the chaincode's refusal (see
+        ``refusal``); only one without may be ordered.
+        """
         if self.identity is None or self._private_key is None:
             raise UnauthorizedError(f"{kind} requires caller credentials")
         body = {
@@ -97,17 +133,7 @@ class LedgerClient:
             "nonce": uuid.uuid4().hex,
         }
         signature = crypto.sign(self._private_key, canonical_bytes(body))
-        envelope = self.endorse(body, signature)
-        if envelope["result"]["message"].startswith("Error:"):
-            # The peers agree the chaincode refuses this operation; nothing
-            # is ordered and no state changes anywhere.
-            return Receipt(
-                tx_id=envelope["tx_id"],
-                height=None,
-                status=STATUS_REJECTED,
-                message=envelope["result"]["message"],
-            )
-        return self.order(envelope)
+        return self.endorse(body, signature)
 
     def endorse(self, body: dict, signature: str) -> dict:
         """Collect endorsements for a signed body; returns an order-ready envelope."""
@@ -153,14 +179,24 @@ class LedgerClient:
 
     def order(self, envelope: dict) -> Receipt:
         """Submit an endorsed envelope for ordering and await commit."""
-        response = self.orderer("ORDER", {"envelope": envelope})
-        receipt = response["receipt"]
-        return Receipt(
-            tx_id=receipt["tx_id"],
-            height=receipt["height"],
-            status=receipt["status"],
-            message=receipt["message"],
-        )
+        return self.order_all([envelope])[0]
+
+    def order_all(self, envelopes: list[dict]) -> list[Receipt]:
+        """Submit endorsed envelopes in one ORDER request and await their commit.
+
+        They are queued together, so they normally share one block. The
+        orderer refuses them all if any fails its integrity check.
+        """
+        response = self.orderer("ORDER", {"envelopes": list(envelopes)})
+        return [
+            Receipt(
+                tx_id=receipt["tx_id"],
+                height=receipt["height"],
+                status=receipt["status"],
+                message=receipt["message"],
+            )
+            for receipt in response["receipts"]
+        ]
 
     # -- chaincode wrappers ---------------------------------------------------
 
@@ -173,9 +209,8 @@ class LedgerClient:
         object_kind: str,
         timestamp: str | None = None,
     ) -> Receipt:
-        kind = TX_CREATE_ARTIFACT if object_kind == "artifact" else TX_CREATE_PROV
         return self.submit(
-            kind, pid, {"uri": uri, "checksum": checksum, "owners": owners}, timestamp
+            *create_operation(pid, uri, checksum, owners, object_kind), timestamp
         )
 
     def hlf_update_prov(

@@ -1,14 +1,19 @@
 """Single deterministic ordering service.
 
-Endorsed transaction envelopes arrive over ORDER requests. Each one must
-pass the integrity check a replica applies at commit (``blocks.check_tx``);
-one that fails is refused to its submitter alone, so no block is cut that a
+Endorsed transaction envelopes arrive over ORDER requests, one or more per
+request. Every envelope of a request must pass the integrity check a replica
+applies at commit (``blocks.check_tx``) before any is queued; one that fails
+refuses the whole request, to its submitter alone, so no block is cut that a
 replica would reject. Envelopes that pass are assigned a first-come total
-order (transaction id as tiebreak within a batch), and are cut into blocks
-when either the batch size cap or the batch timeout is reached. Each block
+order (transaction id as tiebreak within a block).
+
+Blocks are cut by group commit: as soon as the orderer is free and the queue
+is non-empty, it cuts a block of up to ``max_block_txs`` queued envelopes.
+Envelopes that arrive while a block is being delivered gather for the next
+one, so load batches itself and a lone transaction never idles. Each block
 is delivered to every organization node, which validates and commits it
 independently; the orderer replies to each waiting client with its
-transaction's receipt.
+transactions' receipts.
 
 Client-supplied timestamps are accepted only within a configurable skew of
 the orderer clock.
@@ -17,7 +22,6 @@ the orderer clock.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Mapping
 
 from .. import clock, identity as identity_mod
@@ -43,13 +47,11 @@ class OrderingService:
         tip_height: int,
         tip_hash: str,
         max_block_txs: int = 10,
-        block_timeout_ms: int = 500,
         max_clock_skew_ms: int = 300_000,
     ):
         self.peers = dict(peers)
         self.orgs = dict(orgs)
         self.max_block_txs = max_block_txs
-        self.block_timeout_ms = block_timeout_ms
         self.max_clock_skew_ms = max_clock_skew_ms
         self._height = tip_height
         self._tip_hash = tip_hash
@@ -60,8 +62,27 @@ class OrderingService:
         self._worker = threading.Thread(target=self._run, name="orderer", daemon=True)
         self._worker.start()
 
-    def submit(self, envelope: dict) -> dict:
-        """Queue an endorsed envelope; blocks until its block commits."""
+    def submit(self, *envelopes: dict) -> list[dict]:
+        """Queue endorsed envelopes together; blocks until they commit.
+
+        Every envelope is checked before any is queued, so one that fails
+        refuses them all. Returns one receipt per envelope, in order.
+        """
+        for envelope in envelopes:
+            self._check(envelope)
+        pending = [_Pending(envelope) for envelope in envelopes]
+        with self._lock:
+            if self._closed:
+                raise LedgerRejectedError("ordering service stopped")
+            self._queue.extend(pending)
+            self._wakeup.notify_all()
+        for one in pending:
+            one.event.wait()
+            if one.error is not None:
+                raise one.error
+        return [one.receipt for one in pending]
+
+    def _check(self, envelope: dict) -> None:
         problems = blocks_mod.check_tx(envelope, self.orgs)
         if problems:
             raise LedgerRejectedError("envelope refused: " + "; ".join(problems))
@@ -74,17 +95,6 @@ class OrderingService:
             raise LedgerRejectedError(
                 f"timestamp skew {skew}ms exceeds bound {self.max_clock_skew_ms}ms"
             )
-        pending = _Pending(envelope)
-        with self._lock:
-            if self._closed:
-                raise LedgerRejectedError("ordering service stopped")
-            self._queue.append(pending)
-            self._wakeup.notify_all()
-        pending.event.wait()
-        if pending.error is not None:
-            raise pending.error
-        assert pending.receipt is not None
-        return pending.receipt
 
     def close(self) -> None:
         with self._lock:
@@ -92,28 +102,20 @@ class OrderingService:
             self._wakeup.notify_all()
         self._worker.join(timeout=2)
 
-    # -- batching loop -------------------------------------------------------
+    # -- group commit ----------------------------------------------------------
 
     def _run(self) -> None:
         while True:
             with self._lock:
                 while not self._queue and not self._closed:
                     self._wakeup.wait()
-                if self._closed and not self._queue:
+                if not self._queue:
                     return
-                # Cut when the batch fills or the timeout since the first
-                # queued transaction lapses, whichever comes first.
-                started = time.monotonic()
-                timeout_s = self.block_timeout_ms / 1000.0
-                while len(self._queue) < self.max_block_txs and not self._closed:
-                    remaining = timeout_s - (time.monotonic() - started)
-                    if remaining <= 0:
-                        break
-                    self._wakeup.wait(timeout=remaining)
+                # Whatever gathered while the last block was being delivered
+                # goes into this one, up to the cap; the rest waits its turn.
                 batch = self._queue[: self.max_block_txs]
-                self._queue = self._queue[len(batch):]
-            if batch:
-                self._cut_and_deliver(batch)
+                del self._queue[: len(batch)]
+            self._cut_and_deliver(batch)
 
     def _cut_and_deliver(self, batch: list[_Pending]) -> None:
         batch.sort(key=lambda p: p.envelope.get("tx_id", ""))

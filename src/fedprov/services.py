@@ -19,7 +19,7 @@ from typing import Mapping
 
 from . import crypto, identity as identity_mod
 from .canonical import canonical_bytes
-from .errors import FedprovError, TransportError, UnauthorizedError
+from .errors import FedprovError, LedgerRejectedError, TransportError, UnauthorizedError
 from .federation import FederationConfig, load_node_credentials
 from .ledger.node import OrgNode
 from .ledger.ordering import OrderingService
@@ -41,8 +41,10 @@ class NodeService:
         if kind == "ORDER":
             if self.orderer is None:
                 raise FedprovError(f"{self.node.org_name} does not host the orderer")
-            receipt = self.orderer.submit(payload["envelope"])
-            return {"ok": True, "receipt": receipt}
+            envelopes = payload.get("envelopes")
+            if not isinstance(envelopes, list):
+                raise LedgerRejectedError("envelope refused: ORDER carries no envelope list")
+            return {"ok": True, "receipts": self.orderer.submit(*envelopes)}
         if kind == "QUERY":
             return {"ok": True, **self._query(payload)}
         raise FedprovError(f"unknown message kind: {kind!r}")
@@ -224,7 +226,6 @@ def assemble_org(
             tip_height=node.height(),
             tip_hash=node.tip_hash(),
             max_block_txs=config.max_block_txs,
-            block_timeout_ms=config.block_timeout_ms,
             max_clock_skew_ms=config.max_clock_skew_ms,
         )
         services[config.registry_address] = RegistryService(

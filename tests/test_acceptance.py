@@ -37,7 +37,7 @@ def _report(criterion: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_1_update_algorithm_conformance(tmp_path):
     """8/8 (caller x pid) cases reproduce exactly the three outcomes, < 1 s."""
-    fed = Federation.bootstrap(tmp_path / "fed", block_timeout_ms=5)
+    fed = Federation.bootstrap(tmp_path / "fed")
     try:
         users = register_default_users(fed)
         alice, bob, ruth = users["alice"], users["bob"], users["ruth"]
@@ -103,7 +103,7 @@ def test_criterion_1_update_algorithm_conformance(tmp_path):
 
 def test_criterion_2_crud_matrix_enforcement(tmp_path):
     """1000 randomized sequences: no forbidden mutation ever changes state."""
-    fed = Federation.bootstrap(tmp_path / "fed", block_timeout_ms=1)
+    fed = Federation.bootstrap(tmp_path / "fed")
     try:
         users = register_default_users(fed)
         rng = random.Random(0xC0FFEE)
@@ -195,7 +195,7 @@ def test_criterion_2_crud_matrix_enforcement(tmp_path):
 
 def test_criterion_3_tamper_evidence(tmp_path):
     """200 random single-byte mutations of a 50-block ledger: 200/200 flagged."""
-    fed = Federation.bootstrap(tmp_path / "fed", block_timeout_ms=1)
+    fed = Federation.bootstrap(tmp_path / "fed")
     try:
         users = register_default_users(fed)
         alice = users["alice"]["ledger"]
@@ -343,7 +343,7 @@ def test_criterion_5_cascade_correctness(tmp_path, monkeypatch):
 
 def test_criterion_6_version_chain_integrity(tmp_path):
     """5 consecutive atomic updates: versions 1..6, byte-exact history."""
-    fed = Federation.bootstrap(tmp_path / "fed", block_timeout_ms=5)
+    fed = Federation.bootstrap(tmp_path / "fed")
     try:
         users = register_default_users(fed)
         alice = users["alice"]
@@ -489,7 +489,7 @@ def test_criterion_7_update_classification(tmp_path):
     uc4_ok = classify_update(uc4_old, uc4_new) == ENRICHMENT
     uc5_ok = classify_update(uc5_old, uc5_new) == DECOMPOSITION
 
-    fed = Federation.bootstrap(tmp_path / "fed", block_timeout_ms=5)
+    fed = Federation.bootstrap(tmp_path / "fed")
     try:
         users = register_default_users(fed)
         alice = users["alice"]

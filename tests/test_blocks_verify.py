@@ -82,7 +82,7 @@ def test_payload_byte_flip_flagged(committed):
 def test_transaction_reorder_flagged(committed):
     """Reordering transactions inside a block breaks the data hash."""
     fed, users = committed
-    # Cut one block holding two txs by ordering two envelopes back to back.
+    # One ORDER request carrying two envelopes cuts one block holding both.
     import uuid
 
     from fedprov import clock, crypto
@@ -106,14 +106,9 @@ def test_transaction_reorder_flagged(committed):
         }
         return alice.endorse(body, crypto.sign(users["alice"]["key"], canonical_bytes(body)))
 
-    import threading
-
-    envs = [envelope("21.P/r1"), envelope("21.P/r2")]
-    threads = [threading.Thread(target=alice.order, args=(e,)) for e in envs]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    receipts = alice.order_all([envelope("21.P/r1"), envelope("21.P/r2")])
+    assert [r.status for r in receipts] == ["VALID", "VALID"]
+    assert receipts[0].height == receipts[1].height
 
     node = fed.nodes["OrgA"]
     lines = node.store.path.read_bytes().split(b"\n")
@@ -126,8 +121,6 @@ def test_transaction_reorder_flagged(committed):
             reordered_height = index
             raw = json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
         out_lines.append(raw)
-    if reordered_height is None:
-        pytest.skip("batching produced no multi-tx block on this run")
     tampered = node.store.path.with_name("reordered.jsonl")
     tampered.write_bytes(b"\n".join(out_lines) + b"\n")
     report = verify_chain_file(
@@ -366,3 +359,42 @@ def test_single_target_flag_of_older_ledgers_commits_and_verifies(committed):
             node.store.path, fed.config.orgs_map(), fed.config.endorsement_policy
         )
         assert report.ok, report.findings
+
+
+def _note_in_result(record):
+    record["transactions"][0]["result"]["note"] = "uncovered"
+
+
+def _note_in_endorsement(record):
+    record["transactions"][0]["endorsements"][0]["note"] = "uncovered"
+
+
+def _note_as_tx_key(record):
+    record["transactions"][0]["note"] = "uncovered"
+
+
+def _note_as_block_key(record):
+    record["note"] = "uncovered"
+
+
+@pytest.mark.parametrize(
+    "edit, target_height, finding",
+    [
+        (_note_in_result, 3, "tx 0: result carries uncovered keys ['note']"),
+        (_note_in_endorsement, 4, "tx 0: endorsement carries uncovered keys ['note']"),
+        (_note_as_tx_key, 5, "tx 0: transaction carries uncovered keys ['note']"),
+        (_note_as_block_key, 2, "block carries uncovered keys ['note']"),
+    ],
+    ids=["result", "endorsement", "transaction", "block"],
+)
+def test_uncovered_key_flagged_at_its_height(committed, edit, target_height, finding):
+    """A key that no id, signature, hash or replay covers is itself a finding,
+    even when the file is rewritten as canonical JSON."""
+    fed, _ = committed
+    path, records = _committed_records(fed)
+    edit(records[target_height])
+
+    forged = path.with_name("uncovered-key.jsonl")
+    _write_records(forged, records)
+    report = verify_chain_file(forged, fed.config.orgs_map(), fed.config.endorsement_policy)
+    assert report.findings == [Finding(target_height, finding)]

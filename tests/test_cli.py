@@ -67,6 +67,29 @@ def test_publish_creates_both_records(live):
     assert ledger.hlf_read(body["prov_pid"]).version == 1
 
 
+@pytest.mark.parametrize("refused", ["artifact", "provenance"])
+def test_publish_orders_nothing_when_a_create_is_refused(live, refused):
+    """Both creates are endorsed before either is ordered, so a refused one
+    leaves no artifact on the ledger without its provenance record."""
+    fed, users = live
+    next_suffix = fed.registry._next_suffix()
+    offset = 0 if refused == "artifact" else 1
+    squatted = f"{fed.config.pid_prefix}/{str(int(next_suffix) + offset).zfill(len(next_suffix))}"
+    alice = users["alice"]["ledger"]
+    assert alice.hlf_create(squatted, "cas://squat", "squat", ["alice"], refused).ok
+    heights = {org: node.height() for org, node in fed.nodes.items()}
+
+    file_path = write_sample(fed, "d.csv", "a,b\n1,2\n")
+    doc_path = write_doc(fed, "d.json", simple_doc_dict())
+    code, body = invoke(fed, "--identity", "alice", "publish", file_path, doc_path)
+    assert code == cli.EXIT_DUPLICATE
+    assert body["receipt"]["status"] == "REJECTED"
+    assert body[f"{'artifact' if refused == 'artifact' else 'prov'}_pid"] == squatted
+    assert {org: node.height() for org, node in fed.nodes.items()} == heights
+    if refused == "provenance":
+        assert alice.hlf_read(body["artifact_pid"]) is None
+
+
 def test_publish_consumer_identity_unauthorized(live):
     fed, users = live
     file_path = write_sample(fed, "d.csv", "a,b\n")
@@ -391,7 +414,7 @@ def test_start_node_subprocess_federation(tmp_path):
         OrgEntry("Readers", "consumer-read-only", f"127.0.0.1:{ports[2]}"),
     ]
     config = FederationConfig(
-        organizations=entries, block_timeout_ms=25,
+        organizations=entries,
         registry_address=f"127.0.0.1:{ports[3]}", base_dir=root,
     )
     config_path = root / "federation.json"

@@ -266,7 +266,7 @@ def test_rejected_proposals_cut_no_block(fed, users):
 
 
 def test_batching_groups_transactions(tmp_path):
-    fed = Federation.bootstrap(tmp_path / "fed", max_block_txs=10, block_timeout_ms=150)
+    fed = Federation.bootstrap(tmp_path / "fed", max_block_txs=10)
     try:
         alice, key = fed.register_user("OrgA", "alice")
         client = fed.client(alice, key).ledger()
@@ -291,6 +291,51 @@ def test_batching_groups_transactions(tmp_path):
         assert len(heights) < 6
     finally:
         fed.stop()
+
+
+def test_lone_write_does_not_wait_for_a_batch_timeout(tmp_path):
+    """A config written before group commit still loads, and one write on an
+    idle orderer is cut at once instead of after its old 500 ms timeout."""
+    import json
+    import time
+
+    fed = Federation.bootstrap(tmp_path / "fed")
+    fed.stop()
+    config = json.loads(fed.config_path.read_text())
+    config["block-timeout-ms"] = 500
+    fed.config_path.write_text(json.dumps(config))
+    fed = Federation.start(fed.config_path)
+    try:
+        alice, key = fed.register_user("OrgA", "alice")
+        ledger = fed.client(alice, key).ledger()
+        started = time.monotonic()
+        receipt = ledger.hlf_create("21.P/lone", "cas://lone", "cl", ["alice"], "artifact")
+        elapsed = time.monotonic() - started
+    finally:
+        fed.stop()
+    assert receipt.status == "VALID"
+    assert elapsed < 0.25
+
+
+@pytest.mark.parametrize("forged_position", [0, 1], ids=["forged-first", "forged-second"])
+def test_order_with_one_forged_envelope_queues_neither(fed, users, forged_position):
+    """One ORDER request is checked whole before anything is queued."""
+    from fedprov.errors import LedgerRejectedError
+
+    alice = users["alice"]["ledger"]
+    good = _endorsed(users["alice"], "21.P/g", "good")
+    forged = _endorsed(users["alice"], "21.P/f", "forged")
+    _replaced_client_signature(forged, users["alice"])
+    envelopes = [good]
+    envelopes.insert(forged_position, forged)
+    before = _heights(fed)
+
+    with pytest.raises(LedgerRejectedError, match="client signature invalid"):
+        _bounded(lambda: alice.order_all(envelopes))
+    assert _heights(fed) == before
+    assert alice.hlf_read("21.P/g") is None
+    assert _bounded(lambda: alice.order(good)).status == "VALID"
+    assert _all_clear(fed)
 
 
 def _bounded(call, timeout_s=10.0):
@@ -391,6 +436,22 @@ def _no_result(envelope, user):
     del envelope["result"]
 
 
+def _note_in_result(envelope, user):
+    envelope["result"]["note"] = "uncovered"
+
+
+def _note_in_endorsement(envelope, user):
+    envelope["endorsements"][0]["note"] = "uncovered"
+
+
+def _note_as_tx_key(envelope, user):
+    envelope["note"] = "uncovered"
+
+
+def _validation_in_envelope(envelope, user):
+    envelope["validation"] = "VALID"
+
+
 @pytest.mark.parametrize(
     "forge, finding",
     [
@@ -400,10 +461,15 @@ def _no_result(envelope, user):
         (_extra_bad_endorsement, "endorsement signature invalid"),
         (_endorsements_not_objects, "malformed transaction"),
         (_no_result, "malformed transaction"),
+        (_note_in_result, r"result carries uncovered keys \['note'\]"),
+        (_note_in_endorsement, r"endorsement carries uncovered keys \['note'\]"),
+        (_note_as_tx_key, r"transaction carries uncovered keys \['note'\]"),
+        (_validation_in_envelope, r"transaction carries uncovered keys \['validation'\]"),
     ],
     ids=["null-endorsement-signatures", "replaced-client-signature",
          "body-changed-under-tx-id", "extra-bad-endorsement",
-         "endorsements-not-objects", "no-result"],
+         "endorsements-not-objects", "no-result", "note-in-result",
+         "note-in-endorsement", "note-as-tx-key", "validation-in-envelope"],
 )
 def test_forged_envelope_refused_at_order(fed, users, forge, finding):
     """An endorsed envelope edited before ORDER never reaches a block.
@@ -472,12 +538,20 @@ def _block_without_header(fed, users):
     return {"height": fed.nodes["OrgA"].height() + 1, "transactions": []}
 
 
+def _uncovered_key_in_block(fed, users):
+    envelope = _endorsed(users["alice"], "21.P/d", "uncovered-key")
+    _note_in_result(envelope, users["alice"])
+    return _block_of(fed, envelope)
+
+
 @pytest.mark.parametrize(
     "build, finding",
     [(_data_hash_mismatch, "data_hash does not match"),
      (_body_changed_in_block, "tx_id does not match body"),
-     (_block_without_header, "malformed block structure")],
-    ids=["data-hash-mismatch", "body-changed-under-tx-id", "block-without-header"],
+     (_block_without_header, "malformed block structure"),
+     (_uncovered_key_in_block, "result carries uncovered keys")],
+    ids=["data-hash-mismatch", "body-changed-under-tx-id", "block-without-header",
+         "uncovered-key"],
 )
 def test_commit_refuses_what_the_audit_flags(fed, users, build, finding):
     from fedprov.errors import LedgerRejectedError

@@ -67,3 +67,40 @@ def test_traced_write_records_commit_path_spans(monkeypatch, tmp_path):
         span.name == "crypto.verify" and span.attrs == {"role": "commit-path"}
         for span in tracer.spans
     )
+
+
+def test_traced_two_envelope_order_records_ordering_spans(monkeypatch, tmp_path):
+    """One ORDER carrying two envelopes goes through the wrapped
+    ``OrderingService.submit``, whose note reads the first envelope."""
+    from fedprov.harness import Federation
+    from fedprov.ledger.client import create_operation
+
+    spans = _load_spans(monkeypatch)
+    tracer = spans.Tracer(enabled=True)
+    tracer.install()
+    try:
+        fed = Federation.bootstrap(tmp_path / "fed")
+        try:
+            alice, key = fed.register_user("OrgA", "alice")
+            ledger = fed.client(alice, key).ledger()
+            envelopes = [
+                ledger.prepare(*create_operation(f"21.P/t{i}", "cas://t", "ct", ["alice"], "artifact"))
+                for i in range(2)
+            ]
+            tracer.active = True
+            receipts = ledger.order_all(envelopes)
+            tracer.active = False
+        finally:
+            fed.stop()
+    finally:
+        tracer.uninstall()
+
+    assert [receipt.status for receipt in receipts] == ["VALID", "VALID"]
+    by_name = {}
+    for span in tracer.spans:
+        by_name.setdefault(span.name, []).append(span)
+    assert [s.attrs for s in by_name["ledger.ordering.submit"]] == [
+        {"tx_id": envelopes[0]["tx_id"]}
+    ]
+    cut = {tx for s in by_name["ledger.ordering.make_block"] for tx in s.attrs["tx_ids"]}
+    assert cut == {envelope["tx_id"] for envelope in envelopes}
