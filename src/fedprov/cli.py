@@ -41,7 +41,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import __version__, clock, identity as identity_mod
+from . import __version__, identity as identity_mod
 from .errors import (
     BrokenChainError,
     ChecksumMismatchError,
@@ -63,27 +63,25 @@ from .errors import (
 )
 from .federation import FederationConfig, init_federation
 from .ledger.chaincode import (
-    MSG_ARTIFACT_UPDATE,
     MSG_EXISTS,
     MSG_NOT_FOUND,
     MSG_PROV_INVALIDATE,
     MSG_UNAUTHORIZED,
 )
-from .ledger.client import LedgerClient, create_operation, refusal
+from .ledger.client import LedgerClient, require_committed
 from .lineage import (
-    POLICY_FLAG_AND_NOTIFY,
     build_graph,
     collect_documents,
     invalidate_cascade,
     trace_lineage,
     verify_trace_soundness,
 )
-from .pid_registry import KIND_ARTIFACT, KIND_PROVENANCE
+from .pid_registry import KIND_PROVENANCE
 from .prov import ProvDocument, require_valid
 from .prov_store import ProvStore
 from .services import RegistryClient, assemble_org, serve, shut_down
 from .transport import TcpTransport, TransportFactory
-from .updates import AtomicUpdater, unresolvable_artifact_pids
+from .updates import AtomicUpdater
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -122,11 +120,12 @@ _ERROR_EXITS: list[tuple[type, int]] = [
     (FedprovError, EXIT_ERROR),
 ]
 
+# A ledger refusal that carries its receipt exits by the receipt's message;
+# any other message exits EXIT_LEDGER_REJECTED.
 _RECEIPT_EXITS = {
     MSG_UNAUTHORIZED: EXIT_UNAUTHORIZED,
     MSG_NOT_FOUND: EXIT_UNKNOWN_PID,
     MSG_EXISTS: EXIT_DUPLICATE,
-    MSG_ARTIFACT_UPDATE: EXIT_DUPLICATE,
     MSG_PROV_INVALIDATE: EXIT_DUPLICATE,
 }
 
@@ -141,6 +140,8 @@ class CommandFailure(FedprovError):
 
 
 def exit_code_for(exc: Exception) -> int:
+    if isinstance(exc, LedgerRejectedError) and exc.receipt is not None:
+        return _RECEIPT_EXITS.get(exc.receipt["message"], EXIT_LEDGER_REJECTED)
     for exc_type, code in _ERROR_EXITS:
         if isinstance(exc, exc_type):
             return code
@@ -231,53 +232,7 @@ def publish_artifact(
         raise UnauthorizedError("consumer identities cannot publish")
     payload = Path(file_path).read_bytes()
     doc = _load_document(doc_path)
-
-    store = ctx.store()
-    registry = ctx.registry()
-    ledger = ctx.ledger()
-
-    artifact_uri, artifact_checksum, _ = store.store_bytes(payload)
-    artifact_record = registry.mint(KIND_ARTIFACT, artifact_uri, artifact_checksum)
-    artifact_pid = artifact_record["pid"]
-
-    doc = _attach_artifact(doc, artifact_pid, artifact_checksum, entity_id)
-    unresolvable = unresolvable_artifact_pids(doc, registry)
-    if unresolvable:
-        raise InvalidDocumentError(unresolvable)
-    doc_uri, doc_checksum, _ = store.store_document(doc)
-    prov_record = registry.mint(KIND_PROVENANCE, doc_uri, doc_checksum)
-    prov_pid = prov_record["pid"]
-
-    owners = [identity.user_id]
-    creates = [
-        (create_operation(artifact_pid, artifact_uri, artifact_checksum, owners,
-                          KIND_ARTIFACT), {"artifact_pid": artifact_pid}),
-        (create_operation(prov_pid, doc_uri, doc_checksum, owners, KIND_PROVENANCE),
-         {"artifact_pid": artifact_pid, "prov_pid": prov_pid}),
-    ]
-    # Both creates are endorsed before either is ordered, so a refused one
-    # leaves no artifact on the ledger without its record; then one ORDER
-    # round carries both.
-    timestamp = clock.now_iso()
-    envelopes = [ledger.prepare(*operation, timestamp) for operation, _ in creates]
-    for envelope, (_, partial_body) in zip(envelopes, creates):
-        refused = refusal(envelope)
-        if refused is not None:
-            _require_committed(refused, partial_body)
-    artifact_receipt, prov_receipt = ledger.order_all(envelopes)
-    for receipt, (_, partial_body) in zip((artifact_receipt, prov_receipt), creates):
-        _require_committed(receipt, partial_body)
-
-    return {
-        "artifact_pid": artifact_pid,
-        "prov_pid": prov_pid,
-        "artifact_checksum": artifact_checksum,
-        "doc_checksum": doc_checksum,
-        "receipts": {
-            "artifact": artifact_receipt.to_dict(),
-            "provenance": prov_receipt.to_dict(),
-        },
-    }
+    return ctx.updater().publish(payload, doc, identity, entity_id)
 
 
 def update_provenance(
@@ -362,8 +317,9 @@ def invalidate_artifact(
     identity = ctx.require_identity()
     ledger = ctx.ledger()
     permission = _load_grant(grant_path)
-    receipt = ledger.hlf_invalidate(pid, reason=reason, permission=permission)
-    _require_committed(receipt, {"pid": pid})
+    receipt = require_committed(
+        ledger.hlf_invalidate(pid, reason=reason, permission=permission)
+    )
 
     body = {"pid": pid, "receipt": receipt.to_dict(), "affected": []}
     if cascade:
@@ -373,7 +329,6 @@ def invalidate_artifact(
         flagged = invalidate_cascade(
             pid,
             graph,
-            POLICY_FLAG_AND_NOTIFY,
             ledger=ledger,
             outbox_dir=ctx.config.outbox_dir,
             owner_org=ctx.owner_org,
@@ -513,62 +468,6 @@ def _load_grant(path: str | None) -> identity_mod.Permission | None:
     return identity_mod.Permission.from_dict(data)
 
 
-def _attach_artifact(
-    doc: ProvDocument,
-    artifact_pid: str,
-    checksum: str,
-    entity_id: str | None = None,
-) -> ProvDocument:
-    """Fill the entity standing for the published file with its PID.
-
-    Preference order: an explicitly named entity, an entity already carrying
-    the file's checksum, the only unset entity, or the only unset entity
-    that the document declares as generated.
-    """
-    from dataclasses import replace as dc_replace
-
-    from .prov import REL_GENERATED
-
-    if entity_id is not None:
-        named = [e for e in doc.entities if e.local_id == entity_id]
-        if not named:
-            raise InvalidDocumentError([f"no entity with local_id {entity_id!r}"])
-        target = named[0]
-    else:
-        by_checksum = [e for e in doc.entities if e.checksum == checksum]
-        unset = [e for e in doc.entities if e.artifact_pid is None and e.checksum is None]
-        generated_ids = {
-            r.source for r in doc.relations if r.kind == REL_GENERATED
-        }
-        unset_generated = [e for e in unset if e.local_id in generated_ids]
-        if by_checksum:
-            target = by_checksum[0]
-        elif len(unset) == 1:
-            target = unset[0]
-        elif len(unset_generated) == 1:
-            target = unset_generated[0]
-        else:
-            raise InvalidDocumentError(
-                [
-                    "cannot determine which entity stands for the published file; "
-                    "pass --entity <local-id>"
-                ]
-            )
-    if target.artifact_pid is not None:
-        raise InvalidDocumentError(
-            [f"entity {target.local_id!r} already references {target.artifact_pid!r}"]
-        )
-    filled = dc_replace(target, artifact_pid=artifact_pid, checksum=checksum)
-    return doc.with_entity(filled)
-
-
-def _require_committed(receipt, partial_body: dict) -> None:
-    if receipt.ok:
-        return
-    code = _RECEIPT_EXITS.get(receipt.message, EXIT_LEDGER_REJECTED)
-    raise CommandFailure(code, receipt.message, {**partial_body, "receipt": receipt.to_dict()})
-
-
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
@@ -653,7 +552,10 @@ def run(argv: list[str]) -> tuple[int, dict]:
     except CommandFailure as exc:
         return exc.code, {**exc.body, "error": str(exc)}
     except Exception as exc:  # mapped to the documented exit codes
-        return exit_code_for(exc), {"error": str(exc), "error_type": type(exc).__name__}
+        body = {"error": str(exc), "error_type": type(exc).__name__}
+        if isinstance(exc, LedgerRejectedError) and exc.receipt is not None:
+            body["receipt"] = exc.receipt
+        return exit_code_for(exc), body
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -18,6 +18,7 @@ from ..canonical import canonical_bytes
 from ..errors import (
     EndorsementPolicyUnmetError,
     FedprovError,
+    LedgerRejectedError,
     SimulationDivergenceError,
     TransportError,
     UnauthorizedError,
@@ -68,6 +69,17 @@ def refusal(envelope: dict) -> Receipt | None:
     if not message.startswith("Error:"):
         return None
     return Receipt(tx_id=envelope["tx_id"], height=None, status=STATUS_REJECTED, message=message)
+
+
+def require_committed(receipt: Receipt) -> Receipt:
+    """*receipt* if its transaction committed VALID.
+
+    Otherwise ``LedgerRejectedError`` carrying the receipt; the CLI maps the
+    receipt's message to its exit code.
+    """
+    if not receipt.ok:
+        raise LedgerRejectedError(receipt.message, receipt.to_dict())
+    return receipt
 
 
 def create_operation(

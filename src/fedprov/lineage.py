@@ -349,8 +349,6 @@ def _document_attests_edge(
 # Invalidation cascade
 # ---------------------------------------------------------------------------
 
-POLICY_FLAG = "flag-affected"
-POLICY_FLAG_AND_NOTIFY = "flag-and-notify"
 FLAG_ATTEMPTS = 3  # submissions of one cascade's flags before a conflict is final
 
 
@@ -364,7 +362,6 @@ def cascade_targets(pid: str, graph: DerivationGraph) -> set[str]:
 def invalidate_cascade(
     pid: str,
     graph: DerivationGraph,
-    policy: str,
     *,
     ledger,
     outbox_dir: Path | None = None,
@@ -381,12 +378,10 @@ def invalidate_cascade(
     re-flagged nor reported again. A read-write conflict is retried against
     fresh reads up to ``FLAG_ATTEMPTS`` times; any other refusal, or a
     conflict on the last attempt, raises ``LedgerRejectedError``. Only after
-    a VALID receipt, and under flag-and-notify, is one notification per
-    owner of a flagged artifact appended to that owner organization's
+    a VALID receipt, and only if *outbox_dir* is given, is one notification
+    per owner of a flagged artifact appended to that owner organization's
     outbox.
     """
-    if policy not in (POLICY_FLAG, POLICY_FLAG_AND_NOTIFY):
-        raise ValueError(f"unknown cascade policy: {policy!r}")
     current = ledger.hlf_read(pid)
     if current is None:
         raise UnknownPIDError(f"not on ledger: {pid!r}")
@@ -407,7 +402,7 @@ def invalidate_cascade(
                 f"cascade from {pid} not committed: {receipt.message}", receipt.to_dict()
             )
 
-    if policy == POLICY_FLAG_AND_NOTIFY and outbox_dir is not None:
+    if outbox_dir is not None:
         notifications = [
             {
                 "pid": target,

@@ -2,9 +2,12 @@
 
 One registry serves a federation under a single prefix. Records persist as
 one JSON file per suffix under the registry root, so the registry can be
-reopened from disk at any time; the suffix counter is recovered by scanning.
-Mint and link are serialized through a single writer lock; resolution is
-read-only.
+reopened from disk at any time. The suffix counter is seeded once at open
+from the highest suffix on disk and only ever rises, so while the registry
+is open a suffix whose record was discarded is never handed out again.
+Mint, link and discard are serialized through a single writer lock;
+resolution is read-only. Only a suffix of ASCII digits ever becomes a file
+path.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ KIND_PROVENANCE = "provenance-record"
 OBJECT_KINDS = (KIND_ARTIFACT, KIND_PROVENANCE)
 
 _SUFFIX_WIDTH = 6
-_SUFFIX_RE = re.compile(r"^\d{%d,}$" % _SUFFIX_WIDTH)
+_SUFFIX_RE = re.compile(r"[0-9]{%d,}" % _SUFFIX_WIDTH)
 
 
 @dataclass(frozen=True)
@@ -103,6 +106,10 @@ class PIDRegistry:
             self.records_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise RegistryUnavailableError(f"cannot open registry at {root}: {exc}") from exc
+        stems = (path.stem for path in self.records_dir.glob("*.json"))
+        self._last_suffix = max(
+            (int(stem) for stem in stems if _SUFFIX_RE.fullmatch(stem)), default=0
+        )
 
     # -- core operations ---------------------------------------------------
 
@@ -114,22 +121,19 @@ class PIDRegistry:
         owner: str,
         metadata: Mapping | None = None,
     ) -> PIDRecord:
-        """Assign a fresh suffix and store a version-1 record.
-
-        An empty ``target_uri`` is accepted: the artifact may become
-        accessible later and the record enriched then.
-        """
+        """Assign a fresh suffix and store a version-1 record owned by *owner*."""
         if object_kind not in OBJECT_KINDS:
             raise KindMismatchError(f"unknown object kind: {object_kind!r}")
         with self._write_lock:
             suffix = self._next_suffix()
+            self._last_suffix = int(suffix)
             record = PIDRecord(
                 pid=f"{self.prefix}/{suffix}",
                 target_uri=target_uri,
                 checksum=checksum,
                 object_kind=object_kind,
                 version_number=1,
-                metadata={"owner": owner, "created_at": clock.now_iso(), **(metadata or {})},
+                metadata={**(metadata or {}), "owner": owner, "created_at": clock.now_iso()},
             )
             self._store(record)
             return record
@@ -211,67 +215,27 @@ class PIDRegistry:
             reached.append(current)
         return reached
 
-    # -- enrichment and rollback -------------------------------------------
+    # -- rollback ------------------------------------------------------------
 
-    def enrich(
-        self,
-        pid: str,
-        caller: identity_mod.Identity,
-        target_uri: str | None = None,
-        checksum: str | None = None,
-        metadata: Mapping | None = None,
-        orgs: Mapping[str, identity_mod.Organization] | None = None,
-    ) -> PIDRecord:
-        """Fill empty fields of a record; never overwrites non-empty values."""
-        with self._write_lock:
-            record = self.resolve(pid)
-            if not self._authorized(record, caller, orgs, None):
-                raise UnauthorizedError(f"{caller.user_id!r} may not enrich {pid}")
-            updates: dict = {}
-            if target_uri is not None:
-                if record.target_uri:
-                    raise KindMismatchError(f"{pid} already has a target URI")
-                updates["target_uri"] = target_uri
-            if checksum is not None:
-                if record.checksum:
-                    raise KindMismatchError(f"{pid} already has a checksum")
-                updates["checksum"] = checksum
-            merged = dict(record.metadata)
-            merged.update(metadata or {})
-            updated = replace(record, metadata=merged, **updates)
-            self._store(updated)
-            return updated
+    def discard(self, pid: str, caller: identity_mod.Identity) -> None:
+        """Remove a record that no committed ledger write refers to.
 
-    def rollback_link(self, old_pid: str, new_pid: str) -> None:
-        """Undo a link and discard the superseding record.
-
-        Internal compensation step of the atomic update protocol: only ever
-        applied to a version that was never published (no ledger commit
-        referenced it). Restores the registry to its pre-link state.
-        """
-        with self._write_lock:
-            new = self.resolve(new_pid)
-            if new.successor is not None:
-                raise SuccessorExistsError(f"{new_pid} has a successor; cannot roll back")
-            old = self.resolve(old_pid)
-            if old.successor == new_pid:
-                self._store(replace(old, successor=None))
-            self._record_path(PID.parse(new_pid).suffix).unlink()
-
-    def discard_record(self, pid: str) -> None:
-        """Remove a freshly minted, never-linked record (rollback path).
-
-        A record whose predecessor does not link back (a half-written link
-        interrupted by a crash) is treated as unlinked.
+        The one compensation step of the write coordinator's rollback. Only
+        the record's owner, the identity that minted it, may discard it, and
+        never once a newer version links to it. If the predecessor's
+        successor points at the record, that link is cleared first, so the
+        registry returns to its state before the record was minted.
         """
         with self._write_lock:
             record = self.resolve(pid)
+            if record.metadata.get("owner") != caller.user_id:
+                raise UnauthorizedError(f"{caller.user_id!r} did not mint {pid}")
             if record.successor is not None:
                 raise SuccessorExistsError(f"{pid} has a successor; cannot discard")
             if record.predecessor is not None:
                 predecessor = self.resolve(record.predecessor)
                 if predecessor.successor == pid:
-                    raise SuccessorExistsError(f"{pid} is linked; cannot discard")
+                    self._store(replace(predecessor, successor=None))
             self._record_path(PID.parse(pid).suffix).unlink()
 
     def list_records(self) -> list[PIDRecord]:
@@ -310,14 +274,11 @@ class PIDRegistry:
         )
 
     def _next_suffix(self) -> str:
-        highest = 0
-        for path in self.records_dir.glob("*.json"):
-            stem = path.stem
-            if _SUFFIX_RE.match(stem):
-                highest = max(highest, int(stem))
-        return str(highest + 1).zfill(_SUFFIX_WIDTH)
+        return str(self._last_suffix + 1).zfill(_SUFFIX_WIDTH)
 
     def _record_path(self, suffix: str) -> Path:
+        if not _SUFFIX_RE.fullmatch(suffix):
+            raise UnknownPIDError(f"malformed PID suffix: {suffix!r}")
         return self.records_dir / f"{suffix}.json"
 
     def _store(self, record: PIDRecord) -> None:

@@ -2,8 +2,9 @@
 
 A ``NodeService`` answers PROPOSE / COMMIT / QUERY on every organization
 node and additionally ORDER on the node that hosts the ordering service.
-A ``RegistryService`` answers MINT / RESOLVE / LINK / HISTORY plus the
-UNLINK compensation step used by the atomic update protocol's rollback.
+A ``RegistryService`` answers MINT / RESOLVE / LINK / HISTORY plus UNLINK,
+the write coordinator's one registry compensation step: it discards a
+record, and only the identity that minted the record may send it.
 
 ``assemble_org`` is the one place an organization's server side is built,
 for the in-process harness and for ``fedprov federation start-node`` alike;
@@ -82,7 +83,7 @@ class RegistryService:
         if kind == "HISTORY":
             chain = self.registry.version_history(payload["pid"])
             return {"ok": True, "records": [r.to_dict() for r in chain]}
-        if kind in ("MINT", "LINK", "UNLINK", "ENRICH"):
+        if kind in ("MINT", "LINK", "UNLINK"):
             caller = self._authenticate(payload)
             return self._mutate(kind, payload.get("request", {}), caller)
         raise FedprovError(f"unknown message kind: {kind!r}")
@@ -121,23 +122,8 @@ class RegistryService:
             )
             return {"ok": True}
         if kind == "UNLINK":
-            old_pid = request.get("old_pid")
-            new_pid = request["new_pid"]
-            if old_pid:
-                self.registry.rollback_link(old_pid, new_pid)
-            else:
-                self.registry.discard_record(new_pid)
+            self.registry.discard(request["new_pid"], caller)
             return {"ok": True}
-        if kind == "ENRICH":
-            record = self.registry.enrich(
-                request["pid"],
-                caller,
-                target_uri=request.get("target_uri"),
-                checksum=request.get("checksum"),
-                metadata=request.get("metadata"),
-                orgs=self.orgs,
-            )
-            return {"ok": True, "record": record.to_dict()}
         raise FedprovError(f"unknown message kind: {kind!r}")
 
 
@@ -171,18 +157,9 @@ class RegistryClient:
         request = {"old_pid": old_pid, "new_pid": new_pid, "permission": permission}
         self._signed("LINK", request)
 
-    def unlink(self, new_pid: str, old_pid: str | None = None) -> None:
-        self._signed("UNLINK", {"old_pid": old_pid, "new_pid": new_pid})
-
-    def enrich(self, pid: str, target_uri: str | None = None,
-               checksum: str | None = None, metadata: dict | None = None) -> dict:
-        request = {
-            "pid": pid,
-            "target_uri": target_uri,
-            "checksum": checksum,
-            "metadata": metadata,
-        }
-        return self._signed("ENRICH", request)["record"]
+    def unlink(self, new_pid: str) -> None:
+        """Discard *new_pid*'s record, unlinking it from its predecessor."""
+        self._signed("UNLINK", {"new_pid": new_pid})
 
     def _signed(self, kind: str, request: dict) -> dict:
         if self.identity is None or self._private_key is None:

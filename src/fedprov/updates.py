@@ -1,18 +1,25 @@
-"""Atomic provenance-record updates.
+"""The write coordinator: every write that spans store, registry and ledger.
 
-The coordinator realizes the trusted update sequence: classify the revision,
-store the new document, mint a PID for the new version, link it into the
-version chain, then commit the ledger update -- in that order, with a
-write-ahead intent journal so that any failure rolls every prior step back
-and no partial state is observable. The old version's blob and PID record
-are never touched, so historical versions stay resolvable and fetchable.
+Both writing verbs run here as a saga of local steps followed by the ledger
+commit. ``publish`` stores the file, mints its artifact PID, stores the
+provenance document and mints its PID, then commits both creates in one
+ordering round. ``update`` classifies the revision, stores the new document,
+mints a PID for the new version and links it into the version chain, then
+commits the ledger update. Each local step is appended to an intent journal
+as it completes and has one compensation -- discard the blob it created,
+discard the PID record it minted -- so a failure before the ledger commits
+rolls every prior step back and no partial state is observable, and
+``repair()`` does the same for a run that a crash cut short. The old
+version's blob and PID record are never touched, so historical versions
+stay resolvable and fetchable.
 """
 
 from __future__ import annotations
 
 import json
 import uuid
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import clock, identity as identity_mod
@@ -20,13 +27,13 @@ from .errors import (
     IllegalUpdateError,
     InvalidDocumentError,
     KindMismatchError,
-    LedgerRejectedError,
     SuccessorExistsError,
     UnauthorizedError,
     UnknownPIDError,
 )
-from .ledger.chaincode import MSG_NOT_FOUND, MSG_UNAUTHORIZED
-from .prov import ProvDocument, validate_document
+from .ledger.client import Receipt, create_operation, refusal, require_committed
+from .pid_registry import KIND_ARTIFACT, KIND_PROVENANCE
+from .prov import REL_GENERATED, ProvDocument, validate_document
 from .prov_store import ILLEGAL, ProvStore, classify_update
 
 
@@ -90,7 +97,7 @@ class UpdateJournal:
 
 
 class AtomicUpdater:
-    """Coordinator for the update protocol.
+    """The write coordinator for ``publish`` and ``update``.
 
     ``registry`` is a RegistryClient (any transport), ``ledger`` a
     LedgerClient, ``store`` the shared provenance store. The journal file is
@@ -103,6 +110,51 @@ class AtomicUpdater:
         self.registry = registry
         self.ledger = ledger
         self.journal = UpdateJournal(journal_path)
+
+    def publish(
+        self,
+        payload: bytes,
+        doc: ProvDocument,
+        caller: identity_mod.Identity,
+        entity_id: str | None = None,
+    ) -> dict:
+        """Publish a file plus its provenance document; returns both PIDs.
+
+        The entity standing for the file gets the artifact PID (see
+        ``_attach_artifact``). Both creates are endorsed before either is
+        ordered, then one ORDER round carries both. A failure rolls back
+        every blob and PID record this publish wrote, unless a create
+        committed: a partly committed publish is refused, not undone.
+        """
+        violations = unresolvable_artifact_pids(doc, self.registry)
+        if violations:
+            raise InvalidDocumentError(violations)
+        owners = [caller.user_id]
+        with self._journaled({"verb": "publish"}) as done:
+            artifact_uri, artifact_checksum = self._stored(done, payload)
+            artifact_pid = self._minted(done, KIND_ARTIFACT, artifact_uri, artifact_checksum)
+            doc = _attach_artifact(doc, artifact_pid, artifact_checksum, entity_id)
+            doc_uri, doc_checksum = self._stored(done, doc.canonical_bytes())
+            prov_pid = self._minted(done, KIND_PROVENANCE, doc_uri, doc_checksum)
+            receipts = self._step_create([
+                create_operation(artifact_pid, artifact_uri, artifact_checksum, owners,
+                                 KIND_ARTIFACT),
+                create_operation(prov_pid, doc_uri, doc_checksum, owners, KIND_PROVENANCE),
+            ])
+            if not any(receipt.ok for receipt in receipts):
+                require_committed(receipts[0])  # nothing committed: roll back
+        # A create that committed is kept; the other's refusal is raised.
+        artifact_receipt, prov_receipt = map(require_committed, receipts)
+        return {
+            "artifact_pid": artifact_pid,
+            "prov_pid": prov_pid,
+            "artifact_checksum": artifact_checksum,
+            "doc_checksum": doc_checksum,
+            "receipts": {
+                "artifact": artifact_receipt.to_dict(),
+                "provenance": prov_receipt.to_dict(),
+            },
+        }
 
     def update(
         self,
@@ -138,45 +190,65 @@ class AtomicUpdater:
             )
 
         ledger_pid = self._chain_base(old_pid)
-        update_id = uuid.uuid4().hex
-        self.journal.record(update_id, "begin", {"old_pid": old_pid})
-        steps_done: list[tuple[str, dict]] = []
-        try:
-            uri, checksum, created = self._step_store(new_doc)
-            steps_done.append(("store", {"checksum": checksum, "created": created}))
-            self.journal.record(update_id, "store", {"checksum": checksum, "created": created})
-
-            new_record = self._step_mint(uri, checksum)
-            new_pid = new_record["pid"]
-            steps_done.append(("mint", {"new_pid": new_pid}))
-            self.journal.record(update_id, "mint", {"new_pid": new_pid})
-
+        with self._journaled({"old_pid": old_pid}) as done:
+            uri, checksum = self._stored(done, new_doc.canonical_bytes())
+            new_pid = self._minted(done, KIND_PROVENANCE, uri, checksum)
+            # Discarding the new record (the mint's compensation) also
+            # clears this link, so the link needs no journal record.
             self._step_link(old_pid, new_pid, permission)
-            steps_done.append(("link", {"old_pid": old_pid, "new_pid": new_pid}))
-            self.journal.record(update_id, "link", {"old_pid": old_pid, "new_pid": new_pid})
-
             receipt = self._step_ledger(ledger_pid, uri, checksum, permission, timestamp)
-            self.journal.record(update_id, "commit", {"tx_id": receipt.get("tx_id")})
-            return UpdateResult(
-                old_pid=old_pid,
-                new_pid=new_pid,
-                classification=classification,
-                uri=uri,
-                checksum=checksum,
-                receipt=receipt,
-            )
+        return UpdateResult(
+            old_pid=old_pid,
+            new_pid=new_pid,
+            classification=classification,
+            uri=uri,
+            checksum=checksum,
+            receipt=receipt,
+        )
+
+    # -- the journaled run ------------------------------------------------------
+
+    @contextmanager
+    def _journaled(self, begin: dict):
+        """Run the body's steps under one journal id; yields ``done(step, data)``.
+
+        ``done`` journals a completed step. If the body raises, every step it
+        completed is compensated, newest first, and the run is journaled
+        ``abort``; otherwise it is journaled ``commit``.
+        """
+        update_id = uuid.uuid4().hex
+        self.journal.record(update_id, "begin", begin)
+        steps_done: list[tuple[str, dict]] = []
+
+        def done(step: str, data: dict) -> None:
+            steps_done.append((step, data))
+            self.journal.record(update_id, step, data)
+
+        try:
+            yield done
         except Exception:
             self._rollback(steps_done)
             self.journal.record(update_id, "abort")
             raise
+        self.journal.record(update_id, "commit")
+
+    def _stored(self, done, payload: bytes) -> tuple[str, str]:
+        uri, checksum, created = self._step_store(payload)
+        done("store", {"checksum": checksum, "created": created})
+        return uri, checksum
+
+    def _minted(self, done, object_kind: str, uri: str, checksum: str) -> str:
+        pid = self._step_mint(object_kind, uri, checksum)["pid"]
+        done("mint", {"new_pid": pid})
+        return pid
 
     # -- protocol steps (one method per step so tests can inject failures) ---
 
-    def _step_store(self, doc: ProvDocument) -> tuple[str, str, bool]:
-        return self.store.store_document(doc)
+    def _step_store(self, payload: bytes) -> tuple[str, str, bool]:
+        return self.store.store_bytes(payload)
 
-    def _step_mint(self, uri: str, checksum: str) -> dict:
-        return self.registry.mint("provenance-record", uri, checksum)
+    def _step_mint(self, object_kind: str, uri: str, checksum: str) -> dict:
+        return self.registry.mint(object_kind, uri, checksum)
 
     def _step_link(
         self, old_pid: str, new_pid: str, permission: identity_mod.Permission | None
@@ -196,39 +268,42 @@ class AtomicUpdater:
         receipt = self.ledger.hlf_update_prov(
             ledger_pid, uri, checksum, timestamp=timestamp, permission=permission
         )
-        if not receipt.ok:
-            if receipt.message == MSG_UNAUTHORIZED:
-                raise UnauthorizedError(receipt.message)
-            if receipt.message == MSG_NOT_FOUND:
-                raise UnknownPIDError(receipt.message)
-            raise LedgerRejectedError(receipt.message, receipt.to_dict())
-        return receipt.to_dict()
+        return require_committed(receipt).to_dict()
+
+    def _step_create(self, creates: list[tuple[str, str, dict]]) -> list[Receipt]:
+        """Endorse every create, then order them all in one round.
+
+        If the chaincode refuses any create, none is ordered.
+        """
+        timestamp = clock.now_iso()
+        envelopes = [self.ledger.prepare(*create, timestamp) for create in creates]
+        for envelope in envelopes:
+            refused = refusal(envelope)
+            if refused is not None:
+                require_committed(refused)
+        return self.ledger.order_all(envelopes)
 
     # -- rollback ---------------------------------------------------------------
 
     def _rollback(self, steps_done: list[tuple[str, dict]]) -> None:
         for step, data in reversed(steps_done):
-            if step == "link":
-                self.registry.unlink(data["new_pid"], data["old_pid"])
-            elif step == "mint":
-                if not any(s == "link" for s, _ in steps_done):
-                    self.registry.unlink(data["new_pid"])
-            elif step == "store":
-                # The mint rollback removed the only reference; a blob that
-                # predates this update (created=False) is someone else's.
-                if data["created"]:
-                    self.store.discard(data["checksum"])
+            if step == "mint":
+                self.registry.unlink(data["new_pid"])
+            elif step == "store" and data["created"]:
+                # A blob that predates this run (created=False) is someone else's.
+                self.store.discard(data["checksum"])
 
     def repair(self) -> int:
-        """Roll back updates left incomplete by a crash; returns the count."""
+        """Roll back runs left incomplete by a crash; returns the count.
+
+        A run's PID records are discarded through UNLINK, which only the
+        identity that minted them may send: repair by any other identity
+        raises ``UnauthorizedError`` at that run, which stays pending, and
+        never silently deletes its records.
+        """
         rolled_back = 0
         for update_id, entries in self.journal.pending().items():
-            steps_done = [
-                (e["event"], e["data"])
-                for e in entries
-                if e["event"] in ("store", "mint", "link")
-            ]
-            self._rollback(steps_done)
+            self._rollback([(e["event"], e["data"]) for e in entries])
             self.journal.record(update_id, "abort", {"repair": True})
             rolled_back += 1
         return rolled_back
@@ -237,13 +312,58 @@ class AtomicUpdater:
 
     def _resolve_provenance(self, pid: str) -> dict:
         record = self.registry.resolve(pid)
-        if record.get("object_kind") != "provenance-record":
+        if record.get("object_kind") != KIND_PROVENANCE:
             raise KindMismatchError(f"{pid} is not a provenance record")
         return record
 
     def _chain_base(self, pid: str) -> str:
         history = self.registry.version_history(pid)
         return history[0]["pid"]
+
+
+def _attach_artifact(
+    doc: ProvDocument,
+    artifact_pid: str,
+    checksum: str,
+    entity_id: str | None = None,
+) -> ProvDocument:
+    """Fill the entity standing for the published file with its PID.
+
+    Preference order: an explicitly named entity, an entity already carrying
+    the file's checksum, the only unset entity, or the only unset entity
+    that the document declares as generated.
+    """
+    if entity_id is not None:
+        named = [e for e in doc.entities if e.local_id == entity_id]
+        if not named:
+            raise InvalidDocumentError([f"no entity with local_id {entity_id!r}"])
+        target = named[0]
+    else:
+        by_checksum = [e for e in doc.entities if e.checksum == checksum]
+        unset = [e for e in doc.entities if e.artifact_pid is None and e.checksum is None]
+        generated_ids = {
+            r.source for r in doc.relations if r.kind == REL_GENERATED
+        }
+        unset_generated = [e for e in unset if e.local_id in generated_ids]
+        if by_checksum:
+            target = by_checksum[0]
+        elif len(unset) == 1:
+            target = unset[0]
+        elif len(unset_generated) == 1:
+            target = unset_generated[0]
+        else:
+            raise InvalidDocumentError(
+                [
+                    "cannot determine which entity stands for the published file; "
+                    "pass --entity <local-id>"
+                ]
+            )
+    if target.artifact_pid is not None:
+        raise InvalidDocumentError(
+            [f"entity {target.local_id!r} already references {target.artifact_pid!r}"]
+        )
+    filled = replace(target, artifact_pid=artifact_pid, checksum=checksum)
+    return doc.with_entity(filled)
 
 
 def unresolvable_artifact_pids(doc: ProvDocument, registry) -> list[str]:

@@ -15,6 +15,7 @@ from fedprov.errors import (
     UnauthorizedError,
     UnknownPIDError,
 )
+from fedprov.ledger.client import Receipt
 from fedprov.prov import ProvDocument
 from fedprov.prov_store import ENRICHMENT
 
@@ -195,3 +196,121 @@ def test_repair_rolls_back_crashed_update(published, monkeypatch):
     repaired = recovery.repair()
     assert repaired == 1
     assert fed.system_digest() == before
+
+
+# -- publish runs on the same journal and rollback ------------------------------
+
+
+@pytest.fixture()
+def publisher(fed):
+    users = register_default_users(fed)
+    alice = users["alice"]
+    return fed, users, fed.client(alice["identity"], alice["key"]).updater()
+
+
+def test_publish_happy_path(publisher):
+    fed, users, updater = publisher
+    body = updater.publish(b"a,b\n1,2\n", simple_doc(), users["alice"]["identity"])
+    ledger = users["alice"]["ledger"]
+    assert ledger.hlf_read(body["artifact_pid"]).checksum == body["artifact_checksum"]
+    assert ledger.hlf_read(body["prov_pid"]).checksum == body["doc_checksum"]
+    assert updater.journal.pending() == {}
+
+
+@pytest.mark.parametrize(
+    "failing_step, call",
+    [("_step_store", 1), ("_step_mint", 1), ("_step_store", 2), ("_step_mint", 2),
+     ("_step_create", 1)],
+)
+def test_publish_rollback_completeness_per_failure_point(
+    publisher, failing_step, call, monkeypatch
+):
+    """A failure at any publish step leaves the system digest unchanged."""
+    fed, users, updater = publisher
+    alice = users["alice"]["identity"]
+    before = fed.system_digest()
+    real = getattr(updater, failing_step)
+    calls = []
+
+    def exploding(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == call:
+            raise LedgerRejectedError(f"injected failure at {failing_step} call {call}")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(updater, failing_step, exploding)
+    with pytest.raises(LedgerRejectedError):
+        updater.publish(b"a,b\n1,2\n", simple_doc(), alice)
+    assert fed.system_digest() == before
+    assert updater.journal.pending() == {}
+    clean = fed.client(alice, users["alice"]["key"]).updater()
+    assert clean.publish(b"a,b\n1,2\n", simple_doc(), alice)["receipts"]
+
+
+def _crash_publish(fed, users, monkeypatch, who="alice"):
+    """Publish as *who*, dying after both mints but before anything is ordered."""
+    updater = fed.client(users[who]["identity"], users[who]["key"]).updater()
+
+    class Crash(RuntimeError):
+        pass
+
+    def crash(*args, **kwargs):
+        raise Crash("simulated process death")
+
+    monkeypatch.setattr(updater, "_step_create", crash)
+    monkeypatch.setattr(updater, "_rollback", crash)
+    with pytest.raises(Crash):
+        updater.publish(b"a,b\n1,2\n", simple_doc(), users[who]["identity"])
+
+
+def test_repair_rolls_back_crashed_publish(publisher, monkeypatch):
+    fed, users, _ = publisher
+    before = fed.system_digest()
+    _crash_publish(fed, users, monkeypatch)
+    assert fed.system_digest() != before  # two blobs and two PIDs left behind
+
+    recovery = fed.client(users["alice"]["identity"], users["alice"]["key"]).updater()
+    assert recovery.repair() == 1
+    assert fed.system_digest() == before
+    assert recovery.journal.pending() == {}
+
+
+def test_repair_by_non_owner_is_refused_and_deletes_no_record(publisher, monkeypatch):
+    fed, users, _ = publisher
+    before = fed.system_digest()
+    _crash_publish(fed, users, monkeypatch)
+    crashed = fed.system_digest()
+
+    stranger = fed.client(users["bob"]["identity"], users["bob"]["key"]).updater()
+    with pytest.raises(UnauthorizedError):
+        stranger.repair()
+    assert fed.system_digest() == crashed
+    assert len(stranger.journal.pending()) == 1
+
+    owner = fed.client(users["alice"]["identity"], users["alice"]["key"]).updater()
+    assert owner.repair() == 1
+    assert fed.system_digest() == before
+
+
+def test_partly_committed_publish_is_refused_not_undone(publisher, monkeypatch):
+    """If one create commits and the other does not, nothing is rolled back:
+    the committed artifact keeps its registry record and its blob."""
+    fed, users, updater = publisher
+    real_order_all = updater.ledger.order_all
+    artifact_pid = None
+
+    def artifact_only(envelopes):
+        nonlocal artifact_pid
+        artifact_pid = envelopes[0]["body"]["pid"]
+        refused = Receipt(envelopes[1]["tx_id"], None, "INVALID:read-write-conflict",
+                          "INVALID:read-write-conflict")
+        return real_order_all(envelopes[:1]) + [refused]
+
+    monkeypatch.setattr(updater.ledger, "order_all", artifact_only)
+    with pytest.raises(LedgerRejectedError):
+        updater.publish(b"a,b\n1,2\n", simple_doc(), users["alice"]["identity"])
+    value = users["alice"]["ledger"].hlf_read(artifact_pid)
+    record = fed.client().registry().resolve(artifact_pid)
+    assert record["checksum"] == value.checksum
+    fed.store.fetch_bytes(value.uri, value.checksum)
+    assert updater.journal.pending() == {}

@@ -14,6 +14,7 @@ import pytest
 
 from conftest import register_default_users
 from fedprov import cli
+from fedprov.errors import UnauthorizedError
 from fedprov.harness import Federation
 from fedprov.ledger.client import LedgerClient, Receipt
 from fedprov.transport import TcpTransport
@@ -70,7 +71,8 @@ def test_publish_creates_both_records(live):
 @pytest.mark.parametrize("refused", ["artifact", "provenance"])
 def test_publish_orders_nothing_when_a_create_is_refused(live, refused):
     """Both creates are endorsed before either is ordered, so a refused one
-    leaves no artifact on the ledger without its provenance record."""
+    leaves no artifact on the ledger without its provenance record; its
+    blobs and PIDs are rolled back, and the next publish mints fresh PIDs."""
     fed, users = live
     next_suffix = fed.registry._next_suffix()
     offset = 0 if refused == "artifact" else 1
@@ -78,16 +80,36 @@ def test_publish_orders_nothing_when_a_create_is_refused(live, refused):
     alice = users["alice"]["ledger"]
     assert alice.hlf_create(squatted, "cas://squat", "squat", ["alice"], refused).ok
     heights = {org: node.height() for org, node in fed.nodes.items()}
+    before = fed.system_digest()
 
     file_path = write_sample(fed, "d.csv", "a,b\n1,2\n")
     doc_path = write_doc(fed, "d.json", simple_doc_dict())
     code, body = invoke(fed, "--identity", "alice", "publish", file_path, doc_path)
     assert code == cli.EXIT_DUPLICATE
     assert body["receipt"]["status"] == "REJECTED"
-    assert body[f"{'artifact' if refused == 'artifact' else 'prov'}_pid"] == squatted
     assert {org: node.height() for org, node in fed.nodes.items()} == heights
-    if refused == "provenance":
-        assert alice.hlf_read(body["artifact_pid"]) is None
+    assert fed.system_digest() == before
+
+    code, body = invoke(fed, "--identity", "alice", "publish", file_path, doc_path)
+    assert code == cli.EXIT_OK
+    assert squatted not in (body["artifact_pid"], body["prov_pid"])
+
+
+def test_unlink_of_anothers_record_is_refused(live):
+    """UNLINK discards a record only for the identity that minted it."""
+    fed, users = live
+    file_path = write_sample(fed, "d.csv", "a,b\n1,2\n")
+    doc_path = write_doc(fed, "d.json", simple_doc_dict())
+    code, published = invoke(fed, "--identity", "alice", "publish", file_path, doc_path)
+    assert code == cli.EXIT_OK
+    pid = published["artifact_pid"]
+
+    with pytest.raises(UnauthorizedError):
+        users["bob"]["registry"].unlink(pid)
+    assert users["bob"]["registry"].resolve(pid)["pid"] == pid
+    code, body = invoke(fed, "verify", pid)
+    assert code == cli.EXIT_OK
+    assert body["result"] == "VERIFIED"
 
 
 def test_publish_consumer_identity_unauthorized(live):

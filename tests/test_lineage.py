@@ -412,7 +412,7 @@ def _cascade(fed, ledger, pid):
     state = ledger.state_dump()
     graph = build_graph(collect_documents(state, fed.store), state)
     return invalidate_cascade(
-        pid, graph, "flag-and-notify",
+        pid, graph,
         ledger=ledger,
         outbox_dir=fed.config.outbox_dir,
         owner_org=lambda user: "OrgA",
@@ -543,7 +543,7 @@ def test_cascade_refused_while_valid(live_chain):
     state = ledger.state_dump()
     graph = build_graph(collect_documents(state, fed.store), state)
     with pytest.raises(NotInvalidatedError):
-        invalidate_cascade(pids["A"], graph, "flag-affected", ledger=ledger)
+        invalidate_cascade(pids["A"], graph, ledger=ledger)
 
 
 def test_status_trichotomy_after_cascade(live_chain):
@@ -552,7 +552,7 @@ def test_status_trichotomy_after_cascade(live_chain):
     ledger.hlf_invalidate(pids["A"])
     state = ledger.state_dump()
     graph = build_graph(collect_documents(state, fed.store), state)
-    invalidate_cascade(pids["A"], graph, "flag-affected", ledger=ledger)
+    invalidate_cascade(pids["A"], graph, ledger=ledger)
     statuses = {
         pid: value["status"]
         for pid, value in ledger.state_dump().items()

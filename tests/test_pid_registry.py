@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -51,10 +52,6 @@ def test_mints_are_distinct(registry):
 def test_mint_with_empty_uri_fillable_later(registry, owner):
     record = registry.mint("artifact", "", "", owner="alice")
     assert record.target_uri == ""
-    enriched = registry.enrich(record.pid, owner, target_uri="cas://late", checksum="abc")
-    assert enriched.target_uri == "cas://late"
-    with pytest.raises(KindMismatchError):
-        registry.enrich(record.pid, owner, target_uri="cas://other")
 
 
 def test_resolve_round_trip(registry):
@@ -161,9 +158,44 @@ def test_rollback_link_restores_state(registry, owner):
     before = registry.state_digest()
     v2 = registry.mint("provenance-record", "cas://2", "c2", owner="alice")
     registry.link_new_version(v1.pid, v2.pid, owner)
-    registry.rollback_link(v1.pid, v2.pid)
+    registry.discard(v2.pid, owner)
     assert registry.state_digest() == before
     assert registry.resolve(v1.pid).successor is None
+
+
+def test_discard_never_lowers_the_suffix_counter(registry):
+    registry.mint("artifact", "cas://1", "c1", owner="alice")
+    second = registry.mint("artifact", "cas://2", "c2", owner="alice")
+    registry.discard(second.pid, _OWNER_STUB)
+    third = registry.mint("artifact", "cas://3", "c3", owner="alice")
+    assert third.pid == "21.P/000003"
+
+
+def test_discard_only_by_the_minter(registry):
+    record = registry.mint("artifact", "cas://1", "c1", owner="alice")
+    stranger = identity_mod.Identity(user_id="bob", org="OrgA", public_key="", certificate="")
+    with pytest.raises(UnauthorizedError):
+        registry.discard(record.pid, stranger)
+    spoofed = registry.mint("artifact", "cas://2", "c2", owner="alice",
+                            metadata={"owner": "bob"})
+    assert spoofed.metadata["owner"] == "alice"
+    assert registry.resolve(record.pid) == record
+
+
+@pytest.mark.parametrize(
+    "pid", ["21.P/../../planted", "21.P/..", "21.P/000001/../../../planted", "21.P/"]
+)
+def test_suffix_other_than_digits_never_becomes_a_path(registry, pid):
+    registry.mint("artifact", "cas://1", "c1", owner="alice")
+    planted = registry.root.parent / "planted.json"
+    planted.write_text(json.dumps(
+        registry.mint("artifact", "cas://p", "cp", owner="alice").to_dict()
+    ))
+    with pytest.raises(UnknownPIDError):
+        registry.resolve(pid)
+    with pytest.raises(UnknownPIDError):
+        registry.discard(pid, _OWNER_STUB)
+    assert planted.exists()
 
 
 @given(seed=st.integers(0, 2**32 - 1))

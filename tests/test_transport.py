@@ -122,7 +122,7 @@ def test_registry_mint_resolve_link_history_over_tcp(tcp_fed, tcp_users):
     chain = client.version_history(v2["pid"])
     assert [r["version_number"] for r in chain] == [1, 2]
     assert client.resolve(v1["pid"])["successor"] == v2["pid"]
-    client.unlink(v2["pid"], v1["pid"])
+    client.unlink(v2["pid"])
     assert client.resolve(v1["pid"])["successor"] is None
     with pytest.raises(UnknownPIDError):
         client.resolve(v2["pid"])
