@@ -1,6 +1,6 @@
 """Federated provenance tracking on a permissioned, hash-chained ledger.
 
-The package wires together five cooperating subsystems:
+The package wires together six cooperating subsystems:
 
 * ``identity``     -- per-federation PKI: organizations, user identities,
   signed permission grants, and the authorization predicate used by the
@@ -10,7 +10,9 @@ The package wires together five cooperating subsystems:
 * ``pid_registry`` -- a handle-style persistent identifier service with
   linear version chains.
 * ``prov_store``   -- immutable, content-addressed storage of provenance
-  documents plus the update classifier and the atomic update coordinator.
+  documents plus the update classifier.
+* ``updates``      -- the atomic update coordinator: ``publish`` and
+  ``update-prov`` as one journaled run across store, registry and ledger.
 * ``lineage``      -- the cross-experiment derivation graph: lineage traces,
   invalidation cascades, and iteration histories.
 

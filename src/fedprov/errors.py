@@ -1,6 +1,7 @@
 """Exception hierarchy shared across subsystems.
 
-The CLI maps each of these to a distinct exit code (see ``cli.EXIT_CODES``).
+The CLI maps each of these to an exit code; related errors share one (see
+``cli._ERROR_EXITS``).
 """
 
 from __future__ import annotations

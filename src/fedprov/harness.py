@@ -75,8 +75,6 @@ class Federation:
         orgs: tuple[tuple[str, str], ...] = DEFAULT_ORGS,
         endorsement_policy: str = POLICY_ANY_ONE,
         use_tcp: bool = False,
-        max_block_txs: int = 10,
-        pid_prefix: str = "21.P",
     ) -> "Federation":
         root = Path(root)
         root.mkdir(parents=True, exist_ok=True)
@@ -88,10 +86,8 @@ class Federation:
         skeleton = FederationConfig(
             organizations=entries,
             endorsement_policy=endorsement_policy,
-            pid_prefix=pid_prefix,
             registry_address=f"127.0.0.1:{ports[-1]}",
             prov_store_root="store",
-            max_block_txs=max_block_txs,
             base_dir=root,
         )
         config_path = root / "federation.json"

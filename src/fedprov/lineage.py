@@ -22,7 +22,7 @@ from .errors import CycleError, LedgerRejectedError, NotInvalidatedError, Unknow
 from .ledger.blocks import READ_WRITE_CONFLICT
 from .ledger.values import STATUS_INVALIDATED, STATUS_VALID
 from .prov import REL_DERIVED, REL_GENERATED, REL_USED, ProvDocument
-from .prov_store import ProvStore, relation_pairs
+from .prov_store import ProvStore
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,16 @@ class DocumentSource:
     uri: str
     checksum: str
     document: ProvDocument
+
+    def attests(self, activity: str | None) -> EdgeAttestation:
+        """This document cited as the evidence for an edge via *activity*."""
+        return EdgeAttestation(
+            doc_pid=self.doc_pid,
+            doc_version=self.version,
+            uri=self.uri,
+            checksum=self.checksum,
+            activity=activity,
+        )
 
 
 @dataclass(frozen=True)
@@ -56,9 +66,14 @@ class EdgeAttestation:
 
 @dataclass
 class DerivationGraph:
+    """Edges are added only through ``add_edge``, which also keeps the
+    per-node child and parent sets that neighbour queries read."""
+
     nodes: dict[str, str] = field(default_factory=dict)  # artifact pid -> status
     edges: dict[tuple[str, str], list[EdgeAttestation]] = field(default_factory=dict)
     generators: dict[str, EdgeAttestation] = field(default_factory=dict)
+    _children: dict[str, set[str]] = field(default_factory=dict, init=False, repr=False)
+    _parents: dict[str, set[str]] = field(default_factory=dict, init=False, repr=False)
 
     def add_node(self, pid: str, status: str = STATUS_VALID) -> None:
         self.nodes.setdefault(pid, status)
@@ -67,12 +82,14 @@ class DerivationGraph:
         existing = self.edges.setdefault((src, dst), [])
         if attestation not in existing:
             existing.append(attestation)
+        self._children.setdefault(src, set()).add(dst)
+        self._parents.setdefault(dst, set()).add(src)
 
     def successors(self, pid: str) -> list[str]:
-        return sorted({dst for (src, dst) in self.edges if src == pid})
+        return sorted(self._children.get(pid, ()))
 
     def predecessors(self, pid: str) -> list[str]:
-        return sorted({src for (src, dst) in self.edges if dst == pid})
+        return sorted(self._parents.get(pid, ()))
 
     def descendants(self, pid: str) -> set[str]:
         """All artifacts transitively derived from *pid* (excluding itself)."""
@@ -122,13 +139,45 @@ def collect_documents(
     return sources
 
 
+def attested_edges(
+    document: ProvDocument, pid_of: Mapping[str, str]
+) -> list[tuple[str, str, str | None]]:
+    """The artifact edges *document* attests, as (parent, child, activity).
+
+    ``used(activity, e_in)`` plus ``was-generated-by(e_out, activity)``
+    attests e_in -> e_out via that activity; ``was-derived-from(new, old)``
+    attests old -> new with activity None. *pid_of* maps entity local ids to
+    artifact PIDs; an entity it does not map takes part in no edge.
+    """
+    inputs: dict[str, list[str]] = {}
+    outputs: dict[str, list[str]] = {}
+    for relation in document.relations:
+        if relation.kind == REL_USED:
+            inputs.setdefault(relation.source, []).append(relation.target)
+        elif relation.kind == REL_GENERATED:
+            outputs.setdefault(relation.target, []).append(relation.source)
+    edges = [
+        (pid_of[used], pid_of[generated], activity)
+        for activity, used_entities in inputs.items()
+        for generated in outputs.get(activity, [])
+        for used in used_entities
+        if used in pid_of and generated in pid_of
+    ]
+    edges += [
+        (pid_of[relation.target], pid_of[relation.source], None)
+        for relation in document.relations
+        if relation.kind == REL_DERIVED
+        and relation.source in pid_of
+        and relation.target in pid_of
+    ]
+    return edges
+
+
 def build_graph(
     documents: Iterable[DocumentSource], ledger_view: Mapping[str, Mapping]
 ) -> DerivationGraph:
-    """Assemble the artifact derivation graph.
+    """Assemble the artifact derivation graph from ``attested_edges``.
 
-    ``used(activity, e_in)`` plus ``was-generated-by(e_out, activity)`` yields
-    an edge e_in -> e_out; ``was-derived-from(new, old)`` yields old -> new.
     Node statuses come from the ledger's invalidation flags. Rejects graphs
     with cycles and documents referencing unregistered artifact PIDs.
     """
@@ -151,61 +200,17 @@ def build_graph(
                 )
             pid_of[entity.local_id] = entity.artifact_pid
 
-        for used_id, activity, generated_id in relation_pairs(source.document):
-            src = pid_of.get(used_id)
-            dst = pid_of.get(generated_id)
-            if src is None or dst is None:
-                continue
-            attestation = EdgeAttestation(
-                doc_pid=source.doc_pid,
-                doc_version=source.version,
-                uri=source.uri,
-                checksum=source.checksum,
-                activity=activity,
-            )
-            graph.add_edge(src, dst, attestation)
-
+        for parent, child, activity in attested_edges(source.document, pid_of):
+            graph.add_edge(parent, child, source.attests(activity))
         for relation in source.document.relations:
-            if relation.kind != REL_DERIVED:
-                continue
-            new_pid = pid_of.get(relation.source)
-            old_pid = pid_of.get(relation.target)
-            if new_pid is None or old_pid is None:
-                continue
-            attestation = EdgeAttestation(
-                doc_pid=source.doc_pid,
-                doc_version=source.version,
-                uri=source.uri,
-                checksum=source.checksum,
-                activity=None,
-            )
-            graph.add_edge(old_pid, new_pid, attestation)
-
-        for relation in source.document.relations:
-            if relation.kind != REL_GENERATED:
-                continue
-            pid = pid_of.get(relation.source)
-            if pid is not None and pid not in graph.generators:
-                graph.generators[pid] = EdgeAttestation(
-                    doc_pid=source.doc_pid,
-                    doc_version=source.version,
-                    uri=source.uri,
-                    checksum=source.checksum,
-                    activity=relation.target,
+            if relation.kind == REL_GENERATED and relation.source in pid_of:
+                graph.generators.setdefault(
+                    pid_of[relation.source], source.attests(relation.target)
                 )
-        for local_id, pid in pid_of.items():
+        for pid in pid_of.values():
             # Fallback attribution for artifacts a document mentions without
             # a generated-by relation (e.g. pure derivation chains).
-            graph.generators.setdefault(
-                pid,
-                EdgeAttestation(
-                    doc_pid=source.doc_pid,
-                    doc_version=source.version,
-                    uri=source.uri,
-                    checksum=source.checksum,
-                    activity=None,
-                ),
-            )
+            graph.generators.setdefault(pid, source.attests(None))
 
     _reject_cycles(graph)
     return graph
@@ -314,35 +319,12 @@ def verify_trace_soundness(paths: Iterable[LineagePath], store: ProvStore) -> No
             child = steps[index - 1]["artifact"]
             parent = steps[index + 1]["artifact"]
             document = store.fetch_document(attestation["uri"], attestation["checksum"])
-            if not _document_attests_edge(document, parent, child, attestation["activity"]):
+            pid_of = {e.local_id: e.artifact_pid for e in document.entities if e.artifact_pid}
+            if (parent, child, attestation["activity"]) not in attested_edges(document, pid_of):
                 raise UnknownPIDError(
                     f"document {attestation['doc_pid']} does not attest "
                     f"{parent} -> {child}"
                 )
-
-
-def _document_attests_edge(
-    document: ProvDocument, parent_pid: str, child_pid: str, activity: str | None
-) -> bool:
-    pid_of = {
-        e.local_id: e.artifact_pid for e in document.entities if e.artifact_pid
-    }
-    if activity is None:
-        return any(
-            r.kind == REL_DERIVED
-            and pid_of.get(r.source) == child_pid
-            and pid_of.get(r.target) == parent_pid
-            for r in document.relations
-        )
-    used_ok = any(
-        r.kind == REL_USED and r.source == activity and pid_of.get(r.target) == parent_pid
-        for r in document.relations
-    )
-    generated_ok = any(
-        r.kind == REL_GENERATED and r.target == activity and pid_of.get(r.source) == child_pid
-        for r in document.relations
-    )
-    return used_ok and generated_ok
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,13 @@ are never rewritten, so every historical version stays fetchable byte-exact.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 from .canonical import sha256_hex
 from .errors import ChecksumMismatchError, DocumentNotFoundError
 from .prov import (
-    REL_GENERATED,
-    REL_USED,
     RELATION_ENDPOINTS,
     ProvDocument,
     parent_chain,
@@ -24,6 +23,7 @@ from .prov import (
 )
 
 URI_SCHEME = "cas://"
+_CHECKSUM = re.compile(r"[0-9a-f]{64}")
 
 ENRICHMENT = "enrichment"
 DECOMPOSITION = "decomposition"
@@ -87,6 +87,10 @@ class ProvStore:
             path.unlink()
 
     def blob_path(self, checksum: str) -> Path:
+        """The blob's path; anything but 64 lowercase hex digits is refused,
+        so no URI or journal entry can name a file outside the store."""
+        if not _CHECKSUM.fullmatch(checksum):
+            raise DocumentNotFoundError(f"not a content checksum: {checksum!r}")
         return self.root / checksum[:2] / checksum[2:]
 
     def list_checksums(self) -> list[str]:
@@ -349,20 +353,3 @@ def _is_decomposition(old: ProvDocument, new: ProvDocument, diff: _Diff) -> bool
         if not used_somewhere:
             return False
     return True
-
-
-def relation_pairs(doc: ProvDocument) -> list[tuple[str, str, str]]:
-    """(input entity, activity, output entity) triples attested by *doc*."""
-    inputs: dict[str, list[str]] = {}
-    outputs: dict[str, list[str]] = {}
-    for relation in doc.relations:
-        if relation.kind == REL_USED:
-            inputs.setdefault(relation.source, []).append(relation.target)
-        elif relation.kind == REL_GENERATED:
-            outputs.setdefault(relation.target, []).append(relation.source)
-    triples = []
-    for activity, used_entities in inputs.items():
-        for generated in outputs.get(activity, []):
-            for used in used_entities:
-                triples.append((used, activity, generated))
-    return triples

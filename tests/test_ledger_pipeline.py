@@ -266,7 +266,7 @@ def test_rejected_proposals_cut_no_block(fed, users):
 
 
 def test_batching_groups_transactions(tmp_path):
-    fed = Federation.bootstrap(tmp_path / "fed", max_block_txs=10)
+    fed = Federation.bootstrap(tmp_path / "fed")
     try:
         alice, key = fed.register_user("OrgA", "alice")
         client = fed.client(alice, key).ledger()

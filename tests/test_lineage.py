@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,13 +17,16 @@ from fedprov.lineage import (
     DerivationGraph,
     DocumentSource,
     EdgeAttestation,
+    LineagePath,
     build_graph,
     cascade_targets,
     collect_documents,
     invalidate_cascade,
     iteration_history,
     trace_lineage,
+    verify_trace_soundness,
 )
+from fedprov.prov_store import ProvStore
 
 
 def _attest(n: int) -> EdgeAttestation:
@@ -298,6 +302,75 @@ def test_trace_soundness_accepts_real_attestation(tmp_path):
     verify_trace_soundness([path], store)
 
 
+ARTIFACTS = [f"pid/{n}" for n in range(4)]
+
+
+@st.composite
+def ranked_documents(draw):
+    """A random document whose edges all run from a lower to a higher index
+    in ``ARTIFACTS``, so any set of them is acyclic. Entities may share an
+    artifact PID or have none; relations come in random order."""
+    ranks = draw(st.lists(st.one_of(st.none(), st.integers(0, 3)), min_size=1, max_size=6))
+    entities = [
+        ent(f"e{i}", artifact_pid=None if rank is None else ARTIFACTS[rank])
+        for i, rank in enumerate(ranks)
+    ]
+    levels = draw(st.lists(st.integers(1, 3), max_size=3))
+    relations = []
+    for k, level in enumerate(levels):
+        for i, rank in enumerate(ranks):
+            role = draw(st.sampled_from(["none", "used", "generated"]))
+            if role == "used" and (rank is None or rank < level):
+                relations.append(("used", f"a{k}", f"e{i}"))
+            elif role == "generated" and (rank is None or rank >= level):
+                relations.append(("was-generated-by", f"e{i}", f"a{k}"))
+    for i, new in enumerate(ranks):
+        for j, old in enumerate(ranks):
+            if i != j and (new is None or old is None or new > old) and draw(st.booleans()):
+                relations.append(("was-derived-from", f"e{i}", f"e{j}"))
+    return doc(
+        entities=entities,
+        activities=[act(f"a{k}") for k in range(len(levels))],
+        relations=[rel(*r) for r in draw(st.permutations(relations))],
+    )
+
+
+def _hop(child: str, attestation: dict, parent: str) -> LineagePath:
+    return LineagePath(steps=[
+        {"artifact": child, "status": "valid"},
+        {"via": attestation["activity"] or "derived-from", "attested_by": attestation},
+        {"artifact": parent, "status": "valid"},
+    ])
+
+
+@given(documents=st.lists(ranked_documents(), min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_every_built_edge_and_no_other_hop_passes_soundness(documents):
+    """``build_graph`` and ``verify_trace_soundness`` apply one edge rule:
+    each built edge, cited with its attestation, verifies against the stored
+    document; the same hop under another activity, or reversed, does not."""
+    with tempfile.TemporaryDirectory() as root:
+        store = ProvStore(root)
+        sources = []
+        for n, document in enumerate(documents):
+            uri, checksum, _ = store.store_document(document)
+            sources.append(DocumentSource(f"21.P/doc{n}", 1, uri, checksum, document))
+        graph = build_graph(sources, ledger_view(*ARTIFACTS))
+        for (parent, child), attestations in graph.edges.items():
+            for attestation in attestations:
+                cited = attestation.to_dict()
+                verify_trace_soundness([_hop(child, cited, parent)], store)
+                with pytest.raises(UnknownPIDError):
+                    verify_trace_soundness([_hop(parent, cited, child)], store)
+                source = next(s for s in sources if s.doc_pid == attestation.doc_pid)
+                others = [None, "a-absent"] + [a.local_id for a in source.document.activities]
+                for other in others:
+                    if source.attests(other) in attestations:
+                        continue
+                    with pytest.raises(UnknownPIDError):
+                        verify_trace_soundness([_hop(child, {**cited, "activity": other}, parent)], store)
+
+
 # -- cascade ---------------------------------------------------------------------------
 
 
@@ -339,6 +412,8 @@ def test_cascade_equals_descendant_oracle(seed):
     graph = random_dag(rng)
     for pid in graph.nodes:
         assert cascade_targets(pid, graph) == brute_force_descendants(graph, pid)
+        assert graph.successors(pid) == sorted(dst for (src, dst) in graph.edges if src == pid)
+        assert graph.predecessors(pid) == sorted(src for (src, dst) in graph.edges if dst == pid)
 
 
 def test_cascade_monotonicity():

@@ -7,6 +7,7 @@ import dataclasses
 import pytest
 
 from conftest import act, doc, ent, rel, simple_doc
+from fedprov.canonical import sha256_hex
 from fedprov.errors import ChecksumMismatchError, DocumentNotFoundError, InvalidDocumentError
 from fedprov.prov import ProvDocument
 from fedprov.prov_store import (
@@ -72,6 +73,33 @@ def test_fetch_detects_corrupted_byte(store):
 def test_fetch_unknown_uri(store):
     with pytest.raises(DocumentNotFoundError):
         store.fetch_bytes("cas://" + "ab" * 32, "ab" * 32)
+
+
+def _outside_file(tmp_path):
+    """A file outside the store, with its real checksum."""
+    outside = tmp_path / "outside" / "secret.txt"
+    outside.parent.mkdir()
+    outside.write_bytes(b"not a stored blob")
+    return outside, sha256_hex(outside.read_bytes())
+
+
+def test_fetch_refuses_uri_naming_a_file_outside_the_store(store, tmp_path):
+    outside, checksum = _outside_file(tmp_path)
+    with pytest.raises(DocumentNotFoundError):
+        store.fetch_bytes(f"cas://..//{outside}", checksum)
+
+
+def test_discard_leaves_a_file_outside_the_store_in_place(store, tmp_path):
+    outside, _ = _outside_file(tmp_path)
+    with pytest.raises(DocumentNotFoundError):
+        store.discard(f"..//{outside}")
+    assert outside.exists()
+
+
+@pytest.mark.parametrize("checksum", ["ab" * 31, "AB" * 32, "ab" * 32 + "\n", "zz" * 32])
+def test_blob_path_accepts_only_64_lowercase_hex_digits(store, checksum):
+    with pytest.raises(DocumentNotFoundError):
+        store.blob_path(checksum)
 
 
 def test_store_layout_sharded(store):
