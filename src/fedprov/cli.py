@@ -211,9 +211,7 @@ class ClientContext:
         )
 
     def owner_org(self, user_id: str) -> str:
-        directory = identity_mod.load_identity_directory(
-            self.config.identities_dir, self.config.orgs_map()
-        )
+        directory = identity_mod.load_identity_directory(self.config.identities_dir)
         identity = directory.get(user_id)
         return identity.org if identity else "unknown"
 
@@ -228,8 +226,8 @@ def publish_artifact(
 ) -> dict:
     """Publish a file plus its provenance document; returns both PIDs."""
     identity = ctx.require_identity()
-    if identity.role == identity_mod.ROLE_CONSUMER:
-        raise UnauthorizedError("consumer identities cannot publish")
+    if not identity_mod.may_write(identity, ctx.config.orgs_map()):
+        raise UnauthorizedError(f"{identity.user_id!r} may not publish")
     payload = Path(file_path).read_bytes()
     doc = _load_document(doc_path)
     return ctx.updater().publish(payload, doc, identity, entity_id)

@@ -123,6 +123,9 @@ class FederationConfig:
     def validate(self) -> None:
         if not self.organizations:
             raise ConfigError("federation config lists no organizations")
+        names = [o.name for o in self.organizations]
+        if len(set(names)) != len(names):
+            raise ConfigError("organization names must be unique")
         addresses = [o.listen_address for o in self.organizations] + [self.registry_address]
         if len(set(addresses)) != len(addresses):
             raise ConfigError("listen addresses must be unique")

@@ -129,8 +129,8 @@ class Federation:
 
     # -- participants ---------------------------------------------------------------
 
-    def register_user(self, org: str, user_id: str, role: str | None = None):
-        return self.registration.register_user(org, user_id, role)
+    def register_user(self, org: str, user_id: str):
+        return self.registration.register_user(org, user_id)
 
     def client(
         self,

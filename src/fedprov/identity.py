@@ -6,10 +6,13 @@ private keys, issues user keypairs, and signs certificates. A certificate is
 the CA's Ed25519 signature over the canonical form of
 ``{user-id, org, public-key}`` -- deliberately not X.509.
 
-Roles follow organization kind: users of the single read-only organization
-are consumers and can never write; users of producer organizations are
-producers (or curators, which are write-equivalent). Ownership of a ledger
-resource can be delegated through an explicit signed ``Permission`` grant.
+Write rights follow the organization whose CA certified an identity, and
+two predicates decide them wherever a write arrives: ``may_write`` (the
+identity belongs to a producer organization and its certificate verifies
+under that organization's CA) and ``check_auth`` (``may_write``, plus
+ownership of the resource or an owner-signed ``Permission`` grant). Users of
+the single read-only organization can therefore never write.
+``authenticate`` turns a signed identity claim into a verified ``Identity``.
 """
 
 from __future__ import annotations
@@ -24,14 +27,10 @@ from typing import Iterable, Mapping
 
 from . import crypto
 from .canonical import canonical_bytes
-from .errors import DuplicateUserError, UnknownOrgError
+from .errors import DuplicateUserError, UnauthorizedError, UnknownOrgError
 
 ORG_PRODUCER = "producer"
 ORG_CONSUMER = "consumer-read-only"
-
-ROLE_PRODUCER = "producer"
-ROLE_CURATOR = "curator"
-ROLE_CONSUMER = "consumer"
 
 CAP_UPDATE_PROVENANCE = "update-provenance"
 CAP_INVALIDATE_ARTIFACT = "invalidate-artifact"
@@ -67,22 +66,6 @@ class Organization:
         )
 
 
-def validate_organizations(orgs: Iterable[Organization]) -> None:
-    """Enforce federation-level invariants on the organization set."""
-    orgs = list(orgs)
-    names = [o.name for o in orgs]
-    if len(set(names)) != len(names):
-        raise UnknownOrgError("organization names must be unique")
-    readonly = [o for o in orgs if o.kind == ORG_CONSUMER]
-    if len(readonly) != 1:
-        raise UnknownOrgError(
-            f"federation needs exactly one read-only organization, found {len(readonly)}"
-        )
-    for org in orgs:
-        if org.kind not in (ORG_PRODUCER, ORG_CONSUMER):
-            raise UnknownOrgError(f"unknown organization kind: {org.kind!r}")
-
-
 @dataclass(frozen=True)
 class Identity:
     """A user identity: CA-certified public key bound to an organization."""
@@ -91,7 +74,6 @@ class Identity:
     org: str
     public_key: str
     certificate: str
-    role: str = ROLE_PRODUCER
 
     def certificate_payload(self) -> bytes:
         return certificate_payload(self.user_id, self.org, self.public_key)
@@ -105,13 +87,13 @@ class Identity:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping, orgs: Mapping[str, Organization] | None = None) -> "Identity":
+    def from_dict(cls, data: Mapping) -> "Identity":
+        """The identity an identity file records."""
         return cls(
             user_id=data["user-id"],
             org=data["org"],
             public_key=data["public-key"],
             certificate=data["certificate"],
-            role=data.get("role", role_for(data["org"], orgs or {})),
         )
 
     def to_creator(self) -> dict:
@@ -124,23 +106,14 @@ class Identity:
         }
 
     @classmethod
-    def from_creator(cls, creator: Mapping, orgs: Mapping[str, Organization]) -> "Identity":
-        """The identity a transaction's ``creator`` claims; unverified."""
+    def from_creator(cls, creator: Mapping) -> "Identity":
+        """The identity a ``creator`` claim names; unverified."""
         return cls(
             user_id=creator.get("user_id", ""),
             org=creator.get("org", ""),
             public_key=creator.get("public_key", ""),
             certificate=creator.get("certificate", ""),
-            role=role_for(creator.get("org", ""), orgs),
         )
-
-
-def role_for(org_name: str, orgs: Mapping[str, Organization]) -> str:
-    """Consumer for the read-only organization, producer otherwise."""
-    org = orgs.get(org_name)
-    if org is not None and org.kind == ORG_CONSUMER:
-        return ROLE_CONSUMER
-    return ROLE_PRODUCER
 
 
 def certificate_payload(user_id: str, org: str, public_key: str) -> bytes:
@@ -167,6 +140,36 @@ def _certificate_valid(ca_public_key: str, certificate: str, payload: bytes) -> 
     identity is checked afresh.
     """
     return crypto.verify(ca_public_key, certificate, payload)
+
+
+def may_write(caller: Identity, orgs: Mapping[str, Organization]) -> bool:
+    """True iff *caller* may write at all.
+
+    Its organization must be a producer organization, and its certificate
+    must verify under that organization's CA.
+    """
+    org = orgs.get(caller.org)
+    return org is not None and org.kind == ORG_PRODUCER and verify_identity(caller, orgs)
+
+
+def authenticate(
+    claim: object, signature: object, message: bytes, orgs: Mapping[str, Organization]
+) -> Identity:
+    """The identity *claim* names, once it is proven to have signed *message*.
+
+    *claim* takes the ``to_creator`` form. Its certificate must verify under
+    its organization's CA and *signature* under its public key; anything
+    else, a malformed claim included, raises ``UnauthorizedError``.
+    """
+    if not isinstance(claim, Mapping):
+        raise UnauthorizedError("identity claim is not an object")
+    caller = Identity.from_creator(claim)
+    fields = (caller.user_id, caller.org, caller.public_key, caller.certificate)
+    if not all(isinstance(value, str) for value in fields) or not verify_identity(caller, orgs):
+        raise UnauthorizedError("unknown or forged identity")
+    if not crypto.verify(caller.public_key, signature, message):
+        raise UnauthorizedError("signature invalid")
+    return caller
 
 
 @dataclass(frozen=True)
@@ -255,35 +258,26 @@ def check_auth(
     orgs: Mapping[str, Organization],
     permission: Permission | None = None,
 ) -> bool:
-    """Authorization predicate consumed by every write operation.
+    """The write-permission predicate of every write to an existing resource.
 
-    True iff the caller is an owner of *pid* or presents a valid grant for
-    (pid, caller, capability) signed by an owner. Consumer-role callers are
-    always refused. ``owners=None`` means the resource has no readable state
-    yet; authorization then defers to the caller's role so the operation can
-    report resource-not-found instead.
+    True iff the caller ``may_write`` and is an owner of *pid* or presents
+    a grant of (pid, caller, capability) signed by an owner who also
+    ``may_write``. A read-only user is refused even with a grant.
+    ``owners=None`` means the resource has no readable state yet; only
+    ``may_write`` then applies, so the operation can report
+    resource-not-found instead.
     """
-    org = orgs.get(caller.org)
-    if org is None or not verify_identity(caller, orgs):
+    if not may_write(caller, orgs):
         return False
-    if org.kind == ORG_CONSUMER or caller.role == ROLE_CONSUMER:
-        return False
-    if owners is None:
+    if owners is None or caller.user_id in owners:
         return True
-    if caller.user_id in owners:
-        return True
-    if permission is None:
-        return False
     if (
-        permission.subject != pid
+        permission is None
+        or permission.subject != pid
         or permission.grantee != caller.user_id
         or permission.capability != capability
+        or permission.grantor not in owners
     ):
-        return False
-    if permission.grantor not in owners:
-        return False
-    grantor_org = orgs.get(permission.grantor_org)
-    if grantor_org is None or grantor_org.kind == ORG_CONSUMER:
         return False
     grantor = Identity(
         permission.grantor,
@@ -291,9 +285,9 @@ def check_auth(
         permission.grantor_public_key,
         permission.grantor_certificate,
     )
-    if not verify_identity(grantor, orgs):
-        return False
-    return crypto.verify(permission.grantor_public_key, permission.signature, permission.payload())
+    return may_write(grantor, orgs) and crypto.verify(
+        permission.grantor_public_key, permission.signature, permission.payload()
+    )
 
 
 @dataclass
@@ -331,7 +325,6 @@ class RegistrationService:
             orgs[name] = Organization(name=name, kind=kind, ca_public_key=public_hex)
             ca_keys[name] = private_hex
             write_private_key(ca_dir / f"{name}.key", private_hex)
-        validate_organizations(orgs.values())
         service = cls(
             ca_keys=ca_keys,
             organizations=orgs,
@@ -364,27 +357,18 @@ class RegistrationService:
             keys_dir=Path(keys_dir),
         )
 
-    def register_user(self, org: str, user_id: str, role: str | None = None) -> tuple[Identity, str]:
+    def register_user(self, org: str, user_id: str) -> tuple[Identity, str]:
         """Issue a fresh keypair and certificate; returns (identity, private_key).
 
         Raises ``UnknownOrgError`` for orgs outside the federation and
         ``DuplicateUserError`` if the user id is taken within the org.
         """
         with self._lock:
-            organization = self.organizations.get(org)
-            if organization is None or org not in self.ca_keys:
+            if org not in self.organizations or org not in self.ca_keys:
                 raise UnknownOrgError(f"organization not in federation: {org!r}")
             record_path = self._record_path(user_id, org)
             if record_path.exists():
                 raise DuplicateUserError(f"user already registered: {user_id!r} in {org!r}")
-            if organization.kind == ORG_CONSUMER:
-                resolved_role = ROLE_CONSUMER
-            elif role in (None, ROLE_PRODUCER):
-                resolved_role = ROLE_PRODUCER
-            elif role == ROLE_CURATOR:
-                resolved_role = ROLE_CURATOR
-            else:
-                raise UnknownOrgError(f"role {role!r} not available in a {organization.kind} org")
             private_hex, public_hex = crypto.generate_keypair()
             certificate = crypto.sign(
                 self.ca_keys[org], certificate_payload(user_id, org, public_hex)
@@ -394,7 +378,6 @@ class RegistrationService:
                 org=org,
                 public_key=public_hex,
                 certificate=certificate,
-                role=resolved_role,
             )
             record = json.dumps(identity.to_dict(), indent=2, sort_keys=True)
             record_path.write_text(record)
@@ -411,21 +394,19 @@ class RegistrationService:
         return _keys_base(self.keys_dir) / user_id
 
 
-def load_identity(path: Path, orgs: Mapping[str, Organization] | None = None) -> Identity:
+def load_identity(path: Path) -> Identity:
     with open(path, "r", encoding="utf-8") as fh:
-        return Identity.from_dict(json.load(fh), orgs)
+        return Identity.from_dict(json.load(fh))
 
 
-def load_identity_directory(
-    identities_dir: Path, orgs: Mapping[str, Organization] | None = None
-) -> dict[str, Identity]:
+def load_identity_directory(identities_dir: Path) -> dict[str, Identity]:
     """All issued identities keyed by user id (used for owner/org lookups)."""
     out: dict[str, Identity] = {}
     directory = Path(identities_dir)
     if not directory.is_dir():
         return out
     for path in sorted(directory.glob("*.json")):
-        identity = load_identity(path, orgs)
+        identity = load_identity(path)
         out[identity.user_id] = identity
     return out
 

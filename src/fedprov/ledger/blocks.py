@@ -187,7 +187,7 @@ def check_tx(
         body = tx.get("body", {})
         if tx.get("tx_id") != tx_id_for(body):
             problems.append("tx_id does not match body")
-        creator = identity_mod.Identity.from_creator(body.get("creator", {}), orgs)
+        creator = identity_mod.Identity.from_creator(body.get("creator", {}))
         if not identity_mod.verify_identity(creator, orgs):
             problems.append("creator certificate invalid")
         if not _lower_hex(tx.get("signature")):

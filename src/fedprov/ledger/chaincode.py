@@ -108,7 +108,7 @@ def simulate(
     pid = body.get("pid")
     args = body.get("args", {})
     timestamp = body.get("timestamp")
-    caller = identity_mod.Identity.from_creator(body.get("creator", {}), orgs)
+    caller = identity_mod.Identity.from_creator(body.get("creator", {}))
     permission = None
     if args.get("permission"):
         permission = identity_mod.Permission.from_dict(args["permission"])
@@ -117,7 +117,7 @@ def simulate(
         return result
 
     if kind in (TX_CREATE_ARTIFACT, TX_CREATE_PROV):
-        if caller.role == identity_mod.ROLE_CONSUMER:
+        if not identity_mod.may_write(caller, orgs):
             result.message = MSG_UNAUTHORIZED
             return result
         if read(pid) is not None:
@@ -199,8 +199,8 @@ def simulate(
         return result
 
     if kind == TX_FLAG_AFFECTED:
-        # Flagging downstream artifacts does not require ownership: any
-        # producer may record the consequence of an invalidation, but only
+        # Flagging downstream artifacts does not require ownership: anyone
+        # who may write may record the consequence of an invalidation, but only
         # when the cited source (*pid*) really is invalidated on this ledger.
         # One transaction flags a whole cascade, all targets or none.
         targets = args.get("targets")
@@ -212,9 +212,7 @@ def simulate(
             or pid in targets
         ):
             return result
-        if caller.role == identity_mod.ROLE_CONSUMER or not identity_mod.verify_identity(
-            caller, orgs
-        ):
+        if not identity_mod.may_write(caller, orgs):
             result.message = MSG_UNAUTHORIZED
             return result
         source = read(pid)

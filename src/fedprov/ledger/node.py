@@ -21,7 +21,7 @@ from typing import Mapping
 
 from .. import crypto, identity as identity_mod
 from ..canonical import canonical_bytes
-from ..errors import LedgerRejectedError, UnauthorizedError
+from ..errors import LedgerRejectedError
 from . import blocks as blocks_mod
 from .blocks import Block, BlockStore, endorsement_payload, tx_id_for, validate_tx
 from .chaincode import simulate
@@ -64,17 +64,16 @@ class OrgNode:
     def endorse(self, proposal: Mapping) -> dict:
         """Simulate a signed proposal and endorse the result.
 
-        Refuses outright (no endorsement) if the creator identity or the
-        client signature does not verify; chaincode-level errors still get
+        Refuses outright (no endorsement, ``UnauthorizedError``) unless
+        ``identity.authenticate`` accepts the body's creator and the client
+        signature over the body; chaincode-level errors still get
         endorsed so all peers can agree the operation is rejected.
         """
-        body = proposal.get("body", {})
-        signature = proposal.get("signature", "")
-        caller = identity_mod.Identity.from_creator(body.get("creator", {}), self.orgs)
-        if not identity_mod.verify_identity(caller, self.orgs):
-            raise UnauthorizedError("unknown or forged creator identity")
-        if not crypto.verify(caller.public_key, signature, canonical_bytes(body)):
-            raise UnauthorizedError("client signature invalid")
+        body = proposal.get("body")
+        creator = body.get("creator") if isinstance(body, Mapping) else None
+        identity_mod.authenticate(
+            creator, proposal.get("signature"), canonical_bytes(body), self.orgs
+        )
 
         snapshot = self.state.snapshot()
         result = simulate(body, self.orgs, snapshot.get)

@@ -307,24 +307,35 @@ def verify_trace_soundness(paths: Iterable[LineagePath], store: ProvStore) -> No
 
     Raises ``ChecksumMismatchError`` for tampered documents and
     ``UnknownPIDError`` if a fetched document does not actually attest the
-    edge it is cited for; a trace is only as good as its evidence.
+    edge it is cited for; a trace is only as good as its evidence. Paths
+    share hops, so each distinct (parent, child, attestation) is checked
+    once and each distinct (uri, checksum) fetched once per call; the first
+    bad hop met in path order is the one reported.
     """
+    edges_of: dict[tuple[str, str], set[tuple[str, str, str | None]]] = {}
+    sound: set[tuple] = set()
     for path in paths:
         steps = path.steps
         for index in range(1, len(steps) - 1, 2):
-            hop = steps[index]
-            attestation = hop.get("attested_by")
+            attestation = steps[index].get("attested_by")
             if attestation is None:
                 continue
             child = steps[index - 1]["artifact"]
             parent = steps[index + 1]["artifact"]
-            document = store.fetch_document(attestation["uri"], attestation["checksum"])
-            pid_of = {e.local_id: e.artifact_pid for e in document.entities if e.artifact_pid}
-            if (parent, child, attestation["activity"]) not in attested_edges(document, pid_of):
+            hop = (parent, child, tuple(sorted(attestation.items())))
+            if hop in sound:
+                continue
+            source = (attestation["uri"], attestation["checksum"])
+            if source not in edges_of:
+                document = store.fetch_document(*source)
+                pid_of = {e.local_id: e.artifact_pid for e in document.entities if e.artifact_pid}
+                edges_of[source] = set(attested_edges(document, pid_of))
+            if (parent, child, attestation["activity"]) not in edges_of[source]:
                 raise UnknownPIDError(
                     f"document {attestation['doc_pid']} does not attest "
                     f"{parent} -> {child}"
                 )
+            sound.add(hop)
 
 
 # ---------------------------------------------------------------------------

@@ -156,14 +156,15 @@ class PIDRegistry:
         old_pid: str,
         new_pid: str,
         caller: identity_mod.Identity,
-        orgs: Mapping[str, identity_mod.Organization] | None = None,
+        orgs: Mapping[str, identity_mod.Organization],
         permission: identity_mod.Permission | None = None,
     ) -> None:
         """Atomically chain ``new_pid`` as the next version after ``old_pid``.
 
         Both records are updated or neither. The old record must be the
         newest version (null successor) and both must be provenance records;
-        the caller must own the old record or carry a valid grant.
+        ``identity.check_auth`` must pass the caller for the old record,
+        whose minter is its one owner.
         """
         with self._write_lock:
             old = self.resolve(old_pid)
@@ -176,7 +177,11 @@ class PIDRegistry:
                 )
             if new.predecessor is not None or new.successor is not None:
                 raise SuccessorExistsError(f"{new_pid} is already part of a chain")
-            if not self._authorized(old, caller, orgs, permission):
+            owner = old.metadata.get("owner")
+            if not identity_mod.check_auth(
+                old.pid, identity_mod.CAP_UPDATE_PROVENANCE, caller,
+                [owner] if owner else [], orgs, permission,
+            ):
                 raise UnauthorizedError(
                     f"{caller.user_id!r} may not supersede {old_pid}"
                 )
@@ -251,27 +256,6 @@ class PIDRegistry:
         return digest([r.to_dict() for r in self.list_records()])
 
     # -- internals -----------------------------------------------------------
-
-    def _authorized(
-        self,
-        record: PIDRecord,
-        caller: identity_mod.Identity,
-        orgs: Mapping[str, identity_mod.Organization] | None,
-        permission: identity_mod.Permission | None,
-    ) -> bool:
-        owner = record.metadata.get("owner")
-        if orgs is None:
-            # No federation context: fall back to plain owner equality.
-            return owner is None or owner == caller.user_id
-        owners = [owner] if owner else []
-        return identity_mod.check_auth(
-            record.pid,
-            identity_mod.CAP_UPDATE_PROVENANCE,
-            caller,
-            owners,
-            orgs,
-            permission,
-        )
 
     def _next_suffix(self) -> str:
         return str(self._last_suffix + 1).zfill(_SUFFIX_WIDTH)

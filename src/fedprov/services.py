@@ -10,8 +10,12 @@ record, and only the identity that minted the record may send it.
 for the in-process harness and for ``fedprov federation start-node`` alike;
 ``serve`` puts the assembled services on their listen addresses.
 
-Mutating registry requests are signed by the caller; the service verifies
-the signature and the caller's certificate before acting.
+Mutating registry requests carry the caller's identity claim (the
+``to_creator`` form a transaction's ``creator`` takes) and the caller's
+signature over the request. ``identity.authenticate`` checks both before
+anything else, as ``OrgNode.endorse`` does for a proposal, and refuses a
+malformed or unverified claim with ``UnauthorizedError``. MINT then requires
+``identity.may_write`` and LINK ``identity.check_auth`` on the old record.
 """
 
 from __future__ import annotations
@@ -84,23 +88,18 @@ class RegistryService:
             chain = self.registry.version_history(payload["pid"])
             return {"ok": True, "records": [r.to_dict() for r in chain]}
         if kind in ("MINT", "LINK", "UNLINK"):
-            caller = self._authenticate(payload)
-            return self._mutate(kind, payload.get("request", {}), caller)
+            request = payload.get("request", {})
+            caller = identity_mod.authenticate(
+                payload.get("caller"), payload.get("signature"), canonical_bytes(request),
+                self.orgs,
+            )
+            return self._mutate(kind, request, caller)
         raise FedprovError(f"unknown message kind: {kind!r}")
-
-    def _authenticate(self, payload: dict) -> identity_mod.Identity:
-        caller_data = payload.get("caller", {})
-        caller = identity_mod.Identity.from_dict(caller_data, self.orgs)
-        if not identity_mod.verify_identity(caller, self.orgs):
-            raise UnauthorizedError("caller identity does not verify")
-        request = payload.get("request", {})
-        signature = payload.get("signature", "")
-        if not crypto.verify(caller.public_key, signature, canonical_bytes(request)):
-            raise UnauthorizedError("request signature invalid")
-        return caller
 
     def _mutate(self, kind: str, request: dict, caller: identity_mod.Identity) -> dict:
         if kind == "MINT":
+            if not identity_mod.may_write(caller, self.orgs):
+                raise UnauthorizedError(f"{caller.user_id!r} may not mint")
             record = self.registry.mint(
                 object_kind=request["object_kind"],
                 target_uri=request.get("target_uri", ""),
@@ -165,7 +164,7 @@ class RegistryClient:
         if self.identity is None or self._private_key is None:
             raise UnauthorizedError(f"{kind} requires caller credentials")
         payload = {
-            "caller": self.identity.to_dict(),
+            "caller": self.identity.to_creator(),
             "request": request,
             "signature": crypto.sign(self._private_key, canonical_bytes(request)),
         }

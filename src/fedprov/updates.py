@@ -170,10 +170,11 @@ class AtomicUpdater:
                 f"{old_pid} already superseded by {old_record['successor']}"
             )
         owner = old_record.get("metadata", {}).get("owner")
-        if owner and owner != caller.user_id and permission is None:
-            raise UnauthorizedError(
-                f"{caller.user_id!r} does not own {old_pid} and presents no grant"
-            )
+        if not identity_mod.check_auth(
+            old_pid, identity_mod.CAP_UPDATE_PROVENANCE, caller,
+            [owner] if owner else [], self.ledger.orgs, permission,
+        ):
+            raise UnauthorizedError(f"{caller.user_id!r} may not update {old_pid}")
 
         violations = validate_document(new_doc)
         violations.extend(unresolvable_artifact_pids(new_doc, self.registry))

@@ -277,6 +277,23 @@ def test_missing_config_is_config_error(tmp_path):
     assert code == cli.EXIT_CONFIG
 
 
+def test_init_refuses_duplicate_org_names_before_writing(tmp_path):
+    """Two organizations named alike are a config error, and init writes nothing."""
+    root = tmp_path / "ws"
+    root.mkdir()
+    orgs = [("OrgA", "producer"), ("OrgA", "producer"), ("Readers", "consumer-read-only")]
+    config_path = root / "federation.json"
+    config_path.write_text(json.dumps({
+        "organizations": [
+            {"name": name, "kind": kind, "listen-address": f"127.0.0.1:{7401 + index}"}
+            for index, (name, kind) in enumerate(orgs)
+        ],
+    }))
+    code, body = cli.run(["--config", str(config_path), "federation", "init"])
+    assert code == cli.EXIT_CONFIG, body
+    assert [path.name for path in root.iterdir()] == ["federation.json"]
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         cli.run(["--config", "x.json", "no-such-verb"])

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fedprov import crypto, identity as identity_mod
-from fedprov.errors import DuplicateUserError, UnknownOrgError
+from fedprov.errors import ConfigError, DuplicateUserError, UnauthorizedError, UnknownOrgError
+from fedprov.federation import FederationConfig, OrgEntry
 
 
 @pytest.fixture()
@@ -21,22 +22,54 @@ def service(tmp_path):
     )
 
 
-def test_register_producer_and_consumer_roles(service):
+def test_write_right_follows_the_certifying_organization(service, tmp_path):
+    """``may_write`` holds exactly for a certified member of a producer org."""
+    orgs = service.organizations
     alice, _ = service.register_user("OrgA", "alice")
-    assert alice.role == identity_mod.ROLE_PRODUCER
-    bob, _ = service.register_user("Readers", "bob")
-    assert bob.role == identity_mod.ROLE_CONSUMER
+    bob, _ = service.register_user("OrgB", "bob")
+    ruth, _ = service.register_user("Readers", "ruth")
+    assert identity_mod.may_write(alice, orgs)
+    assert identity_mod.may_write(bob, orgs)
+    assert not identity_mod.may_write(ruth, orgs)
+    # Claiming a producer org does not help a read-only user's certificate,
+    # and neither does an org the federation does not have.
+    assert not identity_mod.may_write(dataclasses.replace(ruth, org="OrgA"), orgs)
+    assert not identity_mod.may_write(dataclasses.replace(alice, org="Nowhere"), orgs)
+    rogue = identity_mod.RegistrationService.create(
+        [("OrgA", "producer")], ca_dir=tmp_path / "rogue-cas",
+        identities_dir=tmp_path / "rogue-ids", keys_dir=tmp_path / "rogue-keys",
+    )
+    mallory, _ = rogue.register_user("OrgA", "mallory")
+    assert not identity_mod.may_write(mallory, orgs)
 
 
-def test_creator_round_trip_keeps_identity_and_role(service):
+def test_creator_round_trip_keeps_identity(service):
     for org, user in (("OrgA", "alice"), ("Readers", "bob")):
         identity, _ = service.register_user(org, user)
         creator = identity.to_creator()
         assert set(creator) == {"user_id", "org", "public_key", "certificate"}
-        assert identity_mod.Identity.from_creator(creator, service.organizations) == identity
-    stranger = identity_mod.Identity.from_creator({"org": "Nowhere"}, service.organizations)
-    assert stranger.role == identity_mod.ROLE_PRODUCER
+        assert identity_mod.Identity.from_creator(creator) == identity
+    stranger = identity_mod.Identity.from_creator({"org": "Nowhere"})
     assert not identity_mod.verify_identity(stranger, service.organizations)
+    assert not identity_mod.may_write(stranger, service.organizations)
+
+
+def test_authenticate_accepts_only_a_proven_claim(service):
+    alice, alice_key = service.register_user("OrgA", "alice")
+    orgs = service.organizations
+    signature = crypto.sign(alice_key, b"message")
+    assert identity_mod.authenticate(alice.to_creator(), signature, b"message", orgs) == alice
+    for claim, sig in [
+        (None, signature),
+        ("x", signature),
+        ({"user-id": "alice"}, signature),
+        ({**alice.to_creator(), "org": ["OrgA"]}, signature),
+        ({**alice.to_creator(), "user_id": "bob"}, signature),
+        (alice.to_creator(), crypto.sign(alice_key, b"other")),
+        (alice.to_creator(), None),
+    ]:
+        with pytest.raises(UnauthorizedError):
+            identity_mod.authenticate(claim, sig, b"message", orgs)
 
 
 def test_register_duplicate_user_rejected(service):
@@ -56,11 +89,6 @@ def test_same_user_id_allowed_in_other_org(service):
     assert other.org == "OrgB"
 
 
-def test_curator_role_available_in_producer_org(service):
-    carol, _ = service.register_user("OrgA", "carol", role=identity_mod.ROLE_CURATOR)
-    assert carol.role == identity_mod.ROLE_CURATOR
-
-
 def test_verify_identity_round_trip(service):
     alice, _ = service.register_user("OrgA", "alice")
     assert identity_mod.verify_identity(alice, service.organizations)
@@ -69,8 +97,8 @@ def test_verify_identity_round_trip(service):
 def test_verify_identity_stable_across_reload(service):
     alice, _ = service.register_user("OrgA", "alice")
     path = service.identities_dir / "alice@OrgA.json"
-    reloaded = identity_mod.load_identity(path, service.organizations)
-    assert reloaded == dataclasses.replace(alice, role=reloaded.role)
+    reloaded = identity_mod.load_identity(path)
+    assert reloaded == alice
     assert identity_mod.verify_identity(reloaded, service.organizations)
 
 
@@ -91,6 +119,28 @@ def test_flipped_certificate_byte_fails(service):
     assert not identity_mod.verify_identity(tampered, service.organizations)
 
 
+def test_organization_invariants(tmp_path):
+    """``FederationConfig.validate`` is the one check of the organization set."""
+
+    def config(*orgs):
+        entries = [
+            OrgEntry(name, kind, f"127.0.0.1:{7400 + index}")
+            for index, (name, kind) in enumerate(orgs)
+        ]
+        return FederationConfig(organizations=entries, base_dir=tmp_path)
+
+    config(("A", "producer"), ("R", "consumer-read-only")).validate()
+    for bad in [
+        config(("A", "producer")),
+        config(("A", "producer"), ("R1", "consumer-read-only"), ("R2", "consumer-read-only")),
+        config(("A", "producer"), ("A", "producer"), ("R", "consumer-read-only")),
+        config(("A", "producer"), ("B", "curator"), ("R", "consumer-read-only")),
+        config(("R", "consumer-read-only")),
+    ]:
+        with pytest.raises(ConfigError):
+            bad.validate()
+
+
 def test_rogue_ca_identity_rejected(service, tmp_path):
     """An identity issued by a CA outside the federation must not verify."""
     rogue = identity_mod.RegistrationService.create(
@@ -102,20 +152,6 @@ def test_rogue_ca_identity_rejected(service, tmp_path):
     mallory, _ = rogue.register_user("OrgA", "mallory")
     # Claims org "OrgA", but signed by the rogue CA, not the federation's.
     assert not identity_mod.verify_identity(mallory, service.organizations)
-
-
-def test_organization_invariants():
-    with pytest.raises(UnknownOrgError):
-        identity_mod.validate_organizations(
-            [identity_mod.Organization("A", "producer", "00")]
-        )
-    with pytest.raises(UnknownOrgError):
-        identity_mod.validate_organizations(
-            [
-                identity_mod.Organization("R1", "consumer-read-only", "00"),
-                identity_mod.Organization("R2", "consumer-read-only", "11"),
-            ]
-        )
 
 
 # -- check_auth ----------------------------------------------------------------
@@ -192,7 +228,7 @@ def test_grant_replay_wrong_context_fails(auth_fixture):
 
 
 def test_missing_state_defers_to_role(auth_fixture):
-    """With no owners list (unwritten pid) producers pass, consumers fail."""
+    """With no owners list (unwritten pid) producers pass, read-only users fail."""
     alice, _ = auth_fixture["alice"]
     ruth, _ = auth_fixture["ruth"]
     orgs = auth_fixture["orgs"]

@@ -302,6 +302,56 @@ def test_trace_soundness_accepts_real_attestation(tmp_path):
     verify_trace_soundness([path], store)
 
 
+class CountingStore(ProvStore):
+    """A store that counts document fetches by (uri, checksum)."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.fetches: list[tuple[str, str]] = []
+
+    def fetch_document(self, uri, checksum):
+        self.fetches.append((uri, checksum))
+        return super().fetch_document(uri, checksum)
+
+
+def stacked_diamond_sources(store, diamonds):
+    """One stored document per edge of *diamonds* stacked diamonds."""
+    edges = []
+    for level in range(diamonds):
+        top, bottom = f"pid/t{level}", f"pid/t{level + 1}"
+        for side in ("l", "r"):
+            middle = f"pid/{side}{level}"
+            edges += [(top, middle), (middle, bottom)]
+    sources = []
+    for n, (parent, child) in enumerate(edges):
+        document = doc(
+            entities=[ent("in", artifact_pid=parent), ent("out", artifact_pid=child)],
+            activities=[act(f"x{n}")],
+            relations=[rel("used", f"x{n}", "in"), rel("was-generated-by", "out", f"x{n}")],
+        )
+        uri, checksum, _ = store.store_document(document)
+        sources.append(DocumentSource(f"21.P/doc{n}", 1, uri, checksum, document))
+    artifacts = {pid for edge in edges for pid in edge}
+    return sources, ledger_view(*artifacts)
+
+
+def test_trace_soundness_fetches_each_attesting_document_once(tmp_path):
+    """Paths share hops: 6 diamonds give 64 paths of 12 hops over 24 edges."""
+    store = CountingStore(tmp_path / "store")
+    sources, view = stacked_diamond_sources(store, 6)
+    paths = trace_lineage("pid/t6", build_graph(sources, view))
+    assert len(paths) == 2 ** 6
+    verify_trace_soundness(paths, store)
+    assert sorted(store.fetches) == sorted((s.uri, s.checksum) for s in sources)
+
+    # A bad hop is still reported: cite one edge's document for another edge.
+    bad = paths[-1].steps[1]["attested_by"]
+    paths[-1].steps[1] = {**paths[-1].steps[1], "attested_by": {
+        **bad, "activity": "elsewhere"}}
+    with pytest.raises(UnknownPIDError):
+        verify_trace_soundness(paths, store)
+
+
 ARTIFACTS = [f"pid/{n}" for n in range(4)]
 
 

@@ -24,15 +24,28 @@ def registry(tmp_path):
     return PIDRegistry(tmp_path / "registry", "21.P")
 
 
-@pytest.fixture()
-def owner(tmp_path):
-    service = identity_mod.RegistrationService.create(
-        [("OrgA", "producer"), ("Readers", "consumer-read-only")],
-        ca_dir=tmp_path / "cas",
-        identities_dir=tmp_path / "ids",
-        keys_dir=tmp_path / "keys",
+def _service(root):
+    return identity_mod.RegistrationService.create(
+        [("OrgA", "producer"), ("OrgB", "producer"), ("Readers", "consumer-read-only")],
+        ca_dir=root / "cas",
+        identities_dir=root / "ids",
+        keys_dir=root / "keys",
     )
-    identity, key = service.register_user("OrgA", "alice")
+
+
+@pytest.fixture()
+def service(tmp_path):
+    return _service(tmp_path)
+
+
+@pytest.fixture()
+def orgs(service):
+    return service.organizations
+
+
+@pytest.fixture()
+def owner(service):
+    identity, _ = service.register_user("OrgA", "alice")
     return identity
 
 
@@ -77,49 +90,52 @@ def test_pid_parse():
     assert str(pid) == "21.P/000001"
 
 
-def test_link_builds_chain(registry, owner):
+def test_link_builds_chain(registry, owner, orgs):
     v1 = registry.mint("provenance-record", "cas://1", "c1", owner="alice")
     v2 = registry.mint("provenance-record", "cas://2", "c2", owner="alice")
-    registry.link_new_version(v1.pid, v2.pid, owner)
+    registry.link_new_version(v1.pid, v2.pid, owner, orgs)
     assert registry.resolve(v1.pid).successor == v2.pid
     assert registry.resolve(v2.pid).predecessor == v1.pid
     assert registry.resolve(v2.pid).version_number == 2
 
 
-def test_link_refuses_fork(registry, owner):
+def test_link_refuses_fork(registry, owner, orgs):
     v1 = registry.mint("provenance-record", "cas://1", "c1", owner="alice")
     v2 = registry.mint("provenance-record", "cas://2", "c2", owner="alice")
     v3 = registry.mint("provenance-record", "cas://3", "c3", owner="alice")
-    registry.link_new_version(v1.pid, v2.pid, owner)
+    registry.link_new_version(v1.pid, v2.pid, owner, orgs)
     with pytest.raises(SuccessorExistsError):
-        registry.link_new_version(v1.pid, v3.pid, owner)
+        registry.link_new_version(v1.pid, v3.pid, owner, orgs)
 
 
-def test_link_refuses_artifacts(registry, owner):
+def test_link_refuses_artifacts(registry, owner, orgs):
     artifact = registry.mint("artifact", "cas://a", "ca", owner="alice")
     v2 = registry.mint("provenance-record", "cas://2", "c2", owner="alice")
     with pytest.raises(KindMismatchError):
-        registry.link_new_version(artifact.pid, v2.pid, owner)
+        registry.link_new_version(artifact.pid, v2.pid, owner, orgs)
 
 
-def test_link_requires_ownership(registry, owner, tmp_path):
-    service = identity_mod.RegistrationService.create(
-        [("OrgB", "producer"), ("R", "consumer-read-only")],
-        ca_dir=tmp_path / "cas2", identities_dir=tmp_path / "ids2",
-        keys_dir=tmp_path / "keys2",
-    )
-    mallory, _ = service.register_user("OrgB", "mallory")
+def test_link_requires_ownership(registry, owner, service, orgs):
+    bob, _ = service.register_user("OrgB", "bob")
     v1 = registry.mint("provenance-record", "cas://1", "c1", owner="alice")
-    v2 = registry.mint("provenance-record", "cas://2", "c2", owner="mallory")
+    v2 = registry.mint("provenance-record", "cas://2", "c2", owner="bob")
     with pytest.raises(UnauthorizedError):
-        registry.link_new_version(v1.pid, v2.pid, mallory)
+        registry.link_new_version(v1.pid, v2.pid, bob, orgs)
+    # A read-only user may not link even a record minted in its name.
+    ruth, _ = service.register_user("Readers", "ruth")
+    r1 = registry.mint("provenance-record", "cas://3", "c3", owner="ruth")
+    r2 = registry.mint("provenance-record", "cas://4", "c4", owner="ruth")
+    with pytest.raises(UnauthorizedError):
+        registry.link_new_version(r1.pid, r2.pid, ruth, orgs)
+    assert registry.resolve(v1.pid).successor is None
+    assert registry.resolve(r1.pid).successor is None
 
 
-def test_version_history_from_any_member(registry, owner):
+def test_version_history_from_any_member(registry, owner, orgs):
     pids = [registry.mint("provenance-record", f"cas://{i}", f"c{i}", owner="alice").pid
             for i in range(3)]
-    registry.link_new_version(pids[0], pids[1], owner)
-    registry.link_new_version(pids[1], pids[2], owner)
+    registry.link_new_version(pids[0], pids[1], owner, orgs)
+    registry.link_new_version(pids[1], pids[2], owner, orgs)
     for member in pids:
         chain = registry.version_history(member)
         assert [r.pid for r in chain] == pids
@@ -131,12 +147,12 @@ def test_single_version_history(registry):
     assert [r.pid for r in registry.version_history(record.pid)] == [record.pid]
 
 
-def test_broken_chain_detected(registry, owner):
+def test_broken_chain_detected(registry, owner, orgs):
     v1 = registry.mint("provenance-record", "cas://1", "c1", owner="alice")
     v2 = registry.mint("provenance-record", "cas://2", "c2", owner="alice")
     v3 = registry.mint("provenance-record", "cas://3", "c3", owner="alice")
-    registry.link_new_version(v1.pid, v2.pid, owner)
-    registry.link_new_version(v2.pid, v3.pid, owner)
+    registry.link_new_version(v1.pid, v2.pid, owner, orgs)
+    registry.link_new_version(v2.pid, v3.pid, owner, orgs)
     # Delete the middle record file to simulate registry corruption.
     registry._record_path(PID.parse(v2.pid).suffix).unlink()
     with pytest.raises(BrokenChainError):
@@ -153,27 +169,27 @@ def test_registry_reopen_preserves_counter(tmp_path, owner):
     assert record.pid == "21.P/000002"
 
 
-def test_rollback_link_restores_state(registry, owner):
+def test_rollback_link_restores_state(registry, owner, orgs):
     v1 = registry.mint("provenance-record", "cas://1", "c1", owner="alice")
     before = registry.state_digest()
     v2 = registry.mint("provenance-record", "cas://2", "c2", owner="alice")
-    registry.link_new_version(v1.pid, v2.pid, owner)
+    registry.link_new_version(v1.pid, v2.pid, owner, orgs)
     registry.discard(v2.pid, owner)
     assert registry.state_digest() == before
     assert registry.resolve(v1.pid).successor is None
 
 
-def test_discard_never_lowers_the_suffix_counter(registry):
+def test_discard_never_lowers_the_suffix_counter(registry, owner):
     registry.mint("artifact", "cas://1", "c1", owner="alice")
     second = registry.mint("artifact", "cas://2", "c2", owner="alice")
-    registry.discard(second.pid, _OWNER_STUB)
+    registry.discard(second.pid, owner)
     third = registry.mint("artifact", "cas://3", "c3", owner="alice")
     assert third.pid == "21.P/000003"
 
 
-def test_discard_only_by_the_minter(registry):
+def test_discard_only_by_the_minter(registry, service):
     record = registry.mint("artifact", "cas://1", "c1", owner="alice")
-    stranger = identity_mod.Identity(user_id="bob", org="OrgA", public_key="", certificate="")
+    stranger, _ = service.register_user("OrgB", "bob")
     with pytest.raises(UnauthorizedError):
         registry.discard(record.pid, stranger)
     spoofed = registry.mint("artifact", "cas://2", "c2", owner="alice",
@@ -185,7 +201,7 @@ def test_discard_only_by_the_minter(registry):
 @pytest.mark.parametrize(
     "pid", ["21.P/../../planted", "21.P/..", "21.P/000001/../../../planted", "21.P/"]
 )
-def test_suffix_other_than_digits_never_becomes_a_path(registry, pid):
+def test_suffix_other_than_digits_never_becomes_a_path(registry, owner, pid):
     registry.mint("artifact", "cas://1", "c1", owner="alice")
     planted = registry.root.parent / "planted.json"
     planted.write_text(json.dumps(
@@ -194,7 +210,7 @@ def test_suffix_other_than_digits_never_becomes_a_path(registry, pid):
     with pytest.raises(UnknownPIDError):
         registry.resolve(pid)
     with pytest.raises(UnknownPIDError):
-        registry.discard(pid, _OWNER_STUB)
+        registry.discard(pid, owner)
     assert planted.exists()
 
 
@@ -202,6 +218,7 @@ def test_suffix_other_than_digits_never_becomes_a_path(registry, pid):
 @settings(max_examples=15, deadline=None)
 def test_chains_stay_linear(seed, tmp_path_factory):
     """Random mint/link sequences never produce forks or divergent histories."""
+    alice, orgs = _linear_owner(tmp_path_factory)
     rng = random.Random(seed)
     root = tmp_path_factory.mktemp("linear")
     registry = PIDRegistry(root / "registry", "21.P")
@@ -212,7 +229,7 @@ def test_chains_stay_linear(seed, tmp_path_factory):
             index = rng.randrange(len(heads))
             new = registry.mint("provenance-record", "cas://n", "cn", owner="alice")
             try:
-                registry.link_new_version(heads[index], new.pid, _OWNER_STUB)
+                registry.link_new_version(heads[index], new.pid, alice, orgs)
             except SuccessorExistsError:
                 continue
             heads[index] = new.pid
@@ -231,6 +248,12 @@ def test_chains_stay_linear(seed, tmp_path_factory):
         assert versions == list(range(1, len(versions) + 1))
 
 
-_OWNER_STUB = identity_mod.Identity(
-    user_id="alice", org="OrgA", public_key="", certificate=""
-)
+_LINEAR_OWNER: list = []
+
+
+def _linear_owner(tmp_path_factory):
+    """One registered owner and its federation's orgs, shared by all examples."""
+    if not _LINEAR_OWNER:
+        service = _service(tmp_path_factory.mktemp("linear-ids"))
+        _LINEAR_OWNER.extend([service.register_user("OrgA", "alice")[0], service.organizations])
+    return _LINEAR_OWNER

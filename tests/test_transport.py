@@ -189,3 +189,26 @@ def test_propose_answered_with_endorse_kind(tcp_fed, tcp_users):
     )
     assert response["kind"] == "ENDORSE"
     assert response["endorsement"]["org"] == org.name
+
+
+@pytest.mark.parametrize(
+    "kind, payload",
+    [
+        ("MINT", {"request": {"object_kind": "artifact"}, "signature": "00"}),
+        ("MINT", {"caller": "x", "request": {"object_kind": "artifact"}, "signature": "00"}),
+        ("MINT", {"caller": {"user-id": "a"}, "request": {"object_kind": "artifact"},
+                  "signature": "00"}),
+        ("PROPOSE", {"body": {"creator": "x"}}),
+        ("PROPOSE", {"body": []}),
+    ],
+    ids=["mint-no-caller", "mint-caller-string", "mint-caller-file-form",
+         "propose-creator-string", "propose-body-list"],
+)
+def test_malformed_identity_claim_refused_over_tcp(tcp_fed, kind, payload):
+    """A malformed claim is an authorization refusal, never an internal error."""
+    address = (tcp_fed.config.registry_address if kind == "MINT"
+               else tcp_fed.config.organizations[0].listen_address)
+    before = tcp_fed.system_digest()
+    with pytest.raises(UnauthorizedError):
+        TcpTransport(address)(kind, payload)
+    assert tcp_fed.system_digest() == before
