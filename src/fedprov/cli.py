@@ -6,7 +6,7 @@ transaction locally and talks to the organization nodes directly -- queries
 fail over across nodes, so a dead replica does not take the client down.
 
 Verbs
-    publish       hash + store a file, mint PIDs, commit create transactions
+    publish       hash + store a file, mint PIDs, commit one publish transaction
     update-prov   atomic provenance-record update (classify/store/mint/link/commit)
     verify        recompute checksums against the ledger, print version history
     invalidate    flag an artifact invalid; optionally cascade to descendants

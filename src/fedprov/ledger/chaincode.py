@@ -10,6 +10,14 @@ invalidated but never updated; provenance records can be created, read, and
 updated but never invalidated. "Deletion" does not exist -- invalidation
 retains the value and flips its status so referential integrity survives.
 
+``publish`` creates an artifact record and its provenance record in one
+transaction: its ``pid`` is the artifact PID, ``args`` carries the artifact's
+``uri``, ``checksum`` and ``owners`` plus ``provenance: {pid, uri, checksum}``.
+Both keys are read, so racing publishes that claim either PID are ordered by
+the read-set check, and both are written or neither is. ``create-artifact``
+and ``create-prov`` create one record each; older ledgers record every
+publish as that pair.
+
 ``flag-affected`` records an invalidation's consequences: its ``pid`` is the
 invalidated source and ``args.targets`` the artifacts derived from it. One
 transaction flags a whole cascade, so every status change lands in the same
@@ -33,6 +41,7 @@ from .values import (
 
 TX_CREATE_ARTIFACT = "create-artifact"
 TX_CREATE_PROV = "create-prov"
+TX_PUBLISH = "publish"
 TX_UPDATE_PROV = "update-prov"
 TX_INVALIDATE = "invalidate-artifact"
 TX_FLAG_AFFECTED = "flag-affected"
@@ -40,6 +49,7 @@ TX_FLAG_AFFECTED = "flag-affected"
 TX_KINDS = (
     TX_CREATE_ARTIFACT,
     TX_CREATE_PROV,
+    TX_PUBLISH,
     TX_UPDATE_PROV,
     TX_INVALIDATE,
     TX_FLAG_AFFECTED,
@@ -108,13 +118,26 @@ def simulate(
     pid = body.get("pid")
     args = body.get("args", {})
     timestamp = body.get("timestamp")
+    if not isinstance(pid, str) or kind not in TX_KINDS or not isinstance(args, Mapping):
+        return result
     caller = identity_mod.Identity.from_creator(body.get("creator", {}))
     permission = None
     if args.get("permission"):
-        permission = identity_mod.Permission.from_dict(args["permission"])
+        try:
+            permission = identity_mod.Permission.from_dict(args["permission"])
+        except (AttributeError, KeyError, TypeError):
+            return result
 
-    if not isinstance(pid, str) or kind not in TX_KINDS:
-        return result
+    def created(object_kind: str, uri, checksum) -> dict:
+        return LedgerValue(
+            uri=uri,
+            checksum=checksum,
+            version=1,
+            owners=tuple(args.get("owners") or [caller.user_id]),
+            timestamp=timestamp,
+            kind=object_kind,
+            status=STATUS_VALID,
+        ).to_dict()
 
     if kind in (TX_CREATE_ARTIFACT, TX_CREATE_PROV):
         if not identity_mod.may_write(caller, orgs):
@@ -123,17 +146,32 @@ def simulate(
         if read(pid) is not None:
             result.message = MSG_EXISTS
             return result
-        owners = tuple(args.get("owners") or [caller.user_id])
-        value = LedgerValue(
-            uri=args.get("uri", ""),
-            checksum=args.get("checksum", ""),
-            version=1,
-            owners=owners,
-            timestamp=timestamp,
-            kind=KIND_ARTIFACT if kind == TX_CREATE_ARTIFACT else KIND_PROVENANCE,
-            status=STATUS_VALID,
+        object_kind = KIND_ARTIFACT if kind == TX_CREATE_ARTIFACT else KIND_PROVENANCE
+        result.writes[pid] = created(object_kind, args.get("uri", ""), args.get("checksum", ""))
+        result.message = MSG_CREATED
+        return result
+
+    if kind == TX_PUBLISH:
+        provenance = args.get("provenance")
+        if (
+            not isinstance(provenance, Mapping)
+            or not all(isinstance(provenance.get(k), str) for k in ("pid", "uri", "checksum"))
+            or provenance["pid"] == pid
+        ):
+            return result
+        if not identity_mod.may_write(caller, orgs):
+            result.message = MSG_UNAUTHORIZED
+            return result
+        existing = [read(pid), read(provenance["pid"])]  # both in the read set
+        if any(value is not None for value in existing):
+            result.message = MSG_EXISTS
+            return result
+        result.writes[pid] = created(
+            KIND_ARTIFACT, args.get("uri", ""), args.get("checksum", "")
         )
-        result.writes[pid] = value.to_dict()
+        result.writes[provenance["pid"]] = created(
+            KIND_PROVENANCE, provenance["uri"], provenance["checksum"]
+        )
         result.message = MSG_CREATED
         return result
 

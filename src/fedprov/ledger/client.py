@@ -1,7 +1,13 @@
 """Client-side transaction flow: sign locally, gather endorsements from the
-organization nodes, check agreement and policy, then hand the envelope to
-the ordering service and wait for the commit receipt. Operations that must
-land together are all endorsed first and then sent in one ORDER request.
+producer organizations' nodes, check agreement and policy, then hand the
+envelope to the ordering service and wait for the commit receipt.
+
+Only a producer organization's endorsement can count toward a policy, so
+PROPOSE goes to producer nodes alone; the read-only organization's node
+still receives, validates and commits every block. What must land together
+is one transaction (``publish`` creates an artifact and its provenance
+record at once); ``order_all`` still sends several endorsed envelopes in
+one ORDER request.
 
 The client talks to nodes directly -- there is no proxy in the path -- so a
 single dead node degrades nothing that the remaining replicas can answer.
@@ -30,10 +36,11 @@ from .chaincode import (
     TX_CREATE_PROV,
     TX_FLAG_AFFECTED,
     TX_INVALIDATE,
+    TX_PUBLISH,
     TX_UPDATE_PROV,
     SimulationResult,
 )
-from .policy import policy_satisfied
+from .policy import policy_satisfied, producer_org_names
 from .values import LedgerValue
 
 STATUS_REJECTED = "REJECTED"
@@ -88,6 +95,35 @@ def create_operation(
     """The (kind, pid, args) of the create of an artifact or provenance record."""
     kind = TX_CREATE_ARTIFACT if object_kind == "artifact" else TX_CREATE_PROV
     return kind, pid, {"uri": uri, "checksum": checksum, "owners": owners}
+
+
+def publish_operation(
+    artifact_pid: str,
+    uri: str,
+    checksum: str,
+    owners: list[str],
+    prov_pid: str,
+    doc_uri: str,
+    doc_checksum: str,
+) -> tuple[str, str, dict]:
+    """The (kind, pid, args) of one transaction creating an artifact record
+    and its provenance record."""
+    provenance = {"pid": prov_pid, "uri": doc_uri, "checksum": doc_checksum}
+    args = {"uri": uri, "checksum": checksum, "owners": owners, "provenance": provenance}
+    return TX_PUBLISH, artifact_pid, args
+
+
+def update_operation(
+    pid: str,
+    new_uri: str,
+    new_checksum: str,
+    permission: identity_mod.Permission | None = None,
+) -> tuple[str, str, dict]:
+    """The (kind, pid, args) of a provenance record update."""
+    args = {"new_uri": new_uri, "new_checksum": new_checksum}
+    if permission is not None:
+        args["permission"] = permission.to_dict()
+    return TX_UPDATE_PROV, pid, args
 
 
 class LedgerClient:
@@ -148,23 +184,41 @@ class LedgerClient:
         return self.endorse(body, signature)
 
     def endorse(self, body: dict, signature: str) -> dict:
-        """Collect endorsements for a signed body; returns an order-ready envelope."""
+        """Collect endorsements for a signed body; returns an order-ready envelope.
+
+        PROPOSE goes only to the producer organizations' nodes, whose
+        endorsements alone can count toward the policy. A node that is
+        unreachable or refuses contributes nothing. If none endorses, a
+        refusal (a forged creator certificate, say) is raised as it came,
+        and ``TransportError`` only when some node could not be reached.
+        """
         proposal = {"body": body, "signature": signature}
+        producers = producer_org_names(self.orgs)
+        endorsers = {org: t for org, t in self.peers.items() if org in producers}
+        if not endorsers:
+            raise EndorsementPolicyUnmetError(
+                f"policy {self.endorsement_policy!r} unmet: no producer "
+                f"organization among the peers {sorted(self.peers)}"
+            )
         endorsements = []
         results: dict[str, dict] = {}
-        errors: dict[str, str] = {}
-        for org, transport in self.peers.items():
+        unreachable: dict[str, str] = {}
+        refused: FedprovError | None = None
+        for org, transport in endorsers.items():
             try:
                 response = transport("PROPOSE", proposal)
+            except TransportError as exc:
+                unreachable[org] = str(exc)
+                continue
             except FedprovError as exc:
-                # Unreachable peers and refused endorsements both just mean
-                # this org contributes nothing toward the policy.
-                errors[org] = str(exc)
+                refused = exc
                 continue
             endorsements.append(response["endorsement"])
             results[org] = response["result"]
         if not results:
-            raise TransportError(f"no endorsing peer reachable: {errors}")
+            if unreachable:
+                raise TransportError(f"no endorsing peer reachable: {unreachable}")
+            raise refused
 
         digests = {
             org: SimulationResult.from_dict(result).result_digest()
@@ -233,10 +287,9 @@ class LedgerClient:
         timestamp: str | None = None,
         permission: identity_mod.Permission | None = None,
     ) -> Receipt:
-        args = {"new_uri": new_uri, "new_checksum": new_checksum}
-        if permission is not None:
-            args["permission"] = permission.to_dict()
-        return self.submit(TX_UPDATE_PROV, pid, args, timestamp)
+        return self.submit(
+            *update_operation(pid, new_uri, new_checksum, permission), timestamp
+        )
 
     def hlf_invalidate(
         self,

@@ -175,6 +175,7 @@ class OrgNode:
                             "tx_id": tx.get("tx_id"),
                             "kind": tx.get("body", {}).get("kind"),
                             "height": block.height,
+                            "message": tx.get("result", {}).get("message"),
                             "value": writes[pid],
                             "timestamp": tx.get("body", {}).get("timestamp"),
                             "creator": tx.get("body", {}).get("creator", {}).get("user_id"),

@@ -163,8 +163,9 @@ class PIDRegistry:
 
         Both records are updated or neither. The old record must be the
         newest version (null successor) and both must be provenance records;
-        ``identity.check_auth`` must pass the caller for the old record,
-        whose minter is its one owner.
+        ``identity.check_auth`` must pass the caller for the chain's first
+        record, whose minter is the chain's one owner: the ledger keys the
+        chain by that PID and checks the same owner and grant.
         """
         with self._write_lock:
             old = self.resolve(old_pid)
@@ -177,9 +178,10 @@ class PIDRegistry:
                 )
             if new.predecessor is not None or new.successor is not None:
                 raise SuccessorExistsError(f"{new_pid} is already part of a chain")
-            owner = old.metadata.get("owner")
+            base = (self._follow(old, "predecessor", {old.pid}) or [old])[-1]
+            owner = base.metadata.get("owner")
             if not identity_mod.check_auth(
-                old.pid, identity_mod.CAP_UPDATE_PROVENANCE, caller,
+                base.pid, identity_mod.CAP_UPDATE_PROVENANCE, caller,
                 [owner] if owner else [], orgs, permission,
             ):
                 raise UnauthorizedError(

@@ -14,8 +14,10 @@ Mutating registry requests carry the caller's identity claim (the
 ``to_creator`` form a transaction's ``creator`` takes) and the caller's
 signature over the request. ``identity.authenticate`` checks both before
 anything else, as ``OrgNode.endorse`` does for a proposal, and refuses a
-malformed or unverified claim with ``UnauthorizedError``. MINT then requires
-``identity.may_write`` and LINK ``identity.check_auth`` on the old record.
+malformed or unverified claim with ``UnauthorizedError``. A request that is
+not an object, or lacks one of its string fields, is refused as a malformed
+request. MINT then requires ``identity.may_write`` and LINK
+``identity.check_auth`` on the version chain's first record.
 """
 
 from __future__ import annotations
@@ -71,6 +73,14 @@ class NodeService:
         raise FedprovError(f"unknown query op: {op!r}")
 
 
+# The string fields each mutating registry request must carry.
+_REQUEST_FIELDS = {
+    "MINT": ("object_kind",),
+    "LINK": ("old_pid", "new_pid"),
+    "UNLINK": ("new_pid",),
+}
+
+
 class RegistryService:
     def __init__(
         self,
@@ -87,7 +97,7 @@ class RegistryService:
         if kind == "HISTORY":
             chain = self.registry.version_history(payload["pid"])
             return {"ok": True, "records": [r.to_dict() for r in chain]}
-        if kind in ("MINT", "LINK", "UNLINK"):
+        if kind in _REQUEST_FIELDS:
             request = payload.get("request", {})
             caller = identity_mod.authenticate(
                 payload.get("caller"), payload.get("signature"), canonical_bytes(request),
@@ -97,6 +107,11 @@ class RegistryService:
         raise FedprovError(f"unknown message kind: {kind!r}")
 
     def _mutate(self, kind: str, request: dict, caller: identity_mod.Identity) -> dict:
+        if not isinstance(request, dict):
+            raise FedprovError(f"malformed request: {kind} request is not an object")
+        for name in _REQUEST_FIELDS[kind]:
+            if not isinstance(request.get(name), str):
+                raise FedprovError(f"malformed request: {kind} needs a string {name!r}")
         if kind == "MINT":
             if not identity_mod.may_write(caller, self.orgs):
                 raise UnauthorizedError(f"{caller.user_id!r} may not mint")
@@ -111,7 +126,10 @@ class RegistryService:
         if kind == "LINK":
             permission = None
             if request.get("permission"):
-                permission = identity_mod.Permission.from_dict(request["permission"])
+                try:
+                    permission = identity_mod.Permission.from_dict(request["permission"])
+                except (AttributeError, KeyError, TypeError):
+                    raise FedprovError("malformed request: LINK permission is not a grant")
             self.registry.link_new_version(
                 request["old_pid"],
                 request["new_pid"],
@@ -120,10 +138,8 @@ class RegistryService:
                 permission=permission,
             )
             return {"ok": True}
-        if kind == "UNLINK":
-            self.registry.discard(request["new_pid"], caller)
-            return {"ok": True}
-        raise FedprovError(f"unknown message kind: {kind!r}")
+        self.registry.discard(request["new_pid"], caller)  # UNLINK
+        return {"ok": True}
 
 
 class RegistryClient:

@@ -1,17 +1,24 @@
 """The write coordinator: every write that spans store, registry and ledger.
 
-Both writing verbs run here as a saga of local steps followed by the ledger
-commit. ``publish`` stores the file, mints its artifact PID, stores the
-provenance document and mints its PID, then commits both creates in one
-ordering round. ``update`` classifies the revision, stores the new document,
-mints a PID for the new version and links it into the version chain, then
-commits the ledger update. Each local step is appended to an intent journal
-as it completes and has one compensation -- discard the blob it created,
-discard the PID record it minted -- so a failure before the ledger commits
-rolls every prior step back and no partial state is observable, and
-``repair()`` does the same for a run that a crash cut short. The old
-version's blob and PID record are never touched, so historical versions
-stay resolvable and fetchable.
+Both writing verbs run here as a saga of local steps followed by one ledger
+transaction. ``publish`` stores the file, mints its artifact PID, stores the
+provenance document and mints its PID, then commits one ``publish``
+transaction that creates both ledger records. ``update`` classifies the
+revision, stores the new document, mints a PID for the new version and
+links it into the version chain, then commits the ledger update. Each local
+step is appended to an intent journal as it completes and has one
+compensation -- discard the blob it created, discard the PID record it
+minted -- so a failure before the ledger commits rolls every prior step
+back and no partial state is observable, and ``repair()`` does the same for
+a run that a crash cut short.
+
+The ledger write is journaled before it is sent, as the (key, version,
+checksum) the ledger holds once it commits. Whether it committed is then
+never guessed: before undoing anything, the rollback reads the ledger, and
+a run whose write committed is rolled forward and journaled ``commit``. A
+lost ORDER reply is settled the same way, and the verb returns the receipt
+read back from the ledger history. The old version's blob and PID record
+are never touched, so historical versions stay resolvable and fetchable.
 """
 
 from __future__ import annotations
@@ -28,10 +35,17 @@ from .errors import (
     InvalidDocumentError,
     KindMismatchError,
     SuccessorExistsError,
+    TransportError,
     UnauthorizedError,
     UnknownPIDError,
 )
-from .ledger.client import Receipt, create_operation, refusal, require_committed
+from .ledger.blocks import VALID
+from .ledger.client import (
+    Receipt,
+    publish_operation,
+    require_committed,
+    update_operation,
+)
 from .pid_registry import KIND_ARTIFACT, KIND_PROVENANCE
 from .prov import REL_GENERATED, ProvDocument, validate_document
 from .prov_store import ILLEGAL, ProvStore, classify_update
@@ -121,10 +135,8 @@ class AtomicUpdater:
         """Publish a file plus its provenance document; returns both PIDs.
 
         The entity standing for the file gets the artifact PID (see
-        ``_attach_artifact``). Both creates are endorsed before either is
-        ordered, then one ORDER round carries both. A failure rolls back
-        every blob and PID record this publish wrote, unless a create
-        committed: a partly committed publish is refused, not undone.
+        ``_attach_artifact``). One ledger transaction creates both records,
+        so a refused publish rolls back every blob and PID record it wrote.
         """
         violations = unresolvable_artifact_pids(doc, self.registry)
         if violations:
@@ -136,24 +148,18 @@ class AtomicUpdater:
             doc = _attach_artifact(doc, artifact_pid, artifact_checksum, entity_id)
             doc_uri, doc_checksum = self._stored(done, doc.canonical_bytes())
             prov_pid = self._minted(done, KIND_PROVENANCE, doc_uri, doc_checksum)
-            receipts = self._step_create([
-                create_operation(artifact_pid, artifact_uri, artifact_checksum, owners,
-                                 KIND_ARTIFACT),
-                create_operation(prov_pid, doc_uri, doc_checksum, owners, KIND_PROVENANCE),
-            ])
-            if not any(receipt.ok for receipt in receipts):
-                require_committed(receipts[0])  # nothing committed: roll back
-        # A create that committed is kept; the other's refusal is raised.
-        artifact_receipt, prov_receipt = map(require_committed, receipts)
+            operation = publish_operation(
+                artifact_pid, artifact_uri, artifact_checksum, owners,
+                prov_pid, doc_uri, doc_checksum,
+            )
+            receipt = self._ledger_write(done, operation, 1, artifact_checksum)
         return {
             "artifact_pid": artifact_pid,
             "prov_pid": prov_pid,
             "artifact_checksum": artifact_checksum,
             "doc_checksum": doc_checksum,
-            "receipts": {
-                "artifact": artifact_receipt.to_dict(),
-                "provenance": prov_receipt.to_dict(),
-            },
+            # One transaction created both records; each keeps its receipt key.
+            "receipts": {"artifact": receipt, "provenance": receipt},
         }
 
     def update(
@@ -169,9 +175,12 @@ class AtomicUpdater:
             raise SuccessorExistsError(
                 f"{old_pid} already superseded by {old_record['successor']}"
             )
-        owner = old_record.get("metadata", {}).get("owner")
+        # The ledger keys a version chain by its first PID, owned by its
+        # minter: that is what the chaincode checks, so check it here too.
+        base = self.registry.version_history(old_pid)[0]
+        owner = base.get("metadata", {}).get("owner")
         if not identity_mod.check_auth(
-            old_pid, identity_mod.CAP_UPDATE_PROVENANCE, caller,
+            base["pid"], identity_mod.CAP_UPDATE_PROVENANCE, caller,
             [owner] if owner else [], self.ledger.orgs, permission,
         ):
             raise UnauthorizedError(f"{caller.user_id!r} may not update {old_pid}")
@@ -190,14 +199,17 @@ class AtomicUpdater:
                 f"revision of {old_pid} removes or alters original content"
             )
 
-        ledger_pid = self._chain_base(old_pid)
         with self._journaled({"old_pid": old_pid}) as done:
             uri, checksum = self._stored(done, new_doc.canonical_bytes())
             new_pid = self._minted(done, KIND_PROVENANCE, uri, checksum)
             # Discarding the new record (the mint's compensation) also
             # clears this link, so the link needs no journal record.
             self._step_link(old_pid, new_pid, permission)
-            receipt = self._step_ledger(ledger_pid, uri, checksum, permission, timestamp)
+            # The ledger value's version follows the registry's version number.
+            operation = update_operation(base["pid"], uri, checksum, permission)
+            receipt = self._ledger_write(
+                done, operation, old_record["version_number"] + 1, checksum, timestamp
+            )
         return UpdateResult(
             old_pid=old_pid,
             new_pid=new_pid,
@@ -213,9 +225,9 @@ class AtomicUpdater:
     def _journaled(self, begin: dict):
         """Run the body's steps under one journal id; yields ``done(step, data)``.
 
-        ``done`` journals a completed step. If the body raises, every step it
-        completed is compensated, newest first, and the run is journaled
-        ``abort``; otherwise it is journaled ``commit``.
+        ``done`` journals a completed step. If the body raises, the run is
+        settled by ``_rollback`` and the error propagates; otherwise it is
+        journaled ``commit``.
         """
         update_id = uuid.uuid4().hex
         self.journal.record(update_id, "begin", begin)
@@ -228,8 +240,7 @@ class AtomicUpdater:
         try:
             yield done
         except Exception:
-            self._rollback(steps_done)
-            self.journal.record(update_id, "abort")
+            self.journal.record(update_id, self._rollback(steps_done))
             raise
         self.journal.record(update_id, "commit")
 
@@ -242,6 +253,30 @@ class AtomicUpdater:
         pid = self._step_mint(object_kind, uri, checksum)["pid"]
         done("mint", {"new_pid": pid})
         return pid
+
+    def _ledger_write(
+        self,
+        done,
+        operation: tuple[str, str, dict],
+        version: int,
+        checksum: str,
+        timestamp: str | None = None,
+    ) -> dict:
+        """Commit the run's one ledger transaction; its receipt.
+
+        The ledger key of *operation* holds *version* with *checksum* once
+        it commits, which is journaled first. A lost reply leaves that
+        unknown, so the ledger history settles it.
+        """
+        kind, pid, args = operation
+        done("ledger", {"pid": pid, "version": version, "checksum": checksum})
+        try:
+            return self._step_ledger(kind, pid, args, timestamp)
+        except TransportError:
+            entry = self._ledger_entry(pid, version, checksum)
+            if entry is None:
+                raise
+            return Receipt(entry["tx_id"], entry["height"], VALID, entry["message"]).to_dict()
 
     # -- protocol steps (one method per step so tests can inject failures) ---
 
@@ -258,56 +293,64 @@ class AtomicUpdater:
             old_pid, new_pid, permission.to_dict() if permission else None
         )
 
-    def _step_ledger(
-        self,
-        ledger_pid: str,
-        uri: str,
-        checksum: str,
-        permission: identity_mod.Permission | None,
-        timestamp: str | None,
-    ) -> dict:
-        receipt = self.ledger.hlf_update_prov(
-            ledger_pid, uri, checksum, timestamp=timestamp, permission=permission
-        )
-        return require_committed(receipt).to_dict()
-
-    def _step_create(self, creates: list[tuple[str, str, dict]]) -> list[Receipt]:
-        """Endorse every create, then order them all in one round.
-
-        If the chaincode refuses any create, none is ordered.
-        """
-        timestamp = clock.now_iso()
-        envelopes = [self.ledger.prepare(*create, timestamp) for create in creates]
-        for envelope in envelopes:
-            refused = refusal(envelope)
-            if refused is not None:
-                require_committed(refused)
-        return self.ledger.order_all(envelopes)
+    def _step_ledger(self, kind: str, pid: str, args: dict, timestamp: str | None) -> dict:
+        return require_committed(self.ledger.submit(kind, pid, args, timestamp)).to_dict()
 
     # -- rollback ---------------------------------------------------------------
 
-    def _rollback(self, steps_done: list[tuple[str, dict]]) -> None:
+    def _rollback(self, steps_done: list[tuple[str, dict]]) -> str:
+        """Settle an unfinished run; the journal event that ends it.
+
+        If the run's ledger write committed, nothing is undone and the run is
+        rolled forward (``commit``). Otherwise every completed step is
+        compensated, newest first (``abort``).
+        """
+        ledger_write = dict(steps_done).get("ledger")
+        if ledger_write is not None and self._committed(**ledger_write):
+            return "commit"
         for step, data in reversed(steps_done):
             if step == "mint":
                 self.registry.unlink(data["new_pid"])
             elif step == "store" and data["created"]:
                 # A blob that predates this run (created=False) is someone else's.
                 self.store.discard(data["checksum"])
+        return "abort"
 
     def repair(self) -> int:
-        """Roll back runs left incomplete by a crash; returns the count.
+        """Settle runs left incomplete by a crash; returns the count.
 
-        A run's PID records are discarded through UNLINK, which only the
-        identity that minted them may send: repair by any other identity
-        raises ``UnauthorizedError`` at that run, which stays pending, and
-        never silently deletes its records.
+        A run whose ledger write committed is rolled forward; any other is
+        rolled back. A run's PID records are discarded through UNLINK, which
+        only the identity that minted them may send: repair by any other
+        identity raises ``UnauthorizedError`` at that run, which stays
+        pending, and never silently deletes its records.
         """
-        rolled_back = 0
+        settled = 0
         for update_id, entries in self.journal.pending().items():
-            self._rollback([(e["event"], e["data"]) for e in entries])
-            self.journal.record(update_id, "abort", {"repair": True})
-            rolled_back += 1
-        return rolled_back
+            event = self._rollback([(e["event"], e["data"]) for e in entries])
+            self.journal.record(update_id, event, {"repair": True})
+            settled += 1
+        return settled
+
+    def _committed(self, pid: str, version: int, checksum: str) -> bool:
+        """True if the ledger value at *pid* reached *version* with *checksum*."""
+        value = self.ledger.hlf_read(pid)
+        if value is None or value.version < version:
+            return False
+        if value.version == version:
+            return value.checksum == checksum
+        return self._ledger_entry(pid, version, checksum) is not None
+
+    def _ledger_entry(self, pid: str, version: int, checksum: str) -> dict | None:
+        """The committed ledger history entry that wrote *version* with *checksum*."""
+        return next(
+            (
+                entry for entry in self.ledger.get_history(pid)
+                if entry["value"]["version"] == version
+                and entry["value"]["checksum"] == checksum
+            ),
+            None,
+        )
 
     # -- helpers -----------------------------------------------------------------
 
@@ -316,10 +359,6 @@ class AtomicUpdater:
         if record.get("object_kind") != KIND_PROVENANCE:
             raise KindMismatchError(f"{pid} is not a provenance record")
         return record
-
-    def _chain_base(self, pid: str) -> str:
-        history = self.registry.version_history(pid)
-        return history[0]["pid"]
 
 
 def _attach_artifact(

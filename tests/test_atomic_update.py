@@ -7,11 +7,12 @@ import dataclasses
 import pytest
 
 from conftest import register_default_users, simple_doc
-from fedprov import identity as identity_mod
+from fedprov import cli, identity as identity_mod
 from fedprov.errors import (
     IllegalUpdateError,
     LedgerRejectedError,
     SuccessorExistsError,
+    TransportError,
     UnauthorizedError,
     UnknownPIDError,
 )
@@ -220,7 +221,7 @@ def test_publish_happy_path(publisher):
 @pytest.mark.parametrize(
     "failing_step, call",
     [("_step_store", 1), ("_step_mint", 1), ("_step_store", 2), ("_step_mint", 2),
-     ("_step_create", 1)],
+     ("_step_ledger", 1)],
 )
 def test_publish_rollback_completeness_per_failure_point(
     publisher, failing_step, call, monkeypatch
@@ -248,7 +249,7 @@ def test_publish_rollback_completeness_per_failure_point(
 
 
 def _crash_publish(fed, users, monkeypatch, who="alice"):
-    """Publish as *who*, dying after both mints but before anything is ordered."""
+    """Publish as *who*, dying after both mints but before the ledger write."""
     updater = fed.client(users[who]["identity"], users[who]["key"]).updater()
 
     class Crash(RuntimeError):
@@ -257,7 +258,7 @@ def _crash_publish(fed, users, monkeypatch, who="alice"):
     def crash(*args, **kwargs):
         raise Crash("simulated process death")
 
-    monkeypatch.setattr(updater, "_step_create", crash)
+    monkeypatch.setattr(updater, "_step_ledger", crash)
     monkeypatch.setattr(updater, "_rollback", crash)
     with pytest.raises(Crash):
         updater.publish(b"a,b\n1,2\n", simple_doc(), users[who]["identity"])
@@ -292,25 +293,208 @@ def test_repair_by_non_owner_is_refused_and_deletes_no_record(publisher, monkeyp
     assert fed.system_digest() == before
 
 
-def test_partly_committed_publish_is_refused_not_undone(publisher, monkeypatch):
-    """If one create commits and the other does not, nothing is rolled back:
-    the committed artifact keeps its registry record and its blob."""
+def test_refused_publish_is_undone_whole(publisher, monkeypatch):
+    """One transaction creates both records: if it does not commit, neither
+    record reaches the ledger and every blob and PID the publish wrote is
+    rolled back."""
     fed, users, updater = publisher
-    real_order_all = updater.ledger.order_all
-    artifact_pid = None
+    before = fed.system_digest()
+    ordered = []
 
-    def artifact_only(envelopes):
-        nonlocal artifact_pid
-        artifact_pid = envelopes[0]["body"]["pid"]
-        refused = Receipt(envelopes[1]["tx_id"], None, "INVALID:read-write-conflict",
-                          "INVALID:read-write-conflict")
-        return real_order_all(envelopes[:1]) + [refused]
+    def conflicting(envelope):
+        ordered.append(envelope)
+        return Receipt(envelope["tx_id"], None, "INVALID:read-write-conflict",
+                       "INVALID:read-write-conflict")
 
-    monkeypatch.setattr(updater.ledger, "order_all", artifact_only)
+    monkeypatch.setattr(updater.ledger, "order", conflicting)
     with pytest.raises(LedgerRejectedError):
         updater.publish(b"a,b\n1,2\n", simple_doc(), users["alice"]["identity"])
-    value = users["alice"]["ledger"].hlf_read(artifact_pid)
-    record = fed.client().registry().resolve(artifact_pid)
-    assert record["checksum"] == value.checksum
-    fed.store.fetch_bytes(value.uri, value.checksum)
+    assert [envelope["body"]["kind"] for envelope in ordered] == ["publish"]
+    assert fed.system_digest() == before
     assert updater.journal.pending() == {}
+
+
+# -- an unknown outcome is settled by the ledger: a committed write stays -------
+
+
+class Crash(RuntimeError):
+    pass
+
+
+def _dying_at_commit(fed, user, monkeypatch):
+    """An updater whose process dies after the ledger commit, before the
+    journal's ``commit``: nothing after that point runs."""
+    updater = fed.client(user["identity"], user["key"]).updater()
+    real_record = updater.journal.record
+
+    def record(update_id, event, data=None):
+        if event == "commit":
+            raise Crash("simulated process death")
+        real_record(update_id, event, data)
+
+    def crash(*args, **kwargs):
+        raise Crash("simulated process death")
+
+    monkeypatch.setattr(updater.journal, "record", record)
+    monkeypatch.setattr(updater, "_rollback", crash)
+    return updater
+
+
+def _all_verified(fed):
+    ctx = fed.client()
+    for record in fed.registry.list_records():
+        assert cli.verify_pid(ctx, record.pid)["result"] == "VERIFIED", record.pid
+
+
+def _repaired_forward(fed, user) -> None:
+    recovery = fed.client(user["identity"], user["key"]).updater()
+    assert recovery.repair() == 1
+    assert recovery.journal.pending() == {}
+    assert recovery.journal.entries()[-1]["event"] == "commit"
+
+
+def test_repair_rolls_forward_a_publish_that_committed(publisher, monkeypatch):
+    fed, users, _ = publisher
+    alice = users["alice"]
+    with pytest.raises(Crash):
+        _dying_at_commit(fed, alice, monkeypatch).publish(
+            b"a,b\n1,2\n", simple_doc(), alice["identity"]
+        )
+    committed = fed.system_digest()
+    _repaired_forward(fed, alice)
+    assert fed.system_digest() == committed
+    assert len(fed.registry.list_records()) == 2
+    _all_verified(fed)
+
+
+def test_repair_rolls_forward_an_update_that_committed(published, monkeypatch):
+    fed, users, pid, doc = published
+    alice = users["alice"]
+    with pytest.raises(Crash):
+        _dying_at_commit(fed, alice, monkeypatch).update(
+            pid, enriched_copy(doc), alice["identity"]
+        )
+    committed = fed.system_digest()
+    _repaired_forward(fed, alice)
+    assert fed.system_digest() == committed
+    chain = fed.client().registry().version_history(pid)
+    assert [r["version_number"] for r in chain] == [1, 2]
+    assert alice["ledger"].hlf_read(pid).checksum == chain[1]["checksum"]
+    _all_verified(fed)
+
+
+def _order_reply_lost(updater, monkeypatch, delivered: bool):
+    """ORDER raises ``TransportError``, after (*delivered*) or before the commit."""
+    real_order = updater.ledger.order
+
+    def order(envelope):
+        if delivered:
+            real_order(envelope)
+        raise TransportError("connection closed mid-message")
+
+    monkeypatch.setattr(updater.ledger, "order", order)
+
+
+def test_lost_order_reply_after_commit_returns_the_publish(publisher, monkeypatch):
+    fed, users, updater = publisher
+    _order_reply_lost(updater, monkeypatch, delivered=True)
+    body = updater.publish(b"a,b\n1,2\n", simple_doc(), users["alice"]["identity"])
+    history = users["alice"]["ledger"].get_history(body["artifact_pid"])
+    for receipt in body["receipts"].values():
+        assert receipt["status"] == "VALID"
+        assert (receipt["tx_id"], receipt["height"]) == (history[0]["tx_id"],
+                                                         history[0]["height"])
+    assert updater.journal.pending() == {}
+    _all_verified(fed)
+
+
+def test_lost_order_reply_after_commit_returns_the_update(published, monkeypatch):
+    fed, users, pid, doc = published
+    updater = fed.client(users["alice"]["identity"], users["alice"]["key"]).updater()
+    _order_reply_lost(updater, monkeypatch, delivered=True)
+    result = updater.update(pid, enriched_copy(doc), users["alice"]["identity"])
+    assert result.receipt["status"] == "VALID"
+    assert users["alice"]["ledger"].hlf_read(pid).checksum == result.checksum
+    assert updater.journal.pending() == {}
+    _all_verified(fed)
+
+
+def test_lost_order_before_commit_rolls_the_publish_back(publisher, monkeypatch):
+    fed, users, updater = publisher
+    before = fed.system_digest()
+    _order_reply_lost(updater, monkeypatch, delivered=False)
+    with pytest.raises(TransportError):
+        updater.publish(b"a,b\n1,2\n", simple_doc(), users["alice"]["identity"])
+    assert fed.system_digest() == before
+    assert updater.journal.pending() == {}
+
+
+# -- a grant names the version chain's first PID, the ledger key -----------------
+
+
+def annotated(doc, key):
+    """*doc* with one more attribute on its first entity: an enrichment."""
+    first = doc.entities[0]
+    return doc.with_entity(
+        dataclasses.replace(first, attributes={**first.attributes, key: "yes"})
+    )
+
+
+def _document(fed, pid):
+    record = fed.client().registry().resolve(pid)
+    return fed.store.fetch_document(record["target_uri"], record["checksum"])
+
+
+@pytest.fixture()
+def second_version(publisher):
+    """Alice publishes (21.P/000001, 21.P/000002), then updates to 21.P/000003."""
+    fed, users, updater = publisher
+    alice = users["alice"]
+    body = updater.publish(b"a,b\n1,2\n", simple_doc(), alice["identity"])
+    assert (body["artifact_pid"], body["prov_pid"]) == ("21.P/000001", "21.P/000002")
+    v2 = updater.update("21.P/000002", annotated(_document(fed, "21.P/000002"), "one"),
+                        alice["identity"])
+    assert v2.new_pid == "21.P/000003"
+    return fed, users
+
+
+def test_grant_on_the_first_version_covers_every_version(second_version):
+    fed, users = second_version
+    alice, bob = users["alice"], users["bob"]
+    grant = identity_mod.grant_permission(
+        "21.P/000002", "bob", identity_mod.CAP_UPDATE_PROVENANCE,
+        alice["identity"], alice["key"],
+    )
+    bob_updater = fed.client(bob["identity"], bob["key"]).updater()
+    v3 = bob_updater.update("21.P/000003", annotated(_document(fed, "21.P/000003"), "two"),
+                            bob["identity"], permission=grant)
+    assert v3.receipt["status"] == "VALID"
+    # The chain stays alice's: bob needs the grant again, alice needs none.
+    before = fed.system_digest()
+    with pytest.raises(UnauthorizedError):
+        bob_updater.update(v3.new_pid, annotated(_document(fed, v3.new_pid), "three"),
+                           bob["identity"])
+    assert fed.system_digest() == before
+    alice_updater = fed.client(alice["identity"], alice["key"]).updater()
+    v4 = alice_updater.update(v3.new_pid, annotated(_document(fed, v3.new_pid), "four"),
+                              alice["identity"])
+    assert users["alice"]["ledger"].hlf_read("21.P/000002").version == 4
+    assert v4.receipt["status"] == "VALID"
+    _all_verified(fed)
+
+
+def test_grant_on_a_later_version_is_refused_before_any_write(second_version):
+    fed, users = second_version
+    alice, bob = users["alice"], users["bob"]
+    grant = identity_mod.grant_permission(
+        "21.P/000003", "bob", identity_mod.CAP_UPDATE_PROVENANCE,
+        alice["identity"], alice["key"],
+    )
+    bob_updater = fed.client(bob["identity"], bob["key"]).updater()
+    before = fed.system_digest()
+    journaled = len(bob_updater.journal.entries())
+    with pytest.raises(UnauthorizedError):
+        bob_updater.update("21.P/000003", annotated(_document(fed, "21.P/000003"), "two"),
+                           bob["identity"], permission=grant)
+    assert fed.system_digest() == before
+    assert len(bob_updater.journal.entries()) == journaled  # refused before the run began

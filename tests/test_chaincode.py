@@ -230,3 +230,83 @@ def test_flag_affected_malformed_targets_rejected(cascade, targets):
     assert receipt.message == chaincode.MSG_BAD_REQUEST
     assert receipt.status == STATUS_REJECTED
     assert fed.nodes["OrgA"].height() == height
+
+
+# -- publish: both records in one transaction -----------------------------------
+
+
+def _publish(ledger, artifact_pid, provenance):
+    return ledger.submit(
+        chaincode.TX_PUBLISH, artifact_pid,
+        {"uri": "cas://art", "checksum": "c-art", "owners": ["alice"],
+         "provenance": provenance},
+    )
+
+
+def test_publish_creates_both_records_in_one_transaction(ready):
+    fed, users = ready
+    alice = users["alice"]["ledger"]
+    receipt = _publish(alice, "21.P/a9", {"pid": "21.P/p9", "uri": "cas://doc",
+                                          "checksum": "c-doc"})
+    assert receipt.message == chaincode.MSG_CREATED
+    artifact, record = alice.hlf_read("21.P/a9"), alice.hlf_read("21.P/p9")
+    assert (artifact.kind, artifact.checksum) == (chaincode.KIND_ARTIFACT, "c-art")
+    assert (record.kind, record.uri, record.checksum) == (
+        chaincode.KIND_PROVENANCE, "cas://doc", "c-doc")
+    assert artifact.owners == record.owners == ("alice",)
+    assert artifact.timestamp == record.timestamp
+    assert artifact.version == record.version == 1
+    for pid in ("21.P/a9", "21.P/p9"):
+        assert [(h["kind"], h["tx_id"]) for h in alice.get_history(pid)] == [
+            ("publish", receipt.tx_id)]
+
+
+@pytest.mark.parametrize("taken", ["artifact", "provenance"])
+def test_publish_refused_if_either_record_exists(ready, taken):
+    fed, users = ready
+    height = fed.nodes["OrgA"].height()
+    artifact_pid = "21.P/a1" if taken == "artifact" else "21.P/a9"
+    prov_pid = "21.P/p1" if taken == "provenance" else "21.P/p9"
+    receipt = _publish(users["alice"]["ledger"], artifact_pid,
+                       {"pid": prov_pid, "uri": "cas://doc", "checksum": "c-doc"})
+    assert receipt.message == chaincode.MSG_EXISTS
+    assert receipt.status == STATUS_REJECTED
+    assert fed.nodes["OrgA"].height() == height
+
+
+@pytest.mark.parametrize(
+    "provenance",
+    [None, "21.P/p9", {"pid": "21.P/a9", "uri": "cas://d", "checksum": "cd"},
+     {"pid": "21.P/p9", "uri": "cas://d"}, {"pid": 9, "uri": "cas://d", "checksum": "cd"}],
+    ids=["missing", "string", "same-pid", "no-checksum", "non-string-pid"],
+)
+def test_publish_malformed_provenance_rejected(ready, provenance):
+    fed, users = ready
+    height = fed.nodes["OrgA"].height()
+    receipt = _publish(users["alice"]["ledger"], "21.P/a9", provenance)
+    assert receipt.message == chaincode.MSG_BAD_REQUEST
+    assert fed.nodes["OrgA"].height() == height
+
+
+def test_publish_consumer_rejected(ready):
+    fed, users = ready
+    receipt = _publish(users["ruth"]["ledger"], "21.P/a9",
+                       {"pid": "21.P/p9", "uri": "cas://d", "checksum": "cd"})
+    assert receipt.message == chaincode.MSG_UNAUTHORIZED
+
+
+@pytest.mark.parametrize("kind", chaincode.TX_KINDS)
+def test_args_that_are_not_an_object_are_a_bad_request(ready, kind):
+    fed, users = ready
+    receipt = users["alice"]["ledger"].submit(kind, "21.P/a1", ["not", "an", "object"])
+    assert receipt.message == chaincode.MSG_BAD_REQUEST
+    assert receipt.status == STATUS_REJECTED
+
+
+def test_malformed_grant_is_a_bad_request(ready):
+    fed, users = ready
+    receipt = users["bob"]["ledger"].submit(
+        chaincode.TX_UPDATE_PROV, "21.P/p1",
+        {"new_uri": "cas://x", "new_checksum": "cx", "permission": {"subject": "21.P/p1"}},
+    )
+    assert receipt.message == chaincode.MSG_BAD_REQUEST

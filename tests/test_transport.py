@@ -9,8 +9,10 @@ import threading
 import pytest
 
 from conftest import register_default_users
-from fedprov.errors import TransportError, UnauthorizedError, UnknownPIDError
+from fedprov.errors import FedprovError, TransportError, UnauthorizedError, UnknownPIDError
 from fedprov.harness import free_port
+from fedprov.ledger.chaincode import MSG_BAD_REQUEST
+from fedprov.ledger.client import STATUS_REJECTED
 from fedprov.services import RegistryClient
 from fedprov.transport import (
     MessageServer,
@@ -212,3 +214,38 @@ def test_malformed_identity_claim_refused_over_tcp(tcp_fed, kind, payload):
     with pytest.raises(UnauthorizedError):
         TcpTransport(address)(kind, payload)
     assert tcp_fed.system_digest() == before
+
+
+def _signed(user, request):
+    from fedprov import crypto
+    from fedprov.canonical import canonical_bytes
+
+    return {
+        "caller": user["identity"].to_creator(),
+        "request": request,
+        "signature": crypto.sign(user["key"], canonical_bytes(request)),
+    }
+
+
+@pytest.mark.parametrize(
+    "kind, request_body",
+    [("MINT", []), ("MINT", {}), ("MINT", {"object_kind": 7}), ("LINK", {"old_pid": "21.P/1"}),
+     ("LINK", {"old_pid": "21.P/1", "new_pid": "21.P/2", "permission": {"subject": "x"}}),
+     ("UNLINK", {"new_pid": ["21.P/1"]})],
+    ids=["mint-list", "mint-empty", "mint-non-string-kind", "link-no-new-pid",
+         "link-malformed-grant", "unlink-non-string-pid"],
+)
+def test_malformed_registry_request_named_over_tcp(tcp_fed, tcp_users, kind, request_body):
+    """A signed but malformed request is refused by name, not as an internal error."""
+    before = tcp_fed.system_digest()
+    with pytest.raises(FedprovError) as refused:
+        TcpTransport(tcp_fed.config.registry_address)(
+            kind, _signed(tcp_users["alice"], request_body)
+        )
+    assert str(refused.value).startswith("malformed request:")
+    assert tcp_fed.system_digest() == before
+
+
+def test_propose_with_list_args_is_a_bad_request_over_tcp(tcp_fed, tcp_users):
+    receipt = tcp_users["alice"]["ledger"].submit("publish", "21.P/k", [])
+    assert (receipt.status, receipt.message) == (STATUS_REJECTED, MSG_BAD_REQUEST)

@@ -18,7 +18,7 @@ import pytest
 
 from conftest import simple_doc
 from fedprov import cli, identity as identity_mod
-from fedprov.errors import LedgerRejectedError, TransportError, UnauthorizedError
+from fedprov.errors import LedgerRejectedError, UnauthorizedError
 from fedprov.harness import Federation
 from fedprov.ledger.chaincode import MSG_UNAUTHORIZED
 from fedprov.ledger.client import Receipt
@@ -167,11 +167,6 @@ def carried_out(attempt) -> bool:
         return False
     except LedgerRejectedError as exc:
         if exc.receipt is not None and exc.receipt["message"] == MSG_UNAUTHORIZED:
-            return False
-        raise
-    except TransportError as exc:
-        # Every peer refused to endorse: the creator's certificate is forged.
-        if "forged" in str(exc):
             return False
         raise
     if isinstance(outcome, Receipt):
