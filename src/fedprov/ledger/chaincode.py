@@ -16,7 +16,8 @@ transaction: its ``pid`` is the artifact PID, ``args`` carries the artifact's
 Both keys are read, so racing publishes that claim either PID are ordered by
 the read-set check, and both are written or neither is. ``create-artifact``
 and ``create-prov`` create one record each; older ledgers record every
-publish as that pair.
+publish as that pair. A create's ``owners`` is absent, making the caller the
+owner, or a non-empty list of user ids; anything else is malformed.
 
 ``flag-affected`` records an invalidation's consequences: its ``pid`` is the
 invalidated source and ``args.targets`` the artifacts derived from it. One
@@ -101,6 +102,18 @@ class SimulationResult:
         return digest(self.to_dict())
 
 
+def _owners_valid(args: Mapping) -> bool:
+    """A create's ``owners`` is absent (the caller owns it) or a non-empty list of user ids."""
+    if "owners" not in args:
+        return True
+    owners = args["owners"]
+    return (
+        isinstance(owners, list)
+        and bool(owners)
+        and all(isinstance(owner, str) for owner in owners)
+    )
+
+
 def simulate(
     body: Mapping,
     orgs: Mapping[str, identity_mod.Organization],
@@ -138,6 +151,9 @@ def simulate(
             kind=object_kind,
             status=STATUS_VALID,
         ).to_dict()
+
+    if kind in (TX_CREATE_ARTIFACT, TX_CREATE_PROV, TX_PUBLISH) and not _owners_valid(args):
+        return result
 
     if kind in (TX_CREATE_ARTIFACT, TX_CREATE_PROV):
         if not identity_mod.may_write(caller, orgs):

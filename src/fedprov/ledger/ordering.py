@@ -21,6 +21,7 @@ the orderer clock.
 
 from __future__ import annotations
 
+import logging
 import threading
 from typing import Mapping
 
@@ -29,6 +30,8 @@ from ..errors import FedprovError, LedgerRejectedError, TransportError
 from ..transport import Transport
 from . import blocks as blocks_mod
 from .blocks import make_block
+
+_log = logging.getLogger(__name__)
 
 
 class _Pending:
@@ -139,9 +142,10 @@ class OrderingService:
         for org, transport in self.peers.items():
             try:
                 response = transport("COMMIT", {"block": block.to_dict()})
-            except FedprovError:
+            except FedprovError as exc:
                 # Down, diverged or failing nodes miss this block; the
                 # remaining replicas keep the federation available.
+                _log.warning("%s missed block %d: %s", org, height, exc)
                 continue
             reachable += 1
             peer_flags = response.get("flags")

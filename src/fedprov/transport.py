@@ -4,11 +4,19 @@ Wire format: a 4-byte big-endian length followed by a UTF-8 JSON body.
 Requests are ``{"kind": <MESSAGE KIND>, "payload": {...}}``; responses are
 ``{"ok": true, ...payload}`` or ``{"ok": false, "error": {"type", "message"}}``.
 Application errors are re-raised client-side as the matching exception type.
+
+Connections persist: the requests of one process share a pool of idle
+connections per address (``ConnectionPool``), and a server answers any number
+of requests on one connection until the client or ``MessageServer.stop``
+closes it.
 """
 
 from __future__ import annotations
 
+import atexit
 import json
+import logging
+import select
 import socket
 import socketserver
 import struct
@@ -20,6 +28,9 @@ from .errors import FedprovError, TransportError
 
 _LENGTH = struct.Struct(">I")
 MAX_MESSAGE_BYTES = 64 * 1024 * 1024
+_FIRST_BUFFER = 1024 * 1024
+
+_log = logging.getLogger(__name__)
 
 Handler = Callable[[str, dict], dict]
 Transport = Callable[[str, dict], dict]
@@ -28,9 +39,13 @@ Transport = Callable[[str, dict], dict]
 TransportFactory = Callable[[str], Transport]
 
 
-def send_message(sock: socket.socket, obj: dict) -> None:
+def _frame(obj: dict) -> bytes:
     body = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    sock.sendall(_LENGTH.pack(len(body)) + body)
+    return _LENGTH.pack(len(body)) + body
+
+
+def send_message(sock: socket.socket, obj: dict) -> None:
+    sock.sendall(_frame(obj))
 
 
 def recv_message(sock: socket.socket) -> dict | None:
@@ -46,16 +61,23 @@ def recv_message(sock: socket.socket) -> dict | None:
     return json.loads(body.decode("utf-8"))
 
 
-def _recv_exact(sock: socket.socket, count: int) -> bytes | None:
-    chunks = b""
-    while len(chunks) < count:
-        chunk = sock.recv(count - len(chunks))
-        if not chunk:
-            if chunks:
+def _recv_exact(sock: socket.socket, count: int) -> bytearray | None:
+    # The buffer starts at no more than _FIRST_BUFFER bytes and doubles as it
+    # fills, so a peer that announces a huge message and sends nothing
+    # costs nothing.
+    buffer = bytearray(min(count, _FIRST_BUFFER))
+    received = 0
+    while received < count:
+        if received == len(buffer):
+            buffer.extend(bytes(min(received, count - received)))
+        with memoryview(buffer) as view:
+            n = sock.recv_into(view[received:])
+        if n == 0:
+            if received:
                 raise TransportError("connection closed mid-message")
             return None
-        chunks += chunk
-    return chunks
+        received += n
+    return buffer
 
 
 def parse_address(address: str) -> tuple[str, int]:
@@ -65,15 +87,132 @@ def parse_address(address: str) -> tuple[str, int]:
     return host, int(port)
 
 
-def request(address: str, kind: str, payload: dict, timeout: float = 10.0) -> dict:
-    """One-shot request/response; raises the peer's error as an exception."""
-    host, port = parse_address(address)
+def _stirred(socks: list[socket.socket]) -> list[socket.socket]:
+    """The sockets among *socks* with something to read now: EOF, a reset or
+    stray bytes. An idle connection should have none of these."""
+    poller = select.poll()
+    for sock in socks:
+        poller.register(sock, select.POLLIN)
+    ready = {fd for fd, _ in poller.poll(0)}
+    return [sock for sock in socks if sock.fileno() in ready]
+
+
+class ConnectionPool:
+    """Idle connections per (host, port), shared by the threads of a process.
+
+    A connection is checked out for one whole request and reply, so it is
+    never used by two requests at once. An idle connection on which anything
+    has arrived (its server closed or reset it, or sent bytes nobody asked
+    for) is closed, never reused. Connections to servers that have gone are
+    swept whenever a new connection is opened, so they do not pile up.
+    """
+
+    # Enough for the concurrent clients of one process; the surplus is closed
+    # rather than kept, since each idle connection holds a server thread.
+    MAX_IDLE_PER_ADDRESS = 8
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._idle: dict[tuple[str, int], list[socket.socket]] = {}
+
+    def checkout(self, key: tuple[str, int]) -> socket.socket | None:
+        """A live idle connection to *key*, or ``None``."""
+        with self._lock:
+            idle = self._idle.get(key, [])
+            while idle:
+                sock = idle.pop()
+                if not _stirred([sock]):
+                    return sock
+                sock.close()
+        return None
+
+    def connect(self, key: tuple[str, int], timeout: float) -> socket.socket:
+        self.sweep()
+        sock = socket.create_connection(key, timeout=timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return sock
+
+    def checkin(self, key: tuple[str, int], sock: socket.socket) -> None:
+        """Return a connection whose last reply was read whole."""
+        with self._lock:
+            idle = self._idle.setdefault(key, [])
+            if len(idle) < self.MAX_IDLE_PER_ADDRESS:
+                idle.append(sock)
+                return
+        sock.close()
+
+    def sweep(self) -> None:
+        """Close every idle connection that its server has closed or reset."""
+        with self._lock:
+            dead = set(_stirred([sock for socks in self._idle.values() for sock in socks]))
+            for key, socks in list(self._idle.items()):
+                socks[:] = [sock for sock in socks if sock not in dead]
+                if not socks:
+                    del self._idle[key]
+            for sock in dead:
+                sock.close()
+
+    def close(self) -> None:
+        with self._lock:
+            for socks in self._idle.values():
+                for sock in socks:
+                    sock.close()
+            self._idle.clear()
+
+
+_POOL = ConnectionPool()
+atexit.register(_POOL.close)
+
+
+def _send(key: tuple[str, int], frame: bytes, timeout: float) -> socket.socket:
+    """A connection to *key* on which *frame* has been sent whole."""
+    sock = _POOL.checkout(key)
+    if sock is not None:
+        try:
+            _send_on(sock, frame, timeout)
+            return sock
+        except OSError:
+            # The server cannot have read the whole request, so it is sent
+            # once more, on a new connection.
+            pass
+    sock = _POOL.connect(key, timeout)
+    _send_on(sock, frame, timeout)
+    return sock
+
+
+def _send_on(sock: socket.socket, frame: bytes, timeout: float) -> None:
+    """Send *frame* whole on *sock*, or close *sock* and raise."""
     try:
-        with socket.create_connection((host, port), timeout=timeout) as sock:
-            send_message(sock, {"kind": kind, "payload": payload})
-            response = recv_message(sock)
+        sock.settimeout(timeout)
+        sock.sendall(frame)
+    except BaseException:
+        sock.close()
+        raise
+
+
+def request(address: str, kind: str, payload: dict, timeout: float = 10.0) -> dict:
+    """One request and its reply; raises the peer's error as an exception.
+
+    The request goes over a pooled connection when there is one. It is sent
+    a second time only when sending it on a reused connection failed; once
+    it has left whole, any failure is a ``TransportError``, since the server
+    may have acted on it.
+    """
+    key = parse_address(address)
+    try:
+        sock = _send(key, _frame({"kind": kind, "payload": payload}), timeout)
     except (OSError, ValueError) as exc:
         raise TransportError(f"cannot reach {address}: {exc}") from exc
+    response = None
+    try:
+        response = recv_message(sock)
+    except (OSError, ValueError) as exc:
+        raise TransportError(f"cannot reach {address}: {exc}") from exc
+    finally:
+        if response is None:
+            sock.close()
+        else:
+            _POOL.checkin(key, sock)
     if response is None:
         raise TransportError(f"{address} closed the connection")
     if response.get("ok"):
@@ -122,28 +261,46 @@ class DirectTransport:
 
 
 class MessageServer:
-    """Threaded TCP server dispatching framed requests to a handler."""
+    """Threaded TCP server dispatching framed requests to a handler.
+
+    Each connection has its own thread, which answers requests on it until
+    the client closes it or the server stops.
+    """
 
     def __init__(self, address: str, handler: Handler):
         self.handler = handler
         host, port = parse_address(address)
+        self._lock = threading.Lock()
+        self._connections: dict[socket.socket, threading.Thread] = {}
+        self._stopping = False
         outer = self
 
         class _RequestHandler(socketserver.BaseRequestHandler):
             def handle(self) -> None:
+                if not outer._track(self.request):
+                    return
                 try:
+                    self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                     while True:
                         message = recv_message(self.request)
                         if message is None:
                             return
                         response = outer._dispatch(message)
                         send_message(self.request, response)
+                        # Waiting for the next request, hold nothing of this one.
+                        del message, response
                 except (TransportError, OSError, ValueError):
                     return
+                finally:
+                    with outer._lock:
+                        outer._connections.pop(self.request, None)
 
         class _Server(socketserver.ThreadingTCPServer):
             allow_reuse_address = True
             daemon_threads = True
+            # socketserver's default backlog of 5 drops connection attempts
+            # from a burst of clients, which then retry only after a second.
+            request_queue_size = 128
 
         try:
             self._server = _Server((host, port), _RequestHandler)
@@ -156,6 +313,14 @@ class MessageServer:
             daemon=True,
         )
 
+    def _track(self, sock: socket.socket) -> bool:
+        """Record a new connection; ``False`` once the server is stopping."""
+        with self._lock:
+            if self._stopping:
+                return False
+            self._connections[sock] = threading.current_thread()
+        return True
+
     def _dispatch(self, message: dict) -> dict:
         kind = message.get("kind", "")
         payload = message.get("payload", {})
@@ -164,6 +329,7 @@ class MessageServer:
         except FedprovError as exc:
             return error_response(exc)
         except Exception as exc:  # defensive: never kill the connection loop
+            _log.exception("internal error answering %s", kind)
             return error_response(FedprovError(f"internal error: {exc}"))
 
     def start(self) -> "MessageServer":
@@ -171,5 +337,22 @@ class MessageServer:
         return self
 
     def stop(self) -> None:
+        """Stop accepting, then end every connection, idle pooled ones too.
+
+        A request already being handled still gets its reply; nothing more is
+        read. On return the connections are closed, so no client can reach
+        this server through a pooled connection, even once another server
+        binds the same port.
+        """
         self._server.shutdown()
         self._server.server_close()
+        with self._lock:
+            self._stopping = True
+            connections = dict(self._connections)
+        for sock in connections:
+            try:
+                sock.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass
+        for thread in connections.values():
+            thread.join(timeout=2)

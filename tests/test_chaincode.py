@@ -310,3 +310,36 @@ def test_malformed_grant_is_a_bad_request(ready):
         {"new_uri": "cas://x", "new_checksum": "cx", "permission": {"subject": "21.P/p1"}},
     )
     assert receipt.message == chaincode.MSG_BAD_REQUEST
+
+
+# -- owners of a new record ------------------------------------------------------
+
+_CREATES = (chaincode.TX_CREATE_ARTIFACT, chaincode.TX_CREATE_PROV, chaincode.TX_PUBLISH)
+
+
+def _create_args(kind, **extra):
+    args = {"uri": "cas://n", "checksum": "c-n", **extra}
+    if kind == chaincode.TX_PUBLISH:
+        args["provenance"] = {"pid": "21.P/p9", "uri": "cas://doc", "checksum": "c-doc"}
+    return args
+
+
+@pytest.mark.parametrize("kind", _CREATES)
+@pytest.mark.parametrize("owners", ["alice", [1, 2], [], None],
+                         ids=["string", "non-strings", "empty", "null"])
+def test_malformed_owners_are_a_bad_request(ready, kind, owners):
+    """A string would commit as one owner per character, locking its owner out."""
+    fed, users = ready
+    height = fed.nodes["OrgA"].height()
+    receipt = users["alice"]["ledger"].submit(kind, "21.P/a9", _create_args(kind, owners=owners))
+    assert (receipt.status, receipt.message) == (STATUS_REJECTED, chaincode.MSG_BAD_REQUEST)
+    assert fed.nodes["OrgA"].height() == height
+
+
+@pytest.mark.parametrize("kind", _CREATES)
+def test_absent_owners_make_the_caller_owner(ready, kind):
+    fed, users = ready
+    alice = users["alice"]["ledger"]
+    receipt = alice.submit(kind, "21.P/a9", _create_args(kind))
+    assert receipt.message == chaincode.MSG_CREATED
+    assert alice.hlf_read("21.P/a9").owners == ("alice",)

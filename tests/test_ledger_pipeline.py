@@ -510,6 +510,23 @@ def test_orderer_survives_peer_failing_with_plain_error(fed, users):
     assert after.status == "VALID"
 
 
+def test_orderer_logs_the_peer_that_missed_a_block(fed, users, caplog):
+    from fedprov.errors import TransportError
+
+    def unreachable(kind, payload):
+        raise TransportError("cannot reach 127.0.0.1:9: refused")
+
+    fed.orderer.peers["OrgB"] = unreachable
+    height = fed.nodes["OrgA"].height()
+    with caplog.at_level("WARNING", logger="fedprov.ledger.ordering"):
+        receipt = _bounded(lambda: users["alice"]["ledger"].hlf_create(
+            "21.P/a", "cas://a", "ca", ["alice"], "artifact"))
+    assert receipt.status == "VALID"
+    [record] = [r for r in caplog.records if r.name == "fedprov.ledger.ordering"]
+    assert record.levelname == "WARNING"
+    assert record.getMessage() == (
+        f"OrgB missed block {height + 1}: cannot reach 127.0.0.1:9: refused")
+
 def _block_of(fed, envelope):
     """*envelope* as the next block, the way the orderer would cut it."""
     from fedprov.ledger.blocks import make_block

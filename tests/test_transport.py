@@ -1,16 +1,21 @@
-"""Wire framing and the registry service surface over TCP."""
+"""Wire framing, pooled connections and the registry service surface over TCP."""
 
 from __future__ import annotations
 
+import logging
+import os
 import socket
 import struct
 import threading
+import time
+from contextlib import contextmanager
 
 import pytest
 
 from conftest import register_default_users
+from fedprov import transport
 from fedprov.errors import FedprovError, TransportError, UnauthorizedError, UnknownPIDError
-from fedprov.harness import free_port
+from fedprov.harness import Federation, free_port
 from fedprov.ledger.chaincode import MSG_BAD_REQUEST
 from fedprov.ledger.client import STATUS_REJECTED
 from fedprov.services import RegistryClient
@@ -101,6 +106,259 @@ def test_concurrent_requests_served():
         assert sorted(results) == list(range(8))
     finally:
         server.stop()
+
+
+@contextmanager
+def serving(handler, address=None):
+    """A started ``MessageServer``'s address; the server stops on exit."""
+    server = MessageServer(address or f"127.0.0.1:{free_port()}", handler).start()
+    try:
+        yield server.address
+    finally:
+        server.stop()
+
+
+def test_multi_megabyte_round_trip():
+    with serving(lambda kind, payload: {"ok": True, "echo": payload}) as address:
+        blob = "x" * (6 * 1024 * 1024) + "é"
+        assert request(address, "ECHO", {"blob": blob})["echo"] == {"blob": blob}
+
+
+def test_frame_sent_one_byte_at_a_time():
+    with serving(lambda kind, payload: {"ok": True, "kind": kind}) as address:
+        with socket.create_connection(parse_address(address), timeout=5) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            body = b'{"kind":"SLOW","payload":{}}'
+            for byte in struct.pack(">I", len(body)) + body:
+                sock.sendall(bytes([byte]))
+                time.sleep(0.001)
+            assert recv_message(sock) == {"ok": True, "kind": "SLOW"}
+
+
+def test_announced_size_is_not_allocated_up_front():
+    """A peer that announces the largest message and sends little costs little."""
+    class Recording:
+        def __init__(self, sock):
+            self.sock, self.sizes = sock, []
+
+        def recv_into(self, view):
+            self.sizes.append(len(view))
+            return self.sock.recv_into(view)
+
+    ours, theirs = socket.socketpair()
+    try:
+        theirs.sendall(struct.pack(">I", transport.MAX_MESSAGE_BYTES) + b"{}")
+        theirs.close()
+        recording = Recording(ours)
+        with pytest.raises(TransportError, match="mid-message"):
+            recv_message(recording)
+        assert max(recording.sizes) <= 1024 * 1024
+    finally:
+        ours.close()
+        theirs.close()
+
+
+def test_burst_of_clients_all_answered():
+    """32 clients connecting at once all get in at the first attempt."""
+    def handler(kind, payload):
+        time.sleep(0.01)
+        return {"ok": True, "n": payload["n"]}
+
+    start = threading.Barrier(32)
+    answered, failed = [], []
+
+    def call(address, n):
+        start.wait(timeout=10)
+        try:
+            # A connection attempt dropped from a full listen queue is retried
+            # only after a second, so it would time out here.
+            answered.append(request(address, "X", {"n": n}, timeout=1.0)["n"])
+        except TransportError as exc:
+            failed.append(exc)
+
+    with serving(handler) as address:
+        threads = [threading.Thread(target=call, args=(address, i)) for i in range(32)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failed == []
+    assert sorted(answered) == list(range(32))
+
+
+def test_internal_error_is_logged_with_its_traceback(caplog):
+    def handler(kind, payload):
+        raise KeyError("boom")
+
+    with serving(handler) as address, caplog.at_level(logging.ERROR, logger="fedprov.transport"):
+        with pytest.raises(FedprovError, match="internal error"):
+            request(address, "QUERY", {})
+    [record] = [r for r in caplog.records if r.name == "fedprov.transport"]
+    assert record.levelname == "ERROR"
+    assert "QUERY" in record.getMessage()
+    assert record.exc_info[0] is KeyError
+
+
+def test_answered_requests_log_nothing(caplog):
+    def handler(kind, payload):
+        if kind == "MISSING":
+            raise UnknownPIDError("no such pid")
+        return {"ok": True}
+
+    with serving(handler) as address, caplog.at_level(logging.DEBUG, logger="fedprov"):
+        request(address, "QUERY", {})
+        with pytest.raises(UnknownPIDError):
+            request(address, "MISSING", {})
+    assert caplog.records == []
+
+
+# -- pooled connections -----------------------------------------------------------
+
+
+@contextmanager
+def bare_server(answer, per_connection=None):
+    """A TCP server without ``MessageServer``, taking one connection at a time.
+
+    ``answer(message)`` gives the reply, or ``None`` to close the connection
+    unanswered; a connection is also closed after *per_connection* replies.
+    Yields the address, the ``(connection number, kind)`` of every request
+    read whole, and an event set each time a connection has been closed.
+    """
+    listener = socket.create_server(("127.0.0.1", 0))
+    seen: list[tuple[int, str]] = []
+    closed = threading.Event()
+    accepted: list[socket.socket] = []
+
+    def serve():
+        number = 0
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                return
+            accepted.append(conn)
+            with conn:
+                replies = 0
+                while replies != per_connection:
+                    message = recv_message(conn)
+                    if message is None:
+                        break
+                    seen.append((number, message["kind"]))
+                    reply = answer(message)
+                    if reply is None:
+                        break
+                    send_message(conn, reply)
+                    replies += 1
+            closed.set()
+            number += 1
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield f"127.0.0.1:{listener.getsockname()[1]}", seen, closed
+    finally:
+        for sock in (listener, *accepted):
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        thread.join(timeout=5)
+        listener.close()
+        assert not thread.is_alive()
+
+
+def test_pooled_connection_reused():
+    with bare_server(lambda message: {"ok": True}) as (address, seen, _):
+        for kind in ("A", "B", "C"):
+            request(address, kind, {})
+        assert seen == [(0, "A"), (0, "B"), (0, "C")]
+
+
+def test_new_server_on_the_same_port_answers():
+    """A stopped server's pooled connection is never used to reach its successor."""
+    address = f"127.0.0.1:{free_port()}"
+    for name in ("first", "second"):
+        with serving(lambda k, p: {"ok": True, "server": name}, address):
+            assert request(address, "WHO", {})["server"] == name
+
+
+def test_stopped_server_refuses_pooled_requests():
+    with serving(lambda k, p: {"ok": True}) as address:
+        request(address, "PING", {})
+    with pytest.raises(TransportError):
+        request(address, "PING", {}, timeout=1.0)
+
+
+def test_idle_connection_closed_by_server_is_replaced():
+    with bare_server(lambda message: {"ok": True}, per_connection=1) as (address, seen, closed):
+        request(address, "A", {})
+        assert closed.wait(timeout=5)
+        request(address, "B", {})
+        assert seen == [(0, "A"), (1, "B")]
+
+
+def test_no_resend_once_the_request_has_left():
+    """The server read the whole request, then dropped the connection: its
+    outcome is unknown, so the request fails and is not sent again."""
+    def answer(message):
+        return {"ok": True} if message["kind"] == "FIRST" else None
+
+    with bare_server(answer) as (address, seen, _):
+        request(address, "FIRST", {})
+        with pytest.raises(TransportError):
+            request(address, "SECOND", {})
+        assert seen == [(0, "FIRST"), (0, "SECOND")]
+
+
+def test_resend_when_sending_on_a_reused_connection_fails():
+    """A reused connection that cannot take the request (here, one whose
+    sending side is shut) is replaced and the request sent once, afresh."""
+    handled = []
+    broken, peer = socket.socketpair()
+    with serving(lambda k, p: handled.append(k) or {"ok": True}) as address:
+        try:
+            broken.shutdown(socket.SHUT_WR)
+            transport._POOL.checkin(parse_address(address), broken)
+            request(address, "ONCE", {})
+            assert handled == ["ONCE"]
+            assert broken.fileno() == -1
+        finally:
+            peer.close()
+            broken.close()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_federations_started_and_stopped_leave_no_sockets(tmp_path):
+    def open_fds():
+        return os.listdir("/proc/self/fd")
+
+    def run(n):
+        """Start a TCP federation, write through it, stop it; the sockets it had."""
+        federation = Federation.bootstrap(tmp_path / f"fed{n}", use_tcp=True)
+        try:
+            alice = register_default_users(federation)["alice"]
+            assert alice["ledger"].hlf_create(
+                f"21.P/{n}", "cas://x", "cx", ["alice"], "artifact").ok
+            alice["registry"].mint("artifact", "cas://x", "cx")
+            return sum(_is_socket(fd) for fd in open_fds())
+        finally:
+            federation.stop()
+
+    transport._POOL.sweep()
+    start = len(open_fds())
+    sockets = run(0)
+    assert sockets > 0
+    for n in range(1, 20):
+        run(n)
+    assert len(open_fds()) <= start + sockets
+
+
+def _is_socket(fd):
+    try:
+        return os.readlink(f"/proc/self/fd/{fd}").startswith("socket:")
+    except OSError:
+        return False
 
 
 # -- registry service over the wire ---------------------------------------------
