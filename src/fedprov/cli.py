@@ -7,7 +7,7 @@ fail over across nodes, so a dead replica does not take the client down.
 
 Verbs
     publish       hash + store a file, mint PIDs, commit one publish transaction
-    update-prov   atomic provenance-record update (classify/store/mint/link/commit)
+    update-prov   atomic provenance-record update (classify/store/mint/commit)
     verify        recompute checksums against the ledger, print version history
     invalidate    flag an artifact invalid; optionally cascade to descendants
     trace         lineage paths with checksum-verified attesting documents
@@ -40,6 +40,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from . import __version__, identity as identity_mod
 from .errors import (
@@ -76,7 +77,6 @@ from .lineage import (
     trace_lineage,
     verify_trace_soundness,
 )
-from .pid_registry import KIND_PROVENANCE
 from .prov import ProvDocument, require_valid
 from .prov_store import ProvStore
 from .services import RegistryClient, assemble_org, serve, shut_down
@@ -210,10 +210,10 @@ class ClientContext:
             journal_path=self.config.base_dir / "journal" / "updates.jsonl",
         )
 
-    def owner_org(self, user_id: str) -> str:
+    def owner_orgs(self) -> Callable[[str], str]:
+        """Each user's organization, from one read of the identity directory."""
         directory = identity_mod.load_identity_directory(self.config.identities_dir)
-        identity = directory.get(user_id)
-        return identity.org if identity else "unknown"
+        return lambda user_id: directory[user_id].org if user_id in directory else "unknown"
 
 
 # ---------------------------------------------------------------------------
@@ -249,30 +249,20 @@ def verify_pid(ctx: ClientContext, pid: str) -> dict:
     ledger = ctx.ledger()
     store = ctx.store()
 
-    record = registry.resolve(pid)
     chain = registry.version_history(pid)
-    if record["object_kind"] == KIND_PROVENANCE:
-        ledger_pid = chain[0]["pid"]
-        wanted_version = record["version_number"]
-    else:
-        ledger_pid = pid
-        wanted_version = None
-
-    value = ledger.hlf_read(ledger_pid)
-    if value is None:
-        raise UnknownPIDError(f"{pid} has no committed ledger record")
-    history = ledger.get_history(ledger_pid)
-
-    if wanted_version is None:
-        attested_uri, attested_checksum = value.uri, value.checksum
-    else:
-        entry = next(
-            (h for h in history if h["value"]["version"] == wanted_version), None
-        )
-        if entry is None:
-            raise UnknownPIDError(f"version {wanted_version} of {pid} not on ledger")
-        attested_uri = entry["value"]["uri"]
-        attested_checksum = entry["value"]["checksum"]
+    record = next(r for r in chain if r["pid"] == pid)
+    # The ledger keeps a version chain under its first PID (an artifact's
+    # chain is the artifact alone), and its current value is the last
+    # history entry, so value and history are read at one moment.
+    history = ledger.get_history(chain[0]["pid"])
+    version = record["version_number"]
+    attested = next(
+        (h["value"] for h in reversed(history) if h["value"]["version"] == version), None
+    )
+    if attested is None:
+        raise UnknownPIDError(f"version {version} of {pid} has no committed ledger record")
+    attested_uri, attested_checksum = attested["uri"], attested["checksum"]
+    value = history[-1]["value"]
 
     mismatches = []
     if record["checksum"] and record["checksum"] != attested_checksum:
@@ -286,8 +276,8 @@ def verify_pid(ctx: ClientContext, pid: str) -> dict:
         "pid": pid,
         "result": "VERIFIED" if not mismatches else "MISMATCH",
         "mismatches": mismatches,
-        "status": value.status,
-        "ledger_version": value.version,
+        "status": value["status"],
+        "ledger_version": value["version"],
         "version_history": chain,
         "ledger_history": [
             {
@@ -329,7 +319,7 @@ def invalidate_artifact(
             graph,
             ledger=ledger,
             outbox_dir=ctx.config.outbox_dir,
-            owner_org=ctx.owner_org,
+            owner_org=ctx.owner_orgs(),
         )
         body["affected"] = [{"pid": p, "status": s} for p, s in flagged]
     return body

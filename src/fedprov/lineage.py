@@ -363,7 +363,8 @@ def invalidate_cascade(
 ) -> list[tuple[str, str]]:
     """Flag every artifact derived from an invalidated *pid* as affected.
 
-    The source must already be invalidated on the ledger (the cascade never
+    The source must already be invalidated in *graph*, which is built from
+    a ledger view taken after the invalidation committed (the cascade never
     invalidates anything itself -- only owners do that). The descendants
     still valid on the ledger are flagged by one ``flag-affected``
     transaction, so consumers querying only the ledger see the whole cascade
@@ -375,11 +376,11 @@ def invalidate_cascade(
     per owner of a flagged artifact appended to that owner organization's
     outbox.
     """
-    current = ledger.hlf_read(pid)
-    if current is None:
+    status = graph.nodes.get(pid)
+    if status is None:
         raise UnknownPIDError(f"not on ledger: {pid!r}")
-    if current.status != STATUS_INVALIDATED:
-        raise NotInvalidatedError(f"{pid} is still {current.status} on the ledger")
+    if status != STATUS_INVALIDATED:
+        raise NotInvalidatedError(f"{pid} is still {status} on the ledger")
 
     targets = sorted(cascade_targets(pid, graph))
     for attempt in range(1, FLAG_ATTEMPTS + 1):

@@ -2,17 +2,18 @@
 
 One registry serves a federation under a single prefix. Records persist as
 one JSON file per suffix under the registry root, so the registry can be
-reopened from disk at any time. The suffix counter is seeded once at open
-from the highest suffix on disk and only ever rises, so while the registry
-is open a suffix whose record was discarded is never handed out again.
-Mint, link and discard are serialized through a single writer lock;
-resolution is read-only. Only a suffix of ASCII digits ever becomes a file
-path.
+reopened from disk at any time. The suffix counter only ever rises: it is
+seeded at open from the highest suffix on disk or the high-water mark that
+``discard`` persists, whichever is higher, so a suffix whose record was
+discarded is never handed out again, not even after a restart. Mint and
+discard are serialized through a single writer lock; resolution is
+read-only. Only a suffix of ASCII digits ever becomes a file path.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import threading
 from dataclasses import dataclass, field, replace
@@ -106,9 +107,14 @@ class PIDRegistry:
             self.records_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise RegistryUnavailableError(f"cannot open registry at {root}: {exc}") from exc
+        self._high_water_path = self.root / "high_water"
+        try:
+            high_water = int(self._high_water_path.read_text(encoding="utf-8"))
+        except FileNotFoundError:  # nothing was ever discarded
+            high_water = 0
         stems = (path.stem for path in self.records_dir.glob("*.json"))
         self._last_suffix = max(
-            (int(stem) for stem in stems if _SUFFIX_RE.fullmatch(stem)), default=0
+            [high_water, *(int(stem) for stem in stems if _SUFFIX_RE.fullmatch(stem))]
         )
 
     # -- core operations ---------------------------------------------------
@@ -120,11 +126,40 @@ class PIDRegistry:
         checksum: str,
         owner: str,
         metadata: Mapping | None = None,
+        predecessor: str | None = None,
+        caller: identity_mod.Identity | None = None,
+        orgs: Mapping[str, identity_mod.Organization] | None = None,
+        permission: identity_mod.Permission | None = None,
     ) -> PIDRecord:
-        """Assign a fresh suffix and store a version-1 record owned by *owner*."""
+        """Assign a fresh suffix and store a record owned by *owner*.
+
+        Without *predecessor* the record is version 1 of a chain of its own.
+        With one, it is stored as the next version after *predecessor*,
+        already chained both ways. Both must be provenance records, the
+        predecessor must be the newest version (null successor), and
+        ``identity.check_auth`` must pass *caller* for the chain's first
+        record, whose minter is the chain's one owner: the ledger keys the
+        chain by that PID and checks the same owner and grant.
+        """
         if object_kind not in OBJECT_KINDS:
             raise KindMismatchError(f"unknown object kind: {object_kind!r}")
         with self._write_lock:
+            previous = None
+            if predecessor is not None:
+                previous = self.resolve(predecessor)
+                if previous.object_kind != KIND_PROVENANCE or object_kind != KIND_PROVENANCE:
+                    raise KindMismatchError("version chains link provenance records only")
+                if previous.successor is not None:
+                    raise SuccessorExistsError(
+                        f"{predecessor} already superseded by {previous.successor}"
+                    )
+                base = (self._follow(previous, "predecessor", {predecessor}) or [previous])[-1]
+                chain_owner = base.metadata.get("owner")
+                if caller is None or not identity_mod.check_auth(
+                    base.pid, identity_mod.CAP_UPDATE_PROVENANCE, caller,
+                    [chain_owner] if chain_owner else [], orgs or {}, permission,
+                ):
+                    raise UnauthorizedError(f"{owner!r} may not supersede {predecessor}")
             suffix = self._next_suffix()
             self._last_suffix = int(suffix)
             record = PIDRecord(
@@ -132,10 +167,16 @@ class PIDRegistry:
                 target_uri=target_uri,
                 checksum=checksum,
                 object_kind=object_kind,
-                version_number=1,
+                version_number=previous.version_number + 1 if previous else 1,
+                predecessor=predecessor,
                 metadata={**(metadata or {}), "owner": owner, "created_at": clock.now_iso()},
             )
+            # Write the new record first: a crash between the two writes
+            # leaves a record pointing back at a consistent chain rather
+            # than a dangling successor.
             self._store(record)
+            if previous is not None:
+                self._store(replace(previous, successor=record.pid))
             return record
 
     def resolve(self, pid: str) -> PIDRecord:
@@ -150,52 +191,6 @@ class PIDRegistry:
                 return PIDRecord.from_dict(json.load(fh))
         except (OSError, ValueError, KeyError) as exc:
             raise BrokenChainError(f"unreadable record for {pid!r}: {exc}") from exc
-
-    def link_new_version(
-        self,
-        old_pid: str,
-        new_pid: str,
-        caller: identity_mod.Identity,
-        orgs: Mapping[str, identity_mod.Organization],
-        permission: identity_mod.Permission | None = None,
-    ) -> None:
-        """Atomically chain ``new_pid`` as the next version after ``old_pid``.
-
-        Both records are updated or neither. The old record must be the
-        newest version (null successor) and both must be provenance records;
-        ``identity.check_auth`` must pass the caller for the chain's first
-        record, whose minter is the chain's one owner: the ledger keys the
-        chain by that PID and checks the same owner and grant.
-        """
-        with self._write_lock:
-            old = self.resolve(old_pid)
-            new = self.resolve(new_pid)
-            if old.object_kind != KIND_PROVENANCE or new.object_kind != KIND_PROVENANCE:
-                raise KindMismatchError("version chains link provenance records only")
-            if old.successor is not None:
-                raise SuccessorExistsError(
-                    f"{old_pid} already superseded by {old.successor}"
-                )
-            if new.predecessor is not None or new.successor is not None:
-                raise SuccessorExistsError(f"{new_pid} is already part of a chain")
-            base = (self._follow(old, "predecessor", {old.pid}) or [old])[-1]
-            owner = base.metadata.get("owner")
-            if not identity_mod.check_auth(
-                base.pid, identity_mod.CAP_UPDATE_PROVENANCE, caller,
-                [owner] if owner else [], orgs, permission,
-            ):
-                raise UnauthorizedError(
-                    f"{caller.user_id!r} may not supersede {old_pid}"
-                )
-            updated_old = replace(old, successor=new_pid)
-            updated_new = replace(
-                new, predecessor=old_pid, version_number=old.version_number + 1
-            )
-            # Write the new record first: a crash between the two writes
-            # leaves a forward link to a consistent record rather than a
-            # dangling successor.
-            self._store(updated_new)
-            self._store(updated_old)
 
     def version_history(self, pid: str) -> list[PIDRecord]:
         """Full chain from version 1 to newest, from any member."""
@@ -231,7 +226,9 @@ class PIDRegistry:
         the record's owner, the identity that minted it, may discard it, and
         never once a newer version links to it. If the predecessor's
         successor points at the record, that link is cleared first, so the
-        registry returns to its state before the record was minted.
+        registry returns to its state before the record was minted. The
+        counter's high-water mark is persisted first, so the suffix is not
+        handed out again after a restart either.
         """
         with self._write_lock:
             record = self.resolve(pid)
@@ -243,6 +240,7 @@ class PIDRegistry:
                 predecessor = self.resolve(record.predecessor)
                 if predecessor.successor == pid:
                     self._store(replace(predecessor, successor=None))
+            self._persist_high_water()
             self._record_path(PID.parse(pid).suffix).unlink()
 
     def list_records(self) -> list[PIDRecord]:
@@ -258,6 +256,21 @@ class PIDRegistry:
         return digest([r.to_dict() for r in self.list_records()])
 
     # -- internals -----------------------------------------------------------
+
+    def _persist_high_water(self) -> None:
+        """Write the counter atomically: a temporary file, fsynced, renamed
+        over the mark, then the directory fsynced."""
+        temporary = self._high_water_path.with_suffix(".tmp")
+        with open(temporary, "w", encoding="utf-8") as fh:
+            fh.write(f"{self._last_suffix}\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(temporary, self._high_water_path)
+        directory = os.open(self.root, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
 
     def _next_suffix(self) -> str:
         return str(self._last_suffix + 1).zfill(_SUFFIX_WIDTH)

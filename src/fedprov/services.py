@@ -2,9 +2,11 @@
 
 A ``NodeService`` answers PROPOSE / COMMIT / QUERY on every organization
 node and additionally ORDER on the node that hosts the ordering service.
-A ``RegistryService`` answers MINT / RESOLVE / LINK / HISTORY plus UNLINK,
-the write coordinator's one registry compensation step: it discards a
-record, and only the identity that minted the record may send it.
+A ``RegistryService`` answers MINT / RESOLVE / HISTORY plus UNLINK, the
+write coordinator's one registry compensation step: it discards a record,
+and only the identity that minted the record may send it. A MINT that names
+a ``predecessor`` mints the next version of that record's chain, already
+linked.
 
 ``assemble_org`` is the one place an organization's server side is built,
 for the in-process harness and for ``fedprov federation start-node`` alike;
@@ -16,8 +18,8 @@ signature over the request. ``identity.authenticate`` checks both before
 anything else, as ``OrgNode.endorse`` does for a proposal, and refuses a
 malformed or unverified claim with ``UnauthorizedError``. A request that is
 not an object, or lacks one of its string fields, is refused as a malformed
-request. MINT then requires ``identity.may_write`` and LINK
-``identity.check_auth`` on the version chain's first record.
+request. MINT then requires ``identity.may_write``, and a MINT with a
+``predecessor`` ``identity.check_auth`` on the version chain's first record.
 """
 
 from __future__ import annotations
@@ -76,7 +78,6 @@ class NodeService:
 # The string fields each mutating registry request must carry.
 _REQUEST_FIELDS = {
     "MINT": ("object_kind",),
-    "LINK": ("old_pid", "new_pid"),
     "UNLINK": ("new_pid",),
 }
 
@@ -115,29 +116,26 @@ class RegistryService:
         if kind == "MINT":
             if not identity_mod.may_write(caller, self.orgs):
                 raise UnauthorizedError(f"{caller.user_id!r} may not mint")
+            predecessor, permission = request.get("predecessor"), None
+            if predecessor is not None and not isinstance(predecessor, str):
+                raise FedprovError("malformed request: MINT predecessor is not a string")
+            if request.get("permission"):
+                try:
+                    permission = identity_mod.Permission.from_dict(request["permission"])
+                except (AttributeError, KeyError, TypeError):
+                    raise FedprovError("malformed request: MINT permission is not a grant")
             record = self.registry.mint(
                 object_kind=request["object_kind"],
                 target_uri=request.get("target_uri", ""),
                 checksum=request.get("checksum", ""),
                 owner=caller.user_id,
                 metadata=request.get("metadata"),
-            )
-            return {"ok": True, "record": record.to_dict()}
-        if kind == "LINK":
-            permission = None
-            if request.get("permission"):
-                try:
-                    permission = identity_mod.Permission.from_dict(request["permission"])
-                except (AttributeError, KeyError, TypeError):
-                    raise FedprovError("malformed request: LINK permission is not a grant")
-            self.registry.link_new_version(
-                request["old_pid"],
-                request["new_pid"],
-                caller,
+                predecessor=predecessor,
+                caller=caller,
                 orgs=self.orgs,
                 permission=permission,
             )
-            return {"ok": True}
+            return {"ok": True, "record": record.to_dict()}
         self.registry.discard(request["new_pid"], caller)  # UNLINK
         return {"ok": True}
 
@@ -158,19 +156,18 @@ class RegistryClient:
         return self.transport("HISTORY", {"pid": pid})["records"]
 
     def mint(self, object_kind: str, target_uri: str, checksum: str,
-             metadata: dict | None = None) -> dict:
+             metadata: dict | None = None, predecessor: str | None = None,
+             permission: dict | None = None) -> dict:
+        """Mint a record; with *predecessor*, as the next version of its chain."""
         request = {
             "object_kind": object_kind,
             "target_uri": target_uri,
             "checksum": checksum,
             "metadata": metadata or {},
         }
+        if predecessor is not None:
+            request.update(predecessor=predecessor, permission=permission)
         return self._signed("MINT", request)["record"]
-
-    def link_new_version(self, old_pid: str, new_pid: str,
-                         permission: dict | None = None) -> None:
-        request = {"old_pid": old_pid, "new_pid": new_pid, "permission": permission}
-        self._signed("LINK", request)
 
     def unlink(self, new_pid: str) -> None:
         """Discard *new_pid*'s record, unlinking it from its predecessor."""

@@ -17,8 +17,8 @@ import atexit
 import json
 import logging
 import select
+import selectors
 import socket
-import socketserver
 import struct
 import threading
 from typing import Callable
@@ -263,8 +263,10 @@ class DirectTransport:
 class MessageServer:
     """Threaded TCP server dispatching framed requests to a handler.
 
-    Each connection has its own thread, which answers requests on it until
-    the client closes it or the server stops.
+    One thread accepts connections, and each connection has its own thread,
+    which answers requests on it until the client closes it or the server
+    stops. The accept loop sleeps until a connection arrives or ``stop``
+    wakes it, so it never polls and stops at once.
     """
 
     def __init__(self, address: str, handler: Handler):
@@ -273,53 +275,51 @@ class MessageServer:
         self._lock = threading.Lock()
         self._connections: dict[socket.socket, threading.Thread] = {}
         self._stopping = False
-        outer = self
-
-        class _RequestHandler(socketserver.BaseRequestHandler):
-            def handle(self) -> None:
-                if not outer._track(self.request):
-                    return
-                try:
-                    self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                    while True:
-                        message = recv_message(self.request)
-                        if message is None:
-                            return
-                        response = outer._dispatch(message)
-                        send_message(self.request, response)
-                        # Waiting for the next request, hold nothing of this one.
-                        del message, response
-                except (TransportError, OSError, ValueError):
-                    return
-                finally:
-                    with outer._lock:
-                        outer._connections.pop(self.request, None)
-
-        class _Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-            # socketserver's default backlog of 5 drops connection attempts
-            # from a burst of clients, which then retry only after a second.
-            request_queue_size = 128
-
         try:
-            self._server = _Server((host, port), _RequestHandler)
+            # A smaller backlog drops connection attempts from a burst of
+            # clients, which then retry only after a second.
+            self._listener = socket.create_server((host, port), backlog=128)
         except OSError as exc:
             raise TransportError(f"cannot bind {address}: {exc}") from exc
-        self.address = f"{host}:{self._server.server_address[1]}"
+        self._wake_reader, self._wake_writer = socket.socketpair()
+        self.address = f"{host}:{self._listener.getsockname()[1]}"
         self._thread = threading.Thread(
-            target=lambda: self._server.serve_forever(poll_interval=0.05),
-            name=f"server-{self.address}",
-            daemon=True,
+            target=self._accept_loop, name=f"server-{self.address}", daemon=True
         )
 
-    def _track(self, sock: socket.socket) -> bool:
-        """Record a new connection; ``False`` once the server is stopping."""
-        with self._lock:
-            if self._stopping:
-                return False
-            self._connections[sock] = threading.current_thread()
-        return True
+    def _accept_loop(self) -> None:
+        with selectors.DefaultSelector() as selector:
+            selector.register(self._listener, selectors.EVENT_READ)
+            selector.register(self._wake_reader, selectors.EVENT_READ)
+            while not any(key.fileobj is self._wake_reader for key, _ in selector.select()):
+                try:
+                    conn, _ = self._listener.accept()
+                except OSError:  # say, the client reset it before it was accepted
+                    continue
+                threading.Thread(target=self._answer, args=(conn,), daemon=True).start()
+
+    def _answer(self, conn: socket.socket) -> None:
+        """Answer requests on *conn* until its client or ``stop`` ends it."""
+        with conn:
+            with self._lock:
+                if self._stopping:
+                    return
+                self._connections[conn] = threading.current_thread()
+            try:
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                while True:
+                    message = recv_message(conn)
+                    if message is None:
+                        return
+                    response = self._dispatch(message)
+                    send_message(conn, response)
+                    # Waiting for the next request, hold nothing of this one.
+                    del message, response
+            except (TransportError, OSError, ValueError):
+                return
+            finally:
+                with self._lock:
+                    self._connections.pop(conn, None)
 
     def _dispatch(self, message: dict) -> dict:
         kind = message.get("kind", "")
@@ -344,10 +344,15 @@ class MessageServer:
         this server through a pooled connection, even once another server
         binds the same port.
         """
-        self._server.shutdown()
-        self._server.server_close()
         with self._lock:
+            if self._stopping:
+                return
             self._stopping = True
+        self._wake_writer.send(b"\0")
+        self._thread.join()
+        for sock in (self._listener, self._wake_reader, self._wake_writer):
+            sock.close()
+        with self._lock:
             connections = dict(self._connections)
         for sock in connections:
             try:

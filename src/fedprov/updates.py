@@ -4,8 +4,8 @@ Both writing verbs run here as a saga of local steps followed by one ledger
 transaction. ``publish`` stores the file, mints its artifact PID, stores the
 provenance document and mints its PID, then commits one ``publish``
 transaction that creates both ledger records. ``update`` classifies the
-revision, stores the new document, mints a PID for the new version and
-links it into the version chain, then commits the ledger update. Each local
+revision, stores the new document, mints the new version's PID already
+linked into the version chain, then commits the ledger update. Each local
 step is appended to an intent journal as it completes and has one
 compensation -- discard the blob it created, discard the PID record it
 minted -- so a failure before the ledger commits rolls every prior step
@@ -170,14 +170,17 @@ class AtomicUpdater:
         permission: identity_mod.Permission | None = None,
         timestamp: str | None = None,
     ) -> UpdateResult:
-        old_record = self._resolve_provenance(old_pid)
-        if old_record.get("successor"):
+        chain = self.registry.version_history(old_pid)
+        old_record = next(record for record in chain if record["pid"] == old_pid)
+        if old_record["object_kind"] != KIND_PROVENANCE:
+            raise KindMismatchError(f"{old_pid} is not a provenance record")
+        if old_record["successor"]:
             raise SuccessorExistsError(
                 f"{old_pid} already superseded by {old_record['successor']}"
             )
         # The ledger keys a version chain by its first PID, owned by its
         # minter: that is what the chaincode checks, so check it here too.
-        base = self.registry.version_history(old_pid)[0]
+        base = chain[0]
         owner = base.get("metadata", {}).get("owner")
         if not identity_mod.check_auth(
             base["pid"], identity_mod.CAP_UPDATE_PROVENANCE, caller,
@@ -201,10 +204,9 @@ class AtomicUpdater:
 
         with self._journaled({"old_pid": old_pid}) as done:
             uri, checksum = self._stored(done, new_doc.canonical_bytes())
-            new_pid = self._minted(done, KIND_PROVENANCE, uri, checksum)
             # Discarding the new record (the mint's compensation) also
-            # clears this link, so the link needs no journal record.
-            self._step_link(old_pid, new_pid, permission)
+            # clears its predecessor's link to it.
+            new_pid = self._minted(done, KIND_PROVENANCE, uri, checksum, old_pid, permission)
             # The ledger value's version follows the registry's version number.
             operation = update_operation(base["pid"], uri, checksum, permission)
             receipt = self._ledger_write(
@@ -249,8 +251,10 @@ class AtomicUpdater:
         done("store", {"checksum": checksum, "created": created})
         return uri, checksum
 
-    def _minted(self, done, object_kind: str, uri: str, checksum: str) -> str:
-        pid = self._step_mint(object_kind, uri, checksum)["pid"]
+    def _minted(self, done, object_kind: str, uri: str, checksum: str,
+                predecessor: str | None = None,
+                permission: identity_mod.Permission | None = None) -> str:
+        pid = self._step_mint(object_kind, uri, checksum, predecessor, permission)["pid"]
         done("mint", {"new_pid": pid})
         return pid
 
@@ -283,15 +287,10 @@ class AtomicUpdater:
     def _step_store(self, payload: bytes) -> tuple[str, str, bool]:
         return self.store.store_bytes(payload)
 
-    def _step_mint(self, object_kind: str, uri: str, checksum: str) -> dict:
-        return self.registry.mint(object_kind, uri, checksum)
-
-    def _step_link(
-        self, old_pid: str, new_pid: str, permission: identity_mod.Permission | None
-    ) -> None:
-        self.registry.link_new_version(
-            old_pid, new_pid, permission.to_dict() if permission else None
-        )
+    def _step_mint(self, object_kind: str, uri: str, checksum: str, predecessor: str | None,
+                   permission: identity_mod.Permission | None) -> dict:
+        grant = permission.to_dict() if permission else None
+        return self.registry.mint(object_kind, uri, checksum, None, predecessor, grant)
 
     def _step_ledger(self, kind: str, pid: str, args: dict, timestamp: str | None) -> dict:
         return require_committed(self.ledger.submit(kind, pid, args, timestamp)).to_dict()
@@ -306,7 +305,7 @@ class AtomicUpdater:
         compensated, newest first (``abort``).
         """
         ledger_write = dict(steps_done).get("ledger")
-        if ledger_write is not None and self._committed(**ledger_write):
+        if ledger_write is not None and self._ledger_entry(**ledger_write) is not None:
             return "commit"
         for step, data in reversed(steps_done):
             if step == "mint":
@@ -332,17 +331,12 @@ class AtomicUpdater:
             settled += 1
         return settled
 
-    def _committed(self, pid: str, version: int, checksum: str) -> bool:
-        """True if the ledger value at *pid* reached *version* with *checksum*."""
-        value = self.ledger.hlf_read(pid)
-        if value is None or value.version < version:
-            return False
-        if value.version == version:
-            return value.checksum == checksum
-        return self._ledger_entry(pid, version, checksum) is not None
-
     def _ledger_entry(self, pid: str, version: int, checksum: str) -> dict | None:
-        """The committed ledger history entry that wrote *version* with *checksum*."""
+        """The committed ledger history entry that wrote *version* with *checksum*.
+
+        Versions only rise and the current value is the last history entry,
+        so the history alone settles whether a write committed.
+        """
         return next(
             (
                 entry for entry in self.ledger.get_history(pid)
@@ -351,14 +345,6 @@ class AtomicUpdater:
             ),
             None,
         )
-
-    # -- helpers -----------------------------------------------------------------
-
-    def _resolve_provenance(self, pid: str) -> dict:
-        record = self.registry.resolve(pid)
-        if record.get("object_kind") != KIND_PROVENANCE:
-            raise KindMismatchError(f"{pid} is not a provenance record")
-        return record
 
 
 def _attach_artifact(

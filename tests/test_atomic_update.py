@@ -114,7 +114,7 @@ def test_unknown_pid(published):
         updater.update("21.P/424242", enriched_copy(doc), users["alice"]["identity"])
 
 
-@pytest.mark.parametrize("failing_step", ["_step_store", "_step_mint", "_step_link", "_step_ledger"])
+@pytest.mark.parametrize("failing_step", ["_step_store", "_step_mint", "_step_ledger"])
 def test_rollback_completeness_per_failure_point(published, failing_step, monkeypatch):
     """A failure at any protocol step leaves the system digest unchanged.
 
@@ -174,7 +174,7 @@ def test_shared_blob_survives_rollback(published, monkeypatch):
 
 
 def test_repair_rolls_back_crashed_update(published, monkeypatch):
-    """A crash after link (before ledger) is undone by journal repair."""
+    """A crash after the linked mint (before ledger) is undone by journal repair."""
     fed, users, pid, doc = published
     updater = fed.client(users["alice"]["identity"], users["alice"]["key"]).updater()
     before = fed.system_digest()

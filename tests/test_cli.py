@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import signal
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from conftest import register_default_users
-from fedprov import cli
+from fedprov import cli, identity as identity_mod, transport
 from fedprov.errors import UnauthorizedError
 from fedprov.harness import Federation
 from fedprov.ledger.client import LedgerClient, Receipt
@@ -573,3 +574,93 @@ def test_refused_cascade_exits_12_without_affected_or_notifications(live, monkey
     assert "endorsement-policy-unmet" in body["error"]
     assert not (fed.config.outbox_dir / "OrgA.jsonl").exists()
     assert users["alice"]["ledger"].hlf_read(derived["artifact_pid"]).status == "valid"
+
+
+def _publish(fed, user, name, source_pid=None):
+    """Publish *name* as *user*, derived from the artifact *source_pid* if given."""
+    document = simple_doc_dict()
+    if source_pid is not None:
+        document["entities"].append(
+            {"local_id": "e-in", "label": "input", "artifact_pid": source_pid}
+        )
+        document["relations"].append({"kind": "used", "source": "a-x", "target": "e-in"})
+    code, body = invoke(
+        fed, "--identity", user, "publish",
+        write_sample(fed, f"{name}.csv", f"{name}\n"), write_doc(fed, f"{name}.json", document),
+        "--entity", "e-x",
+    )
+    assert code == cli.EXIT_OK, body
+    return body
+
+
+def test_verify_and_update_prov_ask_each_fact_once(live, monkeypatch):
+    fed, users = live
+    prov_pid = _publish(fed, "alice", "d")["prov_pid"]
+    record = fed.registry.resolve(prov_pid)
+    published = fed.store.fetch_document(record.target_uri, record.checksum)
+    first = published.entities[0]
+    revised = published.with_entity(
+        dataclasses.replace(first, attributes={**first.attributes, "note": "enriched"})
+    )
+    revised_path = write_doc(fed, "revised.json", revised.to_dict())
+
+    sent = []
+    real_request = transport.request
+
+    def recording(address, kind, payload, timeout=10.0):
+        sent.append((kind, payload))
+        return real_request(address, kind, payload, timeout=timeout)
+
+    monkeypatch.setattr(transport, "request", recording)
+    code, body = invoke(fed, "verify", prov_pid)
+    assert (code, body["result"]) == (cli.EXIT_OK, "VERIFIED")
+    assert [(kind, payload.get("op"), payload.get("pid")) for kind, payload in sent] == [
+        ("HISTORY", None, prov_pid), ("QUERY", "history", prov_pid),
+    ]
+
+    sent.clear()
+    code, body = invoke(fed, "--identity", "alice", "update-prov", prov_pid, revised_path)
+    assert code == cli.EXIT_OK, body
+    kinds = [kind for kind, _ in sent]
+    assert "LINK" not in kinds
+    assert ("RESOLVE", {"pid": prov_pid}) not in sent
+    (mint,) = [payload["request"] for kind, payload in sent if kind == "MINT"]
+    assert mint["predecessor"] == prov_pid
+    assert kinds.count("HISTORY") == 1
+
+    sent.clear()
+    code, body = invoke(fed, "verify", prov_pid)
+    assert (code, body["result"], body["ledger_version"]) == (cli.EXIT_OK, "VERIFIED", 2)
+    assert len(sent) == 2
+
+
+def test_cascade_loads_the_identity_directory_once(live, monkeypatch):
+    fed, users = live
+    source = _publish(fed, "alice", "src")["artifact_pid"]
+    mine = _publish(fed, "alice", "mine", source)["artifact_pid"]
+    theirs = _publish(fed, "bob", "theirs", source)["artifact_pid"]
+    loads = []
+    real_load = identity_mod.load_identity_directory
+
+    def counted(directory):
+        loads.append(directory)
+        return real_load(directory)
+
+    monkeypatch.setattr(identity_mod, "load_identity_directory", counted)
+    code, body = invoke(fed, "--identity", "alice", "invalidate", source, "--cascade")
+    assert code == cli.EXIT_OK, body
+    assert sorted(body["affected"], key=lambda a: a["pid"]) == sorted(
+        [{"pid": mine, "status": "affected"}, {"pid": theirs, "status": "affected"}],
+        key=lambda a: a["pid"],
+    )
+    assert len(loads) == 1
+
+    def outbox(org):
+        lines = (fed.config.outbox_dir / f"{org}.jsonl").read_text().splitlines()
+        return [json.loads(line) for line in lines]
+
+    for org, owner, pid in (("OrgA", "alice", mine), ("OrgB", "bob", theirs)):
+        (line,) = outbox(org)
+        assert line.pop("timestamp")
+        assert line == {"pid": pid, "new_status": "affected", "source_pid": source,
+                        "owner": owner, "org": org}

@@ -90,52 +90,72 @@ def test_pid_parse():
     assert str(pid) == "21.P/000001"
 
 
+def _next_version(registry, predecessor, caller, orgs, checksum="cn", **kwargs):
+    """Mint the version after *predecessor* as *caller*, as the registry service does."""
+    return registry.mint(
+        "provenance-record", f"cas://{checksum}", checksum, owner=caller.user_id,
+        predecessor=predecessor, caller=caller, orgs=orgs, **kwargs,
+    )
+
+
 def test_link_builds_chain(registry, owner, orgs):
     v1 = registry.mint("provenance-record", "cas://1", "c1", owner="alice")
-    v2 = registry.mint("provenance-record", "cas://2", "c2", owner="alice")
-    registry.link_new_version(v1.pid, v2.pid, owner, orgs)
+    v2 = _next_version(registry, v1.pid, owner, orgs)
     assert registry.resolve(v1.pid).successor == v2.pid
-    assert registry.resolve(v2.pid).predecessor == v1.pid
-    assert registry.resolve(v2.pid).version_number == 2
+    assert registry.resolve(v2.pid) == v2
+    assert (v2.predecessor, v2.successor, v2.version_number) == (v1.pid, None, 2)
 
 
 def test_link_refuses_fork(registry, owner, orgs):
     v1 = registry.mint("provenance-record", "cas://1", "c1", owner="alice")
-    v2 = registry.mint("provenance-record", "cas://2", "c2", owner="alice")
-    v3 = registry.mint("provenance-record", "cas://3", "c3", owner="alice")
-    registry.link_new_version(v1.pid, v2.pid, owner, orgs)
+    v2 = _next_version(registry, v1.pid, owner, orgs)
+    count = len(registry.list_records())
     with pytest.raises(SuccessorExistsError):
-        registry.link_new_version(v1.pid, v3.pid, owner, orgs)
+        _next_version(registry, v1.pid, owner, orgs)
+    assert len(registry.list_records()) == count
+    assert registry.resolve(v1.pid).successor == v2.pid
 
 
 def test_link_refuses_artifacts(registry, owner, orgs):
     artifact = registry.mint("artifact", "cas://a", "ca", owner="alice")
-    v2 = registry.mint("provenance-record", "cas://2", "c2", owner="alice")
+    v1 = registry.mint("provenance-record", "cas://1", "c1", owner="alice")
     with pytest.raises(KindMismatchError):
-        registry.link_new_version(artifact.pid, v2.pid, owner, orgs)
+        _next_version(registry, artifact.pid, owner, orgs)
+    with pytest.raises(KindMismatchError):
+        registry.mint("artifact", "cas://b", "cb", owner="alice",
+                      predecessor=v1.pid, caller=owner, orgs=orgs)
+    assert len(registry.list_records()) == 2
 
 
 def test_link_requires_ownership(registry, owner, service, orgs):
     bob, _ = service.register_user("OrgB", "bob")
     v1 = registry.mint("provenance-record", "cas://1", "c1", owner="alice")
-    v2 = registry.mint("provenance-record", "cas://2", "c2", owner="bob")
     with pytest.raises(UnauthorizedError):
-        registry.link_new_version(v1.pid, v2.pid, bob, orgs)
-    # A read-only user may not link even a record minted in its name.
+        _next_version(registry, v1.pid, bob, orgs)
+    # The owner's grant lets bob mint the next version.
+    _, alice_key = identity_mod.user_credentials(service.keys_dir, "alice")
+    grant = identity_mod.grant_permission(
+        v1.pid, "bob", identity_mod.CAP_UPDATE_PROVENANCE, owner, alice_key
+    )
+    v2 = _next_version(registry, v1.pid, bob, orgs, permission=grant)
+    assert registry.resolve(v1.pid).successor == v2.pid
+    # A read-only user may not link even to a record minted in its name.
     ruth, _ = service.register_user("Readers", "ruth")
     r1 = registry.mint("provenance-record", "cas://3", "c3", owner="ruth")
-    r2 = registry.mint("provenance-record", "cas://4", "c4", owner="ruth")
     with pytest.raises(UnauthorizedError):
-        registry.link_new_version(r1.pid, r2.pid, ruth, orgs)
-    assert registry.resolve(v1.pid).successor is None
+        _next_version(registry, r1.pid, ruth, orgs)
+    # Without a caller to check, nothing is linked.
+    with pytest.raises(UnauthorizedError):
+        registry.mint("provenance-record", "cas://4", "c4", owner="alice", predecessor=v2.pid)
+    assert registry.resolve(v2.pid).successor is None
     assert registry.resolve(r1.pid).successor is None
+    assert len(registry.list_records()) == 3
 
 
 def test_version_history_from_any_member(registry, owner, orgs):
-    pids = [registry.mint("provenance-record", f"cas://{i}", f"c{i}", owner="alice").pid
-            for i in range(3)]
-    registry.link_new_version(pids[0], pids[1], owner, orgs)
-    registry.link_new_version(pids[1], pids[2], owner, orgs)
+    pids = [registry.mint("provenance-record", "cas://0", "c0", owner="alice").pid]
+    for _ in range(2):
+        pids.append(_next_version(registry, pids[-1], owner, orgs).pid)
     for member in pids:
         chain = registry.version_history(member)
         assert [r.pid for r in chain] == pids
@@ -149,10 +169,8 @@ def test_single_version_history(registry):
 
 def test_broken_chain_detected(registry, owner, orgs):
     v1 = registry.mint("provenance-record", "cas://1", "c1", owner="alice")
-    v2 = registry.mint("provenance-record", "cas://2", "c2", owner="alice")
-    v3 = registry.mint("provenance-record", "cas://3", "c3", owner="alice")
-    registry.link_new_version(v1.pid, v2.pid, owner, orgs)
-    registry.link_new_version(v2.pid, v3.pid, owner, orgs)
+    v2 = _next_version(registry, v1.pid, owner, orgs)
+    v3 = _next_version(registry, v2.pid, owner, orgs)
     # Delete the middle record file to simulate registry corruption.
     registry._record_path(PID.parse(v2.pid).suffix).unlink()
     with pytest.raises(BrokenChainError):
@@ -172,8 +190,7 @@ def test_registry_reopen_preserves_counter(tmp_path, owner):
 def test_rollback_link_restores_state(registry, owner, orgs):
     v1 = registry.mint("provenance-record", "cas://1", "c1", owner="alice")
     before = registry.state_digest()
-    v2 = registry.mint("provenance-record", "cas://2", "c2", owner="alice")
-    registry.link_new_version(v1.pid, v2.pid, owner, orgs)
+    v2 = _next_version(registry, v1.pid, owner, orgs)
     registry.discard(v2.pid, owner)
     assert registry.state_digest() == before
     assert registry.resolve(v1.pid).successor is None
@@ -185,6 +202,19 @@ def test_discard_never_lowers_the_suffix_counter(registry, owner):
     registry.discard(second.pid, owner)
     third = registry.mint("artifact", "cas://3", "c3", owner="alice")
     assert third.pid == "21.P/000003"
+
+
+def test_discarded_suffix_not_minted_again_after_reopen(tmp_path, owner):
+    registry = PIDRegistry(tmp_path / "registry", "21.P")
+    registry.mint("artifact", "cas://1", "c1", owner="alice")
+    second = registry.mint("artifact", "cas://2", "c2", owner="alice")
+    registry.discard(second.pid, owner)
+    reopened = PIDRegistry(tmp_path / "registry", "21.P")
+    assert reopened.mint("artifact", "cas://3", "c3", owner="alice").pid == "21.P/000003"
+    # Records above the mark still count.
+    reopened.mint("artifact", "cas://4", "c4", owner="alice")
+    again = PIDRegistry(tmp_path / "registry", "21.P")
+    assert again.mint("artifact", "cas://5", "c5", owner="alice").pid == "21.P/000005"
 
 
 def test_discard_only_by_the_minter(registry, service):
@@ -217,7 +247,8 @@ def test_suffix_other_than_digits_never_becomes_a_path(registry, owner, pid):
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=15, deadline=None)
 def test_chains_stay_linear(seed, tmp_path_factory):
-    """Random mint/link sequences never produce forks or divergent histories."""
+    """Random sequences of first and next-version mints never produce forks or
+    divergent histories."""
     alice, orgs = _linear_owner(tmp_path_factory)
     rng = random.Random(seed)
     root = tmp_path_factory.mktemp("linear")
@@ -227,9 +258,8 @@ def test_chains_stay_linear(seed, tmp_path_factory):
     for _ in range(rng.randint(3, 12)):
         if heads and rng.random() < 0.6:
             index = rng.randrange(len(heads))
-            new = registry.mint("provenance-record", "cas://n", "cn", owner="alice")
             try:
-                registry.link_new_version(heads[index], new.pid, alice, orgs)
+                new = _next_version(registry, heads[index], alice, orgs)
             except SuccessorExistsError:
                 continue
             heads[index] = new.pid

@@ -6,6 +6,7 @@ import logging
 import os
 import socket
 import struct
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -187,6 +188,50 @@ def test_burst_of_clients_all_answered():
     assert sorted(answered) == list(range(32))
 
 
+def test_stop_amid_connecting_clients_leaves_no_connection_open():
+    """A connection accepted while ``stop`` runs is closed too, never left open."""
+    server = MessageServer(f"127.0.0.1:{free_port()}", lambda k, p: {"ok": True}).start()
+    key = parse_address(server.address)
+    opened, lock, first_open = [], threading.Lock(), threading.Event()
+
+    def connect_repeatedly():
+        for _ in range(5):
+            try:
+                sock = socket.create_connection(key, timeout=2)
+            except OSError:  # the server no longer listens
+                return
+            with lock:
+                opened.append(sock)
+            first_open.set()
+            try:
+                send_message(sock, {"kind": "X", "payload": {}})
+                recv_message(sock)
+            except (OSError, TransportError):
+                return
+            time.sleep(0.005)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        clients = [threading.Thread(target=connect_repeatedly) for _ in range(8)]
+        for client in clients:
+            client.start()
+        assert first_open.wait(timeout=10)
+        server.stop()
+        for client in clients:
+            client.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(client.is_alive() for client in clients)
+    for sock in opened:
+        with sock:
+            sock.settimeout(2)
+            try:
+                assert sock.recv(1) == b""
+            except ConnectionResetError:  # closed before it was accepted
+                pass
+
+
 def test_internal_error_is_logged_with_its_traceback(caplog):
     def handler(kind, payload):
         raise KeyError("boom")
@@ -354,6 +399,22 @@ def test_federations_started_and_stopped_leave_no_sockets(tmp_path):
     assert len(open_fds()) <= start + sockets
 
 
+def test_tcp_federation_stops_promptly(tmp_path):
+    """Stopping waits on no polling interval, idle pooled connections or not."""
+    federation = Federation.bootstrap(tmp_path / "fed", use_tcp=True)
+    try:
+        alice = register_default_users(federation)["alice"]
+        assert alice["ledger"].hlf_create("21.P/s", "cas://s", "cs", ["alice"], "artifact").ok
+        alice["registry"].mint("artifact", "cas://s", "cs")
+    finally:
+        started = time.perf_counter()
+        federation.stop()
+        elapsed = time.perf_counter() - started
+    assert elapsed < 0.1
+    with pytest.raises(TransportError):
+        TcpTransport(federation.config.registry_address, timeout=0.5)("RESOLVE", {"pid": "x"})
+
+
 def _is_socket(fd):
     try:
         return os.readlink(f"/proc/self/fd/{fd}").startswith("socket:")
@@ -377,8 +438,8 @@ def test_registry_mint_resolve_link_history_over_tcp(tcp_fed, tcp_users):
         alice["key"],
     )
     v1 = client.mint("provenance-record", "cas://1", "c1")
-    v2 = client.mint("provenance-record", "cas://2", "c2")
-    client.link_new_version(v1["pid"], v2["pid"])
+    v2 = client.mint("provenance-record", "cas://2", "c2", predecessor=v1["pid"])
+    assert (v2["predecessor"], v2["version_number"]) == (v1["pid"], 2)
     chain = client.version_history(v2["pid"])
     assert [r["version_number"] for r in chain] == [1, 2]
     assert client.resolve(v1["pid"])["successor"] == v2["pid"]
@@ -487,10 +548,12 @@ def _signed(user, request):
 
 @pytest.mark.parametrize(
     "kind, request_body",
-    [("MINT", []), ("MINT", {}), ("MINT", {"object_kind": 7}), ("LINK", {"old_pid": "21.P/1"}),
-     ("LINK", {"old_pid": "21.P/1", "new_pid": "21.P/2", "permission": {"subject": "x"}}),
+    [("MINT", []), ("MINT", {}), ("MINT", {"object_kind": 7}),
+     ("MINT", {"object_kind": "provenance-record", "predecessor": ["21.P/1"]}),
+     ("MINT", {"object_kind": "provenance-record", "predecessor": "21.P/1",
+               "permission": {"subject": "x"}}),
      ("UNLINK", {"new_pid": ["21.P/1"]})],
-    ids=["mint-list", "mint-empty", "mint-non-string-kind", "link-no-new-pid",
+    ids=["mint-list", "mint-empty", "mint-non-string-kind", "link-non-string-predecessor",
          "link-malformed-grant", "unlink-non-string-pid"],
 )
 def test_malformed_registry_request_named_over_tcp(tcp_fed, tcp_users, kind, request_body):

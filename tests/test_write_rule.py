@@ -3,9 +3,10 @@
 ``identity.may_write`` (a certified member of a producer organization)
 guards the ledger creates, ``flag-affected``, registry MINT and
 ``cli publish``; ``identity.check_auth`` (``may_write`` plus ownership or an
-owner's grant) guards ``update-prov``, ``invalidate``, registry LINK and
-``AtomicUpdater.update``. Every cell of callers x entry points is allowed
-exactly when its predicate says so, and a refused cell changes nothing.
+owner's grant) guards ``update-prov``, ``invalidate``, a registry MINT that
+links a new version to a predecessor, and ``AtomicUpdater.update``. Every
+cell of callers x entry points is allowed exactly when its predicate says
+so, and a refused cell changes nothing.
 """
 
 from __future__ import annotations
@@ -123,11 +124,12 @@ def _mint(world, ctx, who, grant_for):
     return lambda: ctx.registry().mint("artifact", "cas://m", "cm")
 
 
-def _link(world, ctx, who, grant_for):
-    old, new = world.minted(), world.minted()
+def _version_mint(world, ctx, who, grant_for):
+    old = world.minted()
     grant = grant_for(old, identity_mod.CAP_UPDATE_PROVENANCE)
-    return lambda: ctx.registry().link_new_version(
-        old, new, grant.to_dict() if grant else None
+    return lambda: ctx.registry().mint(
+        "provenance-record", "cas://v2", "c2",
+        predecessor=old, permission=grant.to_dict() if grant else None,
     )
 
 
@@ -149,7 +151,8 @@ ENTRY_POINTS = {
     "invalidate": (OWNER_OR_GRANTEE, _invalidate),
     "flag-affected": (MAY_WRITE, _flag_affected),
     "registry-mint": (MAY_WRITE, _mint),
-    "registry-link": (OWNER_OR_GRANTEE, _link),
+    # A MINT with a predecessor: the next version, linked into alice's chain.
+    "registry-link": (OWNER_OR_GRANTEE, _version_mint),
     "cli-publish": (MAY_WRITE, _publish),
     "atomic-update": (OWNER_OR_GRANTEE, _update),
 }
