@@ -16,7 +16,7 @@ import json
 import os
 import re
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Mapping
 
@@ -70,16 +70,7 @@ class PIDRecord:
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "pid": self.pid,
-            "target_uri": self.target_uri,
-            "checksum": self.checksum,
-            "object_kind": self.object_kind,
-            "version_number": self.version_number,
-            "predecessor": self.predecessor,
-            "successor": self.successor,
-            "metadata": dict(self.metadata),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PIDRecord":

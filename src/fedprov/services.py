@@ -120,6 +120,10 @@ class RegistryService:
             if predecessor is not None and not isinstance(predecessor, str):
                 raise FedprovError("malformed request: MINT predecessor is not a string")
             if request.get("permission"):
+                # A grant lets its holder write the next version, so it
+                # comes only with a predecessor.
+                if predecessor is None:
+                    raise FedprovError("malformed request: MINT permission without a predecessor")
                 try:
                     permission = identity_mod.Permission.from_dict(request["permission"])
                 except (AttributeError, KeyError, TypeError):

@@ -296,7 +296,11 @@ class MessageServer:
                     conn, _ = self._listener.accept()
                 except OSError:  # say, the client reset it before it was accepted
                     continue
-                threading.Thread(target=self._answer, args=(conn,), daemon=True).start()
+                try:
+                    threading.Thread(target=self._answer, args=(conn,), daemon=True).start()
+                except Exception:  # say, no thread can be started: drop this one, keep serving
+                    _log.exception("cannot answer a connection to %s", self.address)
+                    conn.close()
 
     def _answer(self, conn: socket.socket) -> None:
         """Answer requests on *conn* until its client or ``stop`` ends it."""

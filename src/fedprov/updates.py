@@ -10,7 +10,9 @@ step is appended to an intent journal as it completes and has one
 compensation -- discard the blob it created, discard the PID record it
 minted -- so a failure before the ledger commits rolls every prior step
 back and no partial state is observable, and ``repair()`` does the same for
-a run that a crash cut short.
+a run that a crash cut short. A new version's MINT is also journaled before
+it is sent: one whose reply never came may still have linked the record,
+and the rollback finds it as the predecessor's successor.
 
 The ledger write is journaled before it is sent, as the (key, version,
 checksum) the ledger holds once it commits. Whether it committed is then
@@ -26,7 +28,7 @@ from __future__ import annotations
 import json
 import uuid
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import clock, identity as identity_mod
@@ -61,14 +63,7 @@ class UpdateResult:
     receipt: dict
 
     def to_dict(self) -> dict:
-        return {
-            "old_pid": self.old_pid,
-            "new_pid": self.new_pid,
-            "classification": self.classification,
-            "uri": self.uri,
-            "checksum": self.checksum,
-            "receipt": self.receipt,
-        }
+        return asdict(self)
 
 
 class UpdateJournal:
@@ -91,13 +86,8 @@ class UpdateJournal:
     def entries(self) -> list[dict]:
         if not self.path.exists():
             return []
-        out = []
         with open(self.path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    out.append(json.loads(line))
-        return out
+            return [json.loads(line) for line in fh if line.strip()]
 
     def pending(self) -> dict[str, list[dict]]:
         """Updates that began but neither committed nor aborted."""
@@ -254,6 +244,9 @@ class AtomicUpdater:
     def _minted(self, done, object_kind: str, uri: str, checksum: str,
                 predecessor: str | None = None,
                 permission: identity_mod.Permission | None = None) -> str:
+        if predecessor is not None:  # so that a lost reply can be undone, see ``_rollback``
+            done("version", {"predecessor": predecessor, "checksum": checksum,
+                             "owner": getattr(self.registry.identity, "user_id", None)})
         pid = self._step_mint(object_kind, uri, checksum, predecessor, permission)["pid"]
         done("mint", {"new_pid": pid})
         return pid
@@ -302,18 +295,32 @@ class AtomicUpdater:
 
         If the run's ledger write committed, nothing is undone and the run is
         rolled forward (``commit``). Otherwise every completed step is
-        compensated, newest first (``abort``).
+        compensated, newest first (``abort``); a new version whose MINT was
+        sent but whose PID was never journaled is found through its
+        predecessor.
         """
-        ledger_write = dict(steps_done).get("ledger")
+        steps = dict(steps_done)
+        ledger_write = steps.get("ledger")
         if ledger_write is not None and self._ledger_entry(**ledger_write) is not None:
             return "commit"
         for step, data in reversed(steps_done):
             if step == "mint":
                 self.registry.unlink(data["new_pid"])
+            elif step == "version" and "mint" not in steps:
+                self._unlink_unjournaled_version(**data)
             elif step == "store" and data["created"]:
                 # A blob that predates this run (created=False) is someone else's.
                 self.store.discard(data["checksum"])
         return "abort"
+
+    def _unlink_unjournaled_version(self, predecessor: str, checksum: str,
+                                    owner: str | None) -> None:
+        """UNLINK the version a MINT linked before its PID was journaled: the
+        predecessor's successor, if it has this run's checksum and owner."""
+        chain = self.registry.version_history(predecessor)
+        newer = [r for r in chain if r["predecessor"] == predecessor]
+        if newer and (newer[0]["checksum"], newer[0]["metadata"].get("owner")) == (checksum, owner):
+            self.registry.unlink(newer[0]["pid"])
 
     def repair(self) -> int:
         """Settle runs left incomplete by a crash; returns the count.

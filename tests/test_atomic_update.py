@@ -199,6 +199,90 @@ def test_repair_rolls_back_crashed_update(published, monkeypatch):
     assert fed.system_digest() == before
 
 
+def _assert_updatable_again(fed, users, pid, doc):
+    assert len(fed.client().registry().version_history(pid)) == 1
+    clean = fed.client(users["alice"]["identity"], users["alice"]["key"]).updater()
+    result = clean.update(pid, enriched_copy(doc, "after"), users["alice"]["identity"])
+    assert users["alice"]["ledger"].hlf_read(pid).version == 2
+    assert cli.verify_pid(fed.client(), result.new_pid)["result"] == "VERIFIED"
+
+
+def test_lost_mint_reply_is_rolled_back(published, monkeypatch):
+    """The registry mints and links the new version, but its reply is lost:
+    the rollback finds the version through its predecessor and discards it."""
+    fed, users, pid, doc = published
+    updater = fed.client(users["alice"]["identity"], users["alice"]["key"]).updater()
+    before = fed.system_digest()
+    real_transport = updater.registry.transport
+
+    def reply_lost(kind, payload):
+        response = real_transport(kind, payload)
+        if kind == "MINT":
+            raise TransportError("connection closed mid-message")
+        return response
+
+    monkeypatch.setattr(updater.registry, "transport", reply_lost)
+    with pytest.raises(TransportError):
+        updater.update(pid, enriched_copy(doc), users["alice"]["identity"])
+    assert fed.system_digest() == before
+    assert updater.journal.pending() == {}
+    _assert_updatable_again(fed, users, pid, doc)
+
+
+def test_repair_discards_a_version_minted_but_never_journaled(published, monkeypatch):
+    """The process dies between the MINT's reply and the journal entry naming
+    its PID: repair finds the linked version through its predecessor."""
+    fed, users, pid, doc = published
+    updater = fed.client(users["alice"]["identity"], users["alice"]["key"]).updater()
+    before = fed.system_digest()
+    real_record = updater.journal.record
+
+    class Crash(RuntimeError):
+        pass
+
+    def record(update_id, event, data=None):
+        if event == "mint":
+            raise Crash("simulated process death")
+        real_record(update_id, event, data)
+
+    def crash(*args, **kwargs):
+        raise Crash("simulated process death")
+
+    monkeypatch.setattr(updater.journal, "record", record)
+    monkeypatch.setattr(updater, "_rollback", crash)
+    with pytest.raises(Crash):
+        updater.update(pid, enriched_copy(doc), users["alice"]["identity"])
+    assert len(fed.client().registry().version_history(pid)) == 2  # linked, unnamed
+
+    recovery = fed.client(users["alice"]["identity"], users["alice"]["key"]).updater()
+    assert recovery.repair() == 1
+    assert recovery.journal.pending() == {}
+    assert fed.system_digest() == before
+    _assert_updatable_again(fed, users, pid, doc)
+
+
+def test_refused_mint_leaves_another_runs_version_alone(published, monkeypatch):
+    """Another run supersedes the old version first; this run's MINT is refused,
+    and its rollback does not discard the other run's version."""
+    fed, users, pid, doc = published
+    alice = users["alice"]
+    updater = fed.client(alice["identity"], alice["key"]).updater()
+    real_mint = updater._step_mint
+
+    def overtaken(*args, **kwargs):
+        other = fed.client(alice["identity"], alice["key"]).updater()
+        other.update(pid, enriched_copy(doc, "first"), alice["identity"])
+        return real_mint(*args, **kwargs)
+
+    monkeypatch.setattr(updater, "_step_mint", overtaken)
+    with pytest.raises(SuccessorExistsError):
+        updater.update(pid, enriched_copy(doc, "second"), alice["identity"])
+    chain = fed.client().registry().version_history(pid)
+    assert [r["version_number"] for r in chain] == [1, 2]
+    assert alice["ledger"].hlf_read(pid).checksum == chain[1]["checksum"]
+    assert cli.verify_pid(fed.client(), chain[1]["pid"])["result"] == "VERIFIED"
+
+
 # -- publish runs on the same journal and rollback ------------------------------
 
 

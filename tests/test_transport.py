@@ -245,6 +245,29 @@ def test_internal_error_is_logged_with_its_traceback(caplog):
     assert record.exc_info[0] is KeyError
 
 
+def test_server_keeps_accepting_when_a_connection_thread_cannot_start(monkeypatch, caplog):
+    """A connection that gets no thread is closed and logged; the next is answered."""
+    real_start = threading.Thread.start
+    refused = []
+
+    def start(thread):
+        if getattr(thread, "_target", None) is not None and \
+                getattr(thread._target, "__name__", "") == "_answer" and not refused:
+            refused.append(thread)
+            raise RuntimeError("can't start new thread")
+        return real_start(thread)
+
+    with serving(lambda k, p: {"ok": True}) as address, \
+            caplog.at_level(logging.ERROR, logger="fedprov.transport"):
+        monkeypatch.setattr(threading.Thread, "start", start)
+        with pytest.raises(TransportError):
+            request(address, "FIRST", {}, timeout=5.0)
+        assert request(address, "SECOND", {}, timeout=5.0) == {"ok": True}
+    assert len(refused) == 1
+    [record] = [r for r in caplog.records if r.name == "fedprov.transport"]
+    assert record.exc_info[0] is RuntimeError
+
+
 def test_answered_requests_log_nothing(caplog):
     def handler(kind, payload):
         if kind == "MISSING":
@@ -546,15 +569,24 @@ def _signed(user, request):
     }
 
 
+# A grant in form only; its signature is never checked.
+_GRANT_SHAPE = {
+    "subject": "21.P/000001", "grantee": "alice", "capability": "update-provenance",
+    "grantor": "alice", "grantor-org": "OrgA", "grantor-public-key": "k",
+    "grantor-certificate": "c", "signature": "s",
+}
+
+
 @pytest.mark.parametrize(
     "kind, request_body",
     [("MINT", []), ("MINT", {}), ("MINT", {"object_kind": 7}),
      ("MINT", {"object_kind": "provenance-record", "predecessor": ["21.P/1"]}),
      ("MINT", {"object_kind": "provenance-record", "predecessor": "21.P/1",
                "permission": {"subject": "x"}}),
+     ("MINT", {"object_kind": "provenance-record", "permission": _GRANT_SHAPE}),
      ("UNLINK", {"new_pid": ["21.P/1"]})],
     ids=["mint-list", "mint-empty", "mint-non-string-kind", "link-non-string-predecessor",
-         "link-malformed-grant", "unlink-non-string-pid"],
+         "link-malformed-grant", "mint-grant-without-predecessor", "unlink-non-string-pid"],
 )
 def test_malformed_registry_request_named_over_tcp(tcp_fed, tcp_users, kind, request_body):
     """A signed but malformed request is refused by name, not as an internal error."""
