@@ -8,11 +8,12 @@ The package wires together six cooperating subsystems:
 * ``ledger``       -- an append-only, hash-chained ledger replicated across
   organization nodes with an endorse/order/commit pipeline.
 * ``pid_registry`` -- a handle-style persistent identifier service with
-  linear version chains.
+  linear version chains; it answers only what the ledger has committed.
 * ``prov_store``   -- immutable, content-addressed storage of provenance
   documents plus the update classifier.
 * ``updates``      -- the atomic update coordinator: ``publish`` and
-  ``update-prov`` as one journaled run across store, registry and ledger.
+  ``update-prov`` store blobs, reserve PIDs, then commit one ledger
+  transaction, the only commit point.
 * ``lineage``      -- the cross-experiment derivation graph: lineage traces,
   invalidation cascades, and iteration histories.
 

@@ -6,8 +6,8 @@ transaction locally and talks to the organization nodes directly -- queries
 fail over across nodes, so a dead replica does not take the client down.
 
 Verbs
-    publish       hash + store a file, mint PIDs, commit one publish transaction
-    update-prov   atomic provenance-record update (classify/store/mint/commit)
+    publish       hash + store a file, reserve PIDs, commit one publish transaction
+    update-prov   atomic provenance-record update (classify/store/reserve/commit)
     verify        recompute checksums against the ledger, print version history
     invalidate    flag an artifact invalid; optionally cascade to descendants
     trace         lineage paths with checksum-verified attesting documents
@@ -68,6 +68,7 @@ from .ledger.chaincode import (
     MSG_NOT_FOUND,
     MSG_PROV_INVALIDATE,
     MSG_UNAUTHORIZED,
+    MSG_VERSION_CONFLICT,
 )
 from .ledger.client import LedgerClient, require_committed
 from .lineage import (
@@ -127,6 +128,7 @@ _RECEIPT_EXITS = {
     MSG_NOT_FOUND: EXIT_UNKNOWN_PID,
     MSG_EXISTS: EXIT_DUPLICATE,
     MSG_PROV_INVALIDATE: EXIT_DUPLICATE,
+    MSG_VERSION_CONFLICT: EXIT_DUPLICATE,
 }
 
 
@@ -207,7 +209,6 @@ class ClientContext:
             store=self.store(),
             registry=self.registry(),
             ledger=self.ledger(),
-            journal_path=self.config.base_dir / "journal" / "updates.jsonl",
         )
 
     def owner_orgs(self) -> Callable[[str], str]:

@@ -13,7 +13,7 @@ is a self-contained directory tree:
       keys/<user>/{key,identity.json}  per-user private material
       nodes/<org>/ledger.jsonl     one replica per organization
       nodes/<org>/node.{json,key}  node signing identity
-      registry/records/<suffix>.json
+      registry/records/<suffix>.json   PID reservations, resolvable once committed
       store/<2-hex>/<62-hex>       content-addressed blobs
       outbox/<org>.jsonl           invalidation notifications
 

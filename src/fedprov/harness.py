@@ -147,7 +147,8 @@ class Federation:
         return {name: node.state_digest() for name, node in self.nodes.items()}
 
     def system_digest(self) -> str:
-        """Digest over ledger, registry, and store state (journal/outbox excluded)."""
+        """Digest over ledger state, committed registry records and stored
+        blobs (the outbox excluded)."""
         from .canonical import digest
 
         return digest(

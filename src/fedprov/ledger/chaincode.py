@@ -19,6 +19,11 @@ and ``create-prov`` create one record each; older ledgers record every
 publish as that pair. A create's ``owners`` is absent, making the caller the
 owner, or a non-empty list of user ids; anything else is malformed.
 
+``update-prov`` may carry ``version``, the version it writes: the update is
+then refused unless that is the current version plus one, so of two updates
+prepared from the same version at most one commits. Without ``version`` the
+update writes the next version, whatever it is.
+
 ``flag-affected`` records an invalidation's consequences: its ``pid`` is the
 invalidated source and ``args.targets`` the artifacts derived from it. One
 transaction flags a whole cascade, so every status change lands in the same
@@ -63,6 +68,7 @@ MSG_ARTIFACT_UPDATE = "Error: Artifact records cannot be updated"
 MSG_PROV_INVALIDATE = "Error: Provenance records cannot be invalidated"
 MSG_SOURCE_NOT_INVALIDATED = "Error: Source artifact is not invalidated"
 MSG_BAD_REQUEST = "Error: Malformed transaction"
+MSG_VERSION_CONFLICT = "Error: Version conflict"
 
 MSG_CREATED = "Success: Resource created successfully"
 MSG_UPDATED = "Success: Resource updated successfully"
@@ -192,6 +198,9 @@ def simulate(
         return result
 
     if kind == TX_UPDATE_PROV:
+        version = args.get("version")
+        if "version" in args and type(version) is not int:
+            return result
         value = read(pid)
         authorized = identity_mod.check_auth(
             pid,
@@ -209,6 +218,9 @@ def simulate(
             return result
         if value.kind == KIND_ARTIFACT:
             result.message = MSG_ARTIFACT_UPDATE
+            return result
+        if version is not None and version != value.version + 1:
+            result.message = MSG_VERSION_CONFLICT
             return result
         updated = value.evolved(
             uri=args.get("new_uri", ""),

@@ -118,9 +118,13 @@ def update_operation(
     new_uri: str,
     new_checksum: str,
     permission: identity_mod.Permission | None = None,
+    version: int | None = None,
 ) -> tuple[str, str, dict]:
-    """The (kind, pid, args) of a provenance record update."""
+    """The (kind, pid, args) of a provenance record update; with *version*,
+    of the update that writes exactly that version."""
     args = {"new_uri": new_uri, "new_checksum": new_checksum}
+    if version is not None:
+        args["version"] = version
     if permission is not None:
         args["permission"] = permission.to_dict()
     return TX_UPDATE_PROV, pid, args
@@ -286,9 +290,10 @@ class LedgerClient:
         new_checksum: str,
         timestamp: str | None = None,
         permission: identity_mod.Permission | None = None,
+        version: int | None = None,
     ) -> Receipt:
         return self.submit(
-            *update_operation(pid, new_uri, new_checksum, permission), timestamp
+            *update_operation(pid, new_uri, new_checksum, permission, version), timestamp
         )
 
     def hlf_invalidate(

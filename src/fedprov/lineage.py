@@ -101,8 +101,7 @@ class DerivationGraph:
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
-        seen.discard(pid)
-        return seen
+        return seen - {pid}
 
     def attestation(self, src: str, dst: str) -> EdgeAttestation:
         return self.edges[(src, dst)][0]

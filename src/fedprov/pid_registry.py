@@ -1,19 +1,30 @@
 """Handle-style persistent identifier registry with linear version chains.
 
-One registry serves a federation under a single prefix. Records persist as
-one JSON file per suffix under the registry root, so the registry can be
-reopened from disk at any time. The suffix counter only ever rises: it is
-seeded at open from the highest suffix on disk or the high-water mark that
-``discard`` persists, whichever is higher, so a suffix whose record was
-discarded is never handed out again, not even after a restart. Mint and
-discard are serialized through a single writer lock; resolution is
-read-only. Only a suffix of ASCII digits ever becomes a file path.
+One registry serves a federation under a single prefix. It holds
+reservations plus a view of the committed ledger. A MINT reserves a PID: it
+steps the suffix counter and writes the record file once, under
+``records/<suffix>.json``. Nothing ever deletes or rewrites a record.
+
+A record counts as committed when the ledger key of its chain holds the
+record's ``version_number`` with the record's ``checksum``. That key is the
+record's own PID at version 1, and otherwise the chain's first PID.
+RESOLVE and HISTORY answer committed records only, so a reserved PID whose
+ledger write never committed is unknown. A record's ``successor`` is
+derived, never stored: it is the committed record whose ``predecessor`` it
+is.
+
+The view is a map from (ledger key, version) to checksum, built from the
+committed VALID writes of the host node's ``blocks``. It advances from a
+block watermark at each request, so no request scans the chain.
+
+The suffix counter only ever rises: it is seeded at open from the highest
+suffix on disk, or from a ``high_water`` file that older releases wrote,
+whichever is higher. Only a suffix of ASCII digits ever becomes a file path.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import re
 import threading
 from dataclasses import asdict, dataclass, field, replace
@@ -29,6 +40,7 @@ from .errors import (
     UnauthorizedError,
     UnknownPIDError,
 )
+from .ledger.blocks import VALID
 
 KIND_ARTIFACT = "artifact"
 KIND_PROVENANCE = "provenance-record"
@@ -81,32 +93,45 @@ class PIDRecord:
             object_kind=data["object_kind"],
             version_number=int(data["version_number"]),
             predecessor=data.get("predecessor"),
-            successor=data.get("successor"),
             metadata=dict(data.get("metadata", {})),
         )
 
 
 class PIDRegistry:
-    """Filesystem-backed registry for a single prefix."""
+    """Filesystem-backed reservations for a single prefix, answered through
+    the committed blocks of *ledger* (an ``OrgNode``, or anything with a
+    ``blocks`` list of committed blocks)."""
 
-    def __init__(self, root: Path, prefix: str):
+    def __init__(self, root: Path, prefix: str, ledger):
         self.root = Path(root)
         self.prefix = prefix
+        self.ledger = ledger
         self.records_dir = self.root / "records"
         self._write_lock = threading.Lock()
+        self._view_lock = threading.Lock()
+        self._committed: dict[tuple[str, int], str] = {}  # (ledger key, version) -> checksum
+        self._blocks_seen = 0
+        self._predecessor: dict[str, str] = {}  # pid -> predecessor, for versions after the first
+        self._reserved: dict[tuple[str, str], str] = {}  # (predecessor, checksum) -> pid
         try:
             self.records_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise RegistryUnavailableError(f"cannot open registry at {root}: {exc}") from exc
-        self._high_water_path = self.root / "high_water"
-        try:
-            high_water = int(self._high_water_path.read_text(encoding="utf-8"))
-        except FileNotFoundError:  # nothing was ever discarded
+        try:  # written by releases that could discard a record
+            high_water = int((self.root / "high_water").read_text(encoding="utf-8"))
+        except FileNotFoundError:
             high_water = 0
-        stems = (path.stem for path in self.records_dir.glob("*.json"))
-        self._last_suffix = max(
-            [high_water, *(int(stem) for stem in stems if _SUFFIX_RE.fullmatch(stem))]
-        )
+        self._last_suffix = high_water
+        for path in sorted(self.records_dir.glob("*.json")):
+            if not _SUFFIX_RE.fullmatch(path.stem):
+                continue
+            self._last_suffix = max(self._last_suffix, int(path.stem))
+            try:
+                record = self._load(path)
+            except BrokenChainError:
+                continue  # unindexed; resolving it reports the damage
+            if record.predecessor is not None:
+                self._index(record)
 
     # -- core operations ---------------------------------------------------
 
@@ -122,15 +147,17 @@ class PIDRegistry:
         orgs: Mapping[str, identity_mod.Organization] | None = None,
         permission: identity_mod.Permission | None = None,
     ) -> PIDRecord:
-        """Assign a fresh suffix and store a record owned by *owner*.
+        """Reserve a fresh suffix for a record owned by *owner*.
 
         Without *predecessor* the record is version 1 of a chain of its own.
-        With one, it is stored as the next version after *predecessor*,
-        already chained both ways. Both must be provenance records, the
-        predecessor must be the newest version (null successor), and
-        ``identity.check_auth`` must pass *caller* for the chain's first
+        With one, it is the next version after *predecessor*. Both must be
+        provenance records, the predecessor must be committed and newest,
+        and ``identity.check_auth`` must pass *caller* for the chain's first
         record, whose minter is the chain's one owner: the ledger keys the
-        chain by that PID and checks the same owner and grant.
+        chain by that PID and checks the same owner and grant. A next
+        version whose predecessor and checksum match an existing reservation
+        is that reservation, still owned by its first reserver, so a retried
+        update names one PID.
         """
         if object_kind not in OBJECT_KINDS:
             raise KindMismatchError(f"unknown object kind: {object_kind!r}")
@@ -140,17 +167,21 @@ class PIDRegistry:
                 previous = self.resolve(predecessor)
                 if previous.object_kind != KIND_PROVENANCE or object_kind != KIND_PROVENANCE:
                     raise KindMismatchError("version chains link provenance records only")
-                if previous.successor is not None:
+                key = self._chain_key(previous.pid)
+                if (key, previous.version_number + 1) in self._committed:
                     raise SuccessorExistsError(
-                        f"{predecessor} already superseded by {previous.successor}"
+                        f"{predecessor} already superseded by version "
+                        f"{previous.version_number + 1}"
                     )
-                base = (self._follow(previous, "predecessor", {predecessor}) or [previous])[-1]
-                chain_owner = base.metadata.get("owner")
+                chain_owner = self._read(key).metadata.get("owner")
                 if caller is None or not identity_mod.check_auth(
-                    base.pid, identity_mod.CAP_UPDATE_PROVENANCE, caller,
+                    key, identity_mod.CAP_UPDATE_PROVENANCE, caller,
                     [chain_owner] if chain_owner else [], orgs or {}, permission,
                 ):
                     raise UnauthorizedError(f"{owner!r} may not supersede {predecessor}")
+                reserved = self._reserved.get((predecessor, checksum))
+                if reserved is not None:
+                    return self._read(reserved)
             suffix = self._next_suffix()
             self._last_suffix = int(suffix)
             record = PIDRecord(
@@ -162,83 +193,42 @@ class PIDRegistry:
                 predecessor=predecessor,
                 metadata={**(metadata or {}), "owner": owner, "created_at": clock.now_iso()},
             )
-            # Write the new record first: a crash between the two writes
-            # leaves a record pointing back at a consistent chain rather
-            # than a dangling successor.
             self._store(record)
-            if previous is not None:
-                self._store(replace(previous, successor=record.pid))
+            if predecessor is not None:
+                self._index(record)
             return record
 
     def resolve(self, pid: str) -> PIDRecord:
-        parsed = PID.parse(pid)
-        if parsed.prefix != self.prefix:
-            raise UnknownPIDError(f"PID {pid!r} is outside prefix {self.prefix!r}")
-        path = self._record_path(parsed.suffix)
-        if not path.exists():
-            raise UnknownPIDError(f"unknown PID: {pid!r}")
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return PIDRecord.from_dict(json.load(fh))
-        except (OSError, ValueError, KeyError) as exc:
-            raise BrokenChainError(f"unreadable record for {pid!r}: {exc}") from exc
+        """The committed record *pid*, its successor derived."""
+        record = self._read(pid)
+        key = self._chain_key(record.pid)
+        self._advance()
+        if self._committed.get((key, record.version_number)) != record.checksum:
+            raise UnknownPIDError(f"unknown PID: {pid!r} (no committed ledger write)")
+        return replace(record, successor=self._successor(record, key))
 
     def version_history(self, pid: str) -> list[PIDRecord]:
-        """Full chain from version 1 to newest, from any member."""
+        """Full committed chain from version 1 to newest, from any member."""
         record = self.resolve(pid)
-        seen = {record.pid}
-        older = self._follow(record, "predecessor", seen)
-        newer = self._follow(record, "successor", seen)
-        return older[::-1] + [record] + newer
-
-    def _follow(self, record: PIDRecord, link: str, seen: set[str]) -> list[PIDRecord]:
-        """The records reached through *link* ("predecessor" or "successor")."""
-        reached = []
-        current = record
-        while getattr(current, link) is not None:
-            try:
-                current = self.resolve(getattr(current, link))
-            except UnknownPIDError as exc:
-                raise BrokenChainError(
-                    f"{link} {getattr(current, link)!r} of {current.pid} missing"
-                ) from exc
-            if current.pid in seen:
-                raise BrokenChainError(f"version chain cycle at {current.pid}")
-            seen.add(current.pid)
-            reached.append(current)
-        return reached
-
-    # -- rollback ------------------------------------------------------------
-
-    def discard(self, pid: str, caller: identity_mod.Identity) -> None:
-        """Remove a record that no committed ledger write refers to.
-
-        The one compensation step of the write coordinator's rollback. Only
-        the record's owner, the identity that minted it, may discard it, and
-        never once a newer version links to it. If the predecessor's
-        successor points at the record, that link is cleared first, so the
-        registry returns to its state before the record was minted. The
-        counter's high-water mark is persisted first, so the suffix is not
-        handed out again after a restart either.
-        """
-        with self._write_lock:
-            record = self.resolve(pid)
-            if record.metadata.get("owner") != caller.user_id:
-                raise UnauthorizedError(f"{caller.user_id!r} did not mint {pid}")
-            if record.successor is not None:
-                raise SuccessorExistsError(f"{pid} has a successor; cannot discard")
-            if record.predecessor is not None:
-                predecessor = self.resolve(record.predecessor)
-                if predecessor.successor == pid:
-                    self._store(replace(predecessor, successor=None))
-            self._persist_high_water()
-            self._record_path(PID.parse(pid).suffix).unlink()
+        key = self._chain_key(record.pid)
+        chain = [record]
+        while chain[0].predecessor is not None:
+            chain.insert(0, self._linked(chain[0].predecessor, "predecessor", chain[0].pid))
+        while chain[-1].successor is not None:
+            newer = self._linked(chain[-1].successor, "successor", chain[-1].pid)
+            chain.append(replace(newer, successor=self._successor(newer, key)))
+        return [
+            replace(older, successor=newer.pid) for older, newer in zip(chain, chain[1:])
+        ] + [chain[-1]]
 
     def list_records(self) -> list[PIDRecord]:
+        """Every committed record, in suffix order."""
         records = []
         for path in sorted(self.records_dir.glob("*.json")):
-            with open(path, "r", encoding="utf-8") as fh:
-                records.append(PIDRecord.from_dict(json.load(fh)))
+            try:
+                records.append(self.resolve(f"{self.prefix}/{path.stem}"))
+            except UnknownPIDError:
+                continue  # a reservation that never committed
         return records
 
     def state_digest(self) -> str:
@@ -246,22 +236,62 @@ class PIDRegistry:
 
         return digest([r.to_dict() for r in self.list_records()])
 
-    # -- internals -----------------------------------------------------------
+    # -- the committed view ----------------------------------------------------
 
-    def _persist_high_water(self) -> None:
-        """Write the counter atomically: a temporary file, fsynced, renamed
-        over the mark, then the directory fsynced."""
-        temporary = self._high_water_path.with_suffix(".tmp")
-        with open(temporary, "w", encoding="utf-8") as fh:
-            fh.write(f"{self._last_suffix}\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(temporary, self._high_water_path)
-        directory = os.open(self.root, os.O_RDONLY)
+    def _advance(self) -> None:
+        """Take in the writes of the blocks committed since the last request."""
+        with self._view_lock:
+            new_blocks = self.ledger.blocks[self._blocks_seen:]
+            for block in new_blocks:
+                for tx in block.transactions:
+                    if tx.get("validation") != VALID:
+                        continue
+                    for key, value in tx["result"]["writes"].items():
+                        self._committed[(key, value["version"])] = value["checksum"]
+            self._blocks_seen += len(new_blocks)
+
+    def _chain_key(self, pid: str) -> str:
+        """The ledger key of *pid*'s chain: the chain's first PID."""
+        seen = {pid}
+        while pid in self._predecessor:
+            pid = self._predecessor[pid]
+            if pid in seen:
+                raise BrokenChainError(f"version chain cycle at {pid}")
+            seen.add(pid)
+        return pid
+
+    def _successor(self, record: PIDRecord, key: str) -> str | None:
+        checksum = self._committed.get((key, record.version_number + 1))
+        return None if checksum is None else self._reserved.get((record.pid, checksum))
+
+    def _linked(self, pid: str, link: str, holder: str) -> PIDRecord:
         try:
-            os.fsync(directory)
-        finally:
-            os.close(directory)
+            return self._read(pid)
+        except UnknownPIDError as exc:
+            raise BrokenChainError(f"{link} {pid!r} of {holder} missing") from exc
+
+    # -- record files ----------------------------------------------------------
+
+    def _index(self, record: PIDRecord) -> None:
+        self._predecessor[record.pid] = record.predecessor
+        self._reserved.setdefault((record.predecessor, record.checksum), record.pid)
+
+    def _read(self, pid: str) -> PIDRecord:
+        parsed = PID.parse(pid)
+        if parsed.prefix != self.prefix:
+            raise UnknownPIDError(f"PID {pid!r} is outside prefix {self.prefix!r}")
+        path = self._record_path(parsed.suffix)
+        if not path.exists():
+            raise UnknownPIDError(f"unknown PID: {pid!r}")
+        return self._load(path)
+
+    @staticmethod
+    def _load(path: Path) -> PIDRecord:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                return PIDRecord.from_dict(json.load(fh))
+        except (OSError, ValueError, KeyError) as exc:
+            raise BrokenChainError(f"unreadable record {path.name}: {exc}") from exc
 
     def _next_suffix(self) -> str:
         return str(self._last_suffix + 1).zfill(_SUFFIX_WIDTH)
@@ -273,7 +303,9 @@ class PIDRegistry:
 
     def _store(self, record: PIDRecord) -> None:
         path = self._record_path(PID.parse(record.pid).suffix)
+        data = record.to_dict()
+        del data["successor"]  # derived from the ledger, never stored
         try:
-            path.write_text(json.dumps(record.to_dict(), indent=2, sort_keys=True))
+            path.write_text(json.dumps(data, indent=2, sort_keys=True))
         except OSError as exc:
             raise RegistryUnavailableError(f"cannot persist {record.pid}: {exc}") from exc

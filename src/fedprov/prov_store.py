@@ -42,8 +42,7 @@ class ProvStore:
         """Write the canonical bytes; returns (uri, checksum, created).
 
         ``created`` is False when an identical document was already stored,
-        which makes the operation idempotent and lets the atomic-update
-        rollback know whether it owns the blob.
+        which makes the operation idempotent.
         """
         require_valid(doc)
         return self._put(doc.canonical_bytes())
@@ -80,15 +79,9 @@ class ProvStore:
         payload = self.fetch_bytes(uri, expected_checksum)
         return ProvDocument.from_dict(json.loads(payload.decode("utf-8")))
 
-    def discard(self, checksum: str) -> None:
-        """Delete a blob (rollback path for never-published content)."""
-        path = self.blob_path(checksum)
-        if path.exists():
-            path.unlink()
-
     def blob_path(self, checksum: str) -> Path:
         """The blob's path; anything but 64 lowercase hex digits is refused,
-        so no URI or journal entry can name a file outside the store."""
+        so no URI can name a file outside the store."""
         if not _CHECKSUM.fullmatch(checksum):
             raise DocumentNotFoundError(f"not a content checksum: {checksum!r}")
         return self.root / checksum[:2] / checksum[2:]

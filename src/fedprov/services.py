@@ -2,22 +2,21 @@
 
 A ``NodeService`` answers PROPOSE / COMMIT / QUERY on every organization
 node and additionally ORDER on the node that hosts the ordering service.
-A ``RegistryService`` answers MINT / RESOLVE / HISTORY plus UNLINK, the
-write coordinator's one registry compensation step: it discards a record,
-and only the identity that minted the record may send it. A MINT that names
-a ``predecessor`` mints the next version of that record's chain, already
-linked.
+A ``RegistryService`` answers MINT / RESOLVE / HISTORY. A MINT reserves a
+PID; RESOLVE and HISTORY answer only records whose ledger write the
+registry's host node has committed. A MINT that names a ``predecessor``
+reserves the next version of that record's chain.
 
 ``assemble_org`` is the one place an organization's server side is built,
 for the in-process harness and for ``fedprov federation start-node`` alike;
 ``serve`` puts the assembled services on their listen addresses.
 
-Mutating registry requests carry the caller's identity claim (the
-``to_creator`` form a transaction's ``creator`` takes) and the caller's
-signature over the request. ``identity.authenticate`` checks both before
-anything else, as ``OrgNode.endorse`` does for a proposal, and refuses a
-malformed or unverified claim with ``UnauthorizedError``. A request that is
-not an object, or lacks one of its string fields, is refused as a malformed
+A MINT carries the caller's identity claim (the ``to_creator`` form a
+transaction's ``creator`` takes) and the caller's signature over the
+request. ``identity.authenticate`` checks both before anything else, as
+``OrgNode.endorse`` does for a proposal, and refuses a malformed or
+unverified claim with ``UnauthorizedError``. A request that is not an
+object, or lacks its string ``object_kind``, is refused as a malformed
 request. MINT then requires ``identity.may_write``, and a MINT with a
 ``predecessor`` ``identity.check_auth`` on the version chain's first record.
 """
@@ -75,13 +74,6 @@ class NodeService:
         raise FedprovError(f"unknown query op: {op!r}")
 
 
-# The string fields each mutating registry request must carry.
-_REQUEST_FIELDS = {
-    "MINT": ("object_kind",),
-    "UNLINK": ("new_pid",),
-}
-
-
 class RegistryService:
     def __init__(
         self,
@@ -98,50 +90,46 @@ class RegistryService:
         if kind == "HISTORY":
             chain = self.registry.version_history(payload["pid"])
             return {"ok": True, "records": [r.to_dict() for r in chain]}
-        if kind in _REQUEST_FIELDS:
+        if kind == "MINT":
             request = payload.get("request", {})
             caller = identity_mod.authenticate(
                 payload.get("caller"), payload.get("signature"), canonical_bytes(request),
                 self.orgs,
             )
-            return self._mutate(kind, request, caller)
+            return self._mint(request, caller)
         raise FedprovError(f"unknown message kind: {kind!r}")
 
-    def _mutate(self, kind: str, request: dict, caller: identity_mod.Identity) -> dict:
+    def _mint(self, request: dict, caller: identity_mod.Identity) -> dict:
         if not isinstance(request, dict):
-            raise FedprovError(f"malformed request: {kind} request is not an object")
-        for name in _REQUEST_FIELDS[kind]:
-            if not isinstance(request.get(name), str):
-                raise FedprovError(f"malformed request: {kind} needs a string {name!r}")
-        if kind == "MINT":
-            if not identity_mod.may_write(caller, self.orgs):
-                raise UnauthorizedError(f"{caller.user_id!r} may not mint")
-            predecessor, permission = request.get("predecessor"), None
-            if predecessor is not None and not isinstance(predecessor, str):
-                raise FedprovError("malformed request: MINT predecessor is not a string")
-            if request.get("permission"):
-                # A grant lets its holder write the next version, so it
-                # comes only with a predecessor.
-                if predecessor is None:
-                    raise FedprovError("malformed request: MINT permission without a predecessor")
-                try:
-                    permission = identity_mod.Permission.from_dict(request["permission"])
-                except (AttributeError, KeyError, TypeError):
-                    raise FedprovError("malformed request: MINT permission is not a grant")
-            record = self.registry.mint(
-                object_kind=request["object_kind"],
-                target_uri=request.get("target_uri", ""),
-                checksum=request.get("checksum", ""),
-                owner=caller.user_id,
-                metadata=request.get("metadata"),
-                predecessor=predecessor,
-                caller=caller,
-                orgs=self.orgs,
-                permission=permission,
-            )
-            return {"ok": True, "record": record.to_dict()}
-        self.registry.discard(request["new_pid"], caller)  # UNLINK
-        return {"ok": True}
+            raise FedprovError("malformed request: MINT request is not an object")
+        if not isinstance(request.get("object_kind"), str):
+            raise FedprovError("malformed request: MINT needs a string 'object_kind'")
+        if not identity_mod.may_write(caller, self.orgs):
+            raise UnauthorizedError(f"{caller.user_id!r} may not mint")
+        predecessor, permission = request.get("predecessor"), None
+        if predecessor is not None and not isinstance(predecessor, str):
+            raise FedprovError("malformed request: MINT predecessor is not a string")
+        if request.get("permission"):
+            # A grant lets its holder write the next version, so it
+            # comes only with a predecessor.
+            if predecessor is None:
+                raise FedprovError("malformed request: MINT permission without a predecessor")
+            try:
+                permission = identity_mod.Permission.from_dict(request["permission"])
+            except (AttributeError, KeyError, TypeError):
+                raise FedprovError("malformed request: MINT permission is not a grant")
+        record = self.registry.mint(
+            object_kind=request["object_kind"],
+            target_uri=request.get("target_uri", ""),
+            checksum=request.get("checksum", ""),
+            owner=caller.user_id,
+            metadata=request.get("metadata"),
+            predecessor=predecessor,
+            caller=caller,
+            orgs=self.orgs,
+            permission=permission,
+        )
+        return {"ok": True, "record": record.to_dict()}
 
 
 class RegistryClient:
@@ -173,10 +161,6 @@ class RegistryClient:
             request.update(predecessor=predecessor, permission=permission)
         return self._signed("MINT", request)["record"]
 
-    def unlink(self, new_pid: str) -> None:
-        """Discard *new_pid*'s record, unlinking it from its predecessor."""
-        self._signed("UNLINK", {"new_pid": new_pid})
-
     def _signed(self, kind: str, request: dict) -> dict:
         if self.identity is None or self._private_key is None:
             raise UnauthorizedError(f"{kind} requires caller credentials")
@@ -198,7 +182,8 @@ def assemble_org(
 
     Every organization runs a ``NodeService``. The orderer organization's
     node also hosts the ``OrderingService``, which reaches each node through
-    ``transport(listen_address)``, and the ``RegistryService``.
+    ``transport(listen_address)``, and the ``RegistryService``, which sees
+    commits through that node.
     """
     orgs = config.orgs_map()
     node_identity, node_key = load_node_credentials(config, org_name)
@@ -222,7 +207,7 @@ def assemble_org(
             max_clock_skew_ms=config.max_clock_skew_ms,
         )
         services[config.registry_address] = RegistryService(
-            PIDRegistry(config.registry_root, config.pid_prefix), orgs
+            PIDRegistry(config.registry_root, config.pid_prefix, node), orgs
         )
     return services
 

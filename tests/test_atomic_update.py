@@ -1,8 +1,17 @@
-"""The atomic update protocol: ordering, rollback completeness, repair."""
+"""The write coordinator: its checks, and what a run that fails at any
+point leaves behind.
+
+The ledger transaction is a run's only commit point and nothing is ever
+undone. So a failed run must leave nothing observable: the ledger is
+unchanged or holds the whole write, no RESOLVE or HISTORY answer names a PID
+whose write did not commit, no ledger value names a blob the run left, no
+record or blob is ever deleted, and the chain can still be updated.
+"""
 
 from __future__ import annotations
 
 import dataclasses
+import threading
 
 import pytest
 
@@ -16,6 +25,9 @@ from fedprov.errors import (
     UnauthorizedError,
     UnknownPIDError,
 )
+from fedprov.harness import Federation
+from fedprov.ledger.blocks import VALID
+from fedprov.ledger.chaincode import MSG_VERSION_CONFLICT
 from fedprov.ledger.client import Receipt
 from fedprov.prov import ProvDocument
 from fedprov.prov_store import ENRICHMENT
@@ -114,105 +126,163 @@ def test_unknown_pid(published):
         updater.update("21.P/424242", enriched_copy(doc), users["alice"]["identity"])
 
 
+# -- what a failed run leaves --------------------------------------------------
+
+
+class Crash(RuntimeError):
+    """The writer's process dies: nothing after this point of the run runs."""
+
+
+def _dying(updater, monkeypatch, step, call=1, after=False, error=None):
+    """Make the *call*-th call of *step* fail, before its work or *after* it."""
+    real = getattr(updater, step)
+    calls = []
+
+    def dying(*args, **kwargs):
+        calls.append(args)
+        if len(calls) != call:
+            return real(*args, **kwargs)
+        if after:
+            real(*args, **kwargs)
+        raise error or Crash(f"died {'after' if after else 'at'} {step} call {call}")
+
+    monkeypatch.setattr(updater, step, dying)
+
+
+def _reservations(fed) -> set[str]:
+    return {f"{fed.config.pid_prefix}/{path.stem}"
+            for path in fed.registry.records_dir.glob("*.json")}
+
+
+def _ledger_checksums(fed) -> set[str]:
+    """Every checksum a committed ledger value ever held."""
+    return {
+        value["checksum"]
+        for block in fed.nodes["OrgA"].blocks
+        for tx in block.transactions if tx.get("validation") == VALID
+        for value in tx["result"]["writes"].values()
+    }
+
+
+def _observed(fed) -> dict:
+    return {
+        "ledger": fed.nodes["OrgA"].state_dump(),
+        "registry": fed.registry.state_digest(),
+        "reserved": _reservations(fed),
+        "blobs": set(fed.store.list_checksums()),
+    }
+
+
+def _committed_whole_or_nothing(fed, before) -> bool:
+    """Assert that the run since *before* committed whole or left nothing
+    observable; True if it committed."""
+    reserved = _reservations(fed) - before["reserved"]
+    blobs = set(fed.store.list_checksums())
+    assert before["reserved"] <= _reservations(fed) and before["blobs"] <= blobs
+    left, named = blobs - before["blobs"], _ledger_checksums(fed)
+    if fed.nodes["OrgA"].state_dump() != before["ledger"]:
+        for pid in reserved:
+            assert cli.verify_pid(fed.client(), pid)["result"] == "VERIFIED", pid
+        assert left <= named
+        return True
+    assert fed.registry.state_digest() == before["registry"]
+    for pid in reserved:
+        with pytest.raises(UnknownPIDError):
+            fed.registry.resolve(pid)
+    for record in fed.registry.list_records():
+        for member in fed.registry.version_history(record.pid):
+            assert {member.pid, member.successor} & reserved == set()
+    assert not left & named
+    return False
+
+
+def _update_head(fed, user, pid, marker="after"):
+    """Update the newest version of *pid*'s chain; the result, verified."""
+    head = fed.client().registry().version_history(pid)[-1]["pid"]
+    result = fed.client(user["identity"], user["key"]).updater().update(
+        head, annotated(_document(fed, head), marker), user["identity"]
+    )
+    assert cli.verify_pid(fed.client(), result.new_pid)["result"] == "VERIFIED"
+    return result
+
+
 @pytest.mark.parametrize("failing_step", ["_step_store", "_step_mint", "_step_ledger"])
 def test_rollback_completeness_per_failure_point(published, failing_step, monkeypatch):
-    """A failure at any protocol step leaves the system digest unchanged.
-
-    The failing step itself performs no work (its own atomicity is the
-    store/registry/ledger layer's contract); every already-completed step
-    must be compensated.
-    """
+    """A step that fails before its work leaves nothing of the run
+    observable, although nothing is undone, and the chain updatable."""
     fed, users, pid, doc = published
     updater = fed.client(users["alice"]["identity"], users["alice"]["key"]).updater()
-    before = fed.system_digest()
-
-    def exploding(*args, **kwargs):
-        raise LedgerRejectedError(f"injected failure at {failing_step}")
-
-    monkeypatch.setattr(updater, failing_step, exploding)
+    before = _observed(fed)
+    _dying(updater, monkeypatch, failing_step,
+           error=LedgerRejectedError(f"injected failure at {failing_step}"))
     with pytest.raises(LedgerRejectedError):
         updater.update(pid, enriched_copy(doc), users["alice"]["identity"])
-    assert fed.system_digest() == before
-    # The record is still updatable afterwards (nothing half-linked).
-    clean = fed.client(users["alice"]["identity"], users["alice"]["key"]).updater()
-    result = clean.update(pid, enriched_copy(doc, "after"), users["alice"]["identity"])
-    assert result.classification == ENRICHMENT
+    assert not _committed_whole_or_nothing(fed, before)
+    assert _update_head(fed, users["alice"], pid).classification == ENRICHMENT
+
+
+@pytest.mark.parametrize("step", ["_step_store", "_step_mint", "_step_ledger"])
+def test_update_crash_after_each_step(published, step, monkeypatch):
+    fed, users, pid, doc = published
+    alice = users["alice"]
+    updater = fed.client(alice["identity"], alice["key"]).updater()
+    before = _observed(fed)
+    _dying(updater, monkeypatch, step, after=True)
+    with pytest.raises(Crash):
+        updater.update(pid, enriched_copy(doc), alice["identity"])
+    assert _committed_whole_or_nothing(fed, before) == (step == "_step_ledger")
+    _update_head(fed, alice, pid)
+
+
+def test_retried_update_names_the_pid_it_reserved(published, monkeypatch):
+    fed, users, pid, doc = published
+    alice = users["alice"]
+    updater = fed.client(alice["identity"], alice["key"]).updater()
+    before = _observed(fed)
+    _dying(updater, monkeypatch, "_step_mint", after=True)
+    with pytest.raises(Crash):
+        updater.update(pid, enriched_copy(doc), alice["identity"])
+    (reserved,) = _reservations(fed) - before["reserved"]
+    retry = fed.client(alice["identity"], alice["key"]).updater()
+    assert retry.update(pid, enriched_copy(doc), alice["identity"]).new_pid == reserved
+    assert _reservations(fed) - before["reserved"] == {reserved}
 
 
 def test_ledger_rejection_rolls_back_registry_and_blob(published, monkeypatch):
-    """Policy failure at the last step leaves no new version anywhere."""
+    """A policy failure at the last step leaves no new version visible, and
+    its blob is named by no ledger value."""
     fed, users, pid, doc = published
     updater = fed.client(users["alice"]["identity"], users["alice"]["key"]).updater()
-    before = fed.system_digest()
-
-    def refuse(*args, **kwargs):
-        raise LedgerRejectedError("endorsement policy unmet (injected)")
-
-    monkeypatch.setattr(updater, "_step_ledger", refuse)
+    before = _observed(fed)
+    _dying(updater, monkeypatch, "_step_ledger",
+           error=LedgerRejectedError("endorsement policy unmet (injected)"))
     with pytest.raises(LedgerRejectedError):
         updater.update(pid, enriched_copy(doc), users["alice"]["identity"])
-    assert fed.system_digest() == before
-    chain = fed.client().registry().version_history(pid)
-    assert len(chain) == 1
+    assert not _committed_whole_or_nothing(fed, before)
+    assert len(fed.client().registry().version_history(pid)) == 1
 
 
 def test_shared_blob_survives_rollback(published, monkeypatch):
-    """Rollback must not delete a blob that existed before the update."""
+    """A failed run deletes no blob, neither one that existed before it nor
+    its own."""
     fed, users, pid, doc = published
     new_doc = enriched_copy(doc)
     uri, checksum, created = fed.store.store_document(new_doc)  # pre-existing
     assert created
     updater = fed.client(users["alice"]["identity"], users["alice"]["key"]).updater()
-    monkeypatch.setattr(
-        updater, "_step_ledger",
-        lambda *a, **k: (_ for _ in ()).throw(LedgerRejectedError("injected")),
-    )
+    _dying(updater, monkeypatch, "_step_ledger", error=LedgerRejectedError("injected"))
     with pytest.raises(LedgerRejectedError):
         updater.update(pid, new_doc, users["alice"]["identity"])
-    # Blob still present: this update did not create it.
     fed.store.fetch_document(uri, checksum)
 
 
-def test_repair_rolls_back_crashed_update(published, monkeypatch):
-    """A crash after the linked mint (before ledger) is undone by journal repair."""
-    fed, users, pid, doc = published
-    updater = fed.client(users["alice"]["identity"], users["alice"]["key"]).updater()
-    before = fed.system_digest()
-
-    class Crash(RuntimeError):
-        pass
-
-    def crash(*args, **kwargs):
-        raise Crash("simulated process death")
-
-    # The "process dies" mid-protocol: neither the final step nor the
-    # in-line compensation runs, and no abort is journaled.
-    monkeypatch.setattr(updater, "_step_ledger", crash)
-    monkeypatch.setattr(updater, "_rollback", crash)
-    with pytest.raises(Crash):
-        updater.update(pid, enriched_copy(doc), users["alice"]["identity"])
-    assert fed.system_digest() != before  # half-done state left behind
-
-    recovery = fed.client(users["alice"]["identity"], users["alice"]["key"]).updater()
-    repaired = recovery.repair()
-    assert repaired == 1
-    assert fed.system_digest() == before
-
-
-def _assert_updatable_again(fed, users, pid, doc):
-    assert len(fed.client().registry().version_history(pid)) == 1
-    clean = fed.client(users["alice"]["identity"], users["alice"]["key"]).updater()
-    result = clean.update(pid, enriched_copy(doc, "after"), users["alice"]["identity"])
-    assert users["alice"]["ledger"].hlf_read(pid).version == 2
-    assert cli.verify_pid(fed.client(), result.new_pid)["result"] == "VERIFIED"
-
-
 def test_lost_mint_reply_is_rolled_back(published, monkeypatch):
-    """The registry mints and links the new version, but its reply is lost:
-    the rollback finds the version through its predecessor and discards it."""
+    """The registry reserves the new version, but its reply is lost: the
+    reservation never resolves, and the retry names it."""
     fed, users, pid, doc = published
-    updater = fed.client(users["alice"]["identity"], users["alice"]["key"]).updater()
-    before = fed.system_digest()
+    alice = users["alice"]
+    updater = fed.client(alice["identity"], alice["key"]).updater()
+    before = _observed(fed)
     real_transport = updater.registry.transport
 
     def reply_lost(kind, payload):
@@ -223,47 +293,17 @@ def test_lost_mint_reply_is_rolled_back(published, monkeypatch):
 
     monkeypatch.setattr(updater.registry, "transport", reply_lost)
     with pytest.raises(TransportError):
-        updater.update(pid, enriched_copy(doc), users["alice"]["identity"])
-    assert fed.system_digest() == before
-    assert updater.journal.pending() == {}
-    _assert_updatable_again(fed, users, pid, doc)
-
-
-def test_repair_discards_a_version_minted_but_never_journaled(published, monkeypatch):
-    """The process dies between the MINT's reply and the journal entry naming
-    its PID: repair finds the linked version through its predecessor."""
-    fed, users, pid, doc = published
-    updater = fed.client(users["alice"]["identity"], users["alice"]["key"]).updater()
-    before = fed.system_digest()
-    real_record = updater.journal.record
-
-    class Crash(RuntimeError):
-        pass
-
-    def record(update_id, event, data=None):
-        if event == "mint":
-            raise Crash("simulated process death")
-        real_record(update_id, event, data)
-
-    def crash(*args, **kwargs):
-        raise Crash("simulated process death")
-
-    monkeypatch.setattr(updater.journal, "record", record)
-    monkeypatch.setattr(updater, "_rollback", crash)
-    with pytest.raises(Crash):
-        updater.update(pid, enriched_copy(doc), users["alice"]["identity"])
-    assert len(fed.client().registry().version_history(pid)) == 2  # linked, unnamed
-
-    recovery = fed.client(users["alice"]["identity"], users["alice"]["key"]).updater()
-    assert recovery.repair() == 1
-    assert recovery.journal.pending() == {}
-    assert fed.system_digest() == before
-    _assert_updatable_again(fed, users, pid, doc)
+        updater.update(pid, enriched_copy(doc), alice["identity"])
+    assert not _committed_whole_or_nothing(fed, before)
+    (reserved,) = _reservations(fed) - before["reserved"]
+    retry = fed.client(alice["identity"], alice["key"]).updater()
+    assert retry.update(pid, enriched_copy(doc), alice["identity"]).new_pid == reserved
+    assert cli.verify_pid(fed.client(), reserved)["result"] == "VERIFIED"
 
 
 def test_refused_mint_leaves_another_runs_version_alone(published, monkeypatch):
-    """Another run supersedes the old version first; this run's MINT is refused,
-    and its rollback does not discard the other run's version."""
+    """Another run supersedes the old version first; this run's MINT is
+    refused, and the other run's version stands."""
     fed, users, pid, doc = published
     alice = users["alice"]
     updater = fed.client(alice["identity"], alice["key"]).updater()
@@ -283,7 +323,36 @@ def test_refused_mint_leaves_another_runs_version_alone(published, monkeypatch):
     assert cli.verify_pid(fed.client(), chain[1]["pid"])["result"] == "VERIFIED"
 
 
-# -- publish runs on the same journal and rollback ------------------------------
+def test_stale_update_is_refused_by_the_ledger(published, monkeypatch):
+    """Two updaters start from version 1. The second reserves its version,
+    then writes the ledger after the first has committed: the ledger refuses
+    it as a version conflict, and its PID never resolves."""
+    fed, users, pid, doc = published
+    alice = users["alice"]
+    second = fed.client(alice["identity"], alice["key"]).updater()
+    real_ledger = second._step_ledger
+    first_result = []
+
+    def after_the_first(*args, **kwargs):
+        first = fed.client(alice["identity"], alice["key"]).updater()
+        first_result.append(first.update(pid, enriched_copy(doc, "first"), alice["identity"]))
+        return real_ledger(*args, **kwargs)
+
+    monkeypatch.setattr(second, "_step_ledger", after_the_first)
+    before = _reservations(fed)
+    with pytest.raises(LedgerRejectedError) as refused:
+        second.update(pid, enriched_copy(doc, "second"), alice["identity"])
+    assert refused.value.receipt["message"] == MSG_VERSION_CONFLICT
+    assert cli.exit_code_for(refused.value) == cli.EXIT_DUPLICATE
+    chain = fed.client().registry().version_history(pid)
+    assert [r["pid"] for r in chain] == [pid, first_result[0].new_pid]
+    (stale,) = _reservations(fed) - before - {first_result[0].new_pid}
+    with pytest.raises(UnknownPIDError):
+        fed.client().registry().resolve(stale)
+    assert alice["ledger"].hlf_read(pid).version == 2
+
+
+# -- publish ------------------------------------------------------------------
 
 
 @pytest.fixture()
@@ -299,90 +368,53 @@ def test_publish_happy_path(publisher):
     ledger = users["alice"]["ledger"]
     assert ledger.hlf_read(body["artifact_pid"]).checksum == body["artifact_checksum"]
     assert ledger.hlf_read(body["prov_pid"]).checksum == body["doc_checksum"]
-    assert updater.journal.pending() == {}
+    registry = fed.client().registry()
+    assert registry.resolve(body["artifact_pid"])["checksum"] == body["artifact_checksum"]
+    assert registry.resolve(body["prov_pid"])["checksum"] == body["doc_checksum"]
 
 
-@pytest.mark.parametrize(
-    "failing_step, call",
-    [("_step_store", 1), ("_step_mint", 1), ("_step_store", 2), ("_step_mint", 2),
-     ("_step_ledger", 1)],
-)
+_PUBLISH_STEPS = [("_step_store", 1), ("_step_mint", 1), ("_step_store", 2),
+                  ("_step_mint", 2), ("_step_ledger", 1)]
+
+
+@pytest.mark.parametrize("failing_step, call", _PUBLISH_STEPS)
 def test_publish_rollback_completeness_per_failure_point(
     publisher, failing_step, call, monkeypatch
 ):
-    """A failure at any publish step leaves the system digest unchanged."""
+    """A publish step that fails before its work leaves nothing of the run
+    observable, although nothing is undone."""
     fed, users, updater = publisher
     alice = users["alice"]["identity"]
-    before = fed.system_digest()
-    real = getattr(updater, failing_step)
-    calls = []
-
-    def exploding(*args, **kwargs):
-        calls.append(args)
-        if len(calls) == call:
-            raise LedgerRejectedError(f"injected failure at {failing_step} call {call}")
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(updater, failing_step, exploding)
+    before = _observed(fed)
+    _dying(updater, monkeypatch, failing_step, call,
+           error=LedgerRejectedError(f"injected failure at {failing_step} call {call}"))
     with pytest.raises(LedgerRejectedError):
         updater.publish(b"a,b\n1,2\n", simple_doc(), alice)
-    assert fed.system_digest() == before
-    assert updater.journal.pending() == {}
+    assert not _committed_whole_or_nothing(fed, before)
     clean = fed.client(alice, users["alice"]["key"]).updater()
     assert clean.publish(b"a,b\n1,2\n", simple_doc(), alice)["receipts"]
 
 
-def _crash_publish(fed, users, monkeypatch, who="alice"):
-    """Publish as *who*, dying after both mints but before the ledger write."""
-    updater = fed.client(users[who]["identity"], users[who]["key"]).updater()
-
-    class Crash(RuntimeError):
-        pass
-
-    def crash(*args, **kwargs):
-        raise Crash("simulated process death")
-
-    monkeypatch.setattr(updater, "_step_ledger", crash)
-    monkeypatch.setattr(updater, "_rollback", crash)
+@pytest.mark.parametrize("step, call", _PUBLISH_STEPS)
+def test_publish_crash_after_each_step(publisher, step, call, monkeypatch):
+    fed, users, updater = publisher
+    alice = users["alice"]
+    before = _observed(fed)
+    _dying(updater, monkeypatch, step, call, after=True)
     with pytest.raises(Crash):
-        updater.publish(b"a,b\n1,2\n", simple_doc(), users[who]["identity"])
-
-
-def test_repair_rolls_back_crashed_publish(publisher, monkeypatch):
-    fed, users, _ = publisher
-    before = fed.system_digest()
-    _crash_publish(fed, users, monkeypatch)
-    assert fed.system_digest() != before  # two blobs and two PIDs left behind
-
-    recovery = fed.client(users["alice"]["identity"], users["alice"]["key"]).updater()
-    assert recovery.repair() == 1
-    assert fed.system_digest() == before
-    assert recovery.journal.pending() == {}
-
-
-def test_repair_by_non_owner_is_refused_and_deletes_no_record(publisher, monkeypatch):
-    fed, users, _ = publisher
-    before = fed.system_digest()
-    _crash_publish(fed, users, monkeypatch)
-    crashed = fed.system_digest()
-
-    stranger = fed.client(users["bob"]["identity"], users["bob"]["key"]).updater()
-    with pytest.raises(UnauthorizedError):
-        stranger.repair()
-    assert fed.system_digest() == crashed
-    assert len(stranger.journal.pending()) == 1
-
-    owner = fed.client(users["alice"]["identity"], users["alice"]["key"]).updater()
-    assert owner.repair() == 1
-    assert fed.system_digest() == before
+        updater.publish(b"a,b\n1,2\n", simple_doc(), alice["identity"])
+    assert _committed_whole_or_nothing(fed, before) == (step == "_step_ledger")
+    body = fed.client(alice["identity"], alice["key"]).updater().publish(
+        b"a,b\n1,2\n", simple_doc(), alice["identity"]
+    )
+    _update_head(fed, alice, body["prov_pid"])
 
 
 def test_refused_publish_is_undone_whole(publisher, monkeypatch):
     """One transaction creates both records: if it does not commit, neither
-    record reaches the ledger and every blob and PID the publish wrote is
-    rolled back."""
+    record reaches the ledger and neither PID resolves."""
     fed, users, updater = publisher
-    before = fed.system_digest()
+    before = _observed(fed)
     ordered = []
 
     def conflicting(envelope):
@@ -394,77 +426,17 @@ def test_refused_publish_is_undone_whole(publisher, monkeypatch):
     with pytest.raises(LedgerRejectedError):
         updater.publish(b"a,b\n1,2\n", simple_doc(), users["alice"]["identity"])
     assert [envelope["body"]["kind"] for envelope in ordered] == ["publish"]
-    assert fed.system_digest() == before
-    assert updater.journal.pending() == {}
+    assert not _committed_whole_or_nothing(fed, before)
+    assert len(_reservations(fed) - before["reserved"]) == 2
 
 
-# -- an unknown outcome is settled by the ledger: a committed write stays -------
-
-
-class Crash(RuntimeError):
-    pass
-
-
-def _dying_at_commit(fed, user, monkeypatch):
-    """An updater whose process dies after the ledger commit, before the
-    journal's ``commit``: nothing after that point runs."""
-    updater = fed.client(user["identity"], user["key"]).updater()
-    real_record = updater.journal.record
-
-    def record(update_id, event, data=None):
-        if event == "commit":
-            raise Crash("simulated process death")
-        real_record(update_id, event, data)
-
-    def crash(*args, **kwargs):
-        raise Crash("simulated process death")
-
-    monkeypatch.setattr(updater.journal, "record", record)
-    monkeypatch.setattr(updater, "_rollback", crash)
-    return updater
+# -- an unknown outcome is settled by the ledger -----------------------------------
 
 
 def _all_verified(fed):
     ctx = fed.client()
     for record in fed.registry.list_records():
         assert cli.verify_pid(ctx, record.pid)["result"] == "VERIFIED", record.pid
-
-
-def _repaired_forward(fed, user) -> None:
-    recovery = fed.client(user["identity"], user["key"]).updater()
-    assert recovery.repair() == 1
-    assert recovery.journal.pending() == {}
-    assert recovery.journal.entries()[-1]["event"] == "commit"
-
-
-def test_repair_rolls_forward_a_publish_that_committed(publisher, monkeypatch):
-    fed, users, _ = publisher
-    alice = users["alice"]
-    with pytest.raises(Crash):
-        _dying_at_commit(fed, alice, monkeypatch).publish(
-            b"a,b\n1,2\n", simple_doc(), alice["identity"]
-        )
-    committed = fed.system_digest()
-    _repaired_forward(fed, alice)
-    assert fed.system_digest() == committed
-    assert len(fed.registry.list_records()) == 2
-    _all_verified(fed)
-
-
-def test_repair_rolls_forward_an_update_that_committed(published, monkeypatch):
-    fed, users, pid, doc = published
-    alice = users["alice"]
-    with pytest.raises(Crash):
-        _dying_at_commit(fed, alice, monkeypatch).update(
-            pid, enriched_copy(doc), alice["identity"]
-        )
-    committed = fed.system_digest()
-    _repaired_forward(fed, alice)
-    assert fed.system_digest() == committed
-    chain = fed.client().registry().version_history(pid)
-    assert [r["version_number"] for r in chain] == [1, 2]
-    assert alice["ledger"].hlf_read(pid).checksum == chain[1]["checksum"]
-    _all_verified(fed)
 
 
 def _order_reply_lost(updater, monkeypatch, delivered: bool):
@@ -481,6 +453,7 @@ def _order_reply_lost(updater, monkeypatch, delivered: bool):
 
 def test_lost_order_reply_after_commit_returns_the_publish(publisher, monkeypatch):
     fed, users, updater = publisher
+    before = _observed(fed)
     _order_reply_lost(updater, monkeypatch, delivered=True)
     body = updater.publish(b"a,b\n1,2\n", simple_doc(), users["alice"]["identity"])
     history = users["alice"]["ledger"].get_history(body["artifact_pid"])
@@ -488,29 +461,90 @@ def test_lost_order_reply_after_commit_returns_the_publish(publisher, monkeypatc
         assert receipt["status"] == "VALID"
         assert (receipt["tx_id"], receipt["height"]) == (history[0]["tx_id"],
                                                          history[0]["height"])
-    assert updater.journal.pending() == {}
+    assert _committed_whole_or_nothing(fed, before)
     _all_verified(fed)
 
 
 def test_lost_order_reply_after_commit_returns_the_update(published, monkeypatch):
     fed, users, pid, doc = published
     updater = fed.client(users["alice"]["identity"], users["alice"]["key"]).updater()
+    before = _observed(fed)
     _order_reply_lost(updater, monkeypatch, delivered=True)
     result = updater.update(pid, enriched_copy(doc), users["alice"]["identity"])
     assert result.receipt["status"] == "VALID"
     assert users["alice"]["ledger"].hlf_read(pid).checksum == result.checksum
-    assert updater.journal.pending() == {}
+    assert _committed_whole_or_nothing(fed, before)
     _all_verified(fed)
 
 
 def test_lost_order_before_commit_rolls_the_publish_back(publisher, monkeypatch):
+    """An ORDER that never reached the orderer publishes nothing visible."""
     fed, users, updater = publisher
-    before = fed.system_digest()
+    before = _observed(fed)
     _order_reply_lost(updater, monkeypatch, delivered=False)
     with pytest.raises(TransportError):
         updater.publish(b"a,b\n1,2\n", simple_doc(), users["alice"]["identity"])
-    assert fed.system_digest() == before
-    assert updater.journal.pending() == {}
+    assert not _committed_whole_or_nothing(fed, before)
+
+
+def test_late_order_commit_is_visible_through_resolve(publisher, monkeypatch):
+    """The client's ORDER raises ``TransportError`` and the real ORDER goes
+    out 0.3 s later: the verb fails, then the write commits, and both PIDs
+    resolve and verify."""
+    fed, users, updater = publisher
+    before = _observed(fed)
+    real_order = updater.ledger.order
+    late = []
+
+    def order(envelope):
+        late.append(threading.Timer(0.3, real_order, args=(envelope,)))
+        late[-1].start()
+        raise TransportError("timed out")
+
+    monkeypatch.setattr(updater.ledger, "order", order)
+    with pytest.raises(TransportError):
+        updater.publish(b"a,b\n1,2\n", simple_doc(), users["alice"]["identity"])
+    late[0].join()
+    reserved = _reservations(fed) - before["reserved"]
+    assert len(reserved) == 2
+    registry = fed.client().registry()
+    for pid in reserved:
+        assert registry.resolve(pid)["pid"] == pid
+        assert cli.verify_pid(fed.client(), pid)["result"] == "VERIFIED"
+    assert _committed_whole_or_nothing(fed, before)
+
+
+def test_restart_answers_the_same_and_reserves_above_every_reservation(
+    published, monkeypatch
+):
+    fed, users, pid, doc = published
+    alice = users["alice"]
+    updater = fed.client(alice["identity"], alice["key"]).updater()
+    _dying(updater, monkeypatch, "_step_ledger", error=LedgerRejectedError("injected"))
+    head = _update_head(fed, alice, pid, "one").new_pid
+    with pytest.raises(LedgerRejectedError):
+        updater.update(head, annotated(_document(fed, head), "refused"), alice["identity"])
+
+    def answers(federation):
+        registry = federation.client().registry()
+        out = {}
+        for reserved in sorted(_reservations(federation)):
+            try:
+                out[reserved] = (registry.resolve(reserved), registry.version_history(reserved))
+            except UnknownPIDError:
+                out[reserved] = None
+        return out
+
+    seen = answers(fed)
+    assert None in seen.values()  # the refused run's reservation
+    fed.stop()
+    restarted = Federation.start(fed.config_path)
+    try:
+        assert answers(restarted) == seen
+        newest = max(int(p.rsplit("/", 1)[1]) for p in seen)
+        assert int(restarted.registry._next_suffix()) > newest
+    finally:
+        restarted.stop()
 
 
 # -- a grant names the version chain's first PID, the ledger key -----------------
@@ -576,9 +610,7 @@ def test_grant_on_a_later_version_is_refused_before_any_write(second_version):
     )
     bob_updater = fed.client(bob["identity"], bob["key"]).updater()
     before = fed.system_digest()
-    journaled = len(bob_updater.journal.entries())
     with pytest.raises(UnauthorizedError):
         bob_updater.update("21.P/000003", annotated(_document(fed, "21.P/000003"), "two"),
                            bob["identity"], permission=grant)
-    assert fed.system_digest() == before
-    assert len(bob_updater.journal.entries()) == journaled  # refused before the run began
+    assert fed.system_digest() == before  # refused before the run stored anything

@@ -29,6 +29,48 @@ def test_update_owner_existing(ready):
     assert value.checksum == "c-p2"
 
 
+def test_update_writes_the_version_it_states(ready):
+    fed, users = ready
+    alice = users["alice"]["ledger"]
+    receipt = alice.hlf_update_prov("21.P/p1", "cas://p2", "c-p2", version=2)
+    assert receipt.message == chaincode.MSG_UPDATED
+    assert alice.hlf_read("21.P/p1").version == 2
+
+
+@pytest.mark.parametrize("version", [1, 2, 4])
+def test_update_of_another_version_is_a_version_conflict(ready, version):
+    """Only the current version plus one may be written: a stale update is refused."""
+    fed, users = ready
+    alice = users["alice"]["ledger"]
+    assert alice.hlf_update_prov("21.P/p1", "cas://p2", "c-p2", version=2).ok
+    height = fed.nodes["OrgA"].height()
+    receipt = alice.hlf_update_prov("21.P/p1", "cas://p3", "c-p3", version=version)
+    assert (receipt.status, receipt.message) == (STATUS_REJECTED, chaincode.MSG_VERSION_CONFLICT)
+    assert alice.hlf_read("21.P/p1").checksum == "c-p2"
+    assert fed.nodes["OrgA"].height() == height
+
+
+@pytest.mark.parametrize("version", ["2", 2.0, True, None, [2]],
+                         ids=["string", "float", "bool", "null", "list"])
+def test_update_with_a_version_that_is_not_an_integer_is_a_bad_request(ready, version):
+    fed, users = ready
+    receipt = users["alice"]["ledger"].submit(
+        chaincode.TX_UPDATE_PROV, "21.P/p1",
+        {"new_uri": "cas://x", "new_checksum": "cx", "version": version},
+    )
+    assert (receipt.status, receipt.message) == (STATUS_REJECTED, chaincode.MSG_BAD_REQUEST)
+
+
+def test_update_without_a_version_writes_the_next_one(ready):
+    fed, users = ready
+    alice = users["alice"]["ledger"]
+    for expected in (2, 3):
+        receipt = alice.submit(chaincode.TX_UPDATE_PROV, "21.P/p1",
+                               {"new_uri": "cas://x", "new_checksum": f"c{expected}"})
+        assert receipt.message == chaincode.MSG_UPDATED
+        assert alice.hlf_read("21.P/p1").version == expected
+
+
 def test_update_unknown_pid(ready):
     fed, users = ready
     receipt = users["alice"]["ledger"].hlf_update_prov("21.P/none", "cas://x", "cx")

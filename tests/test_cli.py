@@ -15,7 +15,6 @@ import pytest
 
 from conftest import register_default_users
 from fedprov import cli, identity as identity_mod, transport
-from fedprov.errors import UnauthorizedError
 from fedprov.harness import Federation
 from fedprov.ledger.client import LedgerClient, Receipt
 from fedprov.transport import TcpTransport
@@ -72,8 +71,8 @@ def test_publish_creates_both_records(live):
 @pytest.mark.parametrize("refused", ["artifact", "provenance"])
 def test_publish_orders_nothing_when_a_create_is_refused(live, refused):
     """Both creates are endorsed before either is ordered, so a refused one
-    leaves no artifact on the ledger without its provenance record; its
-    blobs and PIDs are rolled back, and the next publish mints fresh PIDs."""
+    leaves no artifact on the ledger without its provenance record; the PIDs
+    it reserved never resolve, and the next publish reserves fresh PIDs."""
     fed, users = live
     next_suffix = fed.registry._next_suffix()
     offset = 0 if refused == "artifact" else 1
@@ -81,7 +80,7 @@ def test_publish_orders_nothing_when_a_create_is_refused(live, refused):
     alice = users["alice"]["ledger"]
     assert alice.hlf_create(squatted, "cas://squat", "squat", ["alice"], refused).ok
     heights = {org: node.height() for org, node in fed.nodes.items()}
-    before = fed.system_digest()
+    registry_digest = fed.registry.state_digest()
 
     file_path = write_sample(fed, "d.csv", "a,b\n1,2\n")
     doc_path = write_doc(fed, "d.json", simple_doc_dict())
@@ -89,28 +88,15 @@ def test_publish_orders_nothing_when_a_create_is_refused(live, refused):
     assert code == cli.EXIT_DUPLICATE
     assert body["receipt"]["status"] == "REJECTED"
     assert {org: node.height() for org, node in fed.nodes.items()} == heights
-    assert fed.system_digest() == before
+    assert fed.registry.state_digest() == registry_digest
+    for reserved in (0, 1):
+        pid = f"{fed.config.pid_prefix}/{str(int(next_suffix) + reserved).zfill(len(next_suffix))}"
+        code, _ = invoke(fed, "verify", pid)
+        assert code == cli.EXIT_UNKNOWN_PID
 
     code, body = invoke(fed, "--identity", "alice", "publish", file_path, doc_path)
     assert code == cli.EXIT_OK
     assert squatted not in (body["artifact_pid"], body["prov_pid"])
-
-
-def test_unlink_of_anothers_record_is_refused(live):
-    """UNLINK discards a record only for the identity that minted it."""
-    fed, users = live
-    file_path = write_sample(fed, "d.csv", "a,b\n1,2\n")
-    doc_path = write_doc(fed, "d.json", simple_doc_dict())
-    code, published = invoke(fed, "--identity", "alice", "publish", file_path, doc_path)
-    assert code == cli.EXIT_OK
-    pid = published["artifact_pid"]
-
-    with pytest.raises(UnauthorizedError):
-        users["bob"]["registry"].unlink(pid)
-    assert users["bob"]["registry"].resolve(pid)["pid"] == pid
-    code, body = invoke(fed, "verify", pid)
-    assert code == cli.EXIT_OK
-    assert body["result"] == "VERIFIED"
 
 
 def test_publish_consumer_identity_unauthorized(live):
@@ -595,15 +581,7 @@ def _publish(fed, user, name, source_pid=None):
 
 def test_verify_and_update_prov_ask_each_fact_once(live, monkeypatch):
     fed, users = live
-    prov_pid = _publish(fed, "alice", "d")["prov_pid"]
-    record = fed.registry.resolve(prov_pid)
-    published = fed.store.fetch_document(record.target_uri, record.checksum)
-    first = published.entities[0]
-    revised = published.with_entity(
-        dataclasses.replace(first, attributes={**first.attributes, "note": "enriched"})
-    )
-    revised_path = write_doc(fed, "revised.json", revised.to_dict())
-
+    source = _publish(fed, "alice", "src")["artifact_pid"]
     sent = []
     real_request = transport.request
 
@@ -612,6 +590,19 @@ def test_verify_and_update_prov_ask_each_fact_once(live, monkeypatch):
         return real_request(address, kind, payload, timeout=timeout)
 
     monkeypatch.setattr(transport, "request", recording)
+    # publish resolves every PID its document cites.
+    prov_pid = _publish(fed, "alice", "d", source)["prov_pid"]
+    assert [payload for kind, payload in sent if kind == "RESOLVE"] == [{"pid": source}]
+    record = fed.registry.resolve(prov_pid)
+    published = fed.store.fetch_document(record.target_uri, record.checksum)
+    assert len([e for e in published.entities if e.artifact_pid]) == 2
+    first = published.entities[0]
+    revised = published.with_entity(
+        dataclasses.replace(first, attributes={**first.attributes, "note": "enriched"})
+    )
+    revised_path = write_doc(fed, "revised.json", revised.to_dict())
+
+    sent.clear()
     code, body = invoke(fed, "verify", prov_pid)
     assert (code, body["result"]) == (cli.EXIT_OK, "VERIFIED")
     assert [(kind, payload.get("op"), payload.get("pid")) for kind, payload in sent] == [
@@ -623,7 +614,8 @@ def test_verify_and_update_prov_ask_each_fact_once(live, monkeypatch):
     assert code == cli.EXIT_OK, body
     kinds = [kind for kind, _ in sent]
     assert "LINK" not in kinds
-    assert ("RESOLVE", {"pid": prov_pid}) not in sent
+    # Both cited artifacts were cited by the old version, so neither is re-resolved.
+    assert "RESOLVE" not in kinds
     (mint,) = [payload["request"] for kind, payload in sent if kind == "MINT"]
     assert mint["predecessor"] == prov_pid
     assert kinds.count("HISTORY") == 1

@@ -89,13 +89,6 @@ def test_fetch_refuses_uri_naming_a_file_outside_the_store(store, tmp_path):
         store.fetch_bytes(f"cas://..//{outside}", checksum)
 
 
-def test_discard_leaves_a_file_outside_the_store_in_place(store, tmp_path):
-    outside, _ = _outside_file(tmp_path)
-    with pytest.raises(DocumentNotFoundError):
-        store.discard(f"..//{outside}")
-    assert outside.exists()
-
-
 @pytest.mark.parametrize("checksum", ["ab" * 31, "AB" * 32, "ab" * 32 + "\n", "zz" * 32])
 def test_blob_path_accepts_only_64_lowercase_hex_digits(store, checksum):
     with pytest.raises(DocumentNotFoundError):

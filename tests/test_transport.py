@@ -461,15 +461,19 @@ def test_registry_mint_resolve_link_history_over_tcp(tcp_fed, tcp_users):
         alice["key"],
     )
     v1 = client.mint("provenance-record", "cas://1", "c1")
+    with pytest.raises(UnknownPIDError):
+        client.resolve(v1["pid"])  # reserved, not committed
+    assert alice["ledger"].hlf_create(v1["pid"], "cas://1", "c1", ["alice"],
+                                      "provenance-record").ok
     v2 = client.mint("provenance-record", "cas://2", "c2", predecessor=v1["pid"])
     assert (v2["predecessor"], v2["version_number"]) == (v1["pid"], 2)
-    chain = client.version_history(v2["pid"])
-    assert [r["version_number"] for r in chain] == [1, 2]
-    assert client.resolve(v1["pid"])["successor"] == v2["pid"]
-    client.unlink(v2["pid"])
     assert client.resolve(v1["pid"])["successor"] is None
     with pytest.raises(UnknownPIDError):
         client.resolve(v2["pid"])
+    assert alice["ledger"].hlf_update_prov(v1["pid"], "cas://2", "c2", version=2).ok
+    chain = client.version_history(v2["pid"])
+    assert [r["version_number"] for r in chain] == [1, 2]
+    assert client.resolve(v1["pid"])["successor"] == v2["pid"]
 
 
 def test_registry_rejects_bad_signature_over_tcp(tcp_fed, tcp_users):
@@ -489,6 +493,9 @@ def test_registry_resolve_unauthenticated(tcp_fed, tcp_users):
         tcp_users["alice"]["key"],
     )
     record = signed.mint("artifact", "cas://1", "c1")
+    assert tcp_users["alice"]["ledger"].hlf_create(
+        record["pid"], "cas://1", "c1", ["alice"], "artifact"
+    ).ok
     anonymous = RegistryClient(TcpTransport(tcp_fed.config.registry_address))
     assert anonymous.resolve(record["pid"])["checksum"] == "c1"
     with pytest.raises(UnauthorizedError):
@@ -583,10 +590,9 @@ _GRANT_SHAPE = {
      ("MINT", {"object_kind": "provenance-record", "predecessor": ["21.P/1"]}),
      ("MINT", {"object_kind": "provenance-record", "predecessor": "21.P/1",
                "permission": {"subject": "x"}}),
-     ("MINT", {"object_kind": "provenance-record", "permission": _GRANT_SHAPE}),
-     ("UNLINK", {"new_pid": ["21.P/1"]})],
+     ("MINT", {"object_kind": "provenance-record", "permission": _GRANT_SHAPE})],
     ids=["mint-list", "mint-empty", "mint-non-string-kind", "link-non-string-predecessor",
-         "link-malformed-grant", "mint-grant-without-predecessor", "unlink-non-string-pid"],
+         "link-malformed-grant", "mint-grant-without-predecessor"],
 )
 def test_malformed_registry_request_named_over_tcp(tcp_fed, tcp_users, kind, request_body):
     """A signed but malformed request is refused by name, not as an internal error."""

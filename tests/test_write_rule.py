@@ -68,7 +68,13 @@ class World:
         return pid
 
     def minted(self) -> str:
-        return self.alice.registry().mint("provenance-record", "cas://v1", "c1")["pid"]
+        """A provenance PID alice reserved and committed: the registry links
+        a next version only to a committed record."""
+        pid = self.alice.registry().mint("provenance-record", "cas://v1", "c1")["pid"]
+        assert self.alice.ledger().hlf_create(
+            pid, "cas://v1", "c1", ["alice"], "provenance-record"
+        ).ok
+        return pid
 
     def published(self) -> str:
         doc = simple_doc()
