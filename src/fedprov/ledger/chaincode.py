@@ -10,19 +10,22 @@ invalidated but never updated; provenance records can be created, read, and
 updated but never invalidated. "Deletion" does not exist -- invalidation
 retains the value and flips its status so referential integrity survives.
 
-``publish`` creates an artifact record and its provenance record in one
-transaction: its ``pid`` is the artifact PID, ``args`` carries the artifact's
-``uri``, ``checksum`` and ``owners`` plus ``provenance: {pid, uri, checksum}``.
-Both keys are read, so racing publishes that claim either PID are ordered by
-the read-set check, and both are written or neither is. ``create-artifact``
-and ``create-prov`` create one record each; older ledgers record every
-publish as that pair. A create's ``owners`` is absent, making the caller the
-owner, or a non-empty list of user ids; anything else is malformed.
+``publish`` is the only create: its ``pid`` is the artifact PID, ``args``
+carries the artifact's ``uri``, ``checksum`` and ``owners`` plus
+``provenance: {pid, uri, checksum}``. Both keys are read, so racing publishes
+that claim either PID are ordered by the read-set check, and both are written
+or neither is. ``owners`` is absent, making the caller the owner, or a
+non-empty list of user ids; anything else is malformed.
 
-``update-prov`` may carry ``version``, the version it writes: the update is
-then refused unless that is the current version plus one, so of two updates
-prepared from the same version at most one commits. Without ``version`` the
-update writes the next version, whatever it is.
+``update-prov`` states ``version``, the version it writes, with ``new_uri``
+and ``new_checksum``: the update is refused unless that is the current
+version plus one, so of two updates prepared from the same version at most
+one commits.
+
+Older ledgers also hold ``create-artifact`` and ``create-prov`` (one record
+each) and ``update-prov`` without ``version``. Commit, replay and chain
+verification apply a transaction's recorded write set and never simulate it
+again, so such chains keep loading; a new submission of either is malformed.
 
 ``flag-affected`` records an invalidation's consequences: its ``pid`` is the
 invalidated source and ``args.targets`` the artifacts derived from it. One
@@ -45,21 +48,12 @@ from .values import (
     LedgerValue,
 )
 
-TX_CREATE_ARTIFACT = "create-artifact"
-TX_CREATE_PROV = "create-prov"
 TX_PUBLISH = "publish"
 TX_UPDATE_PROV = "update-prov"
 TX_INVALIDATE = "invalidate-artifact"
 TX_FLAG_AFFECTED = "flag-affected"
 
-TX_KINDS = (
-    TX_CREATE_ARTIFACT,
-    TX_CREATE_PROV,
-    TX_PUBLISH,
-    TX_UPDATE_PROV,
-    TX_INVALIDATE,
-    TX_FLAG_AFFECTED,
-)
+TX_KINDS = (TX_PUBLISH, TX_UPDATE_PROV, TX_INVALIDATE, TX_FLAG_AFFECTED)
 
 MSG_UNAUTHORIZED = "Error: Unauthorized user"
 MSG_NOT_FOUND = "Error: Resource not found"
@@ -109,7 +103,7 @@ class SimulationResult:
 
 
 def _owners_valid(args: Mapping) -> bool:
-    """A create's ``owners`` is absent (the caller owns it) or a non-empty list of user ids."""
+    """A publish's ``owners`` is absent (the caller owns it) or a non-empty list of user ids."""
     if "owners" not in args:
         return True
     owners = args["owners"]
@@ -118,6 +112,10 @@ def _owners_valid(args: Mapping) -> bool:
         and bool(owners)
         and all(isinstance(owner, str) for owner in owners)
     )
+
+
+def _strings(mapping: Mapping, *keys: str) -> bool:
+    return all(isinstance(mapping.get(key), str) for key in keys)
 
 
 def simulate(
@@ -147,37 +145,13 @@ def simulate(
         except (AttributeError, KeyError, TypeError):
             return result
 
-    def created(object_kind: str, uri, checksum) -> dict:
-        return LedgerValue(
-            uri=uri,
-            checksum=checksum,
-            version=1,
-            owners=tuple(args.get("owners") or [caller.user_id]),
-            timestamp=timestamp,
-            kind=object_kind,
-            status=STATUS_VALID,
-        ).to_dict()
-
-    if kind in (TX_CREATE_ARTIFACT, TX_CREATE_PROV, TX_PUBLISH) and not _owners_valid(args):
-        return result
-
-    if kind in (TX_CREATE_ARTIFACT, TX_CREATE_PROV):
-        if not identity_mod.may_write(caller, orgs):
-            result.message = MSG_UNAUTHORIZED
-            return result
-        if read(pid) is not None:
-            result.message = MSG_EXISTS
-            return result
-        object_kind = KIND_ARTIFACT if kind == TX_CREATE_ARTIFACT else KIND_PROVENANCE
-        result.writes[pid] = created(object_kind, args.get("uri", ""), args.get("checksum", ""))
-        result.message = MSG_CREATED
-        return result
-
     if kind == TX_PUBLISH:
         provenance = args.get("provenance")
         if (
-            not isinstance(provenance, Mapping)
-            or not all(isinstance(provenance.get(k), str) for k in ("pid", "uri", "checksum"))
+            not _owners_valid(args)
+            or not _strings(args, "uri", "checksum")
+            or not isinstance(provenance, Mapping)
+            or not _strings(provenance, "pid", "uri", "checksum")
             or provenance["pid"] == pid
         ):
             return result
@@ -188,18 +162,26 @@ def simulate(
         if any(value is not None for value in existing):
             result.message = MSG_EXISTS
             return result
-        result.writes[pid] = created(
-            KIND_ARTIFACT, args.get("uri", ""), args.get("checksum", "")
-        )
-        result.writes[provenance["pid"]] = created(
-            KIND_PROVENANCE, provenance["uri"], provenance["checksum"]
-        )
+        owners = tuple(args.get("owners") or [caller.user_id])
+        for key, object_kind, record in (
+            (pid, KIND_ARTIFACT, args),
+            (provenance["pid"], KIND_PROVENANCE, provenance),
+        ):
+            result.writes[key] = LedgerValue(
+                uri=record["uri"],
+                checksum=record["checksum"],
+                version=1,
+                owners=owners,
+                timestamp=timestamp,
+                kind=object_kind,
+                status=STATUS_VALID,
+            ).to_dict()
         result.message = MSG_CREATED
         return result
 
     if kind == TX_UPDATE_PROV:
         version = args.get("version")
-        if "version" in args and type(version) is not int:
+        if type(version) is not int or not _strings(args, "new_uri", "new_checksum"):
             return result
         value = read(pid)
         authorized = identity_mod.check_auth(
@@ -219,13 +201,13 @@ def simulate(
         if value.kind == KIND_ARTIFACT:
             result.message = MSG_ARTIFACT_UPDATE
             return result
-        if version is not None and version != value.version + 1:
+        if version != value.version + 1:
             result.message = MSG_VERSION_CONFLICT
             return result
         updated = value.evolved(
-            uri=args.get("new_uri", ""),
-            checksum=args.get("new_checksum", ""),
-            version=value.version + 1,
+            uri=args["new_uri"],
+            checksum=args["new_checksum"],
+            version=version,
             timestamp=timestamp,
         )
         result.writes[pid] = updated.to_dict()

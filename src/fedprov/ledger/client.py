@@ -4,10 +4,11 @@ envelope to the ordering service and wait for the commit receipt.
 
 Only a producer organization's endorsement can count toward a policy, so
 PROPOSE goes to producer nodes alone; the read-only organization's node
-still receives, validates and commits every block. What must land together
-is one transaction (``publish`` creates an artifact and its provenance
-record at once); ``order_all`` still sends several endorsed envelopes in
-one ORDER request.
+still receives, validates and commits every block. Each record is written
+one way: ``publish_operation`` creates an artifact and its provenance record
+in one transaction, and ``update_operation`` writes the provenance version
+it states. ``order_all`` still sends several endorsed envelopes in one ORDER
+request.
 
 The client talks to nodes directly -- there is no proxy in the path -- so a
 single dead node degrades nothing that the remaining replicas can answer.
@@ -32,8 +33,6 @@ from ..errors import (
 from ..transport import Transport
 from . import blocks as blocks_mod
 from .chaincode import (
-    TX_CREATE_ARTIFACT,
-    TX_CREATE_PROV,
     TX_FLAG_AFFECTED,
     TX_INVALIDATE,
     TX_PUBLISH,
@@ -89,14 +88,6 @@ def require_committed(receipt: Receipt) -> Receipt:
     return receipt
 
 
-def create_operation(
-    pid: str, uri: str, checksum: str, owners: list[str], object_kind: str
-) -> tuple[str, str, dict]:
-    """The (kind, pid, args) of the create of an artifact or provenance record."""
-    kind = TX_CREATE_ARTIFACT if object_kind == "artifact" else TX_CREATE_PROV
-    return kind, pid, {"uri": uri, "checksum": checksum, "owners": owners}
-
-
 def publish_operation(
     artifact_pid: str,
     uri: str,
@@ -117,14 +108,12 @@ def update_operation(
     pid: str,
     new_uri: str,
     new_checksum: str,
+    version: int,
     permission: identity_mod.Permission | None = None,
-    version: int | None = None,
 ) -> tuple[str, str, dict]:
-    """The (kind, pid, args) of a provenance record update; with *version*,
-    of the update that writes exactly that version."""
-    args = {"new_uri": new_uri, "new_checksum": new_checksum}
-    if version is not None:
-        args["version"] = version
+    """The (kind, pid, args) of the provenance record update that writes
+    exactly *version*."""
+    args = {"new_uri": new_uri, "new_checksum": new_checksum, "version": version}
     if permission is not None:
         args["permission"] = permission.to_dict()
     return TX_UPDATE_PROV, pid, args
@@ -270,30 +259,17 @@ class LedgerClient:
 
     # -- chaincode wrappers ---------------------------------------------------
 
-    def hlf_create(
-        self,
-        pid: str,
-        uri: str,
-        checksum: str,
-        owners: list[str],
-        object_kind: str,
-        timestamp: str | None = None,
-    ) -> Receipt:
-        return self.submit(
-            *create_operation(pid, uri, checksum, owners, object_kind), timestamp
-        )
-
     def hlf_update_prov(
         self,
         pid: str,
         new_uri: str,
         new_checksum: str,
+        version: int,
         timestamp: str | None = None,
         permission: identity_mod.Permission | None = None,
-        version: int | None = None,
     ) -> Receipt:
         return self.submit(
-            *update_operation(pid, new_uri, new_checksum, permission, version), timestamp
+            *update_operation(pid, new_uri, new_checksum, version, permission), timestamp
         )
 
     def hlf_invalidate(

@@ -141,7 +141,6 @@ class PIDRegistry:
         target_uri: str,
         checksum: str,
         owner: str,
-        metadata: Mapping | None = None,
         predecessor: str | None = None,
         caller: identity_mod.Identity | None = None,
         orgs: Mapping[str, identity_mod.Organization] | None = None,
@@ -191,7 +190,7 @@ class PIDRegistry:
                 object_kind=object_kind,
                 version_number=previous.version_number + 1 if previous else 1,
                 predecessor=predecessor,
-                metadata={**(metadata or {}), "owner": owner, "created_at": clock.now_iso()},
+                metadata={"owner": owner, "created_at": clock.now_iso()},
             )
             self._store(record)
             if predecessor is not None:

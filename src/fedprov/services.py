@@ -123,7 +123,6 @@ class RegistryService:
             target_uri=request.get("target_uri", ""),
             checksum=request.get("checksum", ""),
             owner=caller.user_id,
-            metadata=request.get("metadata"),
             predecessor=predecessor,
             caller=caller,
             orgs=self.orgs,
@@ -148,15 +147,9 @@ class RegistryClient:
         return self.transport("HISTORY", {"pid": pid})["records"]
 
     def mint(self, object_kind: str, target_uri: str, checksum: str,
-             metadata: dict | None = None, predecessor: str | None = None,
-             permission: dict | None = None) -> dict:
+             predecessor: str | None = None, permission: dict | None = None) -> dict:
         """Mint a record; with *predecessor*, as the next version of its chain."""
-        request = {
-            "object_kind": object_kind,
-            "target_uri": target_uri,
-            "checksum": checksum,
-            "metadata": metadata or {},
-        }
+        request = {"object_kind": object_kind, "target_uri": target_uri, "checksum": checksum}
         if predecessor is not None:
             request.update(predecessor=predecessor, permission=permission)
         return self._signed("MINT", request)["record"]

@@ -149,7 +149,7 @@ class AtomicUpdater:
         uri, checksum = self._step_store(new_doc.canonical_bytes())
         new_pid = self._step_mint(KIND_PROVENANCE, uri, checksum, old_pid, permission)["pid"]
         version = old_record["version_number"] + 1
-        operation = update_operation(base["pid"], uri, checksum, permission, version)
+        operation = update_operation(base["pid"], uri, checksum, version, permission)
         receipt = self._ledger_write(operation, version, checksum, timestamp)
         return UpdateResult(
             old_pid=old_pid,
@@ -198,7 +198,7 @@ class AtomicUpdater:
     def _step_mint(self, object_kind: str, uri: str, checksum: str, predecessor: str | None,
                    permission: identity_mod.Permission | None) -> dict:
         grant = permission.to_dict() if permission else None
-        return self.registry.mint(object_kind, uri, checksum, None, predecessor, grant)
+        return self.registry.mint(object_kind, uri, checksum, predecessor, grant)
 
     def _step_ledger(self, kind: str, pid: str, args: dict, timestamp: str | None) -> dict:
         return require_committed(self.ledger.submit(kind, pid, args, timestamp)).to_dict()

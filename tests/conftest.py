@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from fedprov.harness import Federation
+from fedprov.ledger.client import Receipt, publish_operation
 from fedprov.prov import Activity, Agent, Entity, ProvDocument, Relation
 
 FROZEN = "2026-08-01T12:00:00.000Z"
@@ -48,6 +49,20 @@ def register_default_users(federation: Federation) -> dict:
             "registry": federation.client(identity, key).registry(),
         }
     return out
+
+
+def publish_raw(ledger, pid, uri="cas://a", checksum="ca", owners=("alice",), *,
+                prov=None, timestamp=None) -> Receipt:
+    """Submit one ledger ``publish`` through ``LedgerClient.submit``: artifact
+    *pid* plus its provenance record *prov* = (pid, uri, checksum), by
+    default ``(<pid>/prov, "cas://doc", "c-doc")``. Nothing is stored or
+    minted, so a record written this way names no blob unless the caller
+    stored one."""
+    prov_pid, doc_uri, doc_checksum = prov or (f"{pid}/prov", "cas://doc", "c-doc")
+    operation = publish_operation(
+        pid, uri, checksum, list(owners), prov_pid, doc_uri, doc_checksum
+    )
+    return ledger.submit(*operation, timestamp)
 
 
 # -- document builders ---------------------------------------------------------

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from conftest import act, doc, ent, register_default_users, rel
+from conftest import act, doc, ent, publish_raw, register_default_users, rel
 from fedprov import cli, identity as identity_mod
 from fedprov.harness import Federation
 from fedprov.ledger import chaincode
@@ -52,7 +52,7 @@ def test_criterion_1_update_algorithm_conformance(tmp_path):
             if exists:
                 assert client is not None
             receipt = client.hlf_update_prov(
-                pid, "cas://new", "c-new", permission=permission
+                pid, "cas://new", "c-new", 2, permission=permission
             )
             value = alice["ledger"].hlf_read(pid)
             results.append((caller_name, exists, receipt.message,
@@ -64,9 +64,8 @@ def test_criterion_1_update_algorithm_conformance(tmp_path):
              ("stranger", bob, False), ("consumer", ruth, False)]
         ):
             pid = f"21.P/case{index}"
-            assert alice["ledger"].hlf_create(
-                pid, "cas://v1", "c1", ["alice"], "provenance-record"
-            ).ok
+            assert publish_raw(alice["ledger"], f"21.P/art{index}",
+                               prov=(pid, "cas://v1", "c1")).ok
             permission = grant_for(pid) if permission_needed else None
             case(name, user["ledger"], pid, True, permission)
             missing = f"21.P/missing{index}"
@@ -129,13 +128,17 @@ def test_criterion_2_crud_matrix_enforcement(tmp_path):
                 return rng.choice(pool)
             return f"21.P/ghost{rng.randrange(10)}"
 
+        def next_version(client, pid):
+            """The version an update writes: the one read just before, plus one."""
+            value = client.hlf_read(pid)
+            return (value.version if value else 1) + 1
+
         node = fed.nodes["OrgA"]
         for _ in range(1000):
             for _ in range(rng.randint(1, 2)):
                 op = rng.choice(
-                    ["create-artifact", "create-prov", "update-prov",
-                     "update-artifact", "invalidate-artifact", "invalidate-prov",
-                     "read"]
+                    ["publish", "update-prov", "update-artifact", "invalidate-artifact",
+                     "invalidate-prov", "read"]
                 )
                 caller_name = rng.choice(["alice", "alice", "bob", "ruth"])
                 client = clients[caller_name]
@@ -143,24 +146,25 @@ def test_criterion_2_crud_matrix_enforcement(tmp_path):
                 changed_expected = False
                 if op == "read":
                     client.hlf_read(any_pid(artifacts + provs))
-                elif op == "create-artifact":
-                    pid = fresh_pid()
-                    receipt = client.hlf_create(pid, "cas://a", "ca", [caller_name], "artifact")
+                elif op == "publish":
+                    pid, prov_pid = fresh_pid(), fresh_pid()
+                    receipt = publish_raw(client, pid, "cas://a", "ca", [caller_name],
+                                          prov=(prov_pid, "cas://p", "cp"))
                     if receipt.ok:
                         artifacts.append(pid)
-                        changed_expected = True
-                elif op == "create-prov":
-                    pid = fresh_pid()
-                    receipt = client.hlf_create(pid, "cas://p", "cp", [caller_name], "provenance-record")
-                    if receipt.ok:
-                        provs.append(pid)
+                        provs.append(prov_pid)
                         changed_expected = True
                 elif op == "update-prov":
-                    receipt = client.hlf_update_prov(any_pid(provs), "cas://u", f"cu{counter[0]}")
+                    pid = any_pid(provs)
+                    receipt = client.hlf_update_prov(
+                        pid, "cas://u", f"cu{counter[0]}", next_version(client, pid)
+                    )
                     changed_expected = receipt.ok
                 elif op == "update-artifact":
                     forbidden_attempts += 1
-                    receipt = client.hlf_update_prov(any_pid(artifacts), "cas://u", "cu")
+                    pid = any_pid(artifacts)
+                    receipt = client.hlf_update_prov(pid, "cas://u", "cu",
+                                                     next_version(client, pid))
                     changed_expected = False
                 elif op == "invalidate-artifact":
                     receipt = client.hlf_invalidate(any_pid(artifacts))
@@ -200,9 +204,7 @@ def test_criterion_3_tamper_evidence(tmp_path):
         users = register_default_users(fed)
         alice = users["alice"]["ledger"]
         for i in range(50):
-            assert alice.hlf_create(
-                f"21.P/b{i:03d}", f"cas://{i}", f"c{i}", ["alice"], "artifact"
-            ).ok
+            assert publish_raw(alice, f"21.P/b{i:03d}", f"cas://{i}", f"c{i}").ok
         node = fed.nodes["OrgA"]
         assert node.height() == 50
         payload = node.store.path.read_bytes()
@@ -355,9 +357,8 @@ def test_criterion_6_version_chain_integrity(tmp_path):
         uri, checksum, _ = fed.store.store_document(base)
         registry = fed.client(alice["identity"], alice["key"]).registry()
         record = registry.mint("provenance-record", uri, checksum)
-        assert alice["ledger"].hlf_create(
-            record["pid"], uri, checksum, ["alice"], "provenance-record"
-        ).ok
+        assert publish_raw(alice["ledger"], "21.P/subject",
+                           prov=(record["pid"], uri, checksum)).ok
 
         updater = fed.client(alice["identity"], alice["key"]).updater()
         newest_pid = record["pid"]
@@ -502,9 +503,8 @@ def test_criterion_7_update_classification(tmp_path):
         uri, checksum, _ = fed.store.store_document(base)
         registry = fed.client(alice["identity"], alice["key"]).registry()
         record = registry.mint("provenance-record", uri, checksum)
-        assert alice["ledger"].hlf_create(
-            record["pid"], uri, checksum, ["alice"], "provenance-record"
-        ).ok
+        assert publish_raw(alice["ledger"], "21.P/subject",
+                           prov=(record["pid"], uri, checksum)).ok
         updater = fed.client(alice["identity"], alice["key"]).updater()
 
         rng = random.Random(0x50C1A1)

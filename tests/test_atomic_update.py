@@ -15,7 +15,7 @@ import threading
 
 import pytest
 
-from conftest import register_default_users, simple_doc
+from conftest import publish_raw, register_default_users, simple_doc
 from fedprov import cli, identity as identity_mod
 from fedprov.errors import (
     IllegalUpdateError,
@@ -43,9 +43,7 @@ def published(fed):
     uri, checksum, _ = store.store_document(doc)
     registry = fed.client(alice["identity"], alice["key"]).registry()
     record = registry.mint("provenance-record", uri, checksum)
-    receipt = alice["ledger"].hlf_create(
-        record["pid"], uri, checksum, ["alice"], "provenance-record"
-    )
+    receipt = publish_raw(alice["ledger"], "21.P/subject", prov=(record["pid"], uri, checksum))
     assert receipt.ok
     return fed, users, record["pid"], doc
 

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from conftest import register_default_users
+from conftest import publish_raw, register_default_users
 from fedprov import crypto
 from fedprov.canonical import ZERO_DIGEST, canonical_bytes
 from fedprov.federation import load_node_credentials
@@ -36,8 +36,8 @@ def committed(fed):
     users = register_default_users(fed)
     alice = users["alice"]["ledger"]
     for i in range(4):
-        assert alice.hlf_create(f"21.P/{i}", f"cas://{i}", f"c{i}", ["alice"], "artifact").ok
-    assert alice.hlf_update_prov("21.P/none", "cas://x", "cx").status == "REJECTED"
+        assert publish_raw(alice, f"21.P/{i}", f"cas://{i}", f"c{i}").ok
+    assert alice.hlf_update_prov("21.P/none", "cas://x", "cx", 2).status == "REJECTED"
     assert alice.hlf_invalidate("21.P/0").ok
     return fed, users
 
@@ -92,9 +92,10 @@ def test_transaction_reorder_flagged(committed):
 
     def envelope(pid):
         body = {
-            "kind": "create-artifact",
+            "kind": "publish",
             "pid": pid,
-            "args": {"uri": "cas://z", "checksum": "cz", "owners": ["alice"]},
+            "args": {"uri": "cas://z", "checksum": "cz", "owners": ["alice"],
+                     "provenance": {"pid": f"{pid}/prov", "uri": "cas://d", "checksum": "cd"}},
             "creator": {
                 "user_id": "alice",
                 "org": "OrgA",

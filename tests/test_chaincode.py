@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import register_default_users
+from conftest import publish_raw, register_default_users
 from fedprov import identity as identity_mod
 from fedprov.ledger import chaincode
 from fedprov.ledger.client import STATUS_REJECTED
+
+# Kinds that older ledgers hold but that no longer simulate.
+RETIRED_KINDS = ("create-artifact", "create-prov")
 
 
 @pytest.fixture()
@@ -15,14 +18,14 @@ def ready(fed):
     users = register_default_users(fed)
     alice = users["alice"]["ledger"]
     # One provenance record and one artifact owned by alice.
-    assert alice.hlf_create("21.P/p1", "cas://p1", "c-p1", ["alice"], "provenance-record").ok
-    assert alice.hlf_create("21.P/a1", "cas://a1", "c-a1", ["alice"], "artifact").ok
+    assert publish_raw(alice, "21.P/a1", "cas://a1", "c-a1",
+                       prov=("21.P/p1", "cas://p1", "c-p1")).ok
     return fed, users
 
 
 def test_update_owner_existing(ready):
     fed, users = ready
-    receipt = users["alice"]["ledger"].hlf_update_prov("21.P/p1", "cas://p2", "c-p2")
+    receipt = users["alice"]["ledger"].hlf_update_prov("21.P/p1", "cas://p2", "c-p2", 2)
     assert receipt.message == chaincode.MSG_UPDATED
     value = users["alice"]["ledger"].hlf_read("21.P/p1")
     assert value.version == 2
@@ -50,37 +53,34 @@ def test_update_of_another_version_is_a_version_conflict(ready, version):
     assert fed.nodes["OrgA"].height() == height
 
 
-@pytest.mark.parametrize("version", ["2", 2.0, True, None, [2]],
-                         ids=["string", "float", "bool", "null", "list"])
+_ABSENT = object()
+
+
+@pytest.mark.parametrize("version", ["2", 2.0, True, None, [2], _ABSENT],
+                         ids=["string", "float", "bool", "null", "list", "absent"])
 def test_update_with_a_version_that_is_not_an_integer_is_a_bad_request(ready, version):
+    """Every update states the version it writes; there is no blind update."""
     fed, users = ready
-    receipt = users["alice"]["ledger"].submit(
-        chaincode.TX_UPDATE_PROV, "21.P/p1",
-        {"new_uri": "cas://x", "new_checksum": "cx", "version": version},
-    )
+    height = fed.nodes["OrgA"].height()
+    args = {"new_uri": "cas://x", "new_checksum": "cx"}
+    if version is not _ABSENT:
+        args["version"] = version
+    receipt = users["alice"]["ledger"].submit(chaincode.TX_UPDATE_PROV, "21.P/p1", args)
     assert (receipt.status, receipt.message) == (STATUS_REJECTED, chaincode.MSG_BAD_REQUEST)
-
-
-def test_update_without_a_version_writes_the_next_one(ready):
-    fed, users = ready
-    alice = users["alice"]["ledger"]
-    for expected in (2, 3):
-        receipt = alice.submit(chaincode.TX_UPDATE_PROV, "21.P/p1",
-                               {"new_uri": "cas://x", "new_checksum": f"c{expected}"})
-        assert receipt.message == chaincode.MSG_UPDATED
-        assert alice.hlf_read("21.P/p1").version == expected
+    assert fed.nodes["OrgA"].height() == height
+    assert users["alice"]["ledger"].hlf_read("21.P/p1").version == 1
 
 
 def test_update_unknown_pid(ready):
     fed, users = ready
-    receipt = users["alice"]["ledger"].hlf_update_prov("21.P/none", "cas://x", "cx")
+    receipt = users["alice"]["ledger"].hlf_update_prov("21.P/none", "cas://x", "cx", 2)
     assert receipt.message == chaincode.MSG_NOT_FOUND
     assert receipt.status == STATUS_REJECTED
 
 
 def test_update_stranger_rejected(ready):
     fed, users = ready
-    receipt = users["bob"]["ledger"].hlf_update_prov("21.P/p1", "cas://x", "cx")
+    receipt = users["bob"]["ledger"].hlf_update_prov("21.P/p1", "cas://x", "cx", 2)
     assert receipt.message == chaincode.MSG_UNAUTHORIZED
 
 
@@ -91,39 +91,35 @@ def test_update_with_grant_accepted(ready):
         users["alice"]["identity"], users["alice"]["key"],
     )
     receipt = users["bob"]["ledger"].hlf_update_prov(
-        "21.P/p1", "cas://x", "cx", permission=grant
+        "21.P/p1", "cas://x", "cx", 2, permission=grant
     )
     assert receipt.message == chaincode.MSG_UPDATED
 
 
 def test_update_consumer_rejected(ready):
     fed, users = ready
-    receipt = users["ruth"]["ledger"].hlf_update_prov("21.P/p1", "cas://x", "cx")
+    receipt = users["ruth"]["ledger"].hlf_update_prov("21.P/p1", "cas://x", "cx", 2)
     assert receipt.message == chaincode.MSG_UNAUTHORIZED
 
 
 def test_update_artifact_pid_rejected(ready):
     """Table row: artifacts have no Update."""
     fed, users = ready
-    receipt = users["alice"]["ledger"].hlf_update_prov("21.P/a1", "cas://x", "cx")
+    receipt = users["alice"]["ledger"].hlf_update_prov("21.P/a1", "cas://x", "cx", 2)
     assert receipt.message == chaincode.MSG_ARTIFACT_UPDATE
     assert users["alice"]["ledger"].hlf_read("21.P/a1").version == 1
 
 
 def test_create_twice_rejected(ready):
     fed, users = ready
-    receipt = users["alice"]["ledger"].hlf_create(
-        "21.P/a1", "cas://other", "c-other", ["alice"], "artifact"
-    )
+    receipt = publish_raw(users["alice"]["ledger"], "21.P/a1", "cas://other", "c-other")
     assert receipt.message == chaincode.MSG_EXISTS
     assert users["alice"]["ledger"].hlf_read("21.P/a1").checksum == "c-a1"
 
 
 def test_consumer_create_rejected(ready):
     fed, users = ready
-    receipt = users["ruth"]["ledger"].hlf_create(
-        "21.P/new", "cas://n", "cn", ["ruth"], "artifact"
-    )
+    receipt = publish_raw(users["ruth"]["ledger"], "21.P/new", "cas://n", "cn", ["ruth"])
     assert receipt.message == chaincode.MSG_UNAUTHORIZED
 
 
@@ -172,7 +168,7 @@ def test_flag_affected_requires_invalidated_source(ready):
 def test_flag_affected_after_invalidation(ready):
     fed, users = ready
     alice = users["alice"]["ledger"]
-    assert alice.hlf_create("21.P/a2", "cas://a2", "c-a2", ["alice"], "artifact").ok
+    assert publish_raw(alice, "21.P/a2", "cas://a2", "c-a2").ok
     alice.hlf_invalidate("21.P/a1")
     receipt = users["bob"]["ledger"].flag_affected(["21.P/a2"], "21.P/a1")
     assert receipt.message == chaincode.MSG_FLAGGED
@@ -190,7 +186,7 @@ def cascade(ready):
     fed, users = ready
     alice = users["alice"]["ledger"]
     for name in ("a2", "a3", "a4"):
-        assert alice.hlf_create(f"21.P/{name}", f"cas://{name}", f"c-{name}", ["alice"], "artifact").ok
+        assert publish_raw(alice, f"21.P/{name}", f"cas://{name}", f"c-{name}").ok
     assert alice.hlf_invalidate("21.P/a1").ok
     return fed, users
 
@@ -337,7 +333,7 @@ def test_publish_consumer_rejected(ready):
     assert receipt.message == chaincode.MSG_UNAUTHORIZED
 
 
-@pytest.mark.parametrize("kind", chaincode.TX_KINDS)
+@pytest.mark.parametrize("kind", chaincode.TX_KINDS + RETIRED_KINDS)
 def test_args_that_are_not_an_object_are_a_bad_request(ready, kind):
     fed, users = ready
     receipt = users["alice"]["ledger"].submit(kind, "21.P/a1", ["not", "an", "object"])
@@ -349,14 +345,15 @@ def test_malformed_grant_is_a_bad_request(ready):
     fed, users = ready
     receipt = users["bob"]["ledger"].submit(
         chaincode.TX_UPDATE_PROV, "21.P/p1",
-        {"new_uri": "cas://x", "new_checksum": "cx", "permission": {"subject": "21.P/p1"}},
+        {"new_uri": "cas://x", "new_checksum": "cx", "version": 2,
+         "permission": {"subject": "21.P/p1"}},
     )
     assert receipt.message == chaincode.MSG_BAD_REQUEST
 
 
 # -- owners of a new record ------------------------------------------------------
 
-_CREATES = (chaincode.TX_CREATE_ARTIFACT, chaincode.TX_CREATE_PROV, chaincode.TX_PUBLISH)
+_CREATES = RETIRED_KINDS + (chaincode.TX_PUBLISH,)
 
 
 def _create_args(kind, **extra):
@@ -370,7 +367,8 @@ def _create_args(kind, **extra):
 @pytest.mark.parametrize("owners", ["alice", [1, 2], [], None],
                          ids=["string", "non-strings", "empty", "null"])
 def test_malformed_owners_are_a_bad_request(ready, kind, owners):
-    """A string would commit as one owner per character, locking its owner out."""
+    """A string would commit as one owner per character, locking its owner out.
+    A retired create kind is refused whatever its owners."""
     fed, users = ready
     height = fed.nodes["OrgA"].height()
     receipt = users["alice"]["ledger"].submit(kind, "21.P/a9", _create_args(kind, owners=owners))
@@ -378,10 +376,61 @@ def test_malformed_owners_are_a_bad_request(ready, kind, owners):
     assert fed.nodes["OrgA"].height() == height
 
 
-@pytest.mark.parametrize("kind", _CREATES)
-def test_absent_owners_make_the_caller_owner(ready, kind):
+def test_absent_owners_make_the_caller_owner(ready):
     fed, users = ready
     alice = users["alice"]["ledger"]
-    receipt = alice.submit(kind, "21.P/a9", _create_args(kind))
+    receipt = alice.submit(chaincode.TX_PUBLISH, "21.P/a9", _create_args(chaincode.TX_PUBLISH))
     assert receipt.message == chaincode.MSG_CREATED
     assert alice.hlf_read("21.P/a9").owners == ("alice",)
+    assert alice.hlf_read("21.P/p9").owners == ("alice",)
+
+
+@pytest.mark.parametrize("kind", RETIRED_KINDS)
+def test_retired_create_kinds_are_a_bad_request(ready, kind):
+    """``publish`` is the only create. Older ledgers still hold these kinds
+    and replay them; a new submission is refused and cuts no block."""
+    fed, users = ready
+    height = fed.nodes["OrgA"].height()
+    alice = users["alice"]["ledger"]
+    receipt = alice.submit(kind, "21.P/a9", _create_args(kind, owners=["alice"]))
+    assert (receipt.status, receipt.message) == (STATUS_REJECTED, chaincode.MSG_BAD_REQUEST)
+    assert fed.nodes["OrgA"].height() == height
+    assert alice.hlf_read("21.P/a9") is None
+
+
+# -- the fields a write commits are strings ----------------------------------------
+
+_NOT_A_STRING = [("uri", 5), ("checksum", None), ("uri", ["cas://x"]), ("checksum", _ABSENT)]
+_IDS = ["uri-int", "checksum-null", "uri-list", "checksum-absent"]
+
+
+def _set(args, key, value):
+    if value is _ABSENT:
+        del args[key]
+    else:
+        args[key] = value
+
+
+@pytest.mark.parametrize("field, value", _NOT_A_STRING, ids=_IDS)
+def test_publish_of_an_artifact_field_that_is_not_a_string_is_a_bad_request(ready, field, value):
+    """``collect_documents`` reads every provenance record, so one such value
+    on the ledger would make every trace in the federation fail."""
+    fed, users = ready
+    height = fed.nodes["OrgA"].height()
+    args = _create_args(chaincode.TX_PUBLISH)
+    _set(args, field, value)
+    receipt = users["alice"]["ledger"].submit(chaincode.TX_PUBLISH, "21.P/a9", args)
+    assert (receipt.status, receipt.message) == (STATUS_REJECTED, chaincode.MSG_BAD_REQUEST)
+    assert fed.nodes["OrgA"].height() == height
+
+
+@pytest.mark.parametrize("field, value", _NOT_A_STRING, ids=_IDS)
+def test_update_to_a_field_that_is_not_a_string_is_a_bad_request(ready, field, value):
+    fed, users = ready
+    height = fed.nodes["OrgA"].height()
+    args = {"new_uri": "cas://p2", "new_checksum": "c-p2", "version": 2}
+    _set(args, f"new_{field}", value)
+    receipt = users["alice"]["ledger"].submit(chaincode.TX_UPDATE_PROV, "21.P/p1", args)
+    assert (receipt.status, receipt.message) == (STATUS_REJECTED, chaincode.MSG_BAD_REQUEST)
+    assert fed.nodes["OrgA"].height() == height
+    assert users["alice"]["ledger"].hlf_read("21.P/p1").checksum == "c-p1"

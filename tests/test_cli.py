@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import register_default_users
+from conftest import publish_raw, register_default_users
 from fedprov import cli, identity as identity_mod, transport
 from fedprov.harness import Federation
 from fedprov.ledger.client import LedgerClient, Receipt
@@ -78,7 +78,10 @@ def test_publish_orders_nothing_when_a_create_is_refused(live, refused):
     offset = 0 if refused == "artifact" else 1
     squatted = f"{fed.config.pid_prefix}/{str(int(next_suffix) + offset).zfill(len(next_suffix))}"
     alice = users["alice"]["ledger"]
-    assert alice.hlf_create(squatted, "cas://squat", "squat", ["alice"], refused).ok
+    if refused == "artifact":
+        assert publish_raw(alice, squatted, "cas://squat", "squat").ok
+    else:
+        assert publish_raw(alice, "21.P/squatter", prov=(squatted, "cas://squat", "squat")).ok
     heights = {org: node.height() for org, node in fed.nodes.items()}
     registry_digest = fed.registry.state_digest()
 
@@ -395,8 +398,7 @@ def test_cycle_detection_exit_code(live):
     uri_y, sum_y, _ = store.store_bytes(b"y")
     pid_x = registry.mint("artifact", uri_x, sum_x)["pid"]
     pid_y = registry.mint("artifact", uri_y, sum_y)["pid"]
-    assert ledger.hlf_create(pid_x, uri_x, sum_x, ["alice"], "artifact").ok
-    assert ledger.hlf_create(pid_y, uri_y, sum_y, ["alice"], "artifact").ok
+    locations = {pid_x: (uri_x, sum_x), pid_y: (uri_y, sum_y)}
 
     def cyclic_doc(in_id, in_pid, out_id, out_pid, activity):
         return {
@@ -419,7 +421,7 @@ def test_cycle_detection_exit_code(live):
         document = ProvDocument.from_dict(cyclic_doc("e-in", src, "e-out", dst, f"a{index}"))
         doc_uri, doc_sum, _ = store.store_document(document)
         prov_pid = registry.mint("provenance-record", doc_uri, doc_sum)["pid"]
-        assert ledger.hlf_create(prov_pid, doc_uri, doc_sum, ["alice"], "provenance-record").ok
+        assert publish_raw(ledger, dst, *locations[dst], prov=(prov_pid, doc_uri, doc_sum)).ok
 
     code, body = invoke(fed, "trace", pid_x)
     assert code == cli.EXIT_CYCLE

@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from conftest import publish_raw
 from fedprov import identity as identity_mod
 from fedprov.errors import (
     EndorsementPolicyUnmetError,
@@ -21,9 +22,7 @@ from fedprov.transport import DirectTransport
 
 
 def test_happy_path_create_commits_everywhere(fed, users):
-    receipt = users["alice"]["ledger"].hlf_create(
-        "21.P/x", "cas://x", "cx", ["alice"], "artifact"
-    )
+    receipt = publish_raw(users["alice"]["ledger"], "21.P/x", "cas://x", "cx")
     assert receipt.status == "VALID"
     assert receipt.height >= 1
     digests = set(fed.state_digests().values())
@@ -33,9 +32,7 @@ def test_happy_path_create_commits_everywhere(fed, users):
 
 
 def test_receipt_carries_tx_id_and_height(fed, users):
-    receipt = users["alice"]["ledger"].hlf_create(
-        "21.P/x", "cas://x", "cx", ["alice"], "artifact"
-    )
+    receipt = publish_raw(users["alice"]["ledger"], "21.P/x", "cas://x", "cx")
     assert len(receipt.tx_id) == 64
     entries = users["alice"]["ledger"].get_history("21.P/x")
     assert entries[0]["height"] == receipt.height
@@ -53,7 +50,7 @@ def test_consumer_only_endorsement_fails_policy(fed, users):
         endorsement_policy=fed.config.endorsement_policy,
     )
     with pytest.raises(EndorsementPolicyUnmetError):
-        consumer_only.hlf_create("21.P/x", "cas://x", "cx", ["alice"], "artifact")
+        publish_raw(consumer_only, "21.P/x", "cas://x", "cx")
     assert alice.hlf_read("21.P/x") is None
 
 
@@ -82,7 +79,7 @@ def test_majority_policy_federation(tmp_path):
     try:
         alice, key = fed.register_user("OrgA", "alice")
         client = fed.client(alice, key).ledger()
-        receipt = client.hlf_create("21.P/x", "cas://x", "cx", ["alice"], "artifact")
+        receipt = publish_raw(client, "21.P/x", "cas://x", "cx")
         assert receipt.status == "VALID"
         # Drop to a single reachable producer: majority of 3 is unreachable.
         lone = LedgerClient(
@@ -94,14 +91,14 @@ def test_majority_policy_federation(tmp_path):
             endorsement_policy=POLICY_MAJORITY,
         )
         with pytest.raises(EndorsementPolicyUnmetError):
-            lone.hlf_create("21.P/y", "cas://y", "cy", ["alice"], "artifact")
+            publish_raw(lone, "21.P/y", "cas://y", "cy")
     finally:
         fed.stop()
 
 
 def test_simulation_divergence_detected(fed, users):
     alice = users["alice"]["ledger"]
-    assert alice.hlf_create("21.P/x", "cas://x", "cx", ["alice"], "artifact").ok
+    assert publish_raw(alice, "21.P/x", "cas://x", "cx").ok
     # Corrupt one node's world state out-of-band.
     rogue_value = fed.nodes["OrgB"].state.get("21.P/x").evolved(checksum="tampered")
     fed.nodes["OrgB"].state.put("21.P/x", rogue_value)
@@ -112,7 +109,7 @@ def test_simulation_divergence_detected(fed, users):
 def test_concurrent_updates_one_wins(fed, users):
     """Two updates endorsed against the same snapshot: one VALID, one conflict."""
     alice = users["alice"]["ledger"]
-    assert alice.hlf_create("21.P/p", "cas://1", "c1", ["alice"], "provenance-record").ok
+    assert publish_raw(alice, "21.P/p-artifact", prov=("21.P/p", "cas://1", "c1")).ok
 
     import uuid
 
@@ -123,7 +120,8 @@ def test_concurrent_updates_one_wins(fed, users):
         body = {
             "kind": "update-prov",
             "pid": "21.P/p",
-            "args": {"new_uri": f"cas://{new_checksum}", "new_checksum": new_checksum},
+            "args": {"new_uri": f"cas://{new_checksum}", "new_checksum": new_checksum,
+                     "version": 2},
             "creator": {
                 "user_id": "alice",
                 "org": "OrgA",
@@ -149,8 +147,8 @@ def test_concurrent_updates_one_wins(fed, users):
 def test_serializability_against_permutation_oracle(fed, users):
     """Committed state equals a serial execution of the VALID-committed txs."""
     alice = users["alice"]["ledger"]
-    assert alice.hlf_create("21.P/p", "cas://0", "c0", ["alice"], "provenance-record").ok
-    assert alice.hlf_create("21.P/q", "cas://0", "d0", ["alice"], "provenance-record").ok
+    assert publish_raw(alice, "21.P/p-artifact", prov=("21.P/p", "cas://0", "c0")).ok
+    assert publish_raw(alice, "21.P/q-artifact", prov=("21.P/q", "cas://0", "d0")).ok
 
     import uuid
 
@@ -161,7 +159,8 @@ def test_serializability_against_permutation_oracle(fed, users):
         body = {
             "kind": "update-prov",
             "pid": pid,
-            "args": {"new_uri": f"cas://{checksum}", "new_checksum": checksum},
+            "args": {"new_uri": f"cas://{checksum}", "new_checksum": checksum,
+                     "version": 2},
             "creator": {
                 "user_id": "alice",
                 "org": "OrgA",
@@ -207,20 +206,18 @@ def test_skewed_timestamp_rejected(fed, users):
     from fedprov.errors import LedgerRejectedError
 
     with pytest.raises(LedgerRejectedError):
-        users["alice"]["ledger"].hlf_create(
-            "21.P/x", "cas://x", "cx", ["alice"], "artifact",
-            timestamp="1999-01-01T00:00:00.000Z",
-        )
+        publish_raw(users["alice"]["ledger"], "21.P/x", "cas://x", "cx",
+                    timestamp="1999-01-01T00:00:00.000Z")
 
 
 def test_get_history_versions_monotonic(fed, users):
     alice = users["alice"]["ledger"]
-    assert alice.hlf_create("21.P/p", "cas://1", "c1", ["alice"], "provenance-record").ok
-    assert alice.hlf_update_prov("21.P/p", "cas://2", "c2").ok
-    assert alice.hlf_update_prov("21.P/p", "cas://3", "c3").ok
+    assert publish_raw(alice, "21.P/p-artifact", prov=("21.P/p", "cas://1", "c1")).ok
+    assert alice.hlf_update_prov("21.P/p", "cas://2", "c2", 2).ok
+    assert alice.hlf_update_prov("21.P/p", "cas://3", "c3", 3).ok
     entries = alice.get_history("21.P/p")
     assert [e["value"]["version"] for e in entries] == [1, 2, 3]
-    assert [e["kind"] for e in entries] == ["create-prov", "update-prov", "update-prov"]
+    assert [e["kind"] for e in entries] == ["publish", "update-prov", "update-prov"]
 
 
 def test_get_history_unknown_pid_empty(fed, users):
@@ -229,7 +226,7 @@ def test_get_history_unknown_pid_empty(fed, users):
 
 def test_history_includes_final_invalidation(fed, users):
     alice = users["alice"]["ledger"]
-    assert alice.hlf_create("21.P/a", "cas://a", "ca", ["alice"], "artifact").ok
+    assert publish_raw(alice, "21.P/a", "cas://a", "ca").ok
     assert alice.hlf_invalidate("21.P/a").ok
     entries = alice.get_history("21.P/a")
     assert entries[-1]["kind"] == "invalidate-artifact"
@@ -240,7 +237,7 @@ def test_node_restart_replays_state(fed, users):
     from fedprov.ledger.node import OrgNode
 
     alice = users["alice"]["ledger"]
-    assert alice.hlf_create("21.P/a", "cas://a", "ca", ["alice"], "artifact").ok
+    assert publish_raw(alice, "21.P/a", "cas://a", "ca").ok
     assert alice.hlf_invalidate("21.P/a").ok
     original = fed.nodes["OrgA"]
     reopened = OrgNode(
@@ -257,9 +254,7 @@ def test_node_restart_replays_state(fed, users):
 
 def test_rejected_proposals_cut_no_block(fed, users):
     height_before = fed.nodes["OrgA"].height()
-    receipt = users["ruth"]["ledger"].hlf_create(
-        "21.P/x", "cas://x", "cx", ["ruth"], "artifact"
-    )
+    receipt = publish_raw(users["ruth"]["ledger"], "21.P/x", "cas://x", "cx", ["ruth"])
     assert receipt.status == "REJECTED"
     assert receipt.message == chaincode.MSG_UNAUTHORIZED
     assert fed.nodes["OrgA"].height() == height_before
@@ -276,7 +271,7 @@ def test_batching_groups_transactions(tmp_path):
         lock = threading.Lock()
 
         def submit(i):
-            r = client.hlf_create(f"21.P/{i}", f"cas://{i}", f"c{i}", ["alice"], "artifact")
+            r = publish_raw(client, f"21.P/{i}", f"cas://{i}", f"c{i}")
             with lock:
                 receipts.append(r)
 
@@ -309,7 +304,7 @@ def test_lone_write_does_not_wait_for_a_batch_timeout(tmp_path):
         alice, key = fed.register_user("OrgA", "alice")
         ledger = fed.client(alice, key).ledger()
         started = time.monotonic()
-        receipt = ledger.hlf_create("21.P/lone", "cas://lone", "cl", ["alice"], "artifact")
+        receipt = publish_raw(ledger, "21.P/lone", "cas://lone", "cl")
         elapsed = time.monotonic() - started
     finally:
         fed.stop()
@@ -363,14 +358,15 @@ def _bounded(call, timeout_s=10.0):
 
 
 def _endorsed(user, pid, nonce):
-    """A normally endorsed ``create-artifact`` envelope, not yet ordered."""
+    """A normally endorsed ``publish`` envelope, not yet ordered."""
     from fedprov import clock, crypto
     from fedprov.canonical import canonical_bytes
 
     body = {
-        "kind": chaincode.TX_CREATE_ARTIFACT,
+        "kind": chaincode.TX_PUBLISH,
         "pid": pid,
-        "args": {"uri": f"cas://{pid}", "checksum": "c", "owners": [user["identity"].user_id]},
+        "args": {"uri": f"cas://{pid}", "checksum": "c", "owners": [user["identity"].user_id],
+                 "provenance": {"pid": f"{pid}/prov", "uri": "cas://doc", "checksum": "c-doc"}},
         "creator": user["identity"].to_creator(),
         "timestamp": clock.now_iso(),
         "nonce": nonce,
@@ -397,7 +393,7 @@ def test_null_endorsement_signature_rejected_and_orderer_survives(fed, users):
     with pytest.raises(LedgerRejectedError, match="endorsement signature invalid"):
         _bounded(lambda: alice.order(envelope))
     assert alice.hlf_read("21.P/m") is None
-    after = _bounded(lambda: alice.hlf_create("21.P/n", "cas://n", "cn", ["alice"], "artifact"))
+    after = _bounded(lambda: publish_raw(alice, "21.P/n", "cas://n", "cn"))
     assert after.ok
     assert len(set(fed.state_digests().values())) == 1
     assert _all_clear(fed)
@@ -486,7 +482,7 @@ def test_forged_envelope_refused_at_order(fed, users, forge, finding):
     with pytest.raises(LedgerRejectedError, match=finding):
         _bounded(lambda: alice.order(envelope))
     assert _heights(fed) == before
-    after = _bounded(lambda: alice.hlf_create("21.P/n", "cas://n", "cn", ["alice"], "artifact"))
+    after = _bounded(lambda: publish_raw(alice, "21.P/n", "cas://n", "cn"))
     assert after.status == "VALID"
     assert _heights(fed) == {org: height + 1 for org, height in before.items()}
     assert _all_clear(fed)
@@ -503,10 +499,10 @@ def test_orderer_survives_peer_failing_with_plain_error(fed, users):
     alice = users["alice"]["ledger"]
     fed.orderer.peers["OrgB"] = failing
     before = _heights(fed)
-    first = _bounded(lambda: alice.hlf_create("21.P/a", "cas://a", "ca", ["alice"], "artifact"))
+    first = _bounded(lambda: publish_raw(alice, "21.P/a", "cas://a", "ca"))
     assert first.status == "VALID"
     assert _heights(fed) == {org: height + (org != "OrgB") for org, height in before.items()}
-    after = _bounded(lambda: alice.hlf_create("21.P/b", "cas://b", "cb", ["alice"], "artifact"))
+    after = _bounded(lambda: publish_raw(alice, "21.P/b", "cas://b", "cb"))
     assert after.status == "VALID"
 
 
@@ -519,8 +515,7 @@ def test_orderer_logs_the_peer_that_missed_a_block(fed, users, caplog):
     fed.orderer.peers["OrgB"] = unreachable
     height = fed.nodes["OrgA"].height()
     with caplog.at_level("WARNING", logger="fedprov.ledger.ordering"):
-        receipt = _bounded(lambda: users["alice"]["ledger"].hlf_create(
-            "21.P/a", "cas://a", "ca", ["alice"], "artifact"))
+        receipt = _bounded(lambda: publish_raw(users["alice"]["ledger"], "21.P/a", "cas://a", "ca"))
     assert receipt.status == "VALID"
     [record] = [r for r in caplog.records if r.name == "fedprov.ledger.ordering"]
     assert record.levelname == "WARNING"
@@ -573,7 +568,7 @@ def _uncovered_key_in_block(fed, users):
 def test_commit_refuses_what_the_audit_flags(fed, users, build, finding):
     from fedprov.errors import LedgerRejectedError
 
-    assert users["alice"]["ledger"].hlf_create("21.P/a", "cas://a", "ca", ["alice"], "artifact").ok
+    assert publish_raw(users["alice"]["ledger"], "21.P/a", "cas://a", "ca").ok
     block = build(fed, users)
     for node in fed.nodes.values():
         height, digest = node.height(), node.state_digest()
@@ -589,7 +584,7 @@ def test_node_refuses_to_start_on_a_tampered_ledger(fed, users, tmp_path):
 
     alice = users["alice"]["ledger"]
     for i in range(4):
-        assert alice.hlf_create(f"21.P/{i}", f"cas://{i}", f"c{i}", ["alice"], "artifact").ok
+        assert publish_raw(alice, f"21.P/{i}", f"cas://{i}", f"c{i}").ok
     original = fed.nodes["OrgA"]
     lines = original.store.path.read_bytes().split(b"\n")
     target_height = 3
@@ -614,10 +609,10 @@ def test_node_refuses_to_start_on_a_tampered_ledger(fed, users, tmp_path):
 def test_ledger_client_without_credentials_reads_but_cannot_submit(fed, users):
     from fedprov.errors import UnauthorizedError
 
-    assert users["alice"]["ledger"].hlf_create("21.P/r", "cas://r", "cr", ["alice"], "artifact").ok
+    assert publish_raw(users["alice"]["ledger"], "21.P/r", "cas://r", "cr").ok
     anonymous = fed.client().ledger()
     assert anonymous.hlf_read("21.P/r").checksum == "cr"
     height = fed.nodes["OrgA"].height()
     with pytest.raises(UnauthorizedError):
-        anonymous.hlf_create("21.P/s", "cas://s", "cs", ["alice"], "artifact")
+        publish_raw(anonymous, "21.P/s", "cas://s", "cs")
     assert fed.nodes["OrgA"].height() == height

@@ -9,7 +9,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import act, doc, ent, register_default_users, rel
+from conftest import act, doc, ent, publish_raw, register_default_users, rel
 from fedprov.errors import CycleError, LedgerRejectedError, NotInvalidatedError, UnknownPIDError
 from fedprov.ledger.client import Receipt
 from fedprov.lineage import (
@@ -508,10 +508,8 @@ def live_publish(fed):
         document = doc(entities=entities, activities=[act(f"x-{name}")], relations=relations)
         doc_uri, doc_checksum, _ = store.store_document(document)
         prov = registry.mint("provenance-record", doc_uri, doc_checksum)
-        assert ledger.hlf_create(artifact["pid"], uri, checksum, ["alice"], "artifact").ok
-        assert ledger.hlf_create(
-            prov["pid"], doc_uri, doc_checksum, ["alice"], "provenance-record"
-        ).ok
+        assert publish_raw(ledger, artifact["pid"], uri, checksum,
+                           prov=(prov["pid"], doc_uri, doc_checksum)).ok
         return artifact["pid"]
 
     return fed, users, publish

@@ -11,6 +11,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from conftest import publish_raw
 from fedprov import cli, transport
 from fedprov.ledger import node
 
@@ -53,7 +54,7 @@ def test_traced_write_records_commit_path_spans(monkeypatch, tmp_path):
             alice, key = fed.register_user("OrgA", "alice")
             ledger = fed.client(alice, key).ledger()
             tracer.active = True
-            receipt = ledger.hlf_create("21.P/t", "cas://t", "ct", ["alice"], "artifact")
+            receipt = publish_raw(ledger, "21.P/t", "cas://t", "ct")
             tracer.active = False
         finally:
             fed.stop()
@@ -73,7 +74,7 @@ def test_traced_two_envelope_order_records_ordering_spans(monkeypatch, tmp_path)
     """One ORDER carrying two envelopes goes through the wrapped
     ``OrderingService.submit``, whose note reads the first envelope."""
     from fedprov.harness import Federation
-    from fedprov.ledger.client import create_operation
+    from fedprov.ledger.client import publish_operation
 
     spans = _load_spans(monkeypatch)
     tracer = spans.Tracer(enabled=True)
@@ -84,7 +85,9 @@ def test_traced_two_envelope_order_records_ordering_spans(monkeypatch, tmp_path)
             alice, key = fed.register_user("OrgA", "alice")
             ledger = fed.client(alice, key).ledger()
             envelopes = [
-                ledger.prepare(*create_operation(f"21.P/t{i}", "cas://t", "ct", ["alice"], "artifact"))
+                ledger.prepare(*publish_operation(
+                    f"21.P/t{i}", "cas://t", "ct", ["alice"], f"21.P/p{i}", "cas://d", "cd"
+                ))
                 for i in range(2)
             ]
             tracer.active = True

@@ -12,7 +12,8 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedprov import identity as identity_mod
+from fedprov import crypto, identity as identity_mod
+from fedprov.canonical import canonical_bytes
 from fedprov.errors import (
     BrokenChainError,
     KindMismatchError,
@@ -359,10 +360,20 @@ def test_discarded_suffix_not_minted_again_after_reopen(tmp_path, owner):
     assert (root / "high_water").read_text() == "2\n"
 
 
-def test_minted_record_names_its_minter_as_owner(registry):
-    spoofed = registry.mint("artifact", "cas://2", "c2", owner="alice",
-                            metadata={"owner": "bob"})
-    assert spoofed.metadata["owner"] == "alice"
+def test_minted_record_names_its_minter_as_owner(fed):
+    """A MINT request carries no metadata; one that does still gets only
+    its minter as owner."""
+    alice, key = fed.register_user("OrgA", "alice")
+    request = {"object_kind": "artifact", "target_uri": "cas://2", "checksum": "c2",
+               "metadata": {"owner": "bob"}}
+    reply = fed.transport(fed.config.registry_address)("MINT", {
+        "caller": alice.to_creator(),
+        "request": request,
+        "signature": crypto.sign(key, canonical_bytes(request)),
+    })
+    metadata = reply["record"]["metadata"]
+    assert metadata["owner"] == "alice"
+    assert sorted(metadata) == ["created_at", "owner"]
 
 
 def test_stored_successor_is_ignored(registry, owner, orgs):

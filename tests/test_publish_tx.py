@@ -9,15 +9,19 @@ keep replaying and verifying next to the new transactions.
 from __future__ import annotations
 
 import dataclasses
+import uuid
 
 import pytest
 
-from conftest import ent, register_default_users, simple_doc
-from fedprov import cli
+from conftest import ent, publish_raw, register_default_users, simple_doc
+from fedprov import cli, clock, crypto
+from fedprov.canonical import canonical_bytes
 from fedprov.errors import TransportError, UnauthorizedError
+from fedprov.federation import load_node_credentials
 from fedprov.harness import Federation
-from fedprov.ledger import chaincode
-from fedprov.ledger.client import LedgerClient, create_operation, publish_operation
+from fedprov.ledger import blocks, chaincode
+from fedprov.ledger.client import LedgerClient, publish_operation
+from fedprov.ledger.values import LedgerValue
 from fedprov.transport import DirectTransport
 
 
@@ -71,15 +75,13 @@ def _unreachable(kind, payload):
 def test_endorsement_refusal_keeps_its_type(fed, users, peers, raised):
     client = _client(fed, users["alice"], peers)
     with pytest.raises(raised):
-        client.hlf_create("21.P/x", "cas://x", "cx", ["alice"], "artifact")
+        publish_raw(client, "21.P/x", "cas://x", "cx")
 
 
 def test_one_refusing_producer_does_not_block_the_other(fed, users):
     org_b = fed.services["OrgB"]
     peers = {"OrgA": _refusing, "OrgB": DirectTransport(org_b.handle)}
-    receipt = _client(fed, users["alice"], peers).hlf_create(
-        "21.P/x", "cas://x", "cx", ["alice"], "artifact"
-    )
+    receipt = publish_raw(_client(fed, users["alice"], peers), "21.P/x", "cas://x", "cx")
     assert receipt.status == "VALID"
 
 
@@ -118,9 +120,56 @@ def test_racing_publishes_in_one_block_commit_exactly_one(fed, users):
     assert len(created) == 1
 
 
-def _legacy_publish(ctx, identity, payload: bytes, doc) -> tuple[str, str]:
+def _older_release_envelope(fed, user, kind, pid, args, timestamp, result) -> dict:
+    """An ORDER-ready envelope of a transaction this release no longer
+    simulates, as an older release's nodes endorsed it: *user* signs the
+    body, that release's chaincode *result* is written out, and OrgA's node
+    key from ``load_node_credentials`` signs the endorsement."""
+    body = {
+        "kind": kind,
+        "pid": pid,
+        "args": args,
+        "creator": user["identity"].to_creator(),
+        "timestamp": timestamp,
+        "nonce": uuid.uuid4().hex,
+    }
+    tx_id = blocks.tx_id_for(body)
+    node, node_key = load_node_credentials(fed.config, "OrgA")
+    result_digest = chaincode.SimulationResult.from_dict(result).result_digest()
+    endorsement = {
+        "org": "OrgA",
+        "node_id": node.user_id,
+        "node_public_key": node.public_key,
+        "node_certificate": node.certificate,
+        "signature": crypto.sign(node_key, blocks.endorsement_payload(tx_id, result_digest)),
+    }
+    return {
+        "tx_id": tx_id,
+        "body": body,
+        "signature": crypto.sign(user["key"], canonical_bytes(body)),
+        "result": result,
+        "endorsements": [endorsement],
+    }
+
+
+def _legacy_create(fed, user, kind, pid, uri, checksum) -> dict:
+    """A ``create-artifact`` or ``create-prov`` envelope, endorsed as before."""
+    timestamp = clock.now_iso()
+    owners = [user["identity"].user_id]
+    object_kind = (
+        chaincode.KIND_ARTIFACT if kind == "create-artifact" else chaincode.KIND_PROVENANCE
+    )
+    value = LedgerValue(uri, checksum, 1, tuple(owners), timestamp, object_kind)
+    result = {"message": chaincode.MSG_CREATED, "reads": {pid: None},
+              "writes": {pid: value.to_dict()}}
+    args = {"uri": uri, "checksum": checksum, "owners": owners}
+    return _older_release_envelope(fed, user, kind, pid, args, timestamp, result)
+
+
+def _legacy_publish(fed, user, payload: bytes, doc) -> tuple[str, str]:
     """Publish as releases before the one-transaction ``publish`` did: two
     creates, endorsed apart and ordered in one ORDER request."""
+    ctx = fed.client(user["identity"], user["key"])
     store, registry, ledger = ctx.store(), ctx.registry(), ctx.ledger()
     uri, checksum, _ = store.store_bytes(payload)
     artifact_pid = registry.mint("artifact", uri, checksum)["pid"]
@@ -129,22 +178,48 @@ def _legacy_publish(ctx, identity, payload: bytes, doc) -> tuple[str, str]:
                                               checksum=checksum))
     doc_uri, doc_checksum, _ = store.store_document(doc)
     prov_pid = registry.mint("provenance-record", doc_uri, doc_checksum)["pid"]
-    owners = [identity.user_id]
     envelopes = [
-        ledger.prepare(*create_operation(artifact_pid, uri, checksum, owners, "artifact")),
-        ledger.prepare(*create_operation(prov_pid, doc_uri, doc_checksum, owners,
-                                         "provenance-record")),
+        _legacy_create(fed, user, "create-artifact", artifact_pid, uri, checksum),
+        _legacy_create(fed, user, "create-prov", prov_pid, doc_uri, doc_checksum),
     ]
     assert [r.status for r in ledger.order_all(envelopes)] == ["VALID", "VALID"]
     return artifact_pid, prov_pid
 
 
+def _legacy_update_prov(fed, user, prov_pid: str) -> str:
+    """Write the next version of *prov_pid*, its document enriched, as an
+    ``update-prov`` without ``version``, which wrote whatever version came
+    next; returns the new version's PID."""
+    ctx = fed.client(user["identity"], user["key"])
+    store, registry, ledger = ctx.store(), ctx.registry(), ctx.ledger()
+    record = registry.resolve(prov_pid)
+    doc = store.fetch_document(record["target_uri"], record["checksum"])
+    doc = dataclasses.replace(doc, entities=[*doc.entities, ent("e-note", "calibration note")])
+    uri, checksum, _ = store.store_document(doc)
+    new_pid = registry.mint("provenance-record", uri, checksum, predecessor=prov_pid)["pid"]
+    timestamp = clock.now_iso()
+    current = ledger.hlf_read(prov_pid)
+    value = current.evolved(uri=uri, checksum=checksum, version=current.version + 1,
+                            timestamp=timestamp)
+    result = {"message": chaincode.MSG_UPDATED, "reads": {prov_pid: current.version},
+              "writes": {prov_pid: value.to_dict()}}
+    args = {"new_uri": uri, "new_checksum": checksum}
+    envelope = _older_release_envelope(fed, user, chaincode.TX_UPDATE_PROV, prov_pid, args,
+                                       timestamp, result)
+    assert ledger.order(envelope).status == "VALID"
+    return new_pid
+
+
 def test_legacy_two_create_ledger_replays_next_to_publish_transactions(tmp_path):
+    """Older releases wrote two creates per publish and updates without a
+    version. Commit, replay and audit apply the recorded write sets, so such
+    a chain keeps loading and verifying next to the transactions of today."""
     fed = Federation.bootstrap(tmp_path / "fed", use_tcp=True)
     try:
         alice = register_default_users(fed)["alice"]
         ctx = fed.client(alice["identity"], alice["key"])
-        old_artifact, old_prov = _legacy_publish(ctx, alice["identity"], b"old\n", simple_doc())
+        old_artifact, old_prov = _legacy_publish(fed, alice, b"old\n", simple_doc())
+        old_prov_v2 = _legacy_update_prov(fed, alice, old_prov)
         derived = simple_doc().with_entity(ent("e-in", "input", artifact_pid=old_artifact))
         new = ctx.updater().publish(b"new\n", derived, alice["identity"])
         digests = fed.state_digests()
@@ -158,16 +233,20 @@ def test_legacy_two_create_ledger_replays_next_to_publish_transactions(tmp_path)
         assert chain["all_clear"] and chain["consistent"]
         reader = fed.client()
         kinds = {}
-        for pid in (old_artifact, old_prov, new["artifact_pid"], new["prov_pid"]):
+        for pid in (old_artifact, old_prov, old_prov_v2, new["artifact_pid"], new["prov_pid"]):
             body = cli.verify_pid(reader, pid)
             assert body["result"] == "VERIFIED", pid
-            kinds[pid] = body["ledger_history"][0]["kind"]
+            kinds[pid] = [entry["kind"] for entry in body["ledger_history"]]
         assert kinds == {
-            old_artifact: chaincode.TX_CREATE_ARTIFACT,
-            old_prov: chaincode.TX_CREATE_PROV,
-            new["artifact_pid"]: chaincode.TX_PUBLISH,
-            new["prov_pid"]: chaincode.TX_PUBLISH,
+            old_artifact: ["create-artifact"],
+            old_prov: ["create-prov", chaincode.TX_UPDATE_PROV],
+            old_prov_v2: ["create-prov", chaincode.TX_UPDATE_PROV],
+            new["artifact_pid"]: [chaincode.TX_PUBLISH],
+            new["prov_pid"]: [chaincode.TX_PUBLISH],
         }
+        assert [r["pid"] for r in reader.registry().version_history(old_prov)] == [
+            old_prov, old_prov_v2
+        ]
         paths = cli.trace_artifact(reader, new["artifact_pid"])["paths"]
         assert [[step["artifact"] for step in path["steps"][0::2]] for path in paths] == [
             [new["artifact_pid"], old_artifact]

@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from fedprov.harness import Federation
 from fedprov.scenarios import runner, uc1_lineage, uc2_cascade, uc3_iterations
+
+
+# ``runner.run_all`` on a fresh federation under the conftest frozen clock,
+# written with ``json.dumps(report, indent=2, sort_keys=True)``: what
+# ``python -m fedprov.scenarios.runner`` prints.
+REPORT = Path(__file__).resolve().parent / "data" / "scenario_report.json"
 
 
 @pytest.fixture()
@@ -104,3 +113,10 @@ def test_runs_are_reproducible(tmp_path, frozen_clock, monkeypatch):
     assert sorted(n["state_digest"] for n in first["nodes"].values()) == sorted(
         n["state_digest"] for n in second["nodes"].values()
     )
+
+
+def test_report_matches_the_pinned_report(scenario_fed):
+    """PIDs, versions, traces, heights and state digests of the five
+    scenarios are fixed; any change to what they write shows here."""
+    report = runner.run_all(str(scenario_fed.config_path))
+    assert report == json.loads(REPORT.read_text())

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import register_default_users
+from conftest import publish_raw, register_default_users
 from fedprov import transport
 from fedprov.errors import FedprovError, TransportError, UnauthorizedError, UnknownPIDError
 from fedprov.harness import Federation, free_port
@@ -406,8 +406,7 @@ def test_federations_started_and_stopped_leave_no_sockets(tmp_path):
         federation = Federation.bootstrap(tmp_path / f"fed{n}", use_tcp=True)
         try:
             alice = register_default_users(federation)["alice"]
-            assert alice["ledger"].hlf_create(
-                f"21.P/{n}", "cas://x", "cx", ["alice"], "artifact").ok
+            assert publish_raw(alice["ledger"], f"21.P/{n}", "cas://x", "cx").ok
             alice["registry"].mint("artifact", "cas://x", "cx")
             return sum(_is_socket(fd) for fd in open_fds())
         finally:
@@ -427,7 +426,7 @@ def test_tcp_federation_stops_promptly(tmp_path):
     federation = Federation.bootstrap(tmp_path / "fed", use_tcp=True)
     try:
         alice = register_default_users(federation)["alice"]
-        assert alice["ledger"].hlf_create("21.P/s", "cas://s", "cs", ["alice"], "artifact").ok
+        assert publish_raw(alice["ledger"], "21.P/s", "cas://s", "cs").ok
         alice["registry"].mint("artifact", "cas://s", "cs")
     finally:
         started = time.perf_counter()
@@ -463,8 +462,7 @@ def test_registry_mint_resolve_link_history_over_tcp(tcp_fed, tcp_users):
     v1 = client.mint("provenance-record", "cas://1", "c1")
     with pytest.raises(UnknownPIDError):
         client.resolve(v1["pid"])  # reserved, not committed
-    assert alice["ledger"].hlf_create(v1["pid"], "cas://1", "c1", ["alice"],
-                                      "provenance-record").ok
+    assert publish_raw(alice["ledger"], "21.P/subject", prov=(v1["pid"], "cas://1", "c1")).ok
     v2 = client.mint("provenance-record", "cas://2", "c2", predecessor=v1["pid"])
     assert (v2["predecessor"], v2["version_number"]) == (v1["pid"], 2)
     assert client.resolve(v1["pid"])["successor"] is None
@@ -493,9 +491,7 @@ def test_registry_resolve_unauthenticated(tcp_fed, tcp_users):
         tcp_users["alice"]["key"],
     )
     record = signed.mint("artifact", "cas://1", "c1")
-    assert tcp_users["alice"]["ledger"].hlf_create(
-        record["pid"], "cas://1", "c1", ["alice"], "artifact"
-    ).ok
+    assert publish_raw(tcp_users["alice"]["ledger"], record["pid"], "cas://1", "c1").ok
     anonymous = RegistryClient(TcpTransport(tcp_fed.config.registry_address))
     assert anonymous.resolve(record["pid"])["checksum"] == "c1"
     with pytest.raises(UnauthorizedError):
@@ -504,7 +500,7 @@ def test_registry_resolve_unauthenticated(tcp_fed, tcp_users):
 
 def test_node_query_over_tcp(tcp_fed, tcp_users):
     alice = tcp_users["alice"]["ledger"]
-    assert alice.hlf_create("21.P/x", "cas://x", "cx", ["alice"], "artifact").ok
+    assert publish_raw(alice, "21.P/x", "cas://x", "cx").ok
     org = tcp_fed.config.organizations[0]
     transport = TcpTransport(org.listen_address)
     value = transport("QUERY", {"op": "read", "pid": "21.P/x"})["value"]
@@ -521,9 +517,10 @@ def test_propose_answered_with_endorse_kind(tcp_fed, tcp_users):
 
     identity = tcp_users["alice"]["identity"]
     body = {
-        "kind": "create-artifact",
+        "kind": "publish",
         "pid": "21.P/k",
-        "args": {"uri": "cas://k", "checksum": "ck", "owners": ["alice"]},
+        "args": {"uri": "cas://k", "checksum": "ck", "owners": ["alice"],
+                 "provenance": {"pid": "21.P/kp", "uri": "cas://kp", "checksum": "ckp"}},
         "creator": {
             "user_id": "alice",
             "org": "OrgA",

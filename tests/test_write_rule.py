@@ -1,9 +1,10 @@
 """One rule for who may write, asked at every write entry point.
 
 ``identity.may_write`` (a certified member of a producer organization)
-guards the ledger creates, ``flag-affected``, registry MINT and
-``cli publish``; ``identity.check_auth`` (``may_write`` plus ownership or an
-owner's grant) guards ``update-prov``, ``invalidate``, a registry MINT that
+guards the ledger ``publish`` (the ``create`` cell, submitted raw),
+``flag-affected``, registry MINT and ``cli publish``;
+``identity.check_auth`` (``may_write`` plus ownership or an owner's grant)
+guards ``update-prov``, ``invalidate``, a registry MINT that
 links a new version to a predecessor, and ``AtomicUpdater.update``. Every
 cell of callers x entry points is allowed exactly when its predicate says
 so, and a refused cell changes nothing.
@@ -17,7 +18,7 @@ import json
 
 import pytest
 
-from conftest import simple_doc
+from conftest import publish_raw, simple_doc
 from fedprov import cli, identity as identity_mod
 from fedprov.errors import LedgerRejectedError, UnauthorizedError
 from fedprov.harness import Federation
@@ -60,21 +61,20 @@ class World:
     def serial(self) -> int:
         return next(self._serial)
 
-    def created(self, object_kind: str) -> str:
+    def created(self, prov_pid: str | None = None) -> tuple[str, str]:
+        """An artifact and its provenance record, put on the ledger by alice
+        with one raw ``publish``."""
         pid = f"21.P/rule-{self.serial()}"
-        assert self.alice.ledger().hlf_create(
-            pid, "cas://v1", "c1", ["alice"], object_kind
-        ).ok
-        return pid
+        prov_pid = prov_pid or f"{pid}/prov"
+        assert publish_raw(self.alice.ledger(), pid, "cas://v1", "c1",
+                           prov=(prov_pid, "cas://v1", "c1")).ok
+        return pid, prov_pid
 
     def minted(self) -> str:
         """A provenance PID alice reserved and committed: the registry links
         a next version only to a committed record."""
         pid = self.alice.registry().mint("provenance-record", "cas://v1", "c1")["pid"]
-        assert self.alice.ledger().hlf_create(
-            pid, "cas://v1", "c1", ["alice"], "provenance-record"
-        ).ok
-        return pid
+        return self.created(pid)[1]
 
     def published(self) -> str:
         doc = simple_doc()
@@ -105,23 +105,23 @@ def enriched(world: World, prov_pid: str) -> ProvDocument:
 
 def _create(world, ctx, who, grant_for):
     pid = f"21.P/rule-{world.serial()}"
-    return lambda: ctx.ledger().hlf_create(pid, "cas://c", "cc", [who.user_id], "artifact")
+    return lambda: publish_raw(ctx.ledger(), pid, "cas://c", "cc", [who.user_id])
 
 
 def _update_prov(world, ctx, who, grant_for):
-    pid = world.created("provenance-record")
+    _, pid = world.created()
     grant = grant_for(pid, identity_mod.CAP_UPDATE_PROVENANCE)
-    return lambda: ctx.ledger().hlf_update_prov(pid, "cas://v2", "c2", permission=grant)
+    return lambda: ctx.ledger().hlf_update_prov(pid, "cas://v2", "c2", 2, permission=grant)
 
 
 def _invalidate(world, ctx, who, grant_for):
-    pid = world.created("artifact")
+    pid, _ = world.created()
     grant = grant_for(pid, identity_mod.CAP_INVALIDATE_ARTIFACT)
     return lambda: ctx.ledger().hlf_invalidate(pid, reason="bad", permission=grant)
 
 
 def _flag_affected(world, ctx, who, grant_for):
-    source, target = world.created("artifact"), world.created("artifact")
+    (source, _), (target, _) = world.created(), world.created()
     assert world.alice.ledger().hlf_invalidate(source).ok
     return lambda: ctx.ledger().flag_affected([target], source)
 
