@@ -20,10 +20,12 @@ non-empty list of user ids; anything else is malformed.
 ``update-prov`` states ``version``, the version it writes, with ``new_uri``
 and ``new_checksum``: the update is refused unless that is the current
 version plus one, so of two updates prepared from the same version at most
-one commits.
+one commits. It also names ``new_pid``, the new version's PID, a string
+other than the chain's key; it stays in the transaction, where the PID
+registry reads it, and is not part of the written value.
 
 Older ledgers also hold ``create-artifact`` and ``create-prov`` (one record
-each) and ``update-prov`` without ``version``. Commit, replay and chain
+each) and ``update-prov`` without ``version`` or ``new_pid``. Commit, replay and chain
 verification apply a transaction's recorded write set and never simulate it
 again, so such chains keep loading; a new submission of either is malformed.
 
@@ -42,6 +44,8 @@ from typing import Callable, Mapping
 from .. import identity as identity_mod
 from ..canonical import digest
 from .values import (
+    KIND_ARTIFACT,
+    KIND_PROVENANCE,
     STATUS_AFFECTED,
     STATUS_INVALIDATED,
     STATUS_VALID,
@@ -70,9 +74,6 @@ MSG_INVALIDATED = "Success: Resource invalidated"
 MSG_ALREADY_INVALIDATED = "Success: Resource already invalidated"
 MSG_FLAGGED = "Success: Resource flagged as affected"
 MSG_ALREADY_FLAGGED = "Success: Resource already flagged"
-
-KIND_ARTIFACT = "artifact"
-KIND_PROVENANCE = "provenance-record"
 
 
 @dataclass
@@ -181,7 +182,11 @@ def simulate(
 
     if kind == TX_UPDATE_PROV:
         version = args.get("version")
-        if type(version) is not int or not _strings(args, "new_uri", "new_checksum"):
+        if (
+            type(version) is not int
+            or not _strings(args, "new_uri", "new_checksum", "new_pid")
+            or args["new_pid"] == pid
+        ):
             return result
         value = read(pid)
         authorized = identity_mod.check_auth(

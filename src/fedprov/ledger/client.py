@@ -7,7 +7,7 @@ PROPOSE goes to producer nodes alone; the read-only organization's node
 still receives, validates and commits every block. Each record is written
 one way: ``publish_operation`` creates an artifact and its provenance record
 in one transaction, and ``update_operation`` writes the provenance version
-it states. ``order_all`` still sends several endorsed envelopes in one ORDER
+it states under the PID it names, so the ledger records every version's PID. ``order_all`` still sends several endorsed envelopes in one ORDER
 request.
 
 The client talks to nodes directly -- there is no proxy in the path -- so a
@@ -16,6 +16,7 @@ single dead node degrades nothing that the remaining replicas can answer.
 
 from __future__ import annotations
 
+import logging
 import uuid
 from dataclasses import dataclass
 from typing import Mapping
@@ -41,6 +42,8 @@ from .chaincode import (
 )
 from .policy import policy_satisfied, producer_org_names
 from .values import LedgerValue
+
+_log = logging.getLogger(__name__)
 
 STATUS_REJECTED = "REJECTED"
 
@@ -109,11 +112,13 @@ def update_operation(
     new_uri: str,
     new_checksum: str,
     version: int,
+    new_pid: str,
     permission: identity_mod.Permission | None = None,
 ) -> tuple[str, str, dict]:
     """The (kind, pid, args) of the provenance record update that writes
-    exactly *version*."""
-    args = {"new_uri": new_uri, "new_checksum": new_checksum, "version": version}
+    exactly *version* and names it *new_pid*."""
+    args = {"new_uri": new_uri, "new_checksum": new_checksum, "version": version,
+            "new_pid": new_pid}
     if permission is not None:
         args["permission"] = permission.to_dict()
     return TX_UPDATE_PROV, pid, args
@@ -181,7 +186,8 @@ class LedgerClient:
 
         PROPOSE goes only to the producer organizations' nodes, whose
         endorsements alone can count toward the policy. A node that is
-        unreachable or refuses contributes nothing. If none endorses, a
+        unreachable or refuses contributes nothing, and is logged at
+        warning level. If none endorses, a
         refusal (a forged creator certificate, say) is raised as it came,
         and ``TransportError`` only when some node could not be reached.
         """
@@ -201,9 +207,11 @@ class LedgerClient:
             try:
                 response = transport("PROPOSE", proposal)
             except TransportError as exc:
+                _log.warning("endorser %s unreachable: %s", org, exc)
                 unreachable[org] = str(exc)
                 continue
             except FedprovError as exc:
+                _log.warning("endorser %s refused: %s", org, exc)
                 refused = exc
                 continue
             endorsements.append(response["endorsement"])
@@ -265,11 +273,13 @@ class LedgerClient:
         new_uri: str,
         new_checksum: str,
         version: int,
+        new_pid: str,
         timestamp: str | None = None,
         permission: identity_mod.Permission | None = None,
     ) -> Receipt:
         return self.submit(
-            *update_operation(pid, new_uri, new_checksum, version, permission), timestamp
+            *update_operation(pid, new_uri, new_checksum, version, new_pid, permission),
+            timestamp,
         )
 
     def hlf_invalidate(

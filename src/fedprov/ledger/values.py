@@ -14,6 +14,9 @@ from typing import Mapping
 
 from ..canonical import digest
 
+KIND_ARTIFACT = "artifact"
+KIND_PROVENANCE = "provenance-record"
+
 STATUS_VALID = "valid"
 STATUS_INVALIDATED = "invalidated"
 STATUS_AFFECTED = "affected"

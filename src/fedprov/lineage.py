@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 from . import clock
 from .errors import CycleError, LedgerRejectedError, NotInvalidatedError, UnknownPIDError
 from .ledger.blocks import READ_WRITE_CONFLICT
-from .ledger.values import STATUS_INVALIDATED, STATUS_VALID
+from .ledger.values import KIND_ARTIFACT, KIND_PROVENANCE, STATUS_INVALIDATED, STATUS_VALID
 from .prov import REL_DERIVED, REL_GENERATED, REL_USED, ProvDocument
 from .prov_store import ProvStore
 
@@ -123,7 +123,7 @@ def collect_documents(
     """Fetch and checksum-verify every provenance document on the ledger."""
     sources = []
     for pid, value in sorted(ledger_view.items()):
-        if value.get("kind") != "provenance-record":
+        if value.get("kind") != KIND_PROVENANCE:
             continue
         document = store.fetch_document(value["uri"], value["checksum"])
         sources.append(
@@ -182,7 +182,7 @@ def build_graph(
     """
     graph = DerivationGraph()
     artifact_values = {
-        pid: value for pid, value in ledger_view.items() if value.get("kind") == "artifact"
+        pid: value for pid, value in ledger_view.items() if value.get("kind") == KIND_ARTIFACT
     }
     for pid, value in artifact_values.items():
         graph.add_node(pid, value.get("status", STATUS_VALID))

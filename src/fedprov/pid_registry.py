@@ -1,25 +1,37 @@
-"""Handle-style persistent identifier registry with linear version chains.
+"""Handle-style persistent identifier registry: a suffix counter plus an
+index of committed transactions.
 
-One registry serves a federation under a single prefix. It holds
-reservations plus a view of the committed ledger. A MINT reserves a PID: it
-steps the suffix counter and writes the record file once, under
-``records/<suffix>.json``. Nothing ever deletes or rewrites a record.
+One registry serves a federation under a single prefix. A MINT reserves a
+PID: it steps the suffix counter and writes ``records/<suffix>.json`` once,
+holding the PID and its minter (``metadata: {owner, created_at}``). A
+suffix that the ledger named before it was reserved is skipped, and gets a
+record without an owner, so it never resolves. Nothing ever deletes or
+rewrites a record: when the ledger names a suffix at or below the counter
+whose record file is missing, RESOLVE and HISTORY of its chain raise
+``BrokenChainError``.
 
-A record counts as committed when the ledger key of its chain holds the
-record's ``version_number`` with the record's ``checksum``. That key is the
-record's own PID at version 1, and otherwise the chain's first PID.
-RESOLVE and HISTORY answer committed records only, so a reserved PID whose
-ledger write never committed is unknown. A record's ``successor`` is
-derived, never stored: it is the committed record whose ``predecessor`` it
-is.
+The ledger names every PID. The index takes in the committed VALID
+transactions of the host node's ``blocks``: a version-1 write names its own
+key, and an ``update-prov`` names ``args.new_pid`` at its key and version.
+A naming counts only when the committing transaction's creator is the PID's
+minter, and the first such naming of a PID is its place. A chain's versions
+count from version 1 up to the first version that names no PID placed
+there. RESOLVE and HISTORY answer counted PIDs only, so a reservation whose
+write never committed is unknown. They take URI, checksum, kind, version,
+predecessor and successor from the index, and the metadata from the record
+file, read once. The index advances from a block watermark at each request,
+so no request scans the chain, and opening reads no record file.
 
-The view is a map from (ledger key, version) to checksum, built from the
-committed VALID writes of the host node's ``blocks``. It advances from a
-block watermark at each request, so no request scans the chain.
+Ledgers written before ``update-prov`` carried ``new_pid`` hold updates that
+name no PID. Such a version names the record file whose ``predecessor`` is
+the previous version's PID and whose ``checksum`` is the written one, lowest
+suffix first, found in one scan of the record files made the first time such
+an update is met; its minter is not checked.
 
 The suffix counter only ever rises: it is seeded at open from the highest
-suffix on disk, or from a ``high_water`` file that older releases wrote,
-whichever is higher. Only a suffix of ASCII digits ever becomes a file path.
+suffix among the record file names, or from a ``high_water`` file that older
+releases wrote, whichever is higher. Only a suffix of ASCII digits ever
+becomes a file path.
 """
 
 from __future__ import annotations
@@ -27,24 +39,13 @@ from __future__ import annotations
 import json
 import re
 import threading
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Mapping
 
-from . import clock, identity as identity_mod
-from .errors import (
-    BrokenChainError,
-    KindMismatchError,
-    RegistryUnavailableError,
-    SuccessorExistsError,
-    UnauthorizedError,
-    UnknownPIDError,
-)
+from . import clock
+from .errors import BrokenChainError, RegistryUnavailableError, UnknownPIDError
 from .ledger.blocks import VALID
-
-KIND_ARTIFACT = "artifact"
-KIND_PROVENANCE = "provenance-record"
-OBJECT_KINDS = (KIND_ARTIFACT, KIND_PROVENANCE)
+from .ledger.chaincode import TX_UPDATE_PROV
 
 _SUFFIX_WIDTH = 6
 _SUFFIX_RE = re.compile(r"[0-9]{%d,}" % _SUFFIX_WIDTH)
@@ -84,18 +85,6 @@ class PIDRecord:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "PIDRecord":
-        return cls(
-            pid=data["pid"],
-            target_uri=data["target_uri"],
-            checksum=data["checksum"],
-            object_kind=data["object_kind"],
-            version_number=int(data["version_number"]),
-            predecessor=data.get("predecessor"),
-            metadata=dict(data.get("metadata", {})),
-        )
-
 
 class PIDRegistry:
     """Filesystem-backed reservations for a single prefix, answered through
@@ -107,12 +96,14 @@ class PIDRegistry:
         self.prefix = prefix
         self.ledger = ledger
         self.records_dir = self.root / "records"
-        self._write_lock = threading.Lock()
-        self._view_lock = threading.Lock()
-        self._committed: dict[tuple[str, int], str] = {}  # (ledger key, version) -> checksum
+        self._lock = threading.Lock()
         self._blocks_seen = 0
-        self._predecessor: dict[str, str] = {}  # pid -> predecessor, for versions after the first
-        self._reserved: dict[tuple[str, str], str] = {}  # (predecessor, checksum) -> pid
+        # (ledger key, version) -> (the PID it names, the written value)
+        self._versions: dict[tuple[str, int], tuple[str | None, dict]] = {}
+        # pid -> (ledger key, version, creator) of each naming, in commit order
+        self._namings: dict[str, list[tuple[str, int, str | None]]] = {}
+        self._metadata: dict[str, dict] = {}  # pid -> its record file's metadata
+        self._legacy: dict[tuple[str, str], str] | None = None  # (predecessor, checksum) -> pid
         try:
             self.records_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -121,113 +112,49 @@ class PIDRegistry:
             high_water = int((self.root / "high_water").read_text(encoding="utf-8"))
         except FileNotFoundError:
             high_water = 0
-        self._last_suffix = high_water
-        for path in sorted(self.records_dir.glob("*.json")):
-            if not _SUFFIX_RE.fullmatch(path.stem):
-                continue
-            self._last_suffix = max(self._last_suffix, int(path.stem))
-            try:
-                record = self._load(path)
-            except BrokenChainError:
-                continue  # unindexed; resolving it reports the damage
-            if record.predecessor is not None:
-                self._index(record)
+        suffixes = [int(p.stem) for p in self.records_dir.glob("*.json")
+                    if _SUFFIX_RE.fullmatch(p.stem)]
+        self._last_suffix = max([high_water, *suffixes])
 
     # -- core operations ---------------------------------------------------
 
-    def mint(
-        self,
-        object_kind: str,
-        target_uri: str,
-        checksum: str,
-        owner: str,
-        predecessor: str | None = None,
-        caller: identity_mod.Identity | None = None,
-        orgs: Mapping[str, identity_mod.Organization] | None = None,
-        permission: identity_mod.Permission | None = None,
-    ) -> PIDRecord:
-        """Reserve a fresh suffix for a record owned by *owner*.
+    def mint(self, owner: str) -> dict:
+        """Reserve a fresh suffix for *owner*; the reservation's record.
 
-        Without *predecessor* the record is version 1 of a chain of its own.
-        With one, it is the next version after *predecessor*. Both must be
-        provenance records, the predecessor must be committed and newest,
-        and ``identity.check_auth`` must pass *caller* for the chain's first
-        record, whose minter is the chain's one owner: the ledger keys the
-        chain by that PID and checks the same owner and grant. A next
-        version whose predecessor and checksum match an existing reservation
-        is that reservation, still owned by its first reserver, so a retried
-        update names one PID.
+        A suffix that a committed transaction already names is skipped, so
+        every naming of a PID was committed after the PID was reserved. Each
+        skipped suffix gets a record without an owner: it never resolves,
+        and it is told apart from a record file that went missing.
         """
-        if object_kind not in OBJECT_KINDS:
-            raise KindMismatchError(f"unknown object kind: {object_kind!r}")
-        with self._write_lock:
-            previous = None
-            if predecessor is not None:
-                previous = self.resolve(predecessor)
-                if previous.object_kind != KIND_PROVENANCE or object_kind != KIND_PROVENANCE:
-                    raise KindMismatchError("version chains link provenance records only")
-                key = self._chain_key(previous.pid)
-                if (key, previous.version_number + 1) in self._committed:
-                    raise SuccessorExistsError(
-                        f"{predecessor} already superseded by version "
-                        f"{previous.version_number + 1}"
-                    )
-                chain_owner = self._read(key).metadata.get("owner")
-                if caller is None or not identity_mod.check_auth(
-                    key, identity_mod.CAP_UPDATE_PROVENANCE, caller,
-                    [chain_owner] if chain_owner else [], orgs or {}, permission,
-                ):
-                    raise UnauthorizedError(f"{owner!r} may not supersede {predecessor}")
-                reserved = self._reserved.get((predecessor, checksum))
-                if reserved is not None:
-                    return self._read(reserved)
-            suffix = self._next_suffix()
-            self._last_suffix = int(suffix)
-            record = PIDRecord(
-                pid=f"{self.prefix}/{suffix}",
-                target_uri=target_uri,
-                checksum=checksum,
-                object_kind=object_kind,
-                version_number=previous.version_number + 1 if previous else 1,
-                predecessor=predecessor,
-                metadata={"owner": owner, "created_at": clock.now_iso()},
-            )
-            self._store(record)
-            if predecessor is not None:
-                self._index(record)
-            return record
+        with self._lock:
+            self._advance()
+            while f"{self.prefix}/{self._next_suffix()}" in self._namings:
+                self._write_record({})
+            return self._write_record({"owner": owner, "created_at": clock.now_iso()})
 
     def resolve(self, pid: str) -> PIDRecord:
-        """The committed record *pid*, its successor derived."""
-        record = self._read(pid)
-        key = self._chain_key(record.pid)
-        self._advance()
-        if self._committed.get((key, record.version_number)) != record.checksum:
-            raise UnknownPIDError(f"unknown PID: {pid!r} (no committed ledger write)")
-        return replace(record, successor=self._successor(record, key))
+        """The committed record *pid*."""
+        with self._lock:
+            key, version, chain = self._counted(pid)
+            return self._record(key, chain, version - 1)
 
     def version_history(self, pid: str) -> list[PIDRecord]:
         """Full committed chain from version 1 to newest, from any member."""
-        record = self.resolve(pid)
-        key = self._chain_key(record.pid)
-        chain = [record]
-        while chain[0].predecessor is not None:
-            chain.insert(0, self._linked(chain[0].predecessor, "predecessor", chain[0].pid))
-        while chain[-1].successor is not None:
-            newer = self._linked(chain[-1].successor, "successor", chain[-1].pid)
-            chain.append(replace(newer, successor=self._successor(newer, key)))
-        return [
-            replace(older, successor=newer.pid) for older, newer in zip(chain, chain[1:])
-        ] + [chain[-1]]
+        with self._lock:
+            key, _, chain = self._counted(pid)
+            return [self._record(key, chain, index) for index in range(len(chain))]
 
     def list_records(self) -> list[PIDRecord]:
-        """Every committed record, in suffix order."""
+        """Every committed record, in PID order."""
+        with self._lock:
+            self._advance()
+            pids = sorted(self._namings)
         records = []
-        for path in sorted(self.records_dir.glob("*.json")):
+        for pid in pids:
             try:
-                records.append(self.resolve(f"{self.prefix}/{path.stem}"))
+                records.append(self.resolve(pid))
             except UnknownPIDError:
-                continue  # a reservation that never committed
+                continue  # named, but not by its minter
         return records
 
     def state_digest(self) -> str:
@@ -235,76 +162,132 @@ class PIDRegistry:
 
         return digest([r.to_dict() for r in self.list_records()])
 
-    # -- the committed view ----------------------------------------------------
+    # -- the index of committed transactions --------------------------------------
 
     def _advance(self) -> None:
-        """Take in the writes of the blocks committed since the last request."""
-        with self._view_lock:
-            new_blocks = self.ledger.blocks[self._blocks_seen:]
-            for block in new_blocks:
-                for tx in block.transactions:
-                    if tx.get("validation") != VALID:
-                        continue
-                    for key, value in tx["result"]["writes"].items():
-                        self._committed[(key, value["version"])] = value["checksum"]
-            self._blocks_seen += len(new_blocks)
+        """Take in the transactions of the blocks committed since the last request."""
+        new_blocks = self.ledger.blocks[self._blocks_seen:]
+        for block in new_blocks:
+            for tx in block.transactions:
+                if tx.get("validation") != VALID:
+                    continue
+                body = tx["body"]
+                creator = body["creator"]["user_id"]
+                for key, value in tx["result"]["writes"].items():
+                    version = value["version"]
+                    if version == 1:
+                        self._name(key, key, version, value, creator)
+                    elif body["kind"] == TX_UPDATE_PROV:
+                        pid = body["args"].get("new_pid")
+                        if pid is None:
+                            pid, creator = self._legacy_pid(key, version, value), None
+                        self._name(pid, key, version, value, creator)
+        self._blocks_seen += len(new_blocks)
 
-    def _chain_key(self, pid: str) -> str:
-        """The ledger key of *pid*'s chain: the chain's first PID."""
-        seen = {pid}
-        while pid in self._predecessor:
-            pid = self._predecessor[pid]
-            if pid in seen:
-                raise BrokenChainError(f"version chain cycle at {pid}")
-            seen.add(pid)
-        return pid
+    def _name(self, pid: str | None, key: str, version: int, value: dict,
+              creator: str | None) -> None:
+        self._versions[(key, version)] = (pid, value)
+        if pid is not None:
+            self._namings.setdefault(pid, []).append((key, version, creator))
 
-    def _successor(self, record: PIDRecord, key: str) -> str | None:
-        checksum = self._committed.get((key, record.version_number + 1))
-        return None if checksum is None else self._reserved.get((record.pid, checksum))
+    def _counted(self, pid: str) -> tuple[str, int, list[str]]:
+        """*pid*'s (ledger key, version) and its chain's counted PIDs."""
+        PID.parse(pid)
+        self._advance()
+        place = self._place(pid)
+        chain = self._chain(place[0]) if place else []
+        if not place or len(chain) < place[1]:
+            raise UnknownPIDError(f"unknown PID: {pid!r} (no committed ledger write)")
+        return place[0], place[1], chain
 
-    def _linked(self, pid: str, link: str, holder: str) -> PIDRecord:
-        try:
-            return self._read(pid)
-        except UnknownPIDError as exc:
-            raise BrokenChainError(f"{link} {pid!r} of {holder} missing") from exc
+    def _place(self, pid: str) -> tuple[str, int] | None:
+        """Where *pid* is placed: its first naming by its minter."""
+        namings = self._namings.get(pid)
+        minter = self._minter(pid) if namings else None
+        if minter is None:
+            return None
+        return next(
+            ((key, version) for key, version, creator in namings
+             if creator in (minter, None)),
+            None,
+        )
+
+    def _chain(self, key: str) -> list[str]:
+        """The PIDs of *key*'s versions, from version 1 up to the first
+        version that names no PID placed there."""
+        chain: list[str] = []
+        while (key, len(chain) + 1) in self._versions:
+            pid, _ = self._versions[(key, len(chain) + 1)]
+            if pid is None or self._place(pid) != (key, len(chain) + 1):
+                break
+            chain.append(pid)
+        return chain
+
+    def _record(self, key: str, chain: list[str], index: int) -> PIDRecord:
+        value = self._versions[(key, index + 1)][1]
+        return PIDRecord(
+            pid=chain[index],
+            target_uri=value["uri"],
+            checksum=value["checksum"],
+            object_kind=value["kind"],
+            version_number=index + 1,
+            predecessor=chain[index - 1] if index else None,
+            successor=chain[index + 1] if index + 1 < len(chain) else None,
+            metadata=dict(self._metadata[chain[index]]),
+        )
+
+    def _legacy_pid(self, key: str, version: int, value: dict) -> str | None:
+        """The PID of a version an update without ``new_pid`` wrote."""
+        if self._legacy is None:
+            self._legacy = {}
+            paths = [p for p in self.records_dir.glob("*.json") if _SUFFIX_RE.fullmatch(p.stem)]
+            for path in sorted(paths, key=lambda p: int(p.stem)):
+                try:
+                    data = json.loads(path.read_text(encoding="utf-8"))
+                    link = (data["predecessor"], data["checksum"])
+                except (OSError, ValueError, KeyError, TypeError):
+                    continue  # a record of this release, or an unreadable one
+                if link[0] is not None:
+                    self._legacy.setdefault(link, f"{self.prefix}/{path.stem}")
+        previous = self._versions.get((key, version - 1), (None, None))[0]
+        return self._legacy.get((previous, value["checksum"]))
 
     # -- record files ----------------------------------------------------------
 
-    def _index(self, record: PIDRecord) -> None:
-        self._predecessor[record.pid] = record.predecessor
-        self._reserved.setdefault((record.predecessor, record.checksum), record.pid)
-
-    def _read(self, pid: str) -> PIDRecord:
-        parsed = PID.parse(pid)
-        if parsed.prefix != self.prefix:
-            raise UnknownPIDError(f"PID {pid!r} is outside prefix {self.prefix!r}")
-        path = self._record_path(parsed.suffix)
-        if not path.exists():
-            raise UnknownPIDError(f"unknown PID: {pid!r}")
-        return self._load(path)
-
-    @staticmethod
-    def _load(path: Path) -> PIDRecord:
+    def _write_record(self, metadata: dict) -> dict:
+        """Write the record of the next suffix, then step the counter."""
+        suffix = self._next_suffix()
+        pid = f"{self.prefix}/{suffix}"
+        record = {"pid": pid, "metadata": metadata}
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return PIDRecord.from_dict(json.load(fh))
-        except (OSError, ValueError, KeyError) as exc:
-            raise BrokenChainError(f"unreadable record {path.name}: {exc}") from exc
+            self._record_path(suffix).write_text(json.dumps(record, indent=2, sort_keys=True))
+        except OSError as exc:
+            raise RegistryUnavailableError(f"cannot persist {pid}: {exc}") from exc
+        self._last_suffix = int(suffix)
+        self._metadata[pid] = metadata
+        return record
+
+    def _minter(self, pid: str) -> str | None:
+        """The owner in *pid*'s record file; None if the suffix was never
+        handed out. A record file missing at or below the counter is damage."""
+        if pid not in self._metadata:
+            prefix, _, suffix = pid.partition("/")
+            if prefix != self.prefix or not _SUFFIX_RE.fullmatch(suffix):
+                return None
+            path = self._record_path(suffix)
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    self._metadata[pid] = dict(json.load(fh)["metadata"])
+            except FileNotFoundError as exc:
+                if int(suffix) > self._last_suffix:
+                    return None
+                raise BrokenChainError(f"record {path.name} of {pid} missing") from exc
+            except (OSError, ValueError, KeyError, TypeError) as exc:
+                raise BrokenChainError(f"unreadable record {path.name}: {exc}") from exc
+        return self._metadata[pid].get("owner")
 
     def _next_suffix(self) -> str:
         return str(self._last_suffix + 1).zfill(_SUFFIX_WIDTH)
 
     def _record_path(self, suffix: str) -> Path:
-        if not _SUFFIX_RE.fullmatch(suffix):
-            raise UnknownPIDError(f"malformed PID suffix: {suffix!r}")
         return self.records_dir / f"{suffix}.json"
-
-    def _store(self, record: PIDRecord) -> None:
-        path = self._record_path(PID.parse(record.pid).suffix)
-        data = record.to_dict()
-        del data["successor"]  # derived from the ledger, never stored
-        try:
-            path.write_text(json.dumps(data, indent=2, sort_keys=True))
-        except OSError as exc:
-            raise RegistryUnavailableError(f"cannot persist {record.pid}: {exc}") from exc

@@ -3,22 +3,24 @@
 A ``NodeService`` answers PROPOSE / COMMIT / QUERY on every organization
 node and additionally ORDER on the node that hosts the ordering service.
 A ``RegistryService`` answers MINT / RESOLVE / HISTORY. A MINT reserves a
-PID; RESOLVE and HISTORY answer only records whose ledger write the
-registry's host node has committed. A MINT that names a ``predecessor``
-reserves the next version of that record's chain.
+PID and nothing more; RESOLVE and HISTORY answer only PIDs that a ledger
+transaction committed on the registry's host node names (see
+``pid_registry``). A request that is not an object, a RESOLVE, HISTORY or
+QUERY ``read``/``history`` without a string ``pid``, and a COMMIT without a
+``block`` object are refused as malformed requests.
 
 ``assemble_org`` is the one place an organization's server side is built,
 for the in-process harness and for ``fedprov federation start-node`` alike;
 ``serve`` puts the assembled services on their listen addresses.
 
 A MINT carries the caller's identity claim (the ``to_creator`` form a
-transaction's ``creator`` takes) and the caller's signature over the
-request. ``identity.authenticate`` checks both before anything else, as
-``OrgNode.endorse`` does for a proposal, and refuses a malformed or
-unverified claim with ``UnauthorizedError``. A request that is not an
-object, or lacks its string ``object_kind``, is refused as a malformed
-request. MINT then requires ``identity.may_write``, and a MINT with a
-``predecessor`` ``identity.check_auth`` on the version chain's first record.
+transaction's ``creator`` takes) and the caller's signature over its
+request, which is the empty object. ``identity.authenticate`` checks both
+before anything else, as ``OrgNode.endorse`` does for a proposal, and
+refuses a malformed or unverified claim with ``UnauthorizedError``. A
+request other than ``{}`` is refused as a malformed request. MINT then
+requires ``identity.may_write``; which PID a write may name is decided by
+the chaincode and the registry's index, not at MINT.
 """
 
 from __future__ import annotations
@@ -41,11 +43,13 @@ class NodeService:
         self.orderer = orderer
 
     def handle(self, kind: str, payload: dict) -> dict:
+        _require_object(kind, payload)
         if kind == "PROPOSE":
             return {"kind": "ENDORSE", **self.node.endorse(payload)}
         if kind == "COMMIT":
-            response = self.node.commit(payload["block"])
-            return {"ok": True, **response}
+            if not isinstance(payload.get("block"), dict):
+                raise FedprovError("malformed request: COMMIT needs a 'block' object")
+            return {"ok": True, **self.node.commit(payload["block"])}
         if kind == "ORDER":
             if self.orderer is None:
                 raise FedprovError(f"{self.node.org_name} does not host the orderer")
@@ -60,9 +64,9 @@ class NodeService:
     def _query(self, payload: dict) -> dict:
         op = payload.get("op")
         if op == "read":
-            return {"value": self.node.read(payload["pid"])}
+            return {"value": self.node.read(_pid(f"QUERY {op}", payload))}
         if op == "history":
-            return {"entries": self.node.history(payload["pid"])}
+            return {"entries": self.node.history(_pid(f"QUERY {op}", payload))}
         if op == "height":
             return {"height": self.node.height(), "tip_hash": self.node.tip_hash()}
         if op == "state":
@@ -84,11 +88,12 @@ class RegistryService:
         self.orgs = dict(orgs)
 
     def handle(self, kind: str, payload: dict) -> dict:
+        _require_object(kind, payload)
         if kind == "RESOLVE":
-            record = self.registry.resolve(payload["pid"])
+            record = self.registry.resolve(_pid(kind, payload))
             return {"ok": True, "record": record.to_dict()}
         if kind == "HISTORY":
-            chain = self.registry.version_history(payload["pid"])
+            chain = self.registry.version_history(_pid(kind, payload))
             return {"ok": True, "records": [r.to_dict() for r in chain]}
         if kind == "MINT":
             request = payload.get("request", {})
@@ -96,39 +101,24 @@ class RegistryService:
                 payload.get("caller"), payload.get("signature"), canonical_bytes(request),
                 self.orgs,
             )
-            return self._mint(request, caller)
+            if request != {}:
+                raise FedprovError("malformed request: a MINT request is the empty object")
+            if not identity_mod.may_write(caller, self.orgs):
+                raise UnauthorizedError(f"{caller.user_id!r} may not mint")
+            return {"ok": True, "record": self.registry.mint(caller.user_id)}
         raise FedprovError(f"unknown message kind: {kind!r}")
 
-    def _mint(self, request: dict, caller: identity_mod.Identity) -> dict:
-        if not isinstance(request, dict):
-            raise FedprovError("malformed request: MINT request is not an object")
-        if not isinstance(request.get("object_kind"), str):
-            raise FedprovError("malformed request: MINT needs a string 'object_kind'")
-        if not identity_mod.may_write(caller, self.orgs):
-            raise UnauthorizedError(f"{caller.user_id!r} may not mint")
-        predecessor, permission = request.get("predecessor"), None
-        if predecessor is not None and not isinstance(predecessor, str):
-            raise FedprovError("malformed request: MINT predecessor is not a string")
-        if request.get("permission"):
-            # A grant lets its holder write the next version, so it
-            # comes only with a predecessor.
-            if predecessor is None:
-                raise FedprovError("malformed request: MINT permission without a predecessor")
-            try:
-                permission = identity_mod.Permission.from_dict(request["permission"])
-            except (AttributeError, KeyError, TypeError):
-                raise FedprovError("malformed request: MINT permission is not a grant")
-        record = self.registry.mint(
-            object_kind=request["object_kind"],
-            target_uri=request.get("target_uri", ""),
-            checksum=request.get("checksum", ""),
-            owner=caller.user_id,
-            predecessor=predecessor,
-            caller=caller,
-            orgs=self.orgs,
-            permission=permission,
-        )
-        return {"ok": True, "record": record.to_dict()}
+
+def _require_object(kind: str, payload) -> None:
+    if not isinstance(payload, dict):
+        raise FedprovError(f"malformed request: {kind} payload is not an object")
+
+
+def _pid(kind: str, payload: dict) -> str:
+    pid = payload.get("pid")
+    if not isinstance(pid, str):
+        raise FedprovError(f"malformed request: {kind} needs a string 'pid'")
+    return pid
 
 
 class RegistryClient:
@@ -146,13 +136,9 @@ class RegistryClient:
     def version_history(self, pid: str) -> list[dict]:
         return self.transport("HISTORY", {"pid": pid})["records"]
 
-    def mint(self, object_kind: str, target_uri: str, checksum: str,
-             predecessor: str | None = None, permission: dict | None = None) -> dict:
-        """Mint a record; with *predecessor*, as the next version of its chain."""
-        request = {"object_kind": object_kind, "target_uri": target_uri, "checksum": checksum}
-        if predecessor is not None:
-            request.update(predecessor=predecessor, permission=permission)
-        return self._signed("MINT", request)["record"]
+    def mint(self) -> dict:
+        """Reserve a PID; its record ``{pid, metadata: {owner, created_at}}``."""
+        return self._signed("MINT", {})["record"]
 
     def _signed(self, kind: str, request: dict) -> dict:
         if self.identity is None or self._private_key is None:

@@ -4,18 +4,19 @@ Both writing verbs store their blobs, reserve their PIDs, then submit one
 ledger transaction, and that transaction is the only commit point.
 ``publish`` stores the file, reserves its artifact PID, stores the
 provenance document and reserves its PID, then submits one ``publish``
-transaction that creates both ledger records. ``update`` classifies the
-revision, stores the new document, reserves the new version's PID with the
-old version as its predecessor, then submits an ``update-prov`` that states
-the version it writes, so the ledger orders concurrent updates.
+transaction that creates both ledger records. ``update`` checks the chain's
+kind, newest version and write rule early, classifies the revision, stores
+the new document, reserves a PID, then submits an ``update-prov`` that
+states the version it writes and names that PID, so the ledger orders
+concurrent updates and records which PID each version has.
 
 Nothing is ever undone. A run that fails before its transaction commits
 leaves blobs that no ledger value names and reserved PIDs that never
-resolve: the registry answers committed records only. A retried update
-reserves the same PID again. A lost ORDER reply is settled by reading the
-ledger history: if the write committed, the verb returns its receipt. The
-old version's blob and PID record are never touched, so historical
-versions stay resolvable and fetchable.
+resolve: the registry answers committed PIDs only. A retried update
+reserves a fresh PID. A lost ORDER reply is settled by reading the ledger
+history: if the write committed, the verb returns its receipt. The old
+version's blob and PID are never touched, so historical versions stay
+resolvable and fetchable.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .ledger.client import (
     require_committed,
     update_operation,
 )
-from .pid_registry import KIND_ARTIFACT, KIND_PROVENANCE
+from .ledger.values import KIND_PROVENANCE
 from .prov import REL_GENERATED, ProvDocument, validate_document
 from .prov_store import ILLEGAL, ProvStore, classify_update
 
@@ -85,11 +86,10 @@ class AtomicUpdater:
         if violations:
             raise InvalidDocumentError(violations)
         artifact_uri, artifact_checksum = self._step_store(payload)
-        artifact_pid = self._step_mint(KIND_ARTIFACT, artifact_uri, artifact_checksum,
-                                       None, None)["pid"]
+        artifact_pid = self._step_mint()
         doc = _attach_artifact(doc, artifact_pid, artifact_checksum, entity_id)
         doc_uri, doc_checksum = self._step_store(doc.canonical_bytes())
-        prov_pid = self._step_mint(KIND_PROVENANCE, doc_uri, doc_checksum, None, None)["pid"]
+        prov_pid = self._step_mint()
         operation = publish_operation(
             artifact_pid, artifact_uri, artifact_checksum, [caller.user_id],
             prov_pid, doc_uri, doc_checksum,
@@ -147,9 +147,9 @@ class AtomicUpdater:
             )
 
         uri, checksum = self._step_store(new_doc.canonical_bytes())
-        new_pid = self._step_mint(KIND_PROVENANCE, uri, checksum, old_pid, permission)["pid"]
+        new_pid = self._step_mint()
         version = old_record["version_number"] + 1
-        operation = update_operation(base["pid"], uri, checksum, version, permission)
+        operation = update_operation(base["pid"], uri, checksum, version, new_pid, permission)
         receipt = self._ledger_write(operation, version, checksum, timestamp)
         return UpdateResult(
             old_pid=old_pid,
@@ -195,10 +195,8 @@ class AtomicUpdater:
         uri, checksum, _ = self.store.store_bytes(payload)
         return uri, checksum
 
-    def _step_mint(self, object_kind: str, uri: str, checksum: str, predecessor: str | None,
-                   permission: identity_mod.Permission | None) -> dict:
-        grant = permission.to_dict() if permission else None
-        return self.registry.mint(object_kind, uri, checksum, predecessor, grant)
+    def _step_mint(self) -> str:
+        return self.registry.mint()["pid"]
 
     def _step_ledger(self, kind: str, pid: str, args: dict, timestamp: str | None) -> dict:
         return require_committed(self.ledger.submit(kind, pid, args, timestamp)).to_dict()

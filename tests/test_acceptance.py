@@ -52,7 +52,7 @@ def test_criterion_1_update_algorithm_conformance(tmp_path):
             if exists:
                 assert client is not None
             receipt = client.hlf_update_prov(
-                pid, "cas://new", "c-new", 2, permission=permission
+                pid, "cas://new", "c-new", 2, "21.P/new", permission=permission
             )
             value = alice["ledger"].hlf_read(pid)
             results.append((caller_name, exists, receipt.message,
@@ -157,14 +157,14 @@ def test_criterion_2_crud_matrix_enforcement(tmp_path):
                 elif op == "update-prov":
                     pid = any_pid(provs)
                     receipt = client.hlf_update_prov(
-                        pid, "cas://u", f"cu{counter[0]}", next_version(client, pid)
+                        pid, "cas://u", f"cu{counter[0]}", next_version(client, pid), "21.P/u"
                     )
                     changed_expected = receipt.ok
                 elif op == "update-artifact":
                     forbidden_attempts += 1
                     pid = any_pid(artifacts)
                     receipt = client.hlf_update_prov(pid, "cas://u", "cu",
-                                                     next_version(client, pid))
+                                                     next_version(client, pid), "21.P/u")
                     changed_expected = False
                 elif op == "invalidate-artifact":
                     receipt = client.hlf_invalidate(any_pid(artifacts))
@@ -356,7 +356,7 @@ def test_criterion_6_version_chain_integrity(tmp_path):
         )
         uri, checksum, _ = fed.store.store_document(base)
         registry = fed.client(alice["identity"], alice["key"]).registry()
-        record = registry.mint("provenance-record", uri, checksum)
+        record = registry.mint()
         assert publish_raw(alice["ledger"], "21.P/subject",
                            prov=(record["pid"], uri, checksum)).ok
 
@@ -502,7 +502,7 @@ def test_criterion_7_update_classification(tmp_path):
         )
         uri, checksum, _ = fed.store.store_document(base)
         registry = fed.client(alice["identity"], alice["key"]).registry()
-        record = registry.mint("provenance-record", uri, checksum)
+        record = registry.mint()
         assert publish_raw(alice["ledger"], "21.P/subject",
                            prov=(record["pid"], uri, checksum)).ok
         updater = fed.client(alice["identity"], alice["key"]).updater()

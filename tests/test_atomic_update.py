@@ -42,7 +42,7 @@ def published(fed):
     doc = simple_doc()
     uri, checksum, _ = store.store_document(doc)
     registry = fed.client(alice["identity"], alice["key"]).registry()
-    record = registry.mint("provenance-record", uri, checksum)
+    record = registry.mint()
     receipt = publish_raw(alice["ledger"], "21.P/subject", prov=(record["pid"], uri, checksum))
     assert receipt.ok
     return fed, users, record["pid"], doc
@@ -232,20 +232,6 @@ def test_update_crash_after_each_step(published, step, monkeypatch):
     _update_head(fed, alice, pid)
 
 
-def test_retried_update_names_the_pid_it_reserved(published, monkeypatch):
-    fed, users, pid, doc = published
-    alice = users["alice"]
-    updater = fed.client(alice["identity"], alice["key"]).updater()
-    before = _observed(fed)
-    _dying(updater, monkeypatch, "_step_mint", after=True)
-    with pytest.raises(Crash):
-        updater.update(pid, enriched_copy(doc), alice["identity"])
-    (reserved,) = _reservations(fed) - before["reserved"]
-    retry = fed.client(alice["identity"], alice["key"]).updater()
-    assert retry.update(pid, enriched_copy(doc), alice["identity"]).new_pid == reserved
-    assert _reservations(fed) - before["reserved"] == {reserved}
-
-
 def test_ledger_rejection_rolls_back_registry_and_blob(published, monkeypatch):
     """A policy failure at the last step leaves no new version visible, and
     its blob is named by no ledger value."""
@@ -275,8 +261,8 @@ def test_shared_blob_survives_rollback(published, monkeypatch):
 
 
 def test_lost_mint_reply_is_rolled_back(published, monkeypatch):
-    """The registry reserves the new version, but its reply is lost: the
-    reservation never resolves, and the retry names it."""
+    """The registry reserves a PID, but its reply is lost: the reservation
+    never resolves, and the retry reserves and names a fresh one."""
     fed, users, pid, doc = published
     alice = users["alice"]
     updater = fed.client(alice["identity"], alice["key"]).updater()
@@ -293,15 +279,19 @@ def test_lost_mint_reply_is_rolled_back(published, monkeypatch):
     with pytest.raises(TransportError):
         updater.update(pid, enriched_copy(doc), alice["identity"])
     assert not _committed_whole_or_nothing(fed, before)
-    (reserved,) = _reservations(fed) - before["reserved"]
+    (lost,) = _reservations(fed) - before["reserved"]
     retry = fed.client(alice["identity"], alice["key"]).updater()
-    assert retry.update(pid, enriched_copy(doc), alice["identity"]).new_pid == reserved
-    assert cli.verify_pid(fed.client(), reserved)["result"] == "VERIFIED"
+    new_pid = retry.update(pid, enriched_copy(doc), alice["identity"]).new_pid
+    assert new_pid != lost
+    assert cli.verify_pid(fed.client(), new_pid)["result"] == "VERIFIED"
+    with pytest.raises(UnknownPIDError):
+        fed.client().registry().resolve(lost)
 
 
 def test_refused_mint_leaves_another_runs_version_alone(published, monkeypatch):
-    """Another run supersedes the old version first; this run's MINT is
-    refused, and the other run's version stands."""
+    """Another run supersedes the old version while this run reserves its
+    PID; the ledger refuses this run's write as a version conflict, and the
+    other run's version stands."""
     fed, users, pid, doc = published
     alice = users["alice"]
     updater = fed.client(alice["identity"], alice["key"]).updater()
@@ -313,8 +303,10 @@ def test_refused_mint_leaves_another_runs_version_alone(published, monkeypatch):
         return real_mint(*args, **kwargs)
 
     monkeypatch.setattr(updater, "_step_mint", overtaken)
-    with pytest.raises(SuccessorExistsError):
+    with pytest.raises(LedgerRejectedError) as refused:
         updater.update(pid, enriched_copy(doc, "second"), alice["identity"])
+    assert refused.value.receipt["message"] == MSG_VERSION_CONFLICT
+    assert cli.exit_code_for(refused.value) == cli.EXIT_DUPLICATE
     chain = fed.client().registry().version_history(pid)
     assert [r["version_number"] for r in chain] == [1, 2]
     assert alice["ledger"].hlf_read(pid).checksum == chain[1]["checksum"]

@@ -37,7 +37,7 @@ def committed(fed):
     alice = users["alice"]["ledger"]
     for i in range(4):
         assert publish_raw(alice, f"21.P/{i}", f"cas://{i}", f"c{i}").ok
-    assert alice.hlf_update_prov("21.P/none", "cas://x", "cx", 2).status == "REJECTED"
+    assert alice.hlf_update_prov("21.P/none", "cas://x", "cx", 2, "21.P/x").status == "REJECTED"
     assert alice.hlf_invalidate("21.P/0").ok
     return fed, users
 

@@ -25,7 +25,7 @@ def ready(fed):
 
 def test_update_owner_existing(ready):
     fed, users = ready
-    receipt = users["alice"]["ledger"].hlf_update_prov("21.P/p1", "cas://p2", "c-p2", 2)
+    receipt = users["alice"]["ledger"].hlf_update_prov("21.P/p1", "cas://p2", "c-p2", 2, "21.P/p2")
     assert receipt.message == chaincode.MSG_UPDATED
     value = users["alice"]["ledger"].hlf_read("21.P/p1")
     assert value.version == 2
@@ -35,7 +35,7 @@ def test_update_owner_existing(ready):
 def test_update_writes_the_version_it_states(ready):
     fed, users = ready
     alice = users["alice"]["ledger"]
-    receipt = alice.hlf_update_prov("21.P/p1", "cas://p2", "c-p2", version=2)
+    receipt = alice.hlf_update_prov("21.P/p1", "cas://p2", "c-p2", version=2, new_pid="21.P/p2")
     assert receipt.message == chaincode.MSG_UPDATED
     assert alice.hlf_read("21.P/p1").version == 2
 
@@ -45,9 +45,10 @@ def test_update_of_another_version_is_a_version_conflict(ready, version):
     """Only the current version plus one may be written: a stale update is refused."""
     fed, users = ready
     alice = users["alice"]["ledger"]
-    assert alice.hlf_update_prov("21.P/p1", "cas://p2", "c-p2", version=2).ok
+    assert alice.hlf_update_prov("21.P/p1", "cas://p2", "c-p2", version=2, new_pid="21.P/p2").ok
     height = fed.nodes["OrgA"].height()
-    receipt = alice.hlf_update_prov("21.P/p1", "cas://p3", "c-p3", version=version)
+    receipt = alice.hlf_update_prov("21.P/p1", "cas://p3", "c-p3", version=version,
+                                    new_pid="21.P/p3")
     assert (receipt.status, receipt.message) == (STATUS_REJECTED, chaincode.MSG_VERSION_CONFLICT)
     assert alice.hlf_read("21.P/p1").checksum == "c-p2"
     assert fed.nodes["OrgA"].height() == height
@@ -62,7 +63,7 @@ def test_update_with_a_version_that_is_not_an_integer_is_a_bad_request(ready, ve
     """Every update states the version it writes; there is no blind update."""
     fed, users = ready
     height = fed.nodes["OrgA"].height()
-    args = {"new_uri": "cas://x", "new_checksum": "cx"}
+    args = {"new_uri": "cas://x", "new_checksum": "cx", "new_pid": "21.P/x"}
     if version is not _ABSENT:
         args["version"] = version
     receipt = users["alice"]["ledger"].submit(chaincode.TX_UPDATE_PROV, "21.P/p1", args)
@@ -71,16 +72,31 @@ def test_update_with_a_version_that_is_not_an_integer_is_a_bad_request(ready, ve
     assert users["alice"]["ledger"].hlf_read("21.P/p1").version == 1
 
 
+@pytest.mark.parametrize("new_pid", [_ABSENT, 7, None, ["21.P/p2"], "21.P/p1"],
+                         ids=["absent", "int", "null", "list", "chain-key"])
+def test_update_naming_no_new_pid_is_a_bad_request(ready, new_pid):
+    """Every update names its version's PID: a string other than the chain's key."""
+    fed, users = ready
+    height = fed.nodes["OrgA"].height()
+    args = {"new_uri": "cas://x", "new_checksum": "cx", "version": 2, "new_pid": new_pid}
+    if new_pid is _ABSENT:
+        del args["new_pid"]
+    receipt = users["alice"]["ledger"].submit(chaincode.TX_UPDATE_PROV, "21.P/p1", args)
+    assert (receipt.status, receipt.message) == (STATUS_REJECTED, chaincode.MSG_BAD_REQUEST)
+    assert fed.nodes["OrgA"].height() == height
+    assert users["alice"]["ledger"].hlf_read("21.P/p1").version == 1
+
+
 def test_update_unknown_pid(ready):
     fed, users = ready
-    receipt = users["alice"]["ledger"].hlf_update_prov("21.P/none", "cas://x", "cx", 2)
+    receipt = users["alice"]["ledger"].hlf_update_prov("21.P/none", "cas://x", "cx", 2, "21.P/x")
     assert receipt.message == chaincode.MSG_NOT_FOUND
     assert receipt.status == STATUS_REJECTED
 
 
 def test_update_stranger_rejected(ready):
     fed, users = ready
-    receipt = users["bob"]["ledger"].hlf_update_prov("21.P/p1", "cas://x", "cx", 2)
+    receipt = users["bob"]["ledger"].hlf_update_prov("21.P/p1", "cas://x", "cx", 2, "21.P/x")
     assert receipt.message == chaincode.MSG_UNAUTHORIZED
 
 
@@ -91,21 +107,21 @@ def test_update_with_grant_accepted(ready):
         users["alice"]["identity"], users["alice"]["key"],
     )
     receipt = users["bob"]["ledger"].hlf_update_prov(
-        "21.P/p1", "cas://x", "cx", 2, permission=grant
+        "21.P/p1", "cas://x", "cx", 2, "21.P/x", permission=grant
     )
     assert receipt.message == chaincode.MSG_UPDATED
 
 
 def test_update_consumer_rejected(ready):
     fed, users = ready
-    receipt = users["ruth"]["ledger"].hlf_update_prov("21.P/p1", "cas://x", "cx", 2)
+    receipt = users["ruth"]["ledger"].hlf_update_prov("21.P/p1", "cas://x", "cx", 2, "21.P/x")
     assert receipt.message == chaincode.MSG_UNAUTHORIZED
 
 
 def test_update_artifact_pid_rejected(ready):
     """Table row: artifacts have no Update."""
     fed, users = ready
-    receipt = users["alice"]["ledger"].hlf_update_prov("21.P/a1", "cas://x", "cx", 2)
+    receipt = users["alice"]["ledger"].hlf_update_prov("21.P/a1", "cas://x", "cx", 2, "21.P/x")
     assert receipt.message == chaincode.MSG_ARTIFACT_UPDATE
     assert users["alice"]["ledger"].hlf_read("21.P/a1").version == 1
 
@@ -345,7 +361,7 @@ def test_malformed_grant_is_a_bad_request(ready):
     fed, users = ready
     receipt = users["bob"]["ledger"].submit(
         chaincode.TX_UPDATE_PROV, "21.P/p1",
-        {"new_uri": "cas://x", "new_checksum": "cx", "version": 2,
+        {"new_uri": "cas://x", "new_checksum": "cx", "version": 2, "new_pid": "21.P/x",
          "permission": {"subject": "21.P/p1"}},
     )
     assert receipt.message == chaincode.MSG_BAD_REQUEST
@@ -428,7 +444,7 @@ def test_publish_of_an_artifact_field_that_is_not_a_string_is_a_bad_request(read
 def test_update_to_a_field_that_is_not_a_string_is_a_bad_request(ready, field, value):
     fed, users = ready
     height = fed.nodes["OrgA"].height()
-    args = {"new_uri": "cas://p2", "new_checksum": "c-p2", "version": 2}
+    args = {"new_uri": "cas://p2", "new_checksum": "c-p2", "version": 2, "new_pid": "21.P/p2"}
     _set(args, f"new_{field}", value)
     receipt = users["alice"]["ledger"].submit(chaincode.TX_UPDATE_PROV, "21.P/p1", args)
     assert (receipt.status, receipt.message) == (STATUS_REJECTED, chaincode.MSG_BAD_REQUEST)

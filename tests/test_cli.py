@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 import os
@@ -18,6 +19,7 @@ from fedprov import cli, identity as identity_mod, transport
 from fedprov.harness import Federation
 from fedprov.ledger.client import LedgerClient, Receipt
 from fedprov.transport import TcpTransport
+from fedprov.updates import AtomicUpdater
 
 
 @pytest.fixture()
@@ -69,37 +71,61 @@ def test_publish_creates_both_records(live):
 
 
 @pytest.mark.parametrize("refused", ["artifact", "provenance"])
-def test_publish_orders_nothing_when_a_create_is_refused(live, refused):
+def test_publish_orders_nothing_when_a_create_is_refused(live, refused, monkeypatch):
     """Both creates are endorsed before either is ordered, so a refused one
     leaves no artifact on the ledger without its provenance record; the PIDs
-    it reserved never resolve, and the next publish reserves fresh PIDs."""
+    it reserved never resolve, and the next publish reserves fresh PIDs.
+    Here bob commits one of alice's reservations first."""
     fed, users = live
-    next_suffix = fed.registry._next_suffix()
-    offset = 0 if refused == "artifact" else 1
-    squatted = f"{fed.config.pid_prefix}/{str(int(next_suffix) + offset).zfill(len(next_suffix))}"
-    alice = users["alice"]["ledger"]
-    if refused == "artifact":
-        assert publish_raw(alice, squatted, "cas://squat", "squat").ok
-    else:
-        assert publish_raw(alice, "21.P/squatter", prov=(squatted, "cas://squat", "squat")).ok
-    heights = {org: node.height() for org, node in fed.nodes.items()}
-    registry_digest = fed.registry.state_digest()
+    real_mint = AtomicUpdater._step_mint
+    reserved, before = [], {}
 
+    def squatted_mint(updater):
+        reserved.append(real_mint(updater))
+        if len(reserved) == (1 if refused == "artifact" else 2):
+            bob = users["bob"]["ledger"]
+            if refused == "artifact":
+                assert publish_raw(bob, reserved[-1], "cas://squat", "squat", ["bob"]).ok
+            else:
+                assert publish_raw(bob, "21.P/squatter", owners=["bob"],
+                                   prov=(reserved[-1], "cas://squat", "squat")).ok
+            before["heights"] = {org: node.height() for org, node in fed.nodes.items()}
+            before["registry"] = fed.registry.state_digest()
+        return reserved[-1]
+
+    monkeypatch.setattr(AtomicUpdater, "_step_mint", squatted_mint)
     file_path = write_sample(fed, "d.csv", "a,b\n1,2\n")
     doc_path = write_doc(fed, "d.json", simple_doc_dict())
     code, body = invoke(fed, "--identity", "alice", "publish", file_path, doc_path)
     assert code == cli.EXIT_DUPLICATE
     assert body["receipt"]["status"] == "REJECTED"
-    assert {org: node.height() for org, node in fed.nodes.items()} == heights
-    assert fed.registry.state_digest() == registry_digest
-    for reserved in (0, 1):
-        pid = f"{fed.config.pid_prefix}/{str(int(next_suffix) + reserved).zfill(len(next_suffix))}"
+    assert {org: node.height() for org, node in fed.nodes.items()} == before["heights"]
+    assert fed.registry.state_digest() == before["registry"]
+    assert len(reserved) == 2
+    for pid in reserved:
         code, _ = invoke(fed, "verify", pid)
         assert code == cli.EXIT_UNKNOWN_PID
 
+    monkeypatch.setattr(AtomicUpdater, "_step_mint", real_mint)
+    code, body = invoke(fed, "--identity", "alice", "publish", file_path, doc_path)
+    assert code == cli.EXIT_OK
+    assert not set(reserved) & {body["artifact_pid"], body["prov_pid"]}
+
+
+def test_a_pid_committed_before_its_reservation_is_never_reserved(live):
+    """A PID that a committed transaction names is never handed out, so
+    every PID's naming was committed after its reservation."""
+    fed, users = live
+    next_suffix = fed.registry._next_suffix()
+    squatted = f"{fed.config.pid_prefix}/{next_suffix}"
+    assert publish_raw(users["alice"]["ledger"], squatted, "cas://squat", "squat").ok
+    file_path = write_sample(fed, "d.csv", "a,b\n1,2\n")
+    doc_path = write_doc(fed, "d.json", simple_doc_dict())
     code, body = invoke(fed, "--identity", "alice", "publish", file_path, doc_path)
     assert code == cli.EXIT_OK
     assert squatted not in (body["artifact_pid"], body["prov_pid"])
+    code, _ = invoke(fed, "verify", squatted)
+    assert code == cli.EXIT_UNKNOWN_PID
 
 
 def test_publish_consumer_identity_unauthorized(live):
@@ -396,8 +422,8 @@ def test_cycle_detection_exit_code(live):
 
     uri_x, sum_x, _ = store.store_bytes(b"x")
     uri_y, sum_y, _ = store.store_bytes(b"y")
-    pid_x = registry.mint("artifact", uri_x, sum_x)["pid"]
-    pid_y = registry.mint("artifact", uri_y, sum_y)["pid"]
+    pid_x = registry.mint()["pid"]
+    pid_y = registry.mint()["pid"]
     locations = {pid_x: (uri_x, sum_x), pid_y: (uri_y, sum_y)}
 
     def cyclic_doc(in_id, in_pid, out_id, out_pid, activity):
@@ -420,7 +446,7 @@ def test_cycle_detection_exit_code(live):
 
         document = ProvDocument.from_dict(cyclic_doc("e-in", src, "e-out", dst, f"a{index}"))
         doc_uri, doc_sum, _ = store.store_document(document)
-        prov_pid = registry.mint("provenance-record", doc_uri, doc_sum)["pid"]
+        prov_pid = registry.mint()["pid"]
         assert publish_raw(ledger, dst, *locations[dst], prov=(prov_pid, doc_uri, doc_sum)).ok
 
     code, body = invoke(fed, "trace", pid_x)
@@ -619,13 +645,53 @@ def test_verify_and_update_prov_ask_each_fact_once(live, monkeypatch):
     # Both cited artifacts were cited by the old version, so neither is re-resolved.
     assert "RESOLVE" not in kinds
     (mint,) = [payload["request"] for kind, payload in sent if kind == "MINT"]
-    assert mint["predecessor"] == prov_pid
+    assert mint == {}
+    (order,) = [payload for kind, payload in sent if kind == "ORDER"]
+    assert order["envelopes"][0]["body"]["args"]["new_pid"] == body["new_pid"]
     assert kinds.count("HISTORY") == 1
 
     sent.clear()
     code, body = invoke(fed, "verify", prov_pid)
     assert (code, body["result"], body["ledger_version"]) == (cli.EXIT_OK, "VERIFIED", 2)
     assert len(sent) == 2
+
+
+def test_publish_and_update_prov_send_a_fixed_number_of_requests(live, monkeypatch):
+    """Round trips per command, counted by kind in a 3-org federation. Unlike
+    the benchmark's requests per op, these counts do not depend on how many
+    operations finish in a time window."""
+    fed, users = live
+    sent = []
+    real_request = transport.request
+
+    def recording(address, kind, payload, timeout=10.0):
+        sent.append(kind)
+        return real_request(address, kind, payload, timeout=timeout)
+
+    def counted():
+        counts = dict(collections.Counter(sent))
+        sent.clear()
+        return counts
+
+    writes = {"PROPOSE": 2, "ORDER": 1, "COMMIT": 3}  # endorse, order, deliver
+    monkeypatch.setattr(transport, "request", recording)
+    source = _publish(fed, "alice", "src")["artifact_pid"]
+    assert counted() == {"MINT": 2, **writes}
+    # A publish resolves each artifact PID its document cites.
+    prov_pid = _publish(fed, "alice", "d", source)["prov_pid"]
+    assert counted() == {"MINT": 2, "RESOLVE": 1, **writes}
+    record = fed.registry.resolve(prov_pid)
+    published = fed.store.fetch_document(record.target_uri, record.checksum)
+    first = published.entities[0]
+    revised = published.with_entity(
+        dataclasses.replace(first, attributes={**first.attributes, "note": "enriched"})
+    )
+    counted()
+    code, body = invoke(fed, "--identity", "alice", "update-prov", prov_pid,
+                        write_doc(fed, "revised.json", revised.to_dict()))
+    assert code == cli.EXIT_OK, body
+    # The old version already cited the artifact, so it is not resolved again.
+    assert counted() == {"HISTORY": 1, "MINT": 1, **writes}
 
 
 def test_cascade_loads_the_identity_directory_once(live, monkeypatch):

@@ -121,7 +121,7 @@ def test_concurrent_updates_one_wins(fed, users):
             "kind": "update-prov",
             "pid": "21.P/p",
             "args": {"new_uri": f"cas://{new_checksum}", "new_checksum": new_checksum,
-                     "version": 2},
+                     "version": 2, "new_pid": f"21.P/{new_checksum}"},
             "creator": {
                 "user_id": "alice",
                 "org": "OrgA",
@@ -160,7 +160,7 @@ def test_serializability_against_permutation_oracle(fed, users):
             "kind": "update-prov",
             "pid": pid,
             "args": {"new_uri": f"cas://{checksum}", "new_checksum": checksum,
-                     "version": 2},
+                     "version": 2, "new_pid": f"21.P/{checksum}"},
             "creator": {
                 "user_id": "alice",
                 "org": "OrgA",
@@ -213,8 +213,8 @@ def test_skewed_timestamp_rejected(fed, users):
 def test_get_history_versions_monotonic(fed, users):
     alice = users["alice"]["ledger"]
     assert publish_raw(alice, "21.P/p-artifact", prov=("21.P/p", "cas://1", "c1")).ok
-    assert alice.hlf_update_prov("21.P/p", "cas://2", "c2", 2).ok
-    assert alice.hlf_update_prov("21.P/p", "cas://3", "c3", 3).ok
+    assert alice.hlf_update_prov("21.P/p", "cas://2", "c2", 2, "21.P/p2").ok
+    assert alice.hlf_update_prov("21.P/p", "cas://3", "c3", 3, "21.P/p3").ok
     entries = alice.get_history("21.P/p")
     assert [e["value"]["version"] for e in entries] == [1, 2, 3]
     assert [e["kind"] for e in entries] == ["publish", "update-prov", "update-prov"]

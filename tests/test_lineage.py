@@ -499,7 +499,7 @@ def live_publish(fed):
 
     def publish(name, inputs=()):
         uri, checksum, _ = store.store_bytes(f"file {name}".encode())
-        artifact = registry.mint("artifact", uri, checksum)
+        artifact = registry.mint()
         entities = [ent(f"e-{name}", f"file {name}", artifact_pid=artifact["pid"], checksum=checksum)]
         relations = [rel("was-generated-by", f"e-{name}", f"x-{name}")]
         for index, source in enumerate(inputs):
@@ -507,7 +507,7 @@ def live_publish(fed):
             relations.append(rel("used", f"x-{name}", f"e-in{index}"))
         document = doc(entities=entities, activities=[act(f"x-{name}")], relations=relations)
         doc_uri, doc_checksum, _ = store.store_document(document)
-        prov = registry.mint("provenance-record", doc_uri, doc_checksum)
+        prov = registry.mint()
         assert publish_raw(ledger, artifact["pid"], uri, checksum,
                            prov=(prov["pid"], doc_uri, doc_checksum)).ok
         return artifact["pid"]

@@ -9,6 +9,8 @@ keep replaying and verifying next to the new transactions.
 from __future__ import annotations
 
 import dataclasses
+import json
+import logging
 import uuid
 
 import pytest
@@ -78,11 +80,16 @@ def test_endorsement_refusal_keeps_its_type(fed, users, peers, raised):
         publish_raw(client, "21.P/x", "cas://x", "cx")
 
 
-def test_one_refusing_producer_does_not_block_the_other(fed, users):
+def test_one_refusing_producer_does_not_block_the_other(fed, users, caplog):
     org_b = fed.services["OrgB"]
     peers = {"OrgA": _refusing, "OrgB": DirectTransport(org_b.handle)}
-    receipt = publish_raw(_client(fed, users["alice"], peers), "21.P/x", "cas://x", "cx")
+    with caplog.at_level(logging.WARNING, logger="fedprov.ledger.client"):
+        receipt = publish_raw(_client(fed, users["alice"], peers), "21.P/x", "cas://x", "cx")
     assert receipt.status == "VALID"
+    (skipped,) = [r for r in caplog.records if r.name == "fedprov.ledger.client"]
+    assert skipped.levelno == logging.WARNING
+    assert "OrgA" in skipped.getMessage()
+    assert "creator certificate does not verify" in skipped.getMessage()
 
 
 def test_racing_publishes_of_one_provenance_pid_commit_exactly_one(fed, users):
@@ -166,60 +173,89 @@ def _legacy_create(fed, user, kind, pid, uri, checksum) -> dict:
     return _older_release_envelope(fed, user, kind, pid, args, timestamp, result)
 
 
-def _legacy_publish(fed, user, payload: bytes, doc) -> tuple[str, str]:
+def _parent_format_record(fed, record, uri, checksum, object_kind, version,
+                          predecessor=None) -> str:
+    """Rewrite the file of the reservation *record* as releases before
+    ``new_pid`` wrote it, the record's place and content in it; the PID.
+
+    Those releases wrote every record before this release's registry read
+    any, so the reservations are made before any such update commits."""
+    data = {**record, "target_uri": uri, "checksum": checksum, "object_kind": object_kind,
+            "version_number": version, "predecessor": predecessor}
+    path = fed.registry.records_dir / f"{record['pid'].rsplit('/', 1)[1]}.json"
+    path.write_text(json.dumps(data, indent=2, sort_keys=True))
+    return record["pid"]
+
+
+def _legacy_publish(fed, user, reserved, payload: bytes, doc) -> tuple[str, str, object]:
     """Publish as releases before the one-transaction ``publish`` did: two
-    creates, endorsed apart and ordered in one ORDER request."""
+    creates, endorsed apart and ordered in one ORDER request. Returns both
+    PIDs and the published document."""
     ctx = fed.client(user["identity"], user["key"])
-    store, registry, ledger = ctx.store(), ctx.registry(), ctx.ledger()
+    store, ledger = ctx.store(), ctx.ledger()
     uri, checksum, _ = store.store_bytes(payload)
-    artifact_pid = registry.mint("artifact", uri, checksum)["pid"]
+    artifact_pid = _parent_format_record(fed, next(reserved), uri, checksum,
+                                         chaincode.KIND_ARTIFACT, 1)
     filled = next(e for e in doc.entities if e.local_id == "e-out")
     doc = doc.with_entity(dataclasses.replace(filled, artifact_pid=artifact_pid,
                                               checksum=checksum))
     doc_uri, doc_checksum, _ = store.store_document(doc)
-    prov_pid = registry.mint("provenance-record", doc_uri, doc_checksum)["pid"]
+    prov_pid = _parent_format_record(fed, next(reserved), doc_uri, doc_checksum,
+                                     chaincode.KIND_PROVENANCE, 1)
     envelopes = [
         _legacy_create(fed, user, "create-artifact", artifact_pid, uri, checksum),
         _legacy_create(fed, user, "create-prov", prov_pid, doc_uri, doc_checksum),
     ]
     assert [r.status for r in ledger.order_all(envelopes)] == ["VALID", "VALID"]
-    return artifact_pid, prov_pid
+    return artifact_pid, prov_pid, doc
 
 
-def _legacy_update_prov(fed, user, prov_pid: str) -> str:
-    """Write the next version of *prov_pid*, its document enriched, as an
-    ``update-prov`` without ``version``, which wrote whatever version came
-    next; returns the new version's PID."""
+def _legacy_update_prov(fed, user, reserved, key: str, predecessor: str, doc, note: str,
+                        states_version: bool) -> tuple[str, object]:
+    """Write the next version of the chain keyed *key*, *doc* enriched with
+    *note*, as an ``update-prov`` without ``new_pid``: with ``version`` as
+    the release before this one wrote it if *states_version*, else as the
+    releases before that. Returns the new version's PID and document."""
     ctx = fed.client(user["identity"], user["key"])
-    store, registry, ledger = ctx.store(), ctx.registry(), ctx.ledger()
-    record = registry.resolve(prov_pid)
-    doc = store.fetch_document(record["target_uri"], record["checksum"])
-    doc = dataclasses.replace(doc, entities=[*doc.entities, ent("e-note", "calibration note")])
+    store, ledger = ctx.store(), ctx.ledger()
+    doc = dataclasses.replace(doc, entities=[*doc.entities, ent(f"e-{note}", note)])
     uri, checksum, _ = store.store_document(doc)
-    new_pid = registry.mint("provenance-record", uri, checksum, predecessor=prov_pid)["pid"]
+    current = ledger.hlf_read(key)
+    version = current.version + 1
+    new_pid = _parent_format_record(fed, next(reserved), uri, checksum,
+                                    chaincode.KIND_PROVENANCE, version, predecessor)
     timestamp = clock.now_iso()
-    current = ledger.hlf_read(prov_pid)
-    value = current.evolved(uri=uri, checksum=checksum, version=current.version + 1,
-                            timestamp=timestamp)
-    result = {"message": chaincode.MSG_UPDATED, "reads": {prov_pid: current.version},
-              "writes": {prov_pid: value.to_dict()}}
+    value = current.evolved(uri=uri, checksum=checksum, version=version, timestamp=timestamp)
+    result = {"message": chaincode.MSG_UPDATED, "reads": {key: current.version},
+              "writes": {key: value.to_dict()}}
     args = {"new_uri": uri, "new_checksum": checksum}
-    envelope = _older_release_envelope(fed, user, chaincode.TX_UPDATE_PROV, prov_pid, args,
+    if states_version:
+        args["version"] = version
+    envelope = _older_release_envelope(fed, user, chaincode.TX_UPDATE_PROV, key, args,
                                        timestamp, result)
     assert ledger.order(envelope).status == "VALID"
-    return new_pid
+    return new_pid, doc
 
 
 def test_legacy_two_create_ledger_replays_next_to_publish_transactions(tmp_path):
-    """Older releases wrote two creates per publish and updates without a
-    version. Commit, replay and audit apply the recorded write sets, so such
-    a chain keeps loading and verifying next to the transactions of today."""
+    """Older releases wrote two creates per publish and updates that named
+    no PID, at first without a version. Commit, replay and audit apply the
+    recorded write sets, and the registry finds such a version's PID in its
+    record file, so such a chain keeps loading, resolving, verifying and
+    taking updates next to the transactions of today."""
     fed = Federation.bootstrap(tmp_path / "fed", use_tcp=True)
     try:
         alice = register_default_users(fed)["alice"]
         ctx = fed.client(alice["identity"], alice["key"])
-        old_artifact, old_prov = _legacy_publish(fed, alice, b"old\n", simple_doc())
-        old_prov_v2 = _legacy_update_prov(fed, alice, old_prov)
+        reserved = iter([ctx.registry().mint() for _ in range(4)])
+        old_artifact, old_prov, doc = _legacy_publish(fed, alice, reserved, b"old\n",
+                                                      simple_doc())
+        old_v2, doc = _legacy_update_prov(fed, alice, reserved, old_prov, old_prov, doc,
+                                          "note", states_version=False)
+        old_v3, doc = _legacy_update_prov(fed, alice, reserved, old_prov, old_v2, doc,
+                                          "calibration", states_version=True)
+        doc = dataclasses.replace(doc, entities=[*doc.entities, ent("e-today", "today")])
+        old_v4 = ctx.updater().update(old_v3, doc, alice["identity"]).new_pid
         derived = simple_doc().with_entity(ent("e-in", "input", artifact_pid=old_artifact))
         new = ctx.updater().publish(b"new\n", derived, alice["identity"])
         digests = fed.state_digests()
@@ -232,21 +268,21 @@ def test_legacy_two_create_ledger_replays_next_to_publish_transactions(tmp_path)
         chain = cli.federation_verify_chain(str(fed.config_path))
         assert chain["all_clear"] and chain["consistent"]
         reader = fed.client()
+        versions = [old_prov, old_v2, old_v3, old_v4]
         kinds = {}
-        for pid in (old_artifact, old_prov, old_prov_v2, new["artifact_pid"], new["prov_pid"]):
+        for pid in (old_artifact, *versions, new["artifact_pid"], new["prov_pid"]):
             body = cli.verify_pid(reader, pid)
             assert body["result"] == "VERIFIED", pid
             kinds[pid] = [entry["kind"] for entry in body["ledger_history"]]
-        assert kinds == {
-            old_artifact: ["create-artifact"],
-            old_prov: ["create-prov", chaincode.TX_UPDATE_PROV],
-            old_prov_v2: ["create-prov", chaincode.TX_UPDATE_PROV],
-            new["artifact_pid"]: [chaincode.TX_PUBLISH],
-            new["prov_pid"]: [chaincode.TX_PUBLISH],
-        }
-        assert [r["pid"] for r in reader.registry().version_history(old_prov)] == [
-            old_prov, old_prov_v2
-        ]
+        assert kinds[old_artifact] == ["create-artifact"]
+        for pid in versions:
+            assert kinds[pid] == ["create-prov"] + 3 * [chaincode.TX_UPDATE_PROV]
+        assert kinds[new["artifact_pid"]] == kinds[new["prov_pid"]] == [chaincode.TX_PUBLISH]
+        for pid in versions:
+            history = reader.registry().version_history(pid)
+            assert [(r["pid"], r["version_number"]) for r in history] == [
+                (member, number) for number, member in enumerate(versions, 1)
+            ]
         paths = cli.trace_artifact(reader, new["artifact_pid"])["paths"]
         assert [[step["artifact"] for step in path["steps"][0::2]] for path in paths] == [
             [new["artifact_pid"], old_artifact]

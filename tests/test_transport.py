@@ -407,7 +407,7 @@ def test_federations_started_and_stopped_leave_no_sockets(tmp_path):
         try:
             alice = register_default_users(federation)["alice"]
             assert publish_raw(alice["ledger"], f"21.P/{n}", "cas://x", "cx").ok
-            alice["registry"].mint("artifact", "cas://x", "cx")
+            alice["registry"].mint()
             return sum(_is_socket(fd) for fd in open_fds())
         finally:
             federation.stop()
@@ -427,7 +427,7 @@ def test_tcp_federation_stops_promptly(tmp_path):
     try:
         alice = register_default_users(federation)["alice"]
         assert publish_raw(alice["ledger"], "21.P/s", "cas://s", "cs").ok
-        alice["registry"].mint("artifact", "cas://s", "cs")
+        alice["registry"].mint()
     finally:
         started = time.perf_counter()
         federation.stop()
@@ -459,19 +459,22 @@ def test_registry_mint_resolve_link_history_over_tcp(tcp_fed, tcp_users):
         alice["identity"],
         alice["key"],
     )
-    v1 = client.mint("provenance-record", "cas://1", "c1")
+    v1 = client.mint()
     with pytest.raises(UnknownPIDError):
         client.resolve(v1["pid"])  # reserved, not committed
     assert publish_raw(alice["ledger"], "21.P/subject", prov=(v1["pid"], "cas://1", "c1")).ok
-    v2 = client.mint("provenance-record", "cas://2", "c2", predecessor=v1["pid"])
-    assert (v2["predecessor"], v2["version_number"]) == (v1["pid"], 2)
+    v2 = client.mint()
     assert client.resolve(v1["pid"])["successor"] is None
     with pytest.raises(UnknownPIDError):
         client.resolve(v2["pid"])
-    assert alice["ledger"].hlf_update_prov(v1["pid"], "cas://2", "c2", version=2).ok
+    assert alice["ledger"].hlf_update_prov(v1["pid"], "cas://2", "c2", version=2,
+                                           new_pid=v2["pid"]).ok
     chain = client.version_history(v2["pid"])
-    assert [r["version_number"] for r in chain] == [1, 2]
+    assert [(r["pid"], r["version_number"], r["checksum"]) for r in chain] == [
+        (v1["pid"], 1, "c1"), (v2["pid"], 2, "c2")
+    ]
     assert client.resolve(v1["pid"])["successor"] == v2["pid"]
+    assert client.resolve(v2["pid"])["predecessor"] == v1["pid"]
 
 
 def test_registry_rejects_bad_signature_over_tcp(tcp_fed, tcp_users):
@@ -481,7 +484,7 @@ def test_registry_rejects_bad_signature_over_tcp(tcp_fed, tcp_users):
         TcpTransport(tcp_fed.config.registry_address), alice["identity"], wrong_key
     )
     with pytest.raises(UnauthorizedError):
-        client.mint("artifact", "cas://x", "cx")
+        client.mint()
 
 
 def test_registry_resolve_unauthenticated(tcp_fed, tcp_users):
@@ -490,12 +493,12 @@ def test_registry_resolve_unauthenticated(tcp_fed, tcp_users):
         tcp_users["alice"]["identity"],
         tcp_users["alice"]["key"],
     )
-    record = signed.mint("artifact", "cas://1", "c1")
+    record = signed.mint()
     assert publish_raw(tcp_users["alice"]["ledger"], record["pid"], "cas://1", "c1").ok
     anonymous = RegistryClient(TcpTransport(tcp_fed.config.registry_address))
     assert anonymous.resolve(record["pid"])["checksum"] == "c1"
     with pytest.raises(UnauthorizedError):
-        anonymous.mint("artifact", "cas://2", "c2")
+        anonymous.mint()
 
 
 def test_node_query_over_tcp(tcp_fed, tcp_users):
@@ -582,22 +585,42 @@ _GRANT_SHAPE = {
 
 
 @pytest.mark.parametrize(
-    "kind, request_body",
-    [("MINT", []), ("MINT", {}), ("MINT", {"object_kind": 7}),
+    "kind, body",
+    [("MINT", []), ("MINT", {"object_kind": 7}),
      ("MINT", {"object_kind": "provenance-record", "predecessor": ["21.P/1"]}),
      ("MINT", {"object_kind": "provenance-record", "predecessor": "21.P/1",
                "permission": {"subject": "x"}}),
-     ("MINT", {"object_kind": "provenance-record", "permission": _GRANT_SHAPE})],
-    ids=["mint-list", "mint-empty", "mint-non-string-kind", "link-non-string-predecessor",
-         "link-malformed-grant", "mint-grant-without-predecessor"],
+     ("MINT", {"object_kind": "provenance-record", "permission": _GRANT_SHAPE}),
+     ("RESOLVE", {}), ("HISTORY", {}), ("RESOLVE", {"pid": []}), ("HISTORY", {"pid": 7}),
+     ("RESOLVE", ["21.P/000001"])],
+    ids=["mint-list", "mint-non-string-kind", "link-non-string-predecessor",
+         "link-malformed-grant", "mint-grant-without-predecessor",
+         "resolve-no-pid", "history-no-pid", "resolve-list-pid", "history-int-pid",
+         "resolve-list-payload"],
 )
-def test_malformed_registry_request_named_over_tcp(tcp_fed, tcp_users, kind, request_body):
-    """A signed but malformed request is refused by name, not as an internal error."""
+def test_malformed_registry_request_named_over_tcp(tcp_fed, tcp_users, kind, body):
+    """A malformed request is refused by name, not as an internal error; a
+    MINT's *body* is its signed request, which must be the empty object."""
+    payload = _signed(tcp_users["alice"], body) if kind == "MINT" else body
     before = tcp_fed.system_digest()
     with pytest.raises(FedprovError) as refused:
-        TcpTransport(tcp_fed.config.registry_address)(
-            kind, _signed(tcp_users["alice"], request_body)
-        )
+        TcpTransport(tcp_fed.config.registry_address)(kind, payload)
+    assert str(refused.value).startswith("malformed request:")
+    assert tcp_fed.system_digest() == before
+
+
+@pytest.mark.parametrize(
+    "kind, payload",
+    [("QUERY", {"op": "read"}), ("QUERY", {"op": "read", "pid": []}),
+     ("QUERY", {"op": "history"}), ("QUERY", ["read"]), ("COMMIT", {}),
+     ("COMMIT", {"block": []}), ("PROPOSE", [{"body": {}}])],
+    ids=["read-no-pid", "read-list-pid", "history-no-pid", "query-list-payload",
+         "commit-no-block", "commit-list-block", "propose-list-payload"],
+)
+def test_malformed_node_request_named_over_tcp(tcp_fed, kind, payload):
+    before = tcp_fed.system_digest()
+    with pytest.raises(FedprovError) as refused:
+        TcpTransport(tcp_fed.config.organizations[0].listen_address)(kind, payload)
     assert str(refused.value).startswith("malformed request:")
     assert tcp_fed.system_digest() == before
 

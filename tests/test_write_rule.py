@@ -4,8 +4,7 @@
 guards the ledger ``publish`` (the ``create`` cell, submitted raw),
 ``flag-affected``, registry MINT and ``cli publish``;
 ``identity.check_auth`` (``may_write`` plus ownership or an owner's grant)
-guards ``update-prov``, ``invalidate``, a registry MINT that
-links a new version to a predecessor, and ``AtomicUpdater.update``. Every
+guards ``update-prov``, ``invalidate`` and ``AtomicUpdater.update``. Every
 cell of callers x entry points is allowed exactly when its predicate says
 so, and a refused cell changes nothing.
 """
@@ -61,20 +60,14 @@ class World:
     def serial(self) -> int:
         return next(self._serial)
 
-    def created(self, prov_pid: str | None = None) -> tuple[str, str]:
+    def created(self) -> tuple[str, str]:
         """An artifact and its provenance record, put on the ledger by alice
         with one raw ``publish``."""
         pid = f"21.P/rule-{self.serial()}"
-        prov_pid = prov_pid or f"{pid}/prov"
+        prov_pid = f"{pid}/prov"
         assert publish_raw(self.alice.ledger(), pid, "cas://v1", "c1",
                            prov=(prov_pid, "cas://v1", "c1")).ok
         return pid, prov_pid
-
-    def minted(self) -> str:
-        """A provenance PID alice reserved and committed: the registry links
-        a next version only to a committed record."""
-        pid = self.alice.registry().mint("provenance-record", "cas://v1", "c1")["pid"]
-        return self.created(pid)[1]
 
     def published(self) -> str:
         doc = simple_doc()
@@ -111,7 +104,8 @@ def _create(world, ctx, who, grant_for):
 def _update_prov(world, ctx, who, grant_for):
     _, pid = world.created()
     grant = grant_for(pid, identity_mod.CAP_UPDATE_PROVENANCE)
-    return lambda: ctx.ledger().hlf_update_prov(pid, "cas://v2", "c2", 2, permission=grant)
+    return lambda: ctx.ledger().hlf_update_prov(pid, "cas://v2", "c2", 2, f"{pid}/v2",
+                                              permission=grant)
 
 
 def _invalidate(world, ctx, who, grant_for):
@@ -127,16 +121,7 @@ def _flag_affected(world, ctx, who, grant_for):
 
 
 def _mint(world, ctx, who, grant_for):
-    return lambda: ctx.registry().mint("artifact", "cas://m", "cm")
-
-
-def _version_mint(world, ctx, who, grant_for):
-    old = world.minted()
-    grant = grant_for(old, identity_mod.CAP_UPDATE_PROVENANCE)
-    return lambda: ctx.registry().mint(
-        "provenance-record", "cas://v2", "c2",
-        predecessor=old, permission=grant.to_dict() if grant else None,
-    )
+    return lambda: ctx.registry().mint()
 
 
 def _publish(world, ctx, who, grant_for):
@@ -157,8 +142,6 @@ ENTRY_POINTS = {
     "invalidate": (OWNER_OR_GRANTEE, _invalidate),
     "flag-affected": (MAY_WRITE, _flag_affected),
     "registry-mint": (MAY_WRITE, _mint),
-    # A MINT with a predecessor: the next version, linked into alice's chain.
-    "registry-link": (OWNER_OR_GRANTEE, _version_mint),
     "cli-publish": (MAY_WRITE, _publish),
     "atomic-update": (OWNER_OR_GRANTEE, _update),
 }
