@@ -27,10 +27,15 @@ accepts exactly the ledger an audit accepts. It has two parts.
 
 ``verify_chain_file`` therefore detects any single-bit mutation of a
 persisted ledger and reports the first height at which evidence diverges.
+A clean audit leaves an ``AuditCheckpoint``; the next audit given it
+re-hashes the verified prefix and, if it is unchanged, replays only the
+blocks after it. Any other file is replayed from genesis, so the report is
+always a full audit's.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from dataclasses import dataclass, field
@@ -148,6 +153,9 @@ class VerificationReport:
     ok: bool
     first_divergent_height: int | None
     findings: list[Finding]
+    # Left by a clean audit for the next one to resume from; neither
+    # compared nor serialized.
+    checkpoint: "AuditCheckpoint | None" = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -316,25 +324,61 @@ def validate_block(
     return findings
 
 
+@dataclass(frozen=True)
+class AuditCheckpoint:
+    """Where a clean audit of a ledger file ended, so the next one can resume.
+
+    It holds everything replay needs to go on after the verified prefix:
+    the prefix's byte *length* (it ends at a line end) and SHA-256, the
+    *height* of the next block, the tip's *prev_hash* and the replayed world
+    *state*. It proves nothing by itself: an audit resumes only while the
+    file's first *length* bytes still hash the same. The default is the
+    empty checkpoint, from which replay starts at genesis.
+    """
+
+    length: int = 0
+    prefix_sha256: bytes = hashlib.sha256().digest()
+    height: int = 0
+    prev_hash: str | None = None
+    state: Mapping[str, LedgerValue] = field(default_factory=dict)
+
+    def covers(self, data: bytes) -> bool:
+        """True iff *data* still starts with the verified prefix."""
+        prefix = memoryview(data)[: self.length]
+        return len(prefix) == self.length and hashlib.sha256(prefix).digest() == self.prefix_sha256
+
+    @classmethod
+    def after(
+        cls, data: bytes, height: int, prev_hash: str | None, state: Mapping[str, LedgerValue]
+    ) -> "AuditCheckpoint | None":
+        """The checkpoint of a clean replay of all of *data*, which left
+        *height*, *prev_hash* and *state*; None if its last block has no
+        line end yet, since only complete lines are checkpointed."""
+        length = data.rfind(b"\n") + 1
+        if data[length:].strip():
+            return None
+        prefix = memoryview(data)[:length]
+        return cls(length, hashlib.sha256(prefix).digest(), height, prev_hash, dict(state))
+
+
 def replay_chain(
-    path: Path,
+    data: bytes,
     orgs: Mapping[str, identity_mod.Organization],
     endorsement_policy: str,
     state: dict[str, LedgerValue],
     validate: Callable[..., str] = validate_tx,
+    start: AuditCheckpoint = AuditCheckpoint(),
 ) -> Iterator[tuple[Block | None, list[Finding]]]:
-    """Walk a persisted ledger from its raw bytes through ``validate_block``.
+    """Walk a persisted ledger's raw bytes through ``validate_block``.
 
-    Yields each block (None if its line does not parse as one) with its
-    findings, and leaves *state* as the blocks read so far left it.
+    Replay begins after *start*'s prefix, at its height and after its tip;
+    *state* must hold its world state. Yields each block (None if its line
+    does not parse as one) with its findings, and leaves *state* as the
+    blocks read so far left it.
     """
-    path = Path(path)
-    if not path.exists():
-        yield None, [Finding(0, "ledger file missing")]
-        return
-    prev_hash: str | None = None
-    raw_lines = [line for line in path.read_bytes().split(b"\n") if line.strip()]
-    for index, raw in enumerate(raw_lines):
+    prev_hash = start.prev_hash
+    raw_lines = [line for line in data[start.length :].split(b"\n") if line.strip()]
+    for index, raw in enumerate(raw_lines, start.height):
         try:
             record = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, ValueError):
@@ -364,12 +408,40 @@ def verify_chain_file(
     path: Path,
     orgs: Mapping[str, identity_mod.Organization],
     endorsement_policy: str,
+    checkpoint: AuditCheckpoint | None = None,
+    *,
+    size: int | None = None,
 ) -> VerificationReport:
-    """Re-verify a persisted ledger from its raw bytes."""
-    findings = [
-        finding
-        for _, block_findings in replay_chain(path, orgs, endorsement_policy, {})
-        for finding in block_findings
-    ]
-    first = min((f.height for f in findings), default=None)
-    return VerificationReport(ok=not findings, first_divergent_height=first, findings=findings)
+    """Re-verify a persisted ledger from its raw bytes.
+
+    Reads the file's first *size* bytes (all of it by default). Replay
+    resumes after *checkpoint*, one a clean audit of this file returned,
+    while the file still starts with its prefix; otherwise it starts at
+    genesis. The report is the same either way, and a clean one carries
+    the checkpoint for the next audit.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read(size)
+    except FileNotFoundError:
+        return VerificationReport(False, 0, [Finding(0, "ledger file missing")])
+    if checkpoint is None or not checkpoint.covers(data):
+        checkpoint = AuditCheckpoint()
+    state = dict(checkpoint.state)
+    height, prev_hash = checkpoint.height, checkpoint.prev_hash
+    findings: list[Finding] = []
+    for block, block_findings in replay_chain(
+        data, orgs, endorsement_policy, state, start=checkpoint
+    ):
+        findings += block_findings
+        height += 1
+        prev_hash = block.block_hash if block else None
+    if findings:
+        first = min(f.height for f in findings)
+        return VerificationReport(ok=False, first_divergent_height=first, findings=findings)
+    return VerificationReport(
+        ok=True,
+        first_divergent_height=None,
+        findings=[],
+        checkpoint=AuditCheckpoint.after(data, height, prev_hash, state),
+    )

@@ -47,9 +47,13 @@ class OrgNode:
         self.state = WorldState()
         self.blocks: list[Block] = []
         self._commit_lock = threading.Lock()
+        try:
+            data = self.store.path.read_bytes()
+        except FileNotFoundError:
+            raise LedgerRejectedError(f"ledger {self.store.path} missing")
         state: dict = {}
         for block, findings in blocks_mod.replay_chain(
-            self.store.path, self.orgs, endorsement_policy, state, validate_tx
+            data, self.orgs, endorsement_policy, state, validate_tx
         ):
             if findings:
                 raise LedgerRejectedError(
@@ -58,6 +62,10 @@ class OrgNode:
                 )
             self.blocks.append(block)
         self.state.replace(state)
+        # That replay was a clean full audit; the next audit resumes after it.
+        self._audit_checkpoint = blocks_mod.AuditCheckpoint.after(
+            data, len(self.blocks), self.tip_hash(), state
+        )
 
     # -- endorsement --------------------------------------------------------
 
@@ -184,7 +192,18 @@ class OrgNode:
         return entries
 
     def verify_chain(self) -> dict:
+        """Audit the ledger file as the last finished commit left it.
+
+        Only its size is taken under the commit lock, so an append in
+        progress is never read as a torn last line; the replay runs outside
+        it, resuming after the last clean audit's checkpoint.
+        """
+        with self._commit_lock:
+            size = self.store.path.stat().st_size if self.store.path.exists() else None
         report = blocks_mod.verify_chain_file(
-            self.store.path, self.orgs, self.endorsement_policy
+            self.store.path, self.orgs, self.endorsement_policy,
+            self._audit_checkpoint, size=size,
         )
+        if report.checkpoint is not None:
+            self._audit_checkpoint = report.checkpoint
         return report.to_dict()

@@ -399,3 +399,99 @@ def test_uncovered_key_flagged_at_its_height(committed, edit, target_height, fin
     _write_records(forged, records)
     report = verify_chain_file(forged, fed.config.orgs_map(), fed.config.endorsement_policy)
     assert report.findings == [Finding(target_height, finding)]
+
+
+# -- resuming from an audit checkpoint ----------------------------------------
+#
+# A clean audit returns a checkpoint: the verified prefix's length and hash,
+# the next height, the tip hash and the replayed state. An audit given one
+# replays only what follows the prefix, if the prefix is unchanged; its report
+# must be exactly a full audit's.
+
+
+def _audit(path, fed, checkpoint=None):
+    return verify_chain_file(
+        path, fed.config.orgs_map(), fed.config.endorsement_policy, checkpoint
+    )
+
+
+def test_truncation_below_the_checkpoint_replays_from_genesis(committed, tmp_path):
+    fed, _ = committed
+    path = fed.nodes["OrgA"].store.path
+    payload = path.read_bytes()
+    checkpoint = _audit(path, fed).checkpoint
+    assert checkpoint.length == len(payload)
+    truncated = tmp_path / "truncated.jsonl"
+    last_line_start = payload.rfind(b"\n", 0, -1) + 1
+    for cut in (len(payload) - 1, last_line_start, last_line_start - 7, len(payload) // 2):
+        truncated.write_bytes(payload[:cut])
+        assert _audit(truncated, fed, checkpoint) == _audit(truncated, fed)
+    assert not _audit(truncated, fed, checkpoint).ok
+
+
+def test_last_block_without_its_line_end_is_not_checkpointed(committed, tmp_path):
+    fed, _ = committed
+    payload = fed.nodes["OrgA"].store.path.read_bytes()
+    ledger = tmp_path / "unterminated.jsonl"
+    ledger.write_bytes(payload[:-1])
+    report = _audit(ledger, fed)
+    assert report.ok
+    ledger.write_bytes(payload)
+    assert _audit(ledger, fed, report.checkpoint) == _audit(ledger, fed)
+
+
+def test_forged_block_appended_after_the_checkpoint_flagged(committed, tmp_path):
+    """The tip's transactions again, under a well-formed header at the next
+    height: only replay against the checkpoint's state can tell."""
+    fed, _ = committed
+    path, records = _committed_records(fed)
+    checkpoint = _audit(path, fed).checkpoint
+    tip = records[-1]
+    forged = dict(tip, height=len(records), prev_hash=tip["block_hash"])
+    forged["block_hash"] = compute_block_hash(len(records), tip["block_hash"], tip["data_hash"])
+    appended = tmp_path / "appended.jsonl"
+    appended.write_bytes(path.read_bytes() + canonical_bytes(forged) + b"\n")
+    report = _audit(appended, fed, checkpoint)
+    assert report == _audit(appended, fed)
+    assert not report.ok
+    assert report.first_divergent_height == len(records)
+    assert report.checkpoint is None
+
+
+def test_audit_resumes_after_an_earlier_checkpoint(committed):
+    fed, users = committed
+    alice = users["alice"]["ledger"]
+    path = fed.nodes["OrgA"].store.path
+    earlier = _audit(path, fed).checkpoint
+    assert publish_raw(alice, "21.P/later", "cas://later", "cl").ok
+    assert alice.hlf_invalidate("21.P/1").ok
+    resumed, full = _audit(path, fed, earlier), _audit(path, fed)
+    assert resumed == full and resumed.ok
+    assert resumed.checkpoint == full.checkpoint
+    assert resumed.checkpoint.height == fed.nodes["OrgA"].height() + 1 > earlier.height
+
+
+def test_second_audit_without_new_blocks_checks_no_signature(committed, monkeypatch):
+    fed, _ = committed
+    node = fed.nodes["OrgA"]
+    checked = []
+    verify = crypto.verify
+    monkeypatch.setattr(crypto, "verify", lambda *args: checked.append(args) or verify(*args))
+    assert node.verify_chain()["ok"]
+    assert checked, "the blocks committed since start-up were not replayed"
+    checked.clear()
+    assert node.verify_chain() == {"ok": True, "first_divergent_height": None, "findings": []}
+    assert checked == []
+
+
+def test_node_audit_flags_a_change_inside_its_verified_prefix(committed):
+    fed, _ = committed
+    node = fed.nodes["OrgB"]
+    assert node.verify_chain()["ok"]
+    payload = bytearray(node.store.path.read_bytes())
+    line_start = _line_offsets(bytes(payload))[2]
+    payload[payload.find(b"cas://", line_start) + 6] ^= 0x01
+    node.store.path.write_bytes(bytes(payload))
+    report = node.verify_chain()
+    assert not report["ok"]
+    assert report["first_divergent_height"] == 2

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import threading
+import time
 
 import pytest
 
 from conftest import publish_raw
 from fedprov import identity as identity_mod
+from fedprov.canonical import canonical_bytes
 from fedprov.errors import (
     EndorsementPolicyUnmetError,
     SimulationDivergenceError,
@@ -261,31 +264,80 @@ def test_rejected_proposals_cut_no_block(fed, users):
 
 
 def test_batching_groups_transactions(tmp_path):
+    """Envelopes that queue while a block is being delivered share the next one."""
     fed = Federation.bootstrap(tmp_path / "fed")
     try:
         alice, key = fed.register_user("OrgA", "alice")
         client = fed.client(alice, key).ledger()
-        import threading
+        first_height = fed.nodes["OrgA"].height() + 1
+        delivering, gate = threading.Event(), threading.Event()
+        org, transport = next(iter(fed.orderer.peers.items()))
 
-        receipts = []
-        lock = threading.Lock()
+        def gated(kind, payload):
+            if kind == "COMMIT" and payload["block"]["height"] == first_height:
+                delivering.set()
+                gate.wait(10)
+            return transport(kind, payload)
+
+        fed.orderer.peers[org] = gated
+        receipts = {}
 
         def submit(i):
-            r = publish_raw(client, f"21.P/{i}", f"cas://{i}", f"c{i}")
-            with lock:
-                receipts.append(r)
+            receipts[i] = publish_raw(client, f"21.P/{i}", f"cas://{i}", f"c{i}")
 
         threads = [threading.Thread(target=submit, args=(i,)) for i in range(6)]
-        for t in threads:
+        threads[0].start()
+        assert delivering.wait(10)
+        for t in threads[1:]:
             t.start()
+        deadline = time.monotonic() + 10
+        while len(fed.orderer._queue) < 5 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        gate.set()
         for t in threads:
-            t.join()
-        assert all(r.status == "VALID" for r in receipts)
-        heights = {r.height for r in receipts}
-        # Six near-simultaneous submissions share far fewer than six blocks.
+            t.join(10)
+        assert not any(t.is_alive() for t in threads)
+        assert all(r.status == "VALID" for r in receipts.values())
+        heights = {r.height for r in receipts.values()}
         assert len(heights) < 6
+        # The five held back behind the first block went into one block.
+        assert receipts[0].height == first_height
+        assert len({receipts[i].height for i in range(1, 6)}) == 1
     finally:
         fed.stop()
+
+
+def test_audit_waits_for_a_block_being_appended(fed, users):
+    """An audit during an append sees the ledger as the last finished commit
+    left it, never the half-written line."""
+    node = fed.nodes["OrgA"]
+    half_written, release = threading.Event(), threading.Event()
+
+    def slow_append(block):
+        line = canonical_bytes(block.to_dict()) + b"\n"
+        with open(node.store.path, "ab") as fh:
+            fh.write(line[: len(line) // 2])
+            fh.flush()
+            half_written.set()
+            release.wait(10)
+            fh.write(line[len(line) // 2 :])
+
+    node.store.append = slow_append
+    writer = threading.Thread(
+        target=publish_raw, args=(users["alice"]["ledger"], "21.P/torn", "cas://t", "ct")
+    )
+    writer.start()
+    assert half_written.wait(10)
+    reports = []
+    auditor = threading.Thread(target=lambda: reports.append(node.verify_chain()))
+    auditor.start()
+    auditor.join(0.5)
+    release.set()
+    auditor.join(10)
+    writer.join(10)
+    assert not auditor.is_alive() and not writer.is_alive()
+    assert reports == [{"ok": True, "first_divergent_height": None, "findings": []}]
+    assert node.verify_chain()["ok"]
 
 
 def test_lone_write_does_not_wait_for_a_batch_timeout(tmp_path):
