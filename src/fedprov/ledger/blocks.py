@@ -361,6 +361,19 @@ class AuditCheckpoint:
         return cls(length, hashlib.sha256(prefix).digest(), height, prev_hash, dict(state))
 
 
+def _lines_after(data: bytes, offset: int) -> Iterator[bytes]:
+    """The non-blank lines of *data* after *offset*, one copied at a time,
+    so a replay holds the ledger's bytes once rather than twice."""
+    while offset < len(data):
+        end = data.find(b"\n", offset)
+        if end < 0:
+            end = len(data)
+        line = data[offset:end]
+        offset = end + 1
+        if line.strip():
+            yield line
+
+
 def replay_chain(
     data: bytes,
     orgs: Mapping[str, identity_mod.Organization],
@@ -377,8 +390,7 @@ def replay_chain(
     blocks read so far left it.
     """
     prev_hash = start.prev_hash
-    raw_lines = [line for line in data[start.length :].split(b"\n") if line.strip()]
-    for index, raw in enumerate(raw_lines, start.height):
+    for index, raw in enumerate(_lines_after(data, start.length), start.height):
         try:
             record = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, ValueError):
