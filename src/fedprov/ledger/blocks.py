@@ -7,6 +7,7 @@ Every byte persisted for a block is covered by something recomputable:
 * the transaction list and order by the data hash,
 * the header by the block hash and the predecessor link,
 * validation flags by deterministic replay of the whole chain,
+* the line structure by the rule: one block per line, each with its line end,
 * everything else by its absence: a block record, a transaction, its result
   and each endorsement may carry only the keys listed below.
 
@@ -129,9 +130,12 @@ class BlockStore:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
 
-    def append(self, block: Block) -> None:
+    def append(self, block: Block) -> bytes:
+        """Write *block* as the file's last line; the line written."""
+        line = canonical_bytes(block.to_dict()) + b"\n"
         with open(self.path, "ab") as fh:
-            fh.write(canonical_bytes(block.to_dict()) + b"\n")
+            fh.write(line)
+        return line
 
 
 # ---------------------------------------------------------------------------
@@ -350,28 +354,20 @@ class AuditCheckpoint:
     @classmethod
     def after(
         cls, data: bytes, height: int, prev_hash: str | None, state: Mapping[str, LedgerValue]
-    ) -> "AuditCheckpoint | None":
+    ) -> "AuditCheckpoint":
         """The checkpoint of a clean replay of all of *data*, which left
-        *height*, *prev_hash* and *state*; None if its last block has no
-        line end yet, since only complete lines are checkpointed."""
-        length = data.rfind(b"\n") + 1
-        if data[length:].strip():
-            return None
-        prefix = memoryview(data)[:length]
-        return cls(length, hashlib.sha256(prefix).digest(), height, prev_hash, dict(state))
+        *height*, *prev_hash* and *state*."""
+        return cls(len(data), hashlib.sha256(data).digest(), height, prev_hash, dict(state))
 
 
 def _lines_after(data: bytes, offset: int) -> Iterator[bytes]:
-    """The non-blank lines of *data* after *offset*, one copied at a time,
-    so a replay holds the ledger's bytes once rather than twice."""
+    """Every line of *data* after *offset*, with its line end if it has
+    one, copied one at a time, so a replay holds the ledger's bytes once
+    rather than twice."""
     while offset < len(data):
-        end = data.find(b"\n", offset)
-        if end < 0:
-            end = len(data)
-        line = data[offset:end]
-        offset = end + 1
-        if line.strip():
-            yield line
+        end = data.find(b"\n", offset) + 1 or len(data)
+        yield data[offset:end]
+        offset = end
 
 
 def replay_chain(
@@ -381,23 +377,28 @@ def replay_chain(
     state: dict[str, LedgerValue],
     validate: Callable[..., str] = validate_tx,
     start: AuditCheckpoint = AuditCheckpoint(),
-) -> Iterator[tuple[Block | None, list[Finding]]]:
+) -> Iterator[tuple[Block | None, bytes, list[Finding]]]:
     """Walk a persisted ledger's raw bytes through ``validate_block``.
 
     Replay begins after *start*'s prefix, at its height and after its tip;
-    *state* must hold its world state. Yields each block (None if its line
-    does not parse as one) with its findings, and leaves *state* as the
+    *state* must hold its world state. Every line is one block, so a blank
+    line is an unparseable one. Yields each block (None if its line does not
+    parse as one) with its line and its findings, and leaves *state* as the
     blocks read so far left it.
     """
     prev_hash = start.prev_hash
-    for index, raw in enumerate(_lines_after(data, start.length), start.height):
+    for index, line in enumerate(_lines_after(data, start.length), start.height):
+        findings = []
+        if not line.endswith(b"\n"):
+            # The next append would land on this same line.
+            findings.append(Finding(index, "block record has no line end"))
+        raw = line.removesuffix(b"\n")
         try:
             record = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, ValueError):
             prev_hash = None
-            yield None, [Finding(index, "unparseable block record")]
+            yield None, line, findings + [Finding(index, "unparseable block record")]
             continue
-        findings = []
         if canonical_bytes(record) != raw:
             # The store only ever writes canonical JSON; anything else is a
             # byte-level mutation even if it parses.
@@ -407,13 +408,13 @@ def replay_chain(
             block = Block.from_dict(record)
         except MALFORMED:
             prev_hash = None
-            yield None, findings + [Finding(index, "malformed block structure")]
+            yield None, line, findings + [Finding(index, "malformed block structure")]
             continue
         findings += validate_block(
             block, index, prev_hash, state, orgs, endorsement_policy, validate
         )
         prev_hash = block.block_hash
-        yield block, findings
+        yield block, line, findings
 
 
 def verify_chain_file(
@@ -442,7 +443,7 @@ def verify_chain_file(
     state = dict(checkpoint.state)
     height, prev_hash = checkpoint.height, checkpoint.prev_hash
     findings: list[Finding] = []
-    for block, block_findings in replay_chain(
+    for block, _, block_findings in replay_chain(
         data, orgs, endorsement_policy, state, start=checkpoint
     ):
         findings += block_findings

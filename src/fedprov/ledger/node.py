@@ -8,13 +8,19 @@ every transaction, so all replicas stay byte-identical. Start-up and commit
 both go through ``blocks.validate_block``, the routine chain verification
 uses, so a node neither starts on nor appends anything an audit would flag.
 
+The node keeps no committed block in memory, only the tip hash and an
+index of where each height's line ends in the file, its SHA-256 and the
+keys it wrote. Every reader of a committed block goes through ``block``,
+which refuses bytes the node did not validate.
+
 Endorsement simulations may run concurrently against a state snapshot;
 commits are strictly serialized.
 """
 
 from __future__ import annotations
 
-import copy
+import hashlib
+import json
 import threading
 from pathlib import Path
 from typing import Mapping
@@ -45,14 +51,16 @@ class OrgNode:
         self.endorsement_policy = endorsement_policy
         self.store = BlockStore(ledger_path)
         self.state = WorldState()
-        self.blocks: list[Block] = []
+        self._tip_hash: str | None = None
+        self._lines: list[tuple[int, bytes]] = []  # (offset past the line, its SHA-256)
+        self._writers: dict[str, list[int]] = {}  # ledger key -> heights that wrote it
         self._commit_lock = threading.Lock()
         try:
             data = self.store.path.read_bytes()
         except FileNotFoundError:
             raise LedgerRejectedError(f"ledger {self.store.path} missing")
         state: dict = {}
-        for block, findings in blocks_mod.replay_chain(
+        for block, line, findings in blocks_mod.replay_chain(
             data, self.orgs, endorsement_policy, state, validate_tx
         ):
             if findings:
@@ -60,11 +68,11 @@ class OrgNode:
                     f"ledger {self.store.path} fails verification at height "
                     f"{findings[0].height}: {findings[0].problem}"
                 )
-            self.blocks.append(block)
+            self._index(block, line)
         self.state.replace(state)
         # That replay was a clean full audit; the next audit resumes after it.
         self._audit_checkpoint = blocks_mod.AuditCheckpoint.after(
-            data, len(self.blocks), self.tip_hash(), state
+            data, self.height() + 1, self._tip_hash, state
         )
 
     # -- endorsement --------------------------------------------------------
@@ -109,18 +117,17 @@ class OrgNode:
         """Validate and apply an ordered block; returns per-tx validation flags.
 
         Re-delivery of an already-committed height is answered idempotently
-        from the stored chain.
+        from that height's stored line. The line is on disk before the index
+        names it, and the world state is replaced after that.
         """
         with self._commit_lock:
-            # Deep-copy: the ordering service may hand the same dict to
-            # several in-process nodes, and commit assigns validation flags.
             try:
-                incoming = Block.from_dict(copy.deepcopy(dict(block_dict)))
+                incoming = Block.from_dict(block_dict)
             except blocks_mod.MALFORMED:
                 raise LedgerRejectedError("malformed block structure")
-            tip_height = self.blocks[-1].height if self.blocks else -1
+            tip_height = self.height()
             if incoming.height <= tip_height:
-                stored = self.blocks[incoming.height]
+                stored = self.block(incoming.height)
                 if stored.block_hash != incoming.block_hash:
                     raise LedgerRejectedError(
                         f"conflicting block at height {incoming.height}"
@@ -143,9 +150,8 @@ class OrgNode:
                     f"block {incoming.height} refused: "
                     + "; ".join(f.problem for f in findings)
                 )
+            self._index(incoming, self.store.append(incoming))
             self.state.replace(current)
-            self.blocks.append(incoming)
-            self.store.append(incoming)
             return {
                 "height": incoming.height,
                 "flags": [tx["validation"] for tx in incoming.transactions],
@@ -158,10 +164,28 @@ class OrgNode:
         return value.to_dict() if value else None
 
     def height(self) -> int:
-        return self.blocks[-1].height if self.blocks else -1
+        return len(self._lines) - 1
 
     def tip_hash(self) -> str | None:
-        return self.blocks[-1].block_hash if self.blocks else None
+        return self._tip_hash
+
+    def block(self, height: int) -> Block:
+        """The committed block at *height*, read back from its line in the
+        ledger file; refused unless the line has the bytes committed."""
+        if not 0 <= height < len(self._lines):
+            raise LedgerRejectedError(f"no committed block {height}")
+        start = self._lines[height - 1][0] if height else 0
+        end, line_sha256 = self._lines[height]
+        with open(self.store.path, "rb") as fh:
+            fh.seek(start)
+            line = fh.read(end - start)
+        if hashlib.sha256(line).digest() != line_sha256:
+            raise LedgerRejectedError(f"block {height}: its line changed after commit")
+        return Block.from_dict(json.loads(line))
+
+    def committed_since(self, height: int) -> list[Block]:
+        """The committed blocks from *height* to the tip, in order."""
+        return [self.block(h) for h in range(height, self.height() + 1)]
 
     def state_digest(self) -> str:
         return self.state.state_digest()
@@ -172,8 +196,8 @@ class OrgNode:
     def history(self, pid: str) -> list[dict]:
         """Committed VALID transactions that wrote *pid*, in commit order."""
         entries = []
-        for block in self.blocks:
-            for tx in block.transactions:
+        for height in self._writers.get(pid, ()):
+            for tx in self.block(height).transactions:
                 if tx.get("validation") != blocks_mod.VALID:
                     continue
                 writes = tx.get("result", {}).get("writes", {})
@@ -182,7 +206,7 @@ class OrgNode:
                         {
                             "tx_id": tx.get("tx_id"),
                             "kind": tx.get("body", {}).get("kind"),
-                            "height": block.height,
+                            "height": height,
                             "message": tx.get("result", {}).get("message"),
                             "value": writes[pid],
                             "timestamp": tx.get("body", {}).get("timestamp"),
@@ -194,16 +218,36 @@ class OrgNode:
     def verify_chain(self) -> dict:
         """Audit the ledger file as the last finished commit left it.
 
-        Only its size is taken under the commit lock, so an append in
-        progress is never read as a torn last line; the replay runs outside
-        it, resuming after the last clean audit's checkpoint.
+        Its size is taken with the node's tip under the commit lock, so an
+        append in progress is never read as a torn last line; the replay runs
+        outside it, resumes after the last clean audit and must end at that tip.
         """
         with self._commit_lock:
+            height, tip_hash = self.height(), self._tip_hash
             size = self.store.path.stat().st_size if self.store.path.exists() else None
         report = blocks_mod.verify_chain_file(
             self.store.path, self.orgs, self.endorsement_policy,
             self._audit_checkpoint, size=size,
         )
-        if report.checkpoint is not None:
-            self._audit_checkpoint = report.checkpoint
+        end = report.checkpoint
+        if end is not None and (end.height - 1, end.prev_hash) != (height, tip_hash):
+            # The first height at which the file and the node disagree.
+            at = height if end.height - 1 == height else min(end.height - 1, height) + 1
+            report = blocks_mod.VerificationReport(False, at, [blocks_mod.Finding(
+                at, f"ledger file ends at height {end.height - 1} (block {end.prev_hash}), "
+                f"the node's tip is at height {height} (block {tip_hash})")])
+        elif end is not None:
+            self._audit_checkpoint = end
         return report.to_dict()
+
+    def _index(self, block: Block, line: bytes) -> None:
+        """Name *block*, whose *line* now ends the ledger file, in the index."""
+        start = self._lines[-1][0] if self._lines else 0
+        self._lines.append((start + len(line), hashlib.sha256(line).digest()))
+        for tx in block.transactions:
+            if tx.get("validation") == blocks_mod.VALID:
+                for key in tx["result"].get("writes", {}):
+                    heights = self._writers.setdefault(key, [])
+                    if heights[-1:] != [block.height]:
+                        heights.append(block.height)
+        self._tip_hash = block.block_hash

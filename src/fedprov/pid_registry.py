@@ -11,8 +11,9 @@ whose record file is missing, RESOLVE and HISTORY of its chain raise
 ``BrokenChainError``.
 
 The ledger names every PID. The index takes in the committed VALID
-transactions of the host node's ``blocks``: a version-1 write names its own
-key, and an ``update-prov`` names ``args.new_pid`` at its key and version.
+transactions of the host node, read through its ``committed_since``: a
+version-1 write names its own key, and an ``update-prov`` names
+``args.new_pid`` at its key and version.
 A naming counts only when the committing transaction's creator is the PID's
 minter, and the first such naming of a PID is its place. A chain's versions
 count from version 1 up to the first version that names no PID placed
@@ -88,8 +89,8 @@ class PIDRecord:
 
 class PIDRegistry:
     """Filesystem-backed reservations for a single prefix, answered through
-    the committed blocks of *ledger* (an ``OrgNode``, or anything with a
-    ``blocks`` list of committed blocks)."""
+    the committed blocks of *ledger* (an ``OrgNode``, or anything whose
+    ``committed_since(height)`` lists its committed blocks from *height*)."""
 
     def __init__(self, root: Path, prefix: str, ledger):
         self.root = Path(root)
@@ -166,7 +167,7 @@ class PIDRegistry:
 
     def _advance(self) -> None:
         """Take in the transactions of the blocks committed since the last request."""
-        new_blocks = self.ledger.blocks[self._blocks_seen:]
+        new_blocks = self.ledger.committed_since(self._blocks_seen)
         for block in new_blocks:
             for tx in block.transactions:
                 if tx.get("validation") != VALID:

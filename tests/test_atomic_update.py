@@ -156,7 +156,7 @@ def _ledger_checksums(fed) -> set[str]:
     """Every checksum a committed ledger value ever held."""
     return {
         value["checksum"]
-        for block in fed.nodes["OrgA"].blocks
+        for block in fed.nodes["OrgA"].committed_since(0)
         for tx in block.transactions if tx.get("validation") == VALID
         for value in tx["result"]["writes"].values()
     }

@@ -10,7 +10,9 @@ import pytest
 from conftest import publish_raw, register_default_users
 from fedprov import crypto
 from fedprov.canonical import ZERO_DIGEST, canonical_bytes
+from fedprov.errors import LedgerRejectedError
 from fedprov.federation import load_node_credentials
+from fedprov.harness import Federation
 from fedprov.ledger.blocks import (
     Finding,
     compute_block_hash,
@@ -22,6 +24,7 @@ from fedprov.ledger.blocks import (
     verify_chain_file,
 )
 from fedprov.ledger.chaincode import SimulationResult
+from fedprov.ledger.node import OrgNode
 
 
 def test_genesis_shape():
@@ -350,8 +353,8 @@ def test_single_target_flag_of_older_ledgers_commits_and_verifies(committed):
             "node_certificate": node_identity.certificate,
             "signature": crypto.sign(node_key, _endorsement_message(tx)),
         })
-    tip = fed.nodes["OrgA"].blocks[-1]
-    block = make_block(tip.height + 1, tip.block_hash, [tx]).to_dict()
+    org_a = fed.nodes["OrgA"]
+    block = make_block(org_a.height() + 1, org_a.tip_hash(), [tx]).to_dict()
 
     for node in fed.nodes.values():
         assert node.commit(block)["flags"] == ["VALID"]
@@ -429,15 +432,31 @@ def test_truncation_below_the_checkpoint_replays_from_genesis(committed, tmp_pat
     assert not _audit(truncated, fed, checkpoint).ok
 
 
-def test_last_block_without_its_line_end_is_not_checkpointed(committed, tmp_path):
+def test_last_block_without_its_line_end_flagged(committed, tmp_path):
+    """The next append would land on the same line as the last block."""
     fed, _ = committed
+    height = fed.nodes["OrgA"].height()
     payload = fed.nodes["OrgA"].store.path.read_bytes()
     ledger = tmp_path / "unterminated.jsonl"
     ledger.write_bytes(payload[:-1])
     report = _audit(ledger, fed)
-    assert report.ok
+    assert report.findings == [Finding(height, "block record has no line end")]
+    assert report.first_divergent_height == height
+    assert report.checkpoint is None
     ledger.write_bytes(payload)
-    assert _audit(ledger, fed, report.checkpoint) == _audit(ledger, fed)
+    assert _audit(ledger, fed).ok
+
+
+def test_no_node_starts_on_a_last_block_without_its_line_end(committed):
+    fed, _ = committed
+    height = fed.nodes["OrgA"].height()
+    fed.stop()
+    for node in fed.nodes.values():
+        node.store.path.write_bytes(node.store.path.read_bytes()[:-1])
+    with pytest.raises(
+        LedgerRejectedError, match=f"at height {height}: block record has no line end"
+    ):
+        Federation.start(fed.config_path)
 
 
 def test_forged_block_appended_after_the_checkpoint_flagged(committed, tmp_path):
@@ -495,3 +514,64 @@ def test_node_audit_flags_a_change_inside_its_verified_prefix(committed):
     report = node.verify_chain()
     assert not report["ok"]
     assert report["first_divergent_height"] == 2
+
+
+def test_blank_lines_between_blocks_flagged(committed):
+    """The store never writes a blank line, so bytes in one are covered by nothing."""
+    fed, _ = committed
+    node = fed.nodes["OrgB"]
+    lines = node.store.path.read_bytes().splitlines(keepends=True)
+    node.store.path.write_bytes(b"\n \r\n".join(lines))
+    for report in (node.verify_chain(), _audit(node.store.path, fed).to_dict()):
+        assert not report["ok"]
+        assert report["first_divergent_height"] == 1
+        assert report["findings"][:2] == [
+            {"height": 1, "problem": "unparseable block record"},
+            {"height": 2, "problem": "unparseable block record"},
+        ]
+
+
+@pytest.mark.parametrize("audited_before", [False, True], ids=["first-audit", "resumed"])
+def test_node_audit_flags_a_file_cut_at_a_block_boundary(committed, audited_before):
+    fed, _ = committed
+    node = fed.nodes["OrgB"]
+    height = node.height()
+    if audited_before:
+        assert node.verify_chain()["ok"]
+    payload = node.store.path.read_bytes()
+    node.store.path.write_bytes(payload[: payload.rfind(b"\n", 0, -1) + 1])
+    assert _audit(node.store.path, fed).ok
+    report = node.verify_chain()
+    assert not report["ok"]
+    assert report["first_divergent_height"] == height
+    [finding] = report["findings"]
+    assert finding["height"] == height
+    assert f"ends at height {height - 1}" in finding["problem"]
+    assert f"tip is at height {height}" in finding["problem"]
+
+
+def test_node_audit_flags_a_valid_block_appended_behind_its_back(committed, tmp_path):
+    fed, users = committed
+    original = fed.nodes["OrgB"]
+    behind = tmp_path / "behind" / "ledger.jsonl"
+    behind.parent.mkdir()
+    behind.write_bytes(original.store.path.read_bytes())
+    node = OrgNode(
+        org_name="OrgB",
+        node_identity=original.node_identity,
+        node_private_key="00" * 32,  # audits only; no signing needed
+        orgs=original.orgs,
+        endorsement_policy=original.endorsement_policy,
+        ledger_path=behind,
+    )
+    height = node.height()
+    assert node.verify_chain()["ok"]
+    assert publish_raw(users["alice"]["ledger"], "21.P/later", "cas://later", "cl").ok
+    behind.write_bytes(original.store.path.read_bytes())
+    assert _audit(behind, fed).ok
+    report = node.verify_chain()
+    assert not report["ok"]
+    assert report["first_divergent_height"] == height + 1
+    [finding] = report["findings"]
+    assert f"ends at height {height + 1}" in finding["problem"]
+    assert f"tip is at height {height}" in finding["problem"]

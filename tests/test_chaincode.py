@@ -221,7 +221,7 @@ def test_flag_affected_writes_only_valid_targets(cascade):
     receipt = bob.flag_affected(["21.P/a4", "21.P/a2", "21.P/a3"], "21.P/a1")
     assert receipt.ok and receipt.message == chaincode.MSG_FLAGGED
     assert receipt.height == height + 1
-    tx = fed.nodes["OrgA"].blocks[receipt.height].transactions[0]
+    tx = fed.nodes["OrgA"].block(receipt.height).transactions[0]
     assert sorted(tx["result"]["writes"]) == ["21.P/a3", "21.P/a4"]
     assert sorted(tx["result"]["reads"]) == ["21.P/a1", "21.P/a2", "21.P/a3", "21.P/a4"]
     assert _statuses(bob, "21.P/a2", "21.P/a3", "21.P/a4") == {

@@ -255,6 +255,63 @@ def test_node_restart_replays_state(fed, users):
     assert reopened.height() == original.height()
 
 
+def test_history_reads_only_the_blocks_that_wrote_the_key(fed, users, monkeypatch):
+    from fedprov.ledger.node import OrgNode
+
+    alice = users["alice"]["ledger"]
+    assert publish_raw(alice, "21.P/a", "cas://a", "ca").ok
+    assert publish_raw(alice, "21.P/b", "cas://b", "cb").ok
+    assert alice.hlf_invalidate("21.P/a").ok
+    node = fed.nodes["OrgA"]
+    read = []
+    block = OrgNode.block
+    monkeypatch.setattr(OrgNode, "block", lambda self, height: read.append(height)
+                        or block(self, height))
+    entries = node.history("21.P/a")
+    assert [entry["height"] for entry in entries] == read == [node.height() - 2, node.height()]
+    assert [entry["kind"] for entry in entries] == ["publish", "invalidate-artifact"]
+
+
+def test_redelivered_commit_answered_from_the_stored_line(fed, users):
+    from fedprov.errors import LedgerRejectedError
+
+    alice = users["alice"]["ledger"]
+    # Both endorsed against the same state, so the second meets the first's write.
+    first, second = (_endorsed(users["alice"], "21.P/a", nonce) for nonce in ("1", "2"))
+    assert alice.order(first).ok
+    assert alice.order(second).status == "INVALID:read-write-conflict"
+    assert publish_raw(alice, "21.P/b", "cas://b", "cb").ok
+    node = fed.nodes["OrgB"]
+    tip = node.height()
+    for height, flags in ((tip - 1, ["INVALID:read-write-conflict"]), (tip, ["VALID"])):
+        redelivered = node.block(height).to_dict()
+        for tx in redelivered["transactions"]:
+            tx["validation"] = None  # as the orderer sends it
+        assert node.commit(redelivered) == {"height": height, "flags": flags}
+        conflicting = dict(redelivered, block_hash="0" * 64)
+        with pytest.raises(LedgerRejectedError, match=f"conflicting block at height {height}"):
+            node.commit(conflicting)
+    assert node.height() == tip
+    assert node.verify_chain()["ok"]
+
+
+def test_reads_refuse_a_line_changed_after_commit(fed, users):
+    """A committed block is read back only with the bytes the node validated."""
+    from fedprov.errors import LedgerRejectedError
+
+    assert publish_raw(users["alice"]["ledger"], "21.P/a", "cas://a", "ca").ok
+    node = fed.nodes["OrgB"]
+    height = node.height()
+    redelivered = node.block(height).to_dict()
+    payload = bytearray(node.store.path.read_bytes())
+    payload[payload.find(b"cas://a") + len(b"cas://")] ^= 0x01
+    node.store.path.write_bytes(bytes(payload))
+    with pytest.raises(LedgerRejectedError, match=f"block {height}"):
+        node.history("21.P/a")
+    with pytest.raises(LedgerRejectedError, match=f"block {height}"):
+        node.commit(redelivered)
+
+
 def test_rejected_proposals_cut_no_block(fed, users):
     height_before = fed.nodes["OrgA"].height()
     receipt = publish_raw(users["ruth"]["ledger"], "21.P/x", "cas://x", "cx", ["ruth"])
@@ -321,6 +378,7 @@ def test_audit_waits_for_a_block_being_appended(fed, users):
             half_written.set()
             release.wait(10)
             fh.write(line[len(line) // 2 :])
+        return line
 
     node.store.append = slow_append
     writer = threading.Thread(
@@ -579,8 +637,8 @@ def _block_of(fed, envelope):
     from fedprov.ledger.blocks import make_block
 
     tx = {**envelope, "validation": None}
-    tip = fed.nodes["OrgA"].blocks[-1]
-    return make_block(tip.height + 1, tip.block_hash, [tx]).to_dict()
+    node = fed.nodes["OrgA"]
+    return make_block(node.height() + 1, node.tip_hash(), [tx]).to_dict()
 
 
 def _data_hash_mismatch(fed, users):

@@ -563,7 +563,7 @@ def test_cascade_commits_one_transaction(live_chain):
     height = fed.nodes["OrgA"].height()
     _cascade(fed, ledger, pids["A"])
     assert fed.nodes["OrgA"].height() == height + 1
-    (tx,) = fed.nodes["OrgA"].blocks[-1].transactions
+    (tx,) = fed.nodes["OrgA"].block(height + 1).transactions
     assert tx["validation"] == "VALID"
     assert tx["body"]["pid"] == pids["A"]
     assert sorted(tx["result"]["writes"]) == sorted([pids["B"], pids["C"]])
@@ -610,7 +610,8 @@ def test_cascade_retries_after_read_write_conflict(live_chain):
 
     assert _cascade(fed, ledger, pids["A"]) == [(pids["C"], "affected")]
     assert calls == [sorted([pids["B"], pids["C"]]), [pids["C"]]]
-    assert [tx["validation"] for block in fed.nodes["OrgA"].blocks[-3:]
+    tip = fed.nodes["OrgA"].height()
+    assert [tx["validation"] for block in fed.nodes["OrgA"].committed_since(tip - 2)
             for tx in block.transactions] == ["VALID", "INVALID:read-write-conflict", "VALID"]
     for pid in (pids["B"], pids["C"]):
         assert ledger.hlf_read(pid).status == "affected"

@@ -30,10 +30,13 @@ _LEGACY = object()  # an update-prov written before updates named their PID
 
 
 class Ledger:
-    """Stands in for the registry's host node: a list of committed blocks."""
+    """Stands in for the registry's host node: committed blocks, read by height."""
 
     def __init__(self):
-        self.blocks = []
+        self._blocks = []
+
+    def committed_since(self, height):
+        return self._blocks[height:]
 
     def commit(self, key, version, checksum, *, creator="alice", new_pid=None,
                kind=None, object_kind=KIND_PROVENANCE, validation=VALID):
@@ -43,7 +46,7 @@ class Ledger:
         args = {} if new_pid in (None, _LEGACY) else {"new_pid": new_pid}
         value = {"uri": f"cas://{checksum}", "checksum": checksum, "version": version,
                  "kind": object_kind}
-        self.blocks.append(SimpleNamespace(transactions=[{
+        self._blocks.append(SimpleNamespace(transactions=[{
             "validation": validation,
             "body": {"kind": kind, "args": args, "creator": {"user_id": creator}},
             "result": {"writes": {key: value}},
@@ -132,14 +135,9 @@ def test_reservation_resolves_only_once_committed(registry):
 def test_view_advances_from_a_watermark(registry):
     """Each request reads only the blocks committed since the last one."""
     read_from = []
-
-    class Blocks(list):
-        def __getitem__(self, index):
-            if isinstance(index, slice):
-                read_from.append(index.start)
-            return super().__getitem__(index)
-
-    registry.ledger.blocks = Blocks()
+    committed_since = registry.ledger.committed_since
+    registry.ledger.committed_since = lambda height: (
+        read_from.append(height) or committed_since(height))
     pids = [_first_version(registry, f"c{n}") for n in range(3)]  # a MINT reads too
     for pid in pids:
         registry.resolve(pid)
