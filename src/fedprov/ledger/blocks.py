@@ -28,15 +28,12 @@ accepts exactly the ledger an audit accepts. It has two parts.
 
 ``verify_chain_file`` therefore detects any single-bit mutation of a
 persisted ledger and reports the first height at which evidence diverges.
-A clean audit leaves an ``AuditCheckpoint``; the next audit given it
-re-hashes the verified prefix and, if it is unchanged, replays only the
-blocks after it. Any other file is replayed from genesis, so the report is
-always a full audit's.
+It always replays from genesis; a node spares it on a file whose every byte
+is a line the node itself already validated (see ``OrgNode.verify_chain``).
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from dataclasses import dataclass, field
@@ -157,9 +154,9 @@ class VerificationReport:
     ok: bool
     first_divergent_height: int | None
     findings: list[Finding]
-    # Left by a clean audit for the next one to resume from; neither
-    # compared nor serialized.
-    checkpoint: "AuditCheckpoint | None" = field(default=None, compare=False, repr=False)
+    # A clean audit's last (height, block hash), which a node checks against
+    # its own tip; neither compared nor serialized.
+    tip: tuple[int, str | None] | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -328,42 +325,10 @@ def validate_block(
     return findings
 
 
-@dataclass(frozen=True)
-class AuditCheckpoint:
-    """Where a clean audit of a ledger file ended, so the next one can resume.
-
-    It holds everything replay needs to go on after the verified prefix:
-    the prefix's byte *length* (it ends at a line end) and SHA-256, the
-    *height* of the next block, the tip's *prev_hash* and the replayed world
-    *state*. It proves nothing by itself: an audit resumes only while the
-    file's first *length* bytes still hash the same. The default is the
-    empty checkpoint, from which replay starts at genesis.
-    """
-
-    length: int = 0
-    prefix_sha256: bytes = hashlib.sha256().digest()
-    height: int = 0
-    prev_hash: str | None = None
-    state: Mapping[str, LedgerValue] = field(default_factory=dict)
-
-    def covers(self, data: bytes) -> bool:
-        """True iff *data* still starts with the verified prefix."""
-        prefix = memoryview(data)[: self.length]
-        return len(prefix) == self.length and hashlib.sha256(prefix).digest() == self.prefix_sha256
-
-    @classmethod
-    def after(
-        cls, data: bytes, height: int, prev_hash: str | None, state: Mapping[str, LedgerValue]
-    ) -> "AuditCheckpoint":
-        """The checkpoint of a clean replay of all of *data*, which left
-        *height*, *prev_hash* and *state*."""
-        return cls(len(data), hashlib.sha256(data).digest(), height, prev_hash, dict(state))
-
-
-def _lines_after(data: bytes, offset: int) -> Iterator[bytes]:
-    """Every line of *data* after *offset*, with its line end if it has
-    one, copied one at a time, so a replay holds the ledger's bytes once
-    rather than twice."""
+def _lines(data: bytes) -> Iterator[bytes]:
+    """Every line of *data*, with its line end if it has one, copied one at
+    a time, so a replay holds the ledger's bytes once rather than twice."""
+    offset = 0
     while offset < len(data):
         end = data.find(b"\n", offset) + 1 or len(data)
         yield data[offset:end]
@@ -376,18 +341,16 @@ def replay_chain(
     endorsement_policy: str,
     state: dict[str, LedgerValue],
     validate: Callable[..., str] = validate_tx,
-    start: AuditCheckpoint = AuditCheckpoint(),
 ) -> Iterator[tuple[Block | None, bytes, list[Finding]]]:
-    """Walk a persisted ledger's raw bytes through ``validate_block``.
+    """Walk a persisted ledger's raw bytes through ``validate_block``, from
+    genesis on, applying each block to *state* (empty at the start).
 
-    Replay begins after *start*'s prefix, at its height and after its tip;
-    *state* must hold its world state. Every line is one block, so a blank
-    line is an unparseable one. Yields each block (None if its line does not
-    parse as one) with its line and its findings, and leaves *state* as the
-    blocks read so far left it.
+    Every line is one block, so a blank line is an unparseable one. Yields
+    each block (None if its line does not parse as one) with its line and
+    its findings, and leaves *state* as the blocks read so far left it.
     """
-    prev_hash = start.prev_hash
-    for index, line in enumerate(_lines_after(data, start.length), start.height):
+    prev_hash = None
+    for index, line in enumerate(_lines(data)):
         findings = []
         if not line.endswith(b"\n"):
             # The next append would land on this same line.
@@ -421,40 +384,28 @@ def verify_chain_file(
     path: Path,
     orgs: Mapping[str, identity_mod.Organization],
     endorsement_policy: str,
-    checkpoint: AuditCheckpoint | None = None,
     *,
     size: int | None = None,
 ) -> VerificationReport:
-    """Re-verify a persisted ledger from its raw bytes.
+    """Re-verify a persisted ledger from its raw bytes, replaying it from
+    genesis.
 
-    Reads the file's first *size* bytes (all of it by default). Replay
-    resumes after *checkpoint*, one a clean audit of this file returned,
-    while the file still starts with its prefix; otherwise it starts at
-    genesis. The report is the same either way, and a clean one carries
-    the checkpoint for the next audit.
+    Reads the file's first *size* bytes (all of it by default). A clean
+    report carries the last block's height and hash as its ``tip``.
     """
     try:
         with open(path, "rb") as fh:
             data = fh.read(size)
     except FileNotFoundError:
         return VerificationReport(False, 0, [Finding(0, "ledger file missing")])
-    if checkpoint is None or not checkpoint.covers(data):
-        checkpoint = AuditCheckpoint()
-    state = dict(checkpoint.state)
-    height, prev_hash = checkpoint.height, checkpoint.prev_hash
+    height, tip_hash = -1, None
     findings: list[Finding] = []
-    for block, _, block_findings in replay_chain(
-        data, orgs, endorsement_policy, state, start=checkpoint
-    ):
+    for block, _, block_findings in replay_chain(data, orgs, endorsement_policy, {}):
         findings += block_findings
         height += 1
-        prev_hash = block.block_hash if block else None
+        tip_hash = block.block_hash if block else None
     if findings:
         first = min(f.height for f in findings)
         return VerificationReport(ok=False, first_divergent_height=first, findings=findings)
-    return VerificationReport(
-        ok=True,
-        first_divergent_height=None,
-        findings=[],
-        checkpoint=AuditCheckpoint.after(data, height, prev_hash, state),
-    )
+    return VerificationReport(ok=True, first_divergent_height=None, findings=[],
+                              tip=(height, tip_hash))

@@ -11,7 +11,9 @@ uses, so a node neither starts on nor appends anything an audit would flag.
 The node keeps no committed block in memory, only the tip hash and an
 index of where each height's line ends in the file, its SHA-256 and the
 keys it wrote. Every reader of a committed block goes through ``block``,
-which refuses bytes the node did not validate.
+which refuses bytes the node did not validate. The same index is the
+evidence of ``verify_chain``: a file that is exactly the indexed lines holds
+only bytes the node validated, so it is not replayed again.
 
 Endorsement simulations may run concurrently against a state snapshot;
 commits are strictly serialized.
@@ -70,10 +72,6 @@ class OrgNode:
                 )
             self._index(block, line)
         self.state.replace(state)
-        # That replay was a clean full audit; the next audit resumes after it.
-        self._audit_checkpoint = blocks_mod.AuditCheckpoint.after(
-            data, self.height() + 1, self._tip_hash, state
-        )
 
     # -- endorsement --------------------------------------------------------
 
@@ -218,27 +216,46 @@ class OrgNode:
     def verify_chain(self) -> dict:
         """Audit the ledger file as the last finished commit left it.
 
-        Its size is taken with the node's tip under the commit lock, so an
-        append in progress is never read as a torn last line; the replay runs
-        outside it, resumes after the last clean audit and must end at that tip.
+        Its size is taken with the node's tip and the number of indexed
+        lines under the commit lock, so an append in progress is never read
+        as a torn last line. A file that is exactly those lines, each with
+        the SHA-256 it had when ``validate_block`` accepted it at start-up or
+        commit, gets the clean report unreplayed: the same bytes after the
+        same state get the same verdict. Any other file is replayed from
+        genesis, and a clean replay must end at the node's tip.
         """
         with self._commit_lock:
-            height, tip_hash = self.height(), self._tip_hash
+            height, tip_hash, count = self.height(), self._tip_hash, len(self._lines)
             size = self.store.path.stat().st_size if self.store.path.exists() else None
+        if self._holds_only_indexed_lines(count, size):
+            return blocks_mod.VerificationReport(True, None, []).to_dict()
         report = blocks_mod.verify_chain_file(
-            self.store.path, self.orgs, self.endorsement_policy,
-            self._audit_checkpoint, size=size,
+            self.store.path, self.orgs, self.endorsement_policy, size=size
         )
-        end = report.checkpoint
-        if end is not None and (end.height - 1, end.prev_hash) != (height, tip_hash):
+        if report.tip is not None and report.tip != (height, tip_hash):
+            end, end_hash = report.tip
             # The first height at which the file and the node disagree.
-            at = height if end.height - 1 == height else min(end.height - 1, height) + 1
+            at = height if end == height else min(end, height) + 1
             report = blocks_mod.VerificationReport(False, at, [blocks_mod.Finding(
-                at, f"ledger file ends at height {end.height - 1} (block {end.prev_hash}), "
+                at, f"ledger file ends at height {end} (block {end_hash}), "
                 f"the node's tip is at height {height} (block {tip_hash})")])
-        elif end is not None:
-            self._audit_checkpoint = end
         return report.to_dict()
+
+    def _holds_only_indexed_lines(self, count: int, size: int | None) -> bool:
+        """True iff the file's first *size* bytes are exactly the first
+        *count* indexed lines, byte for byte."""
+        if not count or size != self._lines[count - 1][0]:
+            return False
+        start = 0
+        try:
+            with open(self.store.path, "rb") as fh:
+                for end, line_sha256 in self._lines[:count]:
+                    if hashlib.sha256(fh.read(end - start)).digest() != line_sha256:
+                        return False
+                    start = end
+        except FileNotFoundError:
+            return False
+        return True
 
     def _index(self, block: Block, line: bytes) -> None:
         """Name *block*, whose *line* now ends the ledger file, in the index."""

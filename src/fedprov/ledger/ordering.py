@@ -139,9 +139,10 @@ class OrderingService:
         block = make_block(height, self._tip_hash, transactions)
         flags: list[str] | None = None
         reachable = 0
+        payload = {"block": block.to_dict()}
         for org, transport in self.peers.items():
             try:
-                response = transport("COMMIT", {"block": block.to_dict()})
+                response = transport("COMMIT", payload)
             except FedprovError as exc:
                 # Down, diverged or failing nodes miss this block; the
                 # remaining replicas keep the federation available.

@@ -99,8 +99,8 @@ class PIDRegistry:
         self.records_dir = self.root / "records"
         self._lock = threading.Lock()
         self._blocks_seen = 0
-        # (ledger key, version) -> (the PID it names, the written value)
-        self._versions: dict[tuple[str, int], tuple[str | None, dict]] = {}
+        # (ledger key, version) -> (the PID it names, the written uri, checksum, kind)
+        self._versions: dict[tuple[str, int], tuple[str | None, str, str, str]] = {}
         # pid -> (ledger key, version, creator) of each naming, in commit order
         self._namings: dict[str, list[tuple[str, int, str | None]]] = {}
         self._metadata: dict[str, dict] = {}  # pid -> its record file's metadata
@@ -187,7 +187,7 @@ class PIDRegistry:
 
     def _name(self, pid: str | None, key: str, version: int, value: dict,
               creator: str | None) -> None:
-        self._versions[(key, version)] = (pid, value)
+        self._versions[(key, version)] = (pid, value["uri"], value["checksum"], value["kind"])
         if pid is not None:
             self._namings.setdefault(pid, []).append((key, version, creator))
 
@@ -218,19 +218,19 @@ class PIDRegistry:
         version that names no PID placed there."""
         chain: list[str] = []
         while (key, len(chain) + 1) in self._versions:
-            pid, _ = self._versions[(key, len(chain) + 1)]
+            pid = self._versions[(key, len(chain) + 1)][0]
             if pid is None or self._place(pid) != (key, len(chain) + 1):
                 break
             chain.append(pid)
         return chain
 
     def _record(self, key: str, chain: list[str], index: int) -> PIDRecord:
-        value = self._versions[(key, index + 1)][1]
+        _, uri, checksum, kind = self._versions[(key, index + 1)]
         return PIDRecord(
             pid=chain[index],
-            target_uri=value["uri"],
-            checksum=value["checksum"],
-            object_kind=value["kind"],
+            target_uri=uri,
+            checksum=checksum,
+            object_kind=kind,
             version_number=index + 1,
             predecessor=chain[index - 1] if index else None,
             successor=chain[index + 1] if index + 1 < len(chain) else None,
@@ -250,7 +250,7 @@ class PIDRegistry:
                     continue  # a record of this release, or an unreadable one
                 if link[0] is not None:
                     self._legacy.setdefault(link, f"{self.prefix}/{path.stem}")
-        previous = self._versions.get((key, version - 1), (None, None))[0]
+        previous = self._versions.get((key, version - 1), (None,))[0]
         return self._legacy.get((previous, value["checksum"]))
 
     # -- record files ----------------------------------------------------------

@@ -14,6 +14,8 @@ from fedprov.errors import LedgerRejectedError
 from fedprov.federation import load_node_credentials
 from fedprov.harness import Federation
 from fedprov.ledger.blocks import (
+    READ_WRITE_CONFLICT,
+    VALID,
     Finding,
     compute_block_hash,
     compute_data_hash,
@@ -23,7 +25,8 @@ from fedprov.ledger.blocks import (
     tx_id_for,
     verify_chain_file,
 )
-from fedprov.ledger.chaincode import SimulationResult
+from fedprov.ledger.chaincode import TX_KINDS, TX_PUBLISH, SimulationResult
+from fedprov.ledger.client import publish_operation
 from fedprov.ledger.node import OrgNode
 
 
@@ -46,13 +49,35 @@ def committed(fed):
 
 
 def test_untouched_ledger_all_clear(committed):
-    fed, _ = committed
+    """Every kind of transaction, VALID or not, committed through
+    ``OrgNode.commit``, replays clean from genesis and ends at the node's own
+    tip: a node's audit relies on that to skip a file holding only the lines
+    it committed."""
+    fed, users = committed
+    alice, bob = users["alice"]["ledger"], users["bob"]["ledger"]
+    assert alice.hlf_update_prov("21.P/1/prov", "cas://doc2", "c-doc2", 2, "21.P/1/v2").ok
+    assert bob.flag_affected(["21.P/2"], "21.P/0").ok
+    # Both endorsed against the same state, so the second meets the first's write.
+    first, second = (
+        alice.prepare(*publish_operation("21.P/race", "cas://r", "cr", ["alice"],
+                                         "21.P/race/prov", "cas://doc", "c-doc"))
+        for _ in range(2)
+    )
+    assert alice.order(first).ok
+    assert alice.order(second).status == READ_WRITE_CONFLICT
+    committed_txs = {
+        (tx["body"]["kind"], tx["validation"])
+        for block in fed.nodes["OrgA"].committed_since(0) for tx in block.transactions
+    }
+    expected = {(kind, VALID) for kind in TX_KINDS} | {(TX_PUBLISH, READ_WRITE_CONFLICT)}
+    assert expected <= committed_txs
     for node in fed.nodes.values():
         report = verify_chain_file(
             node.store.path, fed.config.orgs_map(), fed.config.endorsement_policy
         )
         assert report.ok, report.findings
         assert report.first_divergent_height is None
+        assert report.tip == (node.height(), node.tip_hash())
 
 
 def test_ledgers_identical_across_nodes(committed):
@@ -404,47 +429,54 @@ def test_uncovered_key_flagged_at_its_height(committed, edit, target_height, fin
     assert report.findings == [Finding(target_height, finding)]
 
 
-# -- resuming from an audit checkpoint ----------------------------------------
+# -- a node's audit against its line index -------------------------------------
 #
-# A clean audit returns a checkpoint: the verified prefix's length and hash,
-# the next height, the tip hash and the replayed state. An audit given one
-# replays only what follows the prefix, if the prefix is unchanged; its report
-# must be exactly a full audit's.
+# A node's index holds, per height, where its line ends in the ledger file and
+# the line's SHA-256: a checkpoint of every byte the node validated. An audit
+# of a file that is exactly those lines replays nothing. Any other file is
+# replayed from genesis, and the node's report must be exactly that full
+# audit's; a clean replay must then end at the node's tip.
+
+CLEAN = {"ok": True, "first_divergent_height": None, "findings": []}
 
 
-def _audit(path, fed, checkpoint=None):
-    return verify_chain_file(
-        path, fed.config.orgs_map(), fed.config.endorsement_policy, checkpoint
-    )
+def _audit(path, fed):
+    return verify_chain_file(path, fed.config.orgs_map(), fed.config.endorsement_policy)
 
 
-def test_truncation_below_the_checkpoint_replays_from_genesis(committed, tmp_path):
+def test_truncation_below_the_checkpoint_replays_from_genesis(committed):
     fed, _ = committed
-    path = fed.nodes["OrgA"].store.path
+    node = fed.nodes["OrgA"]
+    path, height = node.store.path, node.height()
     payload = path.read_bytes()
-    checkpoint = _audit(path, fed).checkpoint
-    assert checkpoint.length == len(payload)
-    truncated = tmp_path / "truncated.jsonl"
     last_line_start = payload.rfind(b"\n", 0, -1) + 1
-    for cut in (len(payload) - 1, last_line_start, last_line_start - 7, len(payload) // 2):
-        truncated.write_bytes(payload[:cut])
-        assert _audit(truncated, fed, checkpoint) == _audit(truncated, fed)
-    assert not _audit(truncated, fed, checkpoint).ok
+    for cut in (len(payload) - 1, last_line_start - 7, len(payload) // 2):
+        path.write_bytes(payload[:cut])
+        full = _audit(path, fed)
+        assert not full.ok
+        assert node.verify_chain() == full.to_dict()
+    # Cut at a block boundary, the file replays clean but ends below the tip.
+    path.write_bytes(payload[:last_line_start])
+    assert _audit(path, fed).ok
+    assert node.verify_chain()["first_divergent_height"] == height
+    path.write_bytes(payload)
+    assert node.verify_chain() == CLEAN
 
 
-def test_last_block_without_its_line_end_flagged(committed, tmp_path):
+def test_last_block_without_its_line_end_flagged(committed):
     """The next append would land on the same line as the last block."""
     fed, _ = committed
-    height = fed.nodes["OrgA"].height()
-    payload = fed.nodes["OrgA"].store.path.read_bytes()
-    ledger = tmp_path / "unterminated.jsonl"
-    ledger.write_bytes(payload[:-1])
-    report = _audit(ledger, fed)
+    node = fed.nodes["OrgA"]
+    height = node.height()
+    payload = node.store.path.read_bytes()
+    node.store.path.write_bytes(payload[:-1])
+    report = _audit(node.store.path, fed)
     assert report.findings == [Finding(height, "block record has no line end")]
     assert report.first_divergent_height == height
-    assert report.checkpoint is None
-    ledger.write_bytes(payload)
-    assert _audit(ledger, fed).ok
+    assert report.tip is None
+    assert node.verify_chain() == report.to_dict()
+    node.store.path.write_bytes(payload)
+    assert node.verify_chain() == CLEAN
 
 
 def test_no_node_starts_on_a_last_block_without_its_line_end(committed):
@@ -459,48 +491,58 @@ def test_no_node_starts_on_a_last_block_without_its_line_end(committed):
         Federation.start(fed.config_path)
 
 
-def test_forged_block_appended_after_the_checkpoint_flagged(committed, tmp_path):
+def test_forged_block_appended_after_the_checkpoint_flagged(committed):
     """The tip's transactions again, under a well-formed header at the next
-    height: only replay against the checkpoint's state can tell."""
+    height: only replay against the state the chain left can tell."""
     fed, _ = committed
+    node = fed.nodes["OrgA"]
     path, records = _committed_records(fed)
-    checkpoint = _audit(path, fed).checkpoint
+    assert node.verify_chain() == CLEAN
     tip = records[-1]
     forged = dict(tip, height=len(records), prev_hash=tip["block_hash"])
     forged["block_hash"] = compute_block_hash(len(records), tip["block_hash"], tip["data_hash"])
-    appended = tmp_path / "appended.jsonl"
-    appended.write_bytes(path.read_bytes() + canonical_bytes(forged) + b"\n")
-    report = _audit(appended, fed, checkpoint)
-    assert report == _audit(appended, fed)
-    assert not report.ok
-    assert report.first_divergent_height == len(records)
-    assert report.checkpoint is None
+    path.write_bytes(path.read_bytes() + canonical_bytes(forged) + b"\n")
+    full = _audit(path, fed)
+    assert not full.ok
+    assert full.first_divergent_height == len(records)
+    assert full.tip is None
+    assert node.verify_chain() == full.to_dict()
 
 
-def test_audit_resumes_after_an_earlier_checkpoint(committed):
+def test_audit_after_later_commits_matches_a_full_audit(committed):
     fed, users = committed
     alice = users["alice"]["ledger"]
-    path = fed.nodes["OrgA"].store.path
-    earlier = _audit(path, fed).checkpoint
+    node = fed.nodes["OrgA"]
+    assert node.verify_chain() == CLEAN
+    earlier = node.height()
     assert publish_raw(alice, "21.P/later", "cas://later", "cl").ok
     assert alice.hlf_invalidate("21.P/1").ok
-    resumed, full = _audit(path, fed, earlier), _audit(path, fed)
-    assert resumed == full and resumed.ok
-    assert resumed.checkpoint == full.checkpoint
-    assert resumed.checkpoint.height == fed.nodes["OrgA"].height() + 1 > earlier.height
+    full = _audit(node.store.path, fed)
+    assert node.verify_chain() == full.to_dict() == CLEAN
+    assert full.tip == (node.height(), node.tip_hash())
+    assert node.height() > earlier
 
 
 def test_second_audit_without_new_blocks_checks_no_signature(committed, monkeypatch):
+    """Right after commits, an audit of the unchanged file checks no
+    signature, and neither does a second one. Once a byte changed, the audit
+    replays from genesis, checking signatures, and reports what a full
+    audit does."""
     fed, _ = committed
     node = fed.nodes["OrgA"]
     checked = []
     verify = crypto.verify
     monkeypatch.setattr(crypto, "verify", lambda *args: checked.append(args) or verify(*args))
-    assert node.verify_chain()["ok"]
-    assert checked, "the blocks committed since start-up were not replayed"
-    checked.clear()
-    assert node.verify_chain() == {"ok": True, "first_divergent_height": None, "findings": []}
+    assert node.verify_chain() == CLEAN
+    assert node.verify_chain() == CLEAN
     assert checked == []
+    payload = bytearray(node.store.path.read_bytes())
+    payload[payload.find(b"cas://", _line_offsets(bytes(payload))[2]) + 6] ^= 0x01
+    node.store.path.write_bytes(bytes(payload))
+    report = node.verify_chain()
+    assert checked, "the changed file was not replayed"
+    assert not report["ok"]
+    assert report == _audit(node.store.path, fed).to_dict()
 
 
 def test_node_audit_flags_a_change_inside_its_verified_prefix(committed):
