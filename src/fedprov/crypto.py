@@ -19,11 +19,6 @@ def generate_keypair() -> tuple[str, str]:
     return _private_hex(private), _public_hex(private.public_key())
 
 
-def public_from_private(private_hex: str) -> str:
-    key = Ed25519PrivateKey.from_private_bytes(bytes.fromhex(private_hex))
-    return _public_hex(key.public_key())
-
-
 def sign(private_hex: str, message: bytes) -> str:
     key = Ed25519PrivateKey.from_private_bytes(bytes.fromhex(private_hex))
     return key.sign(message).hex()

@@ -50,21 +50,6 @@ class Organization:
     kind: str
     ca_public_key: str
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "ca-public-key": self.ca_public_key,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "Organization":
-        return cls(
-            name=data["name"],
-            kind=data["kind"],
-            ca_public_key=data["ca-public-key"],
-        )
-
 
 @dataclass(frozen=True)
 class Identity:

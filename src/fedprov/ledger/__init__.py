@@ -3,7 +3,7 @@ propose / endorse / order / commit pipeline replicated across organization
 nodes.
 """
 
-from .values import LedgerValue, WorldState
+from .values import LedgerValue
 from .blocks import Block, genesis_block, verify_chain_file, VerificationReport
 from .node import OrgNode
 from .ordering import OrderingService
@@ -17,7 +17,6 @@ __all__ = [
     "OrgNode",
     "Receipt",
     "VerificationReport",
-    "WorldState",
     "genesis_block",
     "verify_chain_file",
 ]

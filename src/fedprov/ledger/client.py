@@ -5,10 +5,10 @@ envelope to the ordering service and wait for the commit receipt.
 Only a producer organization's endorsement can count toward a policy, so
 PROPOSE goes to producer nodes alone; the read-only organization's node
 still receives, validates and commits every block. Each record is written
-one way: ``publish_operation`` creates an artifact and its provenance record
-in one transaction, and ``update_operation`` writes the provenance version
-it states under the PID it names, so the ledger records every version's PID. ``order_all`` still sends several endorsed envelopes in one ORDER
-request.
+one way. ``publish_operation`` creates an artifact and its provenance record
+in one transaction. ``update_operation`` writes the provenance version it
+states under the PID it names, so the ledger records every version's PID.
+``order_all`` sends several endorsed envelopes in one ORDER request.
 
 The client talks to nodes directly -- there is no proxy in the path -- so a
 single dead node degrades nothing that the remaining replicas can answer.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .. import clock, crypto, identity as identity_mod
@@ -54,6 +54,8 @@ class Receipt:
     height: int | None
     status: str
     message: str
+    # Set by ``LedgerClient.submit``; not part of ``to_dict``.
+    writes: dict[str, dict] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -152,9 +154,15 @@ class LedgerClient:
         args: dict,
         timestamp: str | None = None,
     ) -> Receipt:
-        """Full propose/endorse/order/commit round trip for one operation."""
+        """Full propose/endorse/order/commit round trip for one operation.
+
+        A VALID receipt carries the endorsed write set, the one that committed.
+        """
         envelope = self.prepare(kind, pid, args, timestamp)
-        return refusal(envelope) or self.order(envelope)
+        receipt = refusal(envelope) or self.order(envelope)
+        if receipt.ok:
+            receipt.writes = envelope["result"]["writes"]
+        return receipt
 
     def prepare(
         self,

@@ -15,8 +15,11 @@ which refuses bytes the node did not validate. The same index is the
 evidence of ``verify_chain``: a file that is exactly the indexed lines holds
 only bytes the node validated, so it is not replayed again.
 
-Endorsement simulations may run concurrently against a state snapshot;
-commits are strictly serialized.
+The world state is a plain dict that nothing changes once installed:
+start-up installs the one replay built, and each commit applies its block
+to a copy and installs that. Endorsement simulations may therefore run
+concurrently against whichever dict is installed; commits are strictly
+serialized.
 """
 
 from __future__ import annotations
@@ -28,12 +31,12 @@ from pathlib import Path
 from typing import Mapping
 
 from .. import crypto, identity as identity_mod
-from ..canonical import canonical_bytes
+from ..canonical import canonical_bytes, digest
 from ..errors import LedgerRejectedError
 from . import blocks as blocks_mod
 from .blocks import Block, BlockStore, endorsement_payload, tx_id_for, validate_tx
 from .chaincode import simulate
-from .values import WorldState
+from .values import LedgerValue
 
 
 class OrgNode:
@@ -52,7 +55,6 @@ class OrgNode:
         self.orgs = dict(orgs)
         self.endorsement_policy = endorsement_policy
         self.store = BlockStore(ledger_path)
-        self.state = WorldState()
         self._tip_hash: str | None = None
         self._lines: list[tuple[int, bytes]] = []  # (offset past the line, its SHA-256)
         self._writers: dict[str, list[int]] = {}  # ledger key -> heights that wrote it
@@ -61,7 +63,7 @@ class OrgNode:
             data = self.store.path.read_bytes()
         except FileNotFoundError:
             raise LedgerRejectedError(f"ledger {self.store.path} missing")
-        state: dict = {}
+        state: dict[str, LedgerValue] = {}
         for block, line, findings in blocks_mod.replay_chain(
             data, self.orgs, endorsement_policy, state, validate_tx
         ):
@@ -71,7 +73,7 @@ class OrgNode:
                     f"{findings[0].height}: {findings[0].problem}"
                 )
             self._index(block, line)
-        self.state.replace(state)
+        self.state = state
 
     # -- endorsement --------------------------------------------------------
 
@@ -89,8 +91,7 @@ class OrgNode:
             creator, proposal.get("signature"), canonical_bytes(body), self.orgs
         )
 
-        snapshot = self.state.snapshot()
-        result = simulate(body, self.orgs, snapshot.get)
+        result = simulate(body, self.orgs, self.state.get)
         tx_id = tx_id_for(body)
         result_digest = result.result_digest()
         endorsement = {
@@ -116,7 +117,8 @@ class OrgNode:
 
         Re-delivery of an already-committed height is answered idempotently
         from that height's stored line. The line is on disk before the index
-        names it, and the world state is replaced after that.
+        names it, and a copy of the world state with the block applied is
+        installed after that.
         """
         with self._commit_lock:
             try:
@@ -138,7 +140,7 @@ class OrgNode:
                 raise LedgerRejectedError(
                     f"out-of-order block {incoming.height}, tip is {tip_height}"
                 )
-            current = self.state.snapshot()
+            current = dict(self.state)
             findings = blocks_mod.validate_block(
                 incoming, incoming.height, self.tip_hash(), current, self.orgs,
                 self.endorsement_policy, validate_tx, commit=True,
@@ -149,7 +151,7 @@ class OrgNode:
                     + "; ".join(f.problem for f in findings)
                 )
             self._index(incoming, self.store.append(incoming))
-            self.state.replace(current)
+            self.state = current
             return {
                 "height": incoming.height,
                 "flags": [tx["validation"] for tx in incoming.transactions],
@@ -186,10 +188,10 @@ class OrgNode:
         return [self.block(h) for h in range(height, self.height() + 1)]
 
     def state_digest(self) -> str:
-        return self.state.state_digest()
+        return digest(self.state_dump())
 
     def state_dump(self) -> dict[str, dict]:
-        return self.state.dump()
+        return {pid: value.to_dict() for pid, value in sorted(self.state.items())}
 
     def history(self, pid: str) -> list[dict]:
         """Committed VALID transactions that wrote *pid*, in commit order."""

@@ -1,4 +1,4 @@
-"""World state: the ledger's current PID -> value view.
+"""Ledger values: what the world state maps each PID to.
 
 A value carries the five core fields (URI, checksum, version, owners,
 timestamp) plus two metadata fields this system needs to enforce the
@@ -8,11 +8,8 @@ create time, and the validity status with its provoking source.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, replace
 from typing import Mapping
-
-from ..canonical import digest
 
 KIND_ARTIFACT = "artifact"
 KIND_PROVENANCE = "provenance-record"
@@ -60,35 +57,3 @@ class LedgerValue:
 
     def evolved(self, **changes) -> "LedgerValue":
         return replace(self, **changes)
-
-
-class WorldState:
-    """Current key -> value view; many readers, one committer."""
-
-    def __init__(self):
-        self._values: dict[str, LedgerValue] = {}
-        self._lock = threading.RLock()
-
-    def get(self, pid: str) -> LedgerValue | None:
-        with self._lock:
-            return self._values.get(pid)
-
-    def put(self, pid: str, value: LedgerValue) -> None:
-        with self._lock:
-            self._values[pid] = value
-
-    def snapshot(self) -> dict[str, LedgerValue]:
-        with self._lock:
-            return dict(self._values)
-
-    def replace(self, values: dict[str, LedgerValue]) -> None:
-        """Make *values* the whole state, e.g. a snapshot a block was applied to."""
-        with self._lock:
-            self._values = values
-
-    def dump(self) -> dict[str, dict]:
-        with self._lock:
-            return {pid: value.to_dict() for pid, value in sorted(self._values.items())}
-
-    def state_digest(self) -> str:
-        return digest(self.dump())

@@ -365,15 +365,17 @@ def invalidate_cascade(
     The source must already be invalidated in *graph*, which is built from
     a ledger view taken after the invalidation committed (the cascade never
     invalidates anything itself -- only owners do that). The descendants
-    still valid on the ledger are flagged by one ``flag-affected``
-    transaction, so consumers querying only the ledger see the whole cascade
-    or none of it; descendants already invalidated or affected are neither
-    re-flagged nor reported again. A read-write conflict is retried against
-    fresh reads up to ``FLAG_ATTEMPTS`` times; any other refusal, or a
-    conflict on the last attempt, raises ``LedgerRejectedError``. Only after
-    a VALID receipt, and only if *outbox_dir* is given, is one notification
-    per owner of a flagged artifact appended to that owner organization's
-    outbox.
+    valid in that view go to one ``flag-affected`` transaction, so consumers
+    querying only the ledger see the whole cascade or none of it; if none
+    is valid, nothing is submitted. The chaincode decides what gets flagged:
+    it re-reads every target at endorsement and writes only those still
+    valid, so a target another cascade flagged first is neither re-flagged
+    nor reported again. A read-write conflict resubmits the same targets up
+    to ``FLAG_ATTEMPTS`` times; any other refusal, or a conflict on the last
+    attempt, raises ``LedgerRejectedError``. The artifacts the committed
+    transaction wrote are the ones returned and, only if *outbox_dir* is
+    given, the ones whose owners get a notification appended to their
+    organization's outbox.
     """
     status = graph.nodes.get(pid)
     if status is None:
@@ -381,13 +383,11 @@ def invalidate_cascade(
     if status != STATUS_INVALIDATED:
         raise NotInvalidatedError(f"{pid} is still {status} on the ledger")
 
-    targets = sorted(cascade_targets(pid, graph))
+    targets = [t for t in sorted(cascade_targets(pid, graph)) if graph.nodes[t] == STATUS_VALID]
+    if not targets:
+        return []
     for attempt in range(1, FLAG_ATTEMPTS + 1):
-        values = ((target, ledger.hlf_read(target)) for target in targets)
-        pending = {t: v for t, v in values if v is not None and v.status == STATUS_VALID}
-        if not pending:
-            return []
-        receipt = ledger.flag_affected(list(pending), pid, timestamp=timestamp)
+        receipt = ledger.flag_affected(targets, pid, timestamp=timestamp)
         if receipt.ok:
             break
         if receipt.status != READ_WRITE_CONFLICT or attempt == FLAG_ATTEMPTS:
@@ -395,6 +395,7 @@ def invalidate_cascade(
                 f"cascade from {pid} not committed: {receipt.message}", receipt.to_dict()
             )
 
+    flagged = sorted(receipt.writes.items())
     if outbox_dir is not None:
         notifications = [
             {
@@ -404,11 +405,11 @@ def invalidate_cascade(
                 "owner": owner,
                 "timestamp": timestamp or clock.now_iso(),
             }
-            for target, value in pending.items()
-            for owner in value.owners
+            for target, value in flagged
+            for owner in value["owners"]
         ]
         write_notifications(notifications, outbox_dir, owner_org)
-    return [(target, "affected") for target in pending]
+    return [(target, "affected") for target, _ in flagged]
 
 
 def write_notifications(

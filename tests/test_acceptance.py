@@ -257,8 +257,8 @@ def test_criterion_3_tamper_evidence(tmp_path):
 
 def test_criterion_3_mutations_report_alike_with_a_checkpoint(tmp_path):
     """Each of criterion 3's 200 mutations, written into the ledger file of
-    a running node, gets from the node's audit, whose checkpoint is the
-    node's index of the lines it committed, exactly a full audit's report."""
+    a running node, gets from the node's audit exactly a full audit's report,
+    and the restored file gets the clean report again."""
     fed = Federation.bootstrap(tmp_path / "fed")
     try:
         alice = register_default_users(fed)["alice"]["ledger"]

@@ -289,7 +289,6 @@ def test_sign_verify_round_trip():
     signature = crypto.sign(private_hex, b"message")
     assert crypto.verify(public_hex, signature, b"message")
     assert not crypto.verify(public_hex, signature, b"other")
-    assert crypto.public_from_private(private_hex) == public_hex
 
 
 @pytest.mark.parametrize("bad", [None, 7, ["00"], {"hex": "00"}])

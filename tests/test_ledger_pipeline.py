@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 import threading
 import time
 
@@ -16,9 +17,10 @@ from fedprov.errors import (
     SimulationDivergenceError,
 )
 from fedprov.harness import Federation
-from fedprov.ledger import chaincode
+from fedprov.ledger import chaincode, node as node_mod
+from fedprov.ledger.blocks import validate_tx
 from fedprov.ledger.chaincode import simulate
-from fedprov.ledger.client import LedgerClient
+from fedprov.ledger.client import LedgerClient, publish_operation
 from fedprov.ledger.policy import POLICY_ALL, POLICY_MAJORITY, policy_satisfied
 from fedprov.ledger.values import LedgerValue
 from fedprov.transport import DirectTransport
@@ -103,8 +105,8 @@ def test_simulation_divergence_detected(fed, users):
     alice = users["alice"]["ledger"]
     assert publish_raw(alice, "21.P/x", "cas://x", "cx").ok
     # Corrupt one node's world state out-of-band.
-    rogue_value = fed.nodes["OrgB"].state.get("21.P/x").evolved(checksum="tampered")
-    fed.nodes["OrgB"].state.put("21.P/x", rogue_value)
+    node = fed.nodes["OrgB"]
+    node.state = {**node.state, "21.P/x": node.state["21.P/x"].evolved(checksum="tampered")}
     with pytest.raises(SimulationDivergenceError):
         alice.hlf_invalidate("21.P/x")
 
@@ -362,6 +364,58 @@ def test_batching_groups_transactions(tmp_path):
         assert len({receipts[i].height for i in range(1, 6)}) == 1
     finally:
         fed.stop()
+
+
+def test_readers_see_whole_blocks_while_commits_install_new_states(fed, users, monkeypatch):
+    """Threads dump a node's state while blocks of three publishes commit:
+    every dump holds whole blocks, never part of one. Each transaction's
+    validation sleeps, so the dumps overlap commits half applied."""
+    alice = users["alice"]["ledger"]
+    node = fed.nodes["OrgA"]
+    base = len(node.state)
+
+    def slow_validate_tx(*args):
+        time.sleep(0.002)
+        return validate_tx(*args)
+
+    monkeypatch.setattr(node_mod, "validate_tx", slow_validate_tx)
+    stop = threading.Event()
+    sizes, errors = [], []
+
+    def dump_repeatedly():
+        try:
+            while not stop.is_set():
+                sizes.append(len(node.state_dump()) - base)
+        except Exception as exc:  # reported below; the thread must not die silently
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    readers = [threading.Thread(target=dump_repeatedly) for _ in range(3)]
+    try:
+        for reader in readers:
+            reader.start()
+        for b in range(8):
+            envelopes = [
+                alice.prepare(*publish_operation(
+                    f"21.P/{b}-{i}", "cas://x", "cx", ["alice"], f"21.P/{b}-{i}/prov",
+                    "cas://doc", "c-doc",
+                ))
+                for i in range(3)
+            ]
+            receipts = alice.order_all(envelopes)
+            assert all(r.ok for r in receipts)
+            assert len({r.height for r in receipts}) == 1
+    finally:
+        stop.set()
+        for reader in readers:
+            reader.join(10)
+        sys.setswitchinterval(interval)
+    assert not any(reader.is_alive() for reader in readers)
+    assert not errors
+    # Each publish writes two keys, so a whole block adds six.
+    assert sizes and all(size % 6 == 0 for size in sizes)
+    assert len(node.state) - base == 8 * 6
 
 
 def test_audit_waits_for_a_block_being_appended(fed, users):

@@ -587,6 +587,30 @@ def test_already_affected_not_reflagged_or_renotified(live_publish):
     assert ledger.hlf_read(d).status_source == a
 
 
+def test_cascade_reports_only_what_its_transaction_flagged(live_publish):
+    """D derived from A and B, both invalidated. B's cascade flags D after
+    A's cascade built its view but before A's flag is endorsed: A's flag
+    commits with no write, and A's cascade reports and notifies nothing."""
+    fed, users, publish = live_publish
+    ledger, bob = users["alice"]["ledger"], users["bob"]["ledger"]
+    a, b = publish("A"), publish("B")
+    d = publish("D", (a, b))
+    assert ledger.hlf_invalidate(a).ok
+    assert ledger.hlf_invalidate(b).ok
+    real_flag_affected = ledger.flag_affected
+
+    def flag_affected(targets, source_pid, timestamp=None):
+        assert bob.flag_affected([d], b).ok
+        return real_flag_affected(targets, source_pid, timestamp=timestamp)
+
+    ledger.flag_affected = flag_affected
+    assert _cascade(fed, ledger, a) == []
+    (tx,) = fed.nodes["OrgA"].block(fed.nodes["OrgA"].height()).transactions
+    assert (tx["body"]["pid"], tx["validation"], tx["result"]["writes"]) == (a, "VALID", {})
+    assert not (fed.config.outbox_dir / "OrgA.jsonl").exists()
+    assert ledger.hlf_read(d).status_source == b
+
+
 def _conflict_before_first_order(ledger, flagger, source, target):
     """Make *ledger*'s first order meet a committed flag of *target*."""
     real_order = ledger.order
@@ -609,7 +633,7 @@ def test_cascade_retries_after_read_write_conflict(live_chain):
     calls = _conflict_before_first_order(ledger, users["bob"]["ledger"], pids["A"], pids["B"])
 
     assert _cascade(fed, ledger, pids["A"]) == [(pids["C"], "affected")]
-    assert calls == [sorted([pids["B"], pids["C"]]), [pids["C"]]]
+    assert calls == [sorted([pids["B"], pids["C"]])] * 2
     tip = fed.nodes["OrgA"].height()
     assert [tx["validation"] for block in fed.nodes["OrgA"].committed_since(tip - 2)
             for tx in block.transactions] == ["VALID", "INVALID:read-write-conflict", "VALID"]
@@ -628,16 +652,18 @@ def test_cascade_conflicting_on_every_attempt_raises(live_publish):
     calls = []
 
     def order(envelope):
-        # Each attempt loses its first pending target to a concurrent flag.
+        # Each attempt loses its first target still valid to a concurrent flag.
         targets = envelope["body"]["args"]["targets"]
         calls.append(targets)
-        assert bob.flag_affected(targets[:1], pids["A"]).ok
+        first = next(t for t in targets if ledger.hlf_read(t).status == "valid")
+        assert bob.flag_affected([first], pids["A"]).ok
         return real_order(envelope)
 
     ledger.order = order
     with pytest.raises(LedgerRejectedError, match="read-write-conflict"):
         _cascade(fed, ledger, pids["A"])
-    assert len(calls) == FLAG_ATTEMPTS == 3
+    assert calls == [sorted(pids[name] for name in "BCDE")] * FLAG_ATTEMPTS
+    assert FLAG_ATTEMPTS == 3
     assert not (fed.config.outbox_dir / "OrgA.jsonl").exists()
     assert ledger.hlf_read(pids["E"]).status == "valid"
 
