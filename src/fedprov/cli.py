@@ -198,7 +198,9 @@ class ClientContext:
 
     def registry(self) -> RegistryClient:
         return RegistryClient(
-            self.transport(self.config.registry_address), self.identity, self.private_key
+            self.transport(self.config.orderer_org().listen_address),
+            self.identity,
+            self.private_key,
         )
 
     def store(self) -> ProvStore:
@@ -350,7 +352,6 @@ def federation_init(config_path: str) -> dict:
         "initialized": True,
         "organizations": [o.name for o in config.organizations],
         "orderer": config.orderer_org().name,
-        "registry_address": config.registry_address,
     }
 
 
@@ -405,12 +406,12 @@ def _require_reachable(nodes: dict[str, dict], body: dict) -> None:
 
 
 def federation_start_node(config_path: str, org_name: str) -> dict:
-    """Run one organization node in the foreground (plus orderer/registry on
-    the orderer org). Blocks until interrupted."""
+    """Run one organization node in the foreground (plus orderer and registry,
+    on the same address, on the orderer org). Blocks until interrupted."""
     config = FederationConfig.load(Path(config_path))
     address = config.org_entry(org_name).listen_address
-    services = assemble_org(config, org_name, TcpTransport)
-    servers = serve(services)
+    service = assemble_org(config, org_name, TcpTransport)
+    servers = serve({address: service})
 
     stop = {"requested": False}
 
@@ -424,7 +425,7 @@ def federation_start_node(config_path: str, org_name: str) -> dict:
         while not stop["requested"]:
             time.sleep(0.2)
     finally:
-        shut_down(services, servers)
+        shut_down([service], servers)
     return {"stopped": org_name}
 
 

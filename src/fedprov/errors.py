@@ -20,7 +20,7 @@ class UnknownOrgError(FedprovError):
 
 
 class DuplicateUserError(FedprovError):
-    """A user id is already registered within the organization."""
+    """A user id is already registered in the federation."""
 
 
 class UnauthorizedError(FedprovError):

@@ -2,7 +2,9 @@
 
 One JSON config file describes the whole federation: the organizations with
 their CA public keys and node listen addresses, the endorsement policy, the
-PID prefix, the registry service address, and the provenance store root.
+PID prefix, and the provenance store root. Each organization answers on its
+node's listen address; the orderer organization's address also answers the
+PID registry. A ``registry-address`` key in an older config is ignored.
 Relative paths resolve against the config file's directory, so a workspace
 is a self-contained directory tree:
 
@@ -67,7 +69,6 @@ class FederationConfig:
     organizations: list[OrgEntry]
     endorsement_policy: str = POLICY_ANY_ONE
     pid_prefix: str = "21.P"
-    registry_address: str = "127.0.0.1:7500"
     prov_store_root: str = "store"
     max_block_txs: int = 10
     max_clock_skew_ms: int = 300_000
@@ -80,7 +81,6 @@ class FederationConfig:
             "organizations": [org.to_dict() for org in self.organizations],
             "endorsement-policy": self.endorsement_policy,
             "pid-prefix": self.pid_prefix,
-            "registry-address": self.registry_address,
             "prov-store-root": self.prov_store_root,
             "max-block-txs": self.max_block_txs,
             "max-clock-skew-ms": self.max_clock_skew_ms,
@@ -93,7 +93,6 @@ class FederationConfig:
                 organizations=[OrgEntry.from_dict(o) for o in data["organizations"]],
                 endorsement_policy=data.get("endorsement-policy", POLICY_ANY_ONE),
                 pid_prefix=data.get("pid-prefix", "21.P"),
-                registry_address=data.get("registry-address", "127.0.0.1:7500"),
                 prov_store_root=data.get("prov-store-root", "store"),
                 max_block_txs=int(data.get("max-block-txs", 10)),
                 max_clock_skew_ms=int(data.get("max-clock-skew-ms", 300_000)),
@@ -126,7 +125,7 @@ class FederationConfig:
         names = [o.name for o in self.organizations]
         if len(set(names)) != len(names):
             raise ConfigError("organization names must be unique")
-        addresses = [o.listen_address for o in self.organizations] + [self.registry_address]
+        addresses = [o.listen_address for o in self.organizations]
         if len(set(addresses)) != len(addresses):
             raise ConfigError("listen addresses must be unique")
         readonly = [o for o in self.organizations if o.kind == identity_mod.ORG_CONSUMER]

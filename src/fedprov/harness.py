@@ -1,17 +1,21 @@
 """Federation harness: build and run a whole federation in one process.
 
 Used by the test suite, the scenario tests and the benchmark. The wiring is
-the deployment's own: each organization's services come from
+the deployment's own: each organization's node service comes from
 ``services.assemble_org`` (as in ``fedprov federation start-node``) and every
 client from ``cli.ClientContext`` (as in every CLI command). Both take a
 transport factory, ``address -> transport``, and that factory is the only
 thing ``use_tcp`` chooses:
 
-* ``use_tcp=True``: ``TcpTransport``, with every service served on its
-  loopback listen address, so all traffic is real framed messages;
-* the default direct mode: an in-process transport that calls the service
-  registered for the address, looked up at each request (the orderer's
-  peer transports are made before the other organizations' services exist).
+* ``use_tcp=True``: ``TcpTransport``, with every node served on its loopback
+  listen address, so all traffic is real framed messages;
+* the default direct mode: an in-process transport that calls
+  ``services.dispatch`` of the node registered for the address, looked up at
+  each request (the orderer's peer transports are made before the other
+  organizations' nodes exist).
+
+Either way an organization has one address, and the orderer organization's
+address answers the registry too.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .ledger.ordering import OrderingService
 from .ledger.policy import POLICY_ANY_ONE
 from .pid_registry import PIDRegistry
 from .prov_store import ProvStore
-from .services import NodeService, Service, assemble_org, serve, shut_down
+from .services import NodeService, assemble_org, dispatch, serve, shut_down
 from .transport import DirectTransport, MessageServer, TcpTransport, TransportFactory
 
 DEFAULT_ORGS = (("OrgA", "producer"), ("OrgB", "producer"), ("Readers", "consumer-read-only"))
@@ -78,7 +82,7 @@ class Federation:
     ) -> "Federation":
         root = Path(root)
         root.mkdir(parents=True, exist_ok=True)
-        ports = free_ports(len(orgs) + 1)
+        ports = free_ports(len(orgs))
         entries = [
             OrgEntry(name=name, kind=kind, listen_address=f"127.0.0.1:{port}")
             for (name, kind), port in zip(orgs, ports)
@@ -86,7 +90,6 @@ class Federation:
         skeleton = FederationConfig(
             organizations=entries,
             endorsement_policy=endorsement_policy,
-            registry_address=f"127.0.0.1:{ports[-1]}",
             prov_store_root="store",
             base_dir=root,
         )
@@ -100,13 +103,13 @@ class Federation:
         """Bring up all components of an initialized federation."""
         config = FederationConfig.load(config_path)
         registration = load_registration(config)
-        by_address: dict[str, Service] = {}
+        by_address: dict[str, NodeService] = {}
         transport = TcpTransport if use_tcp else _in_process(by_address)
         orderer_org = config.orderer_org().name
         # The orderer org goes last: its orderer thread starts only once every
         # other node has loaded its ledger.
         for org in sorted(config.organizations, key=lambda o: o.name == orderer_org):
-            by_address.update(assemble_org(config, org.name, transport))
+            by_address[org.listen_address] = assemble_org(config, org.name, transport)
         services = {
             org.name: by_address[org.listen_address] for org in config.organizations
         }
@@ -117,14 +120,14 @@ class Federation:
             nodes={name: service.node for name, service in services.items()},
             services=services,
             orderer=services[orderer_org].orderer,
-            registry=by_address[config.registry_address].registry,
+            registry=services[orderer_org].registry.registry,
             store=ProvStore(config.store_root),
             transport=transport,
             servers=serve(by_address) if use_tcp else [],
         )
 
     def stop(self) -> None:
-        shut_down(self.services, self.servers)
+        shut_down(self.services.values(), self.servers)
         self.servers.clear()
 
     # -- participants ---------------------------------------------------------------
@@ -160,14 +163,14 @@ class Federation:
         )
 
 
-def _in_process(services: Mapping[str, Service]) -> TransportFactory:
-    """Transports that call ``services[address].handle`` directly.
+def _in_process(services: Mapping[str, NodeService]) -> TransportFactory:
+    """Transports that answer with ``dispatch(services[address], ...)`` directly.
 
     The service is looked up when a request is made, not when the transport
     is made, so transports may be handed out before *services* is complete.
     """
 
     def transport(address: str) -> DirectTransport:
-        return DirectTransport(lambda kind, payload: services[address].handle(kind, payload))
+        return DirectTransport(lambda kind, payload: dispatch(services[address], kind, payload))
 
     return transport

@@ -346,14 +346,19 @@ class RegistrationService:
         """Issue a fresh keypair and certificate; returns (identity, private_key).
 
         Raises ``UnknownOrgError`` for orgs outside the federation and
-        ``DuplicateUserError`` if the user id is taken within the org.
+        ``DuplicateUserError`` if any organization already has the user id:
+        private keys live under ``keys/<user_id>/`` and the ledger names
+        owners by bare user id.
         """
         with self._lock:
             if org not in self.organizations or org not in self.ca_keys:
                 raise UnknownOrgError(f"organization not in federation: {org!r}")
+            for holder in self.organizations:
+                if self._record_path(user_id, holder).exists():
+                    raise DuplicateUserError(
+                        f"user already registered: {user_id!r} in {holder!r}"
+                    )
             record_path = self._record_path(user_id, org)
-            if record_path.exists():
-                raise DuplicateUserError(f"user already registered: {user_id!r} in {org!r}")
             private_hex, public_hex = crypto.generate_keypair()
             certificate = crypto.sign(
                 self.ca_keys[org], certificate_payload(user_id, org, public_hex)

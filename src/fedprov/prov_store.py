@@ -120,7 +120,6 @@ class _Diff:
     added_activities: list
     added_agents: list
     added_relations: list
-    has_additions: bool
 
 
 def classify_update(old: ProvDocument, new: ProvDocument) -> str:
@@ -146,11 +145,9 @@ def classify_update(old: ProvDocument, new: ProvDocument) -> str:
         if _is_decomposition(old, new, diff):
             return DECOMPOSITION
         return ILLEGAL
-    if not diff.has_additions:
-        return ENRICHMENT
     if diff.enrichment_only:
         return ENRICHMENT
-    if diff.added_activities and _is_decomposition(old, new, diff):
+    if _is_decomposition(old, new, diff):
         return DECOMPOSITION
     return GENERAL_REVISION
 
@@ -242,9 +239,6 @@ def _diff_documents(old: ProvDocument, new: ProvDocument) -> _Diff:
     if added_entities or added_activities or added_agents or added_relations:
         non_enrichment_addition = True
 
-    attr_or_fill_additions = _has_enrichment_additions(old, new)
-    has_additions = non_enrichment_addition or attr_or_fill_additions
-
     return _Diff(
         illegal=illegal,
         enrichment_only=not non_enrichment_addition,
@@ -253,7 +247,6 @@ def _diff_documents(old: ProvDocument, new: ProvDocument) -> _Diff:
         added_activities=added_activities,
         added_agents=added_agents,
         added_relations=added_relations,
-        has_additions=has_additions,
     )
 
 
@@ -265,35 +258,6 @@ def _attribute_violations(kind: str, name: str, before: dict, after: dict) -> li
         elif after[key] != value:
             out.append(f"{kind} {name}: attribute {key!r} changed")
     return out
-
-
-def _has_enrichment_additions(old: ProvDocument, new: ProvDocument) -> bool:
-    old_entities = old.entity_map()
-    for entity in new.entities:
-        before = old_entities.get(entity.local_id)
-        if before is None:
-            continue
-        if before.artifact_pid is None and entity.artifact_pid is not None:
-            return True
-        if before.checksum is None and entity.checksum is not None:
-            return True
-        if set(entity.attributes) - set(before.attributes):
-            return True
-    for pair in (
-        _zip_common(old.activity_map(), new.activity_map()),
-        _zip_common(old.relation_map(), new.relation_map()),
-    ):
-        for before, after in pair:
-            if set(after.attributes) - set(before.attributes):
-                return True
-    return False
-
-
-def _zip_common(before_map: dict, after_map: dict):
-    for key, before in before_map.items():
-        after = after_map.get(key)
-        if after is not None:
-            yield before, after
 
 
 def _reattachment_violation(relation, old: ProvDocument, new: ProvDocument) -> str | None:

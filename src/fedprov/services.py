@@ -1,8 +1,11 @@
 """Message-kind dispatch for the node, ordering, and registry services.
 
-A ``NodeService`` answers PROPOSE / COMMIT / QUERY on every organization
-node and additionally ORDER on the node that hosts the ordering service.
-A ``RegistryService`` answers MINT / RESOLVE / HISTORY. A MINT reserves a
+Each organization answers on one address, its node's listen address. A
+``NodeService`` answers PROPOSE / COMMIT / QUERY on every organization node.
+The orderer organization's node also holds the ordering service, for ORDER,
+and a ``RegistryService``, which answers MINT / RESOLVE / HISTORY
+(``REGISTRY_KINDS``); ``dispatch`` hands those kinds to it, so a node
+without a registry answers them as unknown message kinds. A MINT reserves a
 PID and nothing more; RESOLVE and HISTORY answer only PIDs that a ledger
 transaction committed on the registry's host node names (see
 ``pid_registry``). A request that is not an object, a RESOLVE, HISTORY or
@@ -11,7 +14,7 @@ QUERY ``read``/``history`` without a string ``pid``, and a COMMIT without a
 
 ``assemble_org`` is the one place an organization's server side is built,
 for the in-process harness and for ``fedprov federation start-node`` alike;
-``serve`` puts the assembled services on their listen addresses.
+``serve`` puts assembled node services on their listen addresses.
 
 A MINT carries the caller's identity claim (the ``to_creator`` form a
 transaction's ``creator`` takes) and the caller's signature over its
@@ -25,7 +28,8 @@ the chaincode and the registry's index, not at MINT.
 
 from __future__ import annotations
 
-from typing import Mapping
+import functools
+from typing import Iterable, Mapping
 
 from . import crypto, identity as identity_mod
 from .canonical import canonical_bytes
@@ -36,11 +40,15 @@ from .ledger.ordering import OrderingService
 from .pid_registry import PIDRegistry
 from .transport import MessageServer, TransportFactory
 
+REGISTRY_KINDS = frozenset({"MINT", "RESOLVE", "HISTORY"})
+
 
 class NodeService:
     def __init__(self, node: OrgNode, orderer: OrderingService | None = None):
         self.node = node
         self.orderer = orderer
+        # Held on the orderer organization's node only; see ``dispatch``.
+        self.registry: RegistryService | None = None
 
     def handle(self, kind: str, payload: dict) -> dict:
         _require_object(kind, payload)
@@ -151,18 +159,26 @@ class RegistryClient:
         return self.transport(kind, payload)
 
 
-Service = NodeService | RegistryService
+def dispatch(service: NodeService, kind: str, payload: dict) -> dict:
+    """Answer a request made to *service*'s listen address.
+
+    A registry kind goes straight to the registry service the node holds,
+    never through ``NodeService.handle``; every other kind, and a registry
+    kind on a node without a registry, goes to ``NodeService.handle``.
+    """
+    if kind in REGISTRY_KINDS and service.registry is not None:
+        return service.registry.handle(kind, payload)
+    return service.handle(kind, payload)
 
 
 def assemble_org(
     config: FederationConfig, org_name: str, transport: TransportFactory
-) -> dict[str, Service]:
-    """Build one organization's services, keyed by their listen addresses.
+) -> NodeService:
+    """Build one organization's node service.
 
-    Every organization runs a ``NodeService``. The orderer organization's
-    node also hosts the ``OrderingService``, which reaches each node through
-    ``transport(listen_address)``, and the ``RegistryService``, which sees
-    commits through that node.
+    The orderer organization's node also holds the ``OrderingService``,
+    which reaches each node through ``transport(listen_address)``, and the
+    ``RegistryService``, which sees commits through that node.
     """
     orgs = config.orgs_map()
     node_identity, node_key = load_node_credentials(config, org_name)
@@ -175,7 +191,6 @@ def assemble_org(
         ledger_path=config.ledger_path(org_name),
     )
     service = NodeService(node)
-    services: dict[str, Service] = {config.org_entry(org_name).listen_address: service}
     if config.orderer_org().name == org_name:
         service.orderer = OrderingService(
             peers={o.name: transport(o.listen_address) for o in config.organizations},
@@ -185,31 +200,31 @@ def assemble_org(
             max_block_txs=config.max_block_txs,
             max_clock_skew_ms=config.max_clock_skew_ms,
         )
-        services[config.registry_address] = RegistryService(
+        service.registry = RegistryService(
             PIDRegistry(config.registry_root, config.pid_prefix, node), orgs
         )
-    return services
+    return service
 
 
-def serve(services: Mapping[str, Service]) -> list[MessageServer]:
-    """Serve each service on its address.
+def serve(services: Mapping[str, NodeService]) -> list[MessageServer]:
+    """Serve each node service on its listen address, the key it is under.
 
     If one cannot bind, nothing assembled stays up (see ``shut_down``).
     """
     servers: list[MessageServer] = []
     try:
         for address, service in services.items():
-            servers.append(MessageServer(address, service.handle).start())
+            servers.append(MessageServer(address, functools.partial(dispatch, service)).start())
     except TransportError:
-        shut_down(services, servers)
+        shut_down(services.values(), servers)
         raise
     return servers
 
 
-def shut_down(services: Mapping[str, Service], servers: list[MessageServer]) -> None:
-    """Close the orderer hosted among *services*, if any, then stop *servers*."""
-    for service in services.values():
-        if isinstance(service, NodeService) and service.orderer is not None:
+def shut_down(services: Iterable[NodeService], servers: list[MessageServer]) -> None:
+    """Close the orderer held by any of *services*, then stop *servers*."""
+    for service in services:
+        if service.orderer is not None:
             service.orderer.close()
     for server in servers:
         server.stop()

@@ -40,7 +40,7 @@ from .ledger.client import (
     require_committed,
     update_operation,
 )
-from .ledger.values import KIND_PROVENANCE
+from .ledger.values import KIND_ARTIFACT, KIND_PROVENANCE
 from .prov import REL_GENERATED, ProvDocument, validate_document
 from .prov_store import ILLEGAL, ProvStore, classify_update
 
@@ -251,16 +251,20 @@ def unresolvable_artifact_pids(
     doc: ProvDocument, registry, known: set[str] = frozenset()
 ) -> list[str]:
     """A violation for each entity whose artifact PID *registry* cannot
-    resolve; PIDs in *known* are taken as resolving without asking."""
+    resolve to an artifact; PIDs in *known* are taken as resolving without
+    asking. Lineage reads every cited PID as an artifact on the ledger, so
+    citing a provenance record's PID would break every trace."""
     violations = []
     for entity in doc.entities:
         if entity.artifact_pid is None or entity.artifact_pid in known:
             continue
         try:
-            registry.resolve(entity.artifact_pid)
+            kind = registry.resolve(entity.artifact_pid)["object_kind"]
         except UnknownPIDError:
+            kind = None
+        if kind != KIND_ARTIFACT:
+            problem = "does not resolve" if kind is None else f"names a {kind}, not an artifact"
             violations.append(
-                f"entity {entity.local_id!r}: artifact PID "
-                f"{entity.artifact_pid!r} does not resolve"
+                f"entity {entity.local_id!r}: artifact PID {entity.artifact_pid!r} {problem}"
             )
     return violations

@@ -197,69 +197,15 @@ def test_criterion_2_crud_matrix_enforcement(tmp_path):
 # -- criterion 3 --------------------------------------------------------------
 
 
-def test_criterion_3_tamper_evidence(tmp_path):
-    """200 random single-byte mutations of a 50-block ledger: 200/200 flagged."""
-    fed = Federation.bootstrap(tmp_path / "fed")
-    try:
-        users = register_default_users(fed)
-        alice = users["alice"]["ledger"]
-        for i in range(50):
-            assert publish_raw(alice, f"21.P/b{i:03d}", f"cas://{i}", f"c{i}").ok
-        node = fed.nodes["OrgA"]
-        assert node.height() == 50
-        payload = node.store.path.read_bytes()
-        offsets = []
-        start = 0
-        while start < len(payload):
-            end = payload.find(b"\n", start)
-            end = len(payload) if end == -1 else end
-            offsets.append(start)
-            start = end + 1
+@pytest.fixture(scope="module")
+def criterion_3_run(tmp_path_factory):
+    """200 random single-byte mutations (seed 0x7A3B) of a 50-block ledger,
+    each written into the ledger file of a running OrgA node and audited
+    twice: once by a full replay of the file and once by the node itself.
 
-        def height_of(position):
-            height = 0
-            for index, line_start in enumerate(offsets):
-                if position >= line_start:
-                    height = index
-            return height
-
-        orgs = fed.config.orgs_map()
-        policy = fed.config.endorsement_policy
-        target = node.store.path.with_name("mutated.jsonl")
-        rng = random.Random(0x7A3B)
-        started = time.monotonic()
-        detected = 0
-        runs = 0
-        while runs < 200:
-            position = rng.randrange(len(payload))
-            mutated = bytearray(payload)
-            mutated[position] ^= 1 << rng.randrange(8)
-            if bytes(mutated) == payload:
-                continue
-            runs += 1
-            target.write_bytes(bytes(mutated))
-            report = verify_chain_file(target, orgs, policy)
-            if (
-                not report.ok
-                and report.first_divergent_height is not None
-                and report.first_divergent_height <= height_of(position)
-            ):
-                detected += 1
-        elapsed = time.monotonic() - started
-        _report(
-            "criterion-3 tamper evidence",
-            detected == 200 and elapsed < 30,
-            f"{detected}/200 flagged within bound, {elapsed:.1f}s",
-        )
-    finally:
-        fed.stop()
-
-
-def test_criterion_3_mutations_report_alike_with_a_checkpoint(tmp_path):
-    """Each of criterion 3's 200 mutations, written into the ledger file of
-    a running node, gets from the node's audit exactly a full audit's report,
-    and the restored file gets the clean report again."""
-    fed = Federation.bootstrap(tmp_path / "fed")
+    Both criterion-3 tests read this one run. ``elapsed`` times writing the
+    mutations and the full audits; the node's audits are subtracted."""
+    fed = Federation.bootstrap(tmp_path_factory.mktemp("criterion3") / "fed")
     try:
         alice = register_default_users(fed)["alice"]["ledger"]
         for i in range(50):
@@ -268,25 +214,79 @@ def test_criterion_3_mutations_report_alike_with_a_checkpoint(tmp_path):
         path = node.store.path
         payload = path.read_bytes()
         orgs, policy = fed.config.orgs_map(), fed.config.endorsement_policy
-        clean = {"ok": True, "first_divergent_height": None, "findings": []}
-        assert node.verify_chain() == clean
+        run = {"height": node.height(), "payload": payload, "mutations": []}
+        run["clean_before"] = node.verify_chain()
         rng = random.Random(0x7A3B)
-        runs = 0
-        while runs < 200:
+        started = time.monotonic()
+        node_audits = 0.0
+        while len(run["mutations"]) < 200:
             position = rng.randrange(len(payload))
             mutated = bytearray(payload)
             mutated[position] ^= 1 << rng.randrange(8)
             if bytes(mutated) == payload:
                 continue
-            runs += 1
             path.write_bytes(bytes(mutated))
             full = verify_chain_file(path, orgs, policy)
-            assert not full.ok, position
-            assert node.verify_chain() == full.to_dict(), position
+            audit_started = time.monotonic()
+            own = node.verify_chain()
+            node_audits += time.monotonic() - audit_started
+            run["mutations"].append((position, full, own))
+        run["elapsed"] = time.monotonic() - started - node_audits
         path.write_bytes(payload)
-        assert node.verify_chain() == clean
+        run["clean_after"] = node.verify_chain()
+        return run
     finally:
         fed.stop()
+
+
+def test_criterion_3_tamper_evidence(criterion_3_run):
+    """200 random single-byte mutations of a 50-block ledger: 200/200 flagged."""
+    run = criterion_3_run
+    assert run["height"] == 50
+    payload = run["payload"]
+    offsets = []
+    start = 0
+    while start < len(payload):
+        end = payload.find(b"\n", start)
+        end = len(payload) if end == -1 else end
+        offsets.append(start)
+        start = end + 1
+
+    def height_of(position):
+        height = 0
+        for index, line_start in enumerate(offsets):
+            if position >= line_start:
+                height = index
+        return height
+
+    detected = 0
+    for position, report, _ in run["mutations"]:
+        if (
+            not report.ok
+            and report.first_divergent_height is not None
+            and report.first_divergent_height <= height_of(position)
+        ):
+            detected += 1
+    elapsed = run["elapsed"]
+    _report(
+        "criterion-3 tamper evidence",
+        detected == 200 and elapsed < 30,
+        f"{detected}/200 flagged within bound, {elapsed:.1f}s",
+    )
+
+
+def test_criterion_3_mutations_report_alike_with_a_checkpoint(criterion_3_run):
+    """Each of criterion 3's 200 mutations, written into the ledger file of
+    a running node, gets from the node's audit exactly a full audit's report,
+    and the restored file gets the clean report again."""
+    run = criterion_3_run
+    clean = {"ok": True, "first_divergent_height": None, "findings": []}
+    assert run["clean_before"] == clean
+    assert len(run["mutations"]) == 200
+    for position, full, own in run["mutations"]:
+        assert not full.ok, position
+        assert own == full.to_dict(), position
+    assert run["clean_after"] == clean
 
 
 # -- criterion 4 --------------------------------------------------------------

@@ -19,6 +19,7 @@ from conftest import publish_raw, register_default_users, simple_doc
 from fedprov import cli, identity as identity_mod
 from fedprov.errors import (
     IllegalUpdateError,
+    InvalidDocumentError,
     LedgerRejectedError,
     SuccessorExistsError,
     TransportError,
@@ -418,6 +419,33 @@ def test_refused_publish_is_undone_whole(publisher, monkeypatch):
     assert [envelope["body"]["kind"] for envelope in ordered] == ["publish"]
     assert not _committed_whole_or_nothing(fed, before)
     assert len(_reservations(fed) - before["reserved"]) == 2
+
+
+def _citing(doc, local_id, pid):
+    """*doc* with entity *local_id*'s artifact PID set to *pid*."""
+    return doc.with_entity(dataclasses.replace(doc.entity_map()[local_id], artifact_pid=pid))
+
+
+def test_a_document_citing_a_non_artifact_pid_is_refused(publisher):
+    """Lineage reads every cited PID as an artifact on the ledger, so one
+    document citing a provenance record's PID would break every trace in
+    the federation. Publish and update refuse it before they store, reserve
+    or order anything."""
+    fed, users, updater = publisher
+    alice = users["alice"]["identity"]
+    first = updater.publish(b"a\n", simple_doc(), alice)
+    record = fed.client().registry().resolve(first["prov_pid"])
+    stored = fed.store.fetch_document(record["target_uri"], record["checksum"])
+    before, height = _observed(fed), fed.nodes["OrgA"].height()
+    cites_provenance = f"artifact PID {first['prov_pid']!r} names a provenance-record"
+    with pytest.raises(InvalidDocumentError, match=cites_provenance):
+        updater.publish(b"b\n", _citing(simple_doc(), "e-in", first["prov_pid"]), alice)
+    with pytest.raises(InvalidDocumentError, match=cites_provenance):
+        updater.update(first["prov_pid"], _citing(stored, "e-in", first["prov_pid"]), alice)
+    assert _observed(fed) == before and fed.nodes["OrgA"].height() == height
+    assert cli.trace_artifact(fed.client(), first["artifact_pid"])["paths"]
+    cites_artifact = _citing(simple_doc(), "e-in", first["artifact_pid"])
+    assert updater.publish(b"b\n", cites_artifact, alice)["receipts"]
 
 
 # -- an unknown outcome is settled by the ledger -----------------------------------

@@ -16,6 +16,7 @@ import pytest
 
 from conftest import publish_raw, register_default_users
 from fedprov import cli, identity as identity_mod, transport
+from fedprov.errors import FedprovError, TransportError
 from fedprov.harness import Federation
 from fedprov.ledger.client import LedgerClient, Receipt
 from fedprov.transport import TcpTransport
@@ -321,11 +322,10 @@ def test_unreachable_federation(tmp_path, live):
     # Same config, but nobody listening on fresh ports.
     from fedprov.harness import free_ports
 
-    ports = free_ports(4)
+    ports = free_ports(3)
     config = json.loads(fed.config_path.read_text())
     for org, port in zip(config["organizations"], ports):
         org["listen-address"] = f"127.0.0.1:{port}"
-    config["registry-address"] = f"127.0.0.1:{ports[3]}"
     dead_path = tmp_path / "dead.json"
     dead_path.write_text(json.dumps(config))
     code, body = cli.run(["--config", str(dead_path), "verify", "21.P/1"])
@@ -454,32 +454,39 @@ def test_cycle_detection_exit_code(live):
 
 
 def test_start_node_subprocess_federation(tmp_path):
-    """Spawn real node processes from the CLI and run a command against them."""
-    from fedprov.federation import FederationConfig, OrgEntry, init_federation
+    """Spawn real node processes from the CLI and run commands against them.
+
+    The config still names a ``registry-address``, as configs did before the
+    registry moved onto the orderer organization's address: ``init`` drops
+    the key, each node opens its one listen address, and the orderer
+    organization's node answers MINT, RESOLVE and HISTORY."""
+    from fedprov.federation import FederationConfig
     from fedprov.harness import free_ports
     from fedprov.identity import RegistrationService
+    from fedprov.services import RegistryClient
 
     root = tmp_path / "fed"
     root.mkdir()
     ports = free_ports(4)
-    entries = [
-        OrgEntry("OrgA", "producer", f"127.0.0.1:{ports[0]}"),
-        OrgEntry("OrgB", "producer", f"127.0.0.1:{ports[1]}"),
-        OrgEntry("Readers", "consumer-read-only", f"127.0.0.1:{ports[2]}"),
-    ]
-    config = FederationConfig(
-        organizations=entries,
-        registry_address=f"127.0.0.1:{ports[3]}", base_dir=root,
-    )
+    orgs = [("OrgA", "producer"), ("OrgB", "producer"), ("Readers", "consumer-read-only")]
+    legacy_registry = f"127.0.0.1:{ports[3]}"
     config_path = root / "federation.json"
-    config.save(config_path)
-    init_federation(config_path)
+    config_path.write_text(json.dumps({
+        "organizations": [
+            {"name": name, "kind": kind, "listen-address": f"127.0.0.1:{port}"}
+            for (name, kind), port in zip(orgs, ports)
+        ],
+        "registry-address": legacy_registry,
+    }))
+    code, body = cli.run(["--config", str(config_path), "federation", "init"])
+    assert code == cli.EXIT_OK and sorted(body) == ["initialized", "orderer", "organizations"]
+    assert "registry-address" not in json.loads(config_path.read_text())
 
     config = FederationConfig.load(config_path)
     service = RegistrationService.load(
         config.orgs_map().values(), config.ca_dir, config.identities_dir, config.keys_dir
     )
-    service.register_user("OrgA", "alice")
+    alice, alice_key = service.register_user("OrgA", "alice")
 
     # The children import fedprov from this checkout's src, whatever the
     # working directory the suite was started from.
@@ -527,6 +534,18 @@ def test_start_node_subprocess_federation(tmp_path):
         assert code == cli.EXIT_OK and body["result"] == "VERIFIED"
         code, body = cli.run(["--config", str(config_path), "federation", "verify-chain"])
         assert code == cli.EXIT_OK and body["all_clear"]
+
+        registry = RegistryClient(
+            TcpTransport(config.org_entry("OrgA").listen_address), alice, alice_key
+        )
+        assert registry.mint()["metadata"]["owner"] == "alice"
+        prov_pid = published["prov_pid"]
+        assert registry.resolve(prov_pid)["object_kind"] == "provenance-record"
+        assert [record["pid"] for record in registry.version_history(prov_pid)] == [prov_pid]
+        with pytest.raises(TransportError):
+            TcpTransport(legacy_registry, timeout=0.5)("RESOLVE", {"pid": prov_pid})
+        with pytest.raises(FedprovError, match="unknown message kind: 'RESOLVE'"):
+            TcpTransport(config.org_entry("OrgB").listen_address)("RESOLVE", {"pid": prov_pid})
     finally:
         for proc in processes.values():
             if proc.poll() is None:

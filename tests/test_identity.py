@@ -83,10 +83,16 @@ def test_register_unknown_org_rejected(service):
         service.register_user("OrgZ", "zoe")
 
 
-def test_same_user_id_allowed_in_other_org(service):
-    service.register_user("OrgA", "alice")
-    other, _ = service.register_user("OrgB", "alice")
-    assert other.org == "OrgB"
+def test_same_user_id_refused_in_other_org(service):
+    """A user id names one user across the federation: private keys live
+    under ``keys/<user_id>/`` and the ledger names owners by bare user id,
+    so a namesake in another org would overwrite the first user's key and
+    act as its owner."""
+    alice, key = service.register_user("OrgA", "alice")
+    with pytest.raises(DuplicateUserError, match="'OrgA'"):
+        service.register_user("OrgB", "alice")
+    assert identity_mod.user_credentials(service.keys_dir, "alice") == (alice, key)
+    assert not (service.identities_dir / "alice@OrgB.json").exists()
 
 
 def test_verify_identity_round_trip(service):

@@ -107,3 +107,45 @@ def test_traced_two_envelope_order_records_ordering_spans(monkeypatch, tmp_path)
     ]
     cut = {tx for s in by_name["ledger.ordering.make_block"] for tx in s.attrs["tx_ids"]}
     assert cut == {envelope["tx_id"] for envelope in envelopes}
+
+
+def test_traced_registry_requests_record_one_registry_span(monkeypatch, tmp_path):
+    """A MINT and a RESOLVE at the orderer organization's address each reach
+    ``RegistryService.handle`` straight from the address's dispatch, never
+    through ``NodeService.handle``: the overhead metric subtracts both
+    handlers' time from the request's, so a nested call would count the
+    registry's time twice."""
+    from fedprov.harness import Federation
+
+    spans = _load_spans(monkeypatch)
+    tracer = spans.Tracer(enabled=True)
+    tracer.install()
+
+    def traced(call):
+        tracer.spans.clear()
+        tracer.active = True
+        try:
+            result = call()
+        finally:
+            tracer.active = False
+        names = sorted(span.name for span in tracer.spans)
+        return result, [name for name in names if name.startswith(("services.", "transport."))]
+
+    try:
+        fed = Federation.bootstrap(tmp_path / "fed", use_tcp=True)
+        try:
+            alice, key = fed.register_user("OrgA", "alice")
+            client = fed.client(alice, key)
+            registry = client.registry()
+            record, minted = traced(registry.mint)
+            assert publish_raw(client.ledger(), record["pid"], "cas://t", "ct").ok
+            resolved, resolving = traced(lambda: registry.resolve(record["pid"]))
+        finally:
+            fed.stop()
+    finally:
+        tracer.uninstall()
+
+    assert resolved["pid"] == record["pid"]
+    expected = ["services.registry_handle", "transport.request"]
+    assert minted == expected
+    assert resolving == expected

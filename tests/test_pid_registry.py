@@ -329,7 +329,7 @@ def test_minted_record_names_its_minter_as_owner(fed):
     alice, key = fed.register_user("OrgA", "alice")
 
     def mint(request):
-        return fed.transport(fed.config.registry_address)("MINT", {
+        return fed.transport(fed.config.orderer_org().listen_address)("MINT", {
             "caller": alice.to_creator(),
             "request": request,
             "signature": crypto.sign(key, canonical_bytes(request)),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import logging
 import os
 import socket
@@ -434,7 +435,7 @@ def test_tcp_federation_stops_promptly(tmp_path):
         elapsed = time.perf_counter() - started
     assert elapsed < 0.1
     with pytest.raises(TransportError):
-        TcpTransport(federation.config.registry_address, timeout=0.5)("RESOLVE", {"pid": "x"})
+        TcpTransport(_orderer_address(federation), timeout=0.5)("RESOLVE", {"pid": "x"})
 
 
 def _is_socket(fd):
@@ -447,15 +448,53 @@ def _is_socket(fd):
 # -- registry service over the wire ---------------------------------------------
 
 
+def _orderer_address(fed) -> str:
+    """Where the registry answers: the orderer organization's listen address."""
+    return fed.config.orderer_org().listen_address
+
+
 @pytest.fixture()
 def tcp_users(tcp_fed):
     return register_default_users(tcp_fed)
 
 
+def test_config_with_registry_address_serves_the_registry_at_the_orderer(tmp_path):
+    """A config saved with ``registry-address`` still starts, with one
+    listener per organization: MINT, RESOLVE and HISTORY are answered at the
+    orderer organization's address, nothing listens at the old one, and
+    another node answers a registry kind as an unknown message kind."""
+    federation = Federation.bootstrap(tmp_path / "fed", use_tcp=True)
+    federation.stop()
+    config = json.loads(federation.config_path.read_text())
+    config["registry-address"] = f"127.0.0.1:{free_port()}"
+    federation.config_path.write_text(json.dumps(config))
+    federation = Federation.start(federation.config_path, use_tcp=True)
+    try:
+        assert len(federation.servers) == len(config["organizations"])
+        alice = register_default_users(federation)["alice"]
+        client = RegistryClient(
+            TcpTransport(_orderer_address(federation)), alice["identity"], alice["key"]
+        )
+        pid = client.mint()["pid"]
+        assert publish_raw(alice["ledger"], "21.P/subject", prov=(pid, "cas://1", "c1")).ok
+        assert client.resolve(pid)["checksum"] == "c1"
+        assert [record["pid"] for record in client.version_history(pid)] == [pid]
+        with pytest.raises(TransportError):
+            TcpTransport(config["registry-address"], timeout=0.5)("RESOLVE", {"pid": pid})
+        others = [org for org in federation.config.organizations
+                  if org.listen_address != _orderer_address(federation)]
+        for org in others:
+            for kind in ("MINT", "RESOLVE", "HISTORY"):
+                with pytest.raises(FedprovError, match=f"unknown message kind: '{kind}'"):
+                    TcpTransport(org.listen_address)(kind, {"pid": pid})
+    finally:
+        federation.stop()
+
+
 def test_registry_mint_resolve_link_history_over_tcp(tcp_fed, tcp_users):
     alice = tcp_users["alice"]
     client = RegistryClient(
-        TcpTransport(tcp_fed.config.registry_address),
+        TcpTransport(_orderer_address(tcp_fed)),
         alice["identity"],
         alice["key"],
     )
@@ -481,7 +520,7 @@ def test_registry_rejects_bad_signature_over_tcp(tcp_fed, tcp_users):
     alice = tcp_users["alice"]
     wrong_key = tcp_users["bob"]["key"]
     client = RegistryClient(
-        TcpTransport(tcp_fed.config.registry_address), alice["identity"], wrong_key
+        TcpTransport(_orderer_address(tcp_fed)), alice["identity"], wrong_key
     )
     with pytest.raises(UnauthorizedError):
         client.mint()
@@ -489,13 +528,13 @@ def test_registry_rejects_bad_signature_over_tcp(tcp_fed, tcp_users):
 
 def test_registry_resolve_unauthenticated(tcp_fed, tcp_users):
     signed = RegistryClient(
-        TcpTransport(tcp_fed.config.registry_address),
+        TcpTransport(_orderer_address(tcp_fed)),
         tcp_users["alice"]["identity"],
         tcp_users["alice"]["key"],
     )
     record = signed.mint()
     assert publish_raw(tcp_users["alice"]["ledger"], record["pid"], "cas://1", "c1").ok
-    anonymous = RegistryClient(TcpTransport(tcp_fed.config.registry_address))
+    anonymous = RegistryClient(TcpTransport(_orderer_address(tcp_fed)))
     assert anonymous.resolve(record["pid"])["checksum"] == "c1"
     with pytest.raises(UnauthorizedError):
         anonymous.mint()
@@ -557,11 +596,9 @@ def test_propose_answered_with_endorse_kind(tcp_fed, tcp_users):
 )
 def test_malformed_identity_claim_refused_over_tcp(tcp_fed, kind, payload):
     """A malformed claim is an authorization refusal, never an internal error."""
-    address = (tcp_fed.config.registry_address if kind == "MINT"
-               else tcp_fed.config.organizations[0].listen_address)
     before = tcp_fed.system_digest()
     with pytest.raises(UnauthorizedError):
-        TcpTransport(address)(kind, payload)
+        TcpTransport(_orderer_address(tcp_fed))(kind, payload)
     assert tcp_fed.system_digest() == before
 
 
@@ -604,7 +641,7 @@ def test_malformed_registry_request_named_over_tcp(tcp_fed, tcp_users, kind, bod
     payload = _signed(tcp_users["alice"], body) if kind == "MINT" else body
     before = tcp_fed.system_digest()
     with pytest.raises(FedprovError) as refused:
-        TcpTransport(tcp_fed.config.registry_address)(kind, payload)
+        TcpTransport(_orderer_address(tcp_fed))(kind, payload)
     assert str(refused.value).startswith("malformed request:")
     assert tcp_fed.system_digest() == before
 
