@@ -365,6 +365,9 @@ def federation_status(config_path: str) -> dict:
         }
 
     nodes = _ask_nodes(config_path, ask, timeout=3.0)
+    reachable = [info for info in nodes.values() if info["reachable"]]
+    for info in reachable:
+        info["lag"] = max(other["height"] for other in reachable) - info["height"]
     body = {"nodes": nodes, "consistent": _digests_agree(nodes)}
     _require_reachable(nodes, body)
     return body
@@ -412,6 +415,8 @@ def federation_start_node(config_path: str, org_name: str) -> dict:
     address = config.org_entry(org_name).listen_address
     service = assemble_org(config, org_name, TcpTransport)
     servers = serve({address: service})
+    if service.puller is not None:
+        service.puller.start()
 
     stop = {"requested": False}
 

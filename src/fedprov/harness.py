@@ -11,11 +11,10 @@ thing ``use_tcp`` chooses:
   listen address, so all traffic is real framed messages;
 * the default direct mode: an in-process transport that calls
   ``services.dispatch`` of the node registered for the address, looked up at
-  each request (the orderer's peer transports are made before the other
-  organizations' nodes exist).
+  each request.
 
 Either way an organization has one address, and the orderer organization's
-address answers the registry too.
+address answers the registry and the replicas' pulls too.
 """
 
 from __future__ import annotations
@@ -106,14 +105,12 @@ class Federation:
         by_address: dict[str, NodeService] = {}
         transport = TcpTransport if use_tcp else _in_process(by_address)
         orderer_org = config.orderer_org().name
-        # The orderer org goes last: its orderer thread starts only once every
-        # other node has loaded its ledger.
-        for org in sorted(config.organizations, key=lambda o: o.name == orderer_org):
+        for org in config.organizations:
             by_address[org.listen_address] = assemble_org(config, org.name, transport)
         services = {
             org.name: by_address[org.listen_address] for org in config.organizations
         }
-        return cls(
+        federation = cls(
             config=config,
             config_path=Path(config_path),
             registration=registration,
@@ -125,6 +122,10 @@ class Federation:
             transport=transport,
             servers=serve(by_address) if use_tcp else [],
         )
+        for service in services.values():
+            if service.puller is not None:
+                service.puller.start()
+        return federation
 
     def stop(self) -> None:
         shut_down(self.services.values(), self.servers)

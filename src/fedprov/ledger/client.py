@@ -320,15 +320,6 @@ class LedgerClient:
     def state_dump(self) -> dict[str, dict]:
         return self._query({"op": "state"})["state"]
 
-    def state_digest(self) -> str:
-        return self._query({"op": "state_digest"})["digest"]
-
-    def verify_chain(self) -> dict:
-        return self._query({"op": "verify_chain"})["report"]
-
-    def height(self) -> int:
-        return self._query({"op": "height"})["height"]
-
     def _query(self, payload: dict) -> dict:
         last_error: Exception | None = None
         for org, transport in self.peers.items():

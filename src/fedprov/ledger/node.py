@@ -2,18 +2,18 @@
 
 Each node keeps a full replica: the append-only block file and the world
 state rebuilt from it on startup. Nodes endorse proposals by simulating the
-chaincode against their current state and signing the result; they commit
-blocks delivered by the ordering service after independently re-validating
-every transaction, so all replicas stay byte-identical. Start-up and commit
+chaincode against their current state and signing the result. The orderer's
+node commits the blocks it cuts, and every other node the blocks it pulls,
+each re-validating every transaction, so all replicas stay byte-identical. Start-up and commit
 both go through ``blocks.validate_block``, the routine chain verification
 uses, so a node neither starts on nor appends anything an audit would flag.
 
 The node keeps no committed block in memory, only the tip hash and an
-index of where each height's line ends in the file, its SHA-256 and the
-keys it wrote. Every reader of a committed block goes through ``block``,
-which refuses bytes the node did not validate. The same index is the
-evidence of ``verify_chain``: a file that is exactly the indexed lines holds
-only bytes the node validated, so it is not replayed again.
+index of where each height's line ends in the file, its SHA-256, its tx ids
+and the keys it wrote. Every reader of a committed block goes through
+``block``, which refuses bytes the node did not validate. The same index is
+the evidence of ``verify_chain``: a file that is exactly the indexed lines
+holds only bytes the node validated, so it is not replayed again.
 
 The world state is a plain dict that nothing changes once installed:
 start-up installs the one replay built, and each commit applies its block
@@ -58,6 +58,7 @@ class OrgNode:
         self._tip_hash: str | None = None
         self._lines: list[tuple[int, bytes]] = []  # (offset past the line, its SHA-256)
         self._writers: dict[str, list[int]] = {}  # ledger key -> heights that wrote it
+        self.tx_heights: dict[str, int] = {}  # tx id -> the height that committed it
         self._commit_lock = threading.Lock()
         try:
             data = self.store.path.read_bytes()
@@ -113,37 +114,23 @@ class OrgNode:
     # -- commit --------------------------------------------------------------
 
     def commit(self, block_dict: Mapping) -> dict:
-        """Validate and apply an ordered block; returns per-tx validation flags.
+        """Validate and append the block after the tip; returns per-tx flags.
 
-        Re-delivery of an already-committed height is answered idempotently
-        from that height's stored line. The line is on disk before the index
-        names it, and a copy of the world state with the block applied is
-        installed after that.
+        A block just cut by the orderer carries no flags and is given them;
+        a pulled block's flags must equal the computed ones, as in replay.
+        The line is on disk before the index names it, and a copy of the
+        world state with the block applied is installed after that.
         """
         with self._commit_lock:
             try:
                 incoming = Block.from_dict(block_dict)
+                cut = all(tx.get("validation") is None for tx in incoming.transactions)
             except blocks_mod.MALFORMED:
                 raise LedgerRejectedError("malformed block structure")
-            tip_height = self.height()
-            if incoming.height <= tip_height:
-                stored = self.block(incoming.height)
-                if stored.block_hash != incoming.block_hash:
-                    raise LedgerRejectedError(
-                        f"conflicting block at height {incoming.height}"
-                    )
-                return {
-                    "height": stored.height,
-                    "flags": [tx.get("validation") for tx in stored.transactions],
-                }
-            if incoming.height != tip_height + 1:
-                raise LedgerRejectedError(
-                    f"out-of-order block {incoming.height}, tip is {tip_height}"
-                )
             current = dict(self.state)
             findings = blocks_mod.validate_block(
-                incoming, incoming.height, self.tip_hash(), current, self.orgs,
-                self.endorsement_policy, validate_tx, commit=True,
+                incoming, self.height() + 1, self.tip_hash(), current, self.orgs,
+                self.endorsement_policy, validate_tx, commit=cut,
             )
             if findings:
                 raise LedgerRejectedError(
@@ -183,9 +170,10 @@ class OrgNode:
             raise LedgerRejectedError(f"block {height}: its line changed after commit")
         return Block.from_dict(json.loads(line))
 
-    def committed_since(self, height: int) -> list[Block]:
-        """The committed blocks from *height* to the tip, in order."""
-        return [self.block(h) for h in range(height, self.height() + 1)]
+    def committed_since(self, height: int, limit: int | None = None) -> list[Block]:
+        """The committed blocks from *height* to the tip, in order; at most *limit*."""
+        last = self.height() if limit is None else min(self.height(), height + limit - 1)
+        return [self.block(h) for h in range(height, last + 1)]
 
     def state_digest(self) -> str:
         return digest(self.state_dump())
@@ -264,6 +252,7 @@ class OrgNode:
         start = self._lines[-1][0] if self._lines else 0
         self._lines.append((start + len(line), hashlib.sha256(line).digest()))
         for tx in block.transactions:
+            self.tx_heights[tx["tx_id"]] = block.height
             if tx.get("validation") == blocks_mod.VALID:
                 for key in tx["result"].get("writes", {}):
                     heights = self._writers.setdefault(key, [])

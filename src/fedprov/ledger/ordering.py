@@ -2,18 +2,24 @@
 
 Endorsed transaction envelopes arrive over ORDER requests, one or more per
 request. Every envelope of a request must pass the integrity check a replica
-applies at commit (``blocks.check_tx``) before any is queued; one that fails
-refuses the whole request, to its submitter alone, so no block is cut that a
-replica would reject. Envelopes that pass are assigned a first-come total
-order (transaction id as tiebreak within a block).
+applies at commit (``blocks.check_tx``), and carry a transaction id neither
+committed, queued nor repeated, before any is queued; one that fails refuses
+the whole request, to its submitter alone, so no block is cut that a replica
+would reject. Envelopes that pass are assigned a first-come total order
+(transaction id as tiebreak within a block).
 
 Blocks are cut by group commit: as soon as the orderer is free and the queue
 is non-empty, it cuts a block of up to ``max_block_txs`` queued envelopes.
 Envelopes that arrive while a block is being delivered gather for the next
 one, so load batches itself and a lone transaction never idles. Each block
-is delivered to every organization node, which validates and commits it
-independently; the orderer replies to each waiting client with its
-transactions' receipts.
+is committed to the orderer organization's node, whose tip is the orderer's,
+and every other node, a replica, pulls it (``pull``). A pull from height
+h + 1 acknowledges h. The orderer replies to the block's clients once every
+in-sync replica has acknowledged it, or after ``ACK_TIMEOUT_S``; a replica
+that has not is out of sync, logged once, until it pulls at the tip again.
+Every replica starts in sync, so a receipt promises that the write is on
+every in-sync replica. The organization a pull names is taken on trust: it
+decides only when a receipt is sent, never what commits.
 
 Client-supplied timestamps are accepted only within a configurable skew of
 the orderer clock.
@@ -23,15 +29,21 @@ from __future__ import annotations
 
 import logging
 import threading
-from typing import Mapping
+import time
 
-from .. import clock, identity as identity_mod
-from ..errors import FedprovError, LedgerRejectedError, TransportError
-from ..transport import Transport
+from .. import clock
+from ..errors import FedprovError, LedgerRejectedError
 from . import blocks as blocks_mod
 from .blocks import make_block
+from .node import OrgNode
 
 _log = logging.getLogger(__name__)
+
+# How long a pull at the tip waits for the next block, and a block for the
+# in-sync replicas to pull past it; both well under ``TcpTransport``'s 10 s.
+PULL_WAIT_S = 0.5
+ACK_TIMEOUT_S = 2.0
+MAX_PULL_BLOCKS = 64  # per answer, so a replica far behind catches up in steps
 
 
 class _Pending:
@@ -43,24 +55,17 @@ class _Pending:
 
 
 class OrderingService:
-    def __init__(
-        self,
-        peers: Mapping[str, Transport],
-        orgs: Mapping[str, identity_mod.Organization],
-        tip_height: int,
-        tip_hash: str,
-        max_block_txs: int = 10,
-        max_clock_skew_ms: int = 300_000,
-    ):
-        self.peers = dict(peers)
-        self.orgs = dict(orgs)
+    def __init__(self, node: OrgNode, max_block_txs: int = 10,
+                 max_clock_skew_ms: int = 300_000):
+        self.node = node
         self.max_block_txs = max_block_txs
         self.max_clock_skew_ms = max_clock_skew_ms
-        self._height = tip_height
-        self._tip_hash = tip_hash
         self._queue: list[_Pending] = []
+        self._ordering: set[str] = set()  # tx ids queued or in the block being cut
+        self._in_sync = set(node.orgs) - {node.org_name}  # replicas; all start in sync
+        self._pulled: dict[str, int] = {}  # replica -> the height its last pull asked from
         self._lock = threading.Lock()
-        self._wakeup = threading.Condition(self._lock)
+        self._changed = threading.Condition(self._lock)
         self._closed = False
         self._worker = threading.Thread(target=self._run, name="orderer", daemon=True)
         self._worker.start()
@@ -74,11 +79,16 @@ class OrderingService:
         for envelope in envelopes:
             self._check(envelope)
         pending = [_Pending(envelope) for envelope in envelopes]
+        tx_ids = {one.envelope["tx_id"] for one in pending}
         with self._lock:
             if self._closed:
                 raise LedgerRejectedError("ordering service stopped")
+            if (len(tx_ids) < len(pending) or tx_ids & self._ordering
+                    or not tx_ids.isdisjoint(self.node.tx_heights)):
+                raise LedgerRejectedError("envelope refused: duplicate tx_id")
+            self._ordering |= tx_ids
             self._queue.extend(pending)
-            self._wakeup.notify_all()
+            self._changed.notify_all()
         for one in pending:
             one.event.wait()
             if one.error is not None:
@@ -86,7 +96,7 @@ class OrderingService:
         return [one.receipt for one in pending]
 
     def _check(self, envelope: dict) -> None:
-        problems = blocks_mod.check_tx(envelope, self.orgs)
+        problems = blocks_mod.check_tx(envelope, self.node.orgs)
         if problems:
             raise LedgerRejectedError("envelope refused: " + "; ".join(problems))
         timestamp = envelope.get("body", {}).get("timestamp", "")
@@ -99,10 +109,27 @@ class OrderingService:
                 f"timestamp skew {skew}ms exceeds bound {self.max_clock_skew_ms}ms"
             )
 
+    def pull(self, org: str, start: int) -> list[dict]:
+        """The committed blocks from height *start* on, for replica *org*,
+        which acknowledges those below. At the tip, this puts *org* back in
+        sync and waits up to ``PULL_WAIT_S`` for the next block."""
+        if not isinstance(org, str) or org not in self.node.orgs or org == self.node.org_name:
+            raise FedprovError("malformed request: QUERY blocks needs a replica's 'org'")
+        with self._lock:
+            self._pulled[org] = start
+            if start > self.node.height():
+                self._in_sync.add(org)
+                self._changed.notify_all()
+                self._changed.wait_for(lambda: self._closed or self.node.height() >= start,
+                                       PULL_WAIT_S)
+            if self._closed:
+                raise LedgerRejectedError("ordering service stopped")
+        return [block.to_dict() for block in self.node.committed_since(start, MAX_PULL_BLOCKS)]
+
     def close(self) -> None:
         with self._lock:
             self._closed = True
-            self._wakeup.notify_all()
+            self._changed.notify_all()
         self._worker.join(timeout=2)
 
     # -- group commit ----------------------------------------------------------
@@ -111,7 +138,7 @@ class OrderingService:
         while True:
             with self._lock:
                 while not self._queue and not self._closed:
-                    self._wakeup.wait()
+                    self._changed.wait()
                 if not self._queue:
                     return
                 # Whatever gathered while the last block was being delivered
@@ -122,58 +149,41 @@ class OrderingService:
 
     def _cut_and_deliver(self, batch: list[_Pending]) -> None:
         batch.sort(key=lambda p: p.envelope.get("tx_id", ""))
-        transactions = []
-        for pending in batch:
-            envelope = pending.envelope
-            transactions.append(
-                {
-                    "tx_id": envelope["tx_id"],
-                    "body": envelope["body"],
-                    "signature": envelope["signature"],
-                    "result": envelope["result"],
-                    "endorsements": envelope["endorsements"],
-                    "validation": None,
-                }
-            )
-        height = self._height + 1
-        block = make_block(height, self._tip_hash, transactions)
-        flags: list[str] | None = None
-        reachable = 0
-        payload = {"block": block.to_dict()}
-        for org, transport in self.peers.items():
-            try:
-                response = transport("COMMIT", payload)
-            except FedprovError as exc:
-                # Down, diverged or failing nodes miss this block; the
-                # remaining replicas keep the federation available.
-                _log.warning("%s missed block %d: %s", org, height, exc)
-                continue
-            reachable += 1
-            peer_flags = response.get("flags")
-            if flags is None:
-                flags = peer_flags
-            elif flags != peer_flags:
-                error = LedgerRejectedError(
-                    f"nodes disagree on validation flags at height {height}"
-                )
-                for pending in batch:
-                    pending.error = error
-                    pending.event.set()
-                return
-        if flags is None or reachable == 0:
-            error = TransportError("no organization node reachable for commit")
+        transactions = [{**p.envelope, "validation": None} for p in batch]  # check_tx: no other key
+        block = make_block(self.node.height() + 1, self.node.tip_hash(), transactions)
+        try:
+            flags = self.node.commit(block.to_dict())["flags"]
+        except Exception as exc:  # say, the disk is full; no client waits forever
             for pending in batch:
-                pending.error = error
+                pending.error = exc
                 pending.event.set()
             return
-        self._height = height
-        self._tip_hash = block.block_hash
+        finally:
+            with self._lock:
+                self._ordering.difference_update(tx["tx_id"] for tx in transactions)
+        self._await_replicas(block.height)
         for pending, flag in zip(batch, flags):
-            message = pending.envelope.get("result", {}).get("message", "")
+            message = pending.envelope["result"].get("message", "")
             pending.receipt = {
                 "tx_id": pending.envelope["tx_id"],
-                "height": height,
+                "height": block.height,
                 "status": flag,
                 "message": message if flag == blocks_mod.VALID else flag,
             }
             pending.event.set()
+
+    def _await_replicas(self, height: int) -> None:
+        """Wait until every in-sync replica has pulled past *height*, for at
+        most ``ACK_TIMEOUT_S``; one that has not is out of sync from then on."""
+
+        def behind() -> set[str]:
+            return {org for org in self._in_sync if self._pulled.get(org, 0) <= height}
+
+        with self._lock:
+            self._changed.notify_all()  # wakes the pulls waiting at the tip
+            self._changed.wait_for(lambda: self._closed or not behind(), ACK_TIMEOUT_S)
+            lagging = set() if self._closed else behind()
+            self._in_sync -= lagging
+        for org in sorted(lagging):
+            _log.warning("%s is out of sync: it did not pull past block %d within %.1f s",
+                         org, height, ACK_TIMEOUT_S)

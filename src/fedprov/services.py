@@ -1,20 +1,22 @@
 """Message-kind dispatch for the node, ordering, and registry services.
 
 Each organization answers on one address, its node's listen address. A
-``NodeService`` answers PROPOSE / COMMIT / QUERY on every organization node.
-The orderer organization's node also holds the ordering service, for ORDER,
-and a ``RegistryService``, which answers MINT / RESOLVE / HISTORY
-(``REGISTRY_KINDS``); ``dispatch`` hands those kinds to it, so a node
-without a registry answers them as unknown message kinds. A MINT reserves a
-PID and nothing more; RESOLVE and HISTORY answer only PIDs that a ledger
+``NodeService`` answers PROPOSE / QUERY on every organization node. The
+orderer organization's node also holds the ordering service, for ORDER and
+QUERY ``blocks``, and a ``RegistryService``, which answers MINT / RESOLVE /
+HISTORY (``REGISTRY_KINDS``); ``dispatch`` hands those kinds to it, so a
+node without a registry answers them as unknown message kinds. Every other
+node holds a ``Puller``, its one delivery path. A MINT reserves a PID and
+nothing more; RESOLVE and HISTORY answer only PIDs that a ledger
 transaction committed on the registry's host node names (see
 ``pid_registry``). A request that is not an object, a RESOLVE, HISTORY or
-QUERY ``read``/``history`` without a string ``pid``, and a COMMIT without a
-``block`` object are refused as malformed requests.
+QUERY ``read``/``history`` without a string ``pid``, and a QUERY ``blocks``
+without an integer ``from`` >= 0 or a replica's ``org`` are malformed.
 
 ``assemble_org`` is the one place an organization's server side is built,
 for the in-process harness and for ``fedprov federation start-node`` alike;
-``serve`` puts assembled node services on their listen addresses.
+``serve`` puts assembled node services on their listen addresses. Pullers
+start once every service of the process is assembled, and served if it is.
 
 A MINT carries the caller's identity claim (the ``to_creator`` form a
 transaction's ``creator`` takes) and the caller's signature over its
@@ -29,6 +31,8 @@ the chaincode and the registry's index, not at MINT.
 from __future__ import annotations
 
 import functools
+import logging
+import threading
 from typing import Iterable, Mapping
 
 from . import crypto, identity as identity_mod
@@ -36,11 +40,13 @@ from .canonical import canonical_bytes
 from .errors import FedprovError, LedgerRejectedError, TransportError, UnauthorizedError
 from .federation import FederationConfig, load_node_credentials
 from .ledger.node import OrgNode
-from .ledger.ordering import OrderingService
+from .ledger.ordering import PULL_WAIT_S, OrderingService
 from .pid_registry import PIDRegistry
-from .transport import MessageServer, TransportFactory
+from .transport import MessageServer, Transport, TransportFactory
 
 REGISTRY_KINDS = frozenset({"MINT", "RESOLVE", "HISTORY"})
+
+_log = logging.getLogger(__name__)
 
 
 class NodeService:
@@ -49,22 +55,17 @@ class NodeService:
         self.orderer = orderer
         # Held on the orderer organization's node only; see ``dispatch``.
         self.registry: RegistryService | None = None
+        self.puller: Puller | None = None  # held on every other node
 
     def handle(self, kind: str, payload: dict) -> dict:
         _require_object(kind, payload)
         if kind == "PROPOSE":
             return {"kind": "ENDORSE", **self.node.endorse(payload)}
-        if kind == "COMMIT":
-            if not isinstance(payload.get("block"), dict):
-                raise FedprovError("malformed request: COMMIT needs a 'block' object")
-            return {"ok": True, **self.node.commit(payload["block"])}
         if kind == "ORDER":
-            if self.orderer is None:
-                raise FedprovError(f"{self.node.org_name} does not host the orderer")
             envelopes = payload.get("envelopes")
             if not isinstance(envelopes, list):
                 raise LedgerRejectedError("envelope refused: ORDER carries no envelope list")
-            return {"ok": True, "receipts": self.orderer.submit(*envelopes)}
+            return {"ok": True, "receipts": self._orderer().submit(*envelopes)}
         if kind == "QUERY":
             return {"ok": True, **self._query(payload)}
         raise FedprovError(f"unknown message kind: {kind!r}")
@@ -83,7 +84,45 @@ class NodeService:
             return {"digest": self.node.state_digest()}
         if op == "verify_chain":
             return {"report": self.node.verify_chain()}
+        if op == "blocks":
+            if type(start := payload.get("from")) is not int or start < 0:
+                raise FedprovError("malformed request: QUERY blocks needs an integer 'from' >= 0")
+            return {"blocks": self._orderer().pull(payload.get("org"), start)}
         raise FedprovError(f"unknown query op: {op!r}")
+
+    def _orderer(self) -> OrderingService:
+        if self.orderer is None:
+            raise FedprovError(f"{self.node.org_name} does not host the orderer")
+        return self.orderer
+
+
+class Puller(threading.Thread):
+    """A replica's pull loop: it asks the orderer organization's node for the
+    blocks from its height + 1, and commits each. A replica that was down,
+    slow or refused a block catches up on this same path. It logs once per
+    outage, not once per retry."""
+
+    def __init__(self, node: OrgNode, orderer: Transport):
+        super().__init__(name=f"pull-{node.org_name}", daemon=True)
+        self.node = node
+        self.orderer = orderer
+        self.stopping = threading.Event()
+
+    def run(self) -> None:
+        failing = False
+        while not self.stopping.is_set():
+            request = {"op": "blocks", "from": self.node.height() + 1,
+                       "org": self.node.org_name}
+            try:
+                for block in self.orderer("QUERY", request)["blocks"]:
+                    self.node.commit(block)
+                failing = False
+            except Exception as exc:  # the loop must outlive any failure; it pulls again
+                if not (failing or self.stopping.is_set()):
+                    _log.warning("%s cannot pull blocks: %s", self.node.org_name, exc,
+                                 exc_info=not isinstance(exc, FedprovError))
+                failing = True
+                self.stopping.wait(PULL_WAIT_S)
 
 
 class RegistryService:
@@ -176,9 +215,9 @@ def assemble_org(
 ) -> NodeService:
     """Build one organization's node service.
 
-    The orderer organization's node also holds the ``OrderingService``,
-    which reaches each node through ``transport(listen_address)``, and the
-    ``RegistryService``, which sees commits through that node.
+    The orderer organization's node also holds the ``OrderingService`` and
+    the ``RegistryService``, which commit to and read from that node. Every
+    other node holds a ``Puller``, not started, that pulls through *transport*.
     """
     orgs = config.orgs_map()
     node_identity, node_key = load_node_credentials(config, org_name)
@@ -191,18 +230,14 @@ def assemble_org(
         ledger_path=config.ledger_path(org_name),
     )
     service = NodeService(node)
-    if config.orderer_org().name == org_name:
-        service.orderer = OrderingService(
-            peers={o.name: transport(o.listen_address) for o in config.organizations},
-            orgs=orgs,
-            tip_height=node.height(),
-            tip_hash=node.tip_hash(),
-            max_block_txs=config.max_block_txs,
-            max_clock_skew_ms=config.max_clock_skew_ms,
-        )
+    orderer_org = config.orderer_org()
+    if orderer_org.name == org_name:
+        service.orderer = OrderingService(node, config.max_block_txs, config.max_clock_skew_ms)
         service.registry = RegistryService(
             PIDRegistry(config.registry_root, config.pid_prefix, node), orgs
         )
+    else:
+        service.puller = Puller(node, transport(orderer_org.listen_address))
     return service
 
 
@@ -222,9 +257,16 @@ def serve(services: Mapping[str, NodeService]) -> list[MessageServer]:
 
 
 def shut_down(services: Iterable[NodeService], servers: list[MessageServer]) -> None:
-    """Close the orderer held by any of *services*, then stop *servers*."""
+    """Stop the pull loops and the orderer held by *services*, then *servers*.
+    Closing the orderer wakes the pulls waiting at its tip."""
+    pullers = [service.puller for service in services if service.puller is not None]
+    for puller in pullers:
+        puller.stopping.set()
     for service in services:
         if service.orderer is not None:
             service.orderer.close()
+    for puller in pullers:
+        if puller.is_alive():
+            puller.join(timeout=2)
     for server in servers:
         server.stop()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import pytest
 
@@ -378,11 +379,15 @@ def test_single_target_flag_of_older_ledgers_commits_and_verifies(committed):
             "node_certificate": node_identity.certificate,
             "signature": crypto.sign(node_key, _endorsement_message(tx)),
         })
-    org_a = fed.nodes["OrgA"]
+    org_a = fed.nodes["OrgA"]  # the orderer's node, from which the replicas pull
     block = make_block(org_a.height() + 1, org_a.tip_hash(), [tx]).to_dict()
+    assert org_a.commit(block)["flags"] == ["VALID"]
 
+    deadline = time.monotonic() + 10
     for node in fed.nodes.values():
-        assert node.commit(block)["flags"] == ["VALID"]
+        while node.height() < org_a.height():
+            assert time.monotonic() < deadline, f"{node.org_name} did not pull the block"
+            time.sleep(0.01)
         assert node.read("21.P/1")["status"] == "affected"
         report = verify_chain_file(
             node.store.path, fed.config.orgs_map(), fed.config.endorsement_policy

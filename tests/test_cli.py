@@ -9,6 +9,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -384,6 +385,32 @@ def test_federation_status_and_verify_chain(live):
     assert body["all_clear"]
 
 
+def test_federation_status_shows_each_replica_lag(live):
+    """``lag`` is the highest reachable height minus the node's own: a
+    replica whose pull loop is stopped shows the blocks it missed, and 0
+    once its loop runs again and it has caught up."""
+    from fedprov.services import Puller
+
+    fed, users = live
+    service = fed.services["OrgB"]
+    service.puller.stopping.set()
+    service.puller.join(10)
+    for i in range(2):
+        assert publish_raw(users["alice"]["ledger"], f"21.P/{i}", "cas://x", "cx").ok
+    code, body = invoke(fed, "federation", "status")
+    assert code == cli.EXIT_OK
+    assert {org: info["lag"] for org, info in body["nodes"].items()} == {
+        "OrgA": 0, "OrgB": 2, "Readers": 0}
+    service.puller = Puller(service.node, service.puller.orderer)
+    service.puller.start()
+    deadline = time.monotonic() + 10
+    while body["nodes"]["OrgB"]["lag"]:
+        assert time.monotonic() < deadline, body
+        time.sleep(0.05)
+        code, body = invoke(fed, "federation", "status")
+    assert body["consistent"]
+
+
 def test_federation_verify_chain_flags_tampered_node(live):
     fed, users = live
     file_path = write_sample(fed, "d.csv", "a\n")
@@ -678,13 +705,16 @@ def test_verify_and_update_prov_ask_each_fact_once(live, monkeypatch):
 def test_publish_and_update_prov_send_a_fixed_number_of_requests(live, monkeypatch):
     """Round trips per command, counted by kind in a 3-org federation. Unlike
     the benchmark's requests per op, these counts do not depend on how many
-    operations finish in a time window."""
+    operations finish in a time window. Only the command's own requests
+    count: the replicas' pulls run on their own threads."""
     fed, users = live
     sent = []
     real_request = transport.request
+    command = threading.current_thread()
 
     def recording(address, kind, payload, timeout=10.0):
-        sent.append(kind)
+        if threading.current_thread() is command:
+            sent.append(kind)
         return real_request(address, kind, payload, timeout=timeout)
 
     def counted():
@@ -692,7 +722,7 @@ def test_publish_and_update_prov_send_a_fixed_number_of_requests(live, monkeypat
         sent.clear()
         return counts
 
-    writes = {"PROPOSE": 2, "ORDER": 1, "COMMIT": 3}  # endorse, order, deliver
+    writes = {"PROPOSE": 2, "ORDER": 1}  # endorse, order
     monkeypatch.setattr(transport, "request", recording)
     source = _publish(fed, "alice", "src")["artifact_pid"]
     assert counted() == {"MINT": 2, **writes}

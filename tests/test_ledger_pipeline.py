@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from conftest import publish_raw
+from conftest import publish_raw, register_default_users
 from fedprov import identity as identity_mod
 from fedprov.canonical import canonical_bytes
 from fedprov.errors import (
@@ -274,8 +274,12 @@ def test_history_reads_only_the_blocks_that_wrote_the_key(fed, users, monkeypatc
     assert [entry["kind"] for entry in entries] == ["publish", "invalidate-artifact"]
 
 
-def test_redelivered_commit_answered_from_the_stored_line(fed, users):
+def test_commit_refuses_a_block_not_after_the_tip(fed, users):
+    """``validate_block`` alone refuses a block at a committed height, past
+    the next one, after another predecessor, or whose stored flags differ
+    from the ones replay computes; the node is left as it was."""
     from fedprov.errors import LedgerRejectedError
+    from fedprov.ledger.blocks import make_block
 
     alice = users["alice"]["ledger"]
     # Both endorsed against the same state, so the second meets the first's write.
@@ -284,16 +288,19 @@ def test_redelivered_commit_answered_from_the_stored_line(fed, users):
     assert alice.order(second).status == "INVALID:read-write-conflict"
     assert publish_raw(alice, "21.P/b", "cas://b", "cb").ok
     node = fed.nodes["OrgB"]
-    tip = node.height()
-    for height, flags in ((tip - 1, ["INVALID:read-write-conflict"]), (tip, ["VALID"])):
-        redelivered = node.block(height).to_dict()
-        for tx in redelivered["transactions"]:
-            tx["validation"] = None  # as the orderer sends it
-        assert node.commit(redelivered) == {"height": height, "flags": flags}
-        conflicting = dict(redelivered, block_hash="0" * 64)
-        with pytest.raises(LedgerRejectedError, match=f"conflicting block at height {height}"):
-            node.commit(conflicting)
-    assert node.height() == tip
+    tip, tip_hash, digest = node.height(), node.tip_hash(), node.state_digest()
+    conflicting = node.block(tip - 1).transactions[0]
+    refused = [
+        (node.block(tip).to_dict(), f"height field {tip} at position {tip + 1}"),
+        (make_block(tip + 2, tip_hash, []).to_dict(), f"height field {tip + 2} at position"),
+        (make_block(tip + 1, "0" * 64, []).to_dict(), "prev_hash does not match"),
+        (make_block(tip + 1, tip_hash, [{**conflicting, "validation": "VALID"}]).to_dict(),
+         "stored validation 'VALID', replay says 'INVALID:read-write-conflict'"),
+    ]
+    for block, finding in refused:
+        with pytest.raises(LedgerRejectedError, match=finding):
+            node.commit(block)
+    assert (node.height(), node.state_digest()) == (tip, digest)
     assert node.verify_chain()["ok"]
 
 
@@ -302,16 +309,15 @@ def test_reads_refuse_a_line_changed_after_commit(fed, users):
     from fedprov.errors import LedgerRejectedError
 
     assert publish_raw(users["alice"]["ledger"], "21.P/a", "cas://a", "ca").ok
-    node = fed.nodes["OrgB"]
+    node = fed.nodes["OrgA"]  # the orderer's, which answers the replicas' pulls
     height = node.height()
-    redelivered = node.block(height).to_dict()
     payload = bytearray(node.store.path.read_bytes())
     payload[payload.find(b"cas://a") + len(b"cas://")] ^= 0x01
     node.store.path.write_bytes(bytes(payload))
     with pytest.raises(LedgerRejectedError, match=f"block {height}"):
         node.history("21.P/a")
     with pytest.raises(LedgerRejectedError, match=f"block {height}"):
-        node.commit(redelivered)
+        fed.orderer.pull("OrgB", height)
 
 
 def test_rejected_proposals_cut_no_block(fed, users):
@@ -322,23 +328,20 @@ def test_rejected_proposals_cut_no_block(fed, users):
     assert fed.nodes["OrgA"].height() == height_before
 
 
-def test_batching_groups_transactions(tmp_path):
+def test_batching_groups_transactions(tmp_path, monkeypatch):
     """Envelopes that queue while a block is being delivered share the next one."""
+    from fedprov.ledger import ordering
+
+    monkeypatch.setattr(ordering, "ACK_TIMEOUT_S", 10.0)  # OrgB stays in sync while held
     fed = Federation.bootstrap(tmp_path / "fed")
     try:
         alice, key = fed.register_user("OrgA", "alice")
         client = fed.client(alice, key).ledger()
         first_height = fed.nodes["OrgA"].height() + 1
         delivering, gate = threading.Event(), threading.Event()
-        org, transport = next(iter(fed.orderer.peers.items()))
-
-        def gated(kind, payload):
-            if kind == "COMMIT" and payload["block"]["height"] == first_height:
-                delivering.set()
-                gate.wait(10)
-            return transport(kind, payload)
-
-        fed.orderer.peers[org] = gated
+        # The orderer waits for OrgB to pull past the first block, and OrgB
+        # holds its commit of it until five more envelopes are queued.
+        _hold_commit(fed.nodes["OrgB"], first_height, delivering, gate)
         receipts = {}
 
         def submit(i):
@@ -364,6 +367,126 @@ def test_batching_groups_transactions(tmp_path):
         assert len({receipts[i].height for i in range(1, 6)}) == 1
     finally:
         fed.stop()
+
+
+def _hold_commit(node, height, holding, release):
+    """Make *node* set *holding*, then wait for *release*, before it commits
+    the block at *height*."""
+    commit = node.commit
+
+    def held(block):
+        if block["height"] == height:
+            holding.set()
+            release.wait(10)
+        return commit(block)
+
+    node.commit = held
+
+
+def test_duplicate_tx_id_refused_at_order(fed, users):
+    """An envelope whose transaction id is committed, queued, or repeated in
+    its own request is refused at ORDER (exit 12), and no height moves."""
+    from fedprov import cli
+    from fedprov.errors import LedgerRejectedError
+
+    alice = users["alice"]["ledger"]
+    envelope = _endorsed(users["alice"], "21.P/d", "once")
+    assert alice.order(envelope).status == "VALID"
+    before = _heights(fed)
+    for envelopes in ([envelope], [_endorsed(users["alice"], "21.P/e", "e")] * 2):
+        with pytest.raises(LedgerRejectedError, match="envelope refused: duplicate tx_id") \
+                as refused:
+            _bounded(lambda: alice.order_all(envelopes))
+        assert cli.exit_code_for(refused.value) == 12
+    assert _heights(fed) == before
+
+    # While OrgB holds the next block, a second envelope waits in the queue.
+    holding, release = threading.Event(), threading.Event()
+    _hold_commit(fed.nodes["OrgB"], before["OrgA"] + 1, holding, release)
+    first, queued = (_endorsed(users["alice"], f"21.P/{n}", n) for n in ("f", "q"))
+    writers = [threading.Thread(target=alice.order, args=(e,)) for e in (first, queued)]
+    writers[0].start()
+    assert holding.wait(10)
+    writers[1].start()
+    deadline = time.monotonic() + 10
+    while not fed.orderer._queue and time.monotonic() < deadline:
+        time.sleep(0.005)
+    with pytest.raises(LedgerRejectedError, match="duplicate tx_id"):
+        alice.order(queued)
+    release.set()
+    for writer in writers:
+        writer.join(10)
+    assert not any(writer.is_alive() for writer in writers)
+    assert _heights(fed) == {org: height + 2 for org, height in before.items()}
+    assert _all_clear(fed)
+
+
+def test_forged_commit_is_an_unknown_message_kind(fed, users):
+    """No node takes a block from a sender: COMMIT is not a message kind."""
+    from fedprov.errors import FedprovError
+    from fedprov.ledger.blocks import make_block
+
+    assert publish_raw(users["alice"]["ledger"], "21.P/a", "cas://a", "ca").ok
+    node = fed.nodes["OrgB"]
+    forged = make_block(node.height() + 1, node.tip_hash(), []).to_dict()
+    before = _heights(fed), fed.state_digests()
+    with pytest.raises(FedprovError, match="unknown message kind: 'COMMIT'"):
+        fed.transport(fed.config.org_entry("OrgB").listen_address)("COMMIT", {"block": forged})
+    assert publish_raw(users["alice"]["ledger"], "21.P/b", "cas://b", "cb").ok
+    heights, digests = _heights(fed), fed.state_digests()
+    assert heights == {org: height + 1 for org, height in before[0].items()}
+    assert len(set(digests.values())) == 1
+    assert len({node.tip_hash() for node in fed.nodes.values()}) == 1
+
+
+@pytest.mark.parametrize("use_tcp", [False, True], ids=["in-process", "tcp"])
+def test_lagging_replica_catches_up_when_its_pull_loop_restarts(tmp_path, monkeypatch,
+                                                                use_tcp):
+    """A replica that misses three blocks pulls them once its loop runs
+    again, two blocks per answer here, and ends with the same tip and state
+    digest; nobody steps in."""
+    from fedprov.ledger import ordering
+    from fedprov.services import Puller
+
+    monkeypatch.setattr(ordering, "MAX_PULL_BLOCKS", 2)
+    fed = Federation.bootstrap(tmp_path / "fed", use_tcp=use_tcp)
+    try:
+        users = register_default_users(fed)
+        service = fed.services["OrgB"]
+        service.puller.stopping.set()
+        service.puller.join(10)
+        for i in range(3):
+            assert publish_raw(users["alice"]["ledger"], f"21.P/{i}", "cas://x", "cx").ok
+        tip = fed.nodes["OrgA"].height()
+        assert fed.nodes["OrgB"].height() == tip - 3
+        service.puller = Puller(service.node, service.puller.orderer)
+        service.puller.start()
+        _await_heights(fed, tip)
+        assert len(set(fed.state_digests().values())) == 1
+        assert len({node.tip_hash() for node in fed.nodes.values()}) == 1
+    finally:
+        fed.stop()
+
+
+def _await_heights(fed, height, timeout_s=10.0):
+    deadline = time.monotonic() + timeout_s
+    while any(node.height() != height for node in fed.nodes.values()):
+        assert time.monotonic() < deadline, f"replicas stuck at {_heights(fed)}"
+        time.sleep(0.01)
+
+
+def test_federation_stop_returns_at_once_while_pulls_wait(tmp_path):
+    """Closing the orderer wakes the pulls waiting at its tip, so stopping a
+    TCP federation does not wait them out."""
+    from fedprov.ledger.ordering import PULL_WAIT_S
+
+    fed = Federation.bootstrap(tmp_path / "fed", use_tcp=True)
+    time.sleep(PULL_WAIT_S / 2)  # both replicas' pulls now wait at the tip
+    started = time.monotonic()
+    fed.stop()
+    assert time.monotonic() - started < 1.0
+    assert not any(service.puller and service.puller.is_alive()
+                   for service in fed.services.values())
 
 
 def test_readers_see_whole_blocks_while_commits_install_new_states(fed, users, monkeypatch):
@@ -653,38 +776,50 @@ def test_forged_envelope_refused_at_order(fed, users, forge, finding):
 
 
 def test_orderer_survives_peer_failing_with_plain_error(fed, users):
-    """A peer whose COMMIT fails with any FedprovError misses the block; the
-    others commit it and the orderer keeps serving."""
+    """A replica whose commits fail with any FedprovError misses the blocks;
+    the others commit them, the orderer keeps serving, and the replica
+    catches up once its commits succeed again."""
     from fedprov.errors import FedprovError
 
-    def failing(kind, payload):
+    def failing(block):
         raise FedprovError("internal error: 'str' object has no attribute 'get'")
 
     alice = users["alice"]["ledger"]
-    fed.orderer.peers["OrgB"] = failing
+    fed.nodes["OrgB"].commit = failing
     before = _heights(fed)
     first = _bounded(lambda: publish_raw(alice, "21.P/a", "cas://a", "ca"))
     assert first.status == "VALID"
     assert _heights(fed) == {org: height + (org != "OrgB") for org, height in before.items()}
     after = _bounded(lambda: publish_raw(alice, "21.P/b", "cas://b", "cb"))
     assert after.status == "VALID"
+    del fed.nodes["OrgB"].commit
+    _await_heights(fed, after.height)
+    assert len(set(fed.state_digests().values())) == 1
 
 
 def test_orderer_logs_the_peer_that_missed_a_block(fed, users, caplog):
+    """The orderer logs once that a replica is out of sync, and the replica
+    logs once that it cannot pull, however many blocks or retries follow."""
     from fedprov.errors import TransportError
+    from fedprov.ledger.ordering import ACK_TIMEOUT_S
 
     def unreachable(kind, payload):
         raise TransportError("cannot reach 127.0.0.1:9: refused")
 
-    fed.orderer.peers["OrgB"] = unreachable
+    puller = fed.services["OrgB"].puller
     height = fed.nodes["OrgA"].height()
-    with caplog.at_level("WARNING", logger="fedprov.ledger.ordering"):
-        receipt = _bounded(lambda: publish_raw(users["alice"]["ledger"], "21.P/a", "cas://a", "ca"))
-    assert receipt.status == "VALID"
-    [record] = [r for r in caplog.records if r.name == "fedprov.ledger.ordering"]
-    assert record.levelname == "WARNING"
-    assert record.getMessage() == (
-        f"OrgB missed block {height + 1}: cannot reach 127.0.0.1:9: refused")
+    with caplog.at_level("WARNING"):
+        puller.orderer = unreachable
+        for pid in ("21.P/a", "21.P/b"):
+            receipt = _bounded(lambda: publish_raw(users["alice"]["ledger"], pid, "cas://a", "ca"))
+            assert receipt.status == "VALID"
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("fedprov.services", "WARNING", "OrgB cannot pull blocks: cannot reach 127.0.0.1:9: refused"),
+        ("fedprov.ledger.ordering", "WARNING",
+         f"OrgB is out of sync: it did not pull past block {height + 1} "
+         f"within {ACK_TIMEOUT_S:.1f} s"),
+    ]
+
 
 def _block_of(fed, envelope):
     """*envelope* as the next block, the way the orderer would cut it."""

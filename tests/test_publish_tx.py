@@ -28,22 +28,29 @@ from fedprov.transport import DirectTransport
 
 
 def test_read_only_node_gets_no_proposal_but_commits_every_block(fed, users, monkeypatch):
+    """The read-only node is never asked to endorse; it commits each block it
+    pulls, before the orderer answers the write."""
     readers = fed.services["Readers"]
-    real_handle = readers.handle
-    received = []
+    real_handle, real_commit = readers.handle, readers.node.commit
+    received, committed = [], []
 
     def handle(kind, payload):
         received.append(kind)
         return real_handle(kind, payload)
 
+    def commit(block):
+        committed.append(block["height"])
+        return real_commit(block)
+
     monkeypatch.setattr(readers, "handle", handle)
+    monkeypatch.setattr(readers.node, "commit", commit)
     alice = users["alice"]
     body = fed.client(alice["identity"], alice["key"]).updater().publish(
         b"a,b\n1,2\n", simple_doc(), alice["identity"]
     )
     assert body["receipts"]["artifact"]["status"] == "VALID"
-    assert "PROPOSE" not in received
-    assert "COMMIT" in received
+    assert received == []
+    assert committed == [body["receipts"]["artifact"]["height"]]
     assert len({node.height() for node in fed.nodes.values()}) == 1
     assert len(set(fed.state_digests().values())) == 1
 

@@ -649,10 +649,13 @@ def test_malformed_registry_request_named_over_tcp(tcp_fed, tcp_users, kind, bod
 @pytest.mark.parametrize(
     "kind, payload",
     [("QUERY", {"op": "read"}), ("QUERY", {"op": "read", "pid": []}),
-     ("QUERY", {"op": "history"}), ("QUERY", ["read"]), ("COMMIT", {}),
-     ("COMMIT", {"block": []}), ("PROPOSE", [{"body": {}}])],
+     ("QUERY", {"op": "history"}), ("QUERY", ["read"]),
+     ("QUERY", {"op": "blocks", "from": -1, "org": "OrgB"}),
+     ("QUERY", {"op": "blocks", "from": "1", "org": "OrgB"}),
+     ("QUERY", {"op": "blocks", "from": 1, "org": ["OrgB"]}), ("PROPOSE", [{"body": {}}])],
     ids=["read-no-pid", "read-list-pid", "history-no-pid", "query-list-payload",
-         "commit-no-block", "commit-list-block", "propose-list-payload"],
+         "blocks-negative-from", "blocks-string-from", "blocks-list-org",
+         "propose-list-payload"],
 )
 def test_malformed_node_request_named_over_tcp(tcp_fed, kind, payload):
     before = tcp_fed.system_digest()
