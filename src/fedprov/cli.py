@@ -34,6 +34,7 @@ Exit codes
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import signal
 import sys
@@ -468,6 +469,7 @@ def _load_grant(path: str | None) -> identity_mod.Permission | None:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # parsing leaves a parser unchanged, so runs and threads share one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedprov",

@@ -11,6 +11,7 @@ traces re-verify their own evidence.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import deque
 from dataclasses import dataclass, field
@@ -117,15 +118,31 @@ class DerivationGraph:
         return "\n".join(lines)
 
 
+DOCUMENT_CACHE_SIZE = 1024  # distinct document bytes kept decoded per process
+
+
+@functools.lru_cache(maxsize=DOCUMENT_CACHE_SIZE)
+def _decoded(payload: bytes) -> ProvDocument:
+    """The document held in *payload*, decoded once per distinct bytes.
+
+    Callers pass only bytes ``ProvStore.fetch_bytes`` has just read and
+    checksum-verified, and never modify the document, so one instance can
+    serve every trace; the write path decodes its own through
+    ``ProvStore.fetch_document``.
+    """
+    return ProvDocument.from_dict(json.loads(payload.decode("utf-8")))
+
+
 def collect_documents(
     ledger_view: Mapping[str, Mapping], store: ProvStore
 ) -> list[DocumentSource]:
-    """Fetch and checksum-verify every provenance document on the ledger."""
+    """Fetch and checksum-verify every provenance document on the ledger,
+    on every call; only the decoding of verified bytes is memoized."""
     sources = []
     for pid, value in sorted(ledger_view.items()):
         if value.get("kind") != KIND_PROVENANCE:
             continue
-        document = store.fetch_document(value["uri"], value["checksum"])
+        document = _decoded(store.fetch_bytes(value["uri"], value["checksum"]))
         sources.append(
             DocumentSource(
                 doc_pid=pid,
@@ -326,7 +343,7 @@ def verify_trace_soundness(paths: Iterable[LineagePath], store: ProvStore) -> No
                 continue
             source = (attestation["uri"], attestation["checksum"])
             if source not in edges_of:
-                document = store.fetch_document(*source)
+                document = _decoded(store.fetch_bytes(*source))
                 pid_of = {e.local_id: e.artifact_pid for e in document.entities if e.artifact_pid}
                 edges_of[source] = set(attested_edges(document, pid_of))
             if (parent, child, attestation["activity"]) not in edges_of[source]:

@@ -62,10 +62,11 @@ class ProvStore:
 
     def fetch_bytes(self, uri: str, expected_checksum: str) -> bytes:
         """Fetch and integrity-check raw bytes; mismatch means tampering."""
-        path = self.blob_path(self._checksum_of(uri))
-        if not path.exists():
-            raise DocumentNotFoundError(f"no stored content for {uri!r}")
-        payload = path.read_bytes()
+        try:
+            with open(self._blob_file(self._checksum_of(uri)), "rb") as fh:
+                payload = fh.read()
+        except FileNotFoundError:
+            raise DocumentNotFoundError(f"no stored content for {uri!r}") from None
         actual = sha256_hex(payload)
         if actual != expected_checksum:
             raise ChecksumMismatchError(
@@ -80,11 +81,14 @@ class ProvStore:
         return ProvDocument.from_dict(json.loads(payload.decode("utf-8")))
 
     def blob_path(self, checksum: str) -> Path:
+        return Path(self._blob_file(checksum))
+
+    def _blob_file(self, checksum: str) -> str:
         """The blob's path; anything but 64 lowercase hex digits is refused,
         so no URI can name a file outside the store."""
         if not _CHECKSUM.fullmatch(checksum):
             raise DocumentNotFoundError(f"not a content checksum: {checksum!r}")
-        return self.root / checksum[:2] / checksum[2:]
+        return f"{self.root}/{checksum[:2]}/{checksum[2:]}"
 
     def list_checksums(self) -> list[str]:
         out = []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import collections
 import dataclasses
 import json
@@ -20,6 +21,7 @@ from fedprov import cli, identity as identity_mod, transport
 from fedprov.errors import FedprovError, TransportError
 from fedprov.harness import Federation
 from fedprov.ledger.client import LedgerClient, Receipt
+from fedprov.prov_store import ProvStore
 from fedprov.transport import TcpTransport
 from fedprov.updates import AtomicUpdater
 
@@ -773,3 +775,101 @@ def test_cascade_loads_the_identity_directory_once(live, monkeypatch):
         assert line.pop("timestamp")
         assert line == {"pid": pid, "new_status": "affected", "source_pid": source,
                         "owner": owner, "org": org}
+
+
+def test_trace_reads_and_checks_every_document_on_every_run(live, monkeypatch):
+    """Documents are decoded once per process, but each trace still reads
+    and hashes every provenance document on the ledger: a document that
+    attests none of the traced hops is tampered with, restored and deleted
+    between traces of one process, and every trace sees it."""
+    fed, users = live
+    source = _publish(fed, "alice", "src")["artifact_pid"]
+    derived = _publish(fed, "alice", "out", source)["artifact_pid"]
+    other = _publish(fed, "bob", "other")
+    reads = []
+    real_fetch = ProvStore.fetch_bytes
+
+    def counted(self, uri, checksum):
+        reads.append(uri)
+        return real_fetch(self, uri, checksum)
+
+    monkeypatch.setattr(ProvStore, "fetch_bytes", counted)
+
+    def trace():
+        reads.clear()
+        code, body = invoke(fed, "trace", derived)
+        return code, body, len(reads)
+
+    code, first, first_reads = trace()
+    assert code == cli.EXIT_OK, first
+    assert len(first["paths"]) == 1
+    assert trace() == (cli.EXIT_OK, first, first_reads)
+
+    blob = fed.store.blob_path(other["doc_checksum"])
+    payload = blob.read_bytes()
+    blob.write_bytes(bytes([payload[0] ^ 0x01]) + payload[1:])
+    code, body, _ = trace()
+    assert (code, body["error_type"]) == (cli.EXIT_MISMATCH, "ChecksumMismatchError")
+
+    blob.write_bytes(payload)
+    code, body, restored_reads = trace()
+    assert code == cli.EXIT_OK
+    assert json.dumps(body, indent=2, sort_keys=True) == json.dumps(first, indent=2, sort_keys=True)
+    assert restored_reads == first_reads
+
+    blob.unlink()
+    code, body, _ = trace()
+    assert (code, body["error_type"]) == (cli.EXIT_MISMATCH, "DocumentNotFoundError")
+
+
+def test_verify_reports_a_blob_that_vanishes_after_the_check(live, monkeypatch):
+    """A blob removed between an existence check and the read is a missing
+    blob, reported as a MISMATCH naming its URI, not a file I/O error."""
+    fed, users = live
+    published = _publish(fed, "alice", "src")
+    checksum = published["artifact_checksum"]
+    blob = fed.store.blob_path(checksum)
+    blob.unlink()
+    real_exists = Path.exists
+    monkeypatch.setattr(Path, "exists", lambda self: self == blob or real_exists(self))
+    code, body = invoke(fed, "verify", published["artifact_pid"])
+    assert code == cli.EXIT_MISMATCH, body
+    assert body["result"] == "MISMATCH"
+    assert any(f"cas://{checksum}" in mismatch for mismatch in body["mismatches"])
+
+
+def test_threads_share_one_parser(live, monkeypatch):
+    """Two threads each make 50 ``trace`` and ``verify`` runs against one
+    federation; each answer equals the same run made alone, and the
+    process builds its argument parser once."""
+    fed, users = live
+    source = _publish(fed, "alice", "src")["artifact_pid"]
+    derived = _publish(fed, "alice", "out", source)["artifact_pid"]
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        if self.prog == "fedprov":
+            built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    calls = [("trace", derived), ("verify", derived), ("trace", source), ("verify", source)]
+    alone = {call: invoke(fed, *call) for call in calls}
+    assert all(code == cli.EXIT_OK for code, _ in alone.values()), alone
+    differing = []
+
+    def client(offset):
+        for n in range(50):
+            call = calls[(n + offset) % len(calls)]
+            if invoke(fed, *call) != alone[call]:
+                differing.append(call)
+
+    threads = [threading.Thread(target=client, args=(offset,)) for offset in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert differing == []
+    assert len(built) == 1

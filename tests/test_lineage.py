@@ -303,15 +303,15 @@ def test_trace_soundness_accepts_real_attestation(tmp_path):
 
 
 class CountingStore(ProvStore):
-    """A store that counts document fetches by (uri, checksum)."""
+    """A store that counts document reads by (uri, checksum)."""
 
     def __init__(self, root):
         super().__init__(root)
         self.fetches: list[tuple[str, str]] = []
 
-    def fetch_document(self, uri, checksum):
+    def fetch_bytes(self, uri, checksum):
         self.fetches.append((uri, checksum))
-        return super().fetch_document(uri, checksum)
+        return super().fetch_bytes(uri, checksum)
 
 
 def stacked_diamond_sources(store, diamonds):
