@@ -4,7 +4,8 @@ One JSON config file describes the whole federation: the organizations with
 their CA public keys and node listen addresses, the endorsement policy, the
 PID prefix, and the provenance store root. Each organization answers on its
 node's listen address; the orderer organization's address also answers the
-PID registry. A ``registry-address`` key in an older config is ignored.
+PID registry. The ``registry-address``, ``max-block-txs`` and
+``max-clock-skew-ms`` keys of an older config are ignored.
 Relative paths resolve against the config file's directory, so a workspace
 is a self-contained directory tree:
 
@@ -70,8 +71,6 @@ class FederationConfig:
     endorsement_policy: str = POLICY_ANY_ONE
     pid_prefix: str = "21.P"
     prov_store_root: str = "store"
-    max_block_txs: int = 10
-    max_clock_skew_ms: int = 300_000
     base_dir: Path = field(default_factory=Path)
 
     # -- serialization --------------------------------------------------------
@@ -82,8 +81,6 @@ class FederationConfig:
             "endorsement-policy": self.endorsement_policy,
             "pid-prefix": self.pid_prefix,
             "prov-store-root": self.prov_store_root,
-            "max-block-txs": self.max_block_txs,
-            "max-clock-skew-ms": self.max_clock_skew_ms,
         }
 
     @classmethod
@@ -94,8 +91,6 @@ class FederationConfig:
                 endorsement_policy=data.get("endorsement-policy", POLICY_ANY_ONE),
                 pid_prefix=data.get("pid-prefix", "21.P"),
                 prov_store_root=data.get("prov-store-root", "store"),
-                max_block_txs=int(data.get("max-block-txs", 10)),
-                max_clock_skew_ms=int(data.get("max-clock-skew-ms", 300_000)),
                 base_dir=Path(base_dir),
             )
         except (KeyError, TypeError, ValueError) as exc:

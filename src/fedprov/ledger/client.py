@@ -8,7 +8,7 @@ still receives, validates and commits every block. Each record is written
 one way. ``publish_operation`` creates an artifact and its provenance record
 in one transaction. ``update_operation`` writes the provenance version it
 states under the PID it names, so the ledger records every version's PID.
-``order_all`` sends several endorsed envelopes in one ORDER request.
+``order`` sends one endorsed envelope per ORDER request and gets its receipt.
 
 The client talks to nodes directly -- there is no proxy in the path -- so a
 single dead node degrades nothing that the remaining replicas can answer.
@@ -254,24 +254,13 @@ class LedgerClient:
 
     def order(self, envelope: dict) -> Receipt:
         """Submit an endorsed envelope for ordering and await commit."""
-        return self.order_all([envelope])[0]
-
-    def order_all(self, envelopes: list[dict]) -> list[Receipt]:
-        """Submit endorsed envelopes in one ORDER request and await their commit.
-
-        They are queued together, so they normally share one block. The
-        orderer refuses them all if any fails its integrity check.
-        """
-        response = self.orderer("ORDER", {"envelopes": list(envelopes)})
-        return [
-            Receipt(
-                tx_id=receipt["tx_id"],
-                height=receipt["height"],
-                status=receipt["status"],
-                message=receipt["message"],
-            )
-            for receipt in response["receipts"]
-        ]
+        receipt = self.orderer("ORDER", {"envelope": envelope})["receipt"]
+        return Receipt(
+            tx_id=receipt["tx_id"],
+            height=receipt["height"],
+            status=receipt["status"],
+            message=receipt["message"],
+        )
 
     # -- chaincode wrappers ---------------------------------------------------
 

@@ -1,15 +1,15 @@
 """Single deterministic ordering service.
 
-Endorsed transaction envelopes arrive over ORDER requests, one or more per
-request. Every envelope of a request must pass the integrity check a replica
-applies at commit (``blocks.check_tx``), and carry a transaction id neither
-committed, queued nor repeated, before any is queued; one that fails refuses
-the whole request, to its submitter alone, so no block is cut that a replica
-would reject. Envelopes that pass are assigned a first-come total order
-(transaction id as tiebreak within a block).
+Each ORDER request carries one endorsed transaction envelope and is answered
+with its receipt. The envelope must pass the integrity check a replica
+applies at commit (``blocks.check_tx``) and carry a transaction id neither
+committed nor queued; one that fails is refused to its submitter alone, so
+no block is cut that a replica would reject. Envelopes that pass are
+assigned a first-come total order (transaction id as tiebreak within a
+block).
 
 Blocks are cut by group commit: as soon as the orderer is free and the queue
-is non-empty, it cuts a block of up to ``max_block_txs`` queued envelopes.
+is non-empty, it cuts a block of up to ``MAX_BLOCK_TXS`` queued envelopes.
 Envelopes that arrive while a block is being delivered gather for the next
 one, so load batches itself and a lone transaction never idles. Each block
 is committed to the orderer organization's node, whose tip is the orderer's,
@@ -21,7 +21,7 @@ Every replica starts in sync, so a receipt promises that the write is on
 every in-sync replica. The organization a pull names is taken on trust: it
 decides only when a receipt is sent, never what commits.
 
-Client-supplied timestamps are accepted only within a configurable skew of
+Client-supplied timestamps are accepted only within ``MAX_CLOCK_SKEW_MS`` of
 the orderer clock.
 """
 
@@ -44,6 +44,8 @@ _log = logging.getLogger(__name__)
 PULL_WAIT_S = 0.5
 ACK_TIMEOUT_S = 2.0
 MAX_PULL_BLOCKS = 64  # per answer, so a replica far behind catches up in steps
+MAX_BLOCK_TXS = 10
+MAX_CLOCK_SKEW_MS = 300_000  # 5 minutes
 
 
 class _Pending:
@@ -55,11 +57,8 @@ class _Pending:
 
 
 class OrderingService:
-    def __init__(self, node: OrgNode, max_block_txs: int = 10,
-                 max_clock_skew_ms: int = 300_000):
+    def __init__(self, node: OrgNode):
         self.node = node
-        self.max_block_txs = max_block_txs
-        self.max_clock_skew_ms = max_clock_skew_ms
         self._queue: list[_Pending] = []
         self._ordering: set[str] = set()  # tx ids queued or in the block being cut
         self._in_sync = set(node.orgs) - {node.org_name}  # replicas; all start in sync
@@ -70,30 +69,23 @@ class OrderingService:
         self._worker = threading.Thread(target=self._run, name="orderer", daemon=True)
         self._worker.start()
 
-    def submit(self, *envelopes: dict) -> list[dict]:
-        """Queue endorsed envelopes together; blocks until they commit.
-
-        Every envelope is checked before any is queued, so one that fails
-        refuses them all. Returns one receipt per envelope, in order.
-        """
-        for envelope in envelopes:
-            self._check(envelope)
-        pending = [_Pending(envelope) for envelope in envelopes]
-        tx_ids = {one.envelope["tx_id"] for one in pending}
+    def submit(self, envelope: dict) -> dict:
+        """Queue one endorsed envelope; blocks until it commits, then
+        returns its receipt."""
+        self._check(envelope)
+        tx_id, pending = envelope["tx_id"], _Pending(envelope)
         with self._lock:
             if self._closed:
                 raise LedgerRejectedError("ordering service stopped")
-            if (len(tx_ids) < len(pending) or tx_ids & self._ordering
-                    or not tx_ids.isdisjoint(self.node.tx_heights)):
+            if tx_id in self._ordering or tx_id in self.node.tx_heights:
                 raise LedgerRejectedError("envelope refused: duplicate tx_id")
-            self._ordering |= tx_ids
-            self._queue.extend(pending)
+            self._ordering.add(tx_id)
+            self._queue.append(pending)
             self._changed.notify_all()
-        for one in pending:
-            one.event.wait()
-            if one.error is not None:
-                raise one.error
-        return [one.receipt for one in pending]
+        pending.event.wait()
+        if pending.error is not None:
+            raise pending.error
+        return pending.receipt
 
     def _check(self, envelope: dict) -> None:
         problems = blocks_mod.check_tx(envelope, self.node.orgs)
@@ -104,9 +96,9 @@ class OrderingService:
             skew = clock.skew_ms(timestamp, clock.now_iso())
         except (ValueError, TypeError):
             raise LedgerRejectedError("timestamp missing or unparseable")
-        if skew > self.max_clock_skew_ms:
+        if skew > MAX_CLOCK_SKEW_MS:
             raise LedgerRejectedError(
-                f"timestamp skew {skew}ms exceeds bound {self.max_clock_skew_ms}ms"
+                f"timestamp skew {skew}ms exceeds bound {MAX_CLOCK_SKEW_MS}ms"
             )
 
     def pull(self, org: str, start: int) -> list[dict]:
@@ -143,7 +135,7 @@ class OrderingService:
                     return
                 # Whatever gathered while the last block was being delivered
                 # goes into this one, up to the cap; the rest waits its turn.
-                batch = self._queue[: self.max_block_txs]
+                batch = self._queue[:MAX_BLOCK_TXS]
                 del self._queue[: len(batch)]
             self._cut_and_deliver(batch)
 

@@ -3,13 +3,15 @@ classifier that decides whether a proposed revision is a legal enrichment,
 an activity decomposition, a general additive revision, or illegal.
 
 Storage layout: ``<root>/<first 2 hex chars>/<remaining 62>`` holding the
-canonical document bytes; the URI form is ``cas://<checksum>``. Stored blobs
+canonical document bytes; the URI form is ``cas://<checksum>``. Intact blobs
 are never rewritten, so every historical version stays fetchable byte-exact.
 """
 
 from __future__ import annotations
 
+import os
 import re
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,13 +54,26 @@ class ProvStore:
         return self._put(payload)
 
     def _put(self, payload: bytes) -> tuple[str, str, bool]:
+        """Store *payload* unless a blob that hashes to its name holds it; one
+        cut short or altered is rewritten. The bytes are renamed into place
+        from a temporary file in the root, which ``list_checksums`` never lists."""
         checksum = sha256_hex(payload)
-        path = self.blob_path(checksum)
-        created = not path.exists()
-        if created:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_bytes(payload)
-        return f"{URI_SCHEME}{checksum}", checksum, created
+        uri, path = f"{URI_SCHEME}{checksum}", self._blob_file(checksum)
+        try:
+            with open(path, "rb") as fh:
+                if sha256_hex(fh.read()) == checksum:
+                    return uri, checksum, False
+        except FileNotFoundError:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+        temporary = f"{self.root}/.put-{uuid.uuid4().hex}"
+        try:
+            with open(temporary, "xb") as fh:
+                fh.write(payload)
+            os.replace(temporary, path)
+        except BaseException:
+            Path(temporary).unlink(missing_ok=True)
+            raise
+        return uri, checksum, True
 
     def fetch_bytes(self, uri: str, expected_checksum: str) -> bytes:
         """Fetch and integrity-check raw bytes; mismatch means tampering."""

@@ -11,7 +11,8 @@ nothing more; RESOLVE and HISTORY answer only PIDs that a ledger
 transaction committed on the registry's host node names (see
 ``pid_registry``). A request that is not an object, a RESOLVE, HISTORY or
 QUERY ``read``/``history`` without a string ``pid``, and a QUERY ``blocks``
-without an integer ``from`` >= 0 or a replica's ``org`` are malformed.
+without an integer ``from`` >= 0 or a replica's ``org`` are malformed. An
+ORDER carries one endorsed envelope and is answered with its receipt.
 
 ``assemble_org`` is the one place an organization's server side is built,
 for the in-process harness and for ``fedprov federation start-node`` alike;
@@ -37,7 +38,7 @@ from typing import Iterable, Mapping
 
 from . import crypto, identity as identity_mod
 from .canonical import canonical_bytes
-from .errors import FedprovError, LedgerRejectedError, TransportError, UnauthorizedError
+from .errors import FedprovError, TransportError, UnauthorizedError
 from .federation import FederationConfig, load_node_credentials
 from .ledger.node import OrgNode
 from .ledger.ordering import PULL_WAIT_S, OrderingService
@@ -62,10 +63,7 @@ class NodeService:
         if kind == "PROPOSE":
             return {"kind": "ENDORSE", **self.node.endorse(payload)}
         if kind == "ORDER":
-            envelopes = payload.get("envelopes")
-            if not isinstance(envelopes, list):
-                raise LedgerRejectedError("envelope refused: ORDER carries no envelope list")
-            return {"ok": True, "receipts": self._orderer().submit(*envelopes)}
+            return {"ok": True, "receipt": self._orderer().submit(payload.get("envelope"))}
         if kind == "QUERY":
             return {"ok": True, **self._query(payload)}
         raise FedprovError(f"unknown message kind: {kind!r}")
@@ -232,7 +230,7 @@ def assemble_org(
     service = NodeService(node)
     orderer_org = config.orderer_org()
     if orderer_org.name == org_name:
-        service.orderer = OrderingService(node, config.max_block_txs, config.max_clock_skew_ms)
+        service.orderer = OrderingService(node)
         service.registry = RegistryService(
             PIDRegistry(config.registry_root, config.pid_prefix, node), orgs
         )

@@ -4,6 +4,8 @@ Wire format: a 4-byte big-endian length followed by a UTF-8 JSON body.
 Requests are ``{"kind": <MESSAGE KIND>, "payload": {...}}``; responses are
 ``{"ok": true, ...payload}`` or ``{"ok": false, "error": {"type", "message"}}``.
 Application errors are re-raised client-side as the matching exception type.
+A request that is not an object with a string ``kind`` is answered as a
+malformed request, and its connection stays open.
 
 Connections persist: the requests of one process share a pool of idle
 connections per address (``ConnectionPool``), and a server answers any number
@@ -49,6 +51,12 @@ def send_message(sock: socket.socket, obj: dict) -> None:
 
 
 def recv_message(sock: socket.socket) -> dict | None:
+    body = _recv_body(sock)
+    return None if body is None else json.loads(body.decode("utf-8"))
+
+
+def _recv_body(sock: socket.socket) -> bytearray | None:
+    """One frame's body; None if the peer closed the connection before it."""
     header = _recv_exact(sock, _LENGTH.size)
     if header is None:
         return None
@@ -58,7 +66,7 @@ def recv_message(sock: socket.socket) -> dict | None:
     body = _recv_exact(sock, length)
     if body is None:
         raise TransportError("connection closed mid-message")
-    return json.loads(body.decode("utf-8"))
+    return body
 
 
 def _recv_exact(sock: socket.socket, count: int) -> bytearray | None:
@@ -312,24 +320,25 @@ class MessageServer:
             try:
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 while True:
-                    message = recv_message(conn)
-                    if message is None:
+                    body = _recv_body(conn)  # None at EOF only, not for a JSON null
+                    if body is None:
                         return
-                    response = self._dispatch(message)
+                    response = self._dispatch(json.loads(body.decode("utf-8")))
                     send_message(conn, response)
                     # Waiting for the next request, hold nothing of this one.
-                    del message, response
+                    del body, response
             except (TransportError, OSError, ValueError):
                 return
             finally:
                 with self._lock:
                     self._connections.pop(conn, None)
 
-    def _dispatch(self, message: dict) -> dict:
-        kind = message.get("kind", "")
-        payload = message.get("payload", {})
+    def _dispatch(self, message) -> dict:
+        kind = message.get("kind", "") if isinstance(message, dict) else None
         try:
-            return self.handler(kind, payload)
+            if not isinstance(kind, str):
+                raise FedprovError("malformed request: not an object with a string 'kind'")
+            return self.handler(kind, message.get("payload", {}))
         except FedprovError as exc:
             return error_response(exc)
         except Exception as exc:  # defensive: never kill the connection loop

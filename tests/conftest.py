@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import threading
+import time
+import uuid
+
 import pytest
 
 from fedprov.harness import Federation
@@ -63,6 +67,46 @@ def publish_raw(ledger, pid, uri="cas://a", checksum="ca", owners=("alice",), *,
         pid, uri, checksum, list(owners), prov_pid, doc_uri, doc_checksum
     )
     return ledger.submit(*operation, timestamp)
+
+
+def order_in_one_block(fed, ledger, envelopes) -> list[Receipt]:
+    """Order *envelopes*, one ORDER request each, so that they share a block;
+    their receipts, in order. The orderer organization's node holds its
+    commit of a lone write until every envelope is queued behind it, so the
+    orderer cuts them all into the next block."""
+    node = fed.nodes[fed.config.orderer_org().name]
+    commit, holding, release = node.commit, threading.Event(), threading.Event()
+
+    def held(block):
+        node.commit = commit
+        holding.set()
+        release.wait(10)
+        return commit(block)
+
+    receipts: list[Receipt | None] = [None] * len(envelopes)
+
+    def order(i):
+        receipts[i] = ledger.order(envelopes[i])
+
+    lone = threading.Thread(target=publish_raw, args=(
+        ledger, f"21.P/lone-{uuid.uuid4().hex}", "cas://l", "cl", [ledger.identity.user_id]))
+    writers = [threading.Thread(target=order, args=(i,)) for i in range(len(envelopes))]
+    node.commit = held
+    try:
+        lone.start()
+        assert holding.wait(10)
+        for writer in writers:
+            writer.start()
+        deadline = time.monotonic() + 10
+        while len(fed.orderer._queue) < len(envelopes) and time.monotonic() < deadline:
+            time.sleep(0.005)
+    finally:
+        release.set()
+    for thread in [lone, *writers]:
+        thread.join(10)
+    assert None not in receipts
+    assert len({receipt.height for receipt in receipts}) == 1
+    return receipts
 
 
 # -- document builders ---------------------------------------------------------

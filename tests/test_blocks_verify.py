@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from conftest import publish_raw, register_default_users
+from conftest import order_in_one_block, publish_raw, register_default_users
 from fedprov import crypto
 from fedprov.canonical import ZERO_DIGEST, canonical_bytes
 from fedprov.errors import LedgerRejectedError
@@ -111,7 +111,6 @@ def test_payload_byte_flip_flagged(committed):
 def test_transaction_reorder_flagged(committed):
     """Reordering transactions inside a block breaks the data hash."""
     fed, users = committed
-    # One ORDER request carrying two envelopes cuts one block holding both.
     import uuid
 
     from fedprov import clock, crypto
@@ -136,7 +135,7 @@ def test_transaction_reorder_flagged(committed):
         }
         return alice.endorse(body, crypto.sign(users["alice"]["key"], canonical_bytes(body)))
 
-    receipts = alice.order_all([envelope("21.P/r1"), envelope("21.P/r2")])
+    receipts = order_in_one_block(fed, alice, [envelope("21.P/r1"), envelope("21.P/r2")])
     assert [r.status for r in receipts] == ["VALID", "VALID"]
     assert receipts[0].height == receipts[1].height
 

@@ -387,12 +387,14 @@ def test_federation_status_and_verify_chain(live):
     assert body["all_clear"]
 
 
-def test_federation_status_shows_each_replica_lag(live):
+def test_federation_status_shows_each_replica_lag(live, monkeypatch):
     """``lag`` is the highest reachable height minus the node's own: a
     replica whose pull loop is stopped shows the blocks it missed, and 0
     once its loop runs again and it has caught up."""
+    from fedprov.ledger import ordering
     from fedprov.services import Puller
 
+    monkeypatch.setattr(ordering, "ACK_TIMEOUT_S", 0.5)  # each write waits out the stopped puller
     fed, users = live
     service = fed.services["OrgB"]
     service.puller.stopping.set()
@@ -486,9 +488,10 @@ def test_start_node_subprocess_federation(tmp_path):
     """Spawn real node processes from the CLI and run commands against them.
 
     The config still names a ``registry-address``, as configs did before the
-    registry moved onto the orderer organization's address: ``init`` drops
-    the key, each node opens its one listen address, and the orderer
-    organization's node answers MINT, RESOLVE and HISTORY."""
+    registry moved onto the orderer organization's address, and the former
+    ``max-block-txs`` and ``max-clock-skew-ms`` keys: ``init`` drops them,
+    each node opens its one listen address, and the orderer organization's
+    node answers MINT, RESOLVE and HISTORY."""
     from fedprov.federation import FederationConfig
     from fedprov.harness import free_ports
     from fedprov.identity import RegistrationService
@@ -506,10 +509,13 @@ def test_start_node_subprocess_federation(tmp_path):
             for (name, kind), port in zip(orgs, ports)
         ],
         "registry-address": legacy_registry,
+        "max-block-txs": 0,
+        "max-clock-skew-ms": 0,
     }))
     code, body = cli.run(["--config", str(config_path), "federation", "init"])
     assert code == cli.EXIT_OK and sorted(body) == ["initialized", "orderer", "organizations"]
-    assert "registry-address" not in json.loads(config_path.read_text())
+    saved = json.loads(config_path.read_text())
+    assert not {"registry-address", "max-block-txs", "max-clock-skew-ms"} & set(saved)
 
     config = FederationConfig.load(config_path)
     service = RegistrationService.load(
@@ -695,7 +701,7 @@ def test_verify_and_update_prov_ask_each_fact_once(live, monkeypatch):
     (mint,) = [payload["request"] for kind, payload in sent if kind == "MINT"]
     assert mint == {}
     (order,) = [payload for kind, payload in sent if kind == "ORDER"]
-    assert order["envelopes"][0]["body"]["args"]["new_pid"] == body["new_pid"]
+    assert order["envelope"]["body"]["args"]["new_pid"] == body["new_pid"]
     assert kinds.count("HISTORY") == 1
 
     sent.clear()

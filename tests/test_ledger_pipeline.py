@@ -384,8 +384,8 @@ def _hold_commit(node, height, holding, release):
 
 
 def test_duplicate_tx_id_refused_at_order(fed, users):
-    """An envelope whose transaction id is committed, queued, or repeated in
-    its own request is refused at ORDER (exit 12), and no height moves."""
+    """An envelope whose transaction id is committed or queued is refused at
+    ORDER (exit 12), and no height moves."""
     from fedprov import cli
     from fedprov.errors import LedgerRejectedError
 
@@ -393,11 +393,9 @@ def test_duplicate_tx_id_refused_at_order(fed, users):
     envelope = _endorsed(users["alice"], "21.P/d", "once")
     assert alice.order(envelope).status == "VALID"
     before = _heights(fed)
-    for envelopes in ([envelope], [_endorsed(users["alice"], "21.P/e", "e")] * 2):
-        with pytest.raises(LedgerRejectedError, match="envelope refused: duplicate tx_id") \
-                as refused:
-            _bounded(lambda: alice.order_all(envelopes))
-        assert cli.exit_code_for(refused.value) == 12
+    with pytest.raises(LedgerRejectedError, match="envelope refused: duplicate tx_id") as refused:
+        _bounded(lambda: alice.order(envelope))
+    assert cli.exit_code_for(refused.value) == 12
     assert _heights(fed) == before
 
     # While OrgB holds the next block, a second envelope waits in the queue.
@@ -449,6 +447,7 @@ def test_lagging_replica_catches_up_when_its_pull_loop_restarts(tmp_path, monkey
     from fedprov.services import Puller
 
     monkeypatch.setattr(ordering, "MAX_PULL_BLOCKS", 2)
+    monkeypatch.setattr(ordering, "ACK_TIMEOUT_S", 0.5)  # each write waits out the stopped puller
     fed = Federation.bootstrap(tmp_path / "fed", use_tcp=use_tcp)
     try:
         users = register_default_users(fed)
@@ -490,8 +489,8 @@ def test_federation_stop_returns_at_once_while_pulls_wait(tmp_path):
 
 
 def test_readers_see_whole_blocks_while_commits_install_new_states(fed, users, monkeypatch):
-    """Threads dump a node's state while blocks of three publishes commit:
-    every dump holds whole blocks, never part of one. Each transaction's
+    """Threads dump a node's state while blocks of three publishes commit to
+    it: every dump holds whole blocks, never part of one. Each transaction's
     validation sleeps, so the dumps overlap commits half applied."""
     alice = users["alice"]["ledger"]
     node = fed.nodes["OrgA"]
@@ -526,9 +525,7 @@ def test_readers_see_whole_blocks_while_commits_install_new_states(fed, users, m
                 ))
                 for i in range(3)
             ]
-            receipts = alice.order_all(envelopes)
-            assert all(r.ok for r in receipts)
-            assert len({r.height for r in receipts}) == 1
+            assert node.commit(_block_of(fed, *envelopes))["flags"] == ["VALID"] * 3
     finally:
         stop.set()
         for reader in readers:
@@ -577,47 +574,36 @@ def test_audit_waits_for_a_block_being_appended(fed, users):
 
 def test_lone_write_does_not_wait_for_a_batch_timeout(tmp_path):
     """A config written before group commit still loads, and one write on an
-    idle orderer is cut at once instead of after its old 500 ms timeout."""
+    idle orderer is cut at once instead of after its old 500 ms timeout.
+    The former block-cap and clock-skew keys load too and are ignored: at 0
+    they would cut empty blocks forever and refuse every timestamp, so a
+    write stamped 10 s ago would never return."""
     import json
     import time
+    from datetime import datetime, timedelta, timezone
 
     fed = Federation.bootstrap(tmp_path / "fed")
     fed.stop()
     config = json.loads(fed.config_path.read_text())
-    config["block-timeout-ms"] = 500
+    config.update({"block-timeout-ms": 500, "max-block-txs": 0, "max-clock-skew-ms": 0})
     fed.config_path.write_text(json.dumps(config))
     fed = Federation.start(fed.config_path)
     try:
         alice, key = fed.register_user("OrgA", "alice")
         ledger = fed.client(alice, key).ledger()
         started = time.monotonic()
-        receipt = publish_raw(ledger, "21.P/lone", "cas://lone", "cl")
+        receipt = _bounded(lambda: publish_raw(ledger, "21.P/lone", "cas://lone", "cl"))
         elapsed = time.monotonic() - started
+        stamped = datetime.now(timezone.utc) - timedelta(seconds=10)
+        late = _bounded(lambda: publish_raw(
+            ledger, "21.P/late", "cas://late", "cl",
+            timestamp=stamped.strftime("%Y-%m-%dT%H:%M:%S.000Z"),
+        ))
     finally:
         fed.stop()
     assert receipt.status == "VALID"
     assert elapsed < 0.25
-
-
-@pytest.mark.parametrize("forged_position", [0, 1], ids=["forged-first", "forged-second"])
-def test_order_with_one_forged_envelope_queues_neither(fed, users, forged_position):
-    """One ORDER request is checked whole before anything is queued."""
-    from fedprov.errors import LedgerRejectedError
-
-    alice = users["alice"]["ledger"]
-    good = _endorsed(users["alice"], "21.P/g", "good")
-    forged = _endorsed(users["alice"], "21.P/f", "forged")
-    _replaced_client_signature(forged, users["alice"])
-    envelopes = [good]
-    envelopes.insert(forged_position, forged)
-    before = _heights(fed)
-
-    with pytest.raises(LedgerRejectedError, match="client signature invalid"):
-        _bounded(lambda: alice.order_all(envelopes))
-    assert _heights(fed) == before
-    assert alice.hlf_read("21.P/g") is None
-    assert _bounded(lambda: alice.order(good)).status == "VALID"
-    assert _all_clear(fed)
+    assert late.status == "VALID"
 
 
 def _bounded(call, timeout_s=10.0):
@@ -775,11 +761,31 @@ def test_forged_envelope_refused_at_order(fed, users, forge, finding):
     assert _all_clear(fed)
 
 
-def test_orderer_survives_peer_failing_with_plain_error(fed, users):
+@pytest.mark.parametrize("payload", [{}, {"envelope": None}, {"envelope": ["x"]}],
+                         ids=["no-envelope", "null", "list"])
+def test_order_without_an_envelope_object_is_refused(fed, users, payload):
+    """An ORDER whose ``envelope`` is not an object is a malformed
+    transaction (exit 12), and the orderer keeps serving."""
+    from fedprov import cli
+    from fedprov.errors import LedgerRejectedError
+
+    orderer = fed.transport(fed.config.orderer_org().listen_address)
+    before = _heights(fed)
+    with pytest.raises(LedgerRejectedError, match="malformed transaction") as refused:
+        _bounded(lambda: orderer("ORDER", payload))
+    assert cli.exit_code_for(refused.value) == 12
+    assert _heights(fed) == before
+    assert _bounded(lambda: publish_raw(users["alice"]["ledger"], "21.P/n", "cas://n", "cn")).ok
+
+
+def test_orderer_survives_peer_failing_with_plain_error(fed, users, monkeypatch):
     """A replica whose commits fail with any FedprovError misses the blocks;
     the others commit them, the orderer keeps serving, and the replica
     catches up once its commits succeed again."""
     from fedprov.errors import FedprovError
+    from fedprov.ledger import ordering
+
+    monkeypatch.setattr(ordering, "ACK_TIMEOUT_S", 0.5)  # the first write waits out OrgB
 
     def failing(block):
         raise FedprovError("internal error: 'str' object has no attribute 'get'")
@@ -797,11 +803,13 @@ def test_orderer_survives_peer_failing_with_plain_error(fed, users):
     assert len(set(fed.state_digests().values())) == 1
 
 
-def test_orderer_logs_the_peer_that_missed_a_block(fed, users, caplog):
+def test_orderer_logs_the_peer_that_missed_a_block(fed, users, caplog, monkeypatch):
     """The orderer logs once that a replica is out of sync, and the replica
     logs once that it cannot pull, however many blocks or retries follow."""
     from fedprov.errors import TransportError
-    from fedprov.ledger.ordering import ACK_TIMEOUT_S
+    from fedprov.ledger import ordering
+
+    monkeypatch.setattr(ordering, "ACK_TIMEOUT_S", 0.5)  # the first write waits out OrgB
 
     def unreachable(kind, payload):
         raise TransportError("cannot reach 127.0.0.1:9: refused")
@@ -817,17 +825,18 @@ def test_orderer_logs_the_peer_that_missed_a_block(fed, users, caplog):
         ("fedprov.services", "WARNING", "OrgB cannot pull blocks: cannot reach 127.0.0.1:9: refused"),
         ("fedprov.ledger.ordering", "WARNING",
          f"OrgB is out of sync: it did not pull past block {height + 1} "
-         f"within {ACK_TIMEOUT_S:.1f} s"),
+         f"within {ordering.ACK_TIMEOUT_S:.1f} s"),
     ]
 
 
-def _block_of(fed, envelope):
-    """*envelope* as the next block, the way the orderer would cut it."""
+def _block_of(fed, *envelopes):
+    """*envelopes* as the next block, the way the orderer would cut it."""
     from fedprov.ledger.blocks import make_block
 
-    tx = {**envelope, "validation": None}
+    txs = sorted(({**envelope, "validation": None} for envelope in envelopes),
+                 key=lambda tx: tx["tx_id"])
     node = fed.nodes["OrgA"]
-    return make_block(node.height() + 1, node.tip_hash(), [tx]).to_dict()
+    return make_block(node.height() + 1, node.tip_hash(), txs).to_dict()
 
 
 def _data_hash_mismatch(fed, users):

@@ -70,9 +70,9 @@ def test_traced_write_records_commit_path_spans(monkeypatch, tmp_path):
     )
 
 
-def test_traced_two_envelope_order_records_ordering_spans(monkeypatch, tmp_path):
-    """One ORDER carrying two envelopes goes through the wrapped
-    ``OrderingService.submit``, whose note reads the first envelope."""
+def test_traced_order_records_ordering_spans(monkeypatch, tmp_path):
+    """An ORDER goes through the wrapped ``OrderingService.submit``, whose
+    note reads the envelope's tx id, and ``make_block`` notes the cut."""
     from fedprov.harness import Federation
     from fedprov.ledger.client import publish_operation
 
@@ -84,29 +84,24 @@ def test_traced_two_envelope_order_records_ordering_spans(monkeypatch, tmp_path)
         try:
             alice, key = fed.register_user("OrgA", "alice")
             ledger = fed.client(alice, key).ledger()
-            envelopes = [
-                ledger.prepare(*publish_operation(
-                    f"21.P/t{i}", "cas://t", "ct", ["alice"], f"21.P/p{i}", "cas://d", "cd"
-                ))
-                for i in range(2)
-            ]
+            envelope = ledger.prepare(*publish_operation(
+                "21.P/t", "cas://t", "ct", ["alice"], "21.P/p", "cas://d", "cd"
+            ))
             tracer.active = True
-            receipts = ledger.order_all(envelopes)
+            receipt = ledger.order(envelope)
             tracer.active = False
         finally:
             fed.stop()
     finally:
         tracer.uninstall()
 
-    assert [receipt.status for receipt in receipts] == ["VALID", "VALID"]
+    assert receipt.status == "VALID"
     by_name = {}
     for span in tracer.spans:
         by_name.setdefault(span.name, []).append(span)
-    assert [s.attrs for s in by_name["ledger.ordering.submit"]] == [
-        {"tx_id": envelopes[0]["tx_id"]}
-    ]
+    assert [s.attrs for s in by_name["ledger.ordering.submit"]] == [{"tx_id": envelope["tx_id"]}]
     cut = {tx for s in by_name["ledger.ordering.make_block"] for tx in s.attrs["tx_ids"]}
-    assert cut == {envelope["tx_id"] for envelope in envelopes}
+    assert cut == {envelope["tx_id"]}
 
 
 def test_traced_registry_requests_record_one_registry_span(monkeypatch, tmp_path):

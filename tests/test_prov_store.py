@@ -70,6 +70,20 @@ def test_fetch_detects_corrupted_byte(store):
         store.fetch_document(uri, checksum)
 
 
+def test_torn_blob_is_rewritten_when_stored_again(store):
+    """A blob cut short, as by a crash mid-write, is no blob: storing its
+    bytes again rewrites it, through a file that is never listed."""
+    payload = bytes(range(250)) * 4
+    checksum = sha256_hex(payload)
+    path = store.blob_path(checksum)
+    path.parent.mkdir(parents=True)
+    path.write_bytes(payload[:500])
+    assert store.store_bytes(payload) == (f"cas://{checksum}", checksum, True)
+    assert store.fetch_bytes(f"cas://{checksum}", checksum) == payload
+    assert store.list_checksums() == [checksum]
+    assert store.store_bytes(payload)[2] is False
+
+
 def test_fetch_unknown_uri(store):
     with pytest.raises(DocumentNotFoundError):
         store.fetch_bytes("cas://" + "ab" * 32, "ab" * 32)

@@ -15,7 +15,7 @@ import uuid
 
 import pytest
 
-from conftest import ent, publish_raw, register_default_users, simple_doc
+from conftest import ent, order_in_one_block, publish_raw, register_default_users, simple_doc
 from fedprov import cli, clock, crypto
 from fedprov.canonical import canonical_bytes
 from fedprov.errors import TransportError, UnauthorizedError
@@ -128,7 +128,7 @@ def test_racing_publishes_in_one_block_commit_exactly_one(fed, users):
         ))
         for i in range(2)
     ]
-    statuses = sorted(receipt.status for receipt in alice.order_all(envelopes))
+    statuses = sorted(receipt.status for receipt in order_in_one_block(fed, alice, envelopes))
     assert statuses == ["INVALID:read-write-conflict", "VALID"]
     created = [pid for pid in ("21.P/a0", "21.P/a1") if alice.hlf_read(pid) is not None]
     assert len(created) == 1
@@ -196,7 +196,7 @@ def _parent_format_record(fed, record, uri, checksum, object_kind, version,
 
 def _legacy_publish(fed, user, reserved, payload: bytes, doc) -> tuple[str, str, object]:
     """Publish as releases before the one-transaction ``publish`` did: two
-    creates, endorsed apart and ordered in one ORDER request. Returns both
+    creates, endorsed apart and ordered one after the other. Returns both
     PIDs and the published document."""
     ctx = fed.client(user["identity"], user["key"])
     store, ledger = ctx.store(), ctx.ledger()
@@ -213,7 +213,7 @@ def _legacy_publish(fed, user, reserved, payload: bytes, doc) -> tuple[str, str,
         _legacy_create(fed, user, "create-artifact", artifact_pid, uri, checksum),
         _legacy_create(fed, user, "create-prov", prov_pid, doc_uri, doc_checksum),
     ]
-    assert [r.status for r in ledger.order_all(envelopes)] == ["VALID", "VALID"]
+    assert [ledger.order(envelope).status for envelope in envelopes] == ["VALID", "VALID"]
     return artifact_pid, prov_pid, doc
 
 

@@ -246,6 +246,23 @@ def test_internal_error_is_logged_with_its_traceback(caplog):
     assert record.exc_info[0] is KeyError
 
 
+def test_frames_that_are_not_requests_are_malformed_and_keep_the_connection(tcp_fed):
+    """A frame that is not an object, or whose ``kind`` is not a string, is
+    answered as a malformed request on the connection it came on, and the
+    next request on that connection is served."""
+    address = tcp_fed.config.org_entry("OrgB").listen_address
+    with socket.create_connection(parse_address(address), timeout=5) as sock:
+        for frame in ([], "text", None, {"kind": ["x"], "payload": {}}):
+            send_message(sock, frame)
+            response = recv_message(sock)
+            assert response["ok"] is False
+            assert response["error"]["message"].startswith("malformed request")
+        send_message(sock, {"kind": "QUERY", "payload": {"op": "height"}})
+        response = recv_message(sock)
+    assert response["ok"] is True
+    assert response["height"] == tcp_fed.nodes["OrgB"].height()
+
+
 def test_server_keeps_accepting_when_a_connection_thread_cannot_start(monkeypatch, caplog):
     """A connection that gets no thread is closed and logged; the next is answered."""
     real_start = threading.Thread.start
