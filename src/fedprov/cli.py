@@ -73,6 +73,7 @@ from .ledger.chaincode import (
 )
 from .ledger.client import LedgerClient, require_committed
 from .lineage import (
+    DerivationGraph,
     build_graph,
     collect_documents,
     invalidate_cascade,
@@ -315,9 +316,7 @@ def invalidate_artifact(
 
     body = {"pid": pid, "receipt": receipt.to_dict(), "affected": []}
     if cascade:
-        store = ctx.store()
-        state = ledger.state_dump()
-        graph = build_graph(collect_documents(state, store), state)
+        graph = _derivation_graph(ledger, ctx.store())
         flagged = invalidate_cascade(
             pid,
             graph,
@@ -330,16 +329,50 @@ def invalidate_artifact(
 
 
 def trace_artifact(ctx: ClientContext, pid: str, include_dot: bool = False) -> dict:
-    ledger = ctx.ledger()
     store = ctx.store()
-    state = ledger.state_dump()
-    graph = build_graph(collect_documents(state, store), state)
+    graph = _derivation_graph(ctx.ledger(), store)
     paths = trace_lineage(pid, graph)
     verify_trace_soundness(paths, store)
     body = {"pid": pid, "paths": [p.to_dict() for p in paths]}
     if include_dot:
         body["dot"] = graph.to_dot()
     return body
+
+
+@dataclass(frozen=True)
+class _TipView:
+    tip: tuple[int, str]  # (height, tip hash) the state was read at
+    state: dict[str, dict]
+    graph: DerivationGraph
+
+
+# The last tip this process read, with its state and derivation graph; it is
+# replaced, never grown. A block hash names the whole chain, so it names the
+# state: while a node's tip is unchanged, so are its state and this graph.
+_tip_view: _TipView | None = None
+
+
+def _derivation_graph(ledger: LedgerClient, store: ProvStore) -> DerivationGraph:
+    """The derivation graph of the ledger's current state.
+
+    Every provenance document on the ledger is read and checksum-verified on
+    every call. Only at the tip this process last read does a node answer
+    without the state (``unless_tip``), and the graph built then is reused;
+    a graph whose build raises is not kept.
+    """
+    global _tip_view
+    held = _tip_view
+    answer = ledger.read_state(unless_tip=held.tip[1] if held else None)
+    tip = (answer["height"], answer["tip_hash"])
+    if "state" not in answer:
+        if held is None or tip != held.tip:
+            raise FedprovError(f"node sent no state for tip {tip}, which this client has not read")
+        collect_documents(held.state, store)
+        return held.graph
+    state = answer["state"]
+    graph = build_graph(collect_documents(state, store), state)
+    _tip_view = _TipView(tip, state, graph)
+    return graph
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +392,14 @@ def federation_init(config_path: str) -> dict:
 def federation_status(config_path: str) -> dict:
     def ask(transport) -> dict:
         height = transport("QUERY", {"op": "height"})
-        return {
+        answer = {
             "height": height["height"],
             "tip_hash": height["tip_hash"],
             "state_digest": transport("QUERY", {"op": "state_digest"})["digest"],
         }
+        if "in_sync" in height:  # the orderer organization's node
+            answer["in_sync"] = height["in_sync"]
+        return answer
 
     nodes = _ask_nodes(config_path, ask, timeout=3.0)
     reachable = [info for info in nodes.values() if info["reachable"]]

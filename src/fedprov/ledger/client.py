@@ -10,6 +10,10 @@ in one transaction. ``update_operation`` writes the provenance version it
 states under the PID it names, so the ledger records every version's PID.
 ``order`` sends one endorsed envelope per ORDER request and gets its receipt.
 
+A state read names the height and tip hash it was taken at (``read_state``).
+A caller that already holds the state of a tip passes its hash as
+``unless_tip``, and a node still at that tip answers without the state.
+
 The client talks to nodes directly -- there is no proxy in the path -- so a
 single dead node degrades nothing that the remaining replicas can answer.
 """
@@ -306,8 +310,16 @@ class LedgerClient:
     def get_history(self, pid: str) -> list[dict]:
         return self._query({"op": "history", "pid": pid})["entries"]
 
+    def read_state(self, unless_tip: str | None = None) -> dict:
+        """``{height, tip_hash, state}`` from one committed view of a node;
+        without ``state`` if that node's tip hash is *unless_tip*."""
+        payload = {"op": "state"}
+        if unless_tip is not None:
+            payload["unless_tip"] = unless_tip
+        return self._query(payload)
+
     def state_dump(self) -> dict[str, dict]:
-        return self._query({"op": "state"})["state"]
+        return self.read_state()["state"]
 
     def _query(self, payload: dict) -> dict:
         last_error: Exception | None = None

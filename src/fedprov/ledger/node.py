@@ -17,9 +17,12 @@ holds only bytes the node validated, so it is not replayed again.
 
 The world state is a plain dict that nothing changes once installed:
 start-up installs the one replay built, and each commit applies its block
-to a copy and installs that. Endorsement simulations may therefore run
-concurrently against whichever dict is installed; commits are strictly
-serialized.
+to a copy and installs that. It is installed with its height and tip hash
+as one ``View``, after the block's line is indexed, so every reader -- an
+endorsement simulation, ``QUERY height``, ``QUERY state`` -- sees one whole
+committed block's height, hash and state together, never a commit in
+progress. Reads may therefore run concurrently with a commit; commits are
+strictly serialized.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import hashlib
 import json
 import threading
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .. import crypto, identity as identity_mod
 from ..canonical import canonical_bytes, digest
@@ -37,6 +40,14 @@ from . import blocks as blocks_mod
 from .blocks import Block, BlockStore, endorsement_payload, tx_id_for, validate_tx
 from .chaincode import simulate
 from .values import LedgerValue
+
+
+class View(NamedTuple):
+    """A committed height, its block's hash and the world state after it."""
+
+    height: int
+    tip_hash: str | None
+    state: dict[str, LedgerValue]
 
 
 class OrgNode:
@@ -55,7 +66,6 @@ class OrgNode:
         self.orgs = dict(orgs)
         self.endorsement_policy = endorsement_policy
         self.store = BlockStore(ledger_path)
-        self._tip_hash: str | None = None
         self._lines: list[tuple[int, bytes]] = []  # (offset past the line, its SHA-256)
         self._writers: dict[str, list[int]] = {}  # ledger key -> heights that wrote it
         self.tx_heights: dict[str, int] = {}  # tx id -> the height that committed it
@@ -65,6 +75,7 @@ class OrgNode:
         except FileNotFoundError:
             raise LedgerRejectedError(f"ledger {self.store.path} missing")
         state: dict[str, LedgerValue] = {}
+        tip_hash = None
         for block, line, findings in blocks_mod.replay_chain(
             data, self.orgs, endorsement_policy, state, validate_tx
         ):
@@ -74,7 +85,8 @@ class OrgNode:
                     f"{findings[0].height}: {findings[0].problem}"
                 )
             self._index(block, line)
-        self.state = state
+            tip_hash = block.block_hash
+        self.view = View(len(self._lines) - 1, tip_hash, state)
 
     # -- endorsement --------------------------------------------------------
 
@@ -118,8 +130,9 @@ class OrgNode:
 
         A block just cut by the orderer carries no flags and is given them;
         a pulled block's flags must equal the computed ones, as in replay.
-        The line is on disk before the index names it, and a copy of the
-        world state with the block applied is installed after that.
+        The line is on disk before the index names it, and the block's
+        ``View`` -- its height, its hash and a copy of the world state with
+        it applied -- is installed after that, in one assignment.
         """
         with self._commit_lock:
             try:
@@ -127,9 +140,9 @@ class OrgNode:
                 cut = all(tx.get("validation") is None for tx in incoming.transactions)
             except blocks_mod.MALFORMED:
                 raise LedgerRejectedError("malformed block structure")
-            current = dict(self.state)
+            current = dict(self.view.state)
             findings = blocks_mod.validate_block(
-                incoming, self.height() + 1, self.tip_hash(), current, self.orgs,
+                incoming, self.view.height + 1, self.view.tip_hash, current, self.orgs,
                 self.endorsement_policy, validate_tx, commit=cut,
             )
             if findings:
@@ -138,7 +151,7 @@ class OrgNode:
                     + "; ".join(f.problem for f in findings)
                 )
             self._index(incoming, self.store.append(incoming))
-            self.state = current
+            self.view = View(incoming.height, incoming.block_hash, current)
             return {
                 "height": incoming.height,
                 "flags": [tx["validation"] for tx in incoming.transactions],
@@ -150,11 +163,15 @@ class OrgNode:
         value = self.state.get(pid)
         return value.to_dict() if value else None
 
+    @property
+    def state(self) -> dict[str, LedgerValue]:
+        return self.view.state
+
     def height(self) -> int:
-        return len(self._lines) - 1
+        return self.view.height
 
     def tip_hash(self) -> str | None:
-        return self._tip_hash
+        return self.view.tip_hash
 
     def block(self, height: int) -> Block:
         """The committed block at *height*, read back from its line in the
@@ -178,8 +195,10 @@ class OrgNode:
     def state_digest(self) -> str:
         return digest(self.state_dump())
 
-    def state_dump(self) -> dict[str, dict]:
-        return {pid: value.to_dict() for pid, value in sorted(self.state.items())}
+    def state_dump(self, view: View | None = None) -> dict[str, dict]:
+        """The world state of *view*, by default the installed one, as JSON."""
+        state = (view or self.view).state
+        return {pid: value.to_dict() for pid, value in sorted(state.items())}
 
     def history(self, pid: str) -> list[dict]:
         """Committed VALID transactions that wrote *pid*, in commit order."""
@@ -215,7 +234,7 @@ class OrgNode:
         genesis, and a clean replay must end at the node's tip.
         """
         with self._commit_lock:
-            height, tip_hash, count = self.height(), self._tip_hash, len(self._lines)
+            (height, tip_hash, _), count = self.view, len(self._lines)
             size = self.store.path.stat().st_size if self.store.path.exists() else None
         if self._holds_only_indexed_lines(count, size):
             return blocks_mod.VerificationReport(True, None, []).to_dict()
@@ -258,4 +277,3 @@ class OrgNode:
                     heights = self._writers.setdefault(key, [])
                     if heights[-1:] != [block.height]:
                         heights.append(block.height)
-        self._tip_hash = block.block_hash

@@ -118,6 +118,11 @@ class OrderingService:
                 raise LedgerRejectedError("ordering service stopped")
         return [block.to_dict() for block in self.node.committed_since(start, MAX_PULL_BLOCKS)]
 
+    def in_sync(self) -> list[str]:
+        """The replicas a receipt waits for, by name."""
+        with self._lock:
+            return sorted(self._in_sync)
+
     def close(self) -> None:
         with self._lock:
             self._closed = True

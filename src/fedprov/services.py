@@ -14,6 +14,14 @@ QUERY ``read``/``history`` without a string ``pid``, and a QUERY ``blocks``
 without an integer ``from`` >= 0 or a replica's ``org`` are malformed. An
 ORDER carries one endorsed envelope and is answered with its receipt.
 
+QUERY ``height`` and ``state`` answer from the node's installed ``View``, so
+the height, tip hash and state they name are one committed block's. QUERY
+``state`` answers ``{height, tip_hash, state}``; one whose ``unless_tip``
+is the node's tip hash answers only the height and tip hash, since the
+caller already holds that tip's state (an ``unless_tip`` that is not a
+string is malformed). On the orderer organization's node, QUERY ``height``
+also names the replicas a receipt waits for, as the sorted ``in_sync``.
+
 ``assemble_org`` is the one place an organization's server side is built,
 for the in-process harness and for ``fedprov federation start-node`` alike;
 ``serve`` puts assembled node services on their listen addresses. Pullers
@@ -75,9 +83,20 @@ class NodeService:
         if op == "history":
             return {"entries": self.node.history(_pid(f"QUERY {op}", payload))}
         if op == "height":
-            return {"height": self.node.height(), "tip_hash": self.node.tip_hash()}
+            view = self.node.view
+            answer = {"height": view.height, "tip_hash": view.tip_hash}
+            if self.orderer is not None:
+                answer["in_sync"] = self.orderer.in_sync()
+            return answer
         if op == "state":
-            return {"state": self.node.state_dump()}
+            unless_tip = payload.get("unless_tip")
+            if "unless_tip" in payload and not isinstance(unless_tip, str):
+                raise FedprovError("malformed request: QUERY state's 'unless_tip' is not a string")
+            view = self.node.view
+            answer = {"height": view.height, "tip_hash": view.tip_hash}
+            if unless_tip is None or unless_tip != view.tip_hash:
+                answer["state"] = self.node.state_dump(view)
+            return answer
         if op == "state_digest":
             return {"digest": self.node.state_digest()}
         if op == "verify_chain":

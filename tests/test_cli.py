@@ -390,7 +390,10 @@ def test_federation_status_and_verify_chain(live):
 def test_federation_status_shows_each_replica_lag(live, monkeypatch):
     """``lag`` is the highest reachable height minus the node's own: a
     replica whose pull loop is stopped shows the blocks it missed, and 0
-    once its loop runs again and it has caught up."""
+    once its loop runs again and it has caught up. The orderer
+    organization's node names the in-sync replicas, the ones a receipt
+    waits for: the stopped replica leaves them, and rejoins once its loop
+    pulls at the tip again."""
     from fedprov.ledger import ordering
     from fedprov.services import Puller
 
@@ -405,10 +408,12 @@ def test_federation_status_shows_each_replica_lag(live, monkeypatch):
     assert code == cli.EXIT_OK
     assert {org: info["lag"] for org, info in body["nodes"].items()} == {
         "OrgA": 0, "OrgB": 2, "Readers": 0}
+    assert {org: info.get("in_sync") for org, info in body["nodes"].items()} == {
+        "OrgA": ["Readers"], "OrgB": None, "Readers": None}
     service.puller = Puller(service.node, service.puller.orderer)
     service.puller.start()
     deadline = time.monotonic() + 10
-    while body["nodes"]["OrgB"]["lag"]:
+    while body["nodes"]["OrgB"]["lag"] or body["nodes"]["OrgA"]["in_sync"] != ["OrgB", "Readers"]:
         assert time.monotonic() < deadline, body
         time.sleep(0.05)
         code, body = invoke(fed, "federation", "status")
@@ -826,6 +831,99 @@ def test_trace_reads_and_checks_every_document_on_every_run(live, monkeypatch):
     blob.unlink()
     code, body, _ = trace()
     assert (code, body["error_type"]) == (cli.EXIT_MISMATCH, "DocumentNotFoundError")
+
+
+def _count_view_work(monkeypatch) -> collections.Counter:
+    """Count the node's state dumps, the CLI's graph builds and blob reads."""
+    from fedprov.ledger.node import OrgNode
+
+    counts = collections.Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(OrgNode, "state_dump", counting("state_dump", OrgNode.state_dump))
+    monkeypatch.setattr(cli, "build_graph", counting("build_graph", cli.build_graph))
+    monkeypatch.setattr(ProvStore, "fetch_bytes", counting("fetch_bytes", ProvStore.fetch_bytes))
+    return counts
+
+
+def test_trace_reuses_the_view_of_an_unchanged_tip_only(live, monkeypatch):
+    """A second trace at an unchanged tip ships no state and builds no
+    graph, yet reads as many blobs and prints the same bytes. A publish
+    moves the tip: the next trace reads the state and builds the graph
+    again, and lists the new edge. A build that raises is not kept."""
+    fed, users = live
+    monkeypatch.setattr(cli, "_tip_view", None)
+    source = _publish(fed, "alice", "src")["artifact_pid"]
+    derived = _publish(fed, "alice", "out", source)["artifact_pid"]
+    counts = _count_view_work(monkeypatch)
+
+    def trace(pid):
+        counts.clear()
+        code, body = invoke(fed, "trace", pid)
+        assert code == cli.EXIT_OK, body
+        return json.dumps(body, indent=2, sort_keys=True), dict(counts)
+
+    first, first_counts = trace(derived)
+    assert first_counts["state_dump"] == first_counts["build_graph"] == 1
+    assert first_counts["fetch_bytes"] > 0
+    second, second_counts = trace(derived)
+    assert second == first
+    assert second_counts == {"fetch_bytes": first_counts["fetch_bytes"]}
+
+    later = _publish(fed, "bob", "later", derived)["artifact_pid"]
+    body, counts_after = trace(later)
+    assert counts_after["state_dump"] == counts_after["build_graph"] == 1
+    hops = [step["artifact"] for step in json.loads(body)["paths"][0]["steps"]
+            if "artifact" in step]
+    assert hops == [later, derived, source]
+
+    real_build = cli.build_graph
+
+    def failing_build(*args):
+        raise FedprovError("build failed")
+
+    monkeypatch.setattr(cli, "_tip_view", None)
+    monkeypatch.setattr(cli, "build_graph", failing_build)
+    assert invoke(fed, "trace", later)[0] == cli.EXIT_ERROR
+    assert cli._tip_view is None
+    monkeypatch.setattr(cli, "build_graph", real_build)
+    assert trace(later)[0] == body
+
+
+def test_cascade_affects_the_same_artifacts_with_or_without_a_held_view(live, monkeypatch):
+    """Two like chains: one cascade runs with no view held, the other after a
+    trace left the view of the tip before its invalidation. Both flag their
+    whole chain, and a trace afterwards reads the flags, not a held view."""
+    fed, users = live
+
+    def chain(tag):
+        root = _publish(fed, "alice", f"{tag}-root")["artifact_pid"]
+        middle = _publish(fed, "alice", f"{tag}-mid", root)["artifact_pid"]
+        leaf = _publish(fed, "bob", f"{tag}-leaf", middle)["artifact_pid"]
+        return root, middle, leaf
+
+    def cascade(root):
+        code, body = invoke(fed, "--identity", "alice", "invalidate", root, "--cascade")
+        assert code == cli.EXIT_OK, body
+        return body["affected"]
+
+    first, second = chain("a"), chain("b")
+    monkeypatch.setattr(cli, "_tip_view", None)
+    without_view = cascade(first[0])
+    assert invoke(fed, "trace", second[2])[0] == cli.EXIT_OK
+    assert cli._tip_view is not None
+    with_view = cascade(second[0])
+    assert without_view == [{"pid": pid, "status": "affected"} for pid in sorted(first[1:])]
+    assert with_view == [{"pid": pid, "status": "affected"} for pid in sorted(second[1:])]
+    code, body = invoke(fed, "trace", second[2])
+    assert code == cli.EXIT_OK
+    assert [step["status"] for step in body["paths"][0]["steps"] if "artifact" in step] == [
+        "affected", "affected", "invalidated"]
 
 
 def test_verify_reports_a_blob_that_vanishes_after_the_check(live, monkeypatch):

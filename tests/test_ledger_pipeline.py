@@ -106,7 +106,8 @@ def test_simulation_divergence_detected(fed, users):
     assert publish_raw(alice, "21.P/x", "cas://x", "cx").ok
     # Corrupt one node's world state out-of-band.
     node = fed.nodes["OrgB"]
-    node.state = {**node.state, "21.P/x": node.state["21.P/x"].evolved(checksum="tampered")}
+    node.view = node.view._replace(
+        state={**node.state, "21.P/x": node.state["21.P/x"].evolved(checksum="tampered")})
     with pytest.raises(SimulationDivergenceError):
         alice.hlf_invalidate("21.P/x")
 
@@ -536,6 +537,49 @@ def test_readers_see_whole_blocks_while_commits_install_new_states(fed, users, m
     # Each publish writes two keys, so a whole block adds six.
     assert sizes and all(size % 6 == 0 for size in sizes)
     assert len(node.state) - base == 8 * 6
+
+
+def test_queries_see_no_torn_view_while_a_commit_is_indexed(fed, users):
+    """A commit held after its line is indexed, before its view is installed:
+    QUERY height pairs a height with that height's own block hash, and
+    QUERY state answers a state of the height and tip it names. Once the
+    commit finishes, both answer the new block whole, and a state read
+    unless at the old tip ships the new state."""
+    alice = users["alice"]["ledger"]
+    node, service = fed.nodes["OrgA"], fed.services["OrgA"]
+    envelope = alice.prepare(*publish_operation(
+        "21.P/held", "cas://x", "cx", ["alice"], "21.P/held/prov", "cas://doc", "c-doc"))
+    before = service.handle("QUERY", {"op": "state"})
+    indexed, release = threading.Event(), threading.Event()
+
+    class HeldHeights(dict):
+        def __setitem__(self, tx_id, height):
+            super().__setitem__(tx_id, height)
+            if tx_id == envelope["tx_id"]:
+                indexed.set()
+                release.wait(10)
+
+    node.tx_heights = HeldHeights(node.tx_heights)
+    committing = threading.Thread(target=node.commit, args=(_block_of(fed, envelope),))
+    committing.start()
+    try:
+        assert indexed.wait(10)
+        height = service.handle("QUERY", {"op": "height"})
+        assert node.block(height["height"]).block_hash == height["tip_hash"]
+        during = service.handle("QUERY", {"op": "state"})
+    finally:
+        release.set()
+        committing.join(10)
+    assert not committing.is_alive()
+    assert during == before
+
+    after = service.handle("QUERY", {"op": "state", "unless_tip": before["tip_hash"]})
+    assert after["height"] == before["height"] + 1
+    assert after["tip_hash"] == node.block(after["height"]).block_hash
+    # Each publish writes two keys.
+    assert len(after["state"]) == len(before["state"]) + 2
+    assert service.handle("QUERY", {"op": "state", "unless_tip": after["tip_hash"]}) == {
+        "ok": True, "height": after["height"], "tip_hash": after["tip_hash"]}
 
 
 def test_audit_waits_for_a_block_being_appended(fed, users):

@@ -669,10 +669,12 @@ def test_malformed_registry_request_named_over_tcp(tcp_fed, tcp_users, kind, bod
      ("QUERY", {"op": "history"}), ("QUERY", ["read"]),
      ("QUERY", {"op": "blocks", "from": -1, "org": "OrgB"}),
      ("QUERY", {"op": "blocks", "from": "1", "org": "OrgB"}),
-     ("QUERY", {"op": "blocks", "from": 1, "org": ["OrgB"]}), ("PROPOSE", [{"body": {}}])],
+     ("QUERY", {"op": "blocks", "from": 1, "org": ["OrgB"]}),
+     ("QUERY", {"op": "state", "unless_tip": 7}), ("QUERY", {"op": "state", "unless_tip": None}),
+     ("PROPOSE", [{"body": {}}])],
     ids=["read-no-pid", "read-list-pid", "history-no-pid", "query-list-payload",
          "blocks-negative-from", "blocks-string-from", "blocks-list-org",
-         "propose-list-payload"],
+         "state-int-unless-tip", "state-null-unless-tip", "propose-list-payload"],
 )
 def test_malformed_node_request_named_over_tcp(tcp_fed, kind, payload):
     before = tcp_fed.system_digest()
