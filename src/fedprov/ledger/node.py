@@ -19,10 +19,10 @@ The world state is a plain dict that nothing changes once installed:
 start-up installs the one replay built, and each commit applies its block
 to a copy and installs that. It is installed with its height and tip hash
 as one ``View``, after the block's line is indexed, so every reader -- an
-endorsement simulation, ``QUERY height``, ``QUERY state`` -- sees one whole
-committed block's height, hash and state together, never a commit in
-progress. Reads may therefore run concurrently with a commit; commits are
-strictly serialized.
+endorsement simulation, ``QUERY height``, ``QUERY state``, ``QUERY
+history`` -- sees one whole committed block's height, hash and state
+together, never a commit in progress. Reads may therefore run
+concurrently with a commit; commits are strictly serialized.
 """
 
 from __future__ import annotations
@@ -201,9 +201,14 @@ class OrgNode:
         return {pid: value.to_dict() for pid, value in sorted(state.items())}
 
     def history(self, pid: str) -> list[dict]:
-        """Committed VALID transactions that wrote *pid*, in commit order."""
+        """Committed VALID transactions that wrote *pid*, in commit order,
+        up to the installed view's height: a block being committed is
+        indexed before its view is installed, and is not listed until then."""
+        top = self.view.height
         entries = []
         for height in self._writers.get(pid, ()):
+            if height > top:
+                break
             for tx in self.block(height).transactions:
                 if tx.get("validation") != blocks_mod.VALID:
                     continue

@@ -297,7 +297,7 @@ def test_sign_verify_round_trip():
     assert not crypto.verify(public_hex, signature, b"other")
 
 
-@pytest.mark.parametrize("bad", [None, 7, ["00"], {"hex": "00"}])
+@pytest.mark.parametrize("bad", [None, 7, ["00"], {"hex": "00"}, 2.5])
 def test_verify_refuses_non_string_key_or_signature(bad):
     private_hex, public_hex = crypto.generate_keypair()
     signature = crypto.sign(private_hex, b"message")

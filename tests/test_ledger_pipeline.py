@@ -582,6 +582,50 @@ def test_queries_see_no_torn_view_while_a_commit_is_indexed(fed, users):
         "ok": True, "height": after["height"], "tip_hash": after["tip_hash"]}
 
 
+def test_history_lists_no_block_above_the_height_while_a_commit_is_indexed(fed, users):
+    """A two-transaction commit held after its first transaction is indexed:
+    QUERY history of the key that transaction wrote lists no entry above
+    QUERY height, as QUERY read does not show the write yet. Once the commit
+    finishes, history lists it at the new height."""
+    alice = users["alice"]["ledger"]
+    node, service = fed.nodes["OrgA"], fed.services["OrgA"]
+    envelopes = sorted(
+        (alice.prepare(*publish_operation(
+            f"21.P/held-{n}", "cas://x", f"c{n}", ["alice"], f"21.P/held-{n}/prov",
+            "cas://doc", "c-doc")) for n in range(2)),
+        key=lambda envelope: envelope["tx_id"])
+    first, second = envelopes
+    pid = first["body"]["pid"]
+    block = _block_of(fed, *envelopes)
+    indexed, release = threading.Event(), threading.Event()
+
+    class HeldHeights(dict):
+        def __setitem__(self, tx_id, height):
+            super().__setitem__(tx_id, height)
+            if tx_id == second["tx_id"]:
+                indexed.set()
+                release.wait(10)
+
+    node.tx_heights = HeldHeights(node.tx_heights)
+    committing = threading.Thread(target=node.commit, args=(block,))
+    committing.start()
+    try:
+        assert indexed.wait(10)
+        height = service.handle("QUERY", {"op": "height"})["height"]
+        history = service.handle("QUERY", {"op": "history", "pid": pid})["entries"]
+        read = service.handle("QUERY", {"op": "read", "pid": pid})
+    finally:
+        release.set()
+        committing.join(10)
+    assert not committing.is_alive()
+    assert height == block["height"] - 1
+    assert read["value"] is None
+    assert [entry for entry in history if entry["height"] > height] == []
+
+    after = service.handle("QUERY", {"op": "history", "pid": pid})["entries"]
+    assert [entry["height"] for entry in after] == [block["height"]]
+
+
 def test_audit_waits_for_a_block_being_appended(fed, users):
     """An audit during an append sees the ledger as the last finished commit
     left it, never the half-written line."""
