@@ -19,7 +19,9 @@ The package wires together six cooperating subsystems:
 
 ``cli`` exposes the whole system as the ``fedprov`` command; ``scenarios``
 contains executable end-to-end walkthroughs that double as integration
-fixtures.
+fixtures. The server side (``services``, ``ledger.node``, ``ledger.ordering``
+and ``pid_registry``) is loaded only by ``fedprov federation start-node`` and
+the harness; a client reaches all of it through ``ledger.client.LedgerClient``.
 """
 
 __version__ = "0.1.0"

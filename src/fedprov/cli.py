@@ -82,7 +82,6 @@ from .lineage import (
 )
 from .prov import ProvDocument, require_valid
 from .prov_store import ProvStore
-from .services import RegistryClient, assemble_org, serve, shut_down
 from .transport import TcpTransport, TransportFactory
 from .updates import AtomicUpdater
 
@@ -161,9 +160,10 @@ def exit_code_for(exc: Exception) -> int:
 class ClientContext:
     """Everything a command needs: config, credentials, service transports.
 
-    The one place clients are assembled. ``transport`` maps a listen address
-    to a transport; ``TcpTransport`` here, an in-process one in the harness.
-    Without credentials the clients still answer every query.
+    The one place the client is assembled: ``ledger()`` reads and writes the
+    ledger and reserves and resolves PIDs. ``transport`` maps a listen
+    address to a transport; ``TcpTransport`` here, an in-process one in the
+    harness. Without credentials the client still answers every query.
     """
 
     config: FederationConfig
@@ -198,22 +198,11 @@ class ClientContext:
             endorsement_policy=self.config.endorsement_policy,
         )
 
-    def registry(self) -> RegistryClient:
-        return RegistryClient(
-            self.transport(self.config.orderer_org().listen_address),
-            self.identity,
-            self.private_key,
-        )
-
     def store(self) -> ProvStore:
         return ProvStore(self.config.store_root)
 
     def updater(self) -> AtomicUpdater:
-        return AtomicUpdater(
-            store=self.store(),
-            registry=self.registry(),
-            ledger=self.ledger(),
-        )
+        return AtomicUpdater(store=self.store(), ledger=self.ledger())
 
     def owner_orgs(self) -> Callable[[str], str]:
         """Each user's organization, from one read of the identity directory."""
@@ -250,11 +239,10 @@ def update_provenance(
 
 def verify_pid(ctx: ClientContext, pid: str) -> dict:
     """Recompute content checksums against the ledger record for *pid*."""
-    registry = ctx.registry()
     ledger = ctx.ledger()
     store = ctx.store()
 
-    chain = registry.version_history(pid)
+    chain = ledger.version_history(pid)
     record = next(r for r in chain if r["pid"] == pid)
     # The ledger keeps a version chain under its first PID (an artifact's
     # chain is the artifact alone), and its current value is the last
@@ -447,7 +435,10 @@ def _require_reachable(nodes: dict[str, dict], body: dict) -> None:
 
 def federation_start_node(config_path: str, org_name: str) -> dict:
     """Run one organization node in the foreground (plus orderer and registry,
-    on the same address, on the orderer org). Blocks until interrupted."""
+    on the same address, on the orderer org). Blocks until interrupted.
+    The one verb that loads the server side."""
+    from .services import assemble_org, serve, shut_down
+
     config = FederationConfig.load(Path(config_path))
     address = config.org_entry(org_name).listen_address
     service = assemble_org(config, org_name, TcpTransport)
@@ -488,16 +479,23 @@ def _load_document(path: str) -> ProvDocument:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
         raise InvalidDocumentError([f"{path}: not valid JSON ({exc})"]) from exc
-    doc = ProvDocument.from_dict(data)
-    require_valid(doc)
+    try:
+        doc = ProvDocument.from_dict(data)
+        require_valid(doc)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InvalidDocumentError([f"{path}: not a provenance document ({exc!r})"]) from exc
     return doc
 
 
 def _load_grant(path: str | None) -> identity_mod.Permission | None:
+    """The permission grant in *path*; a file that is not one is a usage error."""
     if path is None:
         return None
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return identity_mod.Permission.from_dict(data)
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        return identity_mod.Permission.from_dict(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CommandFailure(EXIT_USAGE, f"{path}: not a permission grant ({exc!r})") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,7 @@ class Federation:
         private_key: str | None = None,
     ) -> ClientContext:
         """A client of this federation, wired exactly as the CLI's: its
-        ``ledger()``, ``registry()``, ``store()`` and ``updater()``."""
+        ``ledger()``, ``store()`` and ``updater()``."""
         return ClientContext(self.config, identity, private_key, self.transport)
 
     # -- whole-system inspection -------------------------------------------------------

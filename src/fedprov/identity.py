@@ -27,7 +27,7 @@ from typing import Iterable, Mapping
 
 from . import crypto
 from .canonical import canonical_bytes
-from .errors import DuplicateUserError, UnauthorizedError, UnknownOrgError
+from .errors import ConfigError, DuplicateUserError, UnauthorizedError, UnknownOrgError
 
 ORG_PRODUCER = "producer"
 ORG_CONSUMER = "consumer-read-only"
@@ -405,14 +405,15 @@ def user_credentials(keys_base: Path, user_id: str) -> tuple[Identity, str]:
     """Load (identity, private_key) from a per-user key directory.
 
     ``keys_base`` is the directory holding one subdirectory per user; the
-    ``FEDPROV_KEYDIR`` environment variable overrides it.
+    ``FEDPROV_KEYDIR`` environment variable overrides it. A user without
+    both files there is a ``ConfigError``, as a node without them is.
     """
     base = _keys_base(keys_base)
     user_dir = base / user_id
     identity_path = user_dir / "identity.json"
     key_path = user_dir / "key"
     if not identity_path.exists() or not key_path.exists():
-        raise UnknownOrgError(f"no identity material for user {user_id!r} under {base}")
+        raise ConfigError(f"no identity material for user {user_id!r} under {base}")
     return load_identity(identity_path), key_path.read_text().strip()
 
 

@@ -1,22 +1,5 @@
 """Permissioned append-only ledger: world state, hash-chained blocks, and the
 propose / endorse / order / commit pipeline replicated across organization
-nodes.
+nodes. A client loads ``client`` and what it needs; ``node`` and ``ordering``
+run on the server side only.
 """
-
-from .values import LedgerValue
-from .blocks import Block, genesis_block, verify_chain_file, VerificationReport
-from .node import OrgNode
-from .ordering import OrderingService
-from .client import LedgerClient, Receipt
-
-__all__ = [
-    "Block",
-    "LedgerClient",
-    "LedgerValue",
-    "OrderingService",
-    "OrgNode",
-    "Receipt",
-    "VerificationReport",
-    "genesis_block",
-    "verify_chain_file",
-]

@@ -14,8 +14,13 @@ A state read names the height and tip hash it was taken at (``read_state``).
 A caller that already holds the state of a tip passes its hash as
 ``unless_tip``, and a node still at that tip answers without the state.
 
+The PID registry answers at the orderer organization's address, so the same
+client reserves PIDs (``mint``, signed like a proposal) and resolves them
+(``resolve``, ``version_history``) there.
+
 The client talks to nodes directly -- there is no proxy in the path -- so a
 single dead node degrades nothing that the remaining replicas can answer.
+A query moves on past a node it cannot reach, and logs it at warning level.
 """
 
 from __future__ import annotations
@@ -180,18 +185,15 @@ class LedgerClient:
         The envelope returned may carry the chaincode's refusal (see
         ``refusal``); only one without may be ordered.
         """
-        if self.identity is None or self._private_key is None:
-            raise UnauthorizedError(f"{kind} requires caller credentials")
         body = {
             "kind": kind,
             "pid": pid,
             "args": args,
-            "creator": self.identity.to_creator(),
+            "creator": self._creator(kind),
             "timestamp": timestamp or clock.now_iso(),
             "nonce": uuid.uuid4().hex,
         }
-        signature = crypto.sign(self._private_key, canonical_bytes(body))
-        return self.endorse(body, signature)
+        return self.endorse(body, self._sign(body))
 
     def endorse(self, body: dict, signature: str) -> dict:
         """Collect endorsements for a signed body; returns an order-ready envelope.
@@ -266,6 +268,25 @@ class LedgerClient:
             message=receipt["message"],
         )
 
+    def mint(self) -> dict:
+        """Reserve a PID; its record ``{pid, metadata: {owner, created_at}}``.
+
+        The signed request is the empty object.
+        """
+        request: dict = {}
+        payload = {"caller": self._creator("MINT"), "request": request,
+                   "signature": self._sign(request)}
+        return self.orderer("MINT", payload)["record"]
+
+    def _creator(self, kind: str) -> dict:
+        """The caller's identity claim, for a request of *kind* it signs."""
+        if self.identity is None or self._private_key is None:
+            raise UnauthorizedError(f"{kind} requires caller credentials")
+        return self.identity.to_creator()
+
+    def _sign(self, message: dict) -> str:
+        return crypto.sign(self._private_key, canonical_bytes(message))
+
     # -- chaincode wrappers ---------------------------------------------------
 
     def hlf_update_prov(
@@ -321,12 +342,20 @@ class LedgerClient:
     def state_dump(self) -> dict[str, dict]:
         return self.read_state()["state"]
 
+    def resolve(self, pid: str) -> dict:
+        """The registry record of a PID that a committed transaction names."""
+        return self.orderer("RESOLVE", {"pid": pid})["record"]
+
+    def version_history(self, pid: str) -> list[dict]:
+        """The registry records of *pid*'s version chain, oldest first."""
+        return self.orderer("HISTORY", {"pid": pid})["records"]
+
     def _query(self, payload: dict) -> dict:
         last_error: Exception | None = None
         for org, transport in self.peers.items():
             try:
                 return transport("QUERY", payload)
             except TransportError as exc:
+                _log.warning("node %s unreachable for query: %s", org, exc)
                 last_error = exc
-                continue
         raise TransportError(f"no node reachable for query: {last_error}")

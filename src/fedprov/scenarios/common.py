@@ -114,7 +114,7 @@ class ScenarioEnv:
     def stored_doc(self, prov_pid: str) -> dict:
         """The current stored document of a provenance record, as a dict."""
         ctx = self.ctx()
-        record = ctx.registry().resolve(prov_pid)
+        record = ctx.ledger().resolve(prov_pid)
         doc = ctx.store().fetch_document(record["target_uri"], record["checksum"])
         return doc.to_dict()
 

@@ -50,7 +50,7 @@ def run(config_path: str) -> dict:
             element["checksum"] = code["artifact_checksum"]
     update = env.update_prov("alice", experiment["prov_pid"], enriched)
 
-    chain = env.ctx().registry().version_history(update["new_pid"])
+    chain = env.ctx().ledger().version_history(update["new_pid"])
     return {
         "experiment_pid": experiment["artifact_pid"],
         "code_pid": code["artifact_pid"],

@@ -67,7 +67,7 @@ def run(config_path: str) -> dict:
     ]
     update = env.update_prov("alice", product["prov_pid"], revised)
 
-    chain = env.ctx().registry().version_history(update["new_pid"])
+    chain = env.ctx().ledger().version_history(update["new_pid"])
     return {
         "raw_pid": raw["artifact_pid"],
         "product_pid": product["artifact_pid"],

@@ -1,4 +1,7 @@
-"""Message-kind dispatch for the node, ordering, and registry services.
+"""Message-kind dispatch for the node, ordering, and registry services: the
+server side, loaded by ``fedprov federation start-node`` and the harness. A
+client speaks to these services through ``ledger.client.LedgerClient`` and
+loads none of this module.
 
 Each organization answers on one address, its node's listen address. A
 ``NodeService`` answers PROPOSE / QUERY on every organization node. The
@@ -44,7 +47,7 @@ import logging
 import threading
 from typing import Iterable, Mapping
 
-from . import crypto, identity as identity_mod
+from . import identity as identity_mod
 from .canonical import canonical_bytes
 from .errors import FedprovError, TransportError, UnauthorizedError
 from .federation import FederationConfig, load_node_credentials
@@ -183,36 +186,6 @@ def _pid(kind: str, payload: dict) -> str:
     if not isinstance(pid, str):
         raise FedprovError(f"malformed request: {kind} needs a string 'pid'")
     return pid
-
-
-class RegistryClient:
-    """Registry access over any transport, signing mutating requests."""
-
-    def __init__(self, transport, identity: identity_mod.Identity | None = None,
-                 private_key: str | None = None):
-        self.transport = transport
-        self.identity = identity
-        self._private_key = private_key
-
-    def resolve(self, pid: str) -> dict:
-        return self.transport("RESOLVE", {"pid": pid})["record"]
-
-    def version_history(self, pid: str) -> list[dict]:
-        return self.transport("HISTORY", {"pid": pid})["records"]
-
-    def mint(self) -> dict:
-        """Reserve a PID; its record ``{pid, metadata: {owner, created_at}}``."""
-        return self._signed("MINT", {})["record"]
-
-    def _signed(self, kind: str, request: dict) -> dict:
-        if self.identity is None or self._private_key is None:
-            raise UnauthorizedError(f"{kind} requires caller credentials")
-        payload = {
-            "caller": self.identity.to_creator(),
-            "request": request,
-            "signature": crypto.sign(self._private_key, canonical_bytes(request)),
-        }
-        return self.transport(kind, payload)
 
 
 def dispatch(service: NodeService, kind: str, payload: dict) -> dict:

@@ -35,6 +35,7 @@ from .errors import (
 )
 from .ledger.blocks import VALID
 from .ledger.client import (
+    LedgerClient,
     Receipt,
     publish_operation,
     require_committed,
@@ -61,13 +62,12 @@ class UpdateResult:
 class AtomicUpdater:
     """The write coordinator for ``publish`` and ``update``.
 
-    ``registry`` is a RegistryClient (any transport), ``ledger`` a
-    LedgerClient, ``store`` the shared provenance store.
+    ``ledger`` is a LedgerClient (any transport), which also reserves and
+    resolves PIDs; ``store`` is the shared provenance store.
     """
 
-    def __init__(self, store: ProvStore, registry, ledger):
+    def __init__(self, store: ProvStore, ledger: LedgerClient):
         self.store = store
-        self.registry = registry
         self.ledger = ledger
 
     def publish(
@@ -82,7 +82,7 @@ class AtomicUpdater:
         The entity standing for the file gets the artifact PID (see
         ``_attach_artifact``). One ledger transaction creates both records.
         """
-        violations = unresolvable_artifact_pids(doc, self.registry)
+        violations = unresolvable_artifact_pids(doc, self.ledger)
         if violations:
             raise InvalidDocumentError(violations)
         artifact_uri, artifact_checksum = self._step_store(payload)
@@ -112,7 +112,7 @@ class AtomicUpdater:
         permission: identity_mod.Permission | None = None,
         timestamp: str | None = None,
     ) -> UpdateResult:
-        chain = self.registry.version_history(old_pid)
+        chain = self.ledger.version_history(old_pid)
         old_record = next(record for record in chain if record["pid"] == old_pid)
         if old_record["object_kind"] != KIND_PROVENANCE:
             raise KindMismatchError(f"{old_pid} is not a provenance record")
@@ -137,7 +137,7 @@ class AtomicUpdater:
         # still resolves.
         cited = {entity.artifact_pid for entity in old_doc.entities}
         violations = validate_document(new_doc)
-        violations.extend(unresolvable_artifact_pids(new_doc, self.registry, cited))
+        violations.extend(unresolvable_artifact_pids(new_doc, self.ledger, cited))
         if violations:
             raise InvalidDocumentError(violations)
         classification = classify_update(old_doc, new_doc)
@@ -196,7 +196,7 @@ class AtomicUpdater:
         return uri, checksum
 
     def _step_mint(self) -> str:
-        return self.registry.mint()["pid"]
+        return self.ledger.mint()["pid"]
 
     def _step_ledger(self, kind: str, pid: str, args: dict, timestamp: str | None) -> dict:
         return require_committed(self.ledger.submit(kind, pid, args, timestamp)).to_dict()
@@ -248,9 +248,9 @@ def _attach_artifact(
 
 
 def unresolvable_artifact_pids(
-    doc: ProvDocument, registry, known: set[str] = frozenset()
+    doc: ProvDocument, ledger: LedgerClient, known: set[str] = frozenset()
 ) -> list[str]:
-    """A violation for each entity whose artifact PID *registry* cannot
+    """A violation for each entity whose artifact PID *ledger* cannot
     resolve to an artifact; PIDs in *known* are taken as resolving without
     asking. Lineage reads every cited PID as an artifact on the ledger, so
     citing a provenance record's PID would break every trace."""
@@ -259,7 +259,7 @@ def unresolvable_artifact_pids(
         if entity.artifact_pid is None or entity.artifact_pid in known:
             continue
         try:
-            kind = registry.resolve(entity.artifact_pid)["object_kind"]
+            kind = ledger.resolve(entity.artifact_pid)["object_kind"]
         except UnknownPIDError:
             kind = None
         if kind != KIND_ARTIFACT:

@@ -50,7 +50,6 @@ def register_default_users(federation: Federation) -> dict:
             "identity": identity,
             "key": key,
             "ledger": federation.client(identity, key).ledger(),
-            "registry": federation.client(identity, key).registry(),
         }
     return out
 

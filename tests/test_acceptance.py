@@ -389,7 +389,7 @@ def test_criterion_6_version_chain_integrity(tmp_path):
             relations=[rel("was-generated-by", "e-x", "a-x")],
         )
         uri, checksum, _ = fed.store.store_document(base)
-        registry = fed.client(alice["identity"], alice["key"]).registry()
+        registry = fed.client(alice["identity"], alice["key"]).ledger()
         record = registry.mint()
         assert publish_raw(alice["ledger"], "21.P/subject",
                            prov=(record["pid"], uri, checksum)).ok
@@ -535,7 +535,7 @@ def test_criterion_7_update_classification(tmp_path):
                        rel("was-generated-by", "e-b", "a-2")],
         )
         uri, checksum, _ = fed.store.store_document(base)
-        registry = fed.client(alice["identity"], alice["key"]).registry()
+        registry = fed.client(alice["identity"], alice["key"]).ledger()
         record = registry.mint()
         assert publish_raw(alice["ledger"], "21.P/subject",
                            prov=(record["pid"], uri, checksum)).ok

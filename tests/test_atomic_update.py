@@ -42,7 +42,7 @@ def published(fed):
     store = fed.store
     doc = simple_doc()
     uri, checksum, _ = store.store_document(doc)
-    registry = fed.client(alice["identity"], alice["key"]).registry()
+    registry = fed.client(alice["identity"], alice["key"]).ledger()
     record = registry.mint()
     receipt = publish_raw(alice["ledger"], "21.P/subject", prov=(record["pid"], uri, checksum))
     assert receipt.ok
@@ -64,7 +64,7 @@ def test_update_happy_path(published):
     assert result.classification == ENRICHMENT
     assert result.new_pid != pid
 
-    registry = fed.client().registry()
+    registry = fed.client().ledger()
     chain = registry.version_history(pid)
     assert [r["version_number"] for r in chain] == [1, 2]
     assert chain[1]["pid"] == result.new_pid
@@ -197,7 +197,7 @@ def _committed_whole_or_nothing(fed, before) -> bool:
 
 def _update_head(fed, user, pid, marker="after"):
     """Update the newest version of *pid*'s chain; the result, verified."""
-    head = fed.client().registry().version_history(pid)[-1]["pid"]
+    head = fed.client().ledger().version_history(pid)[-1]["pid"]
     result = fed.client(user["identity"], user["key"]).updater().update(
         head, annotated(_document(fed, head), marker), user["identity"]
     )
@@ -244,7 +244,7 @@ def test_ledger_rejection_rolls_back_registry_and_blob(published, monkeypatch):
     with pytest.raises(LedgerRejectedError):
         updater.update(pid, enriched_copy(doc), users["alice"]["identity"])
     assert not _committed_whole_or_nothing(fed, before)
-    assert len(fed.client().registry().version_history(pid)) == 1
+    assert len(fed.client().ledger().version_history(pid)) == 1
 
 
 def test_shared_blob_survives_rollback(published, monkeypatch):
@@ -268,7 +268,7 @@ def test_lost_mint_reply_is_rolled_back(published, monkeypatch):
     alice = users["alice"]
     updater = fed.client(alice["identity"], alice["key"]).updater()
     before = _observed(fed)
-    real_transport = updater.registry.transport
+    real_transport = updater.ledger.orderer
 
     def reply_lost(kind, payload):
         response = real_transport(kind, payload)
@@ -276,7 +276,7 @@ def test_lost_mint_reply_is_rolled_back(published, monkeypatch):
             raise TransportError("connection closed mid-message")
         return response
 
-    monkeypatch.setattr(updater.registry, "transport", reply_lost)
+    monkeypatch.setattr(updater.ledger, "orderer", reply_lost)
     with pytest.raises(TransportError):
         updater.update(pid, enriched_copy(doc), alice["identity"])
     assert not _committed_whole_or_nothing(fed, before)
@@ -286,7 +286,7 @@ def test_lost_mint_reply_is_rolled_back(published, monkeypatch):
     assert new_pid != lost
     assert cli.verify_pid(fed.client(), new_pid)["result"] == "VERIFIED"
     with pytest.raises(UnknownPIDError):
-        fed.client().registry().resolve(lost)
+        fed.client().ledger().resolve(lost)
 
 
 def test_refused_mint_leaves_another_runs_version_alone(published, monkeypatch):
@@ -308,7 +308,7 @@ def test_refused_mint_leaves_another_runs_version_alone(published, monkeypatch):
         updater.update(pid, enriched_copy(doc, "second"), alice["identity"])
     assert refused.value.receipt["message"] == MSG_VERSION_CONFLICT
     assert cli.exit_code_for(refused.value) == cli.EXIT_DUPLICATE
-    chain = fed.client().registry().version_history(pid)
+    chain = fed.client().ledger().version_history(pid)
     assert [r["version_number"] for r in chain] == [1, 2]
     assert alice["ledger"].hlf_read(pid).checksum == chain[1]["checksum"]
     assert cli.verify_pid(fed.client(), chain[1]["pid"])["result"] == "VERIFIED"
@@ -335,11 +335,11 @@ def test_stale_update_is_refused_by_the_ledger(published, monkeypatch):
         second.update(pid, enriched_copy(doc, "second"), alice["identity"])
     assert refused.value.receipt["message"] == MSG_VERSION_CONFLICT
     assert cli.exit_code_for(refused.value) == cli.EXIT_DUPLICATE
-    chain = fed.client().registry().version_history(pid)
+    chain = fed.client().ledger().version_history(pid)
     assert [r["pid"] for r in chain] == [pid, first_result[0].new_pid]
     (stale,) = _reservations(fed) - before - {first_result[0].new_pid}
     with pytest.raises(UnknownPIDError):
-        fed.client().registry().resolve(stale)
+        fed.client().ledger().resolve(stale)
     assert alice["ledger"].hlf_read(pid).version == 2
 
 
@@ -359,7 +359,7 @@ def test_publish_happy_path(publisher):
     ledger = users["alice"]["ledger"]
     assert ledger.hlf_read(body["artifact_pid"]).checksum == body["artifact_checksum"]
     assert ledger.hlf_read(body["prov_pid"]).checksum == body["doc_checksum"]
-    registry = fed.client().registry()
+    registry = fed.client().ledger()
     assert registry.resolve(body["artifact_pid"])["checksum"] == body["artifact_checksum"]
     assert registry.resolve(body["prov_pid"])["checksum"] == body["doc_checksum"]
 
@@ -434,7 +434,7 @@ def test_a_document_citing_a_non_artifact_pid_is_refused(publisher):
     fed, users, updater = publisher
     alice = users["alice"]["identity"]
     first = updater.publish(b"a\n", simple_doc(), alice)
-    record = fed.client().registry().resolve(first["prov_pid"])
+    record = fed.client().ledger().resolve(first["prov_pid"])
     stored = fed.store.fetch_document(record["target_uri"], record["checksum"])
     before, height = _observed(fed), fed.nodes["OrgA"].height()
     cites_provenance = f"artifact PID {first['prov_pid']!r} names a provenance-record"
@@ -525,7 +525,7 @@ def test_late_order_commit_is_visible_through_resolve(publisher, monkeypatch):
     late[0].join()
     reserved = _reservations(fed) - before["reserved"]
     assert len(reserved) == 2
-    registry = fed.client().registry()
+    registry = fed.client().ledger()
     for pid in reserved:
         assert registry.resolve(pid)["pid"] == pid
         assert cli.verify_pid(fed.client(), pid)["result"] == "VERIFIED"
@@ -544,7 +544,7 @@ def test_restart_answers_the_same_and_reserves_above_every_reservation(
         updater.update(head, annotated(_document(fed, head), "refused"), alice["identity"])
 
     def answers(federation):
-        registry = federation.client().registry()
+        registry = federation.client().ledger()
         out = {}
         for reserved in sorted(_reservations(federation)):
             try:
@@ -577,7 +577,7 @@ def annotated(doc, key):
 
 
 def _document(fed, pid):
-    record = fed.client().registry().resolve(pid)
+    record = fed.client().ledger().resolve(pid)
     return fed.store.fetch_document(record["target_uri"], record["checksum"])
 
 

@@ -162,6 +162,84 @@ def test_publish_invalid_document(live):
     assert code == cli.EXIT_INVALID_DOCUMENT
 
 
+MALFORMED_DOCUMENTS = {
+    "a list": lambda doc: [doc],
+    "an entity without local_id": lambda doc: {
+        **doc, "entities": [{"label": "artifact"}]},
+    "a relation without kind": lambda doc: {
+        **doc, "relations": [{"source": "e-x", "target": "a-x"}]},
+    "entities not a list": lambda doc: {**doc, "entities": 5},
+}
+
+
+@pytest.mark.parametrize("verb", ["publish", "update-prov"])
+@pytest.mark.parametrize("shape", sorted(MALFORMED_DOCUMENTS))
+def test_malformed_document_exits_15_naming_the_file(live, verb, shape):
+    fed, users = live
+    target = _publish(fed, "alice", "base")["prov_pid"] if verb == "update-prov" else None
+    doc_path = write_doc(fed, "bad.json", MALFORMED_DOCUMENTS[shape](simple_doc_dict()))
+    argv = {
+        "publish": ["publish", write_sample(fed, "d.csv", "a\n"), doc_path],
+        "update-prov": ["update-prov", target, doc_path],
+    }[verb]
+    height = fed.nodes["OrgA"].height()
+    code, body = invoke(fed, "--identity", "alice", *argv)
+    assert code == cli.EXIT_INVALID_DOCUMENT, body
+    assert body["error_type"] == "InvalidDocumentError"
+    assert doc_path in body["error"]
+    assert fed.nodes["OrgA"].height() == height
+
+
+@pytest.mark.parametrize("verb", ["update-prov", "invalidate"])
+@pytest.mark.parametrize("content", ["not json", '{"subject": "21.P/000001"}', "[]"],
+                         ids=["not-json", "no-grantee", "a-list"])
+def test_malformed_grant_is_a_usage_error_naming_the_file(live, verb, content):
+    fed, _ = live
+    grant_path = fed.config.base_dir / "grant.json"
+    grant_path.write_text(content)
+    argv = {
+        "update-prov": ["update-prov", "21.P/000002", write_doc(fed, "d.json", simple_doc_dict())],
+        "invalidate": ["invalidate", "21.P/000001"],
+    }[verb]
+    code, body = invoke(fed, "--identity", "alice", *argv, "--grant", str(grant_path))
+    assert code == cli.EXIT_USAGE, body
+    assert str(grant_path) in body["error"]
+    assert fed.nodes["OrgA"].height() == 0
+
+
+def test_identity_without_key_material_is_a_config_error(live):
+    fed, _ = live
+    code, body = invoke(fed, "--identity", "nobody", "verify", "21.P/000001")
+    assert code == cli.EXIT_CONFIG, body
+    assert "no identity material for user 'nobody'" in body["error"]
+
+
+def test_client_verbs_load_no_server_module(live):
+    """``verify`` and ``trace`` through ``cli.main`` in a fresh interpreter
+    load none of the server side."""
+    fed, _ = live
+    pid = _publish(fed, "alice", "d")["artifact_pid"]
+    script = """
+import json, sys
+from fedprov import cli
+config, pid = sys.argv[1:]
+codes = [cli.main(["--config", config, "--json", verb, pid]) for verb in ("verify", "trace")]
+server = {"fedprov.services", "fedprov.ledger.node", "fedprov.ledger.ordering",
+          "fedprov.pid_registry"}
+print(json.dumps({"codes": codes, "loaded": sorted(server & set(sys.modules))}))
+"""
+    src_dir = Path(__file__).resolve().parents[1] / "src"
+    pythonpath = os.pathsep.join(
+        path for path in (str(src_dir), os.environ.get("PYTHONPATH")) if path
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(fed.config_path), pid],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=pythonpath),
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == {"codes": [0, 0], "loaded": []}
+
+
 def test_verify_and_mismatch_after_disk_tamper(live):
     fed, users = live
     file_path = write_sample(fed, "d.csv", "a,b\n1,2\n")
@@ -452,7 +530,7 @@ def test_start_node_occupied_port(tmp_path, live):
 def test_cycle_detection_exit_code(live):
     fed, users = live
     alice = users["alice"]
-    registry = fed.client(alice["identity"], alice["key"]).registry()
+    registry = fed.client(alice["identity"], alice["key"]).ledger()
     store = fed.store
     ledger = alice["ledger"]
 
@@ -500,7 +578,6 @@ def test_start_node_subprocess_federation(tmp_path):
     from fedprov.federation import FederationConfig
     from fedprov.harness import free_ports
     from fedprov.identity import RegistrationService
-    from fedprov.services import RegistryClient
 
     root = tmp_path / "fed"
     root.mkdir()
@@ -575,8 +652,9 @@ def test_start_node_subprocess_federation(tmp_path):
         code, body = cli.run(["--config", str(config_path), "federation", "verify-chain"])
         assert code == cli.EXIT_OK and body["all_clear"]
 
-        registry = RegistryClient(
-            TcpTransport(config.org_entry("OrgA").listen_address), alice, alice_key
+        registry = LedgerClient(
+            alice, alice_key, {}, TcpTransport(config.org_entry("OrgA").listen_address),
+            config.orgs_map(), config.endorsement_policy,
         )
         assert registry.mint()["metadata"]["owner"] == "alice"
         prov_pid = published["prov_pid"]

@@ -83,6 +83,12 @@ def test_register_unknown_org_rejected(service):
         service.register_user("OrgZ", "zoe")
 
 
+def test_user_without_key_material_is_a_config_error(service):
+    """As a node without identity material is (``load_node_credentials``)."""
+    with pytest.raises(ConfigError, match="no identity material for user 'nobody'"):
+        identity_mod.user_credentials(service.keys_dir, "nobody")
+
+
 def test_same_user_id_refused_in_other_org(service):
     """A user id names one user across the federation: private keys live
     under ``keys/<user_id>/`` and the ledger names owners by bare user id,

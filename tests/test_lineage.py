@@ -494,7 +494,7 @@ def live_publish(fed):
     users = register_default_users(fed)
     alice = users["alice"]
     ledger = alice["ledger"]
-    registry = fed.client(alice["identity"], alice["key"]).registry()
+    registry = fed.client(alice["identity"], alice["key"]).ledger()
     store = fed.store
 
     def publish(name, inputs=()):

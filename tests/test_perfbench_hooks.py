@@ -131,7 +131,7 @@ def test_traced_registry_requests_record_one_registry_span(monkeypatch, tmp_path
         try:
             alice, key = fed.register_user("OrgA", "alice")
             client = fed.client(alice, key)
-            registry = client.registry()
+            registry = client.ledger()
             record, minted = traced(registry.mint)
             assert publish_raw(client.ledger(), record["pid"], "cas://t", "ct").ok
             resolved, resolving = traced(lambda: registry.resolve(record["pid"]))

@@ -347,10 +347,10 @@ def test_a_reservation_committed_by_another_producer_never_resolves(fed):
     does: neither PID resolves, and alice may still publish under her own."""
     users = register_default_users(fed)
     alice, bob = users["alice"], users["bob"]
-    artifact_pid, prov_pid = alice["registry"].mint()["pid"], alice["registry"].mint()["pid"]
+    artifact_pid, prov_pid = alice["ledger"].mint()["pid"], alice["ledger"].mint()["pid"]
     assert publish_raw(bob["ledger"], artifact_pid, "cas://a", "ca", ["bob"],
                        prov=(prov_pid, "cas://d", "cd")).ok
-    registry = fed.client().registry()
+    registry = fed.client().ledger()
     for pid in (artifact_pid, prov_pid):
         with pytest.raises(UnknownPIDError):
             registry.resolve(pid)

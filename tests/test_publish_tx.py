@@ -99,6 +99,25 @@ def test_one_refusing_producer_does_not_block_the_other(fed, users, caplog):
     assert "creator certificate does not verify" in skipped.getMessage()
 
 
+def test_a_query_logs_each_node_it_skips(fed, users, caplog):
+    assert publish_raw(users["alice"]["ledger"], "21.P/x", "cas://x", "cx").ok
+    peers = {"OrgA": _unreachable, "OrgB": DirectTransport(fed.services["OrgB"].handle)}
+    with caplog.at_level(logging.WARNING, logger="fedprov.ledger.client"):
+        assert _client(fed, users["alice"], peers).hlf_read("21.P/x").checksum == "cx"
+    (skipped,) = [r for r in caplog.records if r.name == "fedprov.ledger.client"]
+    assert skipped.levelno == logging.WARNING
+    assert "OrgA" in skipped.getMessage()
+    assert "cannot reach 127.0.0.1:1" in skipped.getMessage()
+
+    caplog.clear()
+    none_reachable = _client(fed, users["alice"], {"OrgA": _unreachable, "OrgB": _unreachable})
+    with caplog.at_level(logging.WARNING, logger="fedprov.ledger.client"):
+        with pytest.raises(TransportError, match="no node reachable for query"):
+            none_reachable.get_history("21.P/x")
+    assert [r.getMessage().split()[1] for r in caplog.records
+            if r.name == "fedprov.ledger.client"] == ["OrgA", "OrgB"]
+
+
 def test_racing_publishes_of_one_provenance_pid_commit_exactly_one(fed, users):
     """Both endorse against the same state; the read-set check at commit
     lets the first one through and refuses the second, which changes
@@ -254,7 +273,7 @@ def test_legacy_two_create_ledger_replays_next_to_publish_transactions(tmp_path)
     try:
         alice = register_default_users(fed)["alice"]
         ctx = fed.client(alice["identity"], alice["key"])
-        reserved = iter([ctx.registry().mint() for _ in range(4)])
+        reserved = iter([ctx.ledger().mint() for _ in range(4)])
         old_artifact, old_prov, doc = _legacy_publish(fed, alice, reserved, b"old\n",
                                                       simple_doc())
         old_v2, doc = _legacy_update_prov(fed, alice, reserved, old_prov, old_prov, doc,
@@ -286,7 +305,7 @@ def test_legacy_two_create_ledger_replays_next_to_publish_transactions(tmp_path)
             assert kinds[pid] == ["create-prov"] + 3 * [chaincode.TX_UPDATE_PROV]
         assert kinds[new["artifact_pid"]] == kinds[new["prov_pid"]] == [chaincode.TX_PUBLISH]
         for pid in versions:
-            history = reader.registry().version_history(pid)
+            history = reader.ledger().version_history(pid)
             assert [(r["pid"], r["version_number"]) for r in history] == [
                 (member, number) for number, member in enumerate(versions, 1)
             ]

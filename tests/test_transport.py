@@ -19,8 +19,7 @@ from fedprov import transport
 from fedprov.errors import FedprovError, TransportError, UnauthorizedError, UnknownPIDError
 from fedprov.harness import Federation, free_port
 from fedprov.ledger.chaincode import MSG_BAD_REQUEST
-from fedprov.ledger.client import STATUS_REJECTED
-from fedprov.services import RegistryClient
+from fedprov.ledger.client import STATUS_REJECTED, LedgerClient
 from fedprov.transport import (
     MessageServer,
     TcpTransport,
@@ -425,7 +424,7 @@ def test_federations_started_and_stopped_leave_no_sockets(tmp_path):
         try:
             alice = register_default_users(federation)["alice"]
             assert publish_raw(alice["ledger"], f"21.P/{n}", "cas://x", "cx").ok
-            alice["registry"].mint()
+            alice["ledger"].mint()
             return sum(_is_socket(fd) for fd in open_fds())
         finally:
             federation.stop()
@@ -445,7 +444,7 @@ def test_tcp_federation_stops_promptly(tmp_path):
     try:
         alice = register_default_users(federation)["alice"]
         assert publish_raw(alice["ledger"], "21.P/s", "cas://s", "cs").ok
-        alice["registry"].mint()
+        alice["ledger"].mint()
     finally:
         started = time.perf_counter()
         federation.stop()
@@ -489,8 +488,9 @@ def test_config_with_registry_address_serves_the_registry_at_the_orderer(tmp_pat
     try:
         assert len(federation.servers) == len(config["organizations"])
         alice = register_default_users(federation)["alice"]
-        client = RegistryClient(
-            TcpTransport(_orderer_address(federation)), alice["identity"], alice["key"]
+        client = LedgerClient(
+            alice["identity"], alice["key"], {}, TcpTransport(_orderer_address(federation)),
+            federation.config.orgs_map(), federation.config.endorsement_policy,
         )
         pid = client.mint()["pid"]
         assert publish_raw(alice["ledger"], "21.P/subject", prov=(pid, "cas://1", "c1")).ok
@@ -510,10 +510,9 @@ def test_config_with_registry_address_serves_the_registry_at_the_orderer(tmp_pat
 
 def test_registry_mint_resolve_link_history_over_tcp(tcp_fed, tcp_users):
     alice = tcp_users["alice"]
-    client = RegistryClient(
-        TcpTransport(_orderer_address(tcp_fed)),
-        alice["identity"],
-        alice["key"],
+    client = LedgerClient(
+        alice["identity"], alice["key"], {}, TcpTransport(_orderer_address(tcp_fed)),
+        tcp_fed.config.orgs_map(), tcp_fed.config.endorsement_policy,
     )
     v1 = client.mint()
     with pytest.raises(UnknownPIDError):
@@ -536,22 +535,26 @@ def test_registry_mint_resolve_link_history_over_tcp(tcp_fed, tcp_users):
 def test_registry_rejects_bad_signature_over_tcp(tcp_fed, tcp_users):
     alice = tcp_users["alice"]
     wrong_key = tcp_users["bob"]["key"]
-    client = RegistryClient(
-        TcpTransport(_orderer_address(tcp_fed)), alice["identity"], wrong_key
+    client = LedgerClient(
+        alice["identity"], wrong_key, {}, TcpTransport(_orderer_address(tcp_fed)),
+        tcp_fed.config.orgs_map(), tcp_fed.config.endorsement_policy,
     )
     with pytest.raises(UnauthorizedError):
         client.mint()
 
 
 def test_registry_resolve_unauthenticated(tcp_fed, tcp_users):
-    signed = RegistryClient(
+    signed = LedgerClient(
+        tcp_users["alice"]["identity"], tcp_users["alice"]["key"], {},
         TcpTransport(_orderer_address(tcp_fed)),
-        tcp_users["alice"]["identity"],
-        tcp_users["alice"]["key"],
+        tcp_fed.config.orgs_map(), tcp_fed.config.endorsement_policy,
     )
     record = signed.mint()
     assert publish_raw(tcp_users["alice"]["ledger"], record["pid"], "cas://1", "c1").ok
-    anonymous = RegistryClient(TcpTransport(_orderer_address(tcp_fed)))
+    anonymous = LedgerClient(
+        None, None, {}, TcpTransport(_orderer_address(tcp_fed)),
+        tcp_fed.config.orgs_map(), tcp_fed.config.endorsement_policy,
+    )
     assert anonymous.resolve(record["pid"])["checksum"] == "c1"
     with pytest.raises(UnauthorizedError):
         anonymous.mint()

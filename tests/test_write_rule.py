@@ -85,7 +85,7 @@ class World:
 
 def enriched(world: World, prov_pid: str) -> ProvDocument:
     """The published document of *prov_pid* with a note added: an enrichment."""
-    record = world.alice.registry().resolve(prov_pid)
+    record = world.alice.ledger().resolve(prov_pid)
     doc = world.fed.store.fetch_document(record["target_uri"], record["checksum"])
     first = doc.entities[0]
     return doc.with_entity(
@@ -121,7 +121,7 @@ def _flag_affected(world, ctx, who, grant_for):
 
 
 def _mint(world, ctx, who, grant_for):
-    return lambda: ctx.registry().mint()
+    return lambda: ctx.ledger().mint()
 
 
 def _publish(world, ctx, who, grant_for):
