@@ -377,60 +377,51 @@ def federation_init(config_path: str) -> dict:
     }
 
 
-def federation_status(config_path: str) -> dict:
-    def ask(transport) -> dict:
-        height = transport("QUERY", {"op": "height"})
-        answer = {
-            "height": height["height"],
-            "tip_hash": height["tip_hash"],
-            "state_digest": transport("QUERY", {"op": "state_digest"})["digest"],
-        }
-        if "in_sync" in height:  # the orderer organization's node
-            answer["in_sync"] = height["in_sync"]
-        return answer
+def federation_status(ctx: ClientContext) -> dict:
+    nodes = _ask_nodes(ctx, {"op": "height"})
+    answered = [info for info in nodes.values() if "error" not in info]
+    for info in answered:
+        info["lag"] = max(other["height"] for other in answered) - info["height"]
+    return _federation_body(nodes)
 
-    nodes = _ask_nodes(config_path, ask, timeout=3.0)
+
+def federation_verify_chain(ctx: ClientContext) -> dict:
+    nodes = _ask_nodes(ctx, {"op": "verify_chain"})
     reachable = [info for info in nodes.values() if info["reachable"]]
-    for info in reachable:
-        info["lag"] = max(other["height"] for other in reachable) - info["height"]
-    body = {"nodes": nodes, "consistent": _digests_agree(nodes)}
-    _require_reachable(nodes, body)
-    return body
-
-
-def federation_verify_chain(config_path: str) -> dict:
-    def ask(transport) -> dict:
-        return {
-            "report": transport("QUERY", {"op": "verify_chain"})["report"],
-            "state_digest": transport("QUERY", {"op": "state_digest"})["digest"],
-        }
-
-    nodes = _ask_nodes(config_path, ask, timeout=10.0)
-    reports = [info["report"] for info in nodes.values() if info["reachable"]]
-    body = {"nodes": nodes, "all_clear": bool(reports) and all(r["ok"] for r in reports),
-            "consistent": _digests_agree(nodes)}
-    _require_reachable(nodes, body)
+    body = _federation_body(nodes, all_clear=bool(reachable) and all(
+        "error" not in info and info["report"]["ok"] for info in reachable))
     if not body["all_clear"] or not body["consistent"]:
         raise CommandFailure(EXIT_MISMATCH, "chain verification found divergence", body)
     return body
 
 
-def _ask_nodes(config_path: str, ask, timeout: float) -> dict[str, dict]:
-    """``ask(transport)`` of every node; an unreachable node is recorded, not raised."""
-    config = FederationConfig.load(Path(config_path))
+def _ask_nodes(ctx: ClientContext, query: dict) -> dict[str, dict]:
+    """One *query* to every node, through the client's peer transports.
+
+    An unreachable node, or one that answers with an error, has the error
+    recorded in its entry; the other nodes are still asked."""
     nodes = {}
-    for org in config.organizations:
+    for org, transport in ctx.ledger().peers.items():
         try:
-            answer = ask(TcpTransport(org.listen_address, timeout=timeout))
-            nodes[org.name] = {"reachable": True, **answer}
+            answer = transport("QUERY", query)
         except TransportError as exc:
-            nodes[org.name] = {"reachable": False, "error": str(exc)}
+            nodes[org] = {"reachable": False, "error": str(exc)}
+        except Exception as exc:  # an error answer; in process, as the node raised it
+            nodes[org] = {"reachable": True, "error": str(exc)}
+        else:
+            del answer["ok"]
+            nodes[org] = {"reachable": True, **answer}
     return nodes
 
 
-def _require_reachable(nodes: dict[str, dict], body: dict) -> None:
+def _federation_body(nodes: dict[str, dict], **fields) -> dict:
+    """*nodes* and *fields*, with whether the state digests of the nodes
+    that answered agree; exit 16 if no node is reachable."""
+    digests = {info["state_digest"] for info in nodes.values() if "error" not in info}
+    body = {"nodes": nodes, **fields, "consistent": len(digests) <= 1}
     if not any(info["reachable"] for info in nodes.values()):
         raise CommandFailure(EXIT_UNREACHABLE, "no node reachable", body)
+    return body
 
 
 def federation_start_node(config_path: str, org_name: str) -> dict:
@@ -460,13 +451,6 @@ def federation_start_node(config_path: str, org_name: str) -> dict:
     finally:
         shut_down([service], servers)
     return {"stopped": org_name}
-
-
-def _digests_agree(nodes: dict) -> bool:
-    digests = {
-        info["state_digest"] for info in nodes.values() if info.get("reachable")
-    }
-    return len(digests) <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -557,16 +541,16 @@ def run(argv: list[str]) -> tuple[int, dict]:
         if args.command == "federation":
             if args.action == "init":
                 return EXIT_OK, federation_init(args.config)
-            if args.action == "status":
-                return EXIT_OK, federation_status(args.config)
-            if args.action == "verify-chain":
-                return EXIT_OK, federation_verify_chain(args.config)
             if args.action == "start-node":
                 if not args.org:
                     raise ConfigError("start-node needs --org")
                 return EXIT_OK, federation_start_node(args.config, args.org)
 
         ctx = ClientContext.build(args.config, args.identity)
+        if args.command == "federation":
+            if args.action == "status":
+                return EXIT_OK, federation_status(ctx)
+            return EXIT_OK, federation_verify_chain(ctx)
         if args.command == "publish":
             return EXIT_OK, publish_artifact(ctx, args.file, args.document, args.entity)
         if args.command == "update-prov":

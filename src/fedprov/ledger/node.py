@@ -19,7 +19,7 @@ The world state is a plain dict that nothing changes once installed:
 start-up installs the one replay built, and each commit applies its block
 to a copy and installs that. It is installed with its height and tip hash
 as one ``View``, after the block's line is indexed, so every reader -- an
-endorsement simulation, ``QUERY height``, ``QUERY state``, ``QUERY
+endorsement simulation, an audit, ``QUERY height``, ``QUERY state``, ``QUERY
 history`` -- sees one whole committed block's height, hash and state
 together, never a commit in progress. Reads may therefore run
 concurrently with a commit; commits are strictly serialized.
@@ -192,8 +192,8 @@ class OrgNode:
         last = self.height() if limit is None else min(self.height(), height + limit - 1)
         return [self.block(h) for h in range(height, last + 1)]
 
-    def state_digest(self) -> str:
-        return digest(self.state_dump())
+    def state_digest(self, view: View | None = None) -> str:
+        return digest(self.state_dump(view))
 
     def state_dump(self, view: View | None = None) -> dict[str, dict]:
         """The world state of *view*, by default the installed one, as JSON."""
@@ -228,21 +228,26 @@ class OrgNode:
         return entries
 
     def verify_chain(self) -> dict:
-        """Audit the ledger file as the last finished commit left it.
+        """The report of ``audit``."""
+        return self.audit()[1]
 
-        Its size is taken with the node's tip and the number of indexed
-        lines under the commit lock, so an append in progress is never read
-        as a torn last line. A file that is exactly those lines, each with
-        the SHA-256 it had when ``validate_block`` accepted it at start-up or
-        commit, gets the clean report unreplayed: the same bytes after the
-        same state get the same verdict. Any other file is replayed from
-        genesis, and a clean replay must end at the node's tip.
+    def audit(self) -> tuple[View, dict]:
+        """Audit the ledger file as the last finished commit left it: the
+        view checked against, and the report. The file's size is taken with
+        that view and the number of indexed lines under the commit lock, so
+        an append in progress is never read as a torn last line. A file that
+        is exactly those lines, each with the SHA-256 it had when
+        ``validate_block`` accepted it at start-up or commit, gets the clean
+        report unreplayed: the same bytes after the same state get the same
+        verdict. Any other file is replayed from genesis, and a clean replay
+        must end at the view's tip.
         """
         with self._commit_lock:
-            (height, tip_hash, _), count = self.view, len(self._lines)
+            view, count = self.view, len(self._lines)
             size = self.store.path.stat().st_size if self.store.path.exists() else None
+        height, tip_hash, _ = view
         if self._holds_only_indexed_lines(count, size):
-            return blocks_mod.VerificationReport(True, None, []).to_dict()
+            return view, blocks_mod.VerificationReport(True, None, []).to_dict()
         report = blocks_mod.verify_chain_file(
             self.store.path, self.orgs, self.endorsement_policy, size=size
         )
@@ -253,7 +258,7 @@ class OrgNode:
             report = blocks_mod.VerificationReport(False, at, [blocks_mod.Finding(
                 at, f"ledger file ends at height {end} (block {end_hash}), "
                 f"the node's tip is at height {height} (block {tip_hash})")])
-        return report.to_dict()
+        return view, report.to_dict()
 
     def _holds_only_indexed_lines(self, count: int, size: int | None) -> bool:
         """True iff the file's first *size* bytes are exactly the first

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import sys
 
-from ..federation import FederationConfig
-from ..transport import TcpTransport
+from .. import cli
 from . import uc1_lineage, uc2_cascade, uc3_iterations, uc4_enrichment, uc5_decomposition
 from .common import scenario_main
 
@@ -25,14 +24,10 @@ SCENARIOS = (
 
 def run_all(config_path: str) -> dict:
     results = {name: run(config_path) for name, run in SCENARIOS}
-    config = FederationConfig.load(config_path)
     nodes = {}
-    for org in config.organizations:
-        transport = TcpTransport(org.listen_address)
-        nodes[org.name] = {
-            "height": transport("QUERY", {"op": "height"})["height"],
-            "state_digest": transport("QUERY", {"op": "state_digest"})["digest"],
-        }
+    for org, transport in cli.ClientContext.build(config_path, None).ledger().peers.items():
+        answer = transport("QUERY", {"op": "height"})  # one view's height and digest
+        nodes[org] = {"height": answer["height"], "state_digest": answer["state_digest"]}
     return {"scenarios": results, "nodes": nodes}
 
 

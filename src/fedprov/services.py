@@ -17,13 +17,16 @@ QUERY ``read``/``history`` without a string ``pid``, and a QUERY ``blocks``
 without an integer ``from`` >= 0 or a replica's ``org`` are malformed. An
 ORDER carries one endorsed envelope and is answered with its receipt.
 
-QUERY ``height`` and ``state`` answer from the node's installed ``View``, so
-the height, tip hash and state they name are one committed block's. QUERY
-``state`` answers ``{height, tip_hash, state}``; one whose ``unless_tip``
-is the node's tip hash answers only the height and tip hash, since the
-caller already holds that tip's state (an ``unless_tip`` that is not a
-string is malformed). On the orderer organization's node, QUERY ``height``
-also names the replicas a receipt waits for, as the sorted ``in_sync``.
+QUERY ``height``, ``state`` and ``verify_chain`` answer from one ``View`` of
+the node, so the height, tip hash and state or state digest they name are
+one committed block's; a digest is computed when asked for, not at commit.
+QUERY ``height`` answers ``{height, tip_hash, state_digest}``, and on the
+orderer organization's node the sorted ``in_sync`` replicas a receipt waits
+for; QUERY ``verify_chain`` answers ``OrgNode.audit``'s report with its view's
+height, tip hash and state digest. QUERY ``state`` answers ``{height,
+tip_hash, state}``; one whose ``unless_tip`` is the node's tip hash answers
+only the height and tip hash, since the caller already holds that tip's
+state (an ``unless_tip`` that is not a string is malformed).
 
 ``assemble_org`` is the one place an organization's server side is built,
 for the in-process harness and for ``fedprov federation start-node`` alike;
@@ -51,7 +54,7 @@ from . import identity as identity_mod
 from .canonical import canonical_bytes
 from .errors import FedprovError, TransportError, UnauthorizedError
 from .federation import FederationConfig, load_node_credentials
-from .ledger.node import OrgNode
+from .ledger.node import OrgNode, View
 from .ledger.ordering import PULL_WAIT_S, OrderingService
 from .pid_registry import PIDRegistry
 from .transport import MessageServer, Transport, TransportFactory
@@ -86,8 +89,7 @@ class NodeService:
         if op == "history":
             return {"entries": self.node.history(_pid(f"QUERY {op}", payload))}
         if op == "height":
-            view = self.node.view
-            answer = {"height": view.height, "tip_hash": view.tip_hash}
+            answer = self._named(self.node.view)
             if self.orderer is not None:
                 answer["in_sync"] = self.orderer.in_sync()
             return answer
@@ -100,15 +102,19 @@ class NodeService:
             if unless_tip is None or unless_tip != view.tip_hash:
                 answer["state"] = self.node.state_dump(view)
             return answer
-        if op == "state_digest":
-            return {"digest": self.node.state_digest()}
         if op == "verify_chain":
-            return {"report": self.node.verify_chain()}
+            view, report = self.node.audit()
+            return {"report": report, **self._named(view)}
         if op == "blocks":
             if type(start := payload.get("from")) is not int or start < 0:
                 raise FedprovError("malformed request: QUERY blocks needs an integer 'from' >= 0")
             return {"blocks": self._orderer().pull(payload.get("org"), start)}
         raise FedprovError(f"unknown query op: {op!r}")
+
+    def _named(self, view: View) -> dict:
+        """*view*'s height, tip hash and state digest, the digest computed now."""
+        return {"height": view.height, "tip_hash": view.tip_hash,
+                "state_digest": self.node.state_digest(view)}
 
     def _orderer(self) -> OrderingService:
         if self.orderer is None:

@@ -4,8 +4,8 @@ Wire format: a 4-byte big-endian length followed by a UTF-8 JSON body.
 Requests are ``{"kind": <MESSAGE KIND>, "payload": {...}}``; responses are
 ``{"ok": true, ...payload}`` or ``{"ok": false, "error": {"type", "message"}}``.
 Application errors are re-raised client-side as the matching exception type.
-A request that is not an object with a string ``kind`` is answered as a
-malformed request, and its connection stays open.
+A request that is not UTF-8 JSON, or not an object with a string ``kind``,
+is answered as a malformed request, and its connection stays open.
 
 Connections persist: the requests of one process share a pool of idle
 connections per address (``ConnectionPool``), and a server answers any number
@@ -323,7 +323,11 @@ class MessageServer:
                     body = _recv_body(conn)  # None at EOF only, not for a JSON null
                     if body is None:
                         return
-                    response = self._dispatch(json.loads(body.decode("utf-8")))
+                    try:
+                        message = json.loads(body.decode("utf-8"))
+                    except ValueError:  # not UTF-8 JSON: a malformed request
+                        message = None
+                    response = self._dispatch(message)
                     send_message(conn, response)
                     # Waiting for the next request, hold nothing of this one.
                     del body, response

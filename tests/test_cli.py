@@ -455,14 +455,101 @@ def test_no_proxy_verify_survives_node_death(live):
     assert body["nodes"][victim]["reachable"] is False
 
 
-def test_federation_status_and_verify_chain(live):
+@pytest.mark.parametrize("use_tcp", [False, True], ids=["in-process", "tcp"])
+def test_federation_status_and_verify_chain(tmp_path, use_tcp):
+    """Both verbs ask each node through the client's own wiring, in process
+    as over TCP, and each node's entry names its height, tip hash and state
+    digest."""
+    fed = Federation.bootstrap(tmp_path / "fed", use_tcp=use_tcp)
+    try:
+        alice = register_default_users(fed)["alice"]
+        assert publish_raw(alice["ledger"], "21.P/1").ok
+        views = {org: {"height": node.height(), "tip_hash": node.tip_hash(),
+                       "state_digest": node.state_digest()} for org, node in fed.nodes.items()}
+        ctx = fed.client()
+        body = cli.federation_status(ctx)
+        assert body["consistent"]
+        assert {org: {key: info[key] for key in views[org]}
+                for org, info in body["nodes"].items()} == views
+        body = cli.federation_verify_chain(ctx)
+        assert body["all_clear"] and body["consistent"]
+        assert {org: {key: info[key] for key in views[org]}
+                for org, info in body["nodes"].items()} == views
+    finally:
+        fed.stop()
+
+
+def test_federation_status_reads_each_node_at_one_view(live, monkeypatch):
+    """A block commits right after OrgB answers its first status query: the
+    height, tip hash and state digest that status shows for each node still
+    come from one committed view of that node."""
     fed, users = live
+    service = fed.services["OrgB"]
+    handle, views = service.handle, set()
+
+    def seen():
+        views.update((node.height(), node.tip_hash(), node.state_digest())
+                     for node in fed.nodes.values())
+
+    def then_commit(kind, payload):
+        answer = handle(kind, payload)
+        if kind == "QUERY" and payload.get("op") == "height":
+            monkeypatch.setattr(service, "handle", handle)
+            seen()
+            assert publish_raw(users["alice"]["ledger"], "21.P/between").ok
+            deadline = time.monotonic() + 10
+            while len({node.height() for node in fed.nodes.values()}) > 1:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            seen()
+        return answer
+
+    monkeypatch.setattr(service, "handle", then_commit)
     code, body = invoke(fed, "federation", "status")
     assert code == cli.EXIT_OK
-    assert body["consistent"]
+    shown = {(info["height"], info["tip_hash"], info["state_digest"])
+             for info in body["nodes"].values()}
+    assert len(views) == 2 and shown <= views
+
+
+def test_a_failing_node_does_not_hide_the_others(live, monkeypatch):
+    """A node whose audit or state digest raises has the error in its entry;
+    the other nodes still report, lag and the digest comparison leave it
+    out, and verify-chain counts it as not clear."""
+    fed, _ = live
+    node = fed.nodes["OrgB"]
+
+    def refuse(*args):
+        raise PermissionError("ledger file unreadable")
+
+    monkeypatch.setattr(node, "_holds_only_indexed_lines", refuse)
     code, body = invoke(fed, "federation", "verify-chain")
-    assert code == cli.EXIT_OK
-    assert body["all_clear"]
+    assert code == cli.EXIT_MISMATCH
+    assert not body["all_clear"] and body["consistent"]
+    assert "ledger file unreadable" in body["nodes"]["OrgB"]["error"]
+    assert "report" not in body["nodes"]["OrgB"]
+    assert body["nodes"]["OrgA"]["report"]["ok"] and body["nodes"]["Readers"]["report"]["ok"]
+
+    monkeypatch.setattr(node, "state_digest", refuse)
+    code, body = invoke(fed, "federation", "status")
+    assert code == cli.EXIT_OK and body["consistent"]
+    assert "ledger file unreadable" in body["nodes"]["OrgB"]["error"]
+    assert body["nodes"]["OrgB"]["reachable"] and "lag" not in body["nodes"]["OrgB"]
+    assert {org: info["lag"] for org, info in body["nodes"].items() if org != "OrgB"} == {
+        "OrgA": 0, "Readers": 0}
+
+
+def test_status_and_verify_chain_exit_3_before_federation_init(tmp_path):
+    """Both verbs build the client first, so a config without CA keys is a
+    configuration error, not an unreachable federation."""
+    config_path = tmp_path / "federation.json"
+    config_path.write_text(json.dumps({"organizations": [
+        {"name": "OrgA", "kind": "producer", "listen-address": "127.0.0.1:1"},
+        {"name": "Readers", "kind": "consumer-read-only", "listen-address": "127.0.0.1:2"}]}))
+    for verb in ("status", "verify-chain"):
+        code, body = cli.run(["--config", str(config_path), "federation", verb])
+        assert code == cli.EXIT_CONFIG, body
+        assert "federation init" in body["error"]
 
 
 def test_federation_status_shows_each_replica_lag(live, monkeypatch):

@@ -541,15 +541,16 @@ def test_readers_see_whole_blocks_while_commits_install_new_states(fed, users, m
 
 def test_queries_see_no_torn_view_while_a_commit_is_indexed(fed, users):
     """A commit held after its line is indexed, before its view is installed:
-    QUERY height pairs a height with that height's own block hash, and
-    QUERY state answers a state of the height and tip it names. Once the
-    commit finishes, both answer the new block whole, and a state read
-    unless at the old tip ships the new state."""
+    QUERY height pairs a height with that height's own block hash and state
+    digest, and QUERY state answers a state of the height and tip it names.
+    Once the commit finishes, both answer the new block whole, and a state
+    read unless at the old tip ships the new state."""
     alice = users["alice"]["ledger"]
     node, service = fed.nodes["OrgA"], fed.services["OrgA"]
     envelope = alice.prepare(*publish_operation(
         "21.P/held", "cas://x", "cx", ["alice"], "21.P/held/prov", "cas://doc", "c-doc"))
     before = service.handle("QUERY", {"op": "state"})
+    before_digest = node.state_digest()
     indexed, release = threading.Event(), threading.Event()
 
     class HeldHeights(dict):
@@ -566,6 +567,7 @@ def test_queries_see_no_torn_view_while_a_commit_is_indexed(fed, users):
         assert indexed.wait(10)
         height = service.handle("QUERY", {"op": "height"})
         assert node.block(height["height"]).block_hash == height["tip_hash"]
+        assert height["state_digest"] == before_digest
         during = service.handle("QUERY", {"op": "state"})
     finally:
         release.set()
@@ -576,6 +578,7 @@ def test_queries_see_no_torn_view_while_a_commit_is_indexed(fed, users):
     after = service.handle("QUERY", {"op": "state", "unless_tip": before["tip_hash"]})
     assert after["height"] == before["height"] + 1
     assert after["tip_hash"] == node.block(after["height"]).block_hash
+    assert node.state_digest() != before_digest
     # Each publish writes two keys.
     assert len(after["state"]) == len(before["state"]) + 2
     assert service.handle("QUERY", {"op": "state", "unless_tip": after["tip_hash"]}) == {

@@ -291,7 +291,7 @@ def test_legacy_two_create_ledger_replays_next_to_publish_transactions(tmp_path)
     fed = Federation.start(fed.config_path, use_tcp=True)
     try:
         assert fed.state_digests() == digests
-        chain = cli.federation_verify_chain(str(fed.config_path))
+        chain = cli.federation_verify_chain(fed.client())
         assert chain["all_clear"] and chain["consistent"]
         reader = fed.client()
         versions = [old_prov, old_v2, old_v3, old_v4]

@@ -246,13 +246,16 @@ def test_internal_error_is_logged_with_its_traceback(caplog):
 
 
 def test_frames_that_are_not_requests_are_malformed_and_keep_the_connection(tcp_fed):
-    """A frame that is not an object, or whose ``kind`` is not a string, is
-    answered as a malformed request on the connection it came on, and the
-    next request on that connection is served."""
+    """A frame whose body is not UTF-8 JSON, is not an object, or whose
+    ``kind`` is not a string, is answered as a malformed request on the
+    connection it came on, and the next request on that connection is
+    served."""
     address = tcp_fed.config.org_entry("OrgB").listen_address
+    bodies = [json.dumps(frame).encode() for frame in
+              ([], "text", None, {"kind": ["x"], "payload": {}})] + [b"{", b"\xff\xfe"]
     with socket.create_connection(parse_address(address), timeout=5) as sock:
-        for frame in ([], "text", None, {"kind": ["x"], "payload": {}}):
-            send_message(sock, frame)
+        for body in bodies:
+            sock.sendall(struct.pack(">I", len(body)) + body)
             response = recv_message(sock)
             assert response["ok"] is False
             assert response["error"]["message"].startswith("malformed request")
