@@ -1,4 +1,4 @@
-"""fedprov: command-line client and federation harness.
+"""fedprov: command-line client; ``federation start-node`` runs one organization's node.
 
 Machine-readable output is always a single JSON object on stdout; human
 diagnostics go to stderr (suppressed by --json). The client signs every
@@ -82,7 +82,7 @@ from .lineage import (
 )
 from .prov import ProvDocument, require_valid
 from .prov_store import ProvStore
-from .transport import TcpTransport, TransportFactory
+from .transport import TcpTransport
 from .updates import AtomicUpdater
 
 EXIT_OK = 0
@@ -160,16 +160,15 @@ def exit_code_for(exc: Exception) -> int:
 class ClientContext:
     """Everything a command needs: config, credentials, service transports.
 
-    The one place the client is assembled: ``ledger()`` reads and writes the
-    ledger and reserves and resolves PIDs. ``transport`` maps a listen
-    address to a transport; ``TcpTransport`` here, an in-process one in the
-    harness. Without credentials the client still answers every query.
+    The one place the client is assembled, for the CLI and the harness
+    alike: ``ledger()`` reads and writes the ledger and reserves and resolves
+    PIDs, over a ``TcpTransport`` to each organization's listen address.
+    Without credentials the client still answers every query.
     """
 
     config: FederationConfig
     identity: identity_mod.Identity | None = None
     private_key: str | None = None
-    transport: TransportFactory = TcpTransport
 
     @classmethod
     def build(cls, config_path: str, user_id: str | None) -> "ClientContext":
@@ -190,10 +189,10 @@ class ClientContext:
             identity=self.identity,
             private_key=self.private_key,
             peer_transports={
-                org.name: self.transport(org.listen_address)
+                org.name: TcpTransport(org.listen_address)
                 for org in self.config.organizations
             },
-            orderer_transport=self.transport(self.config.orderer_org().listen_address),
+            orderer_transport=TcpTransport(self.config.orderer_org().listen_address),
             orgs=self.config.orgs_map(),
             endorsement_policy=self.config.endorsement_policy,
         )
@@ -406,7 +405,7 @@ def _ask_nodes(ctx: ClientContext, query: dict) -> dict[str, dict]:
             answer = transport("QUERY", query)
         except TransportError as exc:
             nodes[org] = {"reachable": False, "error": str(exc)}
-        except Exception as exc:  # an error answer; in process, as the node raised it
+        except FedprovError as exc:  # the node answered with an error
             nodes[org] = {"reachable": True, "error": str(exc)}
         else:
             del answer["ok"]
@@ -428,14 +427,11 @@ def federation_start_node(config_path: str, org_name: str) -> dict:
     """Run one organization node in the foreground (plus orderer and registry,
     on the same address, on the orderer org). Blocks until interrupted.
     The one verb that loads the server side."""
-    from .services import assemble_org, serve, shut_down
+    from .services import shut_down, start_orgs
 
     config = FederationConfig.load(Path(config_path))
     address = config.org_entry(org_name).listen_address
-    service = assemble_org(config, org_name, TcpTransport)
-    servers = serve({address: service})
-    if service.puller is not None:
-        service.puller.start()
+    services, servers = start_orgs(config, [org_name])
 
     stop = {"requested": False}
 
@@ -449,7 +445,7 @@ def federation_start_node(config_path: str, org_name: str) -> dict:
         while not stop["requested"]:
             time.sleep(0.2)
     finally:
-        shut_down([service], servers)
+        shut_down(services.values(), servers)
     return {"stopped": org_name}
 
 

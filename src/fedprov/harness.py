@@ -1,28 +1,19 @@
 """Federation harness: build and run a whole federation in one process.
 
 Used by the test suite, the scenario tests and the benchmark. The wiring is
-the deployment's own: each organization's node service comes from
-``services.assemble_org`` (as in ``fedprov federation start-node``) and every
-client from ``cli.ClientContext`` (as in every CLI command). Both take a
-transport factory, ``address -> transport``, and that factory is the only
-thing ``use_tcp`` chooses:
-
-* ``use_tcp=True``: ``TcpTransport``, with every node served on its loopback
-  listen address, so all traffic is real framed messages;
-* the default direct mode: an in-process transport that calls
-  ``services.dispatch`` of the node registered for the address, looked up at
-  each request.
-
-Either way an organization has one address, and the orderer organization's
-address answers the registry and the replicas' pulls too.
+the deployment's own: the organizations' node services are started by
+``services.start_orgs`` (as in ``fedprov federation start-node``), each on
+its loopback listen address, and every client comes from
+``cli.ClientContext`` (as in every CLI command), so all traffic is real
+framed messages over TCP. An organization has one address, and the orderer
+organization's address answers the registry and the replicas' pulls too.
 """
 
 from __future__ import annotations
 
 import socket
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
 from . import identity as identity_mod
 from .cli import ClientContext
@@ -32,8 +23,8 @@ from .ledger.ordering import OrderingService
 from .ledger.policy import POLICY_ANY_ONE
 from .pid_registry import PIDRegistry
 from .prov_store import ProvStore
-from .services import NodeService, assemble_org, dispatch, serve, shut_down
-from .transport import DirectTransport, MessageServer, TcpTransport, TransportFactory
+from .services import NodeService, shut_down, start_orgs
+from .transport import MessageServer
 
 DEFAULT_ORGS = (("OrgA", "producer"), ("OrgB", "producer"), ("Readers", "consumer-read-only"))
 
@@ -66,8 +57,7 @@ class Federation:
     orderer: OrderingService
     registry: PIDRegistry
     store: ProvStore
-    transport: TransportFactory
-    servers: list[MessageServer] = field(default_factory=list)
+    servers: list[MessageServer]
 
     # -- construction -----------------------------------------------------------
 
@@ -77,8 +67,13 @@ class Federation:
         root: Path,
         orgs: tuple[tuple[str, str], ...] = DEFAULT_ORGS,
         endorsement_policy: str = POLICY_ANY_ONE,
-        use_tcp: bool = False,
+        use_tcp: bool = True,
     ) -> "Federation":
+        """Initialize a federation under *root* on free loopback ports and
+        start it. *use_tcp* is kept for callers that pass True; any other
+        value is refused, since every federation is served over TCP."""
+        if use_tcp is not True:
+            raise ValueError("a federation is served over TCP only: use_tcp must be True")
         root = Path(root)
         root.mkdir(parents=True, exist_ok=True)
         ports = free_ports(len(orgs))
@@ -95,22 +90,16 @@ class Federation:
         config_path = root / "federation.json"
         skeleton.save(config_path)
         init_federation(config_path)
-        return cls.start(config_path, use_tcp=use_tcp)
+        return cls.start(config_path)
 
     @classmethod
-    def start(cls, config_path: Path, use_tcp: bool = False) -> "Federation":
+    def start(cls, config_path: Path) -> "Federation":
         """Bring up all components of an initialized federation."""
         config = FederationConfig.load(config_path)
         registration = load_registration(config)
-        by_address: dict[str, NodeService] = {}
-        transport = TcpTransport if use_tcp else _in_process(by_address)
         orderer_org = config.orderer_org().name
-        for org in config.organizations:
-            by_address[org.listen_address] = assemble_org(config, org.name, transport)
-        services = {
-            org.name: by_address[org.listen_address] for org in config.organizations
-        }
-        federation = cls(
+        services, servers = start_orgs(config, [org.name for org in config.organizations])
+        return cls(
             config=config,
             config_path=Path(config_path),
             registration=registration,
@@ -119,13 +108,8 @@ class Federation:
             orderer=services[orderer_org].orderer,
             registry=services[orderer_org].registry.registry,
             store=ProvStore(config.store_root),
-            transport=transport,
-            servers=serve(by_address) if use_tcp else [],
+            servers=servers,
         )
-        for service in services.values():
-            if service.puller is not None:
-                service.puller.start()
-        return federation
 
     def stop(self) -> None:
         shut_down(self.services.values(), self.servers)
@@ -143,7 +127,7 @@ class Federation:
     ) -> ClientContext:
         """A client of this federation, wired exactly as the CLI's: its
         ``ledger()``, ``store()`` and ``updater()``."""
-        return ClientContext(self.config, identity, private_key, self.transport)
+        return ClientContext(self.config, identity, private_key)
 
     # -- whole-system inspection -------------------------------------------------------
 
@@ -163,15 +147,3 @@ class Federation:
             }
         )
 
-
-def _in_process(services: Mapping[str, NodeService]) -> TransportFactory:
-    """Transports that answer with ``dispatch(services[address], ...)`` directly.
-
-    The service is looked up when a request is made, not when the transport
-    is made, so transports may be handed out before *services* is complete.
-    """
-
-    def transport(address: str) -> DirectTransport:
-        return DirectTransport(lambda kind, payload: dispatch(services[address], kind, payload))
-
-    return transport

@@ -20,7 +20,8 @@ client reserves PIDs (``mint``, signed like a proposal) and resolves them
 
 The client talks to nodes directly -- there is no proxy in the path -- so a
 single dead node degrades nothing that the remaining replicas can answer.
-A query moves on past a node it cannot reach, and logs it at warning level.
+A query moves on past a node it cannot reach or that answers with an error,
+and logs each node it skips at warning level.
 """
 
 from __future__ import annotations
@@ -351,11 +352,20 @@ class LedgerClient:
         return self.orderer("HISTORY", {"pid": pid})["records"]
 
     def _query(self, payload: dict) -> dict:
-        last_error: Exception | None = None
+        """The first node's answer to *payload*. If none answers, the last
+        error a node answered with is raised as it came, and
+        ``TransportError`` only when no node could be reached."""
+        unreachable: TransportError | None = None
+        refused: FedprovError | None = None
         for org, transport in self.peers.items():
             try:
                 return transport("QUERY", payload)
             except TransportError as exc:
                 _log.warning("node %s unreachable for query: %s", org, exc)
-                last_error = exc
-        raise TransportError(f"no node reachable for query: {last_error}")
+                unreachable = exc
+            except FedprovError as exc:
+                _log.warning("node %s failed the query: %s", org, exc)
+                refused = exc
+        if refused is not None:
+            raise refused
+        raise TransportError(f"no node reachable for query: {unreachable}")

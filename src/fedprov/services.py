@@ -28,10 +28,10 @@ tip_hash, state}``; one whose ``unless_tip`` is the node's tip hash answers
 only the height and tip hash, since the caller already holds that tip's
 state (an ``unless_tip`` that is not a string is malformed).
 
-``assemble_org`` is the one place an organization's server side is built,
-for the in-process harness and for ``fedprov federation start-node`` alike;
-``serve`` puts assembled node services on their listen addresses. Pullers
-start once every service of the process is assembled, and served if it is.
+``start_orgs`` is the one place organizations' server sides are started,
+for the harness and for ``fedprov federation start-node`` alike: it builds
+each with ``assemble_org``, serves it on its listen address, and starts the
+pullers only once every server of the process is bound.
 
 A MINT carries the caller's identity claim (the ``to_creator`` form a
 transaction's ``creator`` takes) and the caller's signature over its
@@ -57,7 +57,7 @@ from .federation import FederationConfig, load_node_credentials
 from .ledger.node import OrgNode, View
 from .ledger.ordering import PULL_WAIT_S, OrderingService
 from .pid_registry import PIDRegistry
-from .transport import MessageServer, Transport, TransportFactory
+from .transport import MessageServer, TcpTransport, Transport
 
 REGISTRY_KINDS = frozenset({"MINT", "RESOLVE", "HISTORY"})
 
@@ -206,14 +206,13 @@ def dispatch(service: NodeService, kind: str, payload: dict) -> dict:
     return service.handle(kind, payload)
 
 
-def assemble_org(
-    config: FederationConfig, org_name: str, transport: TransportFactory
-) -> NodeService:
+def assemble_org(config: FederationConfig, org_name: str) -> NodeService:
     """Build one organization's node service.
 
     The orderer organization's node also holds the ``OrderingService`` and
     the ``RegistryService``, which commit to and read from that node. Every
-    other node holds a ``Puller``, not started, that pulls through *transport*.
+    other node holds a ``Puller``, not started, that pulls over TCP from the
+    orderer organization's address.
     """
     orgs = config.orgs_map()
     node_identity, node_key = load_node_credentials(config, org_name)
@@ -233,23 +232,30 @@ def assemble_org(
             PIDRegistry(config.registry_root, config.pid_prefix, node), orgs
         )
     else:
-        service.puller = Puller(node, transport(orderer_org.listen_address))
+        service.puller = Puller(node, TcpTransport(orderer_org.listen_address))
     return service
 
 
-def serve(services: Mapping[str, NodeService]) -> list[MessageServer]:
-    """Serve each node service on its listen address, the key it is under.
-
-    If one cannot bind, nothing assembled stays up (see ``shut_down``).
-    """
+def start_orgs(
+    config: FederationConfig, org_names: Iterable[str]
+) -> tuple[dict[str, NodeService], list[MessageServer]]:
+    """Assemble the named organizations' node services, serve each on its
+    listen address, then start their pullers; the services by name, and the
+    servers. No puller starts before every server is bound; if one cannot
+    bind, nothing started stays up (see ``shut_down``)."""
+    services = {name: assemble_org(config, name) for name in org_names}
     servers: list[MessageServer] = []
     try:
-        for address, service in services.items():
+        for name, service in services.items():
+            address = config.org_entry(name).listen_address
             servers.append(MessageServer(address, functools.partial(dispatch, service)).start())
     except TransportError:
         shut_down(services.values(), servers)
         raise
-    return servers
+    for service in services.values():
+        if service.puller is not None:
+            service.puller.start()
+    return services, servers
 
 
 def shut_down(services: Iterable[NodeService], servers: list[MessageServer]) -> None:

@@ -1,9 +1,11 @@
-"""Length-prefixed JSON over TCP.
+"""Length-prefixed JSON over TCP: the one way a client or a replica's pull
+loop reaches a node, in a deployment and in the harness alike.
 
 Wire format: a 4-byte big-endian length followed by a UTF-8 JSON body.
 Requests are ``{"kind": <MESSAGE KIND>, "payload": {...}}``; responses are
 ``{"ok": true, ...payload}`` or ``{"ok": false, "error": {"type", "message"}}``.
-Application errors are re-raised client-side as the matching exception type.
+Application errors are re-raised client-side as the matching exception type;
+a reply that is not an object is a ``TransportError``.
 A request that is not UTF-8 JSON, or not an object with a string ``kind``,
 is answered as a malformed request, and its connection stays open.
 
@@ -36,9 +38,6 @@ _log = logging.getLogger(__name__)
 
 Handler = Callable[[str, dict], dict]
 Transport = Callable[[str, dict], dict]
-# address -> transport to whatever serves that address: ``TcpTransport`` over
-# sockets, or an in-process lookup (see ``harness.Federation``).
-TransportFactory = Callable[[str], Transport]
 
 
 def _frame(obj: dict) -> bytes:
@@ -217,12 +216,14 @@ def request(address: str, kind: str, payload: dict, timeout: float = 10.0) -> di
     except (OSError, ValueError) as exc:
         raise TransportError(f"cannot reach {address}: {exc}") from exc
     finally:
-        if response is None:
-            sock.close()
-        else:
+        if isinstance(response, dict):
             _POOL.checkin(key, sock)
+        else:
+            sock.close()
     if response is None:
         raise TransportError(f"{address} closed the connection")
+    if not isinstance(response, dict):
+        raise TransportError(f"{address} sent a reply that is not an object")
     if response.get("ok"):
         return response
     raise _reconstruct_error(response.get("error", {}))
@@ -253,19 +254,6 @@ class TcpTransport:
 
     def __call__(self, kind: str, payload: dict) -> dict:
         return request(self.address, kind, payload, timeout=self.timeout)
-
-
-class DirectTransport:
-    """In-process transport used by tests and the local harness."""
-
-    def __init__(self, handler: Handler):
-        self.handler = handler
-
-    def __call__(self, kind: str, payload: dict) -> dict:
-        response = self.handler(kind, payload)
-        if response.get("ok"):
-            return response
-        raise _reconstruct_error(response.get("error", {}))
 
 
 class MessageServer:

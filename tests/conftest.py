@@ -23,16 +23,8 @@ def frozen_clock(monkeypatch):
 
 @pytest.fixture()
 def fed(tmp_path):
-    """Direct-wired 3-org federation (no sockets)."""
-    federation = Federation.bootstrap(tmp_path / "fed")
-    yield federation
-    federation.stop()
-
-
-@pytest.fixture()
-def tcp_fed(tmp_path):
     """Loopback TCP 3-org federation."""
-    federation = Federation.bootstrap(tmp_path / "fed", use_tcp=True)
+    federation = Federation.bootstrap(tmp_path / "fed")
     yield federation
     federation.stop()
 

@@ -296,7 +296,7 @@ def test_criterion_4_replicated_determinism(tmp_path, frozen_clock, monkeypatch)
     """UC1-UC5 on a 3-node loopback federation, 5x: identical digests."""
     run_reports = []
     for attempt in range(5):
-        fed = Federation.bootstrap(tmp_path / f"fed{attempt}", use_tcp=True)
+        fed = Federation.bootstrap(tmp_path / f"fed{attempt}")
         monkeypatch.setenv("FEDPROV_KEYDIR", str(fed.config.keys_dir))
         try:
             run_reports.append(scenario_runner.run_all(str(fed.config_path)))
@@ -326,7 +326,7 @@ def test_criterion_4_replicated_determinism(tmp_path, frozen_clock, monkeypatch)
 def test_criterion_5_cascade_correctness(tmp_path, monkeypatch):
     """Linked-experiments fixture: invalidating B affects exactly {D, E}; oracle on 100 DAGs."""
     started = time.monotonic()
-    fed = Federation.bootstrap(tmp_path / "fed", use_tcp=True)
+    fed = Federation.bootstrap(tmp_path / "fed")
     monkeypatch.setenv("FEDPROV_KEYDIR", str(fed.config.keys_dir))
     try:
         result = uc2_cascade.run(str(fed.config_path))
@@ -571,7 +571,7 @@ def test_criterion_8_end_to_end_lineage(tmp_path, monkeypatch):
     """Trace image -> model -> dataset with verified hops; corruption breaks it."""
     from fedprov.scenarios import uc1_lineage
 
-    fed = Federation.bootstrap(tmp_path / "fed", use_tcp=True)
+    fed = Federation.bootstrap(tmp_path / "fed")
     monkeypatch.setenv("FEDPROV_KEYDIR", str(fed.config.keys_dir))
     try:
         result = uc1_lineage.run(str(fed.config_path))

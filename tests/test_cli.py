@@ -27,10 +27,10 @@ from fedprov.updates import AtomicUpdater
 
 
 @pytest.fixture()
-def live(tcp_fed, monkeypatch):
-    users = register_default_users(tcp_fed)
-    monkeypatch.setenv("FEDPROV_KEYDIR", str(tcp_fed.config.keys_dir))
-    return tcp_fed, users
+def live(fed, monkeypatch):
+    users = register_default_users(fed)
+    monkeypatch.setenv("FEDPROV_KEYDIR", str(fed.config.keys_dir))
+    return fed, users
 
 
 def write_sample(fed, name, content):
@@ -267,6 +267,26 @@ def test_verify_unknown_pid(live):
     assert code == cli.EXIT_UNKNOWN_PID
 
 
+def test_a_node_fault_that_is_not_a_fedprov_error_exits_1(live, monkeypatch):
+    """A node handler that fails with an error of its own (here
+    ``PermissionError``, which the client would map to exit 19) answers
+    ``internal error``, and ``verify`` exits 1 on every federation."""
+    fed, _ = live
+    file_path = write_sample(fed, "d.csv", "a,b\n1,2\n")
+    doc_path = write_doc(fed, "d.json", simple_doc_dict())
+    code, published = invoke(fed, "--identity", "alice", "publish", file_path, doc_path)
+    assert code == cli.EXIT_OK
+
+    def unreadable(pid):
+        raise PermissionError("history unreadable")
+
+    for node in fed.nodes.values():
+        monkeypatch.setattr(node, "history", unreadable)
+    code, body = invoke(fed, "verify", published["artifact_pid"])
+    assert code == cli.EXIT_ERROR
+    assert body["error"] == "internal error: history unreadable"
+
+
 def test_update_prov_rejects_artifact_pid(live):
     fed, users = live
     file_path = write_sample(fed, "d.csv", "a\n")
@@ -353,7 +373,7 @@ def test_endorsement_policy_unmet_exit_code(tmp_path, monkeypatch):
     """All-producer policy with one producer node down: exit 12, no commit."""
     from fedprov.ledger.policy import POLICY_ALL
 
-    fed = Federation.bootstrap(tmp_path / "fed", use_tcp=True, endorsement_policy=POLICY_ALL)
+    fed = Federation.bootstrap(tmp_path / "fed", endorsement_policy=POLICY_ALL)
     monkeypatch.setenv("FEDPROV_KEYDIR", str(fed.config.keys_dir))
     try:
         fed.register_user("OrgA", "alice")
@@ -455,12 +475,10 @@ def test_no_proxy_verify_survives_node_death(live):
     assert body["nodes"][victim]["reachable"] is False
 
 
-@pytest.mark.parametrize("use_tcp", [False, True], ids=["in-process", "tcp"])
-def test_federation_status_and_verify_chain(tmp_path, use_tcp):
-    """Both verbs ask each node through the client's own wiring, in process
-    as over TCP, and each node's entry names its height, tip hash and state
-    digest."""
-    fed = Federation.bootstrap(tmp_path / "fed", use_tcp=use_tcp)
+def test_federation_status_and_verify_chain(tmp_path):
+    """Both verbs ask each node through the client's own wiring, and each
+    node's entry names its height, tip hash and state digest."""
+    fed = Federation.bootstrap(tmp_path / "fed")
     try:
         alice = register_default_users(fed)["alice"]
         assert publish_raw(alice["ledger"], "21.P/1").ok

@@ -23,7 +23,7 @@ from fedprov.ledger.chaincode import simulate
 from fedprov.ledger.client import LedgerClient, publish_operation
 from fedprov.ledger.policy import POLICY_ALL, POLICY_MAJORITY, policy_satisfied
 from fedprov.ledger.values import LedgerValue
-from fedprov.transport import DirectTransport
+from fedprov.transport import TcpTransport
 
 
 def test_happy_path_create_commits_everywhere(fed, users):
@@ -49,8 +49,8 @@ def test_consumer_only_endorsement_fails_policy(fed, users):
     consumer_only = LedgerClient(
         identity=users["alice"]["identity"],
         private_key=users["alice"]["key"],
-        peer_transports={"Readers": DirectTransport(fed.services["Readers"].handle)},
-        orderer_transport=fed.transport(fed.config.orderer_org().listen_address),
+        peer_transports={"Readers": TcpTransport(fed.config.org_entry("Readers").listen_address)},
+        orderer_transport=TcpTransport(fed.config.orderer_org().listen_address),
         orgs=fed.config.orgs_map(),
         endorsement_policy=fed.config.endorsement_policy,
     )
@@ -90,8 +90,8 @@ def test_majority_policy_federation(tmp_path):
         lone = LedgerClient(
             identity=alice,
             private_key=key,
-            peer_transports={"OrgA": DirectTransport(fed.services["OrgA"].handle)},
-            orderer_transport=fed.transport(fed.config.orderer_org().listen_address),
+            peer_transports={"OrgA": TcpTransport(fed.config.org_entry("OrgA").listen_address)},
+            orderer_transport=TcpTransport(fed.config.orderer_org().listen_address),
             orgs=fed.config.orgs_map(),
             endorsement_policy=POLICY_MAJORITY,
         )
@@ -430,7 +430,7 @@ def test_forged_commit_is_an_unknown_message_kind(fed, users):
     forged = make_block(node.height() + 1, node.tip_hash(), []).to_dict()
     before = _heights(fed), fed.state_digests()
     with pytest.raises(FedprovError, match="unknown message kind: 'COMMIT'"):
-        fed.transport(fed.config.org_entry("OrgB").listen_address)("COMMIT", {"block": forged})
+        TcpTransport(fed.config.org_entry("OrgB").listen_address)("COMMIT", {"block": forged})
     assert publish_raw(users["alice"]["ledger"], "21.P/b", "cas://b", "cb").ok
     heights, digests = _heights(fed), fed.state_digests()
     assert heights == {org: height + 1 for org, height in before[0].items()}
@@ -438,9 +438,7 @@ def test_forged_commit_is_an_unknown_message_kind(fed, users):
     assert len({node.tip_hash() for node in fed.nodes.values()}) == 1
 
 
-@pytest.mark.parametrize("use_tcp", [False, True], ids=["in-process", "tcp"])
-def test_lagging_replica_catches_up_when_its_pull_loop_restarts(tmp_path, monkeypatch,
-                                                                use_tcp):
+def test_lagging_replica_catches_up_when_its_pull_loop_restarts(tmp_path, monkeypatch):
     """A replica that misses three blocks pulls them once its loop runs
     again, two blocks per answer here, and ends with the same tip and state
     digest; nobody steps in."""
@@ -449,7 +447,7 @@ def test_lagging_replica_catches_up_when_its_pull_loop_restarts(tmp_path, monkey
 
     monkeypatch.setattr(ordering, "MAX_PULL_BLOCKS", 2)
     monkeypatch.setattr(ordering, "ACK_TIMEOUT_S", 0.5)  # each write waits out the stopped puller
-    fed = Federation.bootstrap(tmp_path / "fed", use_tcp=use_tcp)
+    fed = Federation.bootstrap(tmp_path / "fed")
     try:
         users = register_default_users(fed)
         service = fed.services["OrgB"]
@@ -480,7 +478,7 @@ def test_federation_stop_returns_at_once_while_pulls_wait(tmp_path):
     TCP federation does not wait them out."""
     from fedprov.ledger.ordering import PULL_WAIT_S
 
-    fed = Federation.bootstrap(tmp_path / "fed", use_tcp=True)
+    fed = Federation.bootstrap(tmp_path / "fed")
     time.sleep(PULL_WAIT_S / 2)  # both replicas' pulls now wait at the tip
     started = time.monotonic()
     fed.stop()
@@ -860,7 +858,7 @@ def test_order_without_an_envelope_object_is_refused(fed, users, payload):
     from fedprov import cli
     from fedprov.errors import LedgerRejectedError
 
-    orderer = fed.transport(fed.config.orderer_org().listen_address)
+    orderer = TcpTransport(fed.config.orderer_org().listen_address)
     before = _heights(fed)
     with pytest.raises(LedgerRejectedError, match="malformed transaction") as refused:
         _bounded(lambda: orderer("ORDER", payload))

@@ -41,7 +41,7 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
 
 
 def test_traced_write_records_commit_path_spans(monkeypatch, tmp_path):
-    """One traced write on the in-process federation feeds the commit-path
+    """One traced write on a harness federation feeds the commit-path
     metrics, so moving the commit loop cannot zero them unnoticed."""
     from fedprov.harness import Federation
 
@@ -127,7 +127,7 @@ def test_traced_registry_requests_record_one_registry_span(monkeypatch, tmp_path
         return result, [name for name in names if name.startswith(("services.", "transport."))]
 
     try:
-        fed = Federation.bootstrap(tmp_path / "fed", use_tcp=True)
+        fed = Federation.bootstrap(tmp_path / "fed")
         try:
             alice, key = fed.register_user("OrgA", "alice")
             client = fed.client(alice, key)

@@ -25,6 +25,7 @@ from fedprov.ledger.blocks import READ_WRITE_CONFLICT, VALID
 from fedprov.ledger.chaincode import TX_INVALIDATE, TX_PUBLISH, TX_UPDATE_PROV
 from fedprov.ledger.values import KIND_ARTIFACT, KIND_PROVENANCE
 from fedprov.pid_registry import PID, PIDRegistry
+from fedprov.transport import TcpTransport
 
 _LEGACY = object()  # an update-prov written before updates named their PID
 
@@ -329,7 +330,7 @@ def test_minted_record_names_its_minter_as_owner(fed):
     alice, key = fed.register_user("OrgA", "alice")
 
     def mint(request):
-        return fed.transport(fed.config.orderer_org().listen_address)("MINT", {
+        return TcpTransport(fed.config.orderer_org().listen_address)("MINT", {
             "caller": alice.to_creator(),
             "request": request,
             "signature": crypto.sign(key, canonical_bytes(request)),

@@ -18,13 +18,13 @@ import pytest
 from conftest import ent, order_in_one_block, publish_raw, register_default_users, simple_doc
 from fedprov import cli, clock, crypto
 from fedprov.canonical import canonical_bytes
-from fedprov.errors import TransportError, UnauthorizedError
+from fedprov.errors import TransportError, UnauthorizedError, UnknownPIDError
 from fedprov.federation import load_node_credentials
 from fedprov.harness import Federation
 from fedprov.ledger import blocks, chaincode
 from fedprov.ledger.client import LedgerClient, publish_operation
 from fedprov.ledger.values import LedgerValue
-from fedprov.transport import DirectTransport
+from fedprov.transport import TcpTransport
 
 
 def test_read_only_node_gets_no_proposal_but_commits_every_block(fed, users, monkeypatch):
@@ -60,7 +60,7 @@ def _client(fed, user, peers):
         identity=user["identity"],
         private_key=user["key"],
         peer_transports=peers,
-        orderer_transport=fed.transport(fed.config.orderer_org().listen_address),
+        orderer_transport=TcpTransport(fed.config.orderer_org().listen_address),
         orgs=fed.config.orgs_map(),
         endorsement_policy=fed.config.endorsement_policy,
     )
@@ -88,8 +88,8 @@ def test_endorsement_refusal_keeps_its_type(fed, users, peers, raised):
 
 
 def test_one_refusing_producer_does_not_block_the_other(fed, users, caplog):
-    org_b = fed.services["OrgB"]
-    peers = {"OrgA": _refusing, "OrgB": DirectTransport(org_b.handle)}
+    peers = {"OrgA": _refusing,
+             "OrgB": TcpTransport(fed.config.org_entry("OrgB").listen_address)}
     with caplog.at_level(logging.WARNING, logger="fedprov.ledger.client"):
         receipt = publish_raw(_client(fed, users["alice"], peers), "21.P/x", "cas://x", "cx")
     assert receipt.status == "VALID"
@@ -101,7 +101,8 @@ def test_one_refusing_producer_does_not_block_the_other(fed, users, caplog):
 
 def test_a_query_logs_each_node_it_skips(fed, users, caplog):
     assert publish_raw(users["alice"]["ledger"], "21.P/x", "cas://x", "cx").ok
-    peers = {"OrgA": _unreachable, "OrgB": DirectTransport(fed.services["OrgB"].handle)}
+    peers = {"OrgA": _unreachable,
+             "OrgB": TcpTransport(fed.config.org_entry("OrgB").listen_address)}
     with caplog.at_level(logging.WARNING, logger="fedprov.ledger.client"):
         assert _client(fed, users["alice"], peers).hlf_read("21.P/x").checksum == "cx"
     (skipped,) = [r for r in caplog.records if r.name == "fedprov.ledger.client"]
@@ -116,6 +117,33 @@ def test_a_query_logs_each_node_it_skips(fed, users, caplog):
             none_reachable.get_history("21.P/x")
     assert [r.getMessage().split()[1] for r in caplog.records
             if r.name == "fedprov.ledger.client"] == ["OrgA", "OrgB"]
+
+
+def test_a_query_moves_on_past_a_node_that_answers_with_an_error(fed, users, monkeypatch,
+                                                                  caplog):
+    """A node whose handler fails answers with an error, and the next node
+    answers the read; with no answer, the last error comes back as its own
+    type, and ``TransportError`` only when no node was reachable."""
+    assert publish_raw(users["alice"]["ledger"], "21.P/x", "cas://x", "cx").ok
+
+    def unreadable(pid):
+        raise PermissionError("unreadable")
+
+    monkeypatch.setattr(fed.nodes["OrgA"], "read", unreadable)
+    with caplog.at_level(logging.WARNING, logger="fedprov.ledger.client"):
+        assert users["alice"]["ledger"].hlf_read("21.P/x").checksum == "cx"
+    (skipped,) = [r for r in caplog.records if r.name == "fedprov.ledger.client"]
+    assert "OrgA" in skipped.getMessage() and "unreadable" in skipped.getMessage()
+
+    def unknown(pid):
+        raise UnknownPIDError(f"{pid} unknown here")
+
+    monkeypatch.setattr(fed.nodes["OrgB"], "read", unknown)
+    peers = {"OrgA": TcpTransport(fed.config.org_entry("OrgA").listen_address),
+             "OrgB": TcpTransport(fed.config.org_entry("OrgB").listen_address),
+             "Readers": _unreachable}
+    with pytest.raises(UnknownPIDError, match="unknown here"):
+        _client(fed, users["alice"], peers).hlf_read("21.P/x")
 
 
 def test_racing_publishes_of_one_provenance_pid_commit_exactly_one(fed, users):
@@ -269,7 +297,7 @@ def test_legacy_two_create_ledger_replays_next_to_publish_transactions(tmp_path)
     recorded write sets, and the registry finds such a version's PID in its
     record file, so such a chain keeps loading, resolving, verifying and
     taking updates next to the transactions of today."""
-    fed = Federation.bootstrap(tmp_path / "fed", use_tcp=True)
+    fed = Federation.bootstrap(tmp_path / "fed")
     try:
         alice = register_default_users(fed)["alice"]
         ctx = fed.client(alice["identity"], alice["key"])
@@ -288,7 +316,7 @@ def test_legacy_two_create_ledger_replays_next_to_publish_transactions(tmp_path)
     finally:
         fed.stop()
 
-    fed = Federation.start(fed.config_path, use_tcp=True)
+    fed = Federation.start(fed.config_path)
     try:
         assert fed.state_digests() == digests
         chain = cli.federation_verify_chain(fed.client())

@@ -19,7 +19,7 @@ REPORT = Path(__file__).resolve().parent / "data" / "scenario_report.json"
 
 @pytest.fixture()
 def scenario_fed(tmp_path, frozen_clock, monkeypatch):
-    federation = Federation.bootstrap(tmp_path / "fed", use_tcp=True)
+    federation = Federation.bootstrap(tmp_path / "fed")
     monkeypatch.setenv("FEDPROV_KEYDIR", str(federation.config.keys_dir))
     yield federation
     federation.stop()
@@ -101,7 +101,7 @@ def test_runs_are_reproducible(tmp_path, frozen_clock, monkeypatch):
     """Fresh federation + frozen clock => identical PIDs and digests."""
     reports = []
     for attempt in range(2):
-        federation = Federation.bootstrap(tmp_path / f"fed{attempt}", use_tcp=True)
+        federation = Federation.bootstrap(tmp_path / f"fed{attempt}")
         monkeypatch.setenv("FEDPROV_KEYDIR", str(federation.config.keys_dir))
         try:
             reports.append(runner.run_all(str(federation.config_path)))

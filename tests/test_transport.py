@@ -15,7 +15,7 @@ from contextlib import contextmanager
 import pytest
 
 from conftest import publish_raw, register_default_users
-from fedprov import transport
+from fedprov import cli, transport
 from fedprov.errors import FedprovError, TransportError, UnauthorizedError, UnknownPIDError
 from fedprov.harness import Federation, free_port
 from fedprov.ledger.chaincode import MSG_BAD_REQUEST
@@ -245,12 +245,12 @@ def test_internal_error_is_logged_with_its_traceback(caplog):
     assert record.exc_info[0] is KeyError
 
 
-def test_frames_that_are_not_requests_are_malformed_and_keep_the_connection(tcp_fed):
+def test_frames_that_are_not_requests_are_malformed_and_keep_the_connection(fed):
     """A frame whose body is not UTF-8 JSON, is not an object, or whose
     ``kind`` is not a string, is answered as a malformed request on the
     connection it came on, and the next request on that connection is
     served."""
-    address = tcp_fed.config.org_entry("OrgB").listen_address
+    address = fed.config.org_entry("OrgB").listen_address
     bodies = [json.dumps(frame).encode() for frame in
               ([], "text", None, {"kind": ["x"], "payload": {}})] + [b"{", b"\xff\xfe"]
     with socket.create_connection(parse_address(address), timeout=5) as sock:
@@ -262,7 +262,7 @@ def test_frames_that_are_not_requests_are_malformed_and_keep_the_connection(tcp_
         send_message(sock, {"kind": "QUERY", "payload": {"op": "height"}})
         response = recv_message(sock)
     assert response["ok"] is True
-    assert response["height"] == tcp_fed.nodes["OrgB"].height()
+    assert response["height"] == fed.nodes["OrgB"].height()
 
 
 def test_server_keeps_accepting_when_a_connection_thread_cannot_start(monkeypatch, caplog):
@@ -416,6 +416,21 @@ def test_resend_when_sending_on_a_reused_connection_fails():
             broken.close()
 
 
+@pytest.mark.parametrize("reply", [[], 0, "x"], ids=["list", "number", "string"])
+def test_reply_that_is_not_an_object_is_unreachable_and_not_pooled(reply):
+    """A reply that is JSON but not an object is a ``TransportError`` (exit
+    16), and its connection is closed, not pooled: the next request opens
+    another."""
+    with bare_server(lambda message: reply) as (address, seen, closed):
+        with pytest.raises(TransportError, match="not an object") as failed:
+            request(address, "A", {})
+        assert cli.exit_code_for(failed.value) == 16
+        assert closed.wait(timeout=5)
+        with pytest.raises(TransportError, match="not an object"):
+            request(address, "B", {})
+        assert seen == [(0, "A"), (1, "B")]
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 def test_federations_started_and_stopped_leave_no_sockets(tmp_path):
     def open_fds():
@@ -423,7 +438,7 @@ def test_federations_started_and_stopped_leave_no_sockets(tmp_path):
 
     def run(n):
         """Start a TCP federation, write through it, stop it; the sockets it had."""
-        federation = Federation.bootstrap(tmp_path / f"fed{n}", use_tcp=True)
+        federation = Federation.bootstrap(tmp_path / f"fed{n}")
         try:
             alice = register_default_users(federation)["alice"]
             assert publish_raw(alice["ledger"], f"21.P/{n}", "cas://x", "cx").ok
@@ -443,7 +458,7 @@ def test_federations_started_and_stopped_leave_no_sockets(tmp_path):
 
 def test_tcp_federation_stops_promptly(tmp_path):
     """Stopping waits on no polling interval, idle pooled connections or not."""
-    federation = Federation.bootstrap(tmp_path / "fed", use_tcp=True)
+    federation = Federation.bootstrap(tmp_path / "fed")
     try:
         alice = register_default_users(federation)["alice"]
         assert publish_raw(alice["ledger"], "21.P/s", "cas://s", "cs").ok
@@ -455,6 +470,14 @@ def test_tcp_federation_stops_promptly(tmp_path):
     assert elapsed < 0.1
     with pytest.raises(TransportError):
         TcpTransport(_orderer_address(federation), timeout=0.5)("RESOLVE", {"pid": "x"})
+
+
+def test_bootstrap_serves_over_tcp_only(tmp_path):
+    """Every federation is served on its loopback addresses: ``use_tcp=False``
+    is refused before anything is made."""
+    with pytest.raises(ValueError, match="TCP"):
+        Federation.bootstrap(tmp_path / "fed", use_tcp=False)
+    assert not (tmp_path / "fed").exists()
 
 
 def _is_socket(fd):
@@ -472,22 +495,17 @@ def _orderer_address(fed) -> str:
     return fed.config.orderer_org().listen_address
 
 
-@pytest.fixture()
-def tcp_users(tcp_fed):
-    return register_default_users(tcp_fed)
-
-
 def test_config_with_registry_address_serves_the_registry_at_the_orderer(tmp_path):
     """A config saved with ``registry-address`` still starts, with one
     listener per organization: MINT, RESOLVE and HISTORY are answered at the
     orderer organization's address, nothing listens at the old one, and
     another node answers a registry kind as an unknown message kind."""
-    federation = Federation.bootstrap(tmp_path / "fed", use_tcp=True)
+    federation = Federation.bootstrap(tmp_path / "fed")
     federation.stop()
     config = json.loads(federation.config_path.read_text())
     config["registry-address"] = f"127.0.0.1:{free_port()}"
     federation.config_path.write_text(json.dumps(config))
-    federation = Federation.start(federation.config_path, use_tcp=True)
+    federation = Federation.start(federation.config_path)
     try:
         assert len(federation.servers) == len(config["organizations"])
         alice = register_default_users(federation)["alice"]
@@ -511,11 +529,11 @@ def test_config_with_registry_address_serves_the_registry_at_the_orderer(tmp_pat
         federation.stop()
 
 
-def test_registry_mint_resolve_link_history_over_tcp(tcp_fed, tcp_users):
-    alice = tcp_users["alice"]
+def test_registry_mint_resolve_link_history_over_tcp(fed, users):
+    alice = users["alice"]
     client = LedgerClient(
-        alice["identity"], alice["key"], {}, TcpTransport(_orderer_address(tcp_fed)),
-        tcp_fed.config.orgs_map(), tcp_fed.config.endorsement_policy,
+        alice["identity"], alice["key"], {}, TcpTransport(_orderer_address(fed)),
+        fed.config.orgs_map(), fed.config.endorsement_policy,
     )
     v1 = client.mint()
     with pytest.raises(UnknownPIDError):
@@ -535,38 +553,38 @@ def test_registry_mint_resolve_link_history_over_tcp(tcp_fed, tcp_users):
     assert client.resolve(v2["pid"])["predecessor"] == v1["pid"]
 
 
-def test_registry_rejects_bad_signature_over_tcp(tcp_fed, tcp_users):
-    alice = tcp_users["alice"]
-    wrong_key = tcp_users["bob"]["key"]
+def test_registry_rejects_bad_signature_over_tcp(fed, users):
+    alice = users["alice"]
+    wrong_key = users["bob"]["key"]
     client = LedgerClient(
-        alice["identity"], wrong_key, {}, TcpTransport(_orderer_address(tcp_fed)),
-        tcp_fed.config.orgs_map(), tcp_fed.config.endorsement_policy,
+        alice["identity"], wrong_key, {}, TcpTransport(_orderer_address(fed)),
+        fed.config.orgs_map(), fed.config.endorsement_policy,
     )
     with pytest.raises(UnauthorizedError):
         client.mint()
 
 
-def test_registry_resolve_unauthenticated(tcp_fed, tcp_users):
+def test_registry_resolve_unauthenticated(fed, users):
     signed = LedgerClient(
-        tcp_users["alice"]["identity"], tcp_users["alice"]["key"], {},
-        TcpTransport(_orderer_address(tcp_fed)),
-        tcp_fed.config.orgs_map(), tcp_fed.config.endorsement_policy,
+        users["alice"]["identity"], users["alice"]["key"], {},
+        TcpTransport(_orderer_address(fed)),
+        fed.config.orgs_map(), fed.config.endorsement_policy,
     )
     record = signed.mint()
-    assert publish_raw(tcp_users["alice"]["ledger"], record["pid"], "cas://1", "c1").ok
+    assert publish_raw(users["alice"]["ledger"], record["pid"], "cas://1", "c1").ok
     anonymous = LedgerClient(
-        None, None, {}, TcpTransport(_orderer_address(tcp_fed)),
-        tcp_fed.config.orgs_map(), tcp_fed.config.endorsement_policy,
+        None, None, {}, TcpTransport(_orderer_address(fed)),
+        fed.config.orgs_map(), fed.config.endorsement_policy,
     )
     assert anonymous.resolve(record["pid"])["checksum"] == "c1"
     with pytest.raises(UnauthorizedError):
         anonymous.mint()
 
 
-def test_node_query_over_tcp(tcp_fed, tcp_users):
-    alice = tcp_users["alice"]["ledger"]
+def test_node_query_over_tcp(fed, users):
+    alice = users["alice"]["ledger"]
     assert publish_raw(alice, "21.P/x", "cas://x", "cx").ok
-    org = tcp_fed.config.organizations[0]
+    org = fed.config.organizations[0]
     transport = TcpTransport(org.listen_address)
     value = transport("QUERY", {"op": "read", "pid": "21.P/x"})["value"]
     assert value["checksum"] == "cx"
@@ -574,13 +592,13 @@ def test_node_query_over_tcp(tcp_fed, tcp_users):
     assert report["ok"]
 
 
-def test_propose_answered_with_endorse_kind(tcp_fed, tcp_users):
+def test_propose_answered_with_endorse_kind(fed, users):
     import uuid
 
     from fedprov import clock, crypto
     from fedprov.canonical import canonical_bytes
 
-    identity = tcp_users["alice"]["identity"]
+    identity = users["alice"]["identity"]
     body = {
         "kind": "publish",
         "pid": "21.P/k",
@@ -595,8 +613,8 @@ def test_propose_answered_with_endorse_kind(tcp_fed, tcp_users):
         "timestamp": clock.now_iso(),
         "nonce": uuid.uuid4().hex,
     }
-    signature = crypto.sign(tcp_users["alice"]["key"], canonical_bytes(body))
-    org = tcp_fed.config.organizations[0]
+    signature = crypto.sign(users["alice"]["key"], canonical_bytes(body))
+    org = fed.config.organizations[0]
     response = TcpTransport(org.listen_address)(
         "PROPOSE", {"body": body, "signature": signature}
     )
@@ -617,12 +635,12 @@ def test_propose_answered_with_endorse_kind(tcp_fed, tcp_users):
     ids=["mint-no-caller", "mint-caller-string", "mint-caller-file-form",
          "propose-creator-string", "propose-body-list"],
 )
-def test_malformed_identity_claim_refused_over_tcp(tcp_fed, kind, payload):
+def test_malformed_identity_claim_refused_over_tcp(fed, kind, payload):
     """A malformed claim is an authorization refusal, never an internal error."""
-    before = tcp_fed.system_digest()
+    before = fed.system_digest()
     with pytest.raises(UnauthorizedError):
-        TcpTransport(_orderer_address(tcp_fed))(kind, payload)
-    assert tcp_fed.system_digest() == before
+        TcpTransport(_orderer_address(fed))(kind, payload)
+    assert fed.system_digest() == before
 
 
 def _signed(user, request):
@@ -658,15 +676,15 @@ _GRANT_SHAPE = {
          "resolve-no-pid", "history-no-pid", "resolve-list-pid", "history-int-pid",
          "resolve-list-payload"],
 )
-def test_malformed_registry_request_named_over_tcp(tcp_fed, tcp_users, kind, body):
+def test_malformed_registry_request_named_over_tcp(fed, users, kind, body):
     """A malformed request is refused by name, not as an internal error; a
     MINT's *body* is its signed request, which must be the empty object."""
-    payload = _signed(tcp_users["alice"], body) if kind == "MINT" else body
-    before = tcp_fed.system_digest()
+    payload = _signed(users["alice"], body) if kind == "MINT" else body
+    before = fed.system_digest()
     with pytest.raises(FedprovError) as refused:
-        TcpTransport(_orderer_address(tcp_fed))(kind, payload)
+        TcpTransport(_orderer_address(fed))(kind, payload)
     assert str(refused.value).startswith("malformed request:")
-    assert tcp_fed.system_digest() == before
+    assert fed.system_digest() == before
 
 
 @pytest.mark.parametrize(
@@ -682,14 +700,14 @@ def test_malformed_registry_request_named_over_tcp(tcp_fed, tcp_users, kind, bod
          "blocks-negative-from", "blocks-string-from", "blocks-list-org",
          "state-int-unless-tip", "state-null-unless-tip", "propose-list-payload"],
 )
-def test_malformed_node_request_named_over_tcp(tcp_fed, kind, payload):
-    before = tcp_fed.system_digest()
+def test_malformed_node_request_named_over_tcp(fed, kind, payload):
+    before = fed.system_digest()
     with pytest.raises(FedprovError) as refused:
-        TcpTransport(tcp_fed.config.organizations[0].listen_address)(kind, payload)
+        TcpTransport(fed.config.organizations[0].listen_address)(kind, payload)
     assert str(refused.value).startswith("malformed request:")
-    assert tcp_fed.system_digest() == before
+    assert fed.system_digest() == before
 
 
-def test_propose_with_list_args_is_a_bad_request_over_tcp(tcp_fed, tcp_users):
-    receipt = tcp_users["alice"]["ledger"].submit("publish", "21.P/k", [])
+def test_propose_with_list_args_is_a_bad_request_over_tcp(fed, users):
+    receipt = users["alice"]["ledger"].submit("publish", "21.P/k", [])
     assert (receipt.status, receipt.message) == (STATUS_REJECTED, MSG_BAD_REQUEST)
