@@ -10,6 +10,7 @@ Verbs
     update-prov   atomic provenance-record update (classify/store/reserve/commit)
     verify        recompute checksums against the ledger, print version history
     invalidate    flag an artifact invalid; optionally cascade to descendants
+    notifications every owner's affected artifacts, from one committed view
     trace         lineage paths with checksum-verified attesting documents
     federation    init | start-node | verify-chain | status
 
@@ -41,7 +42,6 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 from . import __version__, identity as identity_mod
 from .errors import (
@@ -77,6 +77,7 @@ from .lineage import (
     build_graph,
     collect_documents,
     invalidate_cascade,
+    notifications,
     trace_lineage,
     verify_trace_soundness,
 )
@@ -203,11 +204,6 @@ class ClientContext:
     def updater(self) -> AtomicUpdater:
         return AtomicUpdater(store=self.store(), ledger=self.ledger())
 
-    def owner_orgs(self) -> Callable[[str], str]:
-        """Each user's organization, from one read of the identity directory."""
-        directory = identity_mod.load_identity_directory(self.config.identities_dir)
-        return lambda user_id: directory[user_id].org if user_id in directory else "unknown"
-
 
 # ---------------------------------------------------------------------------
 # Commands
@@ -304,15 +300,17 @@ def invalidate_artifact(
     body = {"pid": pid, "receipt": receipt.to_dict(), "affected": []}
     if cascade:
         graph = _derivation_graph(ledger, ctx.store())
-        flagged = invalidate_cascade(
-            pid,
-            graph,
-            ledger=ledger,
-            outbox_dir=ctx.config.outbox_dir,
-            owner_org=ctx.owner_orgs(),
-        )
+        flagged = invalidate_cascade(pid, graph, ledger=ledger)
         body["affected"] = [{"pid": p, "status": s} for p, s in flagged]
     return body
+
+
+def list_notifications(ctx: ClientContext) -> dict:
+    """What every cascade told each owner, read from one committed view of
+    any node: ``{height, tip_hash, notifications}``."""
+    answer = ctx.ledger().read_state()
+    return {"height": answer["height"], "tip_hash": answer["tip_hash"],
+            "notifications": notifications(answer["state"])}
 
 
 def trace_artifact(ctx: ClientContext, pid: str, include_dot: bool = False) -> dict:
@@ -515,8 +513,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pid")
     p.add_argument("--reason", default="")
     p.add_argument("--cascade", action="store_true",
-                   help="flag all derived artifacts as affected and notify owners")
+                   help="flag all derived artifacts as affected")
     p.add_argument("--grant", default=None)
+
+    sub.add_parser("notifications", help="list each owner's artifacts flagged as affected")
 
     p = sub.add_parser("trace", help="print lineage paths for an artifact")
     p.add_argument("pid")
@@ -557,6 +557,8 @@ def run(argv: list[str]) -> tuple[int, dict]:
             return EXIT_OK, invalidate_artifact(
                 ctx, args.pid, args.reason, args.cascade, args.grant
             )
+        if args.command == "notifications":
+            return EXIT_OK, list_notifications(ctx)
         if args.command == "trace":
             return EXIT_OK, trace_artifact(ctx, args.pid, args.dot)
         raise ConfigError(f"unknown command {args.command!r}")

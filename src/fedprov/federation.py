@@ -18,7 +18,6 @@ is a self-contained directory tree:
       nodes/<org>/node.{json,key}  node signing identity
       registry/records/<suffix>.json   PID reservations, resolvable once committed
       store/<2-hex>/<62-hex>       content-addressed blobs
-      outbox/<org>.jsonl           invalidation notifications
 
 ``init_federation`` generates the CAs and node identities, completes the
 config, and writes the identical genesis block to every node's ledger file.
@@ -188,10 +187,6 @@ class FederationConfig:
     def registry_root(self) -> Path:
         return self.base_dir / "registry"
 
-    @property
-    def outbox_dir(self) -> Path:
-        return self.base_dir / "outbox"
-
     def node_dir(self, org: str) -> Path:
         return self.base_dir / "nodes" / org
 
@@ -236,7 +231,6 @@ def init_federation(config_path: Path) -> FederationConfig:
 
     config.store_root.mkdir(parents=True, exist_ok=True)
     config.registry_root.mkdir(parents=True, exist_ok=True)
-    config.outbox_dir.mkdir(parents=True, exist_ok=True)
     config.save(Path(config_path))
     return config
 

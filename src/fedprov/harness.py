@@ -136,7 +136,7 @@ class Federation:
 
     def system_digest(self) -> str:
         """Digest over ledger state, committed registry records and stored
-        blobs (the outbox excluded)."""
+        blobs."""
         from .canonical import digest
 
         return digest(

@@ -389,18 +389,6 @@ def load_identity(path: Path) -> Identity:
         return Identity.from_dict(json.load(fh))
 
 
-def load_identity_directory(identities_dir: Path) -> dict[str, Identity]:
-    """All issued identities keyed by user id (used for owner/org lookups)."""
-    out: dict[str, Identity] = {}
-    directory = Path(identities_dir)
-    if not directory.is_dir():
-        return out
-    for path in sorted(directory.glob("*.json")):
-        identity = load_identity(path)
-        out[identity.user_id] = identity
-    return out
-
-
 def user_credentials(keys_base: Path, user_id: str) -> tuple[Identity, str]:
     """Load (identity, private_key) from a per-user key directory.
 

@@ -202,7 +202,9 @@ class LedgerClient:
         PROPOSE goes only to the producer organizations' nodes, whose
         endorsements alone can count toward the policy. A node that is
         unreachable or refuses contributes nothing, and is logged at
-        warning level. If none endorses, a
+        warning level; so does one whose reply lacks an ``endorsement``
+        object, or a ``result`` object with a string ``message``, and that
+        refusal is a ``TransportError``. If none endorses, a
         refusal (a forged creator certificate, say) is raised as it came,
         and ``TransportError`` only when some node could not be reached.
         """
@@ -229,8 +231,14 @@ class LedgerClient:
                 _log.warning("endorser %s refused: %s", org, exc)
                 refused = exc
                 continue
+            result = response.get("result")
+            if not (isinstance(response.get("endorsement"), dict)
+                    and isinstance(result, dict) and isinstance(result.get("message"), str)):
+                refused = TransportError(f"endorser {org} sent a PROPOSE reply of the wrong shape")
+                _log.warning("%s", refused)
+                continue
             endorsements.append(response["endorsement"])
-            results[org] = response["result"]
+            results[org] = result
         if not results:
             if unreachable:
                 raise TransportError(f"no endorsing peer reachable: {unreachable}")

@@ -15,13 +15,17 @@ import functools
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from . import clock
 from .errors import CycleError, LedgerRejectedError, NotInvalidatedError, UnknownPIDError
 from .ledger.blocks import READ_WRITE_CONFLICT
-from .ledger.values import KIND_ARTIFACT, KIND_PROVENANCE, STATUS_INVALIDATED, STATUS_VALID
+from .ledger.values import (
+    KIND_ARTIFACT,
+    KIND_PROVENANCE,
+    STATUS_AFFECTED,
+    STATUS_INVALIDATED,
+    STATUS_VALID,
+)
 from .prov import REL_DERIVED, REL_GENERATED, REL_USED, ProvDocument
 from .prov_store import ProvStore
 
@@ -373,9 +377,6 @@ def invalidate_cascade(
     graph: DerivationGraph,
     *,
     ledger,
-    outbox_dir: Path | None = None,
-    owner_org: Callable[[str], str] | None = None,
-    timestamp: str | None = None,
 ) -> list[tuple[str, str]]:
     """Flag every artifact derived from an invalidated *pid* as affected.
 
@@ -390,9 +391,8 @@ def invalidate_cascade(
     nor reported again. A read-write conflict resubmits the same targets up
     to ``FLAG_ATTEMPTS`` times; any other refusal, or a conflict on the last
     attempt, raises ``LedgerRejectedError``. The artifacts the committed
-    transaction wrote are the ones returned and, only if *outbox_dir* is
-    given, the ones whose owners get a notification appended to their
-    organization's outbox.
+    transaction wrote are the ones returned; their owners read them through
+    ``notifications``.
     """
     status = graph.nodes.get(pid)
     if status is None:
@@ -404,7 +404,7 @@ def invalidate_cascade(
     if not targets:
         return []
     for attempt in range(1, FLAG_ATTEMPTS + 1):
-        receipt = ledger.flag_affected(targets, pid, timestamp=timestamp)
+        receipt = ledger.flag_affected(targets, pid)
         if receipt.ok:
             break
         if receipt.status != READ_WRITE_CONFLICT or attempt == FLAG_ATTEMPTS:
@@ -412,35 +412,24 @@ def invalidate_cascade(
                 f"cascade from {pid} not committed: {receipt.message}", receipt.to_dict()
             )
 
-    flagged = sorted(receipt.writes.items())
-    if outbox_dir is not None:
-        notifications = [
-            {
-                "pid": target,
-                "new_status": "affected",
-                "source_pid": pid,
-                "owner": owner,
-                "timestamp": timestamp or clock.now_iso(),
-            }
-            for target, value in flagged
-            for owner in value["owners"]
-        ]
-        write_notifications(notifications, outbox_dir, owner_org)
-    return [(target, "affected") for target, _ in flagged]
+    return [(target, STATUS_AFFECTED) for target in sorted(receipt.writes)]
 
 
-def write_notifications(
-    notifications: Iterable[dict],
-    outbox_dir: Path,
-    owner_org: Callable[[str], str] | None,
-) -> None:
-    outbox_dir = Path(outbox_dir)
-    outbox_dir.mkdir(parents=True, exist_ok=True)
-    for record in notifications:
-        org = owner_org(record["owner"]) if owner_org else "unknown"
-        record = {**record, "org": org}
-        with open(outbox_dir / f"{org}.jsonl", "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+def notifications(state: Mapping[str, Mapping]) -> list[dict]:
+    """One entry per owner of each artifact *state* holds as affected,
+    sorted by (pid, owner).
+
+    The flag transaction wrote every fact an entry holds into the flagged
+    artifact's value, its own timestamp included, so any node's committed
+    state gives the same entries, whatever became of the cascading client.
+    """
+    return [
+        {"pid": pid, "new_status": STATUS_AFFECTED, "source_pid": value["status_source"],
+         "owner": owner, "timestamp": value["timestamp"]}
+        for pid, value in sorted(state.items())
+        if value.get("status") == STATUS_AFFECTED
+        for owner in sorted(value["owners"])
+    ]
 
 
 # ---------------------------------------------------------------------------

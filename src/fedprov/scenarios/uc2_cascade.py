@@ -3,7 +3,7 @@
 Experiment 1 produces files A and B. File A feeds experiment 2 (file C),
 file B feeds experiment 3 (file D), and file D feeds experiment 4 (file E).
 Retracting file B must flag exactly D and E as affected, leaving A's branch
-untouched, and append a notification per affected owner to the outbox.
+untouched; their owners read it through ``fedprov notifications``.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ Wire format: a 4-byte big-endian length followed by a UTF-8 JSON body.
 Requests are ``{"kind": <MESSAGE KIND>, "payload": {...}}``; responses are
 ``{"ok": true, ...payload}`` or ``{"ok": false, "error": {"type", "message"}}``.
 Application errors are re-raised client-side as the matching exception type;
-a reply that is not an object is a ``TransportError``.
+a reply that is not an object, or an error reply whose ``error`` is not an
+object with a string ``type`` and ``message``, is a ``TransportError``.
 A request that is not UTF-8 JSON, or not an object with a string ``kind``,
 is answered as a malformed request, and its connection stays open.
 
@@ -216,26 +217,36 @@ def request(address: str, kind: str, payload: dict, timeout: float = 10.0) -> di
     except (OSError, ValueError) as exc:
         raise TransportError(f"cannot reach {address}: {exc}") from exc
     finally:
-        if isinstance(response, dict):
+        fault = _reply_fault(response)
+        if fault is None:
             _POOL.checkin(key, sock)
         else:
             sock.close()
     if response is None:
         raise TransportError(f"{address} closed the connection")
-    if not isinstance(response, dict):
-        raise TransportError(f"{address} sent a reply that is not an object")
+    if fault is not None:
+        raise TransportError(f"{address} sent {fault}")
     if response.get("ok"):
         return response
-    raise _reconstruct_error(response.get("error", {}))
+    raise _reconstruct_error(response["error"])
+
+
+def _reply_fault(response) -> str | None:
+    """What makes *response* no reply; ``None`` for a success or a documented error reply."""
+    if not isinstance(response, dict):
+        return "a reply that is not an object"
+    error = response.get("error")
+    if response.get("ok") or (isinstance(error, dict) and all(
+            isinstance(error.get(field), str) for field in ("type", "message"))):
+        return None
+    return "an error reply without a string type and message"
 
 
 def _reconstruct_error(error: dict) -> FedprovError:
-    type_name = error.get("type", "FedprovError")
-    message = error.get("message", "remote error")
-    exc_type = getattr(errors_mod, type_name, FedprovError)
+    exc_type = getattr(errors_mod, error["type"], FedprovError)
     if not (isinstance(exc_type, type) and issubclass(exc_type, FedprovError)):
         exc_type = FedprovError
-    return exc_type(message)
+    return exc_type(error["message"])
 
 
 def error_response(exc: Exception) -> dict:

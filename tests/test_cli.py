@@ -21,6 +21,7 @@ from fedprov import cli, identity as identity_mod, transport
 from fedprov.errors import FedprovError, TransportError
 from fedprov.harness import Federation
 from fedprov.ledger.client import LedgerClient, Receipt
+from fedprov.lineage import notifications
 from fedprov.prov_store import ProvStore
 from fedprov.transport import TcpTransport
 from fedprov.updates import AtomicUpdater
@@ -828,7 +829,7 @@ def test_refused_cascade_exits_12_without_affected_or_notifications(live, monkey
     assert code == cli.EXIT_LEDGER_REJECTED == 12
     assert "affected" not in body
     assert "endorsement-policy-unmet" in body["error"]
-    assert not (fed.config.outbox_dir / "OrgA.jsonl").exists()
+    assert invoke(fed, "notifications")[1]["notifications"] == []
     assert users["alice"]["ledger"].hlf_read(derived["artifact_pid"]).status == "valid"
 
 
@@ -939,36 +940,82 @@ def test_publish_and_update_prov_send_a_fixed_number_of_requests(live, monkeypat
     assert counted() == {"HISTORY": 1, "MINT": 1, **writes}
 
 
-def test_cascade_loads_the_identity_directory_once(live, monkeypatch):
+def test_cascade_reads_no_identity_record(live, monkeypatch):
+    """A cascade routes nothing to organizations, so it reads no issued
+    identity record; each owner still finds its artifact in ``notifications``."""
     fed, users = live
     source = _publish(fed, "alice", "src")["artifact_pid"]
     mine = _publish(fed, "alice", "mine", source)["artifact_pid"]
     theirs = _publish(fed, "bob", "theirs", source)["artifact_pid"]
     loads = []
-    real_load = identity_mod.load_identity_directory
+    real_load = identity_mod.load_identity
 
-    def counted(directory):
-        loads.append(directory)
-        return real_load(directory)
+    def counted(path):
+        loads.append(Path(path))
+        return real_load(path)
 
-    monkeypatch.setattr(identity_mod, "load_identity_directory", counted)
+    monkeypatch.setattr(identity_mod, "load_identity", counted)
     code, body = invoke(fed, "--identity", "alice", "invalidate", source, "--cascade")
     assert code == cli.EXIT_OK, body
     assert sorted(body["affected"], key=lambda a: a["pid"]) == sorted(
         [{"pid": mine, "status": "affected"}, {"pid": theirs, "status": "affected"}],
         key=lambda a: a["pid"],
     )
-    assert len(loads) == 1
+    assert [path for path in loads if fed.config.identities_dir in path.parents] == []
 
-    def outbox(org):
-        lines = (fed.config.outbox_dir / f"{org}.jsonl").read_text().splitlines()
-        return [json.loads(line) for line in lines]
+    code, body = invoke(fed, "notifications")
+    assert code == cli.EXIT_OK, body
+    for entry in body["notifications"]:
+        assert entry.pop("timestamp")
+    assert body["notifications"] == sorted(
+        [{"pid": pid, "new_status": "affected", "source_pid": source, "owner": owner}
+         for owner, pid in (("alice", mine), ("bob", theirs))],
+        key=lambda entry: entry["pid"],
+    )
 
-    for org, owner, pid in (("OrgA", "alice", mine), ("OrgB", "bob", theirs)):
-        (line,) = outbox(org)
-        assert line.pop("timestamp")
-        assert line == {"pid": pid, "new_status": "affected", "source_pid": source,
-                        "owner": owner, "org": org}
+
+def test_notification_outlives_a_client_that_fails_after_the_flag_commits(live, monkeypatch):
+    """The cascading client fails right after its flag commits: bob is still
+    told, by every node alike, since the notification is the ledger value."""
+    fed, users = live
+    a = _publish(fed, "alice", "a")["artifact_pid"]
+    b = _publish(fed, "bob", "b", a)["artifact_pid"]
+    real_flag_affected = LedgerClient.flag_affected
+
+    def flag_then_fail(self, targets, source_pid, timestamp=None):
+        assert real_flag_affected(self, targets, source_pid, timestamp).ok
+        raise OSError("client lost right after the commit")
+
+    monkeypatch.setattr(LedgerClient, "flag_affected", flag_then_fail)
+    code, body = invoke(fed, "--identity", "alice", "invalidate", a, "--cascade")
+    assert code == cli.EXIT_IO, body
+    monkeypatch.setattr(LedgerClient, "flag_affected", real_flag_affected)
+
+    code, body = invoke(fed, "notifications")
+    assert code == cli.EXIT_OK, body
+    assert [(n["pid"], n["owner"], n["source_pid"]) for n in body["notifications"]] == [
+        (b, "bob", a)
+    ]
+    assert body["notifications"][0]["timestamp"] == users["bob"]["ledger"].hlf_read(b).timestamp
+    for peer in users["ruth"]["ledger"].peers.values():
+        answer = peer("QUERY", {"op": "state"})
+        assert (answer["height"], answer["tip_hash"]) == (body["height"], body["tip_hash"])
+        assert notifications(answer["state"]) == body["notifications"]
+
+
+def test_owner_invalidation_takes_an_artifact_off_the_notifications(live):
+    """``notifications`` lists what is affected now; ``verify`` keeps the
+    history of an affected artifact its owner then invalidated."""
+    fed, users = live
+    a = _publish(fed, "alice", "a")["artifact_pid"]
+    b = _publish(fed, "bob", "b", a)["artifact_pid"]
+    assert invoke(fed, "--identity", "alice", "invalidate", a, "--cascade")[0] == cli.EXIT_OK
+    assert [n["pid"] for n in invoke(fed, "notifications")[1]["notifications"]] == [b]
+    assert invoke(fed, "--identity", "bob", "invalidate", b)[0] == cli.EXIT_OK
+    assert invoke(fed, "notifications")[1]["notifications"] == []
+    code, body = invoke(fed, "verify", b)
+    assert code == cli.EXIT_OK, body
+    assert [h["status"] for h in body["ledger_history"]] == ["valid", "affected", "invalidated"]
 
 
 def test_trace_reads_and_checks_every_document_on_every_run(live, monkeypatch):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import random
 import tempfile
 
@@ -23,6 +22,7 @@ from fedprov.lineage import (
     collect_documents,
     invalidate_cascade,
     iteration_history,
+    notifications,
     trace_lineage,
     verify_trace_soundness,
 )
@@ -534,12 +534,12 @@ def live_chain(live_publish):
 def _cascade(fed, ledger, pid):
     state = ledger.state_dump()
     graph = build_graph(collect_documents(state, fed.store), state)
-    return invalidate_cascade(
-        pid, graph,
-        ledger=ledger,
-        outbox_dir=fed.config.outbox_dir,
-        owner_org=lambda user: "OrgA",
-    )
+    return invalidate_cascade(pid, graph, ledger=ledger)
+
+
+def _notified(ledger):
+    """The (pid, source) of every notification in *ledger*'s current state."""
+    return [(n["pid"], n["source_pid"]) for n in notifications(ledger.state_dump())]
 
 
 def test_invalidate_cascade_commits_flags_and_notifies(live_chain):
@@ -548,12 +548,14 @@ def test_invalidate_cascade_commits_flags_and_notifies(live_chain):
     assert ledger.hlf_invalidate(pids["A"]).ok
     flagged = _cascade(fed, ledger, pids["A"])
     assert {p for p, _ in flagged} == {pids["B"], pids["C"]}
+    state = ledger.state_dump()
+    assert notifications(state) == [
+        {"pid": pid, "new_status": "affected", "source_pid": pids["A"], "owner": "alice",
+         "timestamp": state[pid]["timestamp"]}
+        for pid in sorted((pids["B"], pids["C"]))
+    ]
     for pid in (pids["B"], pids["C"]):
         assert ledger.hlf_read(pid).status == "affected"
-    outbox = fed.config.outbox_dir / "OrgA.jsonl"
-    records = [json.loads(line) for line in outbox.read_text().splitlines()]
-    assert {r["pid"] for r in records} == {pids["B"], pids["C"]}
-    assert all(r["source_pid"] == pids["A"] for r in records)
 
 
 def test_cascade_commits_one_transaction(live_chain):
@@ -582,9 +584,7 @@ def test_already_affected_not_reflagged_or_renotified(live_publish):
 
     assert _cascade(fed, ledger, b) == []
     assert fed.nodes["OrgA"].height() == height
-    lines = (fed.config.outbox_dir / "OrgA.jsonl").read_text().splitlines()
-    assert [json.loads(line)["pid"] for line in lines] == [d]
-    assert ledger.hlf_read(d).status_source == a
+    assert _notified(ledger) == [(d, a)]
 
 
 def test_cascade_reports_only_what_its_transaction_flagged(live_publish):
@@ -607,8 +607,7 @@ def test_cascade_reports_only_what_its_transaction_flagged(live_publish):
     assert _cascade(fed, ledger, a) == []
     (tx,) = fed.nodes["OrgA"].block(fed.nodes["OrgA"].height()).transactions
     assert (tx["body"]["pid"], tx["validation"], tx["result"]["writes"]) == (a, "VALID", {})
-    assert not (fed.config.outbox_dir / "OrgA.jsonl").exists()
-    assert ledger.hlf_read(d).status_source == b
+    assert _notified(ledger) == [(d, b)]
 
 
 def _conflict_before_first_order(ledger, flagger, source, target):
@@ -637,10 +636,9 @@ def test_cascade_retries_after_read_write_conflict(live_chain):
     tip = fed.nodes["OrgA"].height()
     assert [tx["validation"] for block in fed.nodes["OrgA"].committed_since(tip - 2)
             for tx in block.transactions] == ["VALID", "INVALID:read-write-conflict", "VALID"]
-    for pid in (pids["B"], pids["C"]):
-        assert ledger.hlf_read(pid).status == "affected"
-    lines = (fed.config.outbox_dir / "OrgA.jsonl").read_text().splitlines()
-    assert [json.loads(line)["pid"] for line in lines] == [pids["C"]]
+    assert _notified(ledger) == sorted([(pids["B"], pids["A"]), (pids["C"], pids["A"])])
+    (flag,) = fed.nodes["OrgA"].block(tip).transactions
+    assert list(flag["result"]["writes"]) == [pids["C"]]
 
 
 def test_cascade_conflicting_on_every_attempt_raises(live_publish):
@@ -664,7 +662,8 @@ def test_cascade_conflicting_on_every_attempt_raises(live_publish):
         _cascade(fed, ledger, pids["A"])
     assert calls == [sorted(pids[name] for name in "BCDE")] * FLAG_ATTEMPTS
     assert FLAG_ATTEMPTS == 3
-    assert not (fed.config.outbox_dir / "OrgA.jsonl").exists()
+    # Only the concurrent flags committed, one target each.
+    assert _notified(ledger) == sorted((pids[name], pids["A"]) for name in "BCD")
     assert ledger.hlf_read(pids["E"]).status == "valid"
 
 
@@ -683,7 +682,7 @@ def test_cascade_refused_receipt_raises_without_notifying(live_chain):
     with pytest.raises(LedgerRejectedError, match="endorsement-policy-unmet"):
         _cascade(fed, ledger, pids["A"])
     assert len(calls) == 1
-    assert not (fed.config.outbox_dir / "OrgA.jsonl").exists()
+    assert _notified(ledger) == []
     assert ledger.hlf_read(pids["B"]).status == "valid"
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from fedprov.harness import Federation
+from fedprov.lineage import notifications
 from fedprov.scenarios import runner, uc1_lineage, uc2_cascade, uc3_iterations
 
 
@@ -52,8 +53,15 @@ def test_uc2_cascade_flags_exactly_d_and_e(scenario_fed):
     assert ledger.hlf_read(result["pids"]["A"]).status == "valid"
     assert ledger.hlf_read(result["pids"]["C"]).status == "valid"
     assert ledger.hlf_read(result["pids"]["B"]).status == "invalidated"
-    outbox = scenario_fed.config.outbox_dir
-    assert any(outbox.glob("*.jsonl"))
+    # Each owner of D and E is told, B named as the source, by every node alike.
+    code, listed = cli.run(["--config", str(scenario_fed.config_path), "notifications"])
+    assert code == cli.EXIT_OK
+    pids = result["pids"]
+    assert sorted((n["pid"], n["source_pid"], n["owner"]) for n in listed["notifications"]) == \
+        sorted([(pids["D"], pids["B"], "carol"), (pids["E"], pids["B"], "bob")])
+    for transport in ledger.peers.values():
+        state = transport("QUERY", {"op": "state"})["state"]
+        assert notifications(state) == listed["notifications"]
     # An affected artifact still verifies: content is intact, status surfaced.
     code, body = cli.run(
         ["--config", str(scenario_fed.config_path), "verify", result["pids"]["D"]]

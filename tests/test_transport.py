@@ -431,6 +431,53 @@ def test_reply_that_is_not_an_object_is_unreachable_and_not_pooled(reply):
         assert seen == [(0, "A"), (1, "B")]
 
 
+@pytest.mark.parametrize("error", [[], "boom", {"type": 5}],
+                         ids=["list", "string", "type-number"])
+def test_error_reply_of_the_wrong_shape_is_unreachable_and_not_pooled(error):
+    """An error reply whose ``error`` is not an object with a string ``type``
+    and ``message`` is a ``TransportError`` (exit 16), and its connection is
+    closed, not pooled."""
+    with bare_server(lambda message: {"ok": False, "error": error}) as (address, seen, closed):
+        with pytest.raises(TransportError, match="without a string type") as failed:
+            request(address, "A", {})
+        assert cli.exit_code_for(failed.value) == 16
+        assert closed.wait(timeout=5)
+        with pytest.raises(TransportError, match="without a string type"):
+            request(address, "B", {})
+        assert seen == [(0, "A"), (1, "B")]
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [{"ok": True, "kind": "ENDORSE"},
+     {"ok": True, "endorsement": {"org": "OrgB"}, "result": []},
+     {"ok": True, "endorsement": {"org": "OrgB"}, "result": {"message": None}}],
+    ids=["no-endorsement", "result-list", "message-null"],
+)
+def test_propose_reply_of_the_wrong_shape_is_a_refusal(fed, users, reply, caplog):
+    """An endorser whose PROPOSE reply lacks an endorsement, or a result with
+    a string message, contributes nothing: alone it fails the write with a
+    ``TransportError`` (exit 16); beside a sound endorser the write commits."""
+    alice = users["alice"]
+
+    def client(peers):
+        return LedgerClient(
+            identity=alice["identity"], private_key=alice["key"], peer_transports=peers,
+            orderer_transport=TcpTransport(fed.config.orderer_org().listen_address),
+            orgs=fed.config.orgs_map(), endorsement_policy=fed.config.endorsement_policy,
+        )
+
+    with bare_server(lambda message: reply) as (address, seen, _):
+        with pytest.raises(TransportError, match="OrgB sent a PROPOSE reply") as failed:
+            publish_raw(client({"OrgB": TcpTransport(address)}), "21.P/w1")
+        assert cli.exit_code_for(failed.value) == 16
+        sound = TcpTransport(fed.config.org_entry("OrgA").listen_address)
+        assert publish_raw(client({"OrgA": sound, "OrgB": TcpTransport(address)}), "21.P/w2").ok
+        assert [kind for _, kind in seen] == ["PROPOSE", "PROPOSE"]
+    assert alice["ledger"].hlf_read("21.P/w1") is None
+    assert sum("OrgB sent a PROPOSE reply" in r.getMessage() for r in caplog.records) == 2
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 def test_federations_started_and_stopped_leave_no_sockets(tmp_path):
     def open_fds():
